@@ -1,51 +1,16 @@
 //! The Wengert-list tape: forward builders and the reverse sweep.
 
 use crate::ops::Op;
-use mars_tensor::ops::{matmul_into, matmul_nt_into, matmul_tn_into, BlockDiagCsr, CsrMatrix};
-use mars_tensor::stats;
-use mars_tensor::Matrix;
+use mars_tensor::ops::{
+    matmul_into, matmul_nt_into, matmul_nt_packed_into, matmul_tn_into, BlockDiagCsr, CsrMatrix,
+};
+use mars_tensor::simd::{axpy, strided_sweep};
+use mars_tensor::{stats, Matrix};
 use std::sync::Arc;
 
 /// Handle to a value recorded on a [`Tape`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Var(pub(crate) usize);
-
-/// `out[j] = dz · m.row(j)` for every row of `m` — the `1 × n` case of
-/// [`matmul_nt`] without the temporary row-vector and result matrices.
-/// Four rows at a time so `dz` stays in registers; each accumulator
-/// ascends the contraction axis exactly like `matmul_nt`'s blocked
-/// kernel, so the result is bit-identical to the matmul it replaces.
-fn dot_rows_into(dz: &[f32], m: &Matrix, out: &mut [f32]) {
-    let n = m.rows();
-    let k = dz.len();
-    debug_assert_eq!(out.len(), n);
-    debug_assert_eq!(k, m.cols());
-    let mut j = 0;
-    while j + 4 <= n {
-        let (b0, b1, b2, b3) = (m.row(j), m.row(j + 1), m.row(j + 2), m.row(j + 3));
-        let (mut c0, mut c1, mut c2, mut c3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        for t in 0..k {
-            let av = dz[t];
-            c0 += av * b0[t];
-            c1 += av * b1[t];
-            c2 += av * b2[t];
-            c3 += av * b3[t];
-        }
-        out[j] = c0;
-        out[j + 1] = c1;
-        out[j + 2] = c2;
-        out[j + 3] = c3;
-        j += 4;
-    }
-    for (jj, o) in out.iter_mut().enumerate().take(n).skip(j) {
-        let b_row = m.row(jj);
-        let mut acc = 0.0f32;
-        for t in 0..k {
-            acc += dz[t] * b_row[t];
-        }
-        *o = acc;
-    }
-}
 
 struct Node {
     value: Matrix,
@@ -88,11 +53,20 @@ pub struct Tape {
     /// `autograd.arena.high_water` gauge on every
     /// [`Tape::reset_for_reuse`].
     high_water: usize,
+    /// Transposed weights `(w, wᵀ)` of the current backward pass, so
+    /// every `dY·Wᵀ` after the first reads `Wᵀ` instead of packing it
+    /// again (one decoder weight serves 528 steps of a gnmt4 pass).
+    /// Filled on first use, retired with the gradients. A `Vec` scanned
+    /// linearly: a pass touches a handful of weights, and an empty one
+    /// costs the per-request `Tape::inference()` nothing.
+    wt: Vec<(Var, Matrix)>,
 }
 
 /// Upper bound on recycled buffers kept across [`Tape::reset_for_reuse`]
-/// calls; enough for every activation of one encoder–placer forward at
-/// paper-scale widths while bounding idle memory.
+/// calls, to bound idle memory. It does not cover a whole placer pass —
+/// a gnmt4 forward records ~6.3k nodes — so such a pass keeps the first
+/// 512 buffers it retires and frees the rest; scratch that is taken and
+/// recycled within one backward rule stays inside the bound.
 const MAX_POOLED_BUFS: usize = 512;
 
 impl Default for Tape {
@@ -104,7 +78,14 @@ impl Default for Tape {
 impl Tape {
     /// Empty recording (training) tape.
     pub fn new() -> Self {
-        Tape { nodes: Vec::new(), grads: Vec::new(), record: true, pool: Vec::new(), high_water: 0 }
+        Tape {
+            nodes: Vec::new(),
+            grads: Vec::new(),
+            record: true,
+            pool: Vec::new(),
+            high_water: 0,
+            wt: Vec::new(),
+        }
     }
 
     /// Empty inference tape: forward values are computed by exactly the
@@ -112,13 +93,7 @@ impl Tape {
     /// op structure or backward caches are retained and
     /// [`Tape::backward`] panics.
     pub fn inference() -> Self {
-        Tape {
-            nodes: Vec::new(),
-            grads: Vec::new(),
-            record: false,
-            pool: Vec::new(),
-            high_water: 0,
-        }
+        Tape { record: false, ..Self::new() }
     }
 
     /// `false` for tapes built with [`Tape::inference`].
@@ -146,14 +121,7 @@ impl Tape {
                 self.pool.push(node.value.into_vec());
             }
         }
-        // Training arena: gradient buffers from the last backward feed
-        // the same pool, so the next update's backward pass reuses them
-        // instead of re-allocating per node.
-        for g in self.grads.drain(..).flatten() {
-            if self.pool.len() < MAX_POOLED_BUFS {
-                self.pool.push(g.into_vec());
-            }
-        }
+        self.retire_backward_state();
         let held: usize = self.pool.iter().map(|b| b.capacity()).sum();
         if held > self.high_water {
             self.high_water = held;
@@ -201,6 +169,18 @@ impl Tape {
     fn recycle(&mut self, m: Matrix) {
         if self.pool.len() < MAX_POOLED_BUFS {
             self.pool.push(m.into_vec());
+        }
+    }
+
+    /// Training arena: the gradients and transposed weights of the last
+    /// backward feed the pool, so the next pass reuses their buffers
+    /// instead of re-allocating per node.
+    fn retire_backward_state(&mut self) {
+        let retired = self.grads.drain(..).flatten().chain(self.wt.drain(..).map(|(_, t)| t));
+        for m in retired {
+            if self.pool.len() < MAX_POOLED_BUFS {
+                self.pool.push(m.into_vec());
+            }
         }
     }
 
@@ -821,6 +801,33 @@ impl Tape {
     // Backward
     // ---------------------------------------------------------------
 
+    /// Index in `self.wt` of `v`'s transposed value, packed into a
+    /// pooled buffer on its first use in this backward.
+    fn transposed(&mut self, v: Var) -> usize {
+        if let Some(at) = self.wt.iter().position(|(w, _)| *w == v) {
+            return at;
+        }
+        let (r, c) = self.value(v).shape();
+        let mut t = self.alloc_zeros(c, r);
+        self.value(v).transpose_into(&mut t);
+        self.wt.push((v, t));
+        self.wt.len() - 1
+    }
+
+    /// `g · bᵀ`, the input gradient of `a · b`. A leaf `b` is a weight
+    /// that many products share, so its transpose comes from the cache;
+    /// any other operand is packed by the kernel for this one product.
+    fn grad_nt(&mut self, g: &Matrix, b: Var) -> Matrix {
+        let mut ga = self.alloc_zeros(g.rows(), self.value(b).rows());
+        if matches!(self.nodes[b.0].op, Op::Leaf) {
+            let at = self.transposed(b);
+            matmul_nt_packed_into(g, &self.wt[at].1, &mut ga);
+        } else {
+            matmul_nt_into(g, self.value(b), &mut ga);
+        }
+        ga
+    }
+
     fn accumulate(&mut self, v: Var, g: Matrix) {
         if !self.nodes[v.0].requires_grad {
             self.recycle(g);
@@ -869,13 +876,9 @@ impl Tape {
             "backward() requires a scalar loss, got {:?}",
             self.value(loss).shape()
         );
-        // Arena: recycle any gradients from a previous backward on this
-        // tape and reuse the slot vector's capacity.
-        for g in self.grads.drain(..).flatten() {
-            if self.pool.len() < MAX_POOLED_BUFS {
-                self.pool.push(g.into_vec());
-            }
-        }
+        // Arena: recycle whatever a previous backward on this tape left
+        // and reuse the slot vector's capacity.
+        self.retire_backward_state();
         self.grads.resize_with(self.nodes.len(), || None);
         let mut seed = self.take_buf_empty(1);
         seed.push(1.0);
@@ -895,8 +898,7 @@ impl Tape {
                 Op::Leaf => {}
                 Op::MatMul(a, b) => {
                     if self.rg(a) {
-                        let mut ga = self.alloc_zeros(g.rows(), self.value(b).rows());
-                        matmul_nt_into(&g, self.value(b), &mut ga);
+                        let ga = self.grad_nt(&g, b);
                         self.accumulate(a, ga);
                     }
                     if self.rg(b) {
@@ -924,8 +926,7 @@ impl Tape {
                         // Row-local: each output row depends only on its
                         // own `g` row, so the whole-matrix product is
                         // bit-identical to the per-segment products.
-                        let mut ga = self.alloc_zeros(g.rows(), self.value(b).rows());
-                        matmul_nt_into(&g, self.value(b), &mut ga);
+                        let ga = self.grad_nt(&g, b);
                         self.accumulate(a, ga);
                     }
                     if self.rg(b) {
@@ -1374,95 +1375,84 @@ impl Tape {
                     }
                 }
                 Op::LstmSeq { x, w_ih, w_hh, b, h0, c0, cache } => {
-                    // All reads borrow node values in place (no weight
-                    // clones), the gate outer products run through the
-                    // dispatched axpy, and the dX/dh_prev row products
-                    // are blocked dot sweeps into reusable scratch —
-                    // same per-element op sequence as the matmul_nt
-                    // calls they replace (each accumulator ascends the
-                    // 4H contraction axis), so gradients are unchanged
-                    // bit for bit.
-                    let (gx, gw_ih, gw_hh, gb, dh_rec, dc_rec) = {
-                        let t_len = self.value(x).rows();
-                        let hd = self.value(h0).cols();
-                        let x_m = self.value(x);
-                        let w_ih_m = self.value(w_ih);
-                        let w_hh_m = self.value(w_hh);
-                        let h0_row = self.value(h0).row(0);
-                        let c0_row = self.value(c0).row(0);
-
-                        let mut gx = Matrix::zeros(t_len, x_m.cols());
-                        let mut gw_ih = Matrix::zeros(w_ih_m.rows(), w_ih_m.cols());
-                        let mut gw_hh = Matrix::zeros(hd, 4 * hd);
-                        let mut gb = Matrix::zeros(1, 4 * hd);
-
-                        // Recurrent carries: dh from t+1's gates, dc
-                        // from t+1's forget path.
-                        let mut dh_rec = vec![0.0f32; hd];
-                        let mut dc_rec: Vec<f32> = g.row(t_len).to_vec(); // grad on c_T
-                        let mut dz = vec![0.0f32; 4 * hd];
-
-                        for t in (0..t_len).rev() {
-                            let c_prev: &[f32] = if t == 0 { c0_row } else { cache.c.row(t - 1) };
-                            for k in 0..hd {
-                                let dh = g.get(t, k) + dh_rec[k];
-                                let o = cache.o.get(t, k);
-                                let tc = cache.tanh_c.get(t, k);
-                                let i = cache.i.get(t, k);
-                                let f = cache.f.get(t, k);
-                                let gg = cache.g.get(t, k);
-                                let dc = dh * o * (1.0 - tc * tc) + dc_rec[k];
-                                let do_pre = dh * tc * o * (1.0 - o);
-                                let di_pre = dc * gg * i * (1.0 - i);
-                                let df_pre = dc * c_prev[k] * f * (1.0 - f);
-                                let dg_pre = dc * i * (1.0 - gg * gg);
-                                dz[k] = di_pre;
-                                dz[hd + k] = df_pre;
-                                dz[2 * hd + k] = dg_pre;
-                                dz[3 * hd + k] = do_pre;
-                                dc_rec[k] = dc * f;
-                            }
-                            // Parameter gradients: outer products with
-                            // the step inputs.
-                            let x_t = x_m.row(t);
-                            let h_prev: &[f32] =
-                                if t == 0 { h0_row } else { self.nodes[i].value.row(t - 1) };
-                            for (r, &xv) in x_t.iter().enumerate() {
-                                if xv != 0.0 {
-                                    mars_tensor::simd::axpy(gw_ih.row_mut(r), xv, &dz);
-                                }
-                            }
-                            for (r, &hv) in h_prev.iter().enumerate() {
-                                if hv != 0.0 {
-                                    mars_tensor::simd::axpy(gw_hh.row_mut(r), hv, &dz);
-                                }
-                            }
-                            mars_tensor::simd::axpy(gb.row_mut(0), 1.0, &dz);
-                            // Input and recurrent gradients: dz · Wᵀ.
-                            dot_rows_into(&dz, w_ih_m, gx.row_mut(t));
-                            dot_rows_into(&dz, w_hh_m, &mut dh_rec);
+                    // All scratch comes from the arena and all reads
+                    // borrow node values in place. `dz · Wᵀ` sweeps the
+                    // cached transposes — per element the same ascending
+                    // mul + add as the dot product it stands for (see
+                    // `matmul_nt_into`) — and the gate outer products
+                    // run through the dispatched axpy.
+                    let (t_len, in_dim) = self.value(x).shape();
+                    let hd = self.value(h0).cols();
+                    let mut gx = self.alloc_zeros(t_len, in_dim);
+                    let mut dz_m = self.alloc_zeros(1, 4 * hd);
+                    // Recurrent carries: dh from t+1's gates, dc from
+                    // t+1's forget path (seeded by the grad on c_T).
+                    let mut dh_rec = self.alloc_zeros(1, hd);
+                    let mut dc_rec = self.alloc_zeros(1, hd);
+                    dc_rec.as_mut_slice().copy_from_slice(g.row(t_len));
+                    // Where the weight gradients sum up. One step (the
+                    // decoder) contributes a single rank-1 term per
+                    // weight, so it adds straight into the taken slot:
+                    // `slot + (0 + x·dz)` is `slot + x·dz` bit for bit
+                    // unless both `slot` and `x·dz` are `-0.0`, and a
+                    // weight's slot never is — whatever reaches it
+                    // (this rule, `matmul_tn`) is a sum that began at
+                    // `+0.0`. Longer sequences sum locally first, as
+                    // `slot + Σ_t` associates.
+                    let mut sums = [w_ih, w_hh, b].map(|w| {
+                        self.rg(w).then(|| {
+                            let slot = if t_len == 1 { self.grads[w.0].take() } else { None };
+                            let (r, c) = self.value(w).shape();
+                            slot.unwrap_or_else(|| self.alloc_zeros(r, c))
+                        })
+                    });
+                    let (wt_ih, wt_hh) = (self.transposed(w_ih), self.transposed(w_hh));
+                    let (wt_ih, wt_hh) = (self.wt[wt_ih].1.as_slice(), self.wt[wt_hh].1.as_slice());
+                    let x_m = self.value(x);
+                    let dz = dz_m.as_mut_slice();
+                    for t in (0..t_len).rev() {
+                        let (c_prev, h_prev) = match t {
+                            0 => (self.value(c0).row(0), self.value(h0).row(0)),
+                            _ => (cache.c.row(t - 1), self.nodes[i].value.row(t - 1)),
+                        };
+                        for k in 0..hd {
+                            let dh = g.get(t, k) + dh_rec.get(0, k);
+                            let o = cache.o.get(t, k);
+                            let tc = cache.tanh_c.get(t, k);
+                            let i = cache.i.get(t, k);
+                            let f = cache.f.get(t, k);
+                            let gg = cache.g.get(t, k);
+                            let dc = dh * o * (1.0 - tc * tc) + dc_rec.get(0, k);
+                            dz[k] = dc * gg * i * (1.0 - i);
+                            dz[hd + k] = dc * c_prev[k] * f * (1.0 - f);
+                            dz[2 * hd + k] = dc * i * (1.0 - gg * gg);
+                            dz[3 * hd + k] = dh * tc * o * (1.0 - o);
+                            dc_rec.set(0, k, dc * f);
                         }
-                        (gx, gw_ih, gw_hh, gb, dh_rec, dc_rec)
-                    };
-
-                    if self.rg(x) {
-                        self.accumulate(x, gx);
+                        // Parameter gradients: outer products with the
+                        // step inputs (the bias's input is the constant 1).
+                        for (sum, input) in sums.iter_mut().zip([x_m.row(t), h_prev, &[1.0]]) {
+                            let Some(sum) = sum else { continue };
+                            for (r, &v) in input.iter().enumerate() {
+                                if v != 0.0 {
+                                    axpy(sum.row_mut(r), v, dz);
+                                }
+                            }
+                        }
+                        // Input and recurrent gradients: dz · Wᵀ.
+                        strided_sweep(gx.row_mut(t), dz, wt_ih, in_dim);
+                        dh_rec.as_mut_slice().fill(0.0);
+                        strided_sweep(dh_rec.as_mut_slice(), dz, wt_hh, hd);
                     }
-                    if self.rg(w_ih) {
-                        self.accumulate(w_ih, gw_ih);
+                    self.accumulate(x, gx);
+                    for (w, sum) in [w_ih, w_hh, b].into_iter().zip(sums) {
+                        if let Some(sum) = sum {
+                            self.accumulate(w, sum);
+                        }
                     }
-                    if self.rg(w_hh) {
-                        self.accumulate(w_hh, gw_hh);
-                    }
-                    if self.rg(b) {
-                        self.accumulate(b, gb);
-                    }
-                    if self.rg(h0) {
-                        self.accumulate(h0, Matrix::row_vector(&dh_rec));
-                    }
-                    if self.rg(c0) {
-                        self.accumulate(c0, Matrix::row_vector(&dc_rec));
-                    }
+                    self.accumulate(h0, dh_rec);
+                    self.accumulate(c0, dc_rec);
+                    self.recycle(dz_m);
                 }
                 Op::AttnScores { proj, dproj, v, act } => {
                     // s_j = Σ_a tanh(proj[j][a] + dproj[a]) · v[a], so

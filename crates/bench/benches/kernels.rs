@@ -17,7 +17,7 @@ use mars_nn::{FwdCtx, ParamStore};
 use mars_rng::rngs::StdRng;
 use mars_rng::SeedableRng;
 use mars_sim::{simulate, Cluster, Placement};
-use mars_tensor::ops::{matmul, matmul_tn, CsrMatrix};
+use mars_tensor::ops::{matmul, matmul_nt, matmul_tn, CsrMatrix};
 use mars_tensor::{init, Matrix};
 use std::hint::black_box;
 
@@ -40,6 +40,18 @@ fn bench_matmul_tn(opts: &BenchOpts, out: &mut Vec<Sample>) {
         let b = init::uniform(n, n, 1.0, &mut rng);
         out.extend(bench(opts, &format!("matmul_tn/{n}"), || {
             black_box(matmul_tn(black_box(&a), black_box(&b)));
+        }));
+    }
+}
+
+fn bench_matmul_nt(opts: &BenchOpts, out: &mut Vec<Sample>) {
+    // The other half of the backward pass: grad_x = grad_y · wᵀ.
+    for n in [128usize, 256] {
+        let mut rng = StdRng::seed_from_u64(10);
+        let a = init::uniform(n, n, 1.0, &mut rng);
+        let b = init::uniform(n, n, 1.0, &mut rng);
+        out.extend(bench(opts, &format!("matmul_nt/{n}"), || {
+            black_box(matmul_nt(black_box(&a), black_box(&b)));
         }));
     }
 }
@@ -86,6 +98,22 @@ fn bench_segment_placer(opts: &BenchOpts, out: &mut Vec<Sample>) {
         let r = ctx.tape.constant(reps.clone());
         let l = placer.logits(&mut ctx, r);
         black_box(ctx.tape.value(l).sum());
+    }));
+    // One PPO minibatch's worth of placer work: the forward above plus
+    // the reverse sweep, on a persistent tape as `Agent::train` runs it.
+    let mut tape: Option<mars_autograd::Tape> = None;
+    out.extend(bench(opts, "segment_placer_forward_backward_128ops", || {
+        let mut ctx = match tape.take() {
+            Some(prev) => FwdCtx::with_tape(prev, &store),
+            None => FwdCtx::new(&store),
+        };
+        let r = ctx.tape.constant(reps.clone());
+        let l = placer.logits(&mut ctx, r);
+        let loss = ctx.tape.mean_all(l);
+        let (grads, mut reclaimed) = ctx.into_grads_and_tape(loss, 1.0);
+        black_box(grads.len());
+        reclaimed.reset_for_reuse();
+        tape = Some(reclaimed);
     }));
 }
 
@@ -257,6 +285,7 @@ fn main() {
     let mut samples = Vec::new();
     bench_matmul(&opts, &mut samples);
     bench_matmul_tn(&opts, &mut samples);
+    bench_matmul_nt(&opts, &mut samples);
     bench_spmm(&opts, &mut samples);
     bench_gcn_forward(&opts, &mut samples);
     bench_segment_placer(&opts, &mut samples);

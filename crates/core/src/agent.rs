@@ -336,10 +336,11 @@ impl Agent {
         }
     }
 
-    /// Current policy's device probabilities (`N × D`), without
-    /// recording gradients for reuse.
+    /// Current policy's device probabilities (`N × D`), on an inference
+    /// tape: no backward pass follows, so no op or backward cache is
+    /// kept (same kernels, same bits as a recording forward).
     pub fn policy_probs(&self, input: &WorkloadInput) -> Matrix {
-        let mut ctx = FwdCtx::new(&self.store);
+        let mut ctx = FwdCtx::new_inference(&self.store);
         let reps = self.reps_on(&mut ctx, input);
         let logits = self.placer.logits(&mut ctx, reps);
         stats::softmax_rows(ctx.tape.value(logits))

@@ -197,12 +197,25 @@ impl Matrix {
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Self::transpose`] written into a caller-provided `cols × rows`
+    /// matrix. Source rows go out sixteen at a time, so a destination
+    /// cache line is filled while it is resident; one source row at a
+    /// time revisits every line once per row, and a power-of-two row
+    /// stride evicts it in between.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        assert_eq!(out.shape(), (self.cols, self.rows), "transpose_into: out shape mismatch");
+        for r0 in (0..self.rows).step_by(16) {
+            let r1 = (r0 + 16).min(self.rows);
             for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+                for r in r0..r1 {
+                    out.data[c * self.rows + r] = self.data[r * self.cols + c];
+                }
             }
         }
-        out
     }
 
     /// Apply `f` elementwise, producing a new matrix.

@@ -1,9 +1,10 @@
 //! Matrix-multiplication kernels.
 //!
 //! The hot loops of Mars are `X·W` products in the GCN/LSTM layers and
-//! their gradient counterparts `Aᵀ·B` / `A·Bᵀ`. We provide all three
-//! transpose variants as dedicated kernels so the autograd backward
-//! pass never has to materialize a transposed copy.
+//! their gradient counterparts `Aᵀ·B` / `A·Bᵀ`. All three transpose
+//! variants run the same row sweep; the two transposed ones pack their
+//! transposed operand first (`matmul_nt` on every call, or once per
+//! weight when the caller keeps `Bᵀ`: [`matmul_nt_packed_into`]).
 //!
 //! Each kernel uses a cache-friendly i-k-j loop order and switches to a
 //! row partition parallelized on the in-repo thread pool
@@ -130,9 +131,15 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         a.shape(),
         b.shape()
     );
+    product_into(a, b, out);
+}
+
+/// `out = A · B` for conforming operands: the row sweeps behind
+/// [`matmul_into`] and, on a transposed `B`, behind [`matmul_nt_into`].
+fn product_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let (m, k) = a.shape();
     let n = b.cols();
-    assert_eq!(out.shape(), (m, n), "matmul_into: out shape {:?} != ({m}, {n})", out.shape());
+    assert_eq!(out.shape(), (m, n), "product out shape {:?} != ({m}, {n})", out.shape());
     out.as_mut_slice().fill(0.0);
     if m * n * k >= PAR_FLOP_THRESHOLD && m >= PACK_MIN_ROWS {
         // Blocked/packed path: pack B once, sweep BLOCK_ROWS-row blocks
@@ -219,11 +226,17 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// `C = A · Bᵀ` written into a caller-provided `m×n` matrix — the
-/// allocation-free entry point that [`matmul_nt`] wraps, used by the
-/// training arena's pooled gradient buffers. Every element is fully
-/// overwritten (each dot product assigns, never accumulates into prior
-/// contents), so results are independent of what `out` previously held.
+/// `C = A · Bᵀ` written into a caller-provided `m×n` matrix (zeroed
+/// here first) — the allocation-free entry point that [`matmul_nt`]
+/// wraps, used by the training arena's pooled gradient buffers.
+///
+/// The contraction runs along the contiguous axis of both operands, so
+/// lanes over it would sum each element as a lane tree. Transposing `B`
+/// once turns it into the [`matmul`] sweep instead — lanes over output
+/// columns, each element ascending `t` with `mul` + `add` — which is
+/// bit-identical to the naive dot `Σ_t a[i][t]·b[j][t]` on finite
+/// operands: that accumulator starts at `+0.0` and can never become
+/// `-0.0`, so the `a == 0.0` skip drops only terms that leave it as is.
 pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let _span = mars_telemetry::span("tensor.ops.matmul_nt");
     assert_eq!(
@@ -233,52 +246,22 @@ pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         a.shape(),
         b.shape()
     );
-    let (m, k) = a.shape();
-    let n = b.rows();
-    assert_eq!(out.shape(), (m, n), "matmul_nt_into: out shape {:?} != ({m}, {n})", out.shape());
-    // Four output columns at a time: a_row stays in registers across
-    // four dot products. Each accumulator still ascends in t, so the
-    // result is bit-identical to the single-column loop. This kernel
-    // stays scalar in the default tier: its contraction runs along the
-    // contiguous axis of both operands, so vectorizing would reorder
-    // the adds *within* an element (a lane-sum tree), unlike the axpy
-    // kernels where lanes are independent output elements.
-    let compute_row = |i: usize, out_row: &mut [f32]| {
-        let a_row = a.row(i);
-        let mut j = 0;
-        while j + 4 <= n {
-            let (b0, b1, b2, b3) = (b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3));
-            let (mut c0, mut c1, mut c2, mut c3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for t in 0..k {
-                let av = a_row[t];
-                c0 += av * b0[t];
-                c1 += av * b1[t];
-                c2 += av * b2[t];
-                c3 += av * b3[t];
-            }
-            out_row[j] = c0;
-            out_row[j + 1] = c1;
-            out_row[j + 2] = c2;
-            out_row[j + 3] = c3;
-            j += 4;
-        }
-        for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
-            let b_row = b.row(jj);
-            let mut acc = 0.0f32;
-            for t in 0..k {
-                acc += a_row[t] * b_row[t];
-            }
-            *o = acc;
-        }
-    };
-    if m * n * k >= PAR_FLOP_THRESHOLD && m > 1 {
-        pool::par_chunks_mut(out.as_mut_slice(), n.max(1), |i, out_row| compute_row(i, out_row));
-    } else {
-        for i in 0..m {
-            let row = &mut out.as_mut_slice()[i * n..(i + 1) * n];
-            compute_row(i, row);
-        }
-    }
+    product_into(a, &b.transpose(), out);
+}
+
+/// [`matmul_nt_into`] for a caller that already holds `bt = Bᵀ`
+/// (`k×n`) and reuses it across products — the backward pass keeps one
+/// per weight leaf. Same span, same sweep, same bits.
+pub fn matmul_nt_packed_into(a: &Matrix, bt: &Matrix, out: &mut Matrix) {
+    let _span = mars_telemetry::span("tensor.ops.matmul_nt");
+    assert_eq!(
+        a.cols(),
+        bt.rows(),
+        "matmul_nt: trailing dimensions differ: {:?} x {:?}ᵀ",
+        a.shape(),
+        bt.shape()
+    );
+    product_into(a, bt, out);
 }
 
 /// Dot product of two equal-length slices.
@@ -749,25 +732,39 @@ mod tests {
     }
 
     #[test]
-    fn matmul_nt_column_blocking_bit_identical() {
-        // n not a multiple of 4 exercises the remainder loop; compare
-        // against the plain one-column-at-a-time dot products.
-        let (m, k, n) = (70, 80, 67);
-        assert!(m * n * k >= PAR_FLOP_THRESHOLD);
-        let a = Matrix::from_fn(m, k, |r, c| ((r + 2 * c) as f32 * 0.01).sin());
-        let b = Matrix::from_fn(n, k, |r, c| ((3 * r + c) as f32 * 0.02).cos());
-        let fast = matmul_nt(&a, &b);
-        let mut seq = Matrix::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for t in 0..k {
-                    acc += a.row(i)[t] * b.row(j)[t];
+    fn matmul_nt_bit_identical_to_naive_dot() {
+        // The oracle is the plain ascending dot per element, with no
+        // zero skip. Shapes cover single rows, ragged lane tails, the
+        // serial path, the unpacked parallel path (m < PACK_MIN_ROWS)
+        // and the blocked one; inputs carry exact zeros and `-0.0`.
+        for (m, k, n) in [(1, 192, 96), (3, 17, 31), (5, 1, 40), (4, 300, 250), (70, 80, 67)] {
+            let a = Matrix::from_fn(m, k, |r, c| match (r * 5 + c) % 7 {
+                0 => 0.0,
+                3 => -0.0,
+                _ => ((r + 2 * c) as f32 * 0.01).sin(),
+            });
+            let b = Matrix::from_fn(n, k, |r, c| match (r + 3 * c) % 11 {
+                0 => -0.0,
+                _ => ((3 * r + c) as f32 * 0.02).cos(),
+            });
+            let mut seq = Matrix::zeros(m, n);
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for t in 0..k {
+                        acc += a.row(i)[t] * b.row(j)[t];
+                    }
+                    seq.set(i, j, acc);
                 }
-                seq.set(i, j, acc);
             }
+            let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&matmul_nt(&a, &b)), bits(&seq), "({m},{k},{n})");
+            let mut held = Matrix::full(m, n, f32::NAN);
+            matmul_nt_packed_into(&a, &b.transpose(), &mut held);
+            assert_eq!(bits(&held), bits(&seq), "({m},{k},{n}) with a caller-held Bᵀ");
         }
-        assert_eq!(fast, seq);
+        const { assert!(4 * 300 * 250 >= PAR_FLOP_THRESHOLD && 4 < PACK_MIN_ROWS) }
+        const { assert!(70 * 80 * 67 >= PAR_FLOP_THRESHOLD) }
     }
 
     #[test]

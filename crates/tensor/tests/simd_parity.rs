@@ -5,7 +5,8 @@
 //! many output elements one instruction touches, never the per-element
 //! operation sequence. This file pins that claim over randomized shapes
 //! (including degenerate `1 × N` / `N × 1` and non-lane-multiple
-//! remainders), subnormal inputs, and NaN propagation.
+//! remainders), subnormal inputs, and NaN propagation, for all three
+//! dense transpose variants, both sparse products and the tanh batch.
 //!
 //! The backend override is process-global, so everything runs inside a
 //! single `#[test]` to keep the comparison race-free.
@@ -13,7 +14,7 @@
 use mars_rng::rngs::StdRng;
 use mars_rng::{Rng, SeedableRng};
 use mars_tensor::kernel::{self, Backend};
-use mars_tensor::ops::{matmul, matmul_tn, CsrMatrix};
+use mars_tensor::ops::{matmul, matmul_nt, matmul_tn, CsrMatrix};
 use mars_tensor::{simd, Matrix};
 
 /// Random matrix whose entries include exact zeros (for the `== 0.0`
@@ -93,6 +94,23 @@ fn simd_kernels_are_bit_identical_to_scalar() {
         let at = spicy(k, m, &mut rng);
         let (s, v) = under_both(|| matmul_tn(&at, &b));
         assert_bits_eq(&s, &v, &format!("matmul_tn {k}x{m}ᵀ·{k}x{n}"));
+
+        let bn = spicy(n, k, &mut rng);
+        let (s, v) = under_both(|| matmul_nt(&a, &bn));
+        assert_bits_eq(&s, &v, &format!("matmul_nt {m}x{k}·{n}x{k}ᵀ"));
+    }
+
+    // A·Bᵀ at every output width 0..=33 — each tail class of the
+    // 8-lane and 32-column strips, and the empty product — with one
+    // all-zero coefficient row (every term skipped) and one of `-0.0`.
+    for n in 0..=33usize {
+        let mut a = spicy(3, 19, &mut rng);
+        a.row_mut(1).fill(0.0);
+        a.row_mut(2)[..9].fill(-0.0);
+        let b = spicy(n, 19, &mut rng);
+        let (s, v) = under_both(|| matmul_nt(&a, &b));
+        assert_bits_eq(&s, &v, &format!("matmul_nt width {n}"));
+        assert!(s.row(1).iter().all(|x| x.to_bits() == 0), "zero row must stay +0.0");
     }
 
     // Sparse product over a random pattern.

@@ -186,4 +186,11 @@ rm -f /tmp/mars-serve-log.$$ /tmp/mars-serve-log2.$$ "$SERVE_STORE"
 echo "==> serve bench, smoke mode (open-loop load generator, byte-identity checked)"
 cargo bench -p mars-bench --bench serve --offline -- --smoke
 
-echo "==> OK: build, tests, bench smoke, engine parity, fleet, observability, fault and serve smokes all green"
+echo "==> ledger smoke: the benchmark is a package outside the workspace, so build it here too"
+# Nothing above compiles ledger/, and it calls public entry points of
+# crates/ — an API change there would otherwise break the benchmark
+# unseen. --smoke runs every workload at ~1/50 size with all checks on.
+CARGO_TARGET_DIR=target/ledger cargo run --release --offline --quiet \
+    --manifest-path ledger/Cargo.toml -- --smoke
+
+echo "==> OK: build, tests, bench smoke, engine parity, fleet, observability, fault, serve and ledger smokes all green"
