@@ -1057,14 +1057,18 @@ impl Tape {
                 Op::Mul(a, b) => {
                     if self.rg(a) {
                         let mut ga = self.clone_pooled(&g);
-                        for (e, &bv) in ga.as_mut_slice().iter_mut().zip(self.nodes[b.0].value.as_slice()) {
+                        for (e, &bv) in
+                            ga.as_mut_slice().iter_mut().zip(self.nodes[b.0].value.as_slice())
+                        {
                             *e *= bv;
                         }
                         self.accumulate(a, ga);
                     }
                     if self.rg(b) {
                         let mut gb = self.clone_pooled(&g);
-                        for (e, &av) in gb.as_mut_slice().iter_mut().zip(self.nodes[a.0].value.as_slice()) {
+                        for (e, &av) in
+                            gb.as_mut_slice().iter_mut().zip(self.nodes[a.0].value.as_slice())
+                        {
                             *e *= av;
                         }
                         self.accumulate(b, gb);
@@ -1120,7 +1124,7 @@ impl Tape {
                         for (gi, &yi) in
                             gx.as_mut_slice().iter_mut().zip(self.nodes[i].value.as_slice())
                         {
-                            *gi = *gi * (1.0 - yi * yi);
+                            *gi *= 1.0 - yi * yi;
                         }
                         self.accumulate(x, gx);
                     }

@@ -7,10 +7,10 @@
 use mars_bench::harness::{bench, write_baseline, BenchOpts, Sample};
 use mars_core::config::MarsConfig;
 use mars_core::encoder::{Encoder, GcnEncoder};
-use mars_core::GraphBatch;
 use mars_core::placers::segment::SegmentSeq2Seq;
 use mars_core::placers::PlacerNet;
 use mars_core::workload_input::WorkloadInput;
+use mars_core::GraphBatch;
 use mars_graph::features::FEATURE_DIM;
 use mars_graph::generators::{Profile, Workload};
 use mars_nn::{FwdCtx, ParamStore};

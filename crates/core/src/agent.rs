@@ -141,8 +141,8 @@ impl TrainingLog {
 pub struct Agent {
     /// All trainable parameters.
     pub store: ParamStore,
-    encoder: Box<dyn Encoder + Send>,
-    pub(crate) placer: Box<dyn PlacerNet + Send>,
+    encoder: Box<dyn Encoder + Send + Sync>,
+    pub(crate) placer: Box<dyn PlacerNet + Send + Sync>,
     dgi: Option<Dgi>,
     frozen_reps: Option<Matrix>,
     adam: Adam,
@@ -162,7 +162,7 @@ impl Agent {
         rng: &mut StdRng,
     ) -> Self {
         let mut store = ParamStore::new();
-        let (encoder, dgi): (Box<dyn Encoder + Send>, Option<Dgi>) = match kind {
+        let (encoder, dgi): (Box<dyn Encoder + Send + Sync>, Option<Dgi>) = match kind {
             AgentKind::Mars | AgentKind::MarsNoPretrain | AgentKind::FixedEncoder(_) => {
                 let enc = GcnEncoder::new(
                     &mut store,
@@ -187,7 +187,7 @@ impl Agent {
             AgentKind::GrouperPlacer => (Box::new(RawEncoder::new(feature_dim)), None),
         };
         let rep_dim = encoder.out_dim();
-        let placer: Box<dyn PlacerNet + Send> = match kind {
+        let placer: Box<dyn PlacerNet + Send + Sync> = match kind {
             AgentKind::Mars | AgentKind::MarsNoPretrain => Box::new(SegmentSeq2Seq::new(
                 &mut store,
                 rep_dim,

@@ -30,7 +30,7 @@ pub mod vgg;
 use crate::CompGraph;
 
 /// Structural granularity of a generated graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Profile {
     /// Fine-grained, paper-scale op counts.
     Paper,

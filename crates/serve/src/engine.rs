@@ -8,13 +8,26 @@
 //! stores exactly what cold produced, and the warm tier is filtered to
 //! this engine's weights fingerprint on load.
 //!
-//! Concurrent identical requests deduplicate by construction: the
-//! server wraps the engine in a mutex, so the first request through
-//! runs cold inference and every later identical request hits the hot
-//! tier. The concurrency property test below pins that down — N
-//! threads, one miss, N−1 hot hits, byte-identical rankings.
+//! **Locking.** The engine synchronises itself; callers share it by
+//! reference. One short mutex guards the mutable state — both cache
+//! tiers, the graph memo, the counts and the table of forwards in
+//! flight — and every critical section is a handful of map operations
+//! (plus, on a miss, one line written to the store). The agent and its
+//! weights fingerprint are read-only after construction and sit outside
+//! it. No lock is held while a forward runs, so a hit never waits for
+//! someone else's miss, and misses on different keys run side by side,
+//! each on an inference tape of its own.
+//!
+//! **Single flight.** A miss registers its key in the in-flight table
+//! before it unlocks. A request that finds its key there runs nothing:
+//! it waits for the leader's ranking and is counted `hot` (and
+//! `coalesced`), so `miss` stays the number of forwards run. The leader
+//! lands its result — insert into both tiers, leave the table, wake the
+//! waiters — from a drop guard, so a forward that panics takes down its
+//! own request only: the waiters get an `Err`, the key is free again,
+//! and no lock was held where the panic happened.
 
-use crate::cache::PlacementCache;
+use crate::cache::{Key, PlacementCache};
 use crate::fingerprint::{cluster_fingerprint, graph_fingerprint};
 use crate::store::PlacementStore;
 use mars_core::{Agent, PolicyInference, WorkloadInput};
@@ -23,7 +36,7 @@ use mars_sim::Cluster;
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A full per-op device ranking, shared between cache tiers and
 /// in-flight responses without copying.
@@ -33,7 +46,8 @@ pub type Ranking = Arc<Vec<Vec<usize>>>;
 /// byte-identical regardless of tier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
-    /// In-memory LRU hit.
+    /// In-memory LRU hit, or the result of an identical request's
+    /// forward that was in flight when this one arrived.
     Hot,
     /// Persistent-store hit (promoted to hot).
     Warm,
@@ -42,14 +56,18 @@ pub enum Tier {
 }
 
 /// Per-tier answer counts since engine construction.
+/// `hot + warm + miss` is the number of queries answered.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Queries answered from the in-memory LRU.
+    /// Queries answered from the in-memory LRU or from a forward
+    /// already in flight for the same key.
     pub hot: u64,
     /// Queries answered from the persistent store.
     pub warm: u64,
     /// Queries that ran policy inference.
     pub miss: u64,
+    /// The share of `hot` that joined a forward in flight.
+    pub coalesced: u64,
 }
 
 struct GraphEntry {
@@ -73,18 +91,93 @@ pub struct Placed {
     pub weights_fp: u64,
 }
 
+/// Lock a mutex of this module, recovering the guard if a holder
+/// panicked. That is sound here because no critical section can be
+/// left half-done: each is a few map operations on owned values, and
+/// nothing that can panic by design — no forward, no graph build —
+/// runs under a lock.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One forward in flight, and where requests for the same key wait for
+/// it. The outcome is `None` until the leader lands, then `Some(None)`
+/// if its forward died.
+#[derive(Default)]
+struct Flight {
+    outcome: Mutex<Option<Option<Ranking>>>,
+    landed: Condvar,
+}
+
+impl Flight {
+    fn wait(&self) -> Option<Ranking> {
+        let outcome = self
+            .landed
+            .wait_while(lock(&self.outcome), |outcome| outcome.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        outcome.clone().expect("wait_while returns once the outcome is set")
+    }
+
+    fn publish(&self, ranking: Option<Ranking>) {
+        *lock(&self.outcome) = Some(ranking);
+        self.landed.notify_all();
+    }
+}
+
+/// Everything a request may change, behind the one engine lock.
+struct State {
+    hot: PlacementCache,
+    store: Option<PlacementStore>,
+    /// Built graphs memoized per recipe: graph generation is
+    /// deterministic, so each is built once. Shared, so that a forward
+    /// reads its input after unlocking.
+    graphs: HashMap<(Workload, Profile), Arc<GraphEntry>>,
+    stats: EngineStats,
+    flights: HashMap<Key, Arc<Flight>>,
+}
+
 /// Tiered placement query engine over one trained agent.
 pub struct PlacementEngine {
     agent: Agent,
     num_devices: usize,
-    infer: PolicyInference,
-    hot: PlacementCache,
-    store: Option<PlacementStore>,
-    /// Built graphs memoized per `(workload, profile)` name pair:
-    /// graph generation is deterministic, so each recipe is built once.
-    graphs: HashMap<(String, String), GraphEntry>,
     weights_fp: u64,
-    stats: EngineStats,
+    /// Idle inference tapes. A forward takes one (or starts a fresh
+    /// one) and returns it, so there are as many as forwards ever ran
+    /// at once — at most one per caller thread.
+    tapes: Mutex<Vec<PolicyInference>>,
+    state: Mutex<State>,
+}
+
+/// The leader's duty to its flight. Dropping it — after the forward, or
+/// while the forward unwinds — stores the ranking if there is one,
+/// frees the key and wakes the waiters.
+struct Lead<'a> {
+    engine: &'a PlacementEngine,
+    key: Key,
+    recipe: (Workload, Profile),
+    flight: Arc<Flight>,
+    ranking: Option<Ranking>,
+}
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        let mut st = lock(&self.engine.state);
+        st.flights.remove(&self.key);
+        if let Some(ranking) = &self.ranking {
+            st.hot.insert(self.key, ranking.clone());
+            if let Some(store) = st.store.as_mut() {
+                let (workload, profile) = self.recipe;
+                if store.append(self.key, workload.name(), profile.name(), ranking.clone()).is_err()
+                {
+                    // Serving must not die with the answer in hand; a
+                    // failed append just means a warm miss after restart.
+                    mars_telemetry::counter("serve.store.append_failed").inc();
+                }
+            }
+        }
+        drop(st);
+        self.flight.publish(self.ranking.take());
+    }
 }
 
 impl PlacementEngine {
@@ -95,12 +188,15 @@ impl PlacementEngine {
         PlacementEngine {
             agent,
             num_devices,
-            infer: PolicyInference::new(),
-            hot: PlacementCache::new(cache_capacity),
-            store: None,
-            graphs: HashMap::new(),
             weights_fp,
-            stats: EngineStats::default(),
+            tapes: Mutex::new(Vec::new()),
+            state: Mutex::new(State {
+                hot: PlacementCache::new(cache_capacity),
+                store: None,
+                graphs: HashMap::new(),
+                stats: EngineStats::default(),
+                flights: HashMap::new(),
+            }),
         }
     }
 
@@ -110,7 +206,7 @@ impl PlacementEngine {
     pub fn attach_store(&mut self, path: impl AsRef<Path>) -> io::Result<(usize, usize)> {
         let store = PlacementStore::open(path, self.weights_fp)?;
         let stats = store.load_stats();
-        self.store = Some(store);
+        self.state.get_mut().unwrap_or_else(PoisonError::into_inner).store = Some(store);
         Ok(stats)
     }
 
@@ -128,25 +224,22 @@ impl PlacementEngine {
 
     /// Per-tier answer counts since construction.
     pub fn stats(&self) -> EngineStats {
-        self.stats
+        lock(&self.state).stats
     }
 
-    fn graph_entry(&mut self, workload: Workload, profile: Profile) -> (u64, &WorkloadInput) {
-        let key = (workload.name().to_string(), profile.name().to_string());
-        let entry = self.graphs.entry(key).or_insert_with(|| {
-            let graph = workload.build(profile);
-            GraphEntry {
-                graph_fp: graph_fingerprint(&graph),
-                input: WorkloadInput::from_graph(&graph),
-            }
-        });
-        (entry.graph_fp, &entry.input)
+    /// The cold path: one forward on a tape no other thread is using.
+    fn forward(&self, input: &WorkloadInput) -> Ranking {
+        let mut infer = lock(&self.tapes).pop().unwrap_or_default();
+        let ranking = Arc::new(infer.rank_placements(&self.agent, input));
+        lock(&self.tapes).push(infer);
+        ranking
     }
 
     /// Answer one placement query: the full per-op device ranking for
     /// `(workload, profile)` on `cluster`, plus the tier that answered.
+    /// Safe to call from any number of threads at once.
     pub fn place(
-        &mut self,
+        &self,
         workload: &str,
         profile: &str,
         cluster: &Cluster,
@@ -162,45 +255,77 @@ impl PlacementEngine {
                 self.num_devices
             ));
         }
+        let recipe = (wl, pr);
         let cluster_fp = cluster_fingerprint(cluster);
-        let (graph_fp, _) = self.graph_entry(wl, pr);
+
+        let mut st = lock(&self.state);
+        let graph_fp = match st.graphs.get(&recipe) {
+            Some(entry) => entry.graph_fp,
+            None => {
+                // First sight of this recipe. Build it unlocked: if two
+                // threads do, they build the same graph and the first
+                // insert stands.
+                drop(st);
+                let graph = wl.build(pr);
+                let built = Arc::new(GraphEntry {
+                    graph_fp: graph_fingerprint(&graph),
+                    input: WorkloadInput::from_graph(&graph),
+                });
+                st = lock(&self.state);
+                st.graphs.entry(recipe).or_insert(built).graph_fp
+            }
+        };
         let key = (graph_fp, cluster_fp);
-        let done = |ranking: Ranking, tier: Tier, weights_fp: u64| Placed {
+        let done = |ranking: Ranking, tier: Tier| Placed {
             ranking,
             tier,
             graph_fp,
             cluster_fp,
-            weights_fp,
+            weights_fp: self.weights_fp,
         };
 
-        if let Some(ranking) = self.hot.get(key) {
+        // Telemetry counters take a registry lock of their own, so each
+        // answer bumps its counter after releasing the state lock.
+        if let Some(ranking) = st.hot.get(key) {
+            st.stats.hot += 1;
+            drop(st);
             mars_telemetry::counter("serve.cache.hot").inc();
-            self.stats.hot += 1;
-            return Ok(done(ranking, Tier::Hot, self.weights_fp));
+            return Ok(done(ranking, Tier::Hot));
         }
-        if let Some(ranking) = self.store.as_ref().and_then(|s| s.get(key)) {
+        if let Some(ranking) = st.store.as_ref().and_then(|s| s.get(key)) {
+            st.stats.warm += 1;
+            st.hot.insert(key, ranking.clone());
+            drop(st);
             mars_telemetry::counter("serve.cache.warm").inc();
-            self.stats.warm += 1;
-            self.hot.insert(key, ranking.clone());
-            return Ok(done(ranking, Tier::Warm, self.weights_fp));
+            return Ok(done(ranking, Tier::Warm));
+        }
+        if let Some(flight) = st.flights.get(&key).cloned() {
+            drop(st);
+            // The forward is a pure function of the key, so one that
+            // died would die again: report it instead of retrying.
+            let ranking = flight.wait().ok_or_else(|| {
+                format!("inference for '{workload}' failed in a concurrent identical request")
+            })?;
+            let mut st = lock(&self.state);
+            st.stats.hot += 1;
+            st.stats.coalesced += 1;
+            drop(st);
+            mars_telemetry::counter("serve.cache.hot").inc();
+            mars_telemetry::counter("serve.cache.coalesced").inc();
+            return Ok(done(ranking, Tier::Hot));
         }
 
+        st.stats.miss += 1;
+        let entry = Arc::clone(&st.graphs[&recipe]);
+        let flight = Arc::new(Flight::default());
+        st.flights.insert(key, Arc::clone(&flight));
+        drop(st);
+        let mut lead = Lead { engine: self, key, recipe, flight, ranking: None };
         mars_telemetry::counter("serve.cache.miss").inc();
-        self.stats.miss += 1;
-        // Re-borrow for the cold path: the memo entry is guaranteed
-        // present after graph_entry above.
-        let name_key = (wl.name().to_string(), pr.name().to_string());
-        let input = &self.graphs[&name_key].input;
-        let ranking: Ranking = Arc::new(self.infer.rank_placements(&self.agent, input));
-        self.hot.insert(key, ranking.clone());
-        if let Some(store) = self.store.as_mut() {
-            if store.append(key, wl.name(), pr.name(), ranking.clone()).is_err() {
-                // Serving must not die with the answer in hand; a
-                // failed append just means a warm miss after restart.
-                mars_telemetry::counter("serve.store.append_failed").inc();
-            }
-        }
-        Ok(done(ranking, Tier::Cold, self.weights_fp))
+        let ranking = self.forward(&entry.input);
+        lead.ranking = Some(ranking.clone());
+        drop(lead);
+        Ok(done(ranking, Tier::Cold))
     }
 }
 
@@ -211,9 +336,11 @@ mod tests {
     use mars_graph::features::FEATURE_DIM;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
-    use std::sync::Mutex;
+    use mars_sim::LinkSpec;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
 
-    fn tiny_agent(seed: u64) -> Agent {
+    fn tiny_agent(seed: u64, feature_dim: usize) -> Agent {
         let mut cfg = MarsConfig::small();
         cfg.encoder_hidden = 16;
         cfg.placer_hidden = 16;
@@ -222,20 +349,34 @@ mod tests {
         cfg.num_groups = 4;
         cfg.dgi_iters = 10;
         let mut rng = StdRng::seed_from_u64(seed);
-        Agent::new(AgentKind::Mars, cfg, FEATURE_DIM, 5, &mut rng)
+        Agent::new(AgentKind::Mars, cfg, feature_dim, 5, &mut rng)
     }
 
     fn engine(seed: u64, capacity: usize) -> PlacementEngine {
-        PlacementEngine::new(tiny_agent(seed), 5, capacity)
+        PlacementEngine::new(tiny_agent(seed, FEATURE_DIM), 5, capacity)
+    }
+
+    fn tmp_store(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("mars-serve-engine-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir.join("store.jsonl")
+    }
+
+    /// The quad with its GPU 1 → GPU 2 link slowed by `i + 2`: a
+    /// cluster, and so a key, per `i`.
+    fn variant_cluster(i: usize) -> Cluster {
+        let mut cluster = Cluster::p100_quad();
+        let pcie = LinkSpec::pcie();
+        let bandwidth_bps = pcie.bandwidth_bps / (i + 2) as f64;
+        cluster.set_link(1, 2, LinkSpec { bandwidth_bps, ..pcie });
+        cluster
     }
 
     #[test]
     fn tiers_progress_cold_hot_and_warm_across_restart() {
-        let dir = std::env::temp_dir().join(format!("mars-serve-engine-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("tiers.jsonl");
-
+        let path = tmp_store("tiers");
         let cluster = Cluster::p100_quad();
         let mut e = engine(3, 8);
         e.attach_store(&path).expect("attach");
@@ -244,7 +385,7 @@ mod tests {
         assert_eq!((p1.tier, p2.tier), (Tier::Cold, Tier::Hot));
         assert_eq!(p1.ranking, p2.ranking);
         assert_eq!(p1.weights_fp, e.weights_fp());
-        assert_eq!(e.stats(), EngineStats { hot: 1, warm: 0, miss: 1 });
+        assert_eq!(e.stats(), EngineStats { hot: 1, warm: 0, miss: 1, coalesced: 0 });
 
         // Fresh engine, same weights, same store: warm hit, same bytes.
         let mut e2 = engine(3, 8);
@@ -263,28 +404,180 @@ mod tests {
 
     #[test]
     fn concurrent_identical_requests_infer_once_and_agree() {
-        let shared = Arc::new(Mutex::new(engine(5, 8)));
+        let shared = Arc::new(engine(5, 8));
+        // Memoize the graph first, so that the threads released below
+        // meet at the in-flight table and not at eight graph builds.
+        shared.place("vgg16", "reduced", &variant_cluster(0)).expect("place");
+        let before = shared.stats();
         let n = 8;
-        let mut handles = Vec::new();
-        for _ in 0..n {
-            let shared = Arc::clone(&shared);
-            handles.push(std::thread::spawn(move || {
-                let mut eng = shared.lock().expect("lock");
-                eng.place("vgg16", "reduced", &Cluster::p100_quad()).expect("place").ranking
-            }));
+        let start = Arc::new(Barrier::new(n));
+        let handles: Vec<_> = (0..n)
+            .map(|_| {
+                let (shared, start) = (Arc::clone(&shared), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    let cluster = Cluster::p100_quad();
+                    start.wait();
+                    shared.place("vgg16", "reduced", &cluster).expect("place")
+                })
+            })
+            .collect();
+        let placed: Vec<Placed> = handles.into_iter().map(|h| h.join().expect("join")).collect();
+        for p in &placed[1..] {
+            assert_eq!(*p.ranking, *placed[0].ranking, "concurrent responses diverged");
         }
-        let rankings: Vec<Ranking> = handles.into_iter().map(|h| h.join().expect("join")).collect();
-        for r in &rankings[1..] {
-            assert_eq!(**r, *rankings[0], "concurrent responses diverged");
+        assert_eq!(placed.iter().filter(|p| p.tier == Tier::Cold).count(), 1);
+        let stats = shared.stats();
+        assert_eq!(stats.miss - before.miss, 1, "identical requests deduplicate to one inference");
+        assert_eq!(stats.hot - before.hot, n as u64 - 1);
+        assert!(stats.coalesced <= stats.hot, "joins are a share of the hot count");
+    }
+
+    #[test]
+    fn a_hot_hit_is_answered_while_a_cold_forward_is_in_flight() {
+        let e = engine(9, 64);
+        let primed = Cluster::p100_quad();
+        e.place("vgg16", "reduced", &primed).expect("prime");
+        // Build the paper-profile graph now, so the miss below registers
+        // its flight at once and spends its time in the forward.
+        e.place("gnmt4", "paper", &primed).expect("build the big graph");
+
+        // One attempt can miss on a loaded box: this thread may not run
+        // again before the forward (a few ms) is over. All of them miss
+        // only if hits wait for forwards.
+        let overlapped = (0..50).any(|attempt| {
+            let misses = e.stats().miss;
+            let returned = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    e.place("gnmt4", "paper", &variant_cluster(attempt)).expect("cold place");
+                    returned.store(true, Ordering::SeqCst);
+                });
+                // `miss` moves when the flight is registered, before the
+                // forward starts.
+                while e.stats().miss == misses {
+                    std::thread::yield_now();
+                }
+                let hit = e.place("vgg16", "reduced", &primed).expect("hot place");
+                assert_eq!(hit.tier, Tier::Hot);
+                !returned.load(Ordering::SeqCst)
+            })
+        });
+        assert!(overlapped, "every hot hit waited for the forward on another key");
+    }
+
+    #[test]
+    fn concurrent_misses_on_distinct_keys_match_a_single_threaded_engine() {
+        let path = tmp_store("distinct");
+        let mut e = engine(10, 8);
+        e.attach_store(&path).expect("attach");
+        let n = 4;
+        let start = Barrier::new(n);
+        let placed: Vec<Placed> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n)
+                .map(|i| {
+                    let (e, start) = (&e, &start);
+                    s.spawn(move || {
+                        let cluster = variant_cluster(i);
+                        start.wait();
+                        e.place("seq2seq", "reduced", &cluster).expect("place")
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("join")).collect()
+        });
+        assert_eq!(e.stats(), EngineStats { hot: 0, warm: 0, miss: n as u64, coalesced: 0 });
+
+        let reference = engine(10, 8);
+        for (i, p) in placed.iter().enumerate() {
+            let expected =
+                reference.place("seq2seq", "reduced", &variant_cluster(i)).expect("place");
+            assert_eq!(p.tier, Tier::Cold);
+            assert_eq!((p.graph_fp, p.cluster_fp), (expected.graph_fp, expected.cluster_fp));
+            assert_eq!(*p.ranking, *expected.ranking, "thread {i} diverged from the reference");
         }
-        let stats = shared.lock().expect("lock").stats();
-        assert_eq!(stats.miss, 1, "identical requests deduplicate to one inference");
-        assert_eq!(stats.hot, n - 1);
+
+        // Whatever order the four lines landed in, the file holds
+        // exactly those keys.
+        let weights_fp = e.weights_fp();
+        drop(e);
+        let reloaded = PlacementStore::open(&path, weights_fp).expect("reopen");
+        assert_eq!(reloaded.load_stats(), (n, 0));
+        assert_eq!(reloaded.len(), n);
+        for p in &placed {
+            assert_eq!(reloaded.get((p.graph_fp, p.cluster_fp)).as_deref(), Some(&*p.ranking));
+        }
+    }
+
+    #[test]
+    fn a_forward_that_panics_wedges_nobody() {
+        // One input feature too many: the first matmul of every forward
+        // panics on its shapes. The warm store answers without one.
+        let path = tmp_store("panic");
+        let mut e = PlacementEngine::new(tiny_agent(11, FEATURE_DIM + 1), 5, 8);
+        let cluster = Cluster::p100_quad();
+        let primed_key = (
+            graph_fingerprint(&Workload::Vgg16.build(Profile::Reduced)),
+            cluster_fingerprint(&cluster),
+        );
+        let mut store = PlacementStore::open(&path, e.weights_fp()).expect("open");
+        store.append(primed_key, "vgg16", "reduced", Arc::new(vec![vec![0, 1]])).expect("append");
+        drop(store);
+        assert_eq!(e.attach_store(&path).expect("attach"), (1, 0));
+
+        let n = 8;
+        let start = Barrier::new(n);
+        let outcomes: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n)
+                .map(|_| {
+                    s.spawn(|| {
+                        let cluster = Cluster::p100_quad();
+                        start.wait();
+                        e.place("seq2seq", "reduced", &cluster)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        // Every request came back: a leader by panicking, a request that
+        // joined a leader's flight with an error.
+        let panicked = outcomes.iter().filter(|o| o.is_err()).count();
+        assert!(panicked >= 1, "somebody ran the forward");
+        for o in outcomes.iter().flatten() {
+            let err = o.as_ref().expect_err("no ranking can come out of this agent");
+            assert!(err.contains("failed in a concurrent identical request"), "{err}");
+        }
+        let stats = e.stats();
+        assert_eq!(stats.miss, panicked as u64, "each leader counted its forward");
+        assert_eq!((stats.hot, stats.warm, stats.coalesced), (0, 0, 0));
+
+        // The caches are intact and their lock is not poisoned.
+        let warm = e.place("vgg16", "reduced", &cluster).expect("warm place");
+        let hot = e.place("vgg16", "reduced", &cluster).expect("hot place");
+        assert_eq!((warm.tier, hot.tier), (Tier::Warm, Tier::Hot));
+        assert_eq!(*hot.ranking, vec![vec![0, 1]]);
+    }
+
+    #[test]
+    fn a_flight_whose_leader_died_releases_its_waiters() {
+        let flight = Flight::default();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| flight.wait());
+            flight.publish(None);
+            assert_eq!(waiter.join().expect("join"), None);
+        });
+        assert_eq!(flight.wait(), None, "a late joiner sees the outcome too");
+    }
+
+    #[test]
+    fn agent_and_engine_can_be_shared_across_threads() {
+        fn assert_sync<T: Sync>() {}
+        assert_sync::<Agent>();
+        assert_sync::<PlacementEngine>();
     }
 
     #[test]
     fn evictions_under_tiny_capacity_never_change_response_bytes() {
-        let mut e = engine(6, 1); // hot tier holds exactly one ranking
+        let e = engine(6, 1); // hot tier holds exactly one ranking
         let cluster = Cluster::p100_quad();
         let first_a = e.place("inception_v3", "reduced", &cluster).expect("place").ranking;
         let first_b = e.place("vgg16", "reduced", &cluster).expect("place").ranking;
@@ -300,7 +593,7 @@ mod tests {
 
     #[test]
     fn failed_device_changes_the_cache_key_but_not_determinism() {
-        let mut e = engine(7, 8);
+        let e = engine(7, 8);
         let healthy = Cluster::p100_quad();
         let mut degraded = Cluster::p100_quad();
         degraded.fail_device(3);
@@ -312,7 +605,7 @@ mod tests {
 
     #[test]
     fn rejects_unknown_workloads_and_mismatched_clusters() {
-        let mut e = engine(8, 8);
+        let e = engine(8, 8);
         assert!(e.place("not-a-workload", "reduced", &Cluster::p100_quad()).is_err());
         assert!(e.place("vgg16", "not-a-profile", &Cluster::p100_quad()).is_err());
         let two = Cluster::new(

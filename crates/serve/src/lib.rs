@@ -23,7 +23,9 @@
 //! the caches store exactly what the cold path produced. The serve
 //! loop ([`server::serve`]) speaks the `mars-net` framed protocol
 //! (`PlaceRequest`/`PlaceResponse`, protocol v3) with one thread per
-//! connection over a shared engine.
+//! connection over a shared engine that synchronises itself: hits
+//! never wait for a miss's forward, and identical concurrent misses
+//! share one ([`engine`] module docs).
 
 pub mod cache;
 pub mod engine;

@@ -2,13 +2,13 @@
 //! protocol.
 //!
 //! One accept loop, one handler thread per connection, one shared
-//! [`PlacementEngine`] behind a mutex. The mutex is the determinism
-//! argument for concurrent serving: every query runs the full
-//! lookup-or-infer-then-insert sequence atomically, so N concurrent
-//! identical requests resolve to one cold inference and N−1 hot hits,
-//! all returning the same `Arc`'d ranking — responses are
-//! byte-identical regardless of arrival order, and the answering tier
-//! never appears in the response bytes.
+//! [`PlacementEngine`] that the handlers call directly: the engine
+//! synchronises itself (see its module docs) and this file holds no
+//! lock around it, so a handler answering a cache hit never waits for
+//! another handler's cold forward. Responses are byte-identical
+//! regardless of arrival order because a ranking is a pure function of
+//! `(graph, cluster, weights)` whichever tier or thread produced it,
+//! and the answering tier never appears in the response bytes.
 //!
 //! Handshake: the client opens with [`Msg::Hello`]; the server rejects
 //! a version mismatch with [`Msg::Error`] and otherwise echoes
@@ -23,7 +23,7 @@ use crate::engine::{EngineStats, PlacementEngine};
 use mars_net::msg::{Msg, PROTOCOL_VERSION};
 use mars_net::transport::{recv_msg, send_msg, Conn, Listener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Request-latency histogram bucket edges, seconds. Cache hits land in
@@ -54,7 +54,7 @@ pub struct ServeStats {
 }
 
 struct Shared {
-    engine: Mutex<PlacementEngine>,
+    engine: PlacementEngine,
     stop: AtomicBool,
     served: AtomicU64,
     max_requests: Option<u64>,
@@ -65,7 +65,7 @@ struct Shared {
 /// every handler thread and report what happened.
 pub fn serve(listener: &Listener, engine: PlacementEngine, opts: ServeOptions) -> ServeStats {
     let shared = Arc::new(Shared {
-        engine: Mutex::new(engine),
+        engine,
         stop: AtomicBool::new(false),
         served: AtomicU64::new(0),
         max_requests: opts.max_requests,
@@ -90,8 +90,11 @@ pub fn serve(listener: &Listener, engine: PlacementEngine, opts: ServeOptions) -
     for h in handlers {
         let _ = h.join();
     }
-    let engine_stats = shared.engine.lock().unwrap_or_else(|e| e.into_inner()).stats();
-    ServeStats { connections, requests: shared.served.load(Ordering::SeqCst), engine: engine_stats }
+    ServeStats {
+        connections,
+        requests: shared.served.load(Ordering::SeqCst),
+        engine: shared.engine.stats(),
+    }
 }
 
 /// Serve one connection to completion. Any protocol or request error
@@ -131,11 +134,7 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
             Msg::PlaceRequest { unit, workload, profile, cluster, top_k } => {
                 let _span = mars_telemetry::span("serve.request");
                 let start = Instant::now();
-                let placed = {
-                    let mut engine = shared.engine.lock().unwrap_or_else(|e| e.into_inner());
-                    engine.place(&workload, &profile, &cluster)
-                };
-                match placed {
+                match shared.engine.place(&workload, &profile, &cluster) {
                     Ok(placed) => {
                         let k = top_k.max(1);
                         let ranking: Vec<Vec<usize>> = placed

@@ -13,6 +13,7 @@
 use crate::engine::Ranking;
 use mars_json::Json;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -27,6 +28,9 @@ pub struct PlacementStore {
     entries: HashMap<(u64, u64), Ranking>,
     loaded: usize,
     skipped: usize,
+    /// The line being appended, kept so that an append allocates
+    /// nothing once it has grown to the longest line written.
+    line: String,
 }
 
 fn hex_fp(j: &Json, field: &str) -> Option<u64> {
@@ -45,6 +49,42 @@ fn parse_entry(line: &str) -> Option<(u64, u64, u64, Vec<Vec<usize>>)> {
         .map(|row| row.as_array()?.iter().map(Json::as_usize).collect())
         .collect::<Option<Vec<Vec<usize>>>>()?;
     Some((graph_fp, cluster_fp, weights_fp, ranking))
+}
+
+/// Write one store line, newline included, into `line`: the compact
+/// JSON object [`parse_entry`] reads, fields in the order they have
+/// always had. A ranking is a few thousand one-digit numbers and the
+/// caller holds the engine's state lock, so this formats straight into
+/// the buffer instead of building a [`Json`] node per device; the two
+/// names still go through `Json` for its string escaping.
+fn render_line(
+    line: &mut String,
+    key: (u64, u64),
+    weights_fp: u64,
+    workload: &str,
+    profile: &str,
+    ranking: &[Vec<usize>],
+) {
+    line.clear();
+    let (graph_fp, cluster_fp) = key;
+    let _ = write!(
+        line,
+        "{{\"graph_fp\":\"{graph_fp:016x}\",\"cluster_fp\":\"{cluster_fp:016x}\",\
+         \"weights_fp\":\"{weights_fp:016x}\",\"workload\":{},\"profile\":{},\"ranking\":[",
+        Json::from(workload),
+        Json::from(profile),
+    );
+    for (r, row) in ranking.iter().enumerate() {
+        line.push_str(if r == 0 { "[" } else { ",[" });
+        for (i, device) in row.iter().enumerate() {
+            if i > 0 {
+                line.push(',');
+            }
+            let _ = write!(line, "{device}");
+        }
+        line.push(']');
+    }
+    line.push_str("]}\n");
 }
 
 impl PlacementStore {
@@ -73,7 +113,7 @@ impl PlacementStore {
             }
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(PlacementStore { path, file, weights_fp, entries, loaded, skipped })
+        Ok(PlacementStore { path, file, weights_fp, entries, loaded, skipped, line: String::new() })
     }
 
     /// Look up a ranking by cache key.
@@ -90,20 +130,8 @@ impl PlacementStore {
         profile: &str,
         ranking: Ranking,
     ) -> io::Result<()> {
-        let line = Json::obj([
-            ("graph_fp", Json::from(format!("{:016x}", key.0))),
-            ("cluster_fp", Json::from(format!("{:016x}", key.1))),
-            ("weights_fp", Json::from(format!("{:016x}", self.weights_fp))),
-            ("workload", Json::from(workload)),
-            ("profile", Json::from(profile)),
-            (
-                "ranking",
-                Json::arr(
-                    ranking.iter().map(|row| Json::arr(row.iter().map(|&d| Json::from(d as f64)))),
-                ),
-            ),
-        ]);
-        writeln!(self.file, "{line}")?;
+        render_line(&mut self.line, key, self.weights_fp, workload, profile, &ranking);
+        self.file.write_all(self.line.as_bytes())?;
         self.file.flush()?;
         self.entries.insert(key, ranking);
         Ok(())
@@ -145,6 +173,72 @@ mod tests {
 
     fn rank(rows: &[&[usize]]) -> Ranking {
         Arc::new(rows.iter().map(|r| r.to_vec()).collect())
+    }
+
+    /// The rendering `append` used before it formatted by hand: one
+    /// `Json` node per field and per device. Kept as the oracle.
+    fn oracle_line(
+        key: (u64, u64),
+        weights_fp: u64,
+        workload: &str,
+        profile: &str,
+        ranking: &[Vec<usize>],
+    ) -> String {
+        let line = Json::obj([
+            ("graph_fp", Json::from(format!("{:016x}", key.0))),
+            ("cluster_fp", Json::from(format!("{:016x}", key.1))),
+            ("weights_fp", Json::from(format!("{weights_fp:016x}"))),
+            ("workload", Json::from(workload)),
+            ("profile", Json::from(profile)),
+            (
+                "ranking",
+                Json::arr(
+                    ranking.iter().map(|row| Json::arr(row.iter().map(|&d| Json::from(d as f64)))),
+                ),
+            ),
+        ]);
+        format!("{line}\n")
+    }
+
+    #[test]
+    fn hand_formatted_lines_equal_the_json_rendering_and_reload() {
+        use mars_rng::rngs::StdRng;
+        use mars_rng::{Rng, SeedableRng};
+
+        let path = tmp("oracle");
+        let weights_fp = 0x00ab_cdef_0123_4567;
+        let mut store = PlacementStore::open(&path, weights_fp).expect("open");
+        let mut rng = StdRng::seed_from_u64(50);
+        let mut expected_file = String::new();
+        let mut written = Vec::new();
+        // Names that need escaping, and the empty ranking and empty row.
+        let names = ["vgg16", "bert-base", "quo\"te\\slash", "tab\tnew\nline", ""];
+        for case in 0..50u64 {
+            let key = (rng.gen::<u64>(), if case == 0 { 0 } else { rng.gen::<u64>() });
+            let rows = rng.gen_range(0..40usize);
+            let ranking: Vec<Vec<usize>> = (0..rows)
+                .map(|_| (0..rng.gen_range(0..12usize)).map(|_| rng.gen_range(0..2000)).collect())
+                .collect();
+            let workload = names[rng.gen_range(0..names.len())];
+            let profile = names[rng.gen_range(0..names.len())];
+
+            let mut line = String::from("left over from the last append");
+            render_line(&mut line, key, weights_fp, workload, profile, &ranking);
+            assert_eq!(line, oracle_line(key, weights_fp, workload, profile, &ranking));
+
+            store.append(key, workload, profile, Arc::new(ranking.clone())).expect("append");
+            expected_file.push_str(&line);
+            written.push((key, ranking));
+        }
+        drop(store);
+        assert_eq!(fs::read_to_string(&path).expect("read"), expected_file);
+
+        let reloaded = PlacementStore::open(&path, weights_fp).expect("reopen");
+        assert_eq!(reloaded.load_stats(), (50, 0));
+        assert_eq!(reloaded.len(), 50);
+        for (key, ranking) in written {
+            assert_eq!(*reloaded.get(key).expect("entry"), ranking);
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use recorder::{
     active, append_record, event, install_file, install_memory, uninstall, MemorySink,
 };
 pub use spans::{enable_spans, span, spans_enabled, SpanGuard};
-pub use summary::{summarize, FleetReport, RolloutReport, RunSummary, WorkerHealth};
+pub use summary::{summarize, FleetReport, RolloutReport, RunSummary, ServeReport, WorkerHealth};
 
 /// Serializes tests that flip process-global telemetry state (span
 /// enablement, recorder installation, metric resets).

@@ -365,6 +365,45 @@ impl FaultReport {
     }
 }
 
+/// Serving digest: how the placement daemon's tiers split its
+/// requests, recovered from the `serve.*` counters.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ServeReport {
+    /// Placement requests answered.
+    pub requests: u64,
+    /// Answers from the in-memory LRU, joins of a forward in flight
+    /// included.
+    pub hot: u64,
+    /// Answers from the persistent store.
+    pub warm: u64,
+    /// Answers that ran policy inference.
+    pub miss: u64,
+    /// The share of `hot` that waited for an identical request's
+    /// forward instead of running one.
+    pub coalesced: u64,
+}
+
+impl ServeReport {
+    /// Render as the serve block `metrics summarize` prints. Joins are
+    /// named only when there were any.
+    pub fn render(&self) -> String {
+        let mut out = String::from("== serve ==\n");
+        let _ = writeln!(
+            out,
+            "requests: {} (hot {}, warm {}, cold {})",
+            self.requests, self.hot, self.warm, self.miss
+        );
+        if self.coalesced > 0 {
+            let _ = writeln!(
+                out,
+                "coalesced: {} of the hot answers joined a forward in flight",
+                self.coalesced
+            );
+        }
+        out
+    }
+}
+
 impl RunSummary {
     /// Value of a counter by name (0 when the run never touched it).
     fn counter(&self, name: &str) -> u64 {
@@ -387,6 +426,19 @@ impl RunSummary {
             crash_resumes: self.counter("train.crash_resume"),
         };
         (!report.is_empty()).then_some(report)
+    }
+
+    /// Serving digest, if the run answered any placement request
+    /// (`serve.requests` / `serve.cache.*` counters).
+    pub fn serve_report(&self) -> Option<ServeReport> {
+        let report = ServeReport {
+            requests: self.counter("serve.requests"),
+            hot: self.counter("serve.cache.hot"),
+            warm: self.counter("serve.cache.warm"),
+            miss: self.counter("serve.cache.miss"),
+            coalesced: self.counter("serve.cache.coalesced"),
+        };
+        (report.requests + report.hot + report.warm + report.miss > 0).then_some(report)
     }
 
     /// Fleet digest, if the run recorded any fleet activity
@@ -1008,7 +1060,10 @@ mod tests {
         assert!((report.mean_encode_batch() - 2.0).abs() < 1e-12);
         let text = report.render();
         assert!(text.contains("0 of 0 evaluations"), "{text}");
-        assert!(text.contains("training arena: 300 tape reuses (high water 8192 pooled f32s)"), "{text}");
+        assert!(
+            text.contains("training arena: 300 tape reuses (high water 8192 pooled f32s)"),
+            "{text}"
+        );
         assert!(text.contains("batched encodes: 300 (mean corpus width 2.00)"), "{text}");
     }
 
@@ -1027,6 +1082,21 @@ mod tests {
         assert!(text.contains("device failures: 1 (3 remaps, 42 ops moved"), "{text}");
         assert!(text.contains("transient errors: 5 (6 retries spent, 1 evaluations gave up"));
         assert!(text.contains("agent crashes: 1 (1 checkpoint resumes)"), "{text}");
+    }
+
+    #[test]
+    fn serve_report_names_coalesced_joins_only_when_there_were_any() {
+        let run = |coalesced: &str| {
+            format!(
+                r#"{{"kind":"counters","counters":{{"serve.requests":9,"serve.cache.hot":7,"serve.cache.warm":1,"serve.cache.miss":1{coalesced}}}}}"#
+            )
+        };
+        let quiet = summarize(&run("")).expect("parse").serve_report().expect("report");
+        assert_eq!(quiet.render(), "== serve ==\nrequests: 9 (hot 7, warm 1, cold 1)\n");
+        let joined = summarize(&run(r#","serve.cache.coalesced":3"#)).expect("parse");
+        let text = joined.serve_report().expect("report").render();
+        assert!(text.ends_with("coalesced: 3 of the hot answers joined a forward in flight\n"));
+        assert!(summarize(&sample_run()).expect("parse").serve_report().is_none());
     }
 
     #[test]

@@ -464,7 +464,7 @@ impl BlockDiagCsr {
             nnz += b.nnz();
             row_offsets.push(row_offsets[bi] + b.rows());
             col_offsets.push(col_offsets[bi] + b.cols());
-            row_block.extend(std::iter::repeat(bi).take(b.rows()));
+            row_block.extend(std::iter::repeat_n(bi, b.rows()));
         }
         BlockDiagCsr { blocks, row_offsets, col_offsets, row_block, nnz }
     }
@@ -811,7 +811,7 @@ mod tests {
         for r in 0..n {
             triplets.push((r, r, 0.5));
             for c in 0..n {
-                if (r * 31 + c * 17 + seed * 7) % 5 == 0 && r != c {
+                if (r * 31 + c * 17 + seed * 7).is_multiple_of(5) && r != c {
                     triplets.push((r, c, ((r + c + seed) as f32 * 0.07).sin()));
                 }
             }
@@ -840,20 +840,16 @@ mod tests {
         // spmm separately, bit for bit.
         let sizes = [5usize, 1, 9, 16];
         let cols = 13; // ragged width exercises the axpy remainder tail
-        let blocks: Vec<Arc<CsrMatrix>> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| rand_adj(n, i))
-            .collect();
+        let blocks: Vec<Arc<CsrMatrix>> =
+            sizes.iter().enumerate().map(|(i, &n)| rand_adj(n, i)).collect();
         let feats: Vec<Matrix> =
             sizes.iter().enumerate().map(|(i, &n)| rand_feats(n, cols, i)).collect();
         let bd = BlockDiagCsr::new(blocks.clone());
         assert_eq!(bd.rows(), sizes.iter().sum::<usize>());
         let x = vcat_all(&feats);
         let batched = bd.spmm(&x);
-        let per_graph = vcat_all(
-            &blocks.iter().zip(&feats).map(|(b, f)| b.spmm(f)).collect::<Vec<_>>(),
-        );
+        let per_graph =
+            vcat_all(&blocks.iter().zip(&feats).map(|(b, f)| b.spmm(f)).collect::<Vec<_>>());
         assert_eq!(batched, per_graph);
     }
 
@@ -868,9 +864,8 @@ mod tests {
         let bd = BlockDiagCsr::new(blocks.clone());
         let x = vcat_all(&feats);
         let batched = bd.spmm_t(&x);
-        let per_graph = vcat_all(
-            &blocks.iter().zip(&feats).map(|(b, f)| b.spmm_t(f)).collect::<Vec<_>>(),
-        );
+        let per_graph =
+            vcat_all(&blocks.iter().zip(&feats).map(|(b, f)| b.spmm_t(f)).collect::<Vec<_>>());
         assert_eq!(batched, per_graph);
     }
 
@@ -888,9 +883,8 @@ mod tests {
         assert!(bd.nnz() * cols >= PAR_FLOP_THRESHOLD, "nnz {} too small", bd.nnz());
         let x = vcat_all(&feats);
         let batched = bd.spmm(&x);
-        let per_graph = vcat_all(
-            &blocks.iter().zip(&feats).map(|(b, f)| b.spmm(f)).collect::<Vec<_>>(),
-        );
+        let per_graph =
+            vcat_all(&blocks.iter().zip(&feats).map(|(b, f)| b.spmm(f)).collect::<Vec<_>>());
         assert_eq!(batched, per_graph);
     }
 

@@ -161,11 +161,7 @@ fn arb_block(rng: &mut StdRng, rows: usize) -> CsrMatrix {
     for r in 0..rows {
         for c in 0..rows {
             if rng.gen_range(0..10u32) < 4 {
-                let v = if rng.gen_range(0..8u32) == 0 {
-                    0.0
-                } else {
-                    rng.gen_range(-2.0f32..2.0)
-                };
+                let v = if rng.gen_range(0..8u32) == 0 { 0.0 } else { rng.gen_range(-2.0f32..2.0) };
                 trips.push((r, c, v));
             }
         }
@@ -215,8 +211,7 @@ fn spmm_blockdiag_is_bitwise_the_per_graph_loop_under_every_backend() {
 
             // Forward: one block-diagonal sweep vs N per-graph spmm.
             let batched = bd.spmm(&x);
-            let per_graph: Vec<Matrix> =
-                blocks.iter().zip(&xs).map(|(b, xb)| b.spmm(xb)).collect();
+            let per_graph: Vec<Matrix> = blocks.iter().zip(&xs).map(|(b, xb)| b.spmm(xb)).collect();
             let stacked = row_stack(&per_graph, width);
             assert_bits_eq(&batched, &stacked, &format!("spmm case {case} ({backend:?})"));
 

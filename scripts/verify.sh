@@ -147,11 +147,19 @@ echo "==> serve smoke: daemon on a unix socket, bit-identical responses, warm re
 SERVE_SOCK=$(mktemp -u /tmp/mars-serve-XXXXXX.sock)
 SERVE_STORE=$(mktemp -u /tmp/mars-serve-store-XXXXXX.jsonl)
 SERVE_TRACE=target/experiments/serve_smoke.jsonl
+# Wait until the daemon whose stdout is $1 is listening. `bind` creates
+# the socket file before `listen`, so a client that waits for the file
+# can still be refused; the daemon prints this line once
+# `Listener::bind` has returned.
+wait_for_serve() {
+    for _ in $(seq 1 100); do
+        grep -q "^serving weights .* on " "$1" && return; sleep 0.1; done
+    echo "serve never listened on $SERVE_SOCK"; cat "$1"; exit 1
+}
 ./target/release/mars-cli serve --listen "unix:$SERVE_SOCK" --seed 1 \
     --store "$SERVE_STORE" --telemetry "$SERVE_TRACE" > /tmp/mars-serve-log.$$ 2>&1 &
 SERVE_PID=$!
-for _ in $(seq 1 100); do [ -S "$SERVE_SOCK" ] && break; sleep 0.1; done
-[ -S "$SERVE_SOCK" ] || { echo "serve never bound $SERVE_SOCK"; cat /tmp/mars-serve-log.$$; exit 1; }
+wait_for_serve /tmp/mars-serve-log.$$
 PLACE_A=$(./target/release/mars-cli place seq2seq --connect "unix:$SERVE_SOCK" --top-k 2 --repeat 3)
 PLACE_B=$(./target/release/mars-cli place seq2seq --connect "unix:$SERVE_SOCK" --top-k 2 --repeat 3)
 diff <(echo "$PLACE_A") <(echo "$PLACE_B") || {
@@ -170,8 +178,7 @@ grep -q "serve loop done" /tmp/mars-serve-log.$$ || {
 ./target/release/mars-cli serve --listen "unix:$SERVE_SOCK" --seed 1 \
     --store "$SERVE_STORE" > /tmp/mars-serve-log2.$$ 2>&1 &
 SERVE_PID=$!
-for _ in $(seq 1 100); do [ -S "$SERVE_SOCK" ] && break; sleep 0.1; done
-[ -S "$SERVE_SOCK" ] || { echo "serve never rebound $SERVE_SOCK"; cat /tmp/mars-serve-log2.$$; exit 1; }
+wait_for_serve /tmp/mars-serve-log2.$$
 PLACE_C=$(./target/release/mars-cli place seq2seq --connect "unix:$SERVE_SOCK" --top-k 2 --repeat 3)
 diff <(echo "$PLACE_A") <(echo "$PLACE_C") || {
     echo "warm-restart responses diverged from the first run"; exit 1; }

@@ -410,6 +410,9 @@ fn cmd_metrics_summarize(path: &str) -> Result<(), String> {
     if let Some(report) = summary.fleet_report() {
         print!("{}", report.render());
     }
+    if let Some(report) = summary.serve_report() {
+        print!("{}", report.render());
+    }
     Ok(())
 }
 
@@ -819,8 +822,14 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         engine.weights_fp()
     );
     let stats = mars::serve::serve(&listener, engine, ServeOptions { max_requests });
+    // Joins of a forward in flight are part of `hot`; named only when
+    // there were any, so a single-client run prints what it always has.
+    let coalesced = match stats.engine.coalesced {
+        0 => String::new(),
+        n => format!(", {n} of the hot coalesced"),
+    };
     println!(
-        "serve loop done: {} connection(s), {} request(s) (hot {}, warm {}, cold {})",
+        "serve loop done: {} connection(s), {} request(s) (hot {}, warm {}, cold {}{coalesced})",
         stats.connections, stats.requests, stats.engine.hot, stats.engine.warm, stats.engine.miss
     );
     finish_telemetry(telemetry);
