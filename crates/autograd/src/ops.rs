@@ -144,6 +144,44 @@ pub enum Op {
         /// Cached `tanh(proj ⊕ dproj)` activations (`T × A`).
         act: Arc<Matrix>,
     },
+    /// The whole attention decoder as one node: for every step of every
+    /// segment, an additive-attention read over the segment's encoder
+    /// block, one LSTM step on `[enc row ‖ context]` and the device
+    /// head (`N × D` output, `N = Σ T_s`). Bit-identical, forward and
+    /// backward, to the `matmul → attn_scores → softmax_rows → matmul →
+    /// concat_cols → lstm_seq(T = 1) → slice_rows → matmul → add_bias`
+    /// chain recorded once per step and stacked.
+    AttnDecode {
+        /// Per segment, the encoder outputs (`T_s × E`) and their
+        /// attention projection (`T_s × A`).
+        segs: Arc<Vec<(Var, Var)>>,
+        /// `[w_dec (H × A), v (A × 1), w_ih (2E × 4H), w_hh (H × 4H),
+        /// b (1 × 4H), head_w (H × D), head_b (1 × D)]`.
+        params: [Var; 7],
+        /// Initial hidden state (`1 × H`).
+        h0: Var,
+        /// Initial cell state (`1 × H`).
+        c0: Var,
+        /// Forward-pass activations cached for the reverse sweep.
+        cache: Arc<AttnDecodeCache>,
+    },
+}
+
+/// Activations cached by the fused decoder forward pass. Step `n` of
+/// the decode (segments in order, rows in order) owns row `n` of the
+/// row-shaped members; `weights` and `act` are flat, a step of a
+/// `T`-row segment holding `T` and `T · A` values respectively.
+pub struct AttnDecodeCache {
+    /// LSTM gate activations and cell states, `N × H` each.
+    pub gates: LstmCache,
+    /// Hidden states `h_n`, `N × H`.
+    pub h: Matrix,
+    /// Decoder inputs `[enc row ‖ context]`, `N × 2E`.
+    pub dec_in: Matrix,
+    /// Attention weights (softmax over the segment), `1 × Σ T_s²`.
+    pub weights: Matrix,
+    /// `tanh(proj ⊕ dproj)` activations, `1 × Σ T_s² · A`.
+    pub act: Matrix,
 }
 
 /// Activations cached by the fused LSTM forward pass.
@@ -206,6 +244,12 @@ impl Op {
                 vec![*x, *w_ih, *w_hh, *b, *h0, *c0]
             }
             Op::AttnScores { proj, dproj, v, .. } => vec![*proj, *dproj, *v],
+            Op::AttnDecode { segs, params, h0, c0, .. } => segs
+                .iter()
+                .flat_map(|&(enc, proj)| [enc, proj])
+                .chain(*params)
+                .chain([*h0, *c0])
+                .collect(),
         }
     }
 }

@@ -1,12 +1,14 @@
 //! The Wengert-list tape: forward builders and the reverse sweep.
 
-use crate::ops::Op;
+use crate::ops::{LstmCache, Op};
 use mars_tensor::ops::{
     matmul_into, matmul_nt_into, matmul_nt_packed_into, matmul_tn_into, BlockDiagCsr, CsrMatrix,
 };
-use mars_tensor::simd::{axpy, strided_sweep};
+use mars_tensor::simd::{axpy, strided_sweep, tanh_inplace};
 use mars_tensor::{stats, Matrix};
 use std::sync::Arc;
+
+mod decode;
 
 /// Handle to a value recorded on a [`Tape`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -43,15 +45,20 @@ pub struct Tape {
     /// [`Op::Leaf`], so backward caches (LSTM gate matrices, attention
     /// activations) are dropped the moment the forward value exists.
     record: bool,
-    /// Recycled activation/gradient buffers, harvested by
-    /// [`Tape::reset_for_reuse`] and handed back out by the pooled
-    /// builders and backward rules — forwards *and* backwards after the
-    /// first run are allocation-free on the hot path (the training
-    /// scratch arena).
+    /// Scratch buffers recycled during the current pass, handed back
+    /// out by the pooled builders and backward rules before `stock` is
+    /// touched — forwards *and* backwards after the first run are
+    /// allocation-free on the hot path (the training scratch arena).
     pool: Vec<Vec<f32>>,
-    /// Largest total f32 capacity ever held by `pool` — exported as the
-    /// `autograd.arena.high_water` gauge on every
-    /// [`Tape::reset_for_reuse`].
+    /// What the previous pass left behind: every node value, gradient
+    /// and scratch buffer [`Tape::reset_for_reuse`] harvested. A buffer
+    /// still here at the next reset went unused for a whole pass and is
+    /// freed, so a tape that serves graphs of different sizes holds one
+    /// pass's worth of memory, not the largest of each shape it has seen.
+    stock: Vec<Vec<f32>>,
+    /// Largest total f32 capacity a [`Tape::reset_for_reuse`] has ever
+    /// kept as `stock` — exported as the `autograd.arena.high_water`
+    /// gauge on every reset.
     high_water: usize,
     /// Transposed weights `(w, wᵀ)` of the current backward pass, so
     /// every `dY·Wᵀ` after the first reads `Wᵀ` instead of packing it
@@ -62,12 +69,104 @@ pub struct Tape {
     wt: Vec<(Var, Matrix)>,
 }
 
-/// Upper bound on recycled buffers kept across [`Tape::reset_for_reuse`]
-/// calls, to bound idle memory. It does not cover a whole placer pass —
-/// a gnmt4 forward records ~6.3k nodes — so such a pass keeps the first
-/// 512 buffers it retires and frees the rest; scratch that is taken and
-/// recycled within one backward rule stays inside the bound.
+/// Upper bound on the recycled buffers of one generation (`pool`,
+/// and so the `stock` it becomes), which keeps the linear best-candidate
+/// scan in [`Tape::take_buf_empty`] short. A whole pass fits: with the
+/// decoder fused into one node a gnmt4 forward + backward retires a few
+/// hundred buffers. Idle memory is bounded by the two generations, not
+/// by this count.
 const MAX_POOLED_BUFS: usize = 512;
+
+/// One LSTM step over the fused `[i|f|g|o]` gate block, shared by
+/// [`Tape::lstm_seq`] and [`Tape::attn_decode`]: `hw` (a `4H` scratch
+/// row) becomes `z = (x·W_ih + h_prev·W_hh) + b` from the precomputed
+/// `xw = x·W_ih`, the activations land in row `t` of `cache`, and
+/// `h_prev`/`c_prev` are replaced by `h_t`/`c_t`.
+#[allow(clippy::too_many_arguments)]
+fn lstm_step(
+    hw: &mut [f32],
+    xw: &[f32],
+    w_hh: &Matrix,
+    b: &[f32],
+    h_prev: &mut [f32],
+    c_prev: &mut [f32],
+    cache: &mut LstmCache,
+    t: usize,
+) {
+    let hd = h_prev.len();
+    hw.fill(0.0);
+    strided_sweep(hw, h_prev, w_hh.as_slice(), 4 * hd);
+    for j in 0..4 * hd {
+        hw[j] = (xw[j] + hw[j]) + b[j];
+    }
+    // Candidate gate tanh as one batch kernel call; the sigmoid gates
+    // stay per-element (libm exp is cheap).
+    tanh_inplace(&mut hw[2 * hd..3 * hd]);
+    for k in 0..hd {
+        let ig = stats::sigmoid(hw[k]);
+        let fg = stats::sigmoid(hw[hd + k]);
+        let gg = hw[2 * hd + k];
+        let og = stats::sigmoid(hw[3 * hd + k]);
+        let c = fg * c_prev[k] + ig * gg;
+        cache.i.set(t, k, ig);
+        cache.f.set(t, k, fg);
+        cache.g.set(t, k, gg);
+        cache.o.set(t, k, og);
+        cache.c.set(t, k, c);
+        c_prev[k] = c;
+    }
+    // tanh(c_t) for the whole row, then h_t = o ⊙ tanh(c_t).
+    let tc_row = cache.tanh_c.row_mut(t);
+    tc_row.copy_from_slice(c_prev);
+    tanh_inplace(tc_row);
+    for (k, hp) in h_prev.iter_mut().enumerate() {
+        *hp = cache.o.get(t, k) * cache.tanh_c.get(t, k);
+    }
+}
+
+/// The gate half of one reverse LSTM step, shared by the
+/// [`Op::LstmSeq`] and [`Op::AttnDecode`] rules: from the gradient
+/// `dh(k)` on `h_t` and the carry in `dc_rec` (the gradient on `c_t`),
+/// fill the pre-activation gradient `dz` (`4H`) and leave the gradient
+/// on `c_{t-1}` in `dc_rec`.
+fn lstm_gate_grads(
+    dz: &mut [f32],
+    dc_rec: &mut [f32],
+    dh: impl Fn(usize) -> f32,
+    cache: &LstmCache,
+    t: usize,
+    c_prev: &[f32],
+) {
+    let hd = dc_rec.len();
+    for k in 0..hd {
+        let dh = dh(k);
+        let o = cache.o.get(t, k);
+        let tc = cache.tanh_c.get(t, k);
+        let i = cache.i.get(t, k);
+        let f = cache.f.get(t, k);
+        let gg = cache.g.get(t, k);
+        let dc = dh * o * (1.0 - tc * tc) + dc_rec[k];
+        dz[k] = dc * gg * i * (1.0 - i);
+        dz[hd + k] = dc * c_prev[k] * f * (1.0 - f);
+        dz[2 * hd + k] = dc * i * (1.0 - gg * gg);
+        dz[3 * hd + k] = dh * tc * o * (1.0 - o);
+        dc_rec[k] = dc * f;
+    }
+}
+
+/// `slot.row(r) += input[r] · g` for every non-zero `input[r]`: the
+/// rank-1 weight gradient of a one-row product `input · W`, added
+/// straight into `W`'s gradient slot. Equals materialising
+/// `inputᵀ · g` from zero and `add_assign`ing it unless the slot holds
+/// a `-0.0`, which a sum that began at `+0.0` never does.
+fn add_outer(slot: &mut Option<Matrix>, input: &[f32], g: &[f32]) {
+    let Some(slot) = slot else { return };
+    for (r, &x) in input.iter().enumerate() {
+        if x != 0.0 {
+            axpy(slot.row_mut(r), x, g);
+        }
+    }
+}
 
 impl Default for Tape {
     fn default() -> Self {
@@ -83,6 +182,7 @@ impl Tape {
             grads: Vec::new(),
             record: true,
             pool: Vec::new(),
+            stock: Vec::new(),
             high_water: 0,
             wt: Vec::new(),
         }
@@ -122,7 +222,11 @@ impl Tape {
             }
         }
         self.retire_backward_state();
-        let held: usize = self.pool.iter().map(|b| b.capacity()).sum();
+        // Generation turnover: what is still in `stock` was not needed
+        // by the pass that just ended.
+        self.stock.clear();
+        std::mem::swap(&mut self.pool, &mut self.stock);
+        let held: usize = self.stock.iter().map(|b| b.capacity()).sum();
         if held > self.high_water {
             self.high_water = held;
         }
@@ -132,23 +236,24 @@ impl Tape {
         }
     }
 
-    /// Largest total f32 capacity the arena pool has ever held.
+    /// Largest total f32 capacity the arena has ever kept across a reset.
     pub fn arena_high_water(&self) -> usize {
         self.high_water
     }
 
     /// A recycled buffer with `len == 0` and capacity ≥ `min_cap`, or a
-    /// fresh one. Scanned newest-first so the most recently retired
-    /// (cache-warm) buffer wins.
+    /// fresh one. This pass's recycled buffers are searched before the
+    /// previous pass's `stock`, each newest-first so the most recently
+    /// retired (cache-warm) buffer wins.
     fn take_buf_empty(&mut self, min_cap: usize) -> Vec<f32> {
-        match self.pool.iter().rposition(|b| b.capacity() >= min_cap) {
-            Some(i) => {
-                let mut b = self.pool.swap_remove(i);
+        for gen in [&mut self.pool, &mut self.stock] {
+            if let Some(i) = gen.iter().rposition(|b| b.capacity() >= min_cap) {
+                let mut b = gen.swap_remove(i);
                 b.clear();
-                b
+                return b;
             }
-            None => Vec::with_capacity(min_cap),
         }
+        Vec::with_capacity(min_cap)
     }
 
     /// A zero-filled buffer of exactly `len` elements, recycled when
@@ -169,6 +274,25 @@ impl Tape {
     fn recycle(&mut self, m: Matrix) {
         if self.pool.len() < MAX_POOLED_BUFS {
             self.pool.push(m.into_vec());
+        }
+    }
+
+    /// Pooled gate caches for `rows` LSTM steps of width `hd`.
+    fn alloc_lstm_cache(&mut self, rows: usize, hd: usize) -> LstmCache {
+        LstmCache {
+            i: self.alloc_zeros(rows, hd),
+            f: self.alloc_zeros(rows, hd),
+            g: self.alloc_zeros(rows, hd),
+            o: self.alloc_zeros(rows, hd),
+            c: self.alloc_zeros(rows, hd),
+            tanh_c: self.alloc_zeros(rows, hd),
+        }
+    }
+
+    fn recycle_lstm_cache(&mut self, cache: LstmCache) {
+        let LstmCache { i, f, g, o, c, tanh_c } = cache;
+        for m in [i, f, g, o, c, tanh_c] {
+            self.recycle(m);
         }
     }
 
@@ -470,7 +594,7 @@ impl Tape {
         let (r, c) = self.value(x).shape();
         let mut buf = self.take_buf_empty(r * c);
         buf.extend_from_slice(self.value(x).as_slice());
-        mars_tensor::simd::tanh_inplace(&mut buf);
+        tanh_inplace(&mut buf);
         let v = Matrix::from_vec(r, c, buf);
         let rg = self.rg(x);
         self.push(v, Op::Tanh(x), rg)
@@ -675,14 +799,7 @@ impl Tape {
         let mut xw = self.alloc_zeros(t_len, hd4); // T × 4H
         matmul_into(self.value(x), self.value(w_ih), &mut xw);
 
-        let mut cache = crate::ops::LstmCache {
-            i: self.alloc_zeros(t_len, hd),
-            f: self.alloc_zeros(t_len, hd),
-            g: self.alloc_zeros(t_len, hd),
-            o: self.alloc_zeros(t_len, hd),
-            c: self.alloc_zeros(t_len, hd),
-            tanh_c: self.alloc_zeros(t_len, hd),
-        };
+        let mut cache = self.alloc_lstm_cache(t_len, hd);
         let mut out = self.alloc_zeros(t_len + 1, hd);
         {
             let mut h_prev: Vec<f32> = self.value(h0).row(0).to_vec();
@@ -692,38 +809,17 @@ impl Tape {
             let mut hw = vec![0.0f32; hd4]; // reusable 1 × 4H scratch
 
             for t in 0..t_len {
-                // z = (x_t·W_ih + h_{t-1}·W_hh) + b, accumulated into hw.
-                hw.fill(0.0);
-                mars_tensor::simd::strided_sweep(&mut hw, &h_prev, w_hh_m.as_slice(), hd4);
-                let xw_row = xw.row(t);
-                for j in 0..hd4 {
-                    hw[j] = (xw_row[j] + hw[j]) + b_row[j];
-                }
-                // Candidate gate tanh as one batch kernel call; the
-                // sigmoid gates stay per-element (libm exp is cheap).
-                mars_tensor::simd::tanh_inplace(&mut hw[2 * hd..3 * hd]);
-                for k in 0..hd {
-                    let ig = stats::sigmoid(hw[k]);
-                    let fg = stats::sigmoid(hw[hd + k]);
-                    let gg = hw[2 * hd + k];
-                    let og = stats::sigmoid(hw[3 * hd + k]);
-                    let c = fg * c_prev[k] + ig * gg;
-                    cache.i.set(t, k, ig);
-                    cache.f.set(t, k, fg);
-                    cache.g.set(t, k, gg);
-                    cache.o.set(t, k, og);
-                    cache.c.set(t, k, c);
-                    c_prev[k] = c;
-                }
-                // tanh(c_t) for the whole row, then h_t = o ⊙ tanh(c_t).
-                let tc_row = cache.tanh_c.row_mut(t);
-                tc_row.copy_from_slice(&c_prev);
-                mars_tensor::simd::tanh_inplace(tc_row);
-                for (k, hp) in h_prev.iter_mut().enumerate().take(hd) {
-                    let h = cache.o.get(t, k) * cache.tanh_c.get(t, k);
-                    out.set(t, k, h);
-                    *hp = h;
-                }
+                lstm_step(
+                    &mut hw,
+                    xw.row(t),
+                    w_hh_m,
+                    b_row,
+                    &mut h_prev,
+                    &mut c_prev,
+                    &mut cache,
+                    t,
+                );
+                out.row_mut(t).copy_from_slice(&h_prev);
             }
             // Final cell state as the extra row.
             for (k, &c) in c_prev.iter().enumerate() {
@@ -736,10 +832,7 @@ impl Tape {
             // Inference: the gate caches exist only for BPTT — recycle
             // their buffers instead of threading them through `push`
             // (which would drop them on the floor).
-            let crate::ops::LstmCache { i, f, g, o, c, tanh_c } = cache;
-            for m in [i, f, g, o, c, tanh_c] {
-                self.recycle(m);
-            }
+            self.recycle_lstm_cache(cache);
             return self.push(out, Op::Leaf, false);
         }
         let rg = self.rg(x)
@@ -777,7 +870,7 @@ impl Tape {
                 for a in 0..ad {
                     act_row[a] = proj_row[a] + dproj_row[a];
                 }
-                mars_tensor::simd::tanh_inplace(act_row);
+                tanh_inplace(act_row);
                 let mut s = 0.0f32;
                 for a in 0..ad {
                     let tv = act_row[a];
@@ -840,6 +933,18 @@ impl Tape {
             }
             slot @ None => *slot = Some(g),
         }
+    }
+
+    /// Give `v` a zero gradient slot if it has none; `true` if it was
+    /// created here.
+    fn ensure_grad_slot(&mut self, v: Var) -> bool {
+        if self.grads[v.0].is_some() {
+            return false;
+        }
+        let (r, c) = self.value(v).shape();
+        let z = self.alloc_zeros(r, c);
+        self.grads[v.0] = Some(z);
+        true
     }
 
     /// Combine per-segment gradient parts in *reverse* segment order:
@@ -1011,12 +1116,7 @@ impl Tape {
                         // Fresh slot: *assign* `g[c] · scale` into the
                         // range (a `0.0 +` would turn `-0.0` grads into
                         // `+0.0`, diverging from the per-graph assign).
-                        let fresh = self.grads[x.0].is_none();
-                        if fresh {
-                            let (r, c) = self.nodes[x.0].value.shape();
-                            let z = self.alloc_zeros(r, c);
-                            self.grads[x.0] = Some(z);
-                        }
+                        let fresh = self.ensure_grad_slot(x);
                         let gx = self.grads[x.0].as_mut().expect("slot just filled");
                         let g_row = g.row(0);
                         for rr in start..end {
@@ -1394,8 +1494,8 @@ impl Tape {
                     let mut dh_rec = self.alloc_zeros(1, hd);
                     let mut dc_rec = self.alloc_zeros(1, hd);
                     dc_rec.as_mut_slice().copy_from_slice(g.row(t_len));
-                    // Where the weight gradients sum up. One step (the
-                    // decoder) contributes a single rank-1 term per
+                    // Where the weight gradients sum up. One step
+                    // (`LstmCell::step`) contributes a single rank-1 term per
                     // weight, so it adds straight into the taken slot:
                     // `slot + (0 + x·dz)` is `slot + x·dz` bit for bit
                     // unless both `slot` and `x·dz` are `-0.0`, and a
@@ -1419,29 +1519,12 @@ impl Tape {
                             0 => (self.value(c0).row(0), self.value(h0).row(0)),
                             _ => (cache.c.row(t - 1), self.nodes[i].value.row(t - 1)),
                         };
-                        for k in 0..hd {
-                            let dh = g.get(t, k) + dh_rec.get(0, k);
-                            let o = cache.o.get(t, k);
-                            let tc = cache.tanh_c.get(t, k);
-                            let i = cache.i.get(t, k);
-                            let f = cache.f.get(t, k);
-                            let gg = cache.g.get(t, k);
-                            let dc = dh * o * (1.0 - tc * tc) + dc_rec.get(0, k);
-                            dz[k] = dc * gg * i * (1.0 - i);
-                            dz[hd + k] = dc * c_prev[k] * f * (1.0 - f);
-                            dz[2 * hd + k] = dc * i * (1.0 - gg * gg);
-                            dz[3 * hd + k] = dh * tc * o * (1.0 - o);
-                            dc_rec.set(0, k, dc * f);
-                        }
+                        let dh = |k: usize| g.get(t, k) + dh_rec.get(0, k);
+                        lstm_gate_grads(dz, dc_rec.as_mut_slice(), dh, &cache, t, c_prev);
                         // Parameter gradients: outer products with the
                         // step inputs (the bias's input is the constant 1).
                         for (sum, input) in sums.iter_mut().zip([x_m.row(t), h_prev, &[1.0]]) {
-                            let Some(sum) = sum else { continue };
-                            for (r, &v) in input.iter().enumerate() {
-                                if v != 0.0 {
-                                    axpy(sum.row_mut(r), v, dz);
-                                }
-                            }
+                            add_outer(sum, input, dz);
                         }
                         // Input and recurrent gradients: dz · Wᵀ.
                         strided_sweep(gx.row_mut(t), dz, wt_ih, in_dim);
@@ -1495,6 +1578,9 @@ impl Tape {
                     if self.rg(v) {
                         self.accumulate(v, gv);
                     }
+                }
+                Op::AttnDecode { segs, params, h0, c0, cache } => {
+                    self.attn_decode_backward(&g, &segs, params, (h0, c0), &cache);
                 }
             }
             // Restore the node's own grad (taken, not cloned, above) so

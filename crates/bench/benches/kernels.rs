@@ -13,7 +13,8 @@ use mars_core::workload_input::WorkloadInput;
 use mars_core::GraphBatch;
 use mars_graph::features::FEATURE_DIM;
 use mars_graph::generators::{Profile, Workload};
-use mars_nn::{FwdCtx, ParamStore};
+use mars_nn::decode::{decode, decode_composed};
+use mars_nn::{Attention, FwdCtx, Linear, LstmCell, ParamStore};
 use mars_rng::rngs::StdRng;
 use mars_rng::SeedableRng;
 use mars_sim::{simulate, Cluster, Placement};
@@ -167,6 +168,39 @@ fn bench_lstm_cell(opts: &BenchOpts, out: &mut Vec<Sample>) {
     }));
 }
 
+fn bench_attn_decode(opts: &BenchOpts, out: &mut Vec<Sample>) {
+    // One 32-op segment of the placer's decoder at the `small` widths,
+    // forward + backward: the fused `decode` node against the
+    // twelve-ops-per-step loop it replaced (`decode_composed`, the test
+    // oracle; same bits either way) — the pair documents what the
+    // fusion buys.
+    let cfg = MarsConfig::small();
+    let (hd, ad) = (cfg.placer_hidden, cfg.attn_dim);
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut store = ParamStore::new();
+    let cell = LstmCell::new(&mut store, "dec", 2 * hd, hd, &mut rng);
+    let attn = Attention::new(&mut store, "attn", hd, hd, ad, &mut rng);
+    let head = Linear::new(&mut store, "head", hd, 5, true, &mut rng);
+    let enc = init::uniform(cfg.segment_size, hd, 0.8, &mut rng);
+    let run = |fused: bool| {
+        let mut ctx = FwdCtx::new(&store);
+        let enc = ctx.tape.leaf_from(&enc, true);
+        let keys = attn.precompute(&mut ctx, enc);
+        let state = cell.zero_state(&mut ctx);
+        let logits = if fused {
+            decode(&mut ctx, &cell, &attn, &head, &[keys], state)
+        } else {
+            let mut rows = Vec::with_capacity(cfg.segment_size);
+            decode_composed(&mut ctx, &cell, &attn, &head, keys, state, &mut rows);
+            ctx.tape.stack_rows(rows)
+        };
+        let loss = ctx.tape.mean_all(logits);
+        black_box(ctx.into_grads(loss, 1.0).len());
+    };
+    out.extend(bench(opts, "attn_decode/fused", || run(true)));
+    out.extend(bench(opts, "attn_decode/composed", || run(false)));
+}
+
 fn bench_softmax(opts: &BenchOpts, out: &mut Vec<Sample>) {
     let mut rng = StdRng::seed_from_u64(8);
     let row = init::uniform(1, 4096, 4.0, &mut rng);
@@ -243,8 +277,9 @@ fn bench_gcn_batch(opts: &BenchOpts, out: &mut Vec<Sample>) {
     // Hold the batching win on the record: a full run must keep the
     // 16-graph corpus pass at least 2x faster than 16 sequential
     // per-graph encodes (smoke runs time a single unwarmed iteration,
-    // which says nothing about throughput, so they skip the floor).
-    if !opts.smoke {
+    // which says nothing about throughput, and a name filter may have
+    // dropped either arm, so both skip the floor).
+    if !opts.smoke && opts.filter.is_none() {
         let median = |name: &str| {
             out.iter()
                 .find(|s| s.name == name)
@@ -290,6 +325,7 @@ fn main() {
     bench_gcn_forward(&opts, &mut samples);
     bench_segment_placer(&opts, &mut samples);
     bench_lstm_cell(&opts, &mut samples);
+    bench_attn_decode(&opts, &mut samples);
     bench_softmax(&opts, &mut samples);
     bench_simulator(&opts, &mut samples);
     bench_gcn_batch(&opts, &mut samples);

@@ -15,7 +15,7 @@
 
 use crate::placers::PlacerNet;
 use mars_autograd::Var;
-use mars_nn::{Attention, BiLstm, FwdCtx, Linear, LstmCell, ParamStore};
+use mars_nn::{decode, Attention, BiLstm, FwdCtx, Linear, LstmCell, ParamStore};
 use mars_rng::Rng;
 
 /// Grouper + seq2seq-placer policy producing per-op device log-probs.
@@ -60,15 +60,15 @@ impl GrouperPlacerNet {
     }
 }
 
-impl PlacerNet for GrouperPlacerNet {
-    fn logits(&self, ctx: &mut FwdCtx<'_>, reps: Var) -> Var {
-        // Soft group assignment S: N × G.
+impl GrouperPlacerNet {
+    /// Soft group assignment `S` (`N × G`) and the group embeddings,
+    /// the normalized `Sᵀ · X` (`G × F`).
+    fn group(&self, ctx: &mut FwdCtx<'_>, reps: Var) -> (Var, Var) {
         let h = self.grouper_fc1.forward(ctx, reps);
         let a = ctx.tape.tanh(h);
         let group_logits = self.grouper_fc2.forward(ctx, a);
         let s = ctx.tape.softmax_rows(group_logits); // N × G
 
-        // Group embeddings: normalized Sᵀ · X (G × F).
         let st = ctx.tape.transpose(s); // G × N
         let mass = ctx.tape.sum_rows(s); // 1 × G, column masses
         let raw = ctx.tape.matmul(st, reps); // G × F
@@ -85,28 +85,28 @@ impl PlacerNet for GrouperPlacerNet {
         let recip_t = ctx.tape.transpose(recip); // G × 1
         let ones = ctx.tape.constant(mars_tensor::Matrix::full(1, ctx.tape.value(raw).cols(), 1.0));
         let recip_full = ctx.tape.matmul(recip_t, ones); // G × F broadcast
-        let group_emb = ctx.tape.mul(raw, recip_full); // G × F
+        (s, ctx.tape.mul(raw, recip_full))
+    }
 
-        // Seq2seq placer over group embeddings → per-group device logits.
-        let g = self.num_groups;
-        let (enc_out, _) = self.enc.run(ctx, group_emb, None);
-        let keys = self.attn.precompute(ctx, enc_out);
-        let mut state = self.dec.zero_state(ctx);
-        let mut rows = Vec::with_capacity(g);
-        for i in 0..g {
-            let row = ctx.tape.slice_rows(enc_out, i, i + 1);
-            let context = self.attn.read(ctx, keys, state.h);
-            let dec_in = ctx.tape.concat_cols(row, context);
-            state = self.dec.step(ctx, dec_in, state);
-            rows.push(self.head.forward(ctx, state.h));
-        }
-        let group_dev_logits = ctx.tape.stack_rows(rows); // G × D
+    /// Op device distribution `S · softmax(group logits)` (`N × D`),
+    /// returned as log-probs.
+    fn mix(&self, ctx: &mut FwdCtx<'_>, s: Var, group_dev_logits: Var) -> Var {
         let group_dev_probs = ctx.tape.softmax_rows(group_dev_logits);
-
-        // Op device distribution: S · P (N × D), returned as log-probs.
         let op_probs = ctx.tape.matmul(s, group_dev_probs);
         let eps = ctx.tape.add_scalar(op_probs, 1e-8);
         ctx.tape.ln(eps)
+    }
+}
+
+impl PlacerNet for GrouperPlacerNet {
+    fn logits(&self, ctx: &mut FwdCtx<'_>, reps: Var) -> Var {
+        let (s, group_emb) = self.group(ctx, reps);
+        // Seq2seq placer over group embeddings → per-group device logits.
+        let (enc_out, _) = self.enc.run(ctx, group_emb, None);
+        let keys = self.attn.precompute(ctx, enc_out);
+        let state = self.dec.zero_state(ctx);
+        let group_dev_logits = decode(ctx, &self.dec, &self.attn, &self.head, &[keys], state); // G × D
+        self.mix(ctx, s, group_dev_logits)
     }
 
     fn num_devices(&self) -> usize {
@@ -121,10 +121,40 @@ impl PlacerNet for GrouperPlacerNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placers::oracle::assert_same_bits;
+    use mars_nn::decode::decode_composed;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
     use mars_tensor::init;
     use mars_tensor::stats::softmax_rows;
+
+    /// The tape `logits` recorded before the decoder was fused.
+    fn composed_logits(p: &GrouperPlacerNet, ctx: &mut FwdCtx<'_>, reps: Var) -> Var {
+        let (s, group_emb) = p.group(ctx, reps);
+        let (enc_out, _) = p.enc.run(ctx, group_emb, None);
+        let keys = p.attn.precompute(ctx, enc_out);
+        let state = p.dec.zero_state(ctx);
+        let mut rows = Vec::new();
+        decode_composed(ctx, &p.dec, &p.attn, &p.head, keys, state, &mut rows);
+        let group_dev_logits = ctx.tape.stack_rows(rows);
+        p.mix(ctx, s, group_dev_logits)
+    }
+
+    #[test]
+    fn logits_match_the_composed_oracle_bitwise() {
+        for seed in 0..3 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut store = ParamStore::new();
+            let p = GrouperPlacerNet::new(&mut store, 6, 8, 4, 3, 5, &mut rng);
+            let reps = init::uniform(9, 6, 1.0, &mut rng);
+            assert_same_bits(
+                &store,
+                &reps,
+                |ctx, r| p.logits(ctx, r),
+                |ctx, r| composed_logits(&p, ctx, r),
+            );
+        }
+    }
 
     #[test]
     fn logits_rows_are_normalized_distributions() {

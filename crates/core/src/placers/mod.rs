@@ -57,3 +57,52 @@ impl PlacerChoice {
         }
     }
 }
+
+/// Shared by the seq2seq placers' tests: each pins its `logits` (one
+/// fused [`mars_nn::decode`]) to the op-by-op tape it recorded before
+/// the fusion, rebuilt from [`mars_nn::decode::decode_composed`].
+#[cfg(test)]
+pub(crate) mod oracle {
+    use mars_autograd::Var;
+    use mars_nn::{FwdCtx, ParamStore};
+    use mars_rng::rngs::StdRng;
+    use mars_rng::SeedableRng;
+    use mars_tensor::{init, Matrix};
+
+    /// One forward + backward through `logits` over a `requires_grad`
+    /// `reps`: the logits, the gradient on `reps` and every parameter
+    /// gradient (ascending id), as bits.
+    fn pass(
+        store: &ParamStore,
+        reps: &Matrix,
+        logits: impl FnOnce(&mut FwdCtx<'_>, Var) -> Var,
+    ) -> Vec<Vec<u32>> {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut ctx = FwdCtx::new(store);
+        let reps = ctx.tape.leaf(reps.clone(), true);
+        let l = logits(&mut ctx, reps);
+        let mut out = vec![bits(ctx.tape.value(l))];
+        let (r, c) = ctx.tape.value(l).shape();
+        let mix = ctx.tape.constant(init::uniform(r, c, 1.0, &mut StdRng::seed_from_u64(99)));
+        let weighted = ctx.tape.mul(l, mix);
+        let loss = ctx.tape.sum_all(weighted);
+        let (grads, tape) = ctx.into_grads_and_tape(loss, 1.0);
+        out.push(bits(tape.grad(reps).expect("gradient on reps")));
+        assert_eq!(grads.len(), store.len(), "a parameter got no gradient");
+        out.extend(grads.iter().map(|(_, g)| bits(g)));
+        out
+    }
+
+    /// Assert `fused` and `composed` agree bit for bit on `reps`.
+    pub(crate) fn assert_same_bits(
+        store: &ParamStore,
+        reps: &Matrix,
+        fused: impl FnOnce(&mut FwdCtx<'_>, Var) -> Var,
+        composed: impl FnOnce(&mut FwdCtx<'_>, Var) -> Var,
+    ) {
+        let (f, c) = (pass(store, reps, fused), pass(store, reps, composed));
+        assert_eq!(f[0], c[0], "logits diverged from the composed oracle");
+        assert_eq!(f[1], c[1], "gradient on reps diverged from the composed oracle");
+        assert_eq!(f[2..], c[2..], "parameter gradients diverged from the composed oracle");
+    }
+}

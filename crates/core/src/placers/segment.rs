@@ -11,7 +11,8 @@
 
 use crate::placers::PlacerNet;
 use mars_autograd::Var;
-use mars_nn::{Attention, BiLstm, FwdCtx, Linear, LstmCell, ParamStore};
+use mars_nn::attention::AttentionKeys;
+use mars_nn::{decode, Attention, BiLstm, FwdCtx, Linear, LstmCell, ParamStore};
 use mars_rng::Rng;
 
 /// Segment-level seq2seq placer with attention.
@@ -53,32 +54,38 @@ impl SegmentSeq2Seq {
     }
 }
 
-impl PlacerNet for SegmentSeq2Seq {
-    fn logits(&self, ctx: &mut FwdCtx<'_>, reps: Var) -> Var {
+impl SegmentSeq2Seq {
+    /// Encode the segments in order, the forward state carried from
+    /// one to the next, handing each one's attention keys to `each`.
+    fn encode_segments(
+        &self,
+        ctx: &mut FwdCtx<'_>,
+        reps: Var,
+        mut each: impl FnMut(&mut FwdCtx<'_>, AttentionKeys),
+    ) {
         let n = ctx.tape.value(reps).rows();
         let mut enc_state = None;
-        let mut dec_state = self.decoder.zero_state(ctx);
-        let mut logit_rows: Vec<Var> = Vec::with_capacity(n);
-
         let mut start = 0;
         while start < n {
             let end = (start + self.segment_size).min(n);
             let seg = ctx.tape.slice_rows(reps, start, end);
-            // Encode the segment, carrying the forward state.
             let (enc_out, final_state) = self.encoder.run(ctx, seg, enc_state);
             enc_state = Some(final_state);
             let keys = self.attn.precompute(ctx, enc_out);
-            // Decode the segment, carrying the decoder state.
-            for i in 0..(end - start) {
-                let row = ctx.tape.slice_rows(enc_out, i, i + 1);
-                let context = self.attn.read(ctx, keys, dec_state.h);
-                let dec_in = ctx.tape.concat_cols(row, context);
-                dec_state = self.decoder.step(ctx, dec_in, dec_state);
-                logit_rows.push(self.head.forward(ctx, dec_state.h));
-            }
+            each(ctx, keys);
             start = end;
         }
-        ctx.tape.stack_rows(logit_rows)
+    }
+}
+
+impl PlacerNet for SegmentSeq2Seq {
+    fn logits(&self, ctx: &mut FwdCtx<'_>, reps: Var) -> Var {
+        // The decoder (its state carried across segments too) never
+        // feeds an encoder, so it runs once over all of them, last.
+        let mut keys = Vec::new();
+        self.encode_segments(ctx, reps, |_, k| keys.push(k));
+        let dec_state = self.decoder.zero_state(ctx);
+        decode(ctx, &self.decoder, &self.attn, &self.head, &keys, dec_state)
     }
 
     fn num_devices(&self) -> usize {
@@ -93,9 +100,40 @@ impl PlacerNet for SegmentSeq2Seq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placers::oracle::assert_same_bits;
+    use mars_nn::decode::decode_composed;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
     use mars_tensor::init;
+
+    /// The tape `logits` recorded before the decoder was fused: per
+    /// segment, encoder then op-by-op decode steps.
+    fn composed_logits(p: &SegmentSeq2Seq, ctx: &mut FwdCtx<'_>, reps: Var) -> Var {
+        let mut dec_state = p.decoder.zero_state(ctx);
+        let mut rows = Vec::new();
+        p.encode_segments(ctx, reps, |ctx, keys| {
+            dec_state =
+                decode_composed(ctx, &p.decoder, &p.attn, &p.head, keys, dec_state, &mut rows);
+        });
+        ctx.tape.stack_rows(rows)
+    }
+
+    #[test]
+    fn logits_match_the_composed_oracle_bitwise() {
+        for seed in 0..3 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut store = ParamStore::new();
+            // 11 ops, segment 4 → segments of 4, 4, 3.
+            let p = SegmentSeq2Seq::new(&mut store, 6, 8, 4, 4, 5, &mut rng);
+            let reps = init::uniform(11, 6, 1.0, &mut rng);
+            assert_same_bits(
+                &store,
+                &reps,
+                |ctx, r| p.logits(ctx, r),
+                |ctx, r| composed_logits(&p, ctx, r),
+            );
+        }
+    }
 
     #[test]
     fn logits_shape_with_ragged_last_segment() {

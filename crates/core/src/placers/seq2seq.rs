@@ -10,7 +10,7 @@
 
 use crate::placers::PlacerNet;
 use mars_autograd::Var;
-use mars_nn::{Attention, BiLstm, FwdCtx, Linear, LstmCell, ParamStore};
+use mars_nn::{decode, Attention, BiLstm, FwdCtx, Linear, LstmCell, ParamStore};
 use mars_rng::Rng;
 
 /// Classic seq2seq placer over the full sequence.
@@ -45,19 +45,10 @@ impl FullSeq2Seq {
 
 impl PlacerNet for FullSeq2Seq {
     fn logits(&self, ctx: &mut FwdCtx<'_>, reps: Var) -> Var {
-        let n = ctx.tape.value(reps).rows();
         let (enc_out, _) = self.encoder.run(ctx, reps, None);
         let keys = self.attn.precompute(ctx, enc_out);
-        let mut state = self.decoder.zero_state(ctx);
-        let mut rows = Vec::with_capacity(n);
-        for i in 0..n {
-            let row = ctx.tape.slice_rows(enc_out, i, i + 1);
-            let context = self.attn.read(ctx, keys, state.h);
-            let dec_in = ctx.tape.concat_cols(row, context);
-            state = self.decoder.step(ctx, dec_in, state);
-            rows.push(self.head.forward(ctx, state.h));
-        }
-        ctx.tape.stack_rows(rows)
+        let state = self.decoder.zero_state(ctx);
+        decode(ctx, &self.decoder, &self.attn, &self.head, &[keys], state)
     }
 
     fn num_devices(&self) -> usize {
@@ -72,9 +63,37 @@ impl PlacerNet for FullSeq2Seq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placers::oracle::assert_same_bits;
+    use mars_nn::decode::decode_composed;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
     use mars_tensor::init;
+
+    /// The tape `logits` recorded before the decoder was fused.
+    fn composed_logits(p: &FullSeq2Seq, ctx: &mut FwdCtx<'_>, reps: Var) -> Var {
+        let (enc_out, _) = p.encoder.run(ctx, reps, None);
+        let keys = p.attn.precompute(ctx, enc_out);
+        let state = p.decoder.zero_state(ctx);
+        let mut rows = Vec::new();
+        decode_composed(ctx, &p.decoder, &p.attn, &p.head, keys, state, &mut rows);
+        ctx.tape.stack_rows(rows)
+    }
+
+    #[test]
+    fn logits_match_the_composed_oracle_bitwise() {
+        for seed in 0..3 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut store = ParamStore::new();
+            let p = FullSeq2Seq::new(&mut store, 5, 8, 4, 5, &mut rng);
+            let reps = init::uniform(9, 5, 1.0, &mut rng);
+            assert_same_bits(
+                &store,
+                &reps,
+                |ctx, r| p.logits(ctx, r),
+                |ctx, r| composed_logits(&p, ctx, r),
+            );
+        }
+    }
 
     #[test]
     fn logits_shape() {

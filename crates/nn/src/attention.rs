@@ -30,8 +30,8 @@ pub struct Attention {
 /// Cached encoder projection for one forward pass.
 #[derive(Clone, Copy)]
 pub struct AttentionKeys {
-    enc: Var,
-    proj: Var,
+    pub(crate) enc: Var,
+    pub(crate) proj: Var,
 }
 
 impl Attention {
@@ -56,6 +56,11 @@ impl Attention {
     /// Scoring-space width.
     pub fn attn_dim(&self) -> usize {
         self.attn_dim
+    }
+
+    /// The query-side parameters `[w_dec, v]` a decoding step reads.
+    pub(crate) fn query_params(&self) -> [ParamId; 2] {
+        [self.w_dec, self.v]
     }
 
     /// Project the encoder outputs (`T × enc_dim`) once.

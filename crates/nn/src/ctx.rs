@@ -10,34 +10,35 @@
 use crate::param::{ParamId, ParamStore};
 use mars_autograd::{Tape, Var};
 use mars_tensor::Matrix;
-use std::collections::HashMap;
 
 /// A parameter-binding wrapper around a [`Tape`] for one forward pass.
 pub struct FwdCtx<'s> {
     /// The underlying tape; public so models can record arbitrary ops.
     pub tape: Tape,
     store: &'s ParamStore,
-    bound: HashMap<ParamId, Var>,
+    /// Leaf of each bound parameter, indexed by the dense [`ParamId`]:
+    /// gradients drain in ascending id, the same order on every run.
+    bound: Vec<Option<Var>>,
 }
 
 impl<'s> FwdCtx<'s> {
     /// Start a forward pass against `store`.
     pub fn new(store: &'s ParamStore) -> Self {
-        FwdCtx { tape: Tape::new(), store, bound: HashMap::new() }
+        Self::with_tape(Tape::new(), store)
     }
 
     /// Start an inference-only forward pass: no op recording, no
     /// gradients, and [`FwdCtx::into_grads`] must not be called. Values
     /// are bit-identical to a recording pass over the same store.
     pub fn new_inference(store: &'s ParamStore) -> Self {
-        FwdCtx { tape: Tape::inference(), store, bound: HashMap::new() }
+        Self::with_tape(Tape::inference(), store)
     }
 
     /// Start a forward pass on a caller-provided tape — how the serving
     /// path reuses one inference tape (and its pooled activation
     /// buffers) across requests. Pair with [`FwdCtx::into_tape`].
     pub fn with_tape(tape: Tape, store: &'s ParamStore) -> Self {
-        FwdCtx { tape, store, bound: HashMap::new() }
+        FwdCtx { tape, store, bound: vec![None; store.len()] }
     }
 
     /// Recover the tape (e.g. to `reset_for_reuse` it between requests).
@@ -47,14 +48,19 @@ impl<'s> FwdCtx<'s> {
 
     /// Bind a parameter onto the tape (cached).
     pub fn p(&mut self, id: ParamId) -> Var {
-        if let Some(&v) = self.bound.get(&id) {
+        if let Some(v) = self.bound[id.0] {
             return v;
         }
         // Copy into a pooled buffer either way (bit-identical to a
         // fresh clone); recording tapes keep the grad flag.
         let v = self.tape.leaf_from(self.store.value(id), self.tape.is_recording());
-        self.bound.insert(id, v);
+        self.bound[id.0] = Some(v);
         v
+    }
+
+    /// The bound parameters and their leaves, in ascending id.
+    fn bound(bound: &[Option<Var>]) -> impl Iterator<Item = (ParamId, Var)> + '_ {
+        bound.iter().enumerate().filter_map(|(i, v)| v.map(|v| (ParamId(i), v)))
     }
 
     /// Read-only access to the backing store.
@@ -67,8 +73,8 @@ impl<'s> FwdCtx<'s> {
     /// averaging `k` sample losses). Apply them with [`apply_grads`].
     pub fn into_grads(mut self, loss: Var, scale: f32) -> Vec<(ParamId, Matrix)> {
         self.tape.backward(loss);
-        let mut out = Vec::with_capacity(self.bound.len());
-        for (id, var) in self.bound.drain() {
+        let mut out = Vec::new();
+        for (id, var) in Self::bound(&self.bound) {
             if let Some(g) = self.tape.grad(var) {
                 let g = if scale == 1.0 { g.clone() } else { g.scale(scale) };
                 out.push((id, g));
@@ -84,8 +90,8 @@ impl<'s> FwdCtx<'s> {
     /// to [`FwdCtx::into_grads`] for the same pass.
     pub fn into_grads_and_tape(mut self, loss: Var, scale: f32) -> (Vec<(ParamId, Matrix)>, Tape) {
         self.tape.backward(loss);
-        let mut out = Vec::with_capacity(self.bound.len());
-        for (id, var) in self.bound.drain() {
+        let mut out = Vec::new();
+        for (id, var) in Self::bound(&self.bound) {
             if let Some(mut g) = self.tape.take_grad(var) {
                 if scale != 1.0 {
                     for e in g.as_mut_slice() {

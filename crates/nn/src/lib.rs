@@ -10,6 +10,8 @@
 //! * [`linear::Linear`], [`gcn::GcnLayer`], [`lstm::LstmCell`] /
 //!   [`lstm::Lstm`] / [`lstm::BiLstm`], [`attention::Attention`] — the
 //!   building blocks of the encoder and the placers.
+//! * [`decode::decode`] — the placers' attention decoder (attention
+//!   read + LSTM step + device head per placed op) as one fused tape op.
 //! * [`adam::Adam`] — Adam with global-norm gradient clipping, the
 //!   optimizer the paper trains with (lr 3e-4, clip 1.0).
 
@@ -17,6 +19,7 @@ pub mod adam;
 pub mod attention;
 pub mod checkpoint;
 pub mod ctx;
+pub mod decode;
 pub mod gcn;
 pub mod linear;
 pub mod lstm;
@@ -26,6 +29,7 @@ pub mod util;
 pub use adam::Adam;
 pub use attention::Attention;
 pub use ctx::{apply_grads, FwdCtx};
+pub use decode::decode;
 pub use gcn::GcnLayer;
 pub use linear::Linear;
 pub use lstm::{BiLstm, Lstm, LstmCell, LstmState};

@@ -69,6 +69,11 @@ impl LstmCell {
         self.input_dim
     }
 
+    /// The fused gate parameters `[w_ih, w_hh, b]`.
+    pub(crate) fn params(&self) -> [ParamId; 3] {
+        [self.w_ih, self.w_hh, self.b]
+    }
+
     /// Zero initial state.
     pub fn zero_state(&self, ctx: &mut FwdCtx<'_>) -> LstmState {
         let h = ctx.tape.constant(Matrix::zeros(1, self.hidden_dim));

@@ -51,11 +51,14 @@ echo "$FLEET_SUMMARY" | grep -q "workers: 2 connected" || {
     echo "fleet summary has no fleet health table"; exit 1; }
 echo "$FLEET_SUMMARY" | grep -q "frames" || {
     echo "fleet summary has no wire counters"; exit 1; }
-./target/release/mars-cli metrics flame "$FLEET_TRACE" 2>/dev/null | grep -q "^learner;" || {
+# A `grep -q` fed straight from mars-cli exits at its first match, and a
+# mars-cli still printing then dies of the broken pipe (Rust ignores
+# SIGPIPE, println! panics), which `pipefail` reports: read to the end.
+./target/release/mars-cli metrics flame "$FLEET_TRACE" 2>/dev/null | grep "^learner;" > /dev/null || {
     echo "flame export has no learner stacks"; exit 1; }
-./target/release/mars-cli metrics flame "$FLEET_TRACE" 2>/dev/null | grep -q "^worker:0;" || {
+./target/release/mars-cli metrics flame "$FLEET_TRACE" 2>/dev/null | grep "^worker:0;" > /dev/null || {
     echo "flame export has no worker stacks"; exit 1; }
-./target/release/mars-cli metrics tail "$FLEET_TRACE" --lines 0 | grep -q "run complete" || {
+./target/release/mars-cli metrics tail "$FLEET_TRACE" --lines 0 | grep "run complete" > /dev/null || {
     echo "tail did not reach the end-of-run marker"; exit 1; }
 
 echo "==> fleet smoke: 2 external workers over a named unix socket"
@@ -171,7 +174,7 @@ wait "$SERVE_PID" || { echo "serve daemon failed"; cat /tmp/mars-serve-log.$$; e
 grep -q "serve loop done" /tmp/mars-serve-log.$$ || {
     echo "serve daemon did not report a clean shutdown"; cat /tmp/mars-serve-log.$$; exit 1; }
 [ -s "$SERVE_STORE" ] || { echo "serve daemon wrote no placement store"; exit 1; }
-./target/release/mars-cli metrics summarize "$SERVE_TRACE" | grep -q "serve.requests" || {
+./target/release/mars-cli metrics summarize "$SERVE_TRACE" | grep "serve.requests" > /dev/null || {
     echo "serve trace has no request counters"; exit 1; }
 # Warm restart: the same seed + store must answer from the persistent
 # tier with byte-identical output.

@@ -58,18 +58,29 @@ fn trace_bits(log: &TrainingLog) -> Vec<TraceRow> {
         .collect()
 }
 
+/// The recorder is process-global: tests that install one take turns.
+static RECORDER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// [`run`] with a memory recorder installed and spans on; also returns
+/// the captured JSONL.
+fn run_instrumented(seed: u64, samples: usize) -> (Vec<f32>, TrainingLog, String) {
+    let sink = telemetry::install_memory();
+    let (losses, log) = run(seed, samples);
+    assert!(telemetry::uninstall(), "recorder was installed");
+    let text = sink.lock().unwrap().join("\n");
+    (losses, log, text)
+}
+
 #[test]
 fn telemetry_does_not_perturb_training() {
+    let _turn = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
     // Plain run: no recorder, spans off.
     let (losses_off, log_off) = run(42, 48);
 
     // Instrumented run: memory recorder + spans on, full event stream.
-    let sink = telemetry::install_memory();
-    let (losses_on, log_on) = run(42, 48);
-    assert!(telemetry::uninstall(), "recorder was installed");
+    let (losses_on, log_on, text) = run_instrumented(42, 48);
 
     // The capture must actually contain the instrumentation output…
-    let text = sink.lock().unwrap().join("\n");
     let summary = telemetry::summarize(&text).expect("capture parses");
     assert!(summary.events > 0, "no events recorded");
     assert!(
@@ -89,4 +100,26 @@ fn telemetry_does_not_perturb_training() {
     assert_eq!(trace_bits(&log_off), trace_bits(&log_on));
     assert_eq!(log_off.best_placement, log_on.best_placement);
     assert_eq!(log_off.best_reading_s.map(f64::to_bits), log_on.best_reading_s.map(f64::to_bits));
+}
+
+/// `grad_norm` of every `ppo.update` event in a capture, as bits.
+fn grad_norm_bits(text: &str) -> Vec<u64> {
+    text.lines()
+        .map(|line| mars::json::Json::parse(line).expect("capture line parses"))
+        .filter(|rec| rec.get("name").and_then(|n| n.as_str()) == Some("ppo.update"))
+        .map(|rec| rec.get("grad_norm").and_then(|g| g.as_f64()).expect("grad_norm").to_bits())
+        .collect()
+}
+
+/// The trace itself repeats: `grad_norm` is an f64 sum over the
+/// parameter gradients in the order `FwdCtx` drains them, which must
+/// not depend on a hasher's per-instance state.
+#[test]
+fn same_seed_traces_agree_on_grad_norm_bits() {
+    let _turn = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
+    let (_, _, first) = run_instrumented(7, 40);
+    let (_, _, second) = run_instrumented(7, 40);
+    let norms = grad_norm_bits(&first);
+    assert!(norms.len() >= 2, "expected several PPO updates, got {}", norms.len());
+    assert_eq!(norms, grad_norm_bits(&second), "ppo.update grad_norm differs between reruns");
 }
