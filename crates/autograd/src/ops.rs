@@ -6,7 +6,7 @@
 //! the recorded structure.
 
 use crate::tape::Var;
-use mars_tensor::ops::{BlockDiagCsr, CsrMatrix};
+use mars_tensor::ops::CsrMatrix;
 use mars_tensor::Matrix;
 use std::sync::Arc;
 
@@ -21,34 +21,6 @@ pub enum Op {
     /// constant (the normalized graph adjacency), so only `X` receives a
     /// gradient.
     Spmm(Arc<CsrMatrix>, Var),
-    /// Block-diagonal sparse-constant × dense product over a packed
-    /// graph batch (`spmm_blockdiag`). Like [`Op::Spmm`], only `X`
-    /// receives a gradient (via the transposed block-diagonal sweep).
-    SpmmBlockDiag(Arc<BlockDiagCsr>, Var),
-    /// Dense product `A · B` where `A`'s rows are the concatenation of
-    /// per-graph segments (`offsets[s]..offsets[s+1]` = segment `s`)
-    /// and `B` is a weight shared by every segment. Forward is exactly
-    /// [`Op::MatMul`]; the backward rule computes `B`'s gradient
-    /// per-segment and combines the per-segment results in *reverse*
-    /// segment order, matching the float-add order the per-graph tape
-    /// produces when later-recorded (higher-index) graphs accumulate
-    /// into the shared weight leaf first.
-    MatMulRowSeg(Var, Var, Arc<Vec<usize>>),
-    /// Broadcast bias add over a row-segmented matrix: forward is
-    /// [`Op::AddBias`]; the bias gradient is per-segment `sum_rows`
-    /// combined in reverse segment order (same argument as
-    /// [`Op::MatMulRowSeg`]).
-    AddBiasRowSeg(Var, Var, Arc<Vec<usize>>),
-    /// PReLU over a row-segmented matrix: forward is [`Op::PRelu`]; the
-    /// slope gradient is folded per-segment and combined in reverse
-    /// segment order.
-    PReluRowSeg(Var, Var, Arc<Vec<usize>>),
-    /// Column means of rows `[start, end)` of the parent (`1 × n`
-    /// output) — `mean_rows ∘ slice_rows` fused so the backward pass
-    /// updates only the affected rows of the parent's gradient in
-    /// place, never materializing (or adding) a mostly-zero full-size
-    /// matrix (which would flip `-0.0` signs outside the range).
-    SliceMeanRows(Var, usize, usize),
     /// Elementwise sum of two equally-shaped matrices.
     Add(Var, Var),
     /// Elementwise difference.
@@ -213,13 +185,8 @@ impl Op {
             | Op::PRelu(a, b)
             | Op::MinElem(a, b)
             | Op::ConcatCols(a, b, _)
-            | Op::ConcatRows(a, b, _)
-            | Op::MatMulRowSeg(a, b, _)
-            | Op::AddBiasRowSeg(a, b, _)
-            | Op::PReluRowSeg(a, b, _) => vec![*a, *b],
+            | Op::ConcatRows(a, b, _) => vec![*a, *b],
             Op::Spmm(_, x)
-            | Op::SpmmBlockDiag(_, x)
-            | Op::SliceMeanRows(x, _, _)
             | Op::Scale(x, _)
             | Op::AddScalar(x, _)
             | Op::Sigmoid(x)

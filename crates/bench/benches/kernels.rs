@@ -10,7 +10,6 @@ use mars_core::encoder::{Encoder, GcnEncoder};
 use mars_core::placers::segment::SegmentSeq2Seq;
 use mars_core::placers::PlacerNet;
 use mars_core::workload_input::WorkloadInput;
-use mars_core::GraphBatch;
 use mars_graph::features::FEATURE_DIM;
 use mars_graph::generators::{Profile, Workload};
 use mars_nn::decode::{decode, decode_composed};
@@ -223,80 +222,6 @@ fn bench_simulator(opts: &BenchOpts, out: &mut Vec<Sample>) {
     }
 }
 
-fn bench_gcn_batch(opts: &BenchOpts, out: &mut Vec<Sample>) {
-    // Corpus-batched encoding as the training loop runs it: N tiny
-    // graphs through one block-diagonal forward+backward on a
-    // persistent scratch-arena tape, vs the pre-batching corpus loop
-    // (`gcn_batch/seq16`: one fresh ctx per graph, per-graph kernels).
-    // Small graphs put the fixed per-graph overhead — tape setup,
-    // parameter binds, kernel dispatch, gradient-buffer allocation —
-    // in charge, which is exactly what batching + the arena amortize;
-    // results are bit-identical either way.
-    let n = 2usize;
-    let mut rng = StdRng::seed_from_u64(9);
-    let mut store = ParamStore::new();
-    let enc = GcnEncoder::new(&mut store, FEATURE_DIM, 64, 3, &mut rng);
-    let inputs: Vec<WorkloadInput> = (0..16usize)
-        .map(|salt| {
-            let features = init::uniform(n, FEATURE_DIM, 1.0, &mut rng);
-            let mut trips = Vec::with_capacity(3 * n);
-            for r in 0..n {
-                trips.push((r, r, 0.5f32));
-                trips.push((r, (r + 1) % n, 0.25));
-                trips.push((r, (r + salt + 2) % n, 0.25));
-            }
-            let adj = std::sync::Arc::new(CsrMatrix::from_triplets(n, n, &trips));
-            WorkloadInput { features, adj, num_ops: n }
-        })
-        .collect();
-    for batch in [1usize, 4, 16] {
-        let refs: Vec<&WorkloadInput> = inputs[..batch].iter().collect();
-        let gb = GraphBatch::pack(&refs);
-        let mut tape: Option<mars_autograd::Tape> = None;
-        out.extend(bench(opts, &format!("gcn_batch/{batch}"), || {
-            let mut ctx = match tape.take() {
-                Some(prev) => FwdCtx::with_tape(prev, &store),
-                None => FwdCtx::new(&store),
-            };
-            let h = enc.encode_batch(&mut ctx, &gb).expect("gcn has a batched path");
-            black_box(ctx.tape.value(h).as_slice()[0]);
-            let mut reclaimed = ctx.into_tape();
-            reclaimed.reset_for_reuse();
-            tape = Some(reclaimed);
-        }));
-    }
-    out.extend(bench(opts, "gcn_batch/seq16", || {
-        let mut acc = 0.0f32;
-        for inp in &inputs {
-            let mut ctx = FwdCtx::new(&store);
-            let h = enc.encode(&mut ctx, inp);
-            acc += ctx.tape.value(h).as_slice()[0];
-        }
-        black_box(acc);
-    }));
-    // Hold the batching win on the record: a full run must keep the
-    // 16-graph corpus pass at least 2x faster than 16 sequential
-    // per-graph encodes (smoke runs time a single unwarmed iteration,
-    // which says nothing about throughput, and a name filter may have
-    // dropped either arm, so both skip the floor).
-    if !opts.smoke && opts.filter.is_none() {
-        let median = |name: &str| {
-            out.iter()
-                .find(|s| s.name == name)
-                .unwrap_or_else(|| panic!("missing {name} sample"))
-                .median
-                .as_nanos() as f64
-        };
-        let speedup = median("gcn_batch/seq16") / median("gcn_batch/16");
-        println!("gcn_batch/16 speedup over seq16: {speedup:.2}x");
-        assert!(
-            speedup >= 2.0,
-            "corpus batching lost its edge: gcn_batch/16 is only {speedup:.2}x \
-             faster than 16 per-graph encodes (floor 2.0x)"
-        );
-    }
-}
-
 fn bench_backward(opts: &BenchOpts, out: &mut Vec<Sample>) {
     // Full forward+backward of a GCN layer stack, the PPO inner loop's
     // dominant cost.
@@ -328,7 +253,6 @@ fn main() {
     bench_attn_decode(&opts, &mut samples);
     bench_softmax(&opts, &mut samples);
     bench_simulator(&opts, &mut samples);
-    bench_gcn_batch(&opts, &mut samples);
     bench_backward(&opts, &mut samples);
     // Only a full unfiltered run is a baseline worth comparing against.
     if !opts.smoke && opts.filter.is_none() {

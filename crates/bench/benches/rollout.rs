@@ -182,27 +182,6 @@ fn smoke_train(threads: usize, cache: bool) -> (Duration, TrainingLog) {
     (t0.elapsed(), log)
 }
 
-/// DGI pre-training with the given corpus batch width; returns wall
-/// time and the per-iteration loss bits (asserted identical across
-/// widths by the caller — batching may only change wall-clock).
-fn smoke_pretrain(encode_batch: usize, iters: usize) -> (Duration, Vec<u32>) {
-    let graph = Workload::InceptionV3.build(Profile::Reduced);
-    let input = WorkloadInput::from_graph(&graph);
-    let cluster = Cluster::p100_quad();
-    let mut cfg = MarsConfig::small();
-    cfg.encoder_hidden = 16;
-    cfg.placer_hidden = 16;
-    cfg.attn_dim = 8;
-    cfg.segment_size = 24;
-    cfg.dgi_iters = iters;
-    cfg.encode_batch = encode_batch;
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let mut agent = Agent::new(AgentKind::Mars, cfg, FEATURE_DIM, cluster.num_devices(), &mut rng);
-    let t0 = Instant::now();
-    let report = agent.pretrain(&input, &mut rng).expect("mars agent pre-trains");
-    (t0.elapsed(), report.losses.iter().map(|l| l.to_bits()).collect())
-}
-
 fn trace_bits(log: &TrainingLog) -> Vec<(usize, Option<u64>, u64)> {
     log.records
         .iter()
@@ -269,33 +248,6 @@ fn main() {
         train_engine.as_secs_f64()
     );
 
-    // Batched-DGI arm: the contrastive pre-training loop with the
-    // clean + corrupted graphs packed into one block-diagonal encoder
-    // pass (`--encode-batch 2`) against the per-graph loop. The loss
-    // trace must agree bit for bit — batching may only buy wall-clock.
-    let pretrain_iters = if opts.smoke { 8 } else { 60 };
-    let pretrain_reps = if opts.smoke { 1 } else { 5 };
-    let mut pre_pg_times = Vec::new();
-    let mut pre_b_times = Vec::new();
-    for _ in 0..pretrain_reps {
-        let (pg_wall, pg_bits) = smoke_pretrain(1, pretrain_iters);
-        let (b_wall, b_bits) = smoke_pretrain(2, pretrain_iters);
-        assert_eq!(
-            pg_bits, b_bits,
-            "batched DGI encoding must be bit-identical to the per-graph loop"
-        );
-        pre_pg_times.push(pg_wall);
-        pre_b_times.push(b_wall);
-    }
-    println!(
-        "dgi pretrain (inception, {pretrain_iters} iters): per-graph {:.3}s, batched {:.3}s (bit-identical losses)",
-        pre_pg_times[0].as_secs_f64(),
-        pre_b_times[0].as_secs_f64()
-    );
-    let pre_pg = percentile_sample("dgi_pretrain/per_graph", pre_pg_times);
-    let pre_b = percentile_sample("dgi_pretrain/batched", pre_b_times);
-    let pretrain_speedup = pre_pg.median.as_secs_f64() / pre_b.median.as_secs_f64().max(1e-12);
-
     if opts.smoke {
         // One-rep measurement for the CI bench gate: too noisy to be a
         // committed baseline, but enough to catch an order-of-magnitude
@@ -308,8 +260,6 @@ fn main() {
             percentile_sample("rollout_e2e/serial_nocache", serial_times),
             percentile_sample("rollout_e2e/threads4_cache", engine_times),
             percentile_sample("rollout_e2e/fleet2_unix", fleet_times),
-            pre_pg,
-            pre_b,
         ];
         let smoke = Json::obj([
             ("benchmarks", Json::arr(samples.iter().map(Sample::to_json))),
@@ -369,14 +319,7 @@ fn main() {
                 ),
             ]),
         ),
-        (
-            "dgi_pretrain",
-            Json::obj([
-                ("iters", Json::from(pretrain_iters as f64)),
-                ("speedup_batched", Json::from(pretrain_speedup)),
-            ]),
-        ),
     ];
-    write_baseline("BENCH_e2e.json", &[serial, engine, fleet, pre_pg, pre_b], &extra);
+    write_baseline("BENCH_e2e.json", &[serial, engine, fleet], &extra);
     opts.finish();
 }

@@ -18,6 +18,7 @@ use crate::placers::trfxl::TrfXlPlacer;
 use crate::placers::{PlacerChoice, PlacerNet};
 use crate::ppo::{ppo_loss_stats, sample_actions, EmaBaseline, PpoStats, SampleRecord};
 use crate::workload_input::WorkloadInput;
+use mars_autograd::Tape;
 use mars_nn::{apply_grads, Adam, FwdCtx, ParamStore};
 use mars_rng::rngs::StdRng;
 use mars_rng::seq::SliceRandom;
@@ -268,11 +269,6 @@ impl Agent {
         self.kind
     }
 
-    /// Placer name (for logs).
-    pub fn placer_name(&self) -> &'static str {
-        self.placer.name()
-    }
-
     /// DGI pre-training (§3.2). Returns `None` for agents without a
     /// GCN encoder.
     pub fn pretrain(&mut self, input: &WorkloadInput, rng: &mut StdRng) -> Option<DgiReport> {
@@ -286,7 +282,6 @@ impl Agent {
             self.cfg.dgi_iters,
             self.cfg.dgi_lr,
             self.cfg.grad_clip,
-            self.cfg.encode_batch,
             rng,
         );
         Some(report)
@@ -336,14 +331,23 @@ impl Agent {
         }
     }
 
+    /// The policy forward — encode, decode, softmax — on `tape`, which
+    /// is handed back for the caller to reuse or drop. The one body
+    /// behind [`Agent::policy_probs`] and the serving path's
+    /// [`crate::PolicyInference::policy_probs`].
+    pub(crate) fn policy_probs_on(&self, tape: Tape, input: &WorkloadInput) -> (Matrix, Tape) {
+        let mut ctx = FwdCtx::with_tape(tape, &self.store);
+        let reps = self.reps_on(&mut ctx, input);
+        let logits = self.placer.logits(&mut ctx, reps);
+        let probs = stats::softmax_rows(ctx.tape.value(logits));
+        (probs, ctx.into_tape())
+    }
+
     /// Current policy's device probabilities (`N × D`), on an inference
     /// tape: no backward pass follows, so no op or backward cache is
     /// kept (same kernels, same bits as a recording forward).
     pub fn policy_probs(&self, input: &WorkloadInput) -> Matrix {
-        let mut ctx = FwdCtx::new_inference(&self.store);
-        let reps = self.reps_on(&mut ctx, input);
-        let logits = self.placer.logits(&mut ctx, reps);
-        stats::softmax_rows(ctx.tape.value(logits))
+        self.policy_probs_on(Tape::inference(), input).0
     }
 
     /// Greedy placement under the current policy.
@@ -369,7 +373,7 @@ impl Agent {
         // Training-tape scratch arena: minibatch tapes recycle their
         // node and gradient buffers across PPO steps (bit-identical to
         // fresh tapes; see `Tape::reset_for_reuse`).
-        let mut tape: Option<mars_autograd::Tape> = None;
+        let mut tape: Option<Tape> = None;
 
         while log.total_samples < max_samples {
             // ---- Sampling phase: one forward, S samples. ----

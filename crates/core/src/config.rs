@@ -48,11 +48,6 @@ pub struct MarsConfig {
     pub dgi_iters: usize,
     /// DGI pre-training learning rate.
     pub dgi_lr: f32,
-    /// Maximum graphs packed per batched encoder pass (`1` = per-graph
-    /// encoding). `>= 2` routes DGI through the block-diagonal
-    /// `spmm_blockdiag` corpus path when the encoder supports it —
-    /// never changes results, only per-iteration overhead.
-    pub encode_batch: usize,
 
     /// Threads used to evaluate each round's sampled placements
     /// (calling thread included). Never changes results — evaluation is
@@ -103,7 +98,6 @@ impl MarsConfig {
             ppo_epochs: 3,
             dgi_iters: 1000,
             dgi_lr: 1e-3,
-            encode_batch: 1,
             eval_threads: 1,
             eval_cache: true,
             max_eval_retries: 3,
@@ -134,7 +128,6 @@ impl MarsConfig {
             ppo_epochs: 3,
             dgi_iters: 300,
             dgi_lr: 2e-3,
-            encode_batch: 1,
             eval_threads: 1,
             eval_cache: true,
             max_eval_retries: 3,

@@ -12,7 +12,6 @@
 //! loss" — [`pretrain`] restores the best snapshot before returning.
 
 use crate::encoder::Encoder;
-use crate::graph_batch::GraphBatch;
 use crate::workload_input::WorkloadInput;
 use mars_autograd::{Tape, Var};
 use mars_nn::{apply_grads, Adam, FwdCtx, ParamId, ParamStore};
@@ -24,7 +23,6 @@ use std::sync::Arc;
 /// The DGI discriminator (bilinear weight) plus the pre-training loop.
 pub struct Dgi {
     w: ParamId,
-    dim: usize,
 }
 
 /// Result of a pre-training run.
@@ -40,30 +38,15 @@ pub struct DgiReport {
 impl Dgi {
     /// Register the discriminator for `dim`-wide representations.
     pub fn new(store: &mut ParamStore, dim: usize, rng: &mut impl Rng) -> Self {
-        Dgi { w: store.add("dgi.w", init::xavier_uniform(dim, dim, rng)), dim }
+        Dgi { w: store.add("dgi.w", init::xavier_uniform(dim, dim, rng)) }
     }
 
-    /// Representation width the discriminator expects.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The contrastive loss for one (positive, negative) pair.
+    /// The contrastive loss for one (positive, negative) pair, and the
+    /// discriminator's accuracy: the fraction of the `2N` local–global
+    /// pairs it classifies correctly (positive score > 0, negative
+    /// score < 0).
     ///
     /// `perm` is the node permutation producing the corrupted view.
-    pub fn loss(
-        &self,
-        ctx: &mut FwdCtx<'_>,
-        encoder: &dyn Encoder,
-        input: &WorkloadInput,
-        perm: &[usize],
-    ) -> Var {
-        self.loss_stats(ctx, encoder, input, perm).0
-    }
-
-    /// [`Dgi::loss`] plus the discriminator's accuracy: the fraction of
-    /// the `2N` local–global pairs it classifies correctly (positive
-    /// score > 0, negative score < 0).
     pub fn loss_stats(
         &self,
         ctx: &mut FwdCtx<'_>,
@@ -111,69 +94,12 @@ impl Dgi {
         let acc = correct as f32 / (2 * n) as f32;
         (loss, acc)
     }
-
-    /// [`Dgi::loss_stats`] over the corpus-batched encoder path: the
-    /// positive and corrupted views are packed into one
-    /// [`GraphBatch`] (segments `[0, n)` and `[n, 2n)`) and encoded by
-    /// a single block-diagonal forward. Returns `None` when `encoder`
-    /// has no batched path (nothing is recorded in that case). Loss,
-    /// accuracy, and every parameter gradient are bit-identical to
-    /// [`Dgi::loss_stats`]: the readout is the fused
-    /// `slice_mean_rows` over the positive segment, and the score
-    /// product is row-segmented so shared-parameter gradients combine
-    /// in the per-graph tape's float-add order.
-    pub fn loss_stats_batched(
-        &self,
-        ctx: &mut FwdCtx<'_>,
-        encoder: &dyn Encoder,
-        input: &WorkloadInput,
-        perm: &[usize],
-    ) -> Option<(Var, f32)> {
-        let n = input.num_ops;
-        assert_eq!(perm.len(), n);
-
-        let corrupted = WorkloadInput {
-            features: input.features.gather_rows(perm),
-            adj: input.adj.clone(),
-            num_ops: n,
-        };
-        let batch = GraphBatch::pack(&[input, &corrupted]);
-        let h = encoder.encode_batch(ctx, &batch)?; // 2N × d
-
-        // Readout over the positive segment only, Eq. (4).
-        let mean = ctx.tape.slice_mean_rows(h, 0, n);
-        let s = ctx.tape.sigmoid(mean); // 1 × d
-
-        // Bilinear scores for both segments in one row-segmented
-        // product, Eq. (5).
-        let w = ctx.p(self.w);
-        let st = ctx.tape.transpose(s); // d × 1
-        let ws = ctx.tape.matmul(w, st); // d × 1
-        let all = ctx.tape.matmul_rowseg(h, ws, batch.offsets.clone()); // 2N × 1
-
-        let mut targets = Matrix::zeros(2 * n, 1);
-        for i in 0..n {
-            targets.set(i, 0, 1.0);
-        }
-        let loss = ctx.tape.bce_with_logits(all, Arc::new(targets));
-
-        let scores = ctx.tape.value(all);
-        let correct = scores.as_slice()[..n].iter().filter(|&&v| v > 0.0).count()
-            + scores.as_slice()[n..].iter().filter(|&&v| v < 0.0).count();
-        let acc = correct as f32 / (2 * n) as f32;
-        Some((loss, acc))
-    }
 }
 
 /// Run DGI pre-training and restore the lowest-loss parameters.
 ///
-/// `encode_batch >= 2` routes each iteration through the corpus-batched
-/// encoder (positive + corrupted view packed into one block-diagonal
-/// pass) when the encoder supports it — bit-identical losses and
-/// parameter updates to the per-graph path, at a fraction of the
-/// per-iteration overhead. The tape persists across iterations either
-/// way, so activation and gradient buffers come from the scratch arena
-/// after the first update.
+/// The tape persists across iterations, so activation and gradient
+/// buffers come from the scratch arena after the first update.
 #[allow(clippy::too_many_arguments)]
 pub fn pretrain(
     store: &mut ParamStore,
@@ -183,11 +109,9 @@ pub fn pretrain(
     iters: usize,
     lr: f32,
     grad_clip: f32,
-    encode_batch: usize,
     rng: &mut impl Rng,
 ) -> DgiReport {
     let _span = mars_telemetry::span("core.dgi.pretrain");
-    assert!(encode_batch >= 1, "encode_batch must be >= 1");
     let mut adam = Adam::new(lr);
     let mut losses = Vec::with_capacity(iters);
     let mut best_loss = f32::INFINITY;
@@ -202,13 +126,7 @@ pub fn pretrain(
             Some(t) => FwdCtx::with_tape(t, store),
             None => FwdCtx::new(store),
         };
-        let batched = if encode_batch >= 2 {
-            dgi.loss_stats_batched(&mut ctx, encoder, input, &perm)
-        } else {
-            None
-        };
-        let (loss, disc_acc) =
-            batched.unwrap_or_else(|| dgi.loss_stats(&mut ctx, encoder, input, &perm));
+        let (loss, disc_acc) = dgi.loss_stats(&mut ctx, encoder, input, &perm);
         let value = ctx.tape.scalar(loss);
         let (grads, mut t) = ctx.into_grads_and_tape(loss, 1.0);
         apply_grads(store, grads);
@@ -253,7 +171,7 @@ mod tests {
         let enc = GcnEncoder::new(&mut store, FEATURE_DIM, 16, 2, &mut rng);
         let dgi = Dgi::new(&mut store, 16, &mut rng);
         let input = WorkloadInput::from_graph(&Workload::InceptionV3.build(Profile::Reduced));
-        let report = pretrain(&mut store, &enc, &dgi, &input, 150, 5e-3, 1.0, 1, &mut rng);
+        let report = pretrain(&mut store, &enc, &dgi, &input, 150, 5e-3, 1.0, &mut rng);
         let first10: f32 = report.losses[..10].iter().sum::<f32>() / 10.0;
         let last10: f32 = report.losses[report.losses.len() - 10..].iter().sum::<f32>() / 10.0;
         assert!(
@@ -274,71 +192,9 @@ mod tests {
         let input = WorkloadInput::from_graph(&Workload::InceptionV3.build(Profile::Reduced));
         let perm: Vec<usize> = (0..input.num_ops).rev().collect();
         let mut ctx = FwdCtx::new(&store);
-        let loss = dgi.loss(&mut ctx, &enc, &input, &perm);
+        let (loss, _) = dgi.loss_stats(&mut ctx, &enc, &input, &perm);
         let v = ctx.tape.scalar(loss);
         assert!((v - 0.693).abs() < 0.1, "initial loss {v}");
-    }
-
-    /// The corpus-batched DGI path must reproduce the per-graph path
-    /// bit for bit: same per-call loss/accuracy, and identical
-    /// parameter streams over a whole training run.
-    #[test]
-    fn batched_loss_bit_identical_to_per_graph() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut store = ParamStore::new();
-        let enc = GcnEncoder::new(&mut store, FEATURE_DIM, 12, 2, &mut rng);
-        let dgi = Dgi::new(&mut store, 12, &mut rng);
-        let input = WorkloadInput::from_graph(&Workload::InceptionV3.build(Profile::Reduced));
-        let perm: Vec<usize> = (0..input.num_ops).rev().collect();
-
-        let mut pctx = FwdCtx::new(&store);
-        let (ploss, pacc) = dgi.loss_stats(&mut pctx, &enc, &input, &perm);
-        let pvalue = pctx.tape.scalar(ploss);
-        let pgrads = pctx.into_grads(ploss, 1.0);
-
-        let mut bctx = FwdCtx::new(&store);
-        let (bloss, bacc) =
-            dgi.loss_stats_batched(&mut bctx, &enc, &input, &perm).expect("GCN supports batching");
-        let bvalue = bctx.tape.scalar(bloss);
-        let bgrads = bctx.into_grads(bloss, 1.0);
-
-        assert_eq!(pvalue.to_bits(), bvalue.to_bits(), "loss diverged");
-        assert_eq!(pacc, bacc, "accuracy diverged");
-        for (id, pg) in &pgrads {
-            let bg = &bgrads.iter().find(|(i, _)| i == id).expect("grad present").1;
-            let pb: Vec<u32> = pg.as_slice().iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u32> = bg.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(pb, bb, "grad for param {id:?} not bit-identical");
-        }
-    }
-
-    #[test]
-    fn batched_pretrain_trace_bit_identical_to_per_graph() {
-        let input = WorkloadInput::from_graph(&Workload::InceptionV3.build(Profile::Reduced));
-        let run = |encode_batch: usize| -> Vec<u32> {
-            let mut rng = StdRng::seed_from_u64(4);
-            let mut store = ParamStore::new();
-            let enc = GcnEncoder::new(&mut store, FEATURE_DIM, 8, 2, &mut rng);
-            let dgi = Dgi::new(&mut store, 8, &mut rng);
-            let report =
-                pretrain(&mut store, &enc, &dgi, &input, 12, 5e-3, 1.0, encode_batch, &mut rng);
-            report.losses.iter().map(|l| l.to_bits()).collect()
-        };
-        assert_eq!(run(1), run(2), "batched pretrain loss trace diverged from per-graph");
-    }
-
-    #[test]
-    fn raw_encoder_falls_back_to_per_graph() {
-        // An encoder without a batched path must not break pretraining
-        // when encode_batch > 1 is requested.
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut store = ParamStore::new();
-        let enc = crate::encoder::RawEncoder::new(FEATURE_DIM);
-        let dgi = Dgi::new(&mut store, FEATURE_DIM, &mut rng);
-        let input = WorkloadInput::from_graph(&Workload::InceptionV3.build(Profile::Reduced));
-        let report = pretrain(&mut store, &enc, &dgi, &input, 3, 5e-3, 1.0, 4, &mut rng);
-        assert_eq!(report.losses.len(), 3);
-        assert!(report.losses.iter().all(|l| l.is_finite()));
     }
 
     #[test]
@@ -348,12 +204,12 @@ mod tests {
         let enc = GcnEncoder::new(&mut store, FEATURE_DIM, 8, 1, &mut rng);
         let dgi = Dgi::new(&mut store, 8, &mut rng);
         let input = WorkloadInput::from_graph(&Workload::InceptionV3.build(Profile::Reduced));
-        let report = pretrain(&mut store, &enc, &dgi, &input, 30, 5e-3, 1.0, 1, &mut rng);
+        let report = pretrain(&mut store, &enc, &dgi, &input, 30, 5e-3, 1.0, &mut rng);
         // Evaluate the restored parameters: their loss must be close to
         // the reported best (same permutation class, modest variance).
         let perm: Vec<usize> = (0..input.num_ops).rev().collect();
         let mut ctx = FwdCtx::new(&store);
-        let loss = dgi.loss(&mut ctx, &enc, &input, &perm);
+        let (loss, _) = dgi.loss_stats(&mut ctx, &enc, &input, &perm);
         let v = ctx.tape.scalar(loss);
         assert!(v < report.losses[0] * 1.2, "restored loss {v} vs first {}", report.losses[0]);
     }

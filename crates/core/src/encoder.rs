@@ -7,7 +7,6 @@
 //! through unchanged (used by the Grouper-Placer baseline, which has no
 //! graph encoder).
 
-use crate::graph_batch::GraphBatch;
 use crate::workload_input::WorkloadInput;
 use mars_autograd::Var;
 use mars_nn::{FwdCtx, GcnLayer, Linear, ParamStore};
@@ -17,14 +16,6 @@ use mars_rng::Rng;
 pub trait Encoder {
     /// Encode the workload into per-op representations (`N × out_dim`).
     fn encode(&self, ctx: &mut FwdCtx<'_>, input: &WorkloadInput) -> Var;
-    /// Encode a packed graph corpus in one pass (`Σ n_s × out_dim`,
-    /// rows segmented by `batch.offsets`). Returns `None` when the
-    /// encoder has no batched path (callers fall back to per-graph
-    /// [`Encoder::encode`]); implementations that return `Some` must be
-    /// bit-identical, values and gradients, to the per-graph loop.
-    fn encode_batch(&self, _ctx: &mut FwdCtx<'_>, _batch: &GraphBatch) -> Option<Var> {
-        None
-    }
     /// Width of the produced representations.
     fn out_dim(&self) -> usize;
 }
@@ -62,14 +53,6 @@ impl Encoder for GcnEncoder {
             h = layer.forward(ctx, &input.adj, h);
         }
         h
-    }
-
-    fn encode_batch(&self, ctx: &mut FwdCtx<'_>, batch: &GraphBatch) -> Option<Var> {
-        let mut h = ctx.tape.leaf_from(&batch.features, false);
-        for layer in &self.layers {
-            h = layer.forward_batch(ctx, &batch.adj, h, &batch.offsets);
-        }
-        Some(h)
     }
 
     fn out_dim(&self) -> usize {

@@ -112,10 +112,6 @@ impl PlacerNet for GrouperPlacerNet {
     fn num_devices(&self) -> usize {
         self.num_devices
     }
-
-    fn name(&self) -> &'static str {
-        "grouper-placer"
-    }
 }
 
 #[cfg(test)]

@@ -20,9 +20,8 @@ use crate::agent::Agent;
 use crate::ppo::greedy_actions;
 use crate::workload_input::WorkloadInput;
 use mars_autograd::Tape;
-use mars_nn::FwdCtx;
 use mars_sim::Placement;
-use mars_tensor::{stats, Matrix};
+use mars_tensor::Matrix;
 
 /// Reusable inference state: one tape whose activation buffers survive
 /// across requests. Construction is free; the pool warms up on the
@@ -49,11 +48,7 @@ impl PolicyInference {
     pub fn policy_probs(&mut self, agent: &Agent, input: &WorkloadInput) -> Matrix {
         let _span = mars_telemetry::span("core.infer.policy_probs");
         let tape = std::mem::replace(&mut self.tape, Tape::inference());
-        let mut ctx = FwdCtx::with_tape(tape, &agent.store);
-        let reps = agent.reps_on(&mut ctx, input);
-        let logits = agent.placer.logits(&mut ctx, reps);
-        let probs = stats::softmax_rows(ctx.tape.value(logits));
-        let mut tape = ctx.into_tape();
+        let (probs, mut tape) = agent.policy_probs_on(tape, input);
         tape.reset_for_reuse();
         self.tape = tape;
         probs
@@ -70,19 +65,14 @@ impl PolicyInference {
     pub fn rank_placements(&mut self, agent: &Agent, input: &WorkloadInput) -> Vec<Vec<usize>> {
         rank_devices(&self.policy_probs(agent, input))
     }
-
-    /// Batched fallback for cache misses: decode several graphs on the
-    /// one reusable tape.
-    pub fn rank_batch(&mut self, agent: &Agent, inputs: &[&WorkloadInput]) -> Vec<Vec<Vec<usize>>> {
-        inputs.iter().map(|input| self.rank_placements(agent, input)).collect()
-    }
 }
 
 /// Per-op device ranking from a probability table: for each row, the
 /// device indices sorted by descending probability with ties broken by
 /// ascending index. `ranking[r][0]` therefore equals
-/// [`stats::argmax`] of row `r` (first maximum wins), so truncating a
-/// ranking to its first column reproduces the greedy placement exactly.
+/// [`mars_tensor::stats::argmax`] of row `r` (first maximum wins), so
+/// truncating a ranking to its first column reproduces the greedy
+/// placement exactly.
 pub fn rank_devices(probs: &Matrix) -> Vec<Vec<usize>> {
     (0..probs.rows())
         .map(|r| {

@@ -27,7 +27,6 @@ pub mod config;
 pub mod dgi;
 pub mod encoder;
 pub mod generalize;
-pub mod graph_batch;
 pub mod grouper;
 pub mod infer;
 pub mod partitioner;
@@ -37,6 +36,5 @@ pub mod workload_input;
 
 pub use agent::{Agent, AgentKind, TrainingLog};
 pub use config::MarsConfig;
-pub use graph_batch::GraphBatch;
 pub use infer::PolicyInference;
 pub use workload_input::WorkloadInput;

@@ -44,10 +44,6 @@ impl PlacerNet for MlpPlacer {
     fn num_devices(&self) -> usize {
         self.num_devices
     }
-
-    fn name(&self) -> &'static str {
-        "mlp"
-    }
 }
 
 #[cfg(test)]

@@ -29,8 +29,6 @@ pub trait PlacerNet {
     fn logits(&self, ctx: &mut FwdCtx<'_>, reps: Var) -> Var;
     /// Action-space width.
     fn num_devices(&self) -> usize;
-    /// Short name for logs and tables.
-    fn name(&self) -> &'static str;
 }
 
 /// Which placer architecture to instantiate (Table 1 ablation).

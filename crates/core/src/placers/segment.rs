@@ -91,10 +91,6 @@ impl PlacerNet for SegmentSeq2Seq {
     fn num_devices(&self) -> usize {
         self.num_devices
     }
-
-    fn name(&self) -> &'static str {
-        "seq2seq-segment"
-    }
 }
 
 #[cfg(test)]

@@ -54,10 +54,6 @@ impl PlacerNet for FullSeq2Seq {
     fn num_devices(&self) -> usize {
         self.num_devices
     }
-
-    fn name(&self) -> &'static str {
-        "seq2seq"
-    }
 }
 
 #[cfg(test)]

@@ -120,10 +120,6 @@ impl PlacerNet for TrfXlPlacer {
     fn num_devices(&self) -> usize {
         self.num_devices
     }
-
-    fn name(&self) -> &'static str {
-        "trf-xl"
-    }
 }
 
 #[cfg(test)]

@@ -82,14 +82,6 @@ impl Json {
         }
     }
 
-    /// Number as `i64`, if numeric and integral.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) if n.fract() == 0.0 && n.abs() <= 2f64.powi(53) => Some(*n as i64),
-            _ => None,
-        }
-    }
-
     /// Number as `usize`, if it fits.
     pub fn as_usize(&self) -> Option<usize> {
         self.as_u64().map(|v| v as usize)

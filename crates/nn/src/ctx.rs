@@ -27,13 +27,6 @@ impl<'s> FwdCtx<'s> {
         Self::with_tape(Tape::new(), store)
     }
 
-    /// Start an inference-only forward pass: no op recording, no
-    /// gradients, and [`FwdCtx::into_grads`] must not be called. Values
-    /// are bit-identical to a recording pass over the same store.
-    pub fn new_inference(store: &'s ParamStore) -> Self {
-        Self::with_tape(Tape::inference(), store)
-    }
-
     /// Start a forward pass on a caller-provided tape — how the serving
     /// path reuses one inference tape (and its pooled activation
     /// buffers) across requests. Pair with [`FwdCtx::into_tape`].

@@ -10,7 +10,7 @@ use crate::ctx::FwdCtx;
 use crate::param::{ParamId, ParamStore};
 use mars_autograd::Var;
 use mars_rng::Rng;
-use mars_tensor::ops::{BlockDiagCsr, CsrMatrix};
+use mars_tensor::ops::CsrMatrix;
 use mars_tensor::{init, Matrix};
 use std::sync::Arc;
 
@@ -61,40 +61,6 @@ impl GcnLayer {
         let alpha = ctx.p(self.alpha);
         ctx.tape.prelu(z, alpha)
     }
-
-    /// Batched forward over a packed graph corpus: `x` stacks the node
-    /// features of N graphs (`offsets[s]..offsets[s+1]` = graph `s`),
-    /// `adj` is their block-diagonal adjacency. Bit-identical per
-    /// element to calling [`GcnLayer::forward`] once per graph on the
-    /// matching row slices — the row-segmented ops keep the per-graph
-    /// float-op order on both the forward and backward sweeps.
-    pub fn forward_batch(
-        &self,
-        ctx: &mut FwdCtx<'_>,
-        adj: &Arc<BlockDiagCsr>,
-        x: Var,
-        offsets: &Arc<Vec<usize>>,
-    ) -> Var {
-        let _span = mars_telemetry::span("nn.gcn.forward");
-        let w = ctx.p(self.w);
-        let xw = ctx.tape.matmul_rowseg(x, w, offsets.clone());
-        let agg = ctx.tape.spmm_blockdiag(adj.clone(), xw);
-        let b = ctx.p(self.b);
-        let z = ctx.tape.add_bias_rowseg(agg, b, offsets.clone());
-        let alpha = ctx.p(self.alpha);
-        ctx.tape.prelu_rowseg(z, alpha, offsets.clone())
-    }
-
-    /// Forward without the activation (used by the final encoder layer
-    /// when raw embeddings are wanted).
-    pub fn forward_linear(&self, ctx: &mut FwdCtx<'_>, adj: &Arc<CsrMatrix>, x: Var) -> Var {
-        let _span = mars_telemetry::span("nn.gcn.forward");
-        let w = ctx.p(self.w);
-        let xw = ctx.tape.matmul(x, w);
-        let agg = ctx.tape.spmm(adj.clone(), xw);
-        let b = ctx.p(self.b);
-        ctx.tape.add_bias(agg, b)
-    }
 }
 
 #[cfg(test)]
@@ -133,74 +99,18 @@ mod tests {
 
     #[test]
     fn aggregation_mixes_neighbors() {
-        // With identity weights, node 1's output must blend nodes 0 and 2.
+        // With identity weights, node 1's output must blend nodes 0 and 2
+        // (nothing is negative, so the PReLU passes it through).
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(1);
         let layer = GcnLayer::new(&mut store, "g", 2, 2, &mut rng);
         *store.value_mut(layer.w) = Matrix::eye(2);
         let mut ctx = FwdCtx::new(&store);
         let x = ctx.tape.constant(Matrix::from_vec(3, 2, vec![3.0, 0.0, 0.0, 0.0, 0.0, 9.0]));
-        let y = layer.forward_linear(&mut ctx, &tiny_adj(), x);
+        let y = layer.forward(&mut ctx, &tiny_adj(), x);
         let v = ctx.tape.value(y);
         assert!((v.get(1, 0) - 1.0).abs() < 1e-5);
         assert!((v.get(1, 1) - 3.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn forward_batch_matches_per_graph_forward_bitwise() {
-        // Graph 0: the 3-node path; graph 1: a 2-node pair.
-        let adj0 = tiny_adj();
-        let adj1 = Arc::new(CsrMatrix::from_triplets(
-            2,
-            2,
-            &[(0, 0, 0.5), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 0.5)],
-        ));
-        let x0 = Matrix::from_fn(3, 4, |r, c| 0.3 * r as f32 - 0.2 * c as f32 + 0.1);
-        let x1 = Matrix::from_fn(2, 4, |r, c| -0.4 * r as f32 + 0.15 * c as f32 - 0.05);
-
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        let layer = GcnLayer::new(&mut store, "g", 4, 5, &mut rng);
-
-        // Per-graph reference: graph 0 recorded first, then graph 1.
-        let mut pctx = FwdCtx::new(&store);
-        let pa = pctx.tape.constant(x0.clone());
-        let ya = layer.forward(&mut pctx, &adj0, pa);
-        let ma = pctx.tape.mean_rows(ya);
-        let pb = pctx.tape.constant(x1.clone());
-        let yb = layer.forward(&mut pctx, &adj1, pb);
-        let mb = pctx.tape.mean_rows(yb);
-        let pc = pctx.tape.concat_cols(ma, mb);
-        let ploss = pctx.tape.sum_all(pc);
-        let want = pctx.tape.value(ya).vcat(pctx.tape.value(yb));
-        let pgrads = pctx.into_grads(ploss, 1.0);
-
-        // Batched: one packed forward over the block-diagonal corpus.
-        let mut bctx = FwdCtx::new(&store);
-        let bd = Arc::new(BlockDiagCsr::new(vec![adj0, adj1]));
-        let offs = Arc::new(vec![0usize, 3, 5]);
-        let xcat = bctx.tape.constant(x0.vcat(&x1));
-        let y = layer.forward_batch(&mut bctx, &bd, xcat, &offs);
-        let m0 = bctx.tape.slice_mean_rows(y, 0, 3);
-        let m1 = bctx.tape.slice_mean_rows(y, 3, 5);
-        let bc = bctx.tape.concat_cols(m0, m1);
-        let bloss = bctx.tape.sum_all(bc);
-        assert_eq!(want.as_slice(), bctx.tape.value(y).as_slice(), "forward diverged");
-        let bgrads = bctx.into_grads(bloss, 1.0);
-
-        let key = |g: &[(ParamId, Matrix)], id: ParamId| -> Vec<u32> {
-            g.iter()
-                .find(|(i, _)| *i == id)
-                .expect("grad present")
-                .1
-                .as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect()
-        };
-        for id in [layer.w, layer.b, layer.alpha] {
-            assert_eq!(key(&pgrads, id), key(&bgrads, id), "param grad not bit-identical");
-        }
     }
 
     #[test]

@@ -125,14 +125,6 @@ macro_rules! props {
     };
 }
 
-/// Assert that two `f32` slices agree elementwise within `tol`.
-pub fn assert_slices_close(a: &[f32], b: &[f32], tol: f32) {
-    assert_eq!(a.len(), b.len(), "length mismatch: {} vs {}", a.len(), b.len());
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert!((x - y).abs() <= tol, "element {i} differs: {x} vs {y} (tol {tol})");
-    }
-}
-
 /// `RngCore` passthrough so property bodies can use the harness rng
 /// for nested helpers expecting `&mut impl RngCore`.
 pub fn fork(rng: &mut StdRng) -> StdRng {

@@ -5,9 +5,6 @@
 //!   yields well-mixed state and nearby seeds give unrelated streams.
 //! * [`StdRng`] — xoshiro256++, the workspace default (64-bit output,
 //!   256-bit state, passes BigCrush).
-//! * [`Pcg32`] — PCG-XSH-RR 64/32 with stream selection: `(seed,
-//!   stream)` pairs index 2^63 provably-disjoint sequences, for
-//!   experiments that need many independent substreams.
 
 use crate::{RngCore, SeedableRng};
 
@@ -96,55 +93,5 @@ impl RngCore for StdRng {
         s[2] ^= t;
         s[3] = s[3].rotate_left(45);
         result
-    }
-}
-
-/// PCG-XSH-RR 64/32: 64-bit LCG state, 32-bit output, selectable
-/// stream. Reference: O'Neill, "PCG: A family of simple fast
-/// space-efficient statistically good algorithms for random number
-/// generation" (2014).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Pcg32 {
-    state: u64,
-    /// Odd stream increment; distinct increments give provably
-    /// disjoint sequences.
-    inc: u64,
-}
-
-const PCG_MULT: u64 = 6_364_136_223_846_793_005;
-
-impl Pcg32 {
-    /// Generator for `(seed, stream)`. Distinct streams of the same
-    /// seed are independent.
-    pub fn new(seed: u64, stream: u64) -> Self {
-        let mut pcg = Pcg32 { state: 0, inc: (stream << 1) | 1 };
-        pcg.step();
-        pcg.state = pcg.state.wrapping_add(SplitMix64::new(seed).next_u64());
-        pcg.step();
-        pcg
-    }
-
-    fn step(&mut self) {
-        self.state = self.state.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
-    }
-}
-
-impl SeedableRng for Pcg32 {
-    fn seed_from_u64(seed: u64) -> Self {
-        Pcg32::new(seed, 0)
-    }
-}
-
-impl RngCore for Pcg32 {
-    fn next_u32(&mut self) -> u32 {
-        let old = self.state;
-        self.step();
-        let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
-        let rot = (old >> 59) as u32;
-        xorshifted.rotate_right(rot)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        (self.next_u32() as u64) << 32 | self.next_u32() as u64
     }
 }

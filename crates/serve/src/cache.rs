@@ -1,161 +1,23 @@
 //! Hot tier: bounded in-memory LRU from query key to device ranking.
 //!
-//! Generalizes `mars_sim::EvalCache` from evaluation results to policy
-//! outputs: the key widens from a [`Placement`](mars_sim::Placement)
-//! under one fixed environment to the `(graph fingerprint, cluster
-//! fingerprint)` pair itself, so one cache serves every workload and
-//! cluster a client throws at it. Values are `Arc`-shared so a hit
-//! never copies the ranking and concurrent responders can hold it
-//! while the cache keeps evolving.
+//! The same [`mars_sim::Lru`] as the evaluation memo, with the key
+//! widened from a [`Placement`](mars_sim::Placement) under one fixed
+//! environment to the `(graph fingerprint, cluster fingerprint)` pair
+//! itself, so one cache serves every workload and cluster a client
+//! throws at it. Values are `Arc`-shared so a hit never copies the
+//! ranking and concurrent responders can hold it while the cache keeps
+//! evolving.
 //!
-//! Eviction is least-recently-used with a monotonic tick, exactly as
-//! in the eval memo: ticks are unique, the victim scan is a
-//! deterministic `O(len)` min-by-`last_used`, and eviction can only
-//! ever cause a re-computation — never a different answer — because
-//! the cold path is bit-deterministic (pinned by the eviction property
-//! test in `engine.rs`).
+//! Eviction can only ever cause a re-computation — never a different
+//! answer — because the victim is deterministic and the cold path is
+//! bit-deterministic (pinned by the eviction property test in
+//! `engine.rs`).
 
 use crate::engine::Ranking;
-use std::collections::HashMap;
-
-/// Default number of cached rankings ([`PlacementCache::with_default_capacity`]).
-pub const DEFAULT_CAPACITY: usize = 256;
 
 /// Cache key: `(graph fingerprint, cluster fingerprint)`
 /// (see [`crate::fingerprint`]).
 pub type Key = (u64, u64);
 
-struct Entry {
-    value: Ranking,
-    last_used: u64,
-}
-
 /// Bounded LRU map from [`Key`] to the full device [`Ranking`].
-pub struct PlacementCache {
-    map: HashMap<Key, Entry>,
-    capacity: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl PlacementCache {
-    /// Empty cache holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "PlacementCache capacity must be positive");
-        PlacementCache {
-            map: HashMap::with_capacity(capacity.min(1024)),
-            capacity,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// [`PlacementCache::new`] with [`DEFAULT_CAPACITY`].
-    pub fn with_default_capacity() -> Self {
-        Self::new(DEFAULT_CAPACITY)
-    }
-
-    /// Look up `key`, refreshing its recency and bumping the hit/miss
-    /// statistics.
-    pub fn get(&mut self, key: Key) -> Option<Ranking> {
-        self.tick += 1;
-        match self.map.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = self.tick;
-                self.hits += 1;
-                Some(entry.value.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Insert (or refresh) `key`, evicting the least-recently-used
-    /// entry when at capacity.
-    pub fn insert(&mut self, key: Key, value: Ranking) {
-        self.tick += 1;
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            // Unique ticks make the min unambiguous: deterministic victim.
-            let victim = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("cache at capacity implies non-empty");
-            self.map.remove(&victim);
-            self.evictions += 1;
-        }
-        self.map.insert(key, Entry { value, last_used: self.tick });
-    }
-
-    /// Number of cached rankings.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// `(hits, misses, evictions)` since construction.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.hits, self.misses, self.evictions)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    fn rank(d: usize) -> Ranking {
-        Arc::new(vec![vec![d, d + 1]])
-    }
-
-    #[test]
-    fn get_miss_then_hit() {
-        let mut c = PlacementCache::new(4);
-        assert!(c.get((1, 1)).is_none());
-        c.insert((1, 1), rank(0));
-        let got = c.get((1, 1)).expect("hit");
-        assert_eq!(*got, vec![vec![0, 1]]);
-        assert_eq!(c.stats(), (1, 1, 0));
-    }
-
-    #[test]
-    fn evicts_least_recently_used() {
-        let mut c = PlacementCache::new(2);
-        c.insert((1, 0), rank(1));
-        c.insert((2, 0), rank(2));
-        assert!(c.get((1, 0)).is_some()); // refresh (1,0): (2,0) is now LRU
-        c.insert((3, 0), rank(3));
-        assert!(c.get((2, 0)).is_none(), "LRU entry evicted");
-        assert!(c.get((1, 0)).is_some());
-        assert!(c.get((3, 0)).is_some());
-        assert_eq!(c.stats().2, 1);
-    }
-
-    #[test]
-    fn reinserting_present_key_does_not_evict() {
-        let mut c = PlacementCache::new(2);
-        c.insert((1, 0), rank(1));
-        c.insert((2, 0), rank(2));
-        c.insert((1, 0), rank(9));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().2, 0);
-        assert_eq!(*c.get((1, 0)).expect("present"), vec![vec![9, 10]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        let _ = PlacementCache::new(0);
-    }
-}
+pub type PlacementCache = mars_sim::Lru<Key, Ranking>;

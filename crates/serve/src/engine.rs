@@ -286,7 +286,7 @@ impl PlacementEngine {
 
         // Telemetry counters take a registry lock of their own, so each
         // answer bumps its counter after releasing the state lock.
-        if let Some(ranking) = st.hot.get(key) {
+        if let Some(ranking) = st.hot.get(&key) {
             st.stats.hot += 1;
             drop(st);
             mars_telemetry::counter("serve.cache.hot").inc();

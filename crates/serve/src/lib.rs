@@ -6,14 +6,13 @@
 //! Three tiers answer it, cheapest first:
 //!
 //! 1. **Hot** — an in-memory LRU ([`cache::PlacementCache`]) keyed by
-//!    `(graph fingerprint, cluster fingerprint)`, generalizing the
-//!    eval memo of `mars_sim::EvalCache` from evaluation results to
-//!    policy outputs.
+//!    `(graph fingerprint, cluster fingerprint)`: the `mars_sim::Lru`
+//!    of the eval memo, holding policy outputs.
 //! 2. **Warm** — a persistent JSONL-backed store
 //!    ([`store::PlacementStore`]) with crash-safe append and
 //!    load-on-start, stamped with the weights fingerprint so stale
 //!    entries from other checkpoints are never replayed.
-//! 3. **Cold** — batched policy inference through
+//! 3. **Cold** — policy inference through
 //!    [`mars_core::PolicyInference`], the no-tape forward with pooled
 //!    activation buffers.
 //!

@@ -1,13 +1,16 @@
-//! Bounded LRU memo cache for placement evaluations.
+//! Bounded LRU caches: the generic [`Lru`] and the placement-evaluation
+//! memo built on it.
 //!
 //! The PPO policy resamples placements constantly — within a round once
 //! entropy drops, and across rounds as the policy converges — and every
 //! resample used to pay a full critical-path simulation. Evaluation is
 //! a pure function of `(graph, cluster, env seed, placement)` (see
 //! [`crate::measure`]), so identical placements can be answered from a
-//! map lookup. The cache is keyed by the [`Placement`] itself (already
-//! `Hash + Eq`) and guarded by a fingerprint of the graph + cluster so
-//! a cache can never silently serve readings for a different workload.
+//! map lookup. [`EvalCache`] is keyed by the [`Placement`] itself
+//! (already `Hash + Eq`) and guarded by a fingerprint of the graph +
+//! cluster so a cache can never silently serve readings for a different
+//! workload. The serve daemon's hot tier is the same [`Lru`] under a
+//! different key.
 //!
 //! Eviction is least-recently-used with a monotonic tick: ticks are
 //! unique, so the eviction victim is deterministic and cache behavior
@@ -21,36 +24,33 @@
 use crate::measure::EvalComputation;
 use crate::placement::Placement;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Default number of memoized evaluations ([`EvalCache::with_default_capacity`]).
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-struct Entry {
-    value: EvalComputation,
+struct Entry<V> {
+    value: V,
     last_used: u64,
 }
 
-/// Bounded LRU map from [`Placement`] to its evaluation result.
-pub struct EvalCache {
-    map: HashMap<Placement, Entry>,
+/// Bounded least-recently-used map with hit/miss/eviction counters.
+pub struct Lru<K, V> {
+    map: HashMap<K, Entry<V>>,
     capacity: usize,
-    fingerprint: u64,
     tick: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl EvalCache {
-    /// Empty cache holding at most `capacity` entries, bound to the
-    /// environment identified by `fingerprint`
-    /// (see [`crate::measure::env_fingerprint`]).
-    pub fn new(capacity: usize, fingerprint: u64) -> Self {
-        assert!(capacity > 0, "EvalCache capacity must be positive");
-        EvalCache {
+impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
+    /// Empty cache holding at most `capacity` entries.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "Lru capacity must be positive");
+        Lru {
             map: HashMap::with_capacity(capacity.min(1024)),
             capacity,
-            fingerprint,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -58,25 +58,11 @@ impl EvalCache {
         }
     }
 
-    /// [`EvalCache::new`] with [`DEFAULT_CAPACITY`].
-    pub fn with_default_capacity(fingerprint: u64) -> Self {
-        Self::new(DEFAULT_CAPACITY, fingerprint)
-    }
-
-    fn check_fingerprint(&self, fingerprint: u64) {
-        assert_eq!(
-            self.fingerprint, fingerprint,
-            "EvalCache used with a different graph/cluster than it was built for"
-        );
-    }
-
-    /// Look up `placement`, refreshing its recency and bumping the
-    /// hit/miss statistics. `fingerprint` must match the one the cache
-    /// was built with.
-    pub fn get(&mut self, placement: &Placement, fingerprint: u64) -> Option<EvalComputation> {
-        self.check_fingerprint(fingerprint);
+    /// Look up `key`, refreshing its recency and bumping the hit/miss
+    /// statistics.
+    pub fn get(&mut self, key: &K) -> Option<V> {
         self.tick += 1;
-        match self.map.get_mut(placement) {
+        match self.map.get_mut(key) {
             Some(entry) => {
                 entry.last_used = self.tick;
                 self.hits += 1;
@@ -89,27 +75,26 @@ impl EvalCache {
         }
     }
 
-    /// Whether `placement` is cached, *without* touching recency or the
+    /// Whether `key` is cached, *without* touching recency or the
     /// hit/miss statistics (used by the batch pre-pass to decide what
     /// to compute; the authoritative lookup happens at commit time).
-    pub fn peek(&self, placement: &Placement) -> bool {
-        self.map.contains_key(placement)
+    pub fn peek(&self, key: &K) -> bool {
+        self.map.contains_key(key)
     }
 
-    /// Insert an evaluation, evicting the least-recently-used entry
-    /// when full. Ticks are unique so the victim is deterministic.
-    pub fn insert(&mut self, placement: Placement, value: EvalComputation, fingerprint: u64) {
-        self.check_fingerprint(fingerprint);
+    /// Insert (or overwrite) `key`, evicting the least-recently-used
+    /// entry when full. Ticks are unique so the victim is deterministic.
+    pub fn insert(&mut self, key: K, value: V) {
         self.tick += 1;
-        if !self.map.contains_key(&placement) && self.map.len() >= self.capacity {
+        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
             if let Some(victim) =
-                self.map.iter().min_by_key(|(_, e)| e.last_used).map(|(p, _)| p.clone())
+                self.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
             {
                 self.map.remove(&victim);
                 self.evictions += 1;
             }
         }
-        self.map.insert(placement, Entry { value, last_used: self.tick });
+        self.map.insert(key, Entry { value, last_used: self.tick });
     }
 
     /// Entries currently held.
@@ -143,81 +128,128 @@ impl EvalCache {
     }
 }
 
+/// [`Lru`] from [`Placement`] to its evaluation result, bound to one
+/// environment: `get` and `insert` take the caller's fingerprint and
+/// panic on a foreign one. Reads that cannot serve a wrong reading
+/// (`peek`, `len`, `stats`, …) pass straight through to the [`Lru`].
+pub struct EvalCache {
+    lru: Lru<Placement, EvalComputation>,
+    fingerprint: u64,
+}
+
+impl std::ops::Deref for EvalCache {
+    type Target = Lru<Placement, EvalComputation>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.lru
+    }
+}
+
+impl EvalCache {
+    /// Empty cache holding at most `capacity` entries, bound to the
+    /// environment identified by `fingerprint`
+    /// (see [`crate::measure::env_fingerprint`]).
+    pub fn new(capacity: usize, fingerprint: u64) -> Self {
+        EvalCache { lru: Lru::new(capacity), fingerprint }
+    }
+
+    /// [`EvalCache::new`] with [`DEFAULT_CAPACITY`].
+    pub fn with_default_capacity(fingerprint: u64) -> Self {
+        Self::new(DEFAULT_CAPACITY, fingerprint)
+    }
+
+    fn check_fingerprint(&self, fingerprint: u64) {
+        assert_eq!(
+            self.fingerprint, fingerprint,
+            "EvalCache used with a different graph/cluster than it was built for"
+        );
+    }
+
+    /// [`Lru::get`]; `fingerprint` must match the one the cache was
+    /// built with.
+    pub fn get(&mut self, placement: &Placement, fingerprint: u64) -> Option<EvalComputation> {
+        self.check_fingerprint(fingerprint);
+        self.lru.get(placement)
+    }
+
+    /// [`Lru::insert`]; `fingerprint` must match the one the cache was
+    /// built with.
+    pub fn insert(&mut self, placement: Placement, value: EvalComputation, fingerprint: u64) {
+        self.check_fingerprint(fingerprint);
+        self.lru.insert(placement, value);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::EvalComputation;
     use crate::EvalOutcome;
-
-    fn comp(reading: f64) -> EvalComputation {
-        EvalComputation {
-            outcome: EvalOutcome::Valid { per_step_s: reading },
-            machine_s: reading * 20.0,
-            makespan_s: reading,
-            comm_s: 0.0,
-            num_transfers: 0,
-            peak_mem_utilization: 0.1,
-        }
-    }
-
-    fn p(ids: &[usize]) -> Placement {
-        Placement(ids.to_vec())
-    }
 
     #[test]
     fn get_after_insert_returns_value_and_counts_hit() {
-        let mut c = EvalCache::new(8, 7);
-        assert!(c.get(&p(&[1, 2]), 7).is_none());
-        c.insert(p(&[1, 2]), comp(0.5), 7);
-        let v = c.get(&p(&[1, 2]), 7).expect("cached");
-        assert_eq!(v.outcome, EvalOutcome::Valid { per_step_s: 0.5 });
+        let mut c = Lru::new(8);
+        assert!(c.get(&(1, 2)).is_none());
+        c.insert((1, 2), 0.5);
+        assert_eq!(c.get(&(1, 2)), Some(0.5));
         assert_eq!(c.stats(), (1, 1, 0));
         assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut c = EvalCache::new(2, 0);
-        c.insert(p(&[0]), comp(0.1), 0);
-        c.insert(p(&[1]), comp(0.2), 0);
-        // Touch [0] so [1] becomes the LRU victim.
-        assert!(c.get(&p(&[0]), 0).is_some());
-        c.insert(p(&[2]), comp(0.3), 0);
+        let mut c = Lru::new(2);
+        c.insert(0, 0.1);
+        c.insert(1, 0.2);
+        // Touch 0 so 1 becomes the LRU victim.
+        assert!(c.get(&0).is_some());
+        c.insert(2, 0.3);
         assert_eq!(c.len(), 2);
-        assert!(c.peek(&p(&[0])), "recently used entry survived");
-        assert!(!c.peek(&p(&[1])), "LRU entry evicted");
-        assert!(c.peek(&p(&[2])));
+        assert!(c.peek(&0), "recently used entry survived");
+        assert!(!c.peek(&1), "LRU entry evicted");
+        assert!(c.peek(&2));
         assert_eq!(c.stats().2, 1, "one eviction");
     }
 
     #[test]
     fn reinserting_existing_key_does_not_evict() {
-        let mut c = EvalCache::new(2, 0);
-        c.insert(p(&[0]), comp(0.1), 0);
-        c.insert(p(&[1]), comp(0.2), 0);
-        c.insert(p(&[0]), comp(0.9), 0); // overwrite, cache stays full
+        let mut c = Lru::new(2);
+        c.insert(0, 0.1);
+        c.insert(1, 0.2);
+        c.insert(0, 0.9); // overwrite, cache stays full
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().2, 0);
-        let v = c.get(&p(&[0]), 0).expect("overwritten entry");
-        assert_eq!(v.outcome, EvalOutcome::Valid { per_step_s: 0.9 });
+        assert_eq!(c.get(&0), Some(0.9), "overwritten entry");
     }
 
     #[test]
     fn peek_does_not_disturb_recency_or_stats() {
-        let mut c = EvalCache::new(2, 0);
-        c.insert(p(&[0]), comp(0.1), 0);
-        c.insert(p(&[1]), comp(0.2), 0);
-        assert!(c.peek(&p(&[0])));
-        // peek([0]) must NOT have refreshed it: [0] is still the LRU.
-        c.insert(p(&[2]), comp(0.3), 0);
-        assert!(!c.peek(&p(&[0])));
+        let mut c = Lru::new(2);
+        c.insert(0, 0.1);
+        c.insert(1, 0.2);
+        assert!(c.peek(&0));
+        // peek(0) must NOT have refreshed it: 0 is still the LRU.
+        c.insert(2, 0.3);
+        assert!(!c.peek(&0));
         assert_eq!(c.stats(), (0, 0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be positive")]
+    fn zero_capacity_panics() {
+        let _ = Lru::<u64, f64>::new(0);
     }
 
     #[test]
     #[should_panic(expected = "different graph/cluster")]
     fn fingerprint_mismatch_panics() {
-        let mut c = EvalCache::new(2, 1);
-        c.insert(p(&[0]), comp(0.1), 2);
+        let comp = EvalComputation {
+            outcome: EvalOutcome::Valid { per_step_s: 0.1 },
+            machine_s: 2.0,
+            makespan_s: 0.1,
+            comm_s: 0.0,
+            num_transfers: 0,
+            peak_mem_utilization: 0.1,
+        };
+        EvalCache::new(2, 1).insert(Placement(vec![0]), comp, 2);
     }
 }

@@ -32,7 +32,7 @@ pub mod memory;
 pub mod placement;
 pub mod trace;
 
-pub use cache::EvalCache;
+pub use cache::{EvalCache, Lru};
 pub use device::{Cluster, DeviceId, DeviceKind, DeviceSpec, LinkSpec};
 pub use engine::{simulate, simulate_with, SimOptions, StepReport};
 pub use fault::{Fault, FaultKind, FaultPlan, RetryPolicy};

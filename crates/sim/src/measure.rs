@@ -421,12 +421,12 @@ impl SimEnv {
 
     /// `(hits, misses, evictions)` of the memo cache, if enabled.
     pub fn cache_stats(&self) -> Option<(u64, u64, u64)> {
-        self.cache.as_ref().map(EvalCache::stats)
+        self.cache.as_ref().map(|c| c.stats())
     }
 
     /// Hit fraction of the memo cache, if enabled.
     pub fn cache_hit_rate(&self) -> Option<f64> {
-        self.cache.as_ref().map(EvalCache::hit_rate)
+        self.cache.as_ref().map(|c| c.hit_rate())
     }
 
     /// Noise-free single-step simulation (for analysis and tests).

@@ -234,10 +234,6 @@ pub struct RolloutReport {
     /// Peak pooled gradient/activation capacity in f32 elements
     /// (`autograd.arena.high_water` gauge; 0 when never recorded).
     pub arena_high_water: f64,
-    /// Batched encoder passes (`encode.batch_size` histogram count).
-    pub encodes: u64,
-    /// Sum of corpus widths across those passes.
-    pub encode_batch_sum: f64,
 }
 
 impl RolloutReport {
@@ -261,20 +257,10 @@ impl RolloutReport {
         }
     }
 
-    /// Mean corpus width over all batched encoder passes (0 when
-    /// the run never encoded a batch).
-    pub fn mean_encode_batch(&self) -> f64 {
-        if self.encodes > 0 {
-            self.encode_batch_sum / self.encodes as f64
-        } else {
-            0.0
-        }
-    }
-
     /// Render as the summary lines `metrics summarize` prints. The
     /// cache/round lines always appear (a pretrain-only trace reads
-    /// "0 of 0 evaluations"); the arena lines appear whenever the run
-    /// recorded training-arena or batched-encoding activity.
+    /// "0 of 0 evaluations"); the arena line appears whenever the run
+    /// recorded training-arena activity.
     pub fn render(&self) -> String {
         let mut out = format!(
             "eval cache hit rate: {:.1}% ({} of {} evaluations)\n\
@@ -291,14 +277,6 @@ impl RolloutReport {
                 out,
                 "training arena: {} tape reuses (high water {:.0} pooled f32s)",
                 self.arena_resets, self.arena_high_water
-            );
-        }
-        if self.encodes > 0 {
-            let _ = writeln!(
-                out,
-                "batched encodes: {} (mean corpus width {:.2})",
-                self.encodes,
-                self.mean_encode_batch()
             );
         }
         out
@@ -462,10 +440,10 @@ impl RunSummary {
 
     /// Rollout-engine digest, if the run recorded any evaluations
     /// (`sim.cache.*` counters or `sim.eval_batch` events) *or* any
-    /// training-arena activity (`autograd.arena.*`, `encode.batch_size`).
-    /// Pretrain-only traces have no evaluations but do reuse the
-    /// training tape, so they still get a report — the eval lines read
-    /// zero and the arena/encode lines carry the signal.
+    /// training-arena activity (`autograd.arena.*`). Pretrain-only
+    /// traces have no evaluations but do reuse the training tape, so
+    /// they still get a report — the eval lines read zero and the arena
+    /// line carries the signal.
     pub fn rollout_report(&self) -> Option<RolloutReport> {
         let hits = self.counter("sim.cache.hit");
         let misses = self.counter("sim.cache.miss");
@@ -480,10 +458,7 @@ impl RunSummary {
             .iter()
             .find(|(n, _)| n == "autograd.arena.high_water")
             .map_or(0.0, |(_, v)| *v);
-        let enc = self.histograms.iter().find(|h| h.name == "encode.batch_size");
-        let encodes = enc.map_or(0, |h| h.count);
-        let encode_batch_sum = enc.map_or(0.0, |h| h.sum);
-        if hits + misses == 0 && wall.is_none() && arena_resets == 0 && encodes == 0 {
+        if hits + misses == 0 && wall.is_none() && arena_resets == 0 {
             return None;
         }
         let rounds = wall.map_or(0, |r| r.count);
@@ -499,8 +474,6 @@ impl RunSummary {
             total_compute_s,
             arena_resets,
             arena_high_water,
-            encodes,
-            encode_batch_sum,
         })
     }
 
@@ -1041,8 +1014,10 @@ mod tests {
     }
 
     /// A pretrain-only trace (zero PPO updates, zero evaluations) must
-    /// still produce a rollout report carrying the training-arena and
-    /// batched-encoding telemetry, with the eval lines reading zero.
+    /// still produce a rollout report carrying the training-arena
+    /// telemetry, with the eval lines reading zero. The capture also
+    /// carries an `encode.batch_size` histogram, as runs recorded before
+    /// PR 19 do: it parses and is ignored.
     #[test]
     fn rollout_report_renders_arena_for_pretrain_only_traces() {
         let run = [
@@ -1056,15 +1031,13 @@ mod tests {
         assert_eq!(report.cache_hits + report.cache_misses, 0);
         assert_eq!(report.arena_resets, 300);
         assert_eq!(report.arena_high_water, 8192.0);
-        assert_eq!(report.encodes, 300);
-        assert!((report.mean_encode_batch() - 2.0).abs() < 1e-12);
         let text = report.render();
         assert!(text.contains("0 of 0 evaluations"), "{text}");
         assert!(
             text.contains("training arena: 300 tape reuses (high water 8192 pooled f32s)"),
             "{text}"
         );
-        assert!(text.contains("batched encodes: 300 (mean corpus width 2.00)"), "{text}");
+        assert!(!text.contains("encode"), "{text}");
     }
 
     #[test]

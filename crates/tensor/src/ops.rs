@@ -32,7 +32,6 @@
 
 use crate::simd::{self, AlignedBuf};
 use crate::{pool, Matrix};
-use std::sync::Arc;
 
 /// Minimum number of multiply-accumulate operations before a kernel
 /// parallelizes across rows. Below this the sequential loop wins.
@@ -419,172 +418,6 @@ impl CsrMatrix {
     }
 }
 
-/// `N` sparse adjacencies packed as one block-diagonal CSR operand.
-///
-/// Block `b` occupies rows `row_offsets[b]..row_offsets[b+1]` and
-/// columns `col_offsets[b]..col_offsets[b+1]` of the concatenated
-/// matrix; no storage is copied — the blocks stay shared behind their
-/// `Arc`s and only the offset tables are materialized. This is the
-/// sparse side of corpus-batched GCN encoding: one [`BlockDiagCsr::spmm`]
-/// sweep replaces `N` per-graph [`CsrMatrix::spmm`] calls.
-///
-/// **Bit-exactness.** Each output row belongs to exactly one block and
-/// accumulates its non-zeros in the same ascending order (through the
-/// same dispatched [`simd::axpy`]) as the per-graph kernel, with column
-/// indices shifted by the block's offset. Parallelism only reorders
-/// *which row* is computed next, so `spmm`/`spmm_t` here are
-/// bit-identical to looping the per-graph kernels over the blocks
-/// (pinned by the `blockdiag_*` tests and
-/// `crates/tensor/tests/properties.rs`).
-#[derive(Clone, Debug)]
-pub struct BlockDiagCsr {
-    blocks: Vec<Arc<CsrMatrix>>,
-    /// Row offset of each block in the concatenated matrix (one
-    /// trailing sentinel = total rows).
-    row_offsets: Vec<usize>,
-    /// Column offset of each block (one trailing sentinel = total cols).
-    col_offsets: Vec<usize>,
-    /// Block index owning each concatenated row (for the parallel
-    /// row sweep).
-    row_block: Vec<usize>,
-    nnz: usize,
-}
-
-impl BlockDiagCsr {
-    /// Pack `blocks` along the diagonal. Empty (0-row) blocks are
-    /// allowed and contribute nothing.
-    pub fn new(blocks: Vec<Arc<CsrMatrix>>) -> Self {
-        let mut row_offsets = Vec::with_capacity(blocks.len() + 1);
-        let mut col_offsets = Vec::with_capacity(blocks.len() + 1);
-        row_offsets.push(0);
-        col_offsets.push(0);
-        let mut row_block = Vec::new();
-        let mut nnz = 0;
-        for (bi, b) in blocks.iter().enumerate() {
-            nnz += b.nnz();
-            row_offsets.push(row_offsets[bi] + b.rows());
-            col_offsets.push(col_offsets[bi] + b.cols());
-            row_block.extend(std::iter::repeat_n(bi, b.rows()));
-        }
-        BlockDiagCsr { blocks, row_offsets, col_offsets, row_block, nnz }
-    }
-
-    /// Total rows of the concatenated matrix.
-    pub fn rows(&self) -> usize {
-        *self.row_offsets.last().expect("offsets non-empty")
-    }
-
-    /// Total columns of the concatenated matrix.
-    pub fn cols(&self) -> usize {
-        *self.col_offsets.last().expect("offsets non-empty")
-    }
-
-    /// Total stored non-zeros across all blocks.
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// Number of packed blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// The `b`-th block.
-    pub fn block(&self, b: usize) -> &Arc<CsrMatrix> {
-        &self.blocks[b]
-    }
-
-    /// Row offset of block `b` (index `num_blocks()` gives total rows).
-    pub fn row_offset(&self, b: usize) -> usize {
-        self.row_offsets[b]
-    }
-
-    /// Block-diagonal sparse × dense product `self · x` — the
-    /// `spmm_blockdiag` kernel. One sweep over all concatenated rows,
-    /// parallelized like [`CsrMatrix::spmm`] once the whole batch is
-    /// large enough (so small per-graph products that would each stay
-    /// sequential can still fan out across the pool together).
-    pub fn spmm(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows(), x.cols());
-        self.spmm_into(x, &mut out);
-        out
-    }
-
-    /// [`BlockDiagCsr::spmm`] written into a caller-provided matrix
-    /// (zeroed here first) for pooled buffers.
-    pub fn spmm_into(&self, x: &Matrix, out: &mut Matrix) {
-        let _span = mars_telemetry::span("tensor.ops.spmm_blockdiag");
-        assert_eq!(
-            self.cols(),
-            x.rows(),
-            "spmm_blockdiag: {}x{} · {:?}",
-            self.rows(),
-            self.cols(),
-            x.shape()
-        );
-        let n = x.cols();
-        assert_eq!(out.shape(), (self.rows(), n), "spmm_blockdiag: out shape mismatch");
-        out.as_mut_slice().fill(0.0);
-        let compute = |r: usize, out_row: &mut [f32]| {
-            let b = self.row_block[r];
-            let blk = &self.blocks[b];
-            let lr = r - self.row_offsets[b];
-            let co = self.col_offsets[b];
-            let lo = blk.indptr[lr];
-            let hi = blk.indptr[lr + 1];
-            for t in lo..hi {
-                simd::axpy(out_row, blk.values[t], x.row(co + blk.indices[t]));
-            }
-        };
-        if self.nnz * n >= PAR_FLOP_THRESHOLD && self.rows() > 1 {
-            pool::par_chunks_mut(out.as_mut_slice(), n.max(1), |r, out_row| compute(r, out_row));
-        } else {
-            for r in 0..self.rows() {
-                let row = &mut out.as_mut_slice()[r * n..(r + 1) * n];
-                compute(r, row);
-            }
-        }
-    }
-
-    /// Transposed block-diagonal product `selfᵀ · x` (backward of
-    /// [`BlockDiagCsr::spmm`]). Serial per-block scatter in ascending
-    /// block order — exactly the per-graph [`CsrMatrix::spmm_t`] loop
-    /// with offset rows, so results are bit-identical to it.
-    pub fn spmm_t(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols(), x.cols());
-        self.spmm_t_into(x, &mut out);
-        out
-    }
-
-    /// [`BlockDiagCsr::spmm_t`] written into a caller-provided matrix
-    /// (zeroed here first) for pooled buffers.
-    pub fn spmm_t_into(&self, x: &Matrix, out: &mut Matrix) {
-        let _span = mars_telemetry::span("tensor.ops.spmm_blockdiag_t");
-        assert_eq!(
-            self.rows(),
-            x.rows(),
-            "spmm_blockdiag_t: ({}x{})ᵀ · {:?}",
-            self.rows(),
-            self.cols(),
-            x.shape()
-        );
-        let n = x.cols();
-        assert_eq!(out.shape(), (self.cols(), n), "spmm_blockdiag_t: out shape mismatch");
-        out.as_mut_slice().fill(0.0);
-        for (bi, blk) in self.blocks.iter().enumerate() {
-            let ro = self.row_offsets[bi];
-            let co = self.col_offsets[bi];
-            for r in 0..blk.rows() {
-                let x_row = x.row(ro + r);
-                for (c, v) in blk.row_iter(r) {
-                    let cc = co + c;
-                    simd::axpy(&mut out.as_mut_slice()[cc * n..(cc + 1) * n], v, x_row);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -787,6 +620,36 @@ mod tests {
         let yt = a.spmm_t(&x);
         let yt_dense = matmul(&a.to_dense().transpose(), &x);
         assert!(yt.max_abs_diff(&yt_dense) < 1e-6);
+
+        // Both products against the plain serial loop — stored entries
+        // in ascending order, `mul` then `add` — bit for bit: widths on
+        // either side of the SIMD lanes, the empty and the single-node
+        // matrix, and one product big enough for the pooled row sweep.
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let pooled = rand_adj(160, 3);
+        assert!(pooled.nnz() * 96 >= PAR_FLOP_THRESHOLD);
+        let mut cases = vec![
+            (CsrMatrix::from_triplets(0, 0, &[]), 6),
+            (CsrMatrix::from_triplets(1, 1, &[(0, 0, 1.0)]), 6),
+            (pooled, 96),
+        ];
+        cases.extend([1, 7, 8, 9, 33].map(|width| (rand_adj(12, width), width)));
+        for (adj, width) in &cases {
+            let (n, width) = (adj.rows(), *width);
+            let x = rand_feats(n, width, n);
+            let mut want = Matrix::zeros(n, width);
+            let mut want_t = Matrix::zeros(n, width);
+            for r in 0..n {
+                for (c, v) in adj.row_iter(r) {
+                    for j in 0..width {
+                        want.set(r, j, want.get(r, j) + v * x.get(c, j));
+                        want_t.set(c, j, want_t.get(c, j) + v * x.get(r, j));
+                    }
+                }
+            }
+            assert_eq!(bits(&adj.spmm(&x)), bits(&want), "spmm {n}x{n} width {width}");
+            assert_eq!(bits(&adj.spmm_t(&x)), bits(&want_t), "spmm_t {n}x{n} width {width}");
+        }
     }
 
     #[test]
@@ -806,7 +669,7 @@ mod tests {
 
     /// A pseudo-random sparse square adjacency with self-loops, sized
     /// to mimic normalized workload graphs.
-    fn rand_adj(n: usize, seed: usize) -> Arc<CsrMatrix> {
+    fn rand_adj(n: usize, seed: usize) -> CsrMatrix {
         let mut triplets = Vec::new();
         for r in 0..n {
             triplets.push((r, r, 0.5));
@@ -816,96 +679,11 @@ mod tests {
                 }
             }
         }
-        Arc::new(CsrMatrix::from_triplets(n, n, &triplets))
+        CsrMatrix::from_triplets(n, n, &triplets)
     }
 
     fn rand_feats(rows: usize, cols: usize, seed: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| ((r * 13 + c * 5 + seed) as f32 * 0.011).sin())
-    }
-
-    /// Vertically concatenate per-block feature matrices.
-    fn vcat_all(parts: &[Matrix]) -> Matrix {
-        let mut it = parts.iter();
-        let mut acc = it.next().expect("non-empty").clone();
-        for p in it {
-            acc = acc.vcat(p);
-        }
-        acc
-    }
-
-    #[test]
-    fn blockdiag_spmm_bit_identical_to_per_graph_loop() {
-        // Mixed block sizes, including widths off the SIMD lane
-        // boundaries; the packed sweep must equal running each block's
-        // spmm separately, bit for bit.
-        let sizes = [5usize, 1, 9, 16];
-        let cols = 13; // ragged width exercises the axpy remainder tail
-        let blocks: Vec<Arc<CsrMatrix>> =
-            sizes.iter().enumerate().map(|(i, &n)| rand_adj(n, i)).collect();
-        let feats: Vec<Matrix> =
-            sizes.iter().enumerate().map(|(i, &n)| rand_feats(n, cols, i)).collect();
-        let bd = BlockDiagCsr::new(blocks.clone());
-        assert_eq!(bd.rows(), sizes.iter().sum::<usize>());
-        let x = vcat_all(&feats);
-        let batched = bd.spmm(&x);
-        let per_graph =
-            vcat_all(&blocks.iter().zip(&feats).map(|(b, f)| b.spmm(f)).collect::<Vec<_>>());
-        assert_eq!(batched, per_graph);
-    }
-
-    #[test]
-    fn blockdiag_spmm_t_bit_identical_to_per_graph_loop() {
-        let sizes = [7usize, 3, 12];
-        let cols = 9;
-        let blocks: Vec<Arc<CsrMatrix>> =
-            sizes.iter().enumerate().map(|(i, &n)| rand_adj(n, i + 10)).collect();
-        let feats: Vec<Matrix> =
-            sizes.iter().enumerate().map(|(i, &n)| rand_feats(n, cols, i + 10)).collect();
-        let bd = BlockDiagCsr::new(blocks.clone());
-        let x = vcat_all(&feats);
-        let batched = bd.spmm_t(&x);
-        let per_graph =
-            vcat_all(&blocks.iter().zip(&feats).map(|(b, f)| b.spmm_t(f)).collect::<Vec<_>>());
-        assert_eq!(batched, per_graph);
-    }
-
-    #[test]
-    fn blockdiag_parallel_path_bit_identical() {
-        // Big enough that nnz · n crosses the parallel threshold: the
-        // pooled row sweep must still equal the per-block serial loop.
-        let sizes = [160usize, 140, 150];
-        let cols = 96;
-        let blocks: Vec<Arc<CsrMatrix>> =
-            sizes.iter().enumerate().map(|(i, &n)| rand_adj(n, i + 3)).collect();
-        let feats: Vec<Matrix> =
-            sizes.iter().enumerate().map(|(i, &n)| rand_feats(n, cols, i + 3)).collect();
-        let bd = BlockDiagCsr::new(blocks.clone());
-        assert!(bd.nnz() * cols >= PAR_FLOP_THRESHOLD, "nnz {} too small", bd.nnz());
-        let x = vcat_all(&feats);
-        let batched = bd.spmm(&x);
-        let per_graph =
-            vcat_all(&blocks.iter().zip(&feats).map(|(b, f)| b.spmm(f)).collect::<Vec<_>>());
-        assert_eq!(batched, per_graph);
-    }
-
-    #[test]
-    fn blockdiag_handles_empty_and_single_node_blocks() {
-        let blocks = vec![
-            Arc::new(CsrMatrix::from_triplets(0, 0, &[])),
-            Arc::new(CsrMatrix::from_triplets(1, 1, &[(0, 0, 1.0)])),
-            rand_adj(4, 0),
-        ];
-        let bd = BlockDiagCsr::new(blocks.clone());
-        assert_eq!(bd.rows(), 5);
-        assert_eq!(bd.num_blocks(), 3);
-        let x = rand_feats(5, 6, 0);
-        let y = bd.spmm(&x);
-        assert_eq!(y.shape(), (5, 6));
-        // Row 0 of x belongs to the 1×1 identity block.
-        assert_eq!(y.row(0), x.row(0));
-        let yt = bd.spmm_t(&x);
-        assert_eq!(yt.shape(), (5, 6));
-        assert_eq!(yt.row(0), x.row(0));
     }
 
     #[test]

@@ -127,114 +127,3 @@ props! {
         assert!(sum.frobenius_norm() <= a.frobenius_norm() + b.frobenius_norm() + 1e-4);
     }
 }
-
-// ---------------------------------------------------------------------
-// Block-diagonal SpMM ≡ per-graph SpMM loop, bit for bit.
-//
-// The corpus-batched GCN path routes every graph of a batch through one
-// `BlockDiagCsr::spmm` sweep; the house invariant requires that sweep
-// to produce exactly the bits the per-graph `CsrMatrix::spmm` loop
-// would have produced, for every kernel backend. The battery covers
-// random graph counts and shapes, empty (0-node) graphs, single-node
-// graphs, and feature widths straddling the SIMD lane/strip remainders.
-//
-// The backend override is process-global, so the whole sweep lives in
-// one `#[test]` (same discipline as the simd_parity battery).
-// ---------------------------------------------------------------------
-
-use mars_rng::SeedableRng;
-use mars_tensor::kernel::{self, Backend};
-use mars_tensor::ops::BlockDiagCsr;
-use std::sync::Arc;
-
-fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
-    assert_eq!(a.shape(), b.shape(), "{what}: shape mismatch");
-    for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i} differs ({x:e} vs {y:e})");
-    }
-}
-
-/// Random square adjacency block with exact zeros mixed in (the spmm
-/// row loop has a `== 0.0` skip that must fire identically both ways).
-fn arb_block(rng: &mut StdRng, rows: usize) -> CsrMatrix {
-    let mut trips = Vec::new();
-    for r in 0..rows {
-        for c in 0..rows {
-            if rng.gen_range(0..10u32) < 4 {
-                let v = if rng.gen_range(0..8u32) == 0 { 0.0 } else { rng.gen_range(-2.0f32..2.0) };
-                trips.push((r, c, v));
-            }
-        }
-    }
-    CsrMatrix::from_triplets(rows, rows, &trips)
-}
-
-fn row_stack(mats: &[Matrix], cols: usize) -> Matrix {
-    let total: usize = mats.iter().map(Matrix::rows).sum();
-    let mut data = Vec::with_capacity(total * cols);
-    for m in mats {
-        data.extend_from_slice(m.as_slice());
-    }
-    Matrix::from_vec(total, cols, data)
-}
-
-#[test]
-fn spmm_blockdiag_is_bitwise_the_per_graph_loop_under_every_backend() {
-    // Widths chosen to straddle the 4/8-lane and 32-strip boundaries.
-    const WIDTHS: [usize; 12] = [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 33];
-    let mut backends: Vec<Option<Backend>> = vec![Some(Backend::Scalar), None];
-    if let Some(b) = kernel::detected_simd() {
-        backends.push(Some(b));
-    }
-    for backend in backends {
-        kernel::set_backend_override(backend);
-        let mut rng = StdRng::seed_from_u64(0xB10C_D1A6);
-        for case in 0..60usize {
-            let nblocks = rng.gen_range(1..=6);
-            let width = WIDTHS[rng.gen_range(0..WIDTHS.len())];
-            let mut blocks: Vec<Arc<CsrMatrix>> = Vec::with_capacity(nblocks);
-            let mut xs: Vec<Matrix> = Vec::with_capacity(nblocks);
-            for _ in 0..nblocks {
-                // Case 0 pins the all-empty corpus; case 1 pins the
-                // all-single-node corpus; the rest mix 0..=9 rows.
-                let rows = match case {
-                    0 => 0,
-                    1 => 1,
-                    _ => rng.gen_range(0..=9),
-                };
-                blocks.push(Arc::new(arb_block(&mut rng, rows)));
-                let data = (0..rows * width).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
-                xs.push(Matrix::from_vec(rows, width, data));
-            }
-            let bd = BlockDiagCsr::new(blocks.clone());
-            let x = row_stack(&xs, width);
-
-            // Forward: one block-diagonal sweep vs N per-graph spmm.
-            let batched = bd.spmm(&x);
-            let per_graph: Vec<Matrix> = blocks.iter().zip(&xs).map(|(b, xb)| b.spmm(xb)).collect();
-            let stacked = row_stack(&per_graph, width);
-            assert_bits_eq(&batched, &stacked, &format!("spmm case {case} ({backend:?})"));
-
-            // Transpose (backward) variant on a fresh upstream grad.
-            let g_data = (0..bd.rows() * width).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
-            let g = Matrix::from_vec(bd.rows(), width, g_data);
-            let batched_t = bd.spmm_t(&g);
-            let mut off = 0;
-            let per_graph_t: Vec<Matrix> = blocks
-                .iter()
-                .map(|b| {
-                    let gb = if b.rows() > 0 {
-                        g.slice_rows(off, off + b.rows())
-                    } else {
-                        Matrix::from_vec(0, width, Vec::new())
-                    };
-                    off += b.rows();
-                    b.spmm_t(&gb)
-                })
-                .collect();
-            let stacked_t = row_stack(&per_graph_t, width);
-            assert_bits_eq(&batched_t, &stacked_t, &format!("spmm_t case {case} ({backend:?})"));
-        }
-    }
-    kernel::set_backend_override(None);
-}

@@ -113,21 +113,27 @@ fn simd_kernels_are_bit_identical_to_scalar() {
         assert!(s.row(1).iter().all(|x| x.to_bits() == 0), "zero row must stay +0.0");
     }
 
-    // Sparse product over a random pattern.
-    let (rows, cols, feat) = (23, 17, 19);
-    let mut trips = Vec::new();
-    for r in 0..rows {
-        for _ in 0..rng.gen_range(0..4usize) {
-            trips.push((r, rng.gen_range(0..cols), (rng.gen::<f32>() - 0.5) * 3.0));
+    // Sparse products over random patterns (rows, cols, feature width,
+    // non-zeros drawn per row): widths on either side of the lanes, the
+    // empty and the single-node matrix, and one product whose
+    // nnz · width (≥ 300·12·96 > 64³) takes the pooled row sweep.
+    let mut sparse_cases = [19, 1, 7, 8, 9, 33].map(|feat| (23, 17, feat, 0..4usize)).to_vec();
+    sparse_cases.extend([(0, 0, 6, 0..4), (1, 1, 6, 1..2), (300, 300, 96, 14..18)]);
+    for (rows, cols, feat, per_row) in sparse_cases {
+        let mut trips = Vec::new();
+        for r in 0..rows {
+            for _ in 0..rng.gen_range(per_row.clone()) {
+                trips.push((r, rng.gen_range(0..cols), (rng.gen::<f32>() - 0.5) * 3.0));
+            }
         }
+        let sp = CsrMatrix::from_triplets(rows, cols, &trips);
+        let x = spicy(cols, feat, &mut rng);
+        let (s, v) = under_both(|| sp.spmm(&x));
+        assert_bits_eq(&s, &v, &format!("spmm {rows}x{cols} width {feat}"));
+        let y = spicy(rows, feat, &mut rng);
+        let (s, v) = under_both(|| sp.spmm_t(&y));
+        assert_bits_eq(&s, &v, &format!("spmm_t {rows}x{cols} width {feat}"));
     }
-    let sp = CsrMatrix::from_triplets(rows, cols, &trips);
-    let x = spicy(cols, feat, &mut rng);
-    let (s, v) = under_both(|| sp.spmm(&x));
-    assert_bits_eq(&s, &v, "spmm");
-    let y = spicy(rows, feat, &mut rng);
-    let (s, v) = under_both(|| sp.spmm_t(&y));
-    assert_bits_eq(&s, &v, "spmm_t");
 
     // tanh batch kernel, remainder lengths + special values.
     for n in [1usize, 5, 8, 13, 31, 64, 100] {

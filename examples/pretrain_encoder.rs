@@ -37,17 +37,8 @@ fn main() {
         "Pre-training on {} ({} ops) for {} iterations…",
         graph.name, input.num_ops, cfg.dgi_iters
     );
-    let report = pretrain(
-        &mut store,
-        &encoder,
-        &dgi,
-        &input,
-        cfg.dgi_iters,
-        cfg.dgi_lr,
-        1.0,
-        cfg.encode_batch,
-        &mut rng,
-    );
+    let report =
+        pretrain(&mut store, &encoder, &dgi, &input, cfg.dgi_iters, cfg.dgi_lr, 1.0, &mut rng);
     for (i, chunk) in report.losses.chunks(cfg.dgi_iters / 10).enumerate() {
         let mean = chunk.iter().sum::<f32>() / chunk.len() as f32;
         println!("  iters {:>4}-{:<4} mean loss {mean:.4}", i * chunk.len(), (i + 1) * chunk.len());

@@ -91,34 +91,12 @@ echo "$SUMMARY" | grep -q "ppo.update" || {
 echo "$SUMMARY" | grep -q "sim.eval" || {
     echo "telemetry summary has no simulator eval events"; exit 1; }
 
-echo "==> arena smoke: batched DGI pretrain recycles tapes, output bit-identical to per-graph"
-PRETRAIN_ARGS=(pretrain inception --dgi-iters 10 --seed 1)
-PRE_PLAIN=$(./target/release/mars-cli "${PRETRAIN_ARGS[@]}" --encode-batch 1)
-PRE_BATCHED=$(./target/release/mars-cli "${PRETRAIN_ARGS[@]}" --encode-batch 2 \
-    --telemetry "$ARENA_RUN" | grep -v "^telemetry written")
-diff <(echo "$PRE_BATCHED") <(echo "$PRE_PLAIN") || {
-    echo "corpus-batched encoding changed the pretrain output"; exit 1; }
-PRE_SCALAR=$(MARS_KERNEL=scalar ./target/release/mars-cli "${PRETRAIN_ARGS[@]}" --encode-batch 2)
-diff <(echo "$PRE_SCALAR") <(echo "$PRE_PLAIN") || {
-    echo "scalar-backend batched pretrain diverged from the per-graph output"; exit 1; }
-# The arena must actually be in use: every iteration recycles the tape,
-# and every encode goes through the width-2 corpus batch.
-ARENA_SUMMARY=$(./target/release/mars-cli metrics summarize "$ARENA_RUN")
-echo "$ARENA_SUMMARY" | grep -q "training arena: 10 tape reuses" || {
-    echo "autograd.arena.reset counter never fired during batched pretrain"; exit 1; }
-echo "$ARENA_SUMMARY" | grep -q "batched encodes: 10 (mean corpus width 2.00)" || {
-    echo "encode.batch_size histogram missing from the pretrain summary"; exit 1; }
-# End-to-end: --encode-batch is wall-clock-only, so a batched train run
-# must print byte-identically to the serial baseline under both the
-# threaded evaluator and the forced-scalar kernel backend.
-BATCH_TRAIN_A=$(./target/release/mars-cli train inception --budget 40 --dgi-iters 10 --seed 1 \
-    --eval-threads 4 --encode-batch 2)
-diff <(echo "$BATCH_TRAIN_A") <(echo "$SERIAL_OUT") || {
-    echo "batched encoding changed training output under --eval-threads 4"; exit 1; }
-BATCH_TRAIN_B=$(MARS_KERNEL=scalar ./target/release/mars-cli train inception --budget 40 \
-    --dgi-iters 10 --seed 1 --eval-threads 1 --encode-batch 2)
-diff <(echo "$BATCH_TRAIN_B") <(echo "$SERIAL_OUT") || {
-    echo "batched encoding changed training output under MARS_KERNEL=scalar"; exit 1; }
+echo "==> arena smoke: DGI pretrain recycles its tape every iteration"
+./target/release/mars-cli pretrain inception --dgi-iters 10 --seed 1 \
+    --telemetry "$ARENA_RUN" > /dev/null
+./target/release/mars-cli metrics summarize "$ARENA_RUN" \
+    | grep "training arena: 10 tape reuses" > /dev/null || {
+    echo "autograd.arena.reset counter never fired during pretrain"; exit 1; }
 
 echo "==> fault smoke: degraded train, remap telemetry, bit-identical reruns"
 FAULT_ARGS=(train inception --budget 40 --dgi-iters 10 --seed 1

@@ -19,9 +19,6 @@
 //! train options: --agent mars|mars-nopre|grouper|encoder   --budget N
 //!                --seed N   --profile small|full   --save <ckpt-path>
 //!                --telemetry <run.jsonl>   --dgi-iters N
-//!                --encode-batch N   (DGI corpus batching; N >= 2 packs
-//!                 the clean and corrupted graphs into one block-diagonal
-//!                 encoder pass — bit-identical trace, less overhead)
 //!                --eval-threads N   --no-eval-cache   --fast-math
 //!                --fault-plan <spec>   --max-eval-retries N
 //!                --eval-timeout-s S    --auto-checkpoint <ckpt-path>
@@ -49,6 +46,10 @@
 //! place options: --connect ADDR   --top-k K   --repeat N   --shutdown
 //!                --profile small|full   --fail-device N
 //! ```
+//!
+//! A flag the command does not read is refused before any work starts
+//! (`unknown flag --bugdet for 'train'`; the table is
+//! `mars::cli::COMMAND_FLAGS`), so a typo cannot run as a no-op.
 //!
 //! `--telemetry <path>` records a JSONL event stream (per-iteration DGI
 //! loss, per-update PPO diagnostics, per-evaluation simulator gauges,
@@ -181,12 +182,6 @@ fn config_from_flags(flags: &Flags) -> Result<MarsConfig, String> {
             return Err("invalid value '0' for --eval-threads (need at least 1)".into());
         }
         cfg.eval_threads = threads;
-    }
-    if let Some(batch) = flags.parsed_opt("encode-batch")? {
-        if batch == 0 {
-            return Err("invalid value '0' for --encode-batch (need at least 1)".into());
-        }
-        cfg.encode_batch = batch;
     }
     if flags.switch("no-eval-cache")? {
         cfg.eval_cache = false;
@@ -379,9 +374,10 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let usage = "usage: mars-cli metrics <summarize|tail|flame> <run.jsonl> \
                  [--lines N] [--follow]";
     let (Some(sub), Some(path)) = (args.first(), args.get(1)) else { return Err(usage.into()) };
+    let flags = Flags::parse_for(&format!("metrics {sub}"), &args[2..])?;
     match sub.as_str() {
         "summarize" => cmd_metrics_summarize(path),
-        "tail" => cmd_metrics_tail(path, &Flags::parse(&args[2..])),
+        "tail" => cmd_metrics_tail(path, &flags),
         "flame" => cmd_metrics_flame(path),
         other => Err(format!(
             "unknown metrics subcommand '{other}' (expected summarize, tail, or flame)"
@@ -977,13 +973,14 @@ fn main() -> ExitCode {
             }
         }
         Some("bench-gate") => {
-            return match cmd_bench_gate(&Flags::parse(&args[1..])) {
+            return match Flags::parse_for("bench-gate", &args[1..]).and_then(|f| cmd_bench_gate(&f))
+            {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => fail(e),
             }
         }
         Some("serve") => {
-            return match cmd_serve(&Flags::parse(&args[1..])) {
+            return match Flags::parse_for("serve", &args[1..]).and_then(|f| cmd_serve(&f)) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => fail(e),
             }
@@ -996,7 +993,10 @@ fn main() -> ExitCode {
     let Some(workload) = Workload::parse(wname) else {
         return fail(format!("unknown workload '{wname}'"));
     };
-    let flags = Flags::parse(&args[2..]);
+    let flags = match Flags::parse_for(cmd, &args[2..]) {
+        Ok(flags) => flags,
+        Err(e) => return fail(e),
+    };
     let profile = match flags.one_of("profile", &["small", "full", "paper"], "small") {
         Ok("full") | Ok("paper") => Profile::Paper,
         Ok(_) => Profile::Reduced,

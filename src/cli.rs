@@ -4,12 +4,66 @@
 //! grammar; this module parses that grammar once and layers typed
 //! accessors on top so every command rejects malformed values with an
 //! error naming the flag ("invalid value 'abc' for --budget") instead
-//! of silently substituting a default.
+//! of silently substituting a default. [`COMMAND_FLAGS`] lists what
+//! each command reads; [`Flags::parse_for`] refuses everything else, so
+//! a typo or a removed flag cannot run as if it meant something.
 
 use mars_net::Addr;
 use std::collections::HashMap;
 use std::fmt::Display;
 use std::str::FromStr;
+
+/// The flags `config_from_flags` in the binary resolves into a
+/// `MarsConfig`; every command that builds a config reads all of them.
+const CONFIG_FLAGS: &[&str] = &[
+    "profile",
+    "dgi-iters",
+    "eval-threads",
+    "no-eval-cache",
+    "max-eval-retries",
+    "eval-timeout-s",
+    "auto-checkpoint",
+    "fast-math",
+];
+
+/// Every flag each `mars-cli` command reads, as groups of names. A
+/// flag a command starts reading is added here, or the command refuses
+/// it.
+pub const COMMAND_FLAGS: &[(&str, &[&[&str]])] = &[
+    ("inspect", &[&["profile"]]),
+    (
+        "train",
+        &[
+            CONFIG_FLAGS,
+            &["agent", "budget", "seed", "save", "telemetry", "fault-plan"],
+            &["workers", "listen", "connect"],
+        ],
+    ),
+    ("pretrain", &[CONFIG_FLAGS, &["seed", "save", "telemetry"]]),
+    ("trace", &[&["profile", "placement"]]),
+    ("dot", &[&["profile", "max-nodes"]]),
+    ("evaluate", &[CONFIG_FLAGS, &["placement", "seed", "fault-plan"]]),
+    ("place", &[&["profile", "connect", "top-k", "repeat", "fail-device", "shutdown"]]),
+    (
+        "serve",
+        &[
+            CONFIG_FLAGS,
+            &["listen", "seed", "devices", "cache-capacity", "max-requests"],
+            &["checkpoint", "store", "telemetry"],
+        ],
+    ),
+    (
+        "bench-gate",
+        &[
+            &["current", "baseline", "min-ratio"],
+            &["kernels", "kernels-baseline", "min-kernel-ratio", "only"],
+            &["serve", "serve-baseline", "min-serve-ratio"],
+        ],
+    ),
+    ("metrics summarize", &[]),
+    ("metrics tail", &[&["lines", "follow"]]),
+    ("metrics flame", &[]),
+];
 
 /// Parsed `--key value` / `--switch` command-line flags.
 ///
@@ -45,6 +99,28 @@ impl Flags {
             }
         }
         Flags { map }
+    }
+
+    /// [`Flags::parse`] for `command`, refusing any flag it does not
+    /// read ([`COMMAND_FLAGS`]) with an error naming both. A command
+    /// missing from the table is the caller's error to report.
+    pub fn parse_for(command: &str, args: &[String]) -> Result<Flags, String> {
+        let flags = Flags::parse(args);
+        let Some((_, groups)) = COMMAND_FLAGS.iter().find(|(c, _)| *c == command) else {
+            return Ok(flags);
+        };
+        let reads = |key: &str| groups.iter().any(|g| g.contains(&key));
+        // The smallest, not the first: map order differs between runs.
+        match flags.map.keys().map(String::as_str).filter(|k| !reads(k)).min() {
+            None => Ok(flags),
+            Some(key) => {
+                let known: Vec<String> =
+                    groups.iter().flat_map(|g| g.iter()).map(|k| format!("--{k}")).collect();
+                let known =
+                    if known.is_empty() { "no flags".to_string() } else { known.join(", ") };
+                Err(format!("unknown flag --{key} for '{command}' (it reads {known})"))
+            }
+        }
     }
 
     /// Raw string value of `--key`, if present (empty for switches).

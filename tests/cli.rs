@@ -1,5 +1,6 @@
 //! Smoke tests of the `mars-cli` binary.
 
+use mars::cli::{Flags, COMMAND_FLAGS};
 use std::process::Command;
 
 fn cli() -> Command {
@@ -87,6 +88,77 @@ fn switch_with_value_is_rejected() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--no-eval-cache") && err.contains("takes no value"), "{err}");
+}
+
+/// A typo, or a flag a later version removed, is refused by name before
+/// the command does anything — worker mode, the daemon and its client,
+/// the gate and `metrics tail` included.
+#[test]
+fn unknown_flags_are_refused_before_any_work() {
+    let sock = "unix:/nonexistent-dir/mars.sock";
+    for (args, flag, command) in [
+        (vec!["pretrain", "inception", "--encode-batch", "2"], "--encode-batch", "pretrain"),
+        (vec!["train", "inception", "--bugdet", "40"], "--bugdet", "train"),
+        (
+            vec!["train", "inception", "--connect", sock, "--eval-thread", "4"],
+            "--eval-thread",
+            "train",
+        ),
+        (vec!["serve", "--listen", sock, "--cache-capcity", "8"], "--cache-capcity", "serve"),
+        (vec!["place", "seq2seq", "--connect", sock, "--topk", "2"], "--topk", "place"),
+        (vec!["bench-gate", "--curent", "BENCH_e2e.json"], "--curent", "bench-gate"),
+        (vec!["metrics", "tail", "/nonexistent.jsonl", "--line", "5"], "--line", "metrics tail"),
+    ] {
+        let out = cli().args(&args).output().expect("run");
+        assert!(!out.status.success(), "{args:?} must be refused");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag} for '{command}'")), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} started work before refusing");
+    }
+}
+
+/// `scripts/verify.sh` is the fixture: every flag it passes to a
+/// `mars-cli` command is one that command reads.
+#[test]
+fn verify_sh_passes_only_flags_its_commands_read() {
+    let script = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/scripts/verify.sh"))
+        .expect("read scripts/verify.sh");
+    let words: Vec<&str> = script.split_whitespace().filter(|w| *w != "\\").collect();
+    // The words of one shell command from `from` on: up to an operator
+    // or the `)` that closes a `$(…)` or an array.
+    let command_from = |from: usize| -> Vec<&str> {
+        let mut out = Vec::new();
+        for w in &words[from..] {
+            if ["|", "||", "&", ">", "2>/dev/null"].contains(w) {
+                break;
+            }
+            out.push(w.trim_end_matches(')'));
+            if w.ends_with(')') {
+                break;
+            }
+        }
+        out
+    };
+    let mut checked = 0;
+    for (i, _) in words.iter().enumerate().filter(|(_, w)| w.ends_with("/mars-cli")) {
+        let mut args = command_from(i + 1);
+        // `"${FAULT_ARGS[@]}"` stands for the words of `FAULT_ARGS=(…)`.
+        if let Some(name) = args[0].strip_prefix("\"${").and_then(|a| a.strip_suffix("[@]}\"")) {
+            let open = format!("{name}=(");
+            let at = words.iter().position(|w| w.starts_with(&open)).expect("array is defined");
+            args.splice(..1, [&words[at][open.len()..]].into_iter().chain(command_from(at + 1)));
+        }
+        let command = match args[0] {
+            "metrics" => format!("metrics {}", args[1]),
+            other => other.to_string(),
+        };
+        assert!(COMMAND_FLAGS.iter().any(|(c, _)| *c == command), "verify.sh runs '{command}'?");
+        let flags: Vec<String> =
+            args.iter().filter(|a| a.starts_with("--")).map(|a| a.to_string()).collect();
+        Flags::parse_for(&command, &flags).unwrap_or_else(|e| panic!("scripts/verify.sh: {e}"));
+        checked += 1;
+    }
+    assert!(checked >= 25, "found only {checked} mars-cli invocations in scripts/verify.sh");
 }
 
 #[test]
