@@ -208,13 +208,15 @@ impl<'a> Parser<'a> {
                     return Err(self.err("unescaped control character in string"));
                 }
                 Some(_) => {
-                    // Copy a full UTF-8 scalar (input is valid UTF-8 by
-                    // construction: we were handed a &str).
+                    // Copy the run up to the next byte that needs a
+                    // decision. Those are all ASCII, so the run ends
+                    // between scalars of the `&str` we were handed.
                     let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                        self.pos += 1;
-                    }
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
                     out.push_str(
                         std::str::from_utf8(&self.bytes[start..self.pos])
                             .map_err(|_| self.err("invalid UTF-8"))?,
@@ -249,6 +251,17 @@ impl<'a> Parser<'a> {
                 }
             }
             _ => return Err(self.err("invalid number")),
+        }
+        let digits = &self.bytes[start..self.pos];
+        if digits[0] != b'-'
+            && digits.len() <= 15
+            && !matches!(self.peek(), Some(b'.' | b'e' | b'E'))
+        {
+            // Digits and nothing else, below 10^15 < 2^53: the integer
+            // is exact in an `f64`, so it is the value `str::parse`
+            // rounds to. A sign goes the long way: `-0` is `-0.0`.
+            let n = digits.iter().fold(0u64, |n, d| n * 10 + u64::from(d - b'0'));
+            return Ok(Json::Num(n as f64));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -335,6 +348,87 @@ mod tests {
             ("1.25e+2", 125.0),
         ] {
             assert_eq!(parse(src).expect(src).as_f64(), Some(expect), "{src}");
+        }
+    }
+
+    #[test]
+    fn integer_tokens_equal_what_str_parse_reads() {
+        // Either side of the direct path's limits: one digit, two,
+        // fifteen, sixteen; and the tokens that must not take it.
+        for src in [
+            "0",
+            "9",
+            "10",
+            "4096",
+            "999999999999999",
+            "1000000000000000",
+            "9007199254740993",
+            "18446744073709551615",
+            "-0",
+            "-7",
+            "1e3",
+            "1.0",
+            "0.5",
+            "0e0",
+            "123456789012345.5",
+            "123456789012345e1",
+        ] {
+            let expect: f64 = src.parse().expect(src);
+            let got = parse(src).expect(src).as_f64().expect("a number");
+            assert_eq!(got.to_bits(), expect.to_bits(), "{src}");
+        }
+        assert!(parse("-0").expect("-0").as_f64().expect("num").is_sign_negative());
+        assert_eq!(parse("[7,42,0]").expect("array"), Json::arr([7, 42, 0].map(Json::from)));
+        for bad in ["00", "07", "1.", "1e", "-", "1x"] {
+            assert!(parse(bad).is_err(), "should reject: {bad:?}");
+        }
+    }
+
+    #[test]
+    fn strings_copied_by_the_run_decode_as_scalar_by_scalar() {
+        for (src, expect) in [
+            (r#""""#, ""),
+            (r#""plain""#, "plain"),
+            (r#""\n""#, "\n"),
+            (r#""a\"b\\c\/d""#, "a\"b\\c/d"),
+            (r#""\tlead and trail\n""#, "\tlead and trail\n"),
+            (r#""é\u00e9ü ✓\"✓ 😀\ud83d\ude00😀""#, "ééü ✓\"✓ 😀😀😀"),
+            (r#""\\\\""#, "\\\\"),
+            (
+                "\"del \u{7f} and nbsp \u{a0} are not control bytes\"",
+                "del \u{7f} and nbsp \u{a0} are not control bytes",
+            ),
+        ] {
+            assert_eq!(parse(src).expect(src).as_str(), Some(expect), "{src}");
+        }
+        // A control byte ends a run and is still refused, where it is.
+        let err = parse("\"tab\there\"").expect_err("raw tab");
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (4, "unescaped control character in string")
+        );
+        assert_eq!(parse("\"ü\u{1}\"").expect_err("raw control").offset, 3);
+        assert_eq!(
+            parse("\"run to the end").expect_err("unterminated").message,
+            "unterminated string"
+        );
+        assert_eq!(parse("\"ends in ü").expect_err("unterminated").message, "unterminated string");
+
+        // Whatever the encoder writes, the run copier reads back: every
+        // string of up to three of these, so every neighbourhood a run
+        // can start or end in.
+        let alphabet = ['a', '"', '\\', '/', '\n', '\u{1}', ' ', 'é', '✓', '😀', '\u{7f}'];
+        let mut strings = vec![String::new()];
+        for len in 0..3 {
+            for i in 0..strings.len() {
+                if strings[i].chars().count() == len {
+                    strings.extend(alphabet.map(|c| format!("{}{c}", strings[i])));
+                }
+            }
+        }
+        for s in strings {
+            let doc = Json::Str(s.clone()).to_string();
+            assert_eq!(parse(&doc).expect(&doc).as_str(), Some(s.as_str()), "{doc}");
         }
     }
 

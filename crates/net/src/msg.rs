@@ -33,6 +33,7 @@
 
 use mars_json::Json;
 use mars_sim::{Cluster, EvalComputation, EvalOutcome, OomError};
+use std::fmt::Write as _;
 
 /// Protocol version; bumped on any wire-visible change. A learner and
 /// worker with different versions refuse to pair.
@@ -68,6 +69,55 @@ fn usize_field(j: &Json, field: &str) -> Result<usize, String> {
     j.get(field)
         .and_then(Json::as_usize)
         .ok_or_else(|| format!("missing or non-numeric '{field}' field"))
+}
+
+/// Append `rows` as the compact JSON array of arrays `[[..],[..]]`,
+/// each row cut to its first `top_k` devices. Device ids are almost
+/// always one digit, so those are pushed as a byte each; the bytes are
+/// what `Json::arr` of `Json::Num`s prints.
+pub fn write_ranking(out: &mut String, rows: &[Vec<usize>], top_k: usize) {
+    out.push('[');
+    for (r, row) in rows.iter().enumerate() {
+        out.push_str(if r == 0 { "[" } else { ",[" });
+        for (i, &device) in row.iter().take(top_k).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match u8::try_from(device) {
+                Ok(digit @ 0..=9) => out.push(char::from(b'0' + digit)),
+                _ => write!(out, "{device}").expect("string write"),
+            }
+        }
+        out.push(']');
+    }
+    out.push(']');
+}
+
+/// Render the payload of a [`Msg::PlaceResponse`] into `out` (cleared
+/// first), straight from the engine's full ranking: each row is cut to
+/// `top_k` devices as it is written, a `top_k` of 0 reading as 1 (the
+/// greedy device is always reported). The one encoder of this message:
+/// [`Msg::to_bytes`] goes through it, and the bytes equal
+/// `Msg::PlaceResponse { .. }.to_json().to_string()` over the truncated
+/// ranking (the property test below).
+pub fn write_place_response(
+    out: &mut String,
+    unit: u64,
+    graph_fp: u64,
+    cluster_fp: u64,
+    weights_fp: u64,
+    ranking: &[Vec<usize>],
+    top_k: usize,
+) {
+    out.clear();
+    write!(
+        out,
+        "{{\"type\":\"place_response\",\"unit\":\"{unit:016x}\",\"graph_fp\":\"{graph_fp:016x}\",\
+         \"cluster_fp\":\"{cluster_fp:016x}\",\"weights_fp\":\"{weights_fp:016x}\",\"ranking\":"
+    )
+    .expect("string write");
+    write_ranking(out, ranking, top_k.max(1));
+    out.push('}');
 }
 
 /// Everything a worker needs to rebuild the learner's environment so
@@ -580,9 +630,27 @@ impl Msg {
         }
     }
 
-    /// Serialize to the frame payload bytes.
+    /// Serialize to the frame payload bytes: [`Self::to_json`] printed
+    /// compactly, which for a `PlaceResponse` is written directly by
+    /// [`write_place_response`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_json().to_string().into_bytes()
+        let text = match self {
+            Msg::PlaceResponse { unit, graph_fp, cluster_fp, weights_fp, ranking } => {
+                let mut out = String::new();
+                write_place_response(
+                    &mut out,
+                    *unit,
+                    *graph_fp,
+                    *cluster_fp,
+                    *weights_fp,
+                    ranking,
+                    usize::MAX,
+                );
+                out
+            }
+            other => other.to_json().to_string(),
+        };
+        text.into_bytes()
     }
 
     /// Parse from frame payload bytes.
@@ -655,6 +723,38 @@ mod tests {
             weights_fp: 1,
             ranking: vec![vec![0, 3, 1], vec![4, 0, 2], vec![1]],
         });
+    }
+
+    mars_rng::props! {
+        /// The direct rendering is the `Json` tree's, byte for byte,
+        /// for any ranking (no rows, empty rows, devices of one digit
+        /// and of several) cut at any `top_k`.
+        fn rendered_place_response_equals_the_json_tree(rng, 64) {
+            use mars_rng::Rng;
+            let devices = rng.gen_range(1..8usize);
+            let ranking: Vec<Vec<usize>> = (0..rng.gen_range(0..40usize))
+                .map(|_| {
+                    let len = if rng.gen_range(0..8u32) == 0 { 0 } else { devices };
+                    let ids = if rng.gen() { 10 } else { 3000 };
+                    (0..len).map(|_| rng.gen_range(0..ids)).collect()
+                })
+                .collect();
+            let (unit, graph_fp, cluster_fp, weights_fp) =
+                (rng.gen::<u64>(), rng.gen::<u64>(), rng.gen::<u64>(), rng.gen::<u64>());
+            let mut out = String::from("left over from the last response");
+            for top_k in [0, 1, devices, devices + 1, usize::MAX] {
+                let cut = top_k.max(1);
+                let truncated: Vec<Vec<usize>> =
+                    ranking.iter().map(|row| row.iter().copied().take(cut).collect()).collect();
+                let oracle =
+                    Msg::PlaceResponse { unit, graph_fp, cluster_fp, weights_fp, ranking: truncated };
+                write_place_response(
+                    &mut out, unit, graph_fp, cluster_fp, weights_fp, &ranking, top_k,
+                );
+                assert_eq!(out, oracle.to_json().to_string(), "top_k {top_k}");
+                assert_eq!(oracle.to_bytes(), out.as_bytes(), "to_bytes uses the same encoder");
+            }
+        }
     }
 
     /// The v2→v3 addition is additive inside `place_request` too: a

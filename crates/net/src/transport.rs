@@ -98,6 +98,13 @@ impl Listener {
         }
     }
 
+    /// Accept one connection, blocking until one arrives.
+    pub fn accept(&self) -> io::Result<Conn> {
+        // A timed-out `accept_timeout` leaves the listener non-blocking.
+        self.set_nonblocking(false)?;
+        self.try_accept()
+    }
+
     /// Accept one connection, waiting at most `timeout`.
     pub fn accept_timeout(&self, timeout: Duration) -> io::Result<Conn> {
         self.set_nonblocking(true)?;
@@ -286,14 +293,18 @@ impl Write for Conn {
     }
 }
 
-/// Frame-encode and send one message, bumping the `net.frames_tx` /
-/// `net.bytes_tx` counters.
-pub fn send_msg(conn: &mut Conn, msg: &Msg) -> Result<(), String> {
-    let bytes =
-        frame::write_frame(conn, &msg.to_bytes()).map_err(|e| format!("send failed: {e}"))?;
+/// Frame and send one already-encoded message payload, bumping the
+/// `net.frames_tx` / `net.bytes_tx` counters.
+pub fn send_payload(conn: &mut Conn, payload: &[u8]) -> Result<(), String> {
+    let bytes = frame::write_frame(conn, payload).map_err(|e| format!("send failed: {e}"))?;
     mars_telemetry::counter("net.frames_tx").inc();
     mars_telemetry::counter("net.bytes_tx").add(bytes as u64);
     Ok(())
+}
+
+/// Encode, frame and send one message (see [`send_payload`]).
+pub fn send_msg(conn: &mut Conn, msg: &Msg) -> Result<(), String> {
+    send_payload(conn, &msg.to_bytes())
 }
 
 /// Receive one message; `Ok(None)` on a clean hang-up. Framing and

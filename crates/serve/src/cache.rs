@@ -8,10 +8,10 @@
 //! ranking and concurrent responders can hold it while the cache keeps
 //! evolving.
 //!
-//! Eviction can only ever cause a re-computation — never a different
-//! answer — because the victim is deterministic and the cold path is
-//! bit-deterministic (pinned by the eviction property test in
-//! `engine.rs`).
+//! Eviction can only ever cause a re-landing — never a different
+//! answer, and never a second forward — because an evicted key is
+//! filled again from the ranking its graph's entry remembers (pinned by
+//! the eviction test in `engine.rs`).
 
 use crate::engine::Ranking;
 

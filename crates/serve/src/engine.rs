@@ -1,33 +1,47 @@
-//! The tiered placement engine: hot LRU → warm store → cold inference.
+//! The tiered placement engine: hot LRU → warm store → the graph's memo.
 //!
 //! [`PlacementEngine::place`] answers one query and reports which tier
 //! answered it. The tier is telemetry only — it never appears in the
 //! response bytes, and all three tiers return the identical ranking
-//! for the same `(graph, cluster, weights)` triple: the cold path is
+//! for the same `(graph, cluster, weights)` triple: the forward is
 //! bit-deterministic (`mars_core::infer` parity tests), the hot tier
-//! stores exactly what cold produced, and the warm tier is filtered to
+//! stores exactly what it produced, and the warm tier is filtered to
 //! this engine's weights fingerprint on load.
+//!
+//! **One forward per graph.** The policy reads the computation graph
+//! and nothing else: [`PolicyInference::rank_placements`] takes the
+//! agent and a [`WorkloadInput`], no cluster. So the forward's answer
+//! is remembered where its only argument lives — on the graph's entry,
+//! one per `(workload, profile)` recipe, a closed set that needs no
+//! eviction — and a key found in neither tier whose graph has been
+//! answered is *landed* (hot insert, store line) under the one lock
+//! acquisition that looked it up: no flight, no tape. `forward()` below
+//! is the only caller of the policy and its result goes only into that
+//! memo, so a policy that starts reading the cluster changes that one
+//! call's signature, and the re-keying is decided there.
 //!
 //! **Locking.** The engine synchronises itself; callers share it by
 //! reference. One short mutex guards the mutable state — both cache
-//! tiers, the graph memo, the counts and the table of forwards in
-//! flight — and every critical section is a handful of map operations
-//! (plus, on a miss, one line written to the store). The agent and its
-//! weights fingerprint are read-only after construction and sit outside
-//! it. No lock is held while a forward runs, so a hit never waits for
-//! someone else's miss, and misses on different keys run side by side,
-//! each on an inference tape of its own.
+//! tiers, the graph entries with their memos and flights, the counts —
+//! and every critical section is a handful of map operations (plus, on
+//! a landing, one line written to the store). The agent and its weights
+//! fingerprint are read-only after construction and sit outside it. No
+//! lock is held while a forward runs, so a hit never waits for someone
+//! else's forward, and first forwards of different graphs run side by
+//! side, each on an inference tape of its own.
 //!
-//! **Single flight.** A miss registers its key in the in-flight table
-//! before it unlocks. A request that finds its key there runs nothing:
-//! it waits for the leader's ranking and is counted `hot` (and
-//! `coalesced`), so `miss` stays the number of forwards run. The leader
-//! lands its result — insert into both tiers, leave the table, wake the
-//! waiters — from a drop guard, so a forward that panics takes down its
-//! own request only: the waiters get an `Err`, the key is free again,
-//! and no lock was held where the panic happened.
+//! **Single flight, per graph.** The first request to need a graph's
+//! answer marks the entry in flight before it unlocks and runs the
+//! forward. Requests for that graph that find their key in neither tier
+//! meanwhile run nothing: they wait for the leader, then look again —
+//! the key is hot by then if an identical request landed it first
+//! (counted `hot` and `coalesced`), and is landed from the memo if not
+//! (counted `miss`, like the leader's own). The leader files its result
+//! from a drop guard, so a forward that panics takes down its own
+//! request only: the waiters get an `Err`, the memo stays empty, and no
+//! lock was held where the panic happened.
 
-use crate::cache::{Key, PlacementCache};
+use crate::cache::PlacementCache;
 use crate::fingerprint::{cluster_fingerprint, graph_fingerprint};
 use crate::store::PlacementStore;
 use mars_core::{Agent, PolicyInference, WorkloadInput};
@@ -38,20 +52,22 @@ use std::io;
 use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// A full per-op device ranking, shared between cache tiers and
-/// in-flight responses without copying.
+/// A full per-op device ranking, shared between the graph memo, the
+/// cache tiers and in-flight responses without copying.
 pub type Ranking = Arc<Vec<Vec<usize>>>;
 
 /// Which tier answered a query. Telemetry/stats only — responses are
 /// byte-identical regardless of tier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
-    /// In-memory LRU hit, or the result of an identical request's
-    /// forward that was in flight when this one arrived.
+    /// In-memory LRU hit, including one on a key that an identical
+    /// request landed while this one waited for the graph's forward.
     Hot,
     /// Persistent-store hit (promoted to hot).
     Warm,
-    /// Full policy inference (inserted into hot + store).
+    /// The key was in neither tier and was landed now (inserted into
+    /// hot + store) from the graph's memo; only a graph's first such
+    /// request runs the forward that fills it.
     Cold,
 }
 
@@ -59,20 +75,35 @@ pub enum Tier {
 /// `hot + warm + miss` is the number of queries answered.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Queries answered from the in-memory LRU or from a forward
-    /// already in flight for the same key.
+    /// Queries answered from the in-memory LRU.
     pub hot: u64,
     /// Queries answered from the persistent store.
     pub warm: u64,
-    /// Queries that ran policy inference.
+    /// Queries whose key was in neither tier and was landed now.
     pub miss: u64,
-    /// The share of `hot` that joined a forward in flight.
+    /// The share of `hot` that had waited for the graph's forward and
+    /// found the key landed by an identical request.
     pub coalesced: u64,
+    /// Policy forwards started: at most one per `(workload, profile)`
+    /// recipe ever asked, unless one died.
+    pub forwards: u64,
+}
+
+/// What the policy has said about one graph.
+enum Memo {
+    /// Nothing: no forward has run, or every one that ran died.
+    Empty,
+    /// A forward is running; requests that need its answer wait here.
+    InFlight(Arc<Flight>),
+    /// The forward's answer, for every cluster of this graph.
+    Known(Ranking),
 }
 
 struct GraphEntry {
-    input: WorkloadInput,
     graph_fp: u64,
+    /// Shared, so that a forward reads its input after unlocking.
+    input: Arc<WorkloadInput>,
+    memo: Memo,
 }
 
 /// One answered query: the ranking plus everything a
@@ -100,26 +131,26 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One forward in flight, and where requests for the same key wait for
-/// it. The outcome is `None` until the leader lands, then `Some(None)`
-/// if its forward died.
+/// One forward in flight, and where requests for the same graph wait
+/// for it. The outcome is `None` until the leader has filed, then
+/// whether its forward came back.
 #[derive(Default)]
 struct Flight {
-    outcome: Mutex<Option<Option<Ranking>>>,
+    outcome: Mutex<Option<bool>>,
     landed: Condvar,
 }
 
 impl Flight {
-    fn wait(&self) -> Option<Ranking> {
+    fn wait(&self) -> bool {
         let outcome = self
             .landed
             .wait_while(lock(&self.outcome), |outcome| outcome.is_none())
             .unwrap_or_else(PoisonError::into_inner);
-        outcome.clone().expect("wait_while returns once the outcome is set")
+        outcome.expect("wait_while returns once the outcome is set")
     }
 
-    fn publish(&self, ranking: Option<Ranking>) {
-        *lock(&self.outcome) = Some(ranking);
+    fn publish(&self, answered: bool) {
+        *lock(&self.outcome) = Some(answered);
         self.landed.notify_all();
     }
 }
@@ -128,12 +159,16 @@ impl Flight {
 struct State {
     hot: PlacementCache,
     store: Option<PlacementStore>,
-    /// Built graphs memoized per recipe: graph generation is
-    /// deterministic, so each is built once. Shared, so that a forward
-    /// reads its input after unlocking.
-    graphs: HashMap<(Workload, Profile), Arc<GraphEntry>>,
+    /// One entry per recipe asked: graph generation is deterministic,
+    /// so each is built once, and so is its forward.
+    graphs: HashMap<(Workload, Profile), GraphEntry>,
     stats: EngineStats,
-    flights: HashMap<Key, Arc<Flight>>,
+}
+
+impl State {
+    fn graph(&mut self, recipe: (Workload, Profile)) -> &mut GraphEntry {
+        self.graphs.get_mut(&recipe).expect("entries are inserted before use and never removed")
+    }
 }
 
 /// Tiered placement query engine over one trained agent.
@@ -143,17 +178,16 @@ pub struct PlacementEngine {
     weights_fp: u64,
     /// Idle inference tapes. A forward takes one (or starts a fresh
     /// one) and returns it, so there are as many as forwards ever ran
-    /// at once — at most one per caller thread.
+    /// at once — at most one per recipe.
     tapes: Mutex<Vec<PolicyInference>>,
     state: Mutex<State>,
 }
 
 /// The leader's duty to its flight. Dropping it — after the forward, or
-/// while the forward unwinds — stores the ranking if there is one,
-/// frees the key and wakes the waiters.
+/// while the forward unwinds — files the ranking in the graph's memo if
+/// there is one, empties the memo if not, and wakes the waiters.
 struct Lead<'a> {
     engine: &'a PlacementEngine,
-    key: Key,
     recipe: (Workload, Profile),
     flight: Arc<Flight>,
     ranking: Option<Ranking>,
@@ -161,22 +195,10 @@ struct Lead<'a> {
 
 impl Drop for Lead<'_> {
     fn drop(&mut self) {
-        let mut st = lock(&self.engine.state);
-        st.flights.remove(&self.key);
-        if let Some(ranking) = &self.ranking {
-            st.hot.insert(self.key, ranking.clone());
-            if let Some(store) = st.store.as_mut() {
-                let (workload, profile) = self.recipe;
-                if store.append(self.key, workload.name(), profile.name(), ranking.clone()).is_err()
-                {
-                    // Serving must not die with the answer in hand; a
-                    // failed append just means a warm miss after restart.
-                    mars_telemetry::counter("serve.store.append_failed").inc();
-                }
-            }
-        }
-        drop(st);
-        self.flight.publish(self.ranking.take());
+        let answered = self.ranking.is_some();
+        lock(&self.engine.state).graph(self.recipe).memo =
+            self.ranking.take().map_or(Memo::Empty, Memo::Known);
+        self.flight.publish(answered);
     }
 }
 
@@ -195,7 +217,6 @@ impl PlacementEngine {
                 store: None,
                 graphs: HashMap::new(),
                 stats: EngineStats::default(),
-                flights: HashMap::new(),
             }),
         }
     }
@@ -227,7 +248,9 @@ impl PlacementEngine {
         lock(&self.state).stats
     }
 
-    /// The cold path: one forward on a tape no other thread is using.
+    /// The policy's one call site: a forward on a tape no other thread
+    /// is using. What it returns is a function of `input` (and the
+    /// weights) alone, which is why the graph's memo may hold it.
     fn forward(&self, input: &WorkloadInput) -> Ranking {
         let mut infer = lock(&self.tapes).pop().unwrap_or_default();
         let ranking = Arc::new(infer.rank_placements(&self.agent, input));
@@ -259,73 +282,93 @@ impl PlacementEngine {
         let cluster_fp = cluster_fingerprint(cluster);
 
         let mut st = lock(&self.state);
-        let graph_fp = match st.graphs.get(&recipe) {
-            Some(entry) => entry.graph_fp,
-            None => {
-                // First sight of this recipe. Build it unlocked: if two
-                // threads do, they build the same graph and the first
-                // insert stands.
-                drop(st);
-                let graph = wl.build(pr);
-                let built = Arc::new(GraphEntry {
-                    graph_fp: graph_fingerprint(&graph),
-                    input: WorkloadInput::from_graph(&graph),
-                });
-                st = lock(&self.state);
-                st.graphs.entry(recipe).or_insert(built).graph_fp
-            }
-        };
+        if !st.graphs.contains_key(&recipe) {
+            // First sight of this recipe. Build it unlocked: if two
+            // threads do, they build the same graph and the first
+            // insert stands.
+            drop(st);
+            let graph = wl.build(pr);
+            let built = GraphEntry {
+                graph_fp: graph_fingerprint(&graph),
+                input: Arc::new(WorkloadInput::from_graph(&graph)),
+                memo: Memo::Empty,
+            };
+            st = lock(&self.state);
+            st.graphs.entry(recipe).or_insert(built);
+        }
+        let graph_fp = st.graph(recipe).graph_fp;
         let key = (graph_fp, cluster_fp);
-        let done = |ranking: Ranking, tier: Tier| Placed {
-            ranking,
-            tier,
-            graph_fp,
-            cluster_fp,
-            weights_fp: self.weights_fp,
+
+        // Each pass looks the key up in the tiers, then asks the graph.
+        // Only a pass that had to wait for a forward — its own or
+        // another request's — comes round again, with the memo known.
+        let mut waited = false;
+        let (ranking, tier) = loop {
+            if let Some(ranking) = st.hot.get(&key) {
+                st.stats.hot += 1;
+                st.stats.coalesced += u64::from(waited);
+                break (ranking, Tier::Hot);
+            }
+            if let Some(ranking) = st.store.as_ref().and_then(|s| s.get(key)) {
+                st.stats.warm += 1;
+                st.hot.insert(key, ranking.clone());
+                break (ranking, Tier::Warm);
+            }
+            let entry = st.graph(recipe);
+            match &entry.memo {
+                Memo::Known(ranking) => {
+                    let ranking = ranking.clone();
+                    st.stats.miss += 1;
+                    st.hot.insert(key, ranking.clone());
+                    if let Some(store) = st.store.as_mut() {
+                        if store.append(key, wl.name(), pr.name(), ranking.clone()).is_err() {
+                            // Serving must not die with the answer in hand; a
+                            // failed append just means a warm miss after restart.
+                            mars_telemetry::counter("serve.store.append_failed").inc();
+                        }
+                    }
+                    break (ranking, Tier::Cold);
+                }
+                Memo::InFlight(flight) => {
+                    let flight = Arc::clone(flight);
+                    drop(st);
+                    // The forward is a pure function of the graph, so one
+                    // that died would die again: report it instead of
+                    // retrying.
+                    if !flight.wait() {
+                        return Err(format!(
+                            "inference for '{workload}' failed in a concurrent request"
+                        ));
+                    }
+                }
+                Memo::Empty => {
+                    let flight = Arc::new(Flight::default());
+                    entry.memo = Memo::InFlight(Arc::clone(&flight));
+                    let input = Arc::clone(&entry.input);
+                    st.stats.forwards += 1;
+                    drop(st);
+                    mars_telemetry::counter("serve.forwards").inc();
+                    let mut lead = Lead { engine: self, recipe, flight, ranking: None };
+                    lead.ranking = Some(self.forward(&input));
+                }
+            }
+            waited = true;
+            st = lock(&self.state);
         };
+        drop(st);
 
         // Telemetry counters take a registry lock of their own, so each
         // answer bumps its counter after releasing the state lock.
-        if let Some(ranking) = st.hot.get(&key) {
-            st.stats.hot += 1;
-            drop(st);
-            mars_telemetry::counter("serve.cache.hot").inc();
-            return Ok(done(ranking, Tier::Hot));
-        }
-        if let Some(ranking) = st.store.as_ref().and_then(|s| s.get(key)) {
-            st.stats.warm += 1;
-            st.hot.insert(key, ranking.clone());
-            drop(st);
-            mars_telemetry::counter("serve.cache.warm").inc();
-            return Ok(done(ranking, Tier::Warm));
-        }
-        if let Some(flight) = st.flights.get(&key).cloned() {
-            drop(st);
-            // The forward is a pure function of the key, so one that
-            // died would die again: report it instead of retrying.
-            let ranking = flight.wait().ok_or_else(|| {
-                format!("inference for '{workload}' failed in a concurrent identical request")
-            })?;
-            let mut st = lock(&self.state);
-            st.stats.hot += 1;
-            st.stats.coalesced += 1;
-            drop(st);
-            mars_telemetry::counter("serve.cache.hot").inc();
+        mars_telemetry::counter(match tier {
+            Tier::Hot => "serve.cache.hot",
+            Tier::Warm => "serve.cache.warm",
+            Tier::Cold => "serve.cache.miss",
+        })
+        .inc();
+        if tier == Tier::Hot && waited {
             mars_telemetry::counter("serve.cache.coalesced").inc();
-            return Ok(done(ranking, Tier::Hot));
         }
-
-        st.stats.miss += 1;
-        let entry = Arc::clone(&st.graphs[&recipe]);
-        let flight = Arc::new(Flight::default());
-        st.flights.insert(key, Arc::clone(&flight));
-        drop(st);
-        let mut lead = Lead { engine: self, key, recipe, flight, ranking: None };
-        mars_telemetry::counter("serve.cache.miss").inc();
-        let ranking = self.forward(&entry.input);
-        lead.ranking = Some(ranking.clone());
-        drop(lead);
-        Ok(done(ranking, Tier::Cold))
+        Ok(Placed { ranking, tier, graph_fp, cluster_fp, weights_fp: self.weights_fp })
     }
 }
 
@@ -374,6 +417,11 @@ mod tests {
         cluster
     }
 
+    /// Recipes whose forward has come back.
+    fn memos(e: &PlacementEngine) -> usize {
+        lock(&e.state).graphs.values().filter(|g| matches!(g.memo, Memo::Known(_))).count()
+    }
+
     #[test]
     fn tiers_progress_cold_hot_and_warm_across_restart() {
         let path = tmp_store("tiers");
@@ -385,7 +433,7 @@ mod tests {
         assert_eq!((p1.tier, p2.tier), (Tier::Cold, Tier::Hot));
         assert_eq!(p1.ranking, p2.ranking);
         assert_eq!(p1.weights_fp, e.weights_fp());
-        assert_eq!(e.stats(), EngineStats { hot: 1, warm: 0, miss: 1, coalesced: 0 });
+        assert_eq!(e.stats(), EngineStats { hot: 1, warm: 0, miss: 1, coalesced: 0, forwards: 1 });
 
         // Fresh engine, same weights, same store: warm hit, same bytes.
         let mut e2 = engine(3, 8);
@@ -394,6 +442,7 @@ mod tests {
         let p3 = e2.place("inception_v3", "reduced", &cluster).expect("place");
         assert_eq!(p3.tier, Tier::Warm);
         assert_eq!(*p3.ranking, *p1.ranking, "warm ranking byte-identical to cold");
+        assert_eq!(e2.stats().forwards, 0, "a warm hit runs nothing");
 
         // Different weights must not replay the stored entry.
         let mut e3 = engine(4, 8);
@@ -403,12 +452,42 @@ mod tests {
     }
 
     #[test]
+    fn a_new_cluster_of_an_answered_graph_is_landed_without_a_forward() {
+        let path = tmp_store("landed");
+        let healthy = Cluster::p100_quad();
+        let unseen = variant_cluster(0);
+        let mut e = engine(12, 8);
+        e.attach_store(&path).expect("attach");
+        let first = e.place("seq2seq", "reduced", &healthy).expect("place");
+        let before = e.stats();
+        let landed = e.place("seq2seq", "reduced", &unseen).expect("place");
+        let after = e.stats();
+        assert_eq!(landed.tier, Tier::Cold);
+        assert_eq!((after.miss - before.miss, after.forwards - before.forwards), (1, 0));
+        assert_eq!((after.hot, after.warm), (before.hot, before.warm));
+        assert_ne!(landed.cluster_fp, first.cluster_fp, "another key");
+        assert!(Arc::ptr_eq(&landed.ranking, &first.ranking), "one ranking per graph, shared");
+
+        // The bytes are what an engine that never saw another cluster
+        // of this graph computes for this key.
+        let fresh = engine(12, 8).place("seq2seq", "reduced", &unseen).expect("place");
+        assert_eq!((landed.graph_fp, landed.cluster_fp), (fresh.graph_fp, fresh.cluster_fp));
+        assert_eq!(*landed.ranking, *fresh.ranking);
+
+        // Its line is in the store: a restart answers it warm.
+        let mut restarted = engine(12, 8);
+        assert_eq!(restarted.attach_store(&path).expect("attach"), (2, 0));
+        let warm = restarted.place("seq2seq", "reduced", &unseen).expect("place");
+        assert_eq!(warm.tier, Tier::Warm);
+        assert_eq!(*warm.ranking, *fresh.ranking);
+        assert_eq!(restarted.stats().forwards, 0);
+    }
+
+    #[test]
     fn concurrent_identical_requests_infer_once_and_agree() {
+        // A fresh graph: all eight build it, one runs its forward, and
+        // whichever takes the lock first afterwards lands the key.
         let shared = Arc::new(engine(5, 8));
-        // Memoize the graph first, so that the threads released below
-        // meet at the in-flight table and not at eight graph builds.
-        shared.place("vgg16", "reduced", &variant_cluster(0)).expect("place");
-        let before = shared.stats();
         let n = 8;
         let start = Arc::new(Barrier::new(n));
         let handles: Vec<_> = (0..n)
@@ -427,34 +506,31 @@ mod tests {
         }
         assert_eq!(placed.iter().filter(|p| p.tier == Tier::Cold).count(), 1);
         let stats = shared.stats();
-        assert_eq!(stats.miss - before.miss, 1, "identical requests deduplicate to one inference");
-        assert_eq!(stats.hot - before.hot, n as u64 - 1);
+        assert_eq!(stats.forwards, 1, "identical requests deduplicate to one inference");
+        assert_eq!((stats.miss, stats.hot, stats.warm), (1, n as u64 - 1, 0));
         assert!(stats.coalesced <= stats.hot, "joins are a share of the hot count");
     }
 
     #[test]
     fn a_hot_hit_is_answered_while_a_cold_forward_is_in_flight() {
-        let e = engine(9, 64);
         let primed = Cluster::p100_quad();
-        e.place("vgg16", "reduced", &primed).expect("prime");
-        // Build the paper-profile graph now, so the miss below registers
-        // its flight at once and spends its time in the forward.
-        e.place("gnmt4", "paper", &primed).expect("build the big graph");
-
-        // One attempt can miss on a loaded box: this thread may not run
-        // again before the forward (a few ms) is over. All of them miss
-        // only if hits wait for forwards.
+        // Each attempt's miss is a graph's first forward, so each gets
+        // an engine of its own. One attempt can fail on a loaded box:
+        // this thread may not run again before the forward (a few ms)
+        // is over. All of them fail only if hits wait for forwards.
         let overlapped = (0..50).any(|attempt| {
-            let misses = e.stats().miss;
+            let e = engine(9 + attempt, 64);
+            e.place("vgg16", "reduced", &primed).expect("prime");
             let returned = AtomicBool::new(false);
             std::thread::scope(|s| {
                 s.spawn(|| {
-                    e.place("gnmt4", "paper", &variant_cluster(attempt)).expect("cold place");
+                    let cold = e.place("gnmt4", "paper", &primed).expect("cold place");
+                    assert_eq!(cold.tier, Tier::Cold);
                     returned.store(true, Ordering::SeqCst);
                 });
-                // `miss` moves when the flight is registered, before the
-                // forward starts.
-                while e.stats().miss == misses {
+                // `forwards` moves when the flight is registered: after
+                // the big graph is built, before its forward starts.
+                while e.stats().forwards == 1 {
                     std::thread::yield_now();
                 }
                 let hit = e.place("vgg16", "reduced", &primed).expect("hot place");
@@ -462,7 +538,7 @@ mod tests {
                 !returned.load(Ordering::SeqCst)
             })
         });
-        assert!(overlapped, "every hot hit waited for the forward on another key");
+        assert!(overlapped, "every hot hit waited for the forward of another graph");
     }
 
     #[test]
@@ -485,7 +561,9 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().expect("join")).collect()
         });
-        assert_eq!(e.stats(), EngineStats { hot: 0, warm: 0, miss: n as u64, coalesced: 0 });
+        // Four keys nobody had, one graph nobody had asked about.
+        let landed = EngineStats { hot: 0, warm: 0, miss: n as u64, coalesced: 0, forwards: 1 };
+        assert_eq!(e.stats(), landed);
 
         let reference = engine(10, 8);
         for (i, p) in placed.iter().enumerate() {
@@ -528,9 +606,12 @@ mod tests {
         let start = Barrier::new(n);
         let outcomes: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..n)
-                .map(|_| {
-                    s.spawn(|| {
-                        let cluster = Cluster::p100_quad();
+                .map(|i| {
+                    let (e, start) = (&e, &start);
+                    s.spawn(move || {
+                        // Half ask the leader's question, half another
+                        // cluster's: all of them wait on the one graph.
+                        let cluster = variant_cluster(i % 2);
                         start.wait();
                         e.place("seq2seq", "reduced", &cluster)
                     })
@@ -539,22 +620,29 @@ mod tests {
             handles.into_iter().map(|h| h.join()).collect()
         });
         // Every request came back: a leader by panicking, a request that
-        // joined a leader's flight with an error.
+        // waited for a leader's flight with an error.
         let panicked = outcomes.iter().filter(|o| o.is_err()).count();
         assert!(panicked >= 1, "somebody ran the forward");
         for o in outcomes.iter().flatten() {
             let err = o.as_ref().expect_err("no ranking can come out of this agent");
-            assert!(err.contains("failed in a concurrent identical request"), "{err}");
+            assert!(err.contains("failed in a concurrent request"), "{err}");
         }
         let stats = e.stats();
-        assert_eq!(stats.miss, panicked as u64, "each leader counted its forward");
-        assert_eq!((stats.hot, stats.warm, stats.coalesced), (0, 0, 0));
+        assert_eq!(stats.forwards, panicked as u64, "each leader counted its forward");
+        assert_eq!((stats.hot, stats.warm, stats.miss, stats.coalesced), (0, 0, 0, 0));
+        assert_eq!(memos(&e), 0, "a forward that died leaves no answer behind");
 
-        // The caches are intact and their lock is not poisoned.
+        // The caches are intact and their lock is not poisoned: another
+        // graph is answered, and the dead one is free to be asked again.
         let warm = e.place("vgg16", "reduced", &cluster).expect("warm place");
         let hot = e.place("vgg16", "reduced", &cluster).expect("hot place");
         assert_eq!((warm.tier, hot.tier), (Tier::Warm, Tier::Hot));
         assert_eq!(*hot.ranking, vec![vec![0, 1]]);
+        let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            e.place("seq2seq", "reduced", &cluster)
+        }));
+        assert!(again.is_err(), "the graph was not left in flight: a new request leads and dies");
+        assert_eq!(e.stats().forwards, panicked as u64 + 1);
     }
 
     #[test]
@@ -562,10 +650,10 @@ mod tests {
         let flight = Flight::default();
         std::thread::scope(|s| {
             let waiter = s.spawn(|| flight.wait());
-            flight.publish(None);
-            assert_eq!(waiter.join().expect("join"), None);
+            flight.publish(false);
+            assert!(!waiter.join().expect("join"));
         });
-        assert_eq!(flight.wait(), None, "a late joiner sees the outcome too");
+        assert!(!flight.wait(), "a late joiner sees the outcome too");
     }
 
     #[test]
@@ -582,13 +670,36 @@ mod tests {
         let first_a = e.place("inception_v3", "reduced", &cluster).expect("place").ranking;
         let first_b = e.place("vgg16", "reduced", &cluster).expect("place").ranking;
         for _ in 0..3 {
-            // Each round evicts the other workload's entry and re-infers.
+            // Each round evicts the other workload's entry and lands
+            // this one's again.
             let pa = e.place("inception_v3", "reduced", &cluster).expect("place");
             let pb = e.place("vgg16", "reduced", &cluster).expect("place");
-            assert_eq!((pa.tier, pb.tier), (Tier::Cold, Tier::Cold), "capacity 1 re-infers");
+            assert_eq!((pa.tier, pb.tier), (Tier::Cold, Tier::Cold), "capacity 1 re-lands");
             assert_eq!(*pa.ranking, *first_a, "eviction changed inception bytes");
             assert_eq!(*pb.ranking, *first_b, "eviction changed vgg bytes");
         }
+        let stats = e.stats();
+        assert_eq!((stats.miss, stats.forwards), (8, 2), "re-landing a key re-infers nothing");
+    }
+
+    #[test]
+    fn the_memo_holds_one_ranking_per_recipe_whatever_is_asked() {
+        let e = engine(13, 2);
+        let recipes = [("vgg16", "reduced"), ("seq2seq", "reduced"), ("vgg16", "paper")];
+        let mut rankings: Vec<Ranking> = Vec::new();
+        for round in 0..4 {
+            for (r, (workload, profile)) in recipes.iter().enumerate() {
+                let p = e.place(workload, profile, &variant_cluster(round)).expect("place");
+                match rankings.get(r) {
+                    Some(first) => assert!(Arc::ptr_eq(first, &p.ranking), "a second copy"),
+                    None => rankings.push(p.ranking),
+                }
+                assert!(memos(&e) <= recipes.len());
+            }
+        }
+        assert_eq!(memos(&e), recipes.len());
+        let stats = e.stats();
+        assert_eq!((stats.miss, stats.forwards), (12, 3), "twelve keys, three graphs");
     }
 
     #[test]

@@ -12,19 +12,23 @@
 //!    ([`store::PlacementStore`]) with crash-safe append and
 //!    load-on-start, stamped with the weights fingerprint so stale
 //!    entries from other checkpoints are never replayed.
-//! 3. **Cold** — policy inference through
-//!    [`mars_core::PolicyInference`], the no-tape forward with pooled
-//!    activation buffers.
+//! 3. **Cold** — the key is in neither tier and is *landed* now (hot
+//!    insert, store line) from the ranking remembered on the graph's
+//!    entry. The policy reads the graph and not the cluster, so that
+//!    ranking is computed once per `(workload, profile)` recipe, by
+//!    [`mars_core::PolicyInference`] (the no-tape forward with pooled
+//!    activation buffers); every other cluster of the graph costs a map
+//!    insert.
 //!
 //! All three tiers return byte-identical rankings for the same
-//! `(graph, cluster, weights)` triple: the cold path is bit-identical
+//! `(graph, cluster, weights)` triple: the forward is bit-identical
 //! to the training-time forward (pinned in `mars_core::infer`), and
-//! the caches store exactly what the cold path produced. The serve
+//! the memo and the caches store exactly what it produced. The serve
 //! loop ([`server::serve`]) speaks the `mars-net` framed protocol
 //! (`PlaceRequest`/`PlaceResponse`, protocol v3) with one thread per
 //! connection over a shared engine that synchronises itself: hits
-//! never wait for a miss's forward, and identical concurrent misses
-//! share one ([`engine`] module docs).
+//! never wait for a forward, and concurrent first requests for one
+//! graph share one ([`engine`] module docs).
 
 pub mod cache;
 pub mod engine;

@@ -5,10 +5,12 @@
 //! [`PlacementEngine`] that the handlers call directly: the engine
 //! synchronises itself (see its module docs) and this file holds no
 //! lock around it, so a handler answering a cache hit never waits for
-//! another handler's cold forward. Responses are byte-identical
-//! regardless of arrival order because a ranking is a pure function of
+//! another handler's forward. Responses are byte-identical regardless
+//! of arrival order because a ranking is a pure function of
 //! `(graph, cluster, weights)` whichever tier or thread produced it,
-//! and the answering tier never appears in the response bytes.
+//! and the answering tier never appears in the response bytes. A
+//! response is written once: [`write_place_response`] renders it from
+//! the engine's shared ranking into a buffer the connection keeps.
 //!
 //! Handshake: the client opens with [`Msg::Hello`]; the server rejects
 //! a version mismatch with [`Msg::Error`] and otherwise echoes
@@ -20,18 +22,17 @@
 //! until their clients hang up.
 
 use crate::engine::{EngineStats, PlacementEngine};
-use mars_net::msg::{Msg, PROTOCOL_VERSION};
-use mars_net::transport::{recv_msg, send_msg, Conn, Listener};
+use mars_net::msg::{write_place_response, Msg, PROTOCOL_VERSION};
+use mars_net::transport::{recv_msg, send_msg, send_payload, Addr, Conn, Listener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Request-latency histogram bucket edges, seconds. Cache hits land in
-/// the microsecond buckets, cold inference in the millisecond ones.
+/// the microsecond buckets, a graph's first forward in the millisecond
+/// ones.
 const LATENCY_EDGES: [f64; 11] = [1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1.0];
-
-/// How often the accept loop re-checks the stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(100);
 
 /// Serve-loop tuning knobs.
 #[derive(Clone, Copy, Debug, Default)]
@@ -45,7 +46,7 @@ pub struct ServeOptions {
 /// What the serve loop did, returned when it exits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Connections accepted.
+    /// Client connections accepted.
     pub connections: u64,
     /// Placement requests answered (excluding errors).
     pub requests: u64,
@@ -58,6 +59,35 @@ struct Shared {
     stop: AtomicBool,
     served: AtomicU64,
     max_requests: Option<u64>,
+    /// Where the accept loop listens, for whoever stops it.
+    listening_on: Option<Addr>,
+}
+
+impl Shared {
+    /// Stop the accept loop. It blocks in `accept`, so the first caller
+    /// wakes it with a connection, which the loop drops unanswered once
+    /// it has seen the flag. If that connection cannot be made the loop
+    /// stops at the next client's instead.
+    fn stop_accepting(&self) {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let woken = self.listening_on.as_ref().is_some_and(|addr| Conn::connect(addr).is_ok());
+        if !woken {
+            mars_telemetry::counter("serve.accept_wake_failed").inc();
+        }
+    }
+}
+
+/// Join the handlers whose connection has closed, so that a long-lived
+/// daemon holds one handle per open connection and not one per
+/// connection it ever accepted.
+fn join_finished(handlers: &mut Vec<JoinHandle<()>>) {
+    let (finished, open): (Vec<_>, Vec<_>) = handlers.drain(..).partition(JoinHandle::is_finished);
+    *handlers = open;
+    for h in finished {
+        let _ = h.join();
+    }
 }
 
 /// Run the serve loop on `listener` until a client sends
@@ -69,18 +99,25 @@ pub fn serve(listener: &Listener, engine: PlacementEngine, opts: ServeOptions) -
         stop: AtomicBool::new(false),
         served: AtomicU64::new(0),
         max_requests: opts.max_requests,
+        listening_on: listener.local_addr().ok(),
     });
     let mut handlers = Vec::new();
     let mut connections = 0u64;
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept_timeout(ACCEPT_POLL) {
+    loop {
+        let accepted = listener.accept();
+        // Only a handler sets `stop`, and it connects afterwards: what
+        // was accepted is that wake-up, or a client too late to serve.
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok(conn) => {
                 connections += 1;
                 mars_telemetry::counter("serve.connections").inc();
+                join_finished(&mut handlers);
                 let shared = Arc::clone(&shared);
                 handlers.push(std::thread::spawn(move || handle_conn(conn, &shared)));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => continue,
             Err(e) => {
                 mars_telemetry::event("serve.accept_error", &[("error", e.to_string().into())]);
                 break;
@@ -124,6 +161,9 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
         Ok(None) | Err(_) => return,
     }
 
+    // Every response of this connection is rendered into this buffer,
+    // which stops growing at the longest one.
+    let mut response = String::new();
     loop {
         let msg = match recv_msg(&mut conn) {
             Ok(Some(msg)) => msg,
@@ -136,20 +176,16 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
                 let start = Instant::now();
                 match shared.engine.place(&workload, &profile, &cluster) {
                     Ok(placed) => {
-                        let k = top_k.max(1);
-                        let ranking: Vec<Vec<usize>> = placed
-                            .ranking
-                            .iter()
-                            .map(|row| row.iter().copied().take(k).collect())
-                            .collect();
-                        let resp = Msg::PlaceResponse {
+                        write_place_response(
+                            &mut response,
                             unit,
-                            graph_fp: placed.graph_fp,
-                            cluster_fp: placed.cluster_fp,
-                            weights_fp: placed.weights_fp,
-                            ranking,
-                        };
-                        if send_msg(&mut conn, &resp).is_err() {
+                            placed.graph_fp,
+                            placed.cluster_fp,
+                            placed.weights_fp,
+                            &placed.ranking,
+                            top_k,
+                        );
+                        if send_payload(&mut conn, response.as_bytes()).is_err() {
                             return;
                         }
                         mars_telemetry::counter("serve.requests").inc();
@@ -157,7 +193,7 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
                             .observe(start.elapsed().as_secs_f64());
                         let served = shared.served.fetch_add(1, Ordering::SeqCst) + 1;
                         if shared.max_requests.is_some_and(|max| served >= max) {
-                            shared.stop.store(true, Ordering::SeqCst);
+                            shared.stop_accepting();
                         }
                     }
                     Err(message) => {
@@ -168,7 +204,7 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
                 }
             }
             Msg::Shutdown => {
-                shared.stop.store(true, Ordering::SeqCst);
+                shared.stop_accepting();
                 let _ = send_msg(&mut conn, &Msg::Shutdown);
                 return;
             }
@@ -268,8 +304,25 @@ mod tests {
         drop(conn);
         let stats = server.join().expect("server join");
         assert_eq!(stats.requests, n);
+        assert_eq!(stats.connections, n + 1, "the clients and the one that said Shutdown");
         assert_eq!(stats.engine.miss, 1, "identical requests deduplicate");
         assert_eq!(stats.engine.hot, n - 1);
+        assert_eq!(stats.engine.forwards, 1);
+    }
+
+    #[test]
+    fn finished_handlers_are_joined_and_open_ones_kept() {
+        let (hang_up, open) = std::sync::mpsc::channel::<()>();
+        let mut handlers: Vec<JoinHandle<()>> = (0..3).map(|_| std::thread::spawn(|| ())).collect();
+        handlers.push(std::thread::spawn(move || open.recv().expect("hang up")));
+        // The three have nothing to do; give them until they have done it.
+        while handlers.iter().filter(|h| h.is_finished()).count() < 3 {
+            std::thread::yield_now();
+        }
+        join_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "only the open connection's handle is kept");
+        hang_up.send(()).expect("send");
+        handlers.pop().expect("one left").join().expect("join");
     }
 
     #[cfg(unix)]
@@ -277,32 +330,38 @@ mod tests {
     fn top_k_truncates_and_version_mismatch_is_rejected() {
         let (listener, addr) = unix_listener("topk");
         let server = std::thread::spawn(move || {
-            serve(&listener, tiny_engine(22), ServeOptions { max_requests: Some(2) })
+            serve(&listener, tiny_engine(22), ServeOptions { max_requests: Some(5) })
         });
 
         let mut conn = Conn::connect(&addr).expect("connect");
         handshake(&mut conn);
-        send_msg(&mut conn, &request(7, "vgg16", 1)).expect("send");
-        let Some(Msg::PlaceResponse { ranking: greedy, .. }) = recv_msg(&mut conn).expect("recv")
-        else {
-            panic!("expected a response");
+        let mut ask = |top_k: usize| {
+            send_msg(&mut conn, &request(7, "vgg16", top_k)).expect("send");
+            let Some(Msg::PlaceResponse { ranking, .. }) = recv_msg(&mut conn).expect("recv")
+            else {
+                panic!("expected a response");
+            };
+            ranking
         };
+        let greedy = ask(1);
         assert!(greedy.iter().all(|row| row.len() == 1), "top_k=1 rows");
-        send_msg(&mut conn, &request(8, "vgg16", 3)).expect("send");
-        let Some(Msg::PlaceResponse { ranking: top3, .. }) = recv_msg(&mut conn).expect("recv")
-        else {
-            panic!("expected a response");
-        };
+        let top3 = ask(3);
         assert!(top3.iter().all(|row| row.len() == 3), "top_k=3 rows");
-        for (g, t) in greedy.iter().zip(&top3) {
-            assert_eq!(g[0], t[0], "greedy head stable across top_k");
+        let full = ask(6);
+        assert!(full.iter().all(|row| row.len() == 5), "a row ends at the last device");
+        for ((g, t), f) in greedy.iter().zip(&top3).zip(&full) {
+            assert_eq!((g[0], &t[..]), (t[0], &f[..3]), "a smaller top_k is a prefix");
         }
+        assert_eq!(ask(0), greedy, "the greedy device is always reported");
+        // Beyond 2^53 the JSON number no longer decodes as an integer,
+        // and an absent `top_k` reads as greedy-only.
+        assert_eq!(ask(usize::MAX), greedy);
         drop(conn);
 
         // max_requests reached → accept loop stops; a stale-version
         // client straggling in before the stop still gets a clean error.
         let stats = server.join().expect("server join");
-        assert_eq!(stats.requests, 2);
+        assert_eq!((stats.requests, stats.connections), (5, 1), "the wake-up is not a client");
 
         let (listener, addr) = unix_listener("version");
         let server = std::thread::spawn(move || {

@@ -2,7 +2,7 @@
 //!
 //! One JSON object per line, appended with an immediate flush so a
 //! crash mid-write loses at most the torn final line — which
-//! load-on-start silently skips (a warm miss just re-runs inference).
+//! load-on-start silently skips (a warm miss just lands the key again).
 //! Every entry is stamped with the weights fingerprint
 //! ([`mars_nn::checkpoint::fingerprint`]); loading filters to the
 //! serving engine's own fingerprint so a store file shared across
@@ -12,6 +12,7 @@
 
 use crate::engine::Ranking;
 use mars_json::Json;
+use mars_net::msg::write_ranking;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -54,9 +55,10 @@ fn parse_entry(line: &str) -> Option<(u64, u64, u64, Vec<Vec<usize>>)> {
 /// Write one store line, newline included, into `line`: the compact
 /// JSON object [`parse_entry`] reads, fields in the order they have
 /// always had. A ranking is a few thousand one-digit numbers and the
-/// caller holds the engine's state lock, so this formats straight into
-/// the buffer instead of building a [`Json`] node per device; the two
-/// names still go through `Json` for its string escaping.
+/// caller holds the engine's state lock, so the rows go straight into
+/// the buffer through the wire's row writer instead of a [`Json`] node
+/// per device; the two names still go through `Json` for its string
+/// escaping.
 fn render_line(
     line: &mut String,
     key: (u64, u64),
@@ -70,21 +72,12 @@ fn render_line(
     let _ = write!(
         line,
         "{{\"graph_fp\":\"{graph_fp:016x}\",\"cluster_fp\":\"{cluster_fp:016x}\",\
-         \"weights_fp\":\"{weights_fp:016x}\",\"workload\":{},\"profile\":{},\"ranking\":[",
+         \"weights_fp\":\"{weights_fp:016x}\",\"workload\":{},\"profile\":{},\"ranking\":",
         Json::from(workload),
         Json::from(profile),
     );
-    for (r, row) in ranking.iter().enumerate() {
-        line.push_str(if r == 0 { "[" } else { ",[" });
-        for (i, device) in row.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{device}");
-        }
-        line.push(']');
-    }
-    line.push_str("]}\n");
+    write_ranking(line, ranking, usize::MAX);
+    line.push_str("}\n");
 }
 
 impl PlacementStore {

@@ -354,11 +354,14 @@ pub struct ServeReport {
     pub hot: u64,
     /// Answers from the persistent store.
     pub warm: u64,
-    /// Answers that ran policy inference.
+    /// Answers whose key was in neither tier and was landed then.
     pub miss: u64,
-    /// The share of `hot` that waited for an identical request's
-    /// forward instead of running one.
+    /// The share of `hot` that had waited for the graph's forward and
+    /// found the key landed by an identical request.
     pub coalesced: u64,
+    /// Policy forwards run, when the daemon counted them
+    /// (`serve.forwards`; traces from before it did have none).
+    pub forwards: Option<u64>,
 }
 
 impl ServeReport {
@@ -378,14 +381,25 @@ impl ServeReport {
                 self.coalesced
             );
         }
+        if let Some(forwards) = self.forwards {
+            let _ = writeln!(
+                out,
+                "forwards: {forwards} (the other cold answers were landed from a graph's memo)"
+            );
+        }
         out
     }
 }
 
 impl RunSummary {
+    /// Value of a counter by name, if the run ever touched it.
+    fn counter_opt(&self, name: &str) -> Option<u64> {
+        self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    }
+
     /// Value of a counter by name (0 when the run never touched it).
     fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
+        self.counter_opt(name).unwrap_or(0)
     }
 
     /// Fault-injection digest, if the run recorded any fault activity
@@ -415,6 +429,7 @@ impl RunSummary {
             warm: self.counter("serve.cache.warm"),
             miss: self.counter("serve.cache.miss"),
             coalesced: self.counter("serve.cache.coalesced"),
+            forwards: self.counter_opt("serve.forwards"),
         };
         (report.requests + report.hot + report.warm + report.miss > 0).then_some(report)
     }
@@ -1069,6 +1084,14 @@ mod tests {
         let joined = summarize(&run(r#","serve.cache.coalesced":3"#)).expect("parse");
         let text = joined.serve_report().expect("report").render();
         assert!(text.ends_with("coalesced: 3 of the hot answers joined a forward in flight\n"));
+        let counted = summarize(&run(r#","serve.forwards":1"#)).expect("parse");
+        let text = counted.serve_report().expect("report").render();
+        assert!(
+            text.ends_with(
+                "cold 1)\nforwards: 1 (the other cold answers were landed from a graph's memo)\n"
+            ),
+            "{text}"
+        );
         assert!(summarize(&sample_run()).expect("parse").serve_report().is_none());
     }
 

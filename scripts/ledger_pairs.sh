@@ -3,6 +3,7 @@
 # a change that claims (or must not lose) performance reports.
 #
 #   scripts/ledger_pairs.sh <parent-tree> <change-tree> <workload> [pairs=10] [seed0=101]
+#   scripts/ledger_pairs.sh --self-test    # the summary table on two canned pairs
 #
 # Each tree is a checkout (e.g. `git clone` of the parent commit, and the
 # working tree). Its ledger is built once into <tree>/target/ledger, then
@@ -15,7 +16,70 @@
 # same-arithmetic pins) were equal in every pair that printed them.
 set -euo pipefail
 
-[ $# -ge 3 ] || { sed -n '2,6p' "$0"; exit 2; }
+# value <file> <metric>: the metric's value in the run's result line.
+value() {
+    tail -n 1 "$1" | grep -o "\"$2\":{\"value\":[^,]*" | sed 's/.*"value"://'
+}
+# better <metric>: "higher" or "lower", from the benchmark's declaration.
+better() {
+    grep -A 3 "\"name\": \"$1\"" "$CHANGE/BENCHMARK.json" | grep -o '"better": "[a-z]*"' \
+        | head -n 1 | sed 's/.*: "//; s/"//'
+}
+# summarise: one row per end-to-end metric of $OUT/{parent,change}.<i>, i < $PAIRS.
+summarise() {
+    printf '%-12s %-6s %14s %29s %14s %9s  %s\n' \
+        metric better parent_median 'parent_q1..q3' change_median pairs_won 'medians apart by > parent IQR'
+    for metric in $(tail -n 1 "$OUT/parent.0" | grep -o '"[a-z0-9_]*":{"value"' | sed 's/"//g; s/:{value//'); do
+        dir=$(better "$metric")
+        for i in $(seq 0 $((PAIRS - 1))); do
+            echo "$(value "$OUT/parent.$i" "$metric") $(value "$OUT/change.$i" "$metric")"
+        done | awk -v metric="$metric" -v dir="$dir" '
+            function quantile(v, n, p,    pos, lo, frac) {
+                pos = p * (n - 1); lo = int(pos); frac = pos - lo
+                return lo + 1 < n ? v[lo] + frac * (v[lo + 1] - v[lo]) : v[lo]
+            }
+            function sorted(src, dst, n,    i, j, t) {
+                for (i = 0; i < n; i++) dst[i] = src[i]
+                for (i = 1; i < n; i++) { t = dst[i]; for (j = i - 1; j >= 0 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
+            }
+            # mawk indexes an array by an unset n as "", not 0: pair 0
+            # would be stored where sorted() never reads it.
+            BEGIN { n = 0 }
+            NF == 2 { p[n] = $1; c[n] = $2; n++
+                      if (dir == "higher" ? $2 > $1 : $2 < $1) won++ }
+            END {
+                if (n == 0) { printf "%-12s no complete pair\n", metric; exit }
+                sorted(p, sp, n); sorted(c, sc, n)
+                pm = quantile(sp, n, 0.5); cm = quantile(sc, n, 0.5)
+                q1 = quantile(sp, n, 0.25); q3 = quantile(sp, n, 0.75)
+                gap = dir == "higher" ? cm - pm : pm - cm
+                verdict = gap > q3 - q1 ? "change better" : (-gap > q3 - q1 ? "change WORSE" : "no")
+                printf "%-12s %-6s %14.6g %14.6g..%-13.6g %14.6g %6d/%-2d  %s (%+.1f%%)\n", \
+                    metric, dir, pm, q1, q3, cm, won, n, verdict, pm != 0 ? 100 * (cm - pm) / pm : 0
+            }'
+    done
+}
+
+OUT=$(mktemp -d)
+trap 'rm -rf "$OUT"' EXIT
+
+if [ "${1:-}" = --self-test ]; then
+    # Two pairs: each median is the mean of its two readings, each
+    # quartile a quarter of the way in, and the change wins both.
+    CHANGE=$(cd "$(dirname "$0")/.." && pwd)
+    PAIRS=2
+    echo 'ledger: {"ops_per_s":{"value":100,"unit":"1/s"},"correct":true}' > "$OUT/parent.0"
+    echo 'ledger: {"ops_per_s":{"value":120,"unit":"1/s"},"correct":true}' > "$OUT/parent.1"
+    echo 'ledger: {"ops_per_s":{"value":200,"unit":"1/s"},"correct":true}' > "$OUT/change.0"
+    echo 'ledger: {"ops_per_s":{"value":220,"unit":"1/s"},"correct":true}' > "$OUT/change.1"
+    got=$(summarise | tail -n 1 | tr -s ' ')
+    want='ops_per_s higher 110 105..115 210 2/2 change better (+90.9%)'
+    [ "$got" = "$want" ] || { printf 'self-test: summary row is\n  %s\nnot\n  %s\n' "$got" "$want"; exit 1; }
+    echo "self-test: ok"
+    exit 0
+fi
+
+[ $# -ge 3 ] || { sed -n '2,7p' "$0"; exit 2; }
 PARENT=$(cd "$1" && pwd)
 CHANGE=$(cd "$2" && pwd)
 WORKLOAD=$3
@@ -30,9 +94,6 @@ build() {
 }
 build "$PARENT"
 build "$CHANGE"
-
-OUT=$(mktemp -d)
-trap 'rm -rf "$OUT"' EXIT
 
 # run <side> <tree> <pair> <seed>: one ledger process; keeps its stdout.
 run() {
@@ -50,46 +111,9 @@ for i in $(seq 0 $((PAIRS - 1))); do
     fi
 done
 
-# value <file> <metric>: the metric's value in the run's result line.
-value() {
-    tail -n 1 "$1" | grep -o "\"$2\":{\"value\":[^,]*" | sed 's/.*"value"://'
-}
-# better <metric>: "higher" or "lower", from the benchmark's declaration.
-better() {
-    grep -A 3 "\"name\": \"$1\"" "$CHANGE/BENCHMARK.json" | grep -o '"better": "[a-z]*"' \
-        | head -n 1 | sed 's/.*: "//; s/"//'
-}
-
 echo
 echo "== $WORKLOAD: $PAIRS pairs, seeds $SEED0..$((SEED0 + PAIRS - 1)), $SECONDS_PER_RUN s each =="
-printf '%-12s %-6s %14s %29s %14s %9s  %s\n' \
-    metric better parent_median 'parent_q1..q3' change_median pairs_won 'medians apart by > parent IQR'
-for metric in $(tail -n 1 "$OUT/parent.0" | grep -o '"[a-z0-9_]*":{"value"' | sed 's/"//g; s/:{value//'); do
-    dir=$(better "$metric")
-    for i in $(seq 0 $((PAIRS - 1))); do
-        echo "$(value "$OUT/parent.$i" "$metric") $(value "$OUT/change.$i" "$metric")"
-    done | awk -v metric="$metric" -v dir="$dir" '
-        function quantile(v, n, p,    pos, lo, frac) {
-            pos = p * (n - 1); lo = int(pos); frac = pos - lo
-            return lo + 1 < n ? v[lo] + frac * (v[lo + 1] - v[lo]) : v[lo]
-        }
-        function sorted(src, dst, n,    i, j, t) {
-            for (i = 0; i < n; i++) dst[i] = src[i]
-            for (i = 1; i < n; i++) { t = dst[i]; for (j = i - 1; j >= 0 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
-        }
-        NF == 2 { p[n] = $1; c[n] = $2; n++
-                  if (dir == "higher" ? $2 > $1 : $2 < $1) won++ }
-        END {
-            if (n == 0) { printf "%-12s no complete pair\n", metric; exit }
-            sorted(p, sp, n); sorted(c, sc, n)
-            pm = quantile(sp, n, 0.5); cm = quantile(sc, n, 0.5)
-            q1 = quantile(sp, n, 0.25); q3 = quantile(sp, n, 0.75)
-            gap = dir == "higher" ? cm - pm : pm - cm
-            verdict = gap > q3 - q1 ? "change better" : (-gap > q3 - q1 ? "change WORSE" : "no")
-            printf "%-12s %-6s %14.6g %14.6g..%-13.6g %14.6g %6d/%-2d  %s (%+.1f%%)\n", \
-                metric, dir, pm, q1, q3, cm, won, n, verdict, pm != 0 ? 100 * (cm - pm) / pm : 0
-        }'
-done
+summarise
 
 for side in parent change; do
     ok=0; failed=0

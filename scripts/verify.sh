@@ -147,10 +147,15 @@ diff <(echo "$PLACE_A") <(echo "$PLACE_B") || {
     echo "placement responses were not bit-identical across client runs"; exit 1; }
 echo "$PLACE_A" | grep -q "identical to response 0" || {
     echo "repeat responses were not verified identical"; exit 1; }
+# The same graph on a degraded cluster: a new key, landed from the
+# graph's memo without a second forward.
+./target/release/mars-cli place seq2seq --connect "unix:$SERVE_SOCK" --fail-device 2 > /dev/null
 ./target/release/mars-cli place seq2seq --connect "unix:$SERVE_SOCK" --shutdown > /dev/null
 wait "$SERVE_PID" || { echo "serve daemon failed"; cat /tmp/mars-serve-log.$$; exit 1; }
 grep -q "serve loop done" /tmp/mars-serve-log.$$ || {
     echo "serve daemon did not report a clean shutdown"; cat /tmp/mars-serve-log.$$; exit 1; }
+grep -q "cold 2, 1 forward(s))" /tmp/mars-serve-log.$$ || {
+    echo "two clusters of one graph did not share its forward"; cat /tmp/mars-serve-log.$$; exit 1; }
 [ -s "$SERVE_STORE" ] || { echo "serve daemon wrote no placement store"; exit 1; }
 ./target/release/mars-cli metrics summarize "$SERVE_TRACE" | grep "serve.requests" > /dev/null || {
     echo "serve trace has no request counters"; exit 1; }
@@ -165,7 +170,7 @@ diff <(echo "$PLACE_A") <(echo "$PLACE_C") || {
     echo "warm-restart responses diverged from the first run"; exit 1; }
 ./target/release/mars-cli place seq2seq --connect "unix:$SERVE_SOCK" --shutdown > /dev/null
 wait "$SERVE_PID" || { echo "restarted serve daemon failed"; cat /tmp/mars-serve-log2.$$; exit 1; }
-grep -q "1 entries loaded" /tmp/mars-serve-log2.$$ || {
+grep -q "2 entries loaded" /tmp/mars-serve-log2.$$ || {
     echo "restart did not load the placement store"; cat /tmp/mars-serve-log2.$$; exit 1; }
 grep -q "warm 1" /tmp/mars-serve-log2.$$ || {
     echo "restart did not answer from the warm tier"; cat /tmp/mars-serve-log2.$$; exit 1; }
@@ -173,6 +178,9 @@ rm -f /tmp/mars-serve-log.$$ /tmp/mars-serve-log2.$$ "$SERVE_STORE"
 
 echo "==> serve bench, smoke mode (open-loop load generator, byte-identity checked)"
 cargo bench -p mars-bench --bench serve --offline -- --smoke
+
+echo "==> ledger_pairs.sh self-test: the summary table on two canned pairs"
+scripts/ledger_pairs.sh --self-test
 
 echo "==> ledger smoke: the benchmark is a package outside the workspace, so build it here too"
 # Nothing above compiles ledger/, and it calls public entry points of

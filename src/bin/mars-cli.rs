@@ -824,8 +824,14 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         0 => String::new(),
         n => format!(", {n} of the hot coalesced"),
     };
+    // Forwards likewise: named when some cold answer was landed from a
+    // graph's memo instead of inferred.
+    let forwards = match stats.engine.forwards {
+        n if n == stats.engine.miss => String::new(),
+        n => format!(", {n} forward(s)"),
+    };
     println!(
-        "serve loop done: {} connection(s), {} request(s) (hot {}, warm {}, cold {}{coalesced})",
+        "serve loop done: {} connection(s), {} request(s) (hot {}, warm {}, cold {}{coalesced}{forwards})",
         stats.connections, stats.requests, stats.engine.hot, stats.engine.warm, stats.engine.miss
     );
     finish_telemetry(telemetry);
