@@ -26,4 +26,4 @@ pub mod check;
 pub mod ops;
 pub mod tape;
 
-pub use tape::{Tape, Var};
+pub use tape::{Tape, Var, MAX_POOLED_BUFS};

@@ -60,6 +60,9 @@ pub struct Tape {
     /// kept as `stock` — exported as the `autograd.arena.high_water`
     /// gauge on every reset.
     high_water: usize,
+    /// Buffers the last [`Tape::reset_for_reuse`] was handed, before the
+    /// [`MAX_POOLED_BUFS`] cap.
+    retired: usize,
     /// Transposed weights `(w, wᵀ)` of the current backward pass, so
     /// every `dY·Wᵀ` after the first reads `Wᵀ` instead of packing it
     /// again (one decoder weight serves 528 steps of a gnmt4 pass).
@@ -71,11 +74,16 @@ pub struct Tape {
 
 /// Upper bound on the recycled buffers of one generation (`pool`,
 /// and so the `stock` it becomes), which keeps the linear best-candidate
-/// scan in [`Tape::take_buf_empty`] short. A whole pass fits: with the
-/// decoder fused into one node a gnmt4 forward + backward retires a few
-/// hundred buffers. Idle memory is bounded by the two generations, not
-/// by this count.
-const MAX_POOLED_BUFS: usize = 512;
+/// scan in [`Tape::take_buf_empty`] short. Idle memory is bounded by the
+/// two generations, not by this count. A pass that retires more has the
+/// overflow — the gradients and transposed weights, retired last — freed
+/// and allocated again every update: a gnmt4 (paper granularity) PPO
+/// forward + backward at the `small` widths retires 589 (pinned in
+/// `mars-core`). Holding all of them measured worse, not better: the
+/// passes are identical, yet at either cap each one still allocates
+/// ~0.9M f32s afresh, so the first-fit scan hands large kept buffers to
+/// small requests and a bigger cap mostly raises what the arena holds.
+pub const MAX_POOLED_BUFS: usize = 512;
 
 /// One LSTM step over the fused `[i|f|g|o]` gate block, shared by
 /// [`Tape::lstm_seq`] and [`Tape::attn_decode`]: `hw` (a `4H` scratch
@@ -184,6 +192,7 @@ impl Tape {
             pool: Vec::new(),
             stock: Vec::new(),
             high_water: 0,
+            retired: 0,
             wt: Vec::new(),
         }
     }
@@ -216,6 +225,10 @@ impl Tape {
     /// existing [`Var`] handles become invalid; callers start a fresh
     /// forward afterwards.
     pub fn reset_for_reuse(&mut self) {
+        self.retired = self.pool.len()
+            + self.nodes.len()
+            + self.grads.iter().flatten().count()
+            + self.wt.len();
         for node in self.nodes.drain(..) {
             if self.pool.len() < MAX_POOLED_BUFS {
                 self.pool.push(node.value.into_vec());
@@ -239,6 +252,13 @@ impl Tape {
     /// Largest total f32 capacity the arena has ever kept across a reset.
     pub fn arena_high_water(&self) -> usize {
         self.high_water
+    }
+
+    /// Buffers the last [`Tape::reset_for_reuse`] was handed — node
+    /// values, gradient slots, transposed weights and the pass's recycled
+    /// scratch — of which it keeps at most [`MAX_POOLED_BUFS`].
+    pub fn arena_retired(&self) -> usize {
+        self.retired
     }
 
     /// A recycled buffer with `len == 0` and capacity ≥ `min_cap`, or a

@@ -19,10 +19,9 @@
 //! The realized cache hit rate is recorded in the JSON — nothing about
 //! the workload shape is hidden.
 //!
-//! All arms — serial, threads+cache, and the two-worker fleet over a
-//! Unix socketpair — are asserted bit-identical (outcomes and
-//! simulated machine-seconds) every repetition: the engine may only
-//! change wall-clock.
+//! Both arms — serial and threads+cache — are asserted bit-identical
+//! (outcomes and simulated machine-seconds) every repetition: the
+//! engine may only change wall-clock.
 
 use mars_bench::harness::{write_baseline, BenchOpts, Sample};
 use mars_core::agent::{Agent, AgentKind, TrainingLog};
@@ -31,14 +30,10 @@ use mars_core::workload_input::WorkloadInput;
 use mars_graph::features::FEATURE_DIM;
 use mars_graph::generators::{Profile, Workload};
 use mars_json::Json;
-use mars_net::{worker, Conn, EnvSetup, FleetBackend};
 use mars_rng::rngs::StdRng;
 use mars_rng::{Rng, SeedableRng};
 use mars_sim::{Cluster, Environment, EvalOutcome, Placement, SimEnv};
 use std::time::{Duration, Instant};
-
-/// Worker threads in the fleet arm.
-const FLEET_WORKERS: usize = 2;
 
 const SEED: u64 = 42;
 const SAMPLES_PER_ROUND: usize = 20;
@@ -100,51 +95,6 @@ fn run_arm(
     }
 }
 
-/// The fleet arm: the same rounds with the compute phase sharded over
-/// real fleet connections (worker threads serving Unix socketpairs —
-/// the full frame/message path without process-spawn noise).
-fn run_arm_fleet(graph_w: Workload, profile: Profile, rounds: &[Vec<Placement>]) -> ArmResult {
-    let setup = EnvSetup {
-        workload: graph_w.name().into(),
-        profile: profile.name().into(),
-        seed: SEED,
-        fault_plan: String::new(),
-        bad_cutoff_s: 20.0,
-        invalid_penalty_s: 100.0,
-        noise_sigma: 0.03,
-        steps_per_eval: 15,
-        warmup_steps: 5,
-    };
-    let mut conns = Vec::new();
-    let mut threads = Vec::new();
-    for _ in 0..FLEET_WORKERS {
-        let (learner_end, worker_end) = Conn::pair().expect("socketpair");
-        conns.push(learner_end);
-        threads.push(std::thread::spawn(move || worker::serve(worker_end, None)));
-    }
-    let backend = FleetBackend::over_conns(conns, &setup).expect("fleet handshake");
-    let mut env = SimEnv::new(graph_w.build(profile), Cluster::p100_quad(), SEED);
-    env.set_cache_enabled(true);
-    env.set_backend(Some(Box::new(backend)));
-    let t0 = Instant::now();
-    let mut outcomes = Vec::new();
-    for round in rounds {
-        outcomes.extend(env.evaluate_batch(round));
-    }
-    let wall = t0.elapsed();
-    let result = ArmResult {
-        wall,
-        outcomes,
-        machine_bits: env.machine_seconds().to_bits(),
-        hit_rate: env.cache_hit_rate().unwrap_or(0.0),
-    };
-    env.set_backend(None); // shut the fleet down before joining
-    for t in threads {
-        t.join().expect("worker thread").expect("worker exits cleanly");
-    }
-    result
-}
-
 fn percentile_sample(name: &str, mut times: Vec<Duration>) -> Sample {
     times.sort_unstable();
     Sample {
@@ -199,30 +149,19 @@ fn main() {
 
     let mut serial_times = Vec::new();
     let mut engine_times = Vec::new();
-    let mut fleet_times = Vec::new();
     let mut hit_rate = 0.0;
     for rep in 0..=reps {
         let serial = run_arm(workload, profile, &rounds, 1, false);
         let engine = run_arm(workload, profile, &rounds, 4, true);
-        let fleet = run_arm_fleet(workload, profile, &rounds);
         assert_eq!(
             serial.outcomes, engine.outcomes,
             "parallel+cached rollout must be observably identical to serial"
         );
         assert_eq!(serial.machine_bits, engine.machine_bits, "machine-seconds must match bitwise");
-        assert_eq!(
-            serial.outcomes, fleet.outcomes,
-            "fleet rollout must be observably identical to serial"
-        );
-        assert_eq!(
-            serial.machine_bits, fleet.machine_bits,
-            "fleet machine-seconds must match bitwise"
-        );
         if rep > 0 || opts.smoke {
             // rep 0 is warm-up in measured mode.
             serial_times.push(serial.wall);
             engine_times.push(engine.wall);
-            fleet_times.push(fleet.wall);
             hit_rate = engine.hit_rate;
         }
         if opts.smoke {
@@ -259,7 +198,6 @@ fn main() {
         let samples = [
             percentile_sample("rollout_e2e/serial_nocache", serial_times),
             percentile_sample("rollout_e2e/threads4_cache", engine_times),
-            percentile_sample("rollout_e2e/fleet2_unix", fleet_times),
         ];
         let smoke = Json::obj([
             ("benchmarks", Json::arr(samples.iter().map(Sample::to_json))),
@@ -284,27 +222,14 @@ fn main() {
 
     let serial = percentile_sample("rollout_e2e/serial_nocache", serial_times);
     let engine = percentile_sample("rollout_e2e/threads4_cache", engine_times);
-    let fleet = percentile_sample("rollout_e2e/fleet2_unix", fleet_times);
     let speedup = serial.median.as_secs_f64() / engine.median.as_secs_f64().max(1e-12);
-    let fleet_speedup = serial.median.as_secs_f64() / fleet.median.as_secs_f64().max(1e-12);
     println!(
         "rollout engine: serial {:?} vs threads4+cache {:?} → {speedup:.2}x",
         serial.median, engine.median
     );
-    println!(
-        "rollout fleet:  serial {:?} vs {FLEET_WORKERS}-worker fleet {:?} → {fleet_speedup:.2}x",
-        serial.median, fleet.median
-    );
     let extra = [
         ("speedup", Json::from(speedup)),
         ("cache_hit_rate", Json::from(hit_rate)),
-        (
-            "fleet",
-            Json::obj([
-                ("workers", Json::from(FLEET_WORKERS as f64)),
-                ("speedup_vs_serial", Json::from(fleet_speedup)),
-            ]),
-        ),
         ("rounds", Json::from(rounds_n as f64)),
         ("samples_per_round", Json::from(SAMPLES_PER_ROUND as f64)),
         ("workload", Json::from(format!("{}/{profile:?}", workload.name()))),
@@ -320,6 +245,6 @@ fn main() {
             ]),
         ),
     ];
-    write_baseline("BENCH_e2e.json", &[serial, engine, fleet], &extra);
+    write_baseline("BENCH_e2e.json", &[serial, engine], &extra);
     opts.finish();
 }

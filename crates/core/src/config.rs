@@ -68,13 +68,6 @@ pub struct MarsConfig {
     /// `None` keeps the checkpoint in memory (still a full
     /// save-and-reload roundtrip, so resume stays bit-exact).
     pub auto_checkpoint: Option<String>,
-
-    /// Rollout worker processes evaluating placements over the fleet
-    /// wire protocol (0 = in-process). Like `eval_threads`, this never
-    /// changes results: workers run only the pure compute phase, and
-    /// the learner commits outcomes serially in sample order (see
-    /// `mars_net`).
-    pub workers: usize,
 }
 
 impl MarsConfig {
@@ -103,7 +96,6 @@ impl MarsConfig {
             max_eval_retries: 3,
             eval_timeout_s: 300.0,
             auto_checkpoint: None,
-            workers: 0,
         }
     }
 
@@ -133,7 +125,6 @@ impl MarsConfig {
             max_eval_retries: 3,
             eval_timeout_s: 300.0,
             auto_checkpoint: None,
-            workers: 0,
         }
     }
 

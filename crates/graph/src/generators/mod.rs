@@ -94,8 +94,7 @@ impl Workload {
 
     /// Parse a workload from its canonical name or the short aliases
     /// the CLI accepts (`"inception"`, `"gnmt"`, …). The single
-    /// name→workload mapping shared by the CLI and the fleet wire
-    /// protocol.
+    /// name→workload mapping shared by the CLI and the serve daemon.
     pub fn parse(s: &str) -> Option<Workload> {
         Some(match s {
             "inception" | "inception_v3" => Workload::InceptionV3,

@@ -1,6 +1,6 @@
 //! Length-prefixed framing with an integrity checksum.
 //!
-//! Every message on a fleet connection is one frame:
+//! Every message on a connection is one frame:
 //!
 //! ```text
 //! offset  size  field
@@ -12,8 +12,7 @@
 //!
 //! The codec never panics on hostile input: truncated, oversized, and
 //! corrupt frames all surface as a [`FrameError`]. A corrupt stream is
-//! not resynchronized — framing errors are fatal to the connection,
-//! which the fleet treats as a lost worker (see `learner`).
+//! not resynchronized — framing errors are fatal to the connection.
 
 use std::fmt;
 use std::io::{Read, Write};

@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
-//! Distributed actor–learner fleet with a bit-deterministic wire
-//! protocol (std-only; see DESIGN.md §"Fleet wire protocol").
+//! Framed wire protocol of the placement service (std-only; see
+//! DESIGN.md §"Wire protocol").
 //!
 //! Layers, bottom up:
 //!
@@ -8,33 +8,19 @@
 //!   payload length, FNV-1a checksum) in front of an opaque payload.
 //!   Truncated, oversized, and corrupt frames are rejected as typed
 //!   errors, never panics.
-//! * [`msg`] — the message vocabulary (`Hello`/`Welcome`/`Work`/
-//!   `Results`/`Telemetry`/`Shutdown`/`Error`) as mars-json payloads.
-//!   Every float and 64-bit integer crosses the wire as the hex
-//!   string of its raw bits, so results decode bit-exactly —
-//!   including NaN payloads.
+//! * [`msg`] — the message vocabulary (`Hello`/`PlaceRequest`/
+//!   `PlaceResponse`/`Shutdown`/`Error`) as mars-json payloads. Every
+//!   64-bit integer crosses the wire as the hex string of its bits, so
+//!   fingerprints and request ids decode exactly.
 //! * [`transport`] — one address grammar (`host:port` or
 //!   `unix:<path>`), with [`transport::Conn`] unifying TCP and Unix
 //!   streams and `send_msg`/`recv_msg` bumping the `net.*` telemetry
 //!   counters.
-//! * [`worker`] — the pure evaluation server a
-//!   `train … --connect ADDR` process runs. When the learner records
-//!   telemetry, the worker ships span/counter snapshots, events, and
-//!   a health heartbeat ahead of each `Results` frame.
-//! * [`learner`] — [`learner::FleetBackend`], the
-//!   [`mars_sim::EvalBackend`] that shards compute across workers
-//!   while all sampling, caching, fault firing, and commits stay
-//!   local and serial. Worker count is invisible in the trace. Worker
-//!   telemetry frames are merged into the learner's single run JSONL,
-//!   tagged by worker id.
 
 pub mod frame;
-pub mod learner;
 pub mod msg;
 pub mod transport;
-pub mod worker;
 
 pub use frame::{Decoder, FrameError, HEADER_LEN, MAX_PAYLOAD};
-pub use learner::FleetBackend;
-pub use msg::{EnvSetup, Msg, PROTOCOL_VERSION};
+pub use msg::{Msg, PROTOCOL_VERSION};
 pub use transport::{recv_msg, send_msg, Addr, Conn, Listener};

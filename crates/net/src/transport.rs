@@ -12,9 +12,8 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
 
-/// A parsed fleet address.
+/// A parsed listen or connect address.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Addr {
     /// `host:port` over TCP.
@@ -100,33 +99,17 @@ impl Listener {
 
     /// Accept one connection, blocking until one arrives.
     pub fn accept(&self) -> io::Result<Conn> {
-        // A timed-out `accept_timeout` leaves the listener non-blocking.
-        self.set_nonblocking(false)?;
-        self.try_accept()
-    }
-
-    /// Accept one connection, waiting at most `timeout`.
-    pub fn accept_timeout(&self, timeout: Duration) -> io::Result<Conn> {
-        self.set_nonblocking(true)?;
-        let deadline = std::time::Instant::now() + timeout;
-        let conn = loop {
-            match self.try_accept() {
-                Ok(conn) => break conn,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if std::time::Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "timed out waiting for a worker to connect",
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => return Err(e),
+        match self {
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                // Mirror the connect side: without TCP_NODELAY, Nagle
+                // delays small response frames by tens of milliseconds.
+                s.set_nodelay(true)?;
+                Ok(Conn::Tcp(s))
             }
-        };
-        self.set_nonblocking(false)?;
-        conn.set_nonblocking(false)?;
-        Ok(conn)
+            #[cfg(unix)]
+            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
+        }
     }
 
     /// The address this listener is actually bound to — how callers
@@ -144,31 +127,9 @@ impl Listener {
             }
         }
     }
-
-    fn try_accept(&self) -> io::Result<Conn> {
-        match self {
-            Listener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                // Mirror the connect side: without TCP_NODELAY, Nagle
-                // delays small response frames by tens of milliseconds.
-                s.set_nodelay(true)?;
-                Ok(Conn::Tcp(s))
-            }
-            #[cfg(unix)]
-            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-        }
-    }
-
-    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(on),
-            #[cfg(unix)]
-            Listener::Unix(l) => l.set_nonblocking(on),
-        }
-    }
 }
 
-/// One fleet connection over either transport.
+/// One connection over either transport.
 pub enum Conn {
     /// TCP stream.
     Tcp(TcpStream),
@@ -200,9 +161,9 @@ impl Conn {
         }
     }
 
-    /// A connected in-process pair (learner end, worker end) — Unix
-    /// socketpair where available, loopback TCP otherwise. Used by
-    /// tests and the bench harness to run fleet workers as threads.
+    /// A connected in-process pair — Unix socketpair where available,
+    /// loopback TCP otherwise. Used by tests and the benchmark to send
+    /// frames over a real socket without binding an address.
     pub fn pair() -> io::Result<(Conn, Conn)> {
         #[cfg(unix)]
         {
@@ -221,23 +182,6 @@ impl Conn {
         }
     }
 
-    /// Bound read timeout (`None` blocks forever).
-    pub fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(dur),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_read_timeout(dur),
-        }
-    }
-
-    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_nonblocking(on),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_nonblocking(on),
-        }
-    }
-
     /// A second handle to the same underlying socket, so one thread
     /// can write requests while another reads responses (the pipelined
     /// serve client). Both handles share the kernel stream; closing
@@ -247,20 +191,6 @@ impl Conn {
             Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
             #[cfg(unix)]
             Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-        }
-    }
-
-    /// Hard-close both directions (used to simulate a worker crash in
-    /// tests; a dropped `Conn` closes implicitly).
-    pub fn shutdown(&self) {
-        match self {
-            Conn::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Conn::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
         }
     }
 }
@@ -328,7 +258,7 @@ mod tests {
     #[test]
     fn parses_tcp_and_unix_addresses() {
         assert_eq!(Addr::parse("127.0.0.1:9000"), Ok(Addr::Tcp("127.0.0.1:9000".into())));
-        assert_eq!(Addr::parse("unix:/tmp/fleet.sock"), Ok(Addr::Unix("/tmp/fleet.sock".into())));
+        assert_eq!(Addr::parse("unix:/tmp/mars.sock"), Ok(Addr::Unix("/tmp/mars.sock".into())));
         assert_eq!(Addr::parse("localhost:0"), Ok(Addr::Tcp("localhost:0".into())));
     }
 

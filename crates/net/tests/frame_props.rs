@@ -1,6 +1,6 @@
-//! Property tests for the fleet frame codec (`mars_net::frame`).
+//! Property tests for the frame codec (`mars_net::frame`).
 //!
-//! The codec guards every fleet connection, so it gets the adversarial
+//! The codec guards every connection, so it gets the adversarial
 //! treatment: arbitrary payload sizes (empty through past-64KiB),
 //! arbitrary stream chunkings, truncation at every offset, and random
 //! single-byte corruption. The invariant under attack is always the

@@ -14,12 +14,10 @@
 //!
 //! Handshake: the client opens with [`Msg::Hello`]; the server rejects
 //! a version mismatch with [`Msg::Error`] and otherwise echoes
-//! `Hello { version: PROTOCOL_VERSION }` (serving needs no
-//! [`Msg::Welcome`] — that message carries a worker environment
-//! recipe). Then any number of [`Msg::PlaceRequest`]s, answered in
-//! arrival order per connection. [`Msg::Shutdown`] is acknowledged
-//! with `Shutdown` and stops the accept loop; handler threads drain
-//! until their clients hang up.
+//! `Hello { version: PROTOCOL_VERSION }`. Then any number of
+//! [`Msg::PlaceRequest`]s, answered in arrival order per connection.
+//! [`Msg::Shutdown`] is acknowledged with `Shutdown` and stops the
+//! accept loop; handler threads drain until their clients hang up.
 
 use crate::engine::{EngineStats, PlacementEngine};
 use mars_net::msg::{write_place_response, Msg, PROTOCOL_VERSION};
@@ -27,7 +25,13 @@ use mars_net::transport::{recv_msg, send_msg, send_payload, Addr, Conn, Listener
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long the accept loop waits after a failed `accept` before trying
+/// again. The usual failure is a full fd table (EMFILE) under a
+/// connection flood, which only a handler's connection closing can
+/// clear; retrying at once would spin on it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Request-latency histogram bucket edges, seconds. Cache hits land in
 /// the microsecond buckets, a graph's first forward in the millisecond
@@ -67,7 +71,7 @@ impl Shared {
     /// Stop the accept loop. It blocks in `accept`, so the first caller
     /// wakes it with a connection, which the loop drops unanswered once
     /// it has seen the flag. If that connection cannot be made the loop
-    /// stops at the next client's instead.
+    /// stops at the next client's, or after its next failed `accept`.
     fn stop_accepting(&self) {
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
@@ -119,8 +123,16 @@ pub fn serve(listener: &Listener, engine: PlacementEngine, opts: ServeOptions) -
                 handlers.push(std::thread::spawn(move || handle_conn(conn, &shared)));
             }
             Err(e) => {
+                // Keep serving: the connections already open still hold
+                // clients, and the next accept may well succeed. A stop
+                // requested meanwhile may have failed to wake us (its
+                // connect needs a descriptor too), so look again.
+                mars_telemetry::counter("serve.accept_errors").inc();
                 mars_telemetry::event("serve.accept_error", &[("error", e.to_string().into())]);
-                break;
+                std::thread::sleep(ACCEPT_BACKOFF);
+                if shared.stop.load(Ordering::SeqCst) {
+                    break;
+                }
             }
         }
     }
@@ -353,9 +365,9 @@ mod tests {
             assert_eq!((g[0], &t[..]), (t[0], &f[..3]), "a smaller top_k is a prefix");
         }
         assert_eq!(ask(0), greedy, "the greedy device is always reported");
-        // Beyond 2^53 the JSON number no longer decodes as an integer,
-        // and an absent `top_k` reads as greedy-only.
-        assert_eq!(ask(usize::MAX), greedy);
+        // Beyond 2^53 the JSON number is no longer exact; it reads as
+        // every device, not as an absent `top_k` (greedy only).
+        assert_eq!(ask(usize::MAX), full);
         drop(conn);
 
         // max_requests reached → accept loop stops; a stale-version

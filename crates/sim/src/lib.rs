@@ -36,9 +36,7 @@ pub use cache::{EvalCache, Lru};
 pub use device::{Cluster, DeviceId, DeviceKind, DeviceSpec, LinkSpec};
 pub use engine::{simulate, simulate_with, SimOptions, StepReport};
 pub use fault::{Fault, FaultKind, FaultPlan, RetryPolicy};
-pub use measure::{
-    env_fingerprint, Environment, EvalBackend, EvalComputation, EvalOutcome, SimEnv,
-};
+pub use measure::{env_fingerprint, Environment, EvalComputation, EvalOutcome, SimEnv};
 pub use memory::{check_memory, MemoryReport, OomError};
 pub use placement::Placement;
 pub use trace::{simulate_traced, StepTrace};

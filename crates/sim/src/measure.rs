@@ -144,35 +144,6 @@ pub fn env_fingerprint(graph: &CompGraph, cluster: &Cluster) -> u64 {
     h
 }
 
-/// A pluggable engine for the *compute phase* of
-/// [`SimEnv::evaluate_batch`].
-///
-/// The batch path splits every round into a serial pre-pass (enforce,
-/// remap, cache peek, dedupe), a pure compute phase, and a serial
-/// commit phase (cache, machine time, commit faults, telemetry) — see
-/// the module docs. A backend replaces only the middle phase: given
-/// the deduplicated, compatibility-enforced placements, it must return
-/// one computation per placement, each bit-identical to what
-/// [`SimEnv::compute`] would produce. The default (no backend) runs
-/// [`mars_tensor::pool::par_tasks`] in-process; `mars-net` installs a
-/// multi-process worker fleet. Because every observable effect is
-/// committed serially by the environment afterwards, a conforming
-/// backend can only ever change wall-clock, never the training trace.
-pub trait EvalBackend: Send + Sync {
-    /// Compute `placements` (already enforced and remapped off failed
-    /// devices) against `env`, returning exactly one
-    /// `(computation, compute_wall_seconds)` pair per placement, in
-    /// order. The wall-clock component is telemetry-only.
-    fn compute_batch(
-        &mut self,
-        env: &SimEnv,
-        placements: &[&Placement],
-    ) -> Vec<(EvalComputation, f64)>;
-
-    /// Short label for telemetry events (e.g. `"fleet:4"`).
-    fn label(&self) -> String;
-}
-
 /// An RL environment measuring placements.
 pub trait Environment {
     /// Evaluate a placement and return the outcome.
@@ -249,7 +220,6 @@ pub struct SimEnv {
     boundaries: Vec<Fault>,
     boundary_cursor: usize,
     crash_pending: bool,
-    backend: Option<Box<dyn EvalBackend>>,
 }
 
 impl SimEnv {
@@ -278,39 +248,6 @@ impl SimEnv {
             boundaries: Vec::new(),
             boundary_cursor: 0,
             crash_pending: false,
-            backend: None,
-        }
-    }
-
-    /// The environment seed (noise streams and commit-fault draws
-    /// derive from it).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Install (or, with `None`, remove) a compute backend for the
-    /// batch path. Dropping a previous backend here lets it release
-    /// its resources (a fleet backend shuts its workers down).
-    pub fn set_backend(&mut self, backend: Option<Box<dyn EvalBackend>>) {
-        self.backend = backend;
-    }
-
-    /// Label of the installed compute backend, if any.
-    pub fn backend_label(&self) -> Option<String> {
-        self.backend.as_ref().map(|b| b.label())
-    }
-
-    /// Mark every device in `failed` as failed, skipping those already
-    /// dead. This is the fleet worker's mirror of the learner's
-    /// boundary device failures: the worker never fires fault plans
-    /// itself, it replays the failure mask shipped with each work unit
-    /// so its cluster (and environment fingerprint) match the
-    /// learner's.
-    pub fn sync_failures(&mut self, failed: &[usize]) {
-        for &d in failed {
-            if self.cluster.is_alive(d) {
-                self.apply_device_failure(d);
-            }
         }
     }
 
@@ -541,9 +478,7 @@ impl SimEnv {
     /// The pure evaluation: everything §4.2 prescribes for one
     /// (already compatibility-enforced) placement. No `&mut self`, no
     /// shared state — safe to run concurrently for distinct
-    /// placements, on any thread or in any process that holds an
-    /// identically configured environment (this is what fleet workers
-    /// call; see [`EvalBackend`]).
+    /// placements on any thread.
     pub fn compute(&self, enforced: &Placement) -> EvalComputation {
         let _span = mars_telemetry::span("sim.measure.compute");
         let report = match check_memory(&self.graph, enforced, &self.cluster) {
@@ -805,42 +740,23 @@ impl SimEnv {
             jobs = (0..enforced.len()).collect();
         }
 
-        // Compute phase: pure evaluations — on a backend (worker
-        // fleet) when one is installed, on the in-process pool
-        // otherwise. Either way the results feed the identical serial
-        // commit below, so the engine choice is trace-invisible.
-        let computed: Vec<(EvalComputation, f64)> = if let Some(mut backend) = self.backend.take() {
-            let shard: Vec<&Placement> = jobs.iter().map(|&i| &enforced[i]).collect();
-            let out = backend.compute_batch(self, &shard);
-            self.backend = Some(backend);
-            assert_eq!(
-                out.len(),
-                jobs.len(),
-                "EvalBackend returned {} computations for {} placements",
-                out.len(),
-                jobs.len()
-            );
-            out
-        } else {
-            let slots = Mutex::new(vec![None; jobs.len()]);
-            let env = &*self;
-            pool::par_tasks(jobs.len(), self.eval_threads, |j| {
-                let t0 = Instant::now();
-                let comp = env.compute(&enforced[jobs[j]]);
-                let wall = t0.elapsed().as_secs_f64();
-                slots.lock().unwrap_or_else(|e| e.into_inner())[j] = Some((comp, wall));
-            });
-            slots
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .into_iter()
-                .map(|slot| slot.expect("par_tasks ran every job"))
-                .collect()
-        };
+        // Compute phase: pure evaluations on up to `eval_threads`
+        // threads. The results feed the serial commit below, so the
+        // thread count is trace-invisible.
+        let slots = Mutex::new(vec![None; jobs.len()]);
+        let env = &*self;
+        pool::par_tasks(jobs.len(), self.eval_threads, |j| {
+            let t0 = Instant::now();
+            let comp = env.compute(&enforced[jobs[j]]);
+            let wall = t0.elapsed().as_secs_f64();
+            slots.lock().unwrap_or_else(|e| e.into_inner())[j] = Some((comp, wall));
+        });
+        let computed = slots.into_inner().unwrap_or_else(|e| e.into_inner());
         let mut by_placement: HashMap<&Placement, EvalComputation> = HashMap::new();
         let mut by_index: HashMap<usize, EvalComputation> = HashMap::new();
         let mut compute_wall_s = 0.0;
-        for (j, (comp, wall)) in computed.into_iter().enumerate() {
+        for (j, slot) in computed.into_iter().enumerate() {
+            let (comp, wall) = slot.expect("par_tasks ran every job");
             compute_wall_s += wall;
             by_placement.insert(&enforced[jobs[j]], comp.clone());
             by_index.insert(jobs[j], comp);
@@ -886,7 +802,6 @@ impl SimEnv {
                     ("computed", (jobs.len() as f64).into()),
                     ("cache_hits", (batch_hits as f64).into()),
                     ("threads", (self.eval_threads as f64).into()),
-                    ("backend", self.backend_label().unwrap_or_else(|| "in-process".into()).into()),
                     ("wall_s", wall_t0.elapsed().as_secs_f64().into()),
                     ("compute_s", compute_wall_s.into()),
                 ],
@@ -1033,85 +948,6 @@ mod tests {
             );
             assert_eq!(serial.cache_stats(), batch.cache_stats(), "threads={threads}");
         }
-    }
-
-    /// A conforming backend that just calls the pure compute itself
-    /// (the degenerate "fleet of one local worker"), counting calls.
-    struct LoopbackBackend {
-        batches: usize,
-        placements: usize,
-    }
-
-    impl EvalBackend for LoopbackBackend {
-        fn compute_batch(
-            &mut self,
-            env: &SimEnv,
-            placements: &[&Placement],
-        ) -> Vec<(EvalComputation, f64)> {
-            self.batches += 1;
-            self.placements += placements.len();
-            placements.iter().map(|p| (env.compute(p), 0.0)).collect()
-        }
-
-        fn label(&self) -> String {
-            "loopback".into()
-        }
-    }
-
-    #[test]
-    fn backend_path_is_bit_identical_to_inline_path() {
-        let g = Workload::InceptionV3.build(Profile::Reduced);
-        let ps: Vec<Placement> = vec![
-            Placement::all_on(&g, 1),
-            Placement::round_robin(&g, &[1, 2]),
-            Placement::all_on(&g, 1), // repeat → cache hit, not a backend job
-            Placement::blocked(&g, &[1, 2, 3]),
-        ];
-        let mut inline = env(Workload::InceptionV3, 33);
-        let inline_out = inline.evaluate_batch(&ps);
-
-        let mut routed = env(Workload::InceptionV3, 33);
-        routed.set_backend(Some(Box::new(LoopbackBackend { batches: 0, placements: 0 })));
-        assert_eq!(routed.backend_label().as_deref(), Some("loopback"));
-        let routed_out = routed.evaluate_batch(&ps);
-
-        assert_eq!(inline_out, routed_out);
-        assert_eq!(inline.machine_seconds().to_bits(), routed.machine_seconds().to_bits());
-        assert_eq!(inline.cache_stats(), routed.cache_stats());
-        routed.set_backend(None);
-        assert!(routed.backend_label().is_none());
-    }
-
-    #[test]
-    fn backend_only_sees_deduplicated_cache_misses() {
-        let g = Workload::InceptionV3.build(Profile::Reduced);
-        let ps: Vec<Placement> = vec![
-            Placement::all_on(&g, 1),
-            Placement::all_on(&g, 1),
-            Placement::all_on(&g, 2),
-            Placement::all_on(&g, 1),
-        ];
-        let mut e = env(Workload::InceptionV3, 3);
-        e.set_backend(Some(Box::new(LoopbackBackend { batches: 0, placements: 0 })));
-        e.evaluate_batch(&ps);
-        e.evaluate_batch(&ps); // every placement known now: no backend jobs at all
-        let (hits, misses, _) = e.cache_stats().expect("cache on");
-        assert_eq!(misses, 2, "only the two distinct placements were ever computed");
-        assert_eq!(hits, 2 * ps.len() as u64 - 2);
-    }
-
-    #[test]
-    fn sync_failures_mirrors_device_loss_and_is_idempotent() {
-        let mut e = env(Workload::InceptionV3, 8);
-        let p = Placement::all_on(e.graph(), 1);
-        let healthy = e.compute(&p);
-        e.sync_failures(&[2]);
-        e.sync_failures(&[2]); // replaying the same mask is a no-op
-        assert_eq!(e.cluster().failed_ids(), vec![2]);
-        let degraded = e.compute(&p);
-        // Placement avoids device 2 entirely, so the pure computation
-        // is unchanged — what changes is the fingerprint/cache domain.
-        assert_eq!(healthy, degraded);
     }
 
     #[test]

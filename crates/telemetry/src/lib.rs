@@ -25,10 +25,7 @@
 //! [`summary`] parses a recorded run back into metric rollups and a
 //! span tree — `mars-cli metrics summarize <run.jsonl>` is a thin shell
 //! around it, as are `metrics tail` ([`summary::tail_line`]) and
-//! `metrics flame` ([`RunSummary::collapsed_stacks`]). Fleet runs
-//! merge worker-shipped snapshots into the same file via
-//! [`append_record`], so one JSONL describes the whole distributed
-//! run ([`summary::FleetReport`]).
+//! `metrics flame` ([`RunSummary::collapsed_stacks`]).
 //!
 //! Span naming convention: `crate.module.fn` (e.g.
 //! `tensor.ops.matmul`); the aggregation key is the `/`-joined call
@@ -62,11 +59,9 @@ pub mod spans;
 pub mod summary;
 
 pub use metrics::{counter, gauge, gauge_value, histogram, Counter, Histogram};
-pub use recorder::{
-    active, append_record, event, install_file, install_memory, uninstall, MemorySink,
-};
+pub use recorder::{active, event, install_file, install_memory, uninstall, MemorySink};
 pub use spans::{enable_spans, span, spans_enabled, SpanGuard};
-pub use summary::{summarize, FleetReport, RolloutReport, RunSummary, ServeReport, WorkerHealth};
+pub use summary::{summarize, RolloutReport, RunSummary, ServeReport};
 
 /// Serializes tests that flip process-global telemetry state (span
 /// enablement, recorder installation, metric resets).

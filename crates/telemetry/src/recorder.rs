@@ -1,6 +1,6 @@
 //! The JSONL run recorder.
 //!
-//! One record per line, encoded by [`mars_json`]. Three record shapes:
+//! One record per line, encoded by [`mars_json`]. Two record shapes:
 //!
 //! * **events** — emitted live by instrumentation points:
 //!   `{"seq": 12, "kind": "event", "name": "ppo.update", <fields…>}`.
@@ -10,10 +10,6 @@
 //!   tree (`"kind": "spans"`), counter totals (`"kind": "counters"`),
 //!   last gauge readings (`"kind": "gauges"`), and histogram buckets
 //!   (`"kind": "histograms"`).
-//! * **merged records** — appended live via [`append_record`]: the
-//!   fleet learner folds worker-shipped snapshots into the run as
-//!   `"kind": "worker_spans"` / `"kind": "worker_counters"` records
-//!   (last snapshot per worker wins at summarize time).
 //!
 //! Installing a recorder resets the span and metric registries and
 //! enables span collection, so every run's file is self-contained.
@@ -124,19 +120,6 @@ pub fn event(name: &str, fields: &[(&str, Json)]) {
     }
     let line = Json::Obj(pairs).to_string();
     rec.sink.write_line(&line);
-}
-
-/// Append one pre-encoded record verbatim (no `seq` assigned). The
-/// fleet learner uses this to merge worker-shipped span/counter
-/// snapshots (`"kind": "worker_spans"` / `"kind": "worker_counters"`)
-/// into the single run file. No-op without an installed recorder.
-pub fn append_record(record: &Json) {
-    if !active() {
-        return;
-    }
-    let mut slot = slot().lock().unwrap_or_else(|e| e.into_inner());
-    let Some(rec) = slot.as_mut() else { return };
-    rec.sink.write_line(&record.to_string());
 }
 
 fn span_summary_record() -> Json {
@@ -293,24 +276,6 @@ mod tests {
             .find(|j| j["kind"].as_str() == Some("counters"))
             .expect("counters record");
         assert!(counters["counters"]["test.recorder.reset"].is_null());
-    }
-
-    #[test]
-    fn append_record_passes_records_through_verbatim() {
-        let _serial = test_lock();
-        let rec = Json::obj([
-            ("kind", Json::from("worker_spans")),
-            ("worker", Json::from(3u64)),
-            ("spans", Json::arr([Json::obj([("path", Json::from("net.worker.unit"))])])),
-        ]);
-        // Without a recorder: silently dropped.
-        append_record(&rec);
-        let sink = install_memory();
-        append_record(&rec);
-        assert!(uninstall());
-        let lines = sink.lock().expect("sink").clone();
-        let back = Json::parse(&lines[0]).expect("valid JSON");
-        assert_eq!(back, rec, "record must land byte-equivalent, with no seq added");
     }
 
     /// Many threads hammering `event` concurrently must interleave

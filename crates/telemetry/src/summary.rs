@@ -71,144 +71,14 @@ pub struct RunSummary {
     pub events: u64,
     /// Per-(event, field) numeric statistics, sorted by (event, field).
     pub rollups: Vec<FieldRollup>,
-    /// Span paths of the recording (learner) process, sorted by path.
+    /// Span paths of the recording process, sorted by path.
     pub spans: Vec<SpanRow>,
-    /// Per-worker span snapshots merged from the fleet
-    /// (`worker_spans` records; the last snapshot per worker wins),
-    /// sorted by worker id.
-    pub worker_spans: Vec<(u64, Vec<SpanRow>)>,
-    /// Per-worker counter snapshots (`worker_counters` records,
-    /// last-wins), sorted by worker id.
-    pub worker_counters: Vec<(u64, Vec<(String, u64)>)>,
-    /// Per-worker health rows (last `fleet.health` heartbeat per
-    /// worker, round-trip stats folded in from `net.unit` events),
-    /// sorted by worker id.
-    pub health: Vec<WorkerHealth>,
     /// Counter totals, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Final gauge readings, sorted by name.
     pub gauges: Vec<(String, f64)>,
     /// Histograms, sorted by name.
     pub histograms: Vec<HistogramRow>,
-}
-
-/// One fleet worker's health, from its last `fleet.health` heartbeat
-/// plus per-unit round-trip times (`net.unit` events).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct WorkerHealth {
-    /// Worker id (stable for the life of the connection).
-    pub worker: u64,
-    /// Work units served so far.
-    pub units: u64,
-    /// Placements computed so far.
-    pub placements: u64,
-    /// Size of the most recent shard (queue depth at dispatch).
-    pub shard: u64,
-    /// Worker wall-clock seconds since it started serving.
-    pub wall_s: f64,
-    /// Cumulative pure-compute seconds.
-    pub compute_s: f64,
-    /// Cumulative seconds spent waiting for work.
-    pub idle_s: f64,
-    /// Completed units with a learner-observed round-trip time.
-    pub rtt_count: u64,
-    /// Sum of those round-trip times.
-    pub rtt_sum_s: f64,
-    /// Worst round-trip time.
-    pub rtt_max_s: f64,
-}
-
-impl WorkerHealth {
-    /// Serving throughput (0 before the first heartbeat).
-    pub fn units_per_s(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.units as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Mean learner-observed round-trip time (0 when none recorded).
-    pub fn rtt_mean_s(&self) -> f64 {
-        if self.rtt_count > 0 {
-            self.rtt_sum_s / self.rtt_count as f64
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Fleet digest: connection/loss/retry totals, transport frame and
-/// byte counters, and the per-worker health table.
-#[derive(Clone, Debug, Default)]
-pub struct FleetReport {
-    /// Workers that completed the handshake.
-    pub workers_connected: u64,
-    /// Workers dropped after a disconnect or protocol violation.
-    pub workers_lost: u64,
-    /// Work units completed.
-    pub units_completed: u64,
-    /// Placements re-dispatched after a worker loss.
-    pub units_retried: u64,
-    /// Frames sent by the recording process.
-    pub frames_tx: u64,
-    /// Frames received.
-    pub frames_rx: u64,
-    /// Payload bytes sent.
-    pub bytes_tx: u64,
-    /// Payload bytes received.
-    pub bytes_rx: u64,
-    /// Per-worker health rows, sorted by worker id.
-    pub health: Vec<WorkerHealth>,
-}
-
-impl FleetReport {
-    /// Render as the fleet block `metrics summarize` prints: totals,
-    /// net counters, and one health-table row per worker.
-    pub fn render(&self) -> String {
-        let mut out = String::from("== fleet ==\n");
-        let _ = writeln!(
-            out,
-            "workers: {} connected, {} lost ({} units done, {} placements retried)",
-            self.workers_connected, self.workers_lost, self.units_completed, self.units_retried
-        );
-        let _ = writeln!(
-            out,
-            "net: {} frames / {} bytes tx, {} frames / {} bytes rx",
-            self.frames_tx, self.bytes_tx, self.frames_rx, self.bytes_rx
-        );
-        if !self.health.is_empty() {
-            let _ = writeln!(
-                out,
-                "{:<8} {:>6} {:>11} {:>8} {:>10} {:>9} {:>9} {:>10} {:>10}",
-                "worker",
-                "units",
-                "placements",
-                "units/s",
-                "shard",
-                "compute_s",
-                "idle_s",
-                "rtt mean",
-                "rtt max"
-            );
-            for h in &self.health {
-                let _ = writeln!(
-                    out,
-                    "{:<8} {:>6} {:>11} {:>8.2} {:>10} {:>9.3} {:>9.3} {:>8.1} ms {:>7.1} ms",
-                    h.worker,
-                    h.units,
-                    h.placements,
-                    h.units_per_s(),
-                    h.shard,
-                    h.compute_s,
-                    h.idle_s,
-                    h.rtt_mean_s() * 1e3,
-                    h.rtt_max_s * 1e3
-                );
-            }
-        }
-        out
-    }
 }
 
 /// Rollout-engine digest: eval-cache effectiveness and the concurrent
@@ -434,25 +304,6 @@ impl RunSummary {
         (report.requests + report.hot + report.warm + report.miss > 0).then_some(report)
     }
 
-    /// Fleet digest, if the run recorded any fleet activity
-    /// (`net.*` counters or worker heartbeats).
-    pub fn fleet_report(&self) -> Option<FleetReport> {
-        let report = FleetReport {
-            workers_connected: self.counter("net.workers_connected"),
-            workers_lost: self.counter("net.worker_lost"),
-            units_completed: self.counter("net.units_completed"),
-            units_retried: self.counter("net.units_retried"),
-            frames_tx: self.counter("net.frames_tx"),
-            frames_rx: self.counter("net.frames_rx"),
-            bytes_tx: self.counter("net.bytes_tx"),
-            bytes_rx: self.counter("net.bytes_rx"),
-            health: self.health.clone(),
-        };
-        (report.workers_connected + report.frames_tx + report.frames_rx > 0
-            || !report.health.is_empty())
-        .then_some(report)
-    }
-
     /// Rollout-engine digest, if the run recorded any evaluations
     /// (`sim.cache.*` counters or `sim.eval_batch` events) *or* any
     /// training-arena activity (`autograd.arena.*`). Pretrain-only
@@ -513,39 +364,27 @@ impl RunSummary {
     /// `flamegraph.pl` and inferno's `flamegraph` consume: one line
     /// per stack, `;`-joined frames, value = span *self*-time in
     /// microseconds (non-zero self-times round up to 1). The first
-    /// frame names the process, so one graph shows the learner next
-    /// to every worker.
+    /// frame, `learner`, names the recording process. Zero-self-time
+    /// rows are dropped (they carry no area).
     pub fn collapsed_stacks(&self) -> String {
         let mut out = String::new();
-        collapse_into(&mut out, "learner", &self.spans);
-        for (id, rows) in &self.worker_spans {
-            collapse_into(&mut out, &format!("worker:{id}"), rows);
+        for r in self.spans.iter().filter(|r| r.self_ns > 0) {
+            let stack = r.path.replace('/', ";");
+            let _ = writeln!(out, "learner;{stack} {}", r.self_ns.div_ceil(1000));
         }
         out
     }
 
-    /// Self-time totals by leaf span name for each process in the run
-    /// (`learner` first, then every worker), each sorted descending —
-    /// the per-process kernel attribution `metrics flame` prints.
-    pub fn process_profiles(&self) -> Vec<(String, Vec<(String, u64)>)> {
-        let profile = |rows: &[SpanRow]| -> Vec<(String, u64)> {
-            let mut by_leaf: HashMap<&str, u64> = HashMap::new();
-            for s in rows {
-                *by_leaf.entry(s.leaf()).or_default() += s.self_ns;
-            }
-            let mut rows: Vec<(String, u64)> =
-                by_leaf.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-            rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            rows
-        };
-        let mut out = Vec::with_capacity(1 + self.worker_spans.len());
-        if !self.spans.is_empty() {
-            out.push(("learner".to_string(), profile(&self.spans)));
+    /// Self-time totals by leaf span name, largest first (ties by
+    /// name) — the kernel attribution `summarize` and `flame` print.
+    pub fn self_time_by_leaf(&self) -> Vec<(&str, u64)> {
+        let mut by_leaf: HashMap<&str, u64> = HashMap::new();
+        for s in &self.spans {
+            *by_leaf.entry(s.leaf()).or_default() += s.self_ns;
         }
-        for (id, rows) in &self.worker_spans {
-            out.push((format!("worker:{id}"), profile(rows)));
-        }
-        out
+        let mut rows: Vec<(&str, u64)> = by_leaf.into_iter().collect();
+        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        rows
     }
 
     /// Render the span tree and metric rollups as plain text.
@@ -566,22 +405,10 @@ impl RunSummary {
             render_span_tree(&mut out, &self.spans, total_self);
 
             let _ = writeln!(out, "\n== span self-time by name ==");
-            let mut by_leaf: HashMap<&str, u64> = HashMap::new();
-            for s in &self.spans {
-                *by_leaf.entry(s.leaf()).or_default() += s.self_ns;
-            }
-            let mut rows: Vec<(&str, u64)> = by_leaf.into_iter().collect();
-            rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-            for (leaf, self_ns) in rows {
+            for (leaf, self_ns) in self.self_time_by_leaf() {
                 let pct = 100.0 * self_ns as f64 / total_self.max(1) as f64;
                 let _ = writeln!(out, "{leaf:<44} {:>12}  {pct:5.1}%", fmt_ns(self_ns));
             }
-        }
-
-        for (id, rows) in &self.worker_spans {
-            let total_self: u64 = rows.iter().map(|s| s.self_ns).sum();
-            let _ = writeln!(out, "\n== worker {id} span tree (total | self | count) ==");
-            render_span_tree(&mut out, rows, total_self);
         }
 
         if !self.rollups.is_empty() {
@@ -630,19 +457,6 @@ impl RunSummary {
     }
 }
 
-/// Append `rows` to `out` in collapsed-stack format under a leading
-/// `process` frame. Zero-self-time rows are dropped (they carry no
-/// area); everything else rounds up to ≥ 1 µs so it stays visible.
-fn collapse_into(out: &mut String, process: &str, rows: &[SpanRow]) {
-    for r in rows {
-        if r.self_ns == 0 {
-            continue;
-        }
-        let stack = r.path.replace('/', ";");
-        let _ = writeln!(out, "{process};{stack} {}", r.self_ns.div_ceil(1000));
-    }
-}
-
 /// Render one parsed JSONL record as a compact single line — the
 /// per-record view `mars-cli metrics tail` prints.
 pub fn tail_line(j: &Json) -> String {
@@ -666,19 +480,7 @@ pub fn tail_line(j: &Json) -> String {
             s
         }
         Some("spans") => format!("[spans] {} paths", count(&j["spans"])),
-        Some("worker_spans") => {
-            format!(
-                "[worker {} spans] {} paths",
-                j["worker"].as_u64().unwrap_or(0),
-                count(&j["spans"])
-            )
-        }
         Some("counters") => format!("[counters] {} totals", fields(&j["counters"])),
-        Some("worker_counters") => format!(
-            "[worker {} counters] {} totals",
-            j["worker"].as_u64().unwrap_or(0),
-            fields(&j["counters"])
-        ),
         Some("gauges") => format!("[gauges] {} readings", fields(&j["gauges"])),
         Some("histograms") => {
             format!("[histograms] {} recorded — run complete", count(&j["histograms"]))
@@ -760,33 +562,18 @@ fn render_span_tree(out: &mut String, spans: &[SpanRow], total_self: u64) {
     }
 }
 
-/// Decode the `spans` array of a `spans` / `worker_spans` record.
-fn parse_span_rows(j: &Json) -> Vec<SpanRow> {
-    j.as_array()
-        .map(Vec::as_slice)
-        .unwrap_or_default()
-        .iter()
-        .map(|s| SpanRow {
-            path: s["path"].as_str().unwrap_or_default().to_string(),
-            count: s["count"].as_u64().unwrap_or(0),
-            total_ns: s["total_ns"].as_u64().unwrap_or(0),
-            self_ns: s["self_ns"].as_u64().unwrap_or(0),
-        })
-        .collect()
-}
-
 /// Parse a full JSONL run. Blank lines are ignored; malformed lines
 /// (a crash can tear the last write mid-line) are counted in
 /// [`RunSummary::skipped`] rather than poisoning the whole file.
+/// Records of a kind this parser does not know (the per-worker
+/// snapshots of captures from the retired rollout fleet) are counted
+/// as lines and otherwise ignored.
 pub fn summarize(text: &str) -> Result<RunSummary, String> {
     let mut summary = RunSummary::default();
     // (event, field) -> (count, sum, min, max, last)
     // (count, sum, min, max, last) per (event, field).
     type FieldAgg = (u64, f64, f64, f64, f64);
     let mut agg: HashMap<(String, String), FieldAgg> = HashMap::new();
-    let mut worker_spans: HashMap<u64, Vec<SpanRow>> = HashMap::new();
-    let mut worker_counters: HashMap<u64, Vec<(String, u64)>> = HashMap::new();
-    let mut health: HashMap<u64, WorkerHealth> = HashMap::new();
 
     for line in text.lines() {
         let line = line.trim();
@@ -802,28 +589,6 @@ pub fn summarize(text: &str) -> Result<RunSummary, String> {
             Some("event") => {
                 summary.events += 1;
                 let name = value["name"].as_str().unwrap_or("<unnamed>").to_string();
-                if name == "fleet.health" {
-                    if let Some(worker) = value["worker"].as_u64() {
-                        let h = health.entry(worker).or_default();
-                        h.worker = worker;
-                        h.units = value["units"].as_u64().unwrap_or(h.units);
-                        h.placements = value["placements"].as_u64().unwrap_or(h.placements);
-                        h.shard = value["shard"].as_u64().unwrap_or(h.shard);
-                        h.wall_s = value["wall_s"].as_f64().unwrap_or(h.wall_s);
-                        h.compute_s = value["compute_s"].as_f64().unwrap_or(h.compute_s);
-                        h.idle_s = value["idle_s"].as_f64().unwrap_or(h.idle_s);
-                    }
-                } else if name == "net.unit" {
-                    if let (Some(worker), Some(rtt)) =
-                        (value["worker"].as_u64(), value["latency_s"].as_f64())
-                    {
-                        let h = health.entry(worker).or_default();
-                        h.worker = worker;
-                        h.rtt_count += 1;
-                        h.rtt_sum_s += rtt;
-                        h.rtt_max_s = h.rtt_max_s.max(rtt);
-                    }
-                }
                 let Some(pairs) = value.as_object() else { continue };
                 for (key, field) in pairs {
                     if matches!(key.as_str(), "seq" | "kind" | "name") {
@@ -845,22 +610,14 @@ pub fn summarize(text: &str) -> Result<RunSummary, String> {
                 }
             }
             Some("spans") => {
-                summary.spans.extend(parse_span_rows(&value["spans"]));
-            }
-            Some("worker_spans") => {
-                // Snapshots are cumulative; keep only the latest.
-                let worker = value["worker"].as_u64().unwrap_or(0);
-                worker_spans.insert(worker, parse_span_rows(&value["spans"]));
-            }
-            Some("worker_counters") => {
-                let worker = value["worker"].as_u64().unwrap_or(0);
-                let rows = value["counters"]
-                    .as_object()
-                    .map(|pairs| {
-                        pairs.iter().map(|(k, v)| (k.clone(), v.as_u64().unwrap_or(0))).collect()
-                    })
-                    .unwrap_or_default();
-                worker_counters.insert(worker, rows);
+                for s in value["spans"].as_array().map(Vec::as_slice).unwrap_or_default() {
+                    summary.spans.push(SpanRow {
+                        path: s["path"].as_str().unwrap_or_default().to_string(),
+                        count: s["count"].as_u64().unwrap_or(0),
+                        total_ns: s["total_ns"].as_u64().unwrap_or(0),
+                        self_ns: s["self_ns"].as_u64().unwrap_or(0),
+                    });
+                }
             }
             Some("counters") => {
                 if let Some(pairs) = value["counters"].as_object() {
@@ -914,24 +671,6 @@ pub fn summarize(text: &str) -> Result<RunSummary, String> {
     summary.counters.sort_by(|a, b| a.0.cmp(&b.0));
     summary.gauges.sort_by(|a, b| a.0.cmp(&b.0));
     summary.histograms.sort_by(|a, b| a.name.cmp(&b.name));
-    summary.worker_spans = worker_spans
-        .into_iter()
-        .map(|(id, mut rows)| {
-            rows.sort_by(|a, b| a.path.cmp(&b.path));
-            (id, rows)
-        })
-        .collect();
-    summary.worker_spans.sort_by_key(|(id, _)| *id);
-    summary.worker_counters = worker_counters
-        .into_iter()
-        .map(|(id, mut rows)| {
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            (id, rows)
-        })
-        .collect();
-    summary.worker_counters.sort_by_key(|(id, _)| *id);
-    summary.health = health.into_values().collect();
-    summary.health.sort_by_key(|h| h.worker);
     Ok(summary)
 }
 
@@ -1119,97 +858,54 @@ mod tests {
         assert_eq!(run.events, 1);
     }
 
+    /// A capture recorded by the retired rollout fleet: worker heartbeat
+    /// events, per-worker snapshot records and fleet counters.
     fn fleet_run() -> String {
         [
             r#"{"seq":1,"kind":"event","name":"net.unit","worker":0,"placements":10,"latency_s":0.02}"#,
-            r#"{"seq":2,"kind":"event","name":"net.unit","worker":0,"placements":10,"latency_s":0.04}"#,
-            r#"{"seq":3,"kind":"event","name":"fleet.health","worker":0,"units":2,"placements":20,"shard":10,"wall_s":4.0,"compute_s":1.5,"idle_s":2.0}"#,
+            r#"{"seq":2,"kind":"event","name":"fleet.health","worker":0,"units":2,"wall_s":4.0}"#,
             r#"{"kind":"worker_spans","worker":0,"spans":[{"path":"net.worker.unit","count":1,"total_ns":500,"self_ns":100}]}"#,
-            concat!(
-                r#"{"kind":"worker_spans","worker":0,"spans":["#,
-                r#"{"path":"net.worker.unit","count":2,"total_ns":1000,"self_ns":200},"#,
-                r#"{"path":"net.worker.unit/sim.measure.compute","count":20,"total_ns":800,"self_ns":800}"#,
-                r#"]}"#
-            ),
             r#"{"kind":"worker_counters","worker":0,"counters":{"net.worker.units_served":2}}"#,
-            r#"{"kind":"counters","counters":{"net.workers_connected":1,"net.units_completed":2,"net.frames_tx":5,"net.frames_rx":7,"net.bytes_tx":900,"net.bytes_rx":1800}}"#,
+            r#"{"kind":"counters","counters":{"net.workers_connected":1,"net.frames_tx":5}}"#,
         ]
         .join("\n")
     }
 
     #[test]
-    fn worker_snapshots_are_last_wins_and_sorted() {
-        let run = summarize(&fleet_run()).expect("parse");
-        assert_eq!(run.worker_spans.len(), 1);
-        let (id, rows) = &run.worker_spans[0];
-        assert_eq!(*id, 0);
-        assert_eq!(rows.len(), 2, "only the second (cumulative) snapshot survives");
-        assert_eq!(rows[0].count, 2, "latest snapshot wins");
-        assert_eq!(run.worker_counters, vec![(0, vec![("net.worker.units_served".into(), 2)])]);
-        let text = run.render();
-        assert!(text.contains("== worker 0 span tree"), "{text}");
-        assert!(text.contains("sim.measure.compute"), "{text}");
-    }
-
-    #[test]
-    fn fleet_report_merges_health_and_net_counters() {
-        let run = summarize(&fleet_run()).expect("parse");
-        let report = run.fleet_report().expect("fleet activity present");
-        assert_eq!(report.workers_connected, 1);
-        assert_eq!(report.units_completed, 2);
-        assert_eq!((report.frames_tx, report.frames_rx), (5, 7));
-        assert_eq!((report.bytes_tx, report.bytes_rx), (900, 1800));
-        assert_eq!(report.health.len(), 1);
-        let h = &report.health[0];
-        assert_eq!((h.worker, h.units, h.placements, h.shard), (0, 2, 20, 10));
-        assert_eq!(h.rtt_count, 2);
-        assert!((h.rtt_mean_s() - 0.03).abs() < 1e-12, "{}", h.rtt_mean_s());
-        assert!((h.rtt_max_s - 0.04).abs() < 1e-12);
-        assert!((h.units_per_s() - 0.5).abs() < 1e-12);
-        let text = report.render();
-        assert!(text.contains("== fleet =="), "{text}");
-        assert!(text.contains("5 frames / 900 bytes tx, 7 frames / 1800 bytes rx"), "{text}");
-        assert!(text.contains("workers: 1 connected, 0 lost"), "{text}");
-    }
-
-    #[test]
-    fn fleet_report_absent_for_in_process_runs() {
-        let run = summarize(&sample_run()).expect("parse");
-        assert!(run.fleet_report().is_none());
-    }
-
-    #[test]
-    fn collapsed_stacks_cover_every_process() {
+    fn old_fleet_capture_summarizes_with_worker_records_ignored() {
         let both = format!("{}\n{}", sample_run(), fleet_run());
         let run = summarize(&both).expect("parse");
+        assert_eq!((run.lines, run.skipped), (12, 0), "worker records are not malformed");
+        assert_eq!(run.events, 5, "heartbeats are events like any other");
+        assert_eq!(run.spans.len(), 2, "worker spans are not the recording process's");
+        let text = run.render();
+        assert!(!text.contains("net.worker.unit"), "{text}");
+        assert!(text.contains("net.workers_connected"), "{text}");
+    }
+
+    #[test]
+    fn collapsed_stacks_are_rooted_at_the_recording_process() {
+        let run = summarize(&sample_run()).expect("parse");
         let stacks = run.collapsed_stacks();
-        for line in stacks.lines() {
-            let (stack, value) = line.rsplit_once(' ').expect("`frames value` shape");
-            assert!(value.parse::<u64>().expect("integer value") >= 1, "{line}");
-            assert!(!stack.is_empty() && !stack.contains(' '), "{line}");
-        }
-        assert!(stacks.contains("learner;core.agent.train;tensor.ops.matmul 1\n"), "{stacks}");
-        assert!(stacks.contains("worker:0;net.worker.unit;sim.measure.compute 1\n"), "{stacks}");
-        // Profiles attribute self time per process, largest first.
-        let profiles = run.process_profiles();
-        assert_eq!(profiles.len(), 2);
-        assert_eq!(profiles[0].0, "learner");
-        assert_eq!(profiles[0].1[0], ("tensor.ops.matmul".to_string(), 900));
-        assert_eq!(profiles[1].0, "worker:0");
-        assert_eq!(profiles[1].1[0], ("sim.measure.compute".to_string(), 800));
+        assert_eq!(
+            stacks,
+            "learner;core.agent.train 1\nlearner;core.agent.train;tensor.ops.matmul 1\n"
+        );
+        assert_eq!(
+            run.self_time_by_leaf(),
+            vec![("tensor.ops.matmul", 900), ("core.agent.train", 100)]
+        );
     }
 
     #[test]
     fn tail_line_renders_each_record_kind() {
         let lines: Vec<String> =
-            fleet_run().lines().map(|l| tail_line(&Json::parse(l).expect("valid"))).collect();
-        assert!(lines[0].starts_with("#1"), "{}", lines[0]);
-        assert!(lines[0].contains("net.unit") && lines[0].contains("worker=0"), "{}", lines[0]);
-        assert!(lines[4].contains("[worker 0 spans] 2 paths"), "{}", lines[4]);
-        assert!(lines[5].contains("[worker 0 counters] 1 totals"), "{}", lines[5]);
-        assert!(lines[6].contains("[counters] 6 totals"), "{}", lines[6]);
-        let done = tail_line(&Json::parse(r#"{"kind":"histograms","histograms":[]}"#).unwrap());
-        assert!(done.contains("run complete"), "{done}");
+            sample_run().lines().map(|l| tail_line(&Json::parse(l).expect("valid"))).collect();
+        assert!(lines[0].starts_with("#1      ppo.update reward=-0.5"), "{}", lines[0]);
+        assert_eq!(lines[3], "[spans] 2 paths");
+        assert_eq!(lines[4], "[counters] 1 totals");
+        assert_eq!(lines[5], "[gauges] 1 readings");
+        assert!(lines[6].contains("run complete"), "{}", lines[6]);
     }
 
     #[test]

@@ -15,13 +15,8 @@
 //! bit-identical across backends (see [`crate::simd`] for the lane
 //! argument). The env var therefore exists for A/B timing and for
 //! keeping the scalar fallback honest in CI, not for correctness.
-//!
-//! Orthogonally, [`set_fast_math`] enables the *approximate* tier:
-//! polynomial `exp` in softmax/sigmoid (and FMA-style reassociation
-//! where a kernel opts in). Off by default; bit-exactness is the house
-//! invariant and fast-math runs are by explicit opt-in (`--fast-math`).
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A kernel backend. All variants exist on every target so tests and
 /// diagnostics can name them; [`backend`] only ever returns one that is
@@ -73,8 +68,6 @@ fn decode(c: u8) -> Backend {
 static DETECTED: AtomicU8 = AtomicU8::new(CODE_UNSET);
 /// In-process override (tests / A/B harnesses); takes priority.
 static OVERRIDE: AtomicU8 = AtomicU8::new(CODE_UNSET);
-/// Approximate-math tier toggle (`--fast-math`).
-static FAST_MATH: AtomicBool = AtomicBool::new(false);
 
 /// Best SIMD backend the running host supports, if any.
 pub fn detected_simd() -> Option<Backend> {
@@ -145,17 +138,6 @@ pub fn set_backend_override(b: Option<Backend>) {
     }
 }
 
-/// Whether the approximate (`--fast-math`) tier is active.
-#[inline]
-pub fn fast_math() -> bool {
-    FAST_MATH.load(Ordering::Relaxed)
-}
-
-/// Toggle the approximate tier. Default-off: bit-exact transcendentals.
-pub fn set_fast_math(on: bool) {
-    FAST_MATH.store(on, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,10 +157,5 @@ mod tests {
         assert_eq!(Backend::Scalar.name(), "scalar");
         assert_eq!(Backend::Avx2.name(), "avx2");
         assert_eq!(Backend::Neon.name(), "neon");
-    }
-
-    #[test]
-    fn fast_math_defaults_off() {
-        assert!(!fast_math());
     }
 }

@@ -16,8 +16,7 @@
 //! * [`init`] — deterministic, seedable weight initializers
 //!   (Xavier/Glorot, uniform, Gaussian via Box–Muller).
 //! * [`kernel`] / [`simd`] — runtime-dispatched SIMD microkernels
-//!   (AVX2 / NEON / scalar) whose default tier is bit-identical to the
-//!   scalar loops, plus the opt-in `--fast-math` approximate tier.
+//!   (AVX2 / NEON / scalar), bit-identical to the scalar loops.
 //!
 //! All randomness is injected through [`mars_rng::Rng`] so callers
 //! control determinism; nothing in this crate reads ambient entropy.

@@ -15,10 +15,6 @@
 //!
 //! The remainder tail (< one lane width) runs the scalar loop, which is
 //! the same arithmetic, so ragged widths stay exact too.
-//!
-//! [`fast_exp`] is the opt-in approximate tier (`--fast-math`): a
-//! degree-7 polynomial `exp` with ~1e-7 relative error, used by
-//! softmax/sigmoid only when [`crate::kernel::fast_math`] is on.
 
 use crate::kernel::{self, Backend};
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
@@ -477,61 +473,6 @@ unsafe fn tanh_neon(xs: &mut [f32]) {
     }
 }
 
-/// `exp(x)` routed through the active tier: `f32::exp` by default,
-/// [`fast_exp`] when `--fast-math` is on.
-#[inline]
-pub fn exp(x: f32) -> f32 {
-    if kernel::fast_math() {
-        fast_exp(x)
-    } else {
-        x.exp()
-    }
-}
-
-/// Approximate `e^x` for f32: split `x·log2(e) = n + f` with
-/// `f ∈ [-0.5, 0.5]`, evaluate `2^f = e^(f·ln 2)` by a degree-7 Taylor
-/// polynomial (relative error ≲ 4e-9 before rounding; ≈1 ulp observed),
-/// and apply `2^n` exactly via the exponent bits.
-///
-/// Edge behavior matches `exp` where it matters for softmax/sigmoid:
-/// NaN → NaN, +∞/overflow → +∞, large negative → 0 (flushing the
-/// subnormal tail of `exp` to zero below ≈ -87.3).
-pub fn fast_exp(x: f32) -> f32 {
-    const LOG2E: f32 = std::f32::consts::LOG2_E;
-    if x.is_nan() {
-        return f32::NAN;
-    }
-    // exp overflows f32 above ~88.72 (2^127.5); underflows the normal
-    // range below ~-87.3 (we flush the subnormal tail to 0).
-    if x > 88.7 {
-        return f32::INFINITY;
-    }
-    if x < -87.3 {
-        return 0.0;
-    }
-    let n = (x * LOG2E).round_ties_even();
-    // Cody–Waite reduction: w = x − n·ln2 with ln2 split so n·LN2_HI is
-    // exact (LN2_HI has 16 significant bits, |n| ≤ 128), keeping the
-    // reduction error ~1 ulp instead of the ~5e-6 a direct
-    // (x·log2e − n)·ln2 would pick up from the x·log2e rounding.
-    // 355/512: exactly representable, so `x - k·LN2_HI` is error-free.
-    #[allow(clippy::excessive_precision)]
-    const LN2_HI: f32 = 0.693_359_375;
-    const LN2_LO: f32 = -2.121_944_4e-4;
-    let w = (x - n * LN2_HI) - n * LN2_LO; // |w| ≤ 0.5·ln2 ≈ 0.3466
-                                           // Horner degree-7 Taylor for e^w.
-    let p = 1.0
-        + w * (1.0
-            + w * (0.5
-                + w * (1.0 / 6.0
-                    + w * (1.0 / 24.0
-                        + w * (1.0 / 120.0 + w * (1.0 / 720.0 + w * (1.0 / 5040.0)))))));
-    // n ∈ [-126, 127] after the range checks above, so the biased
-    // exponent stays in the normal range.
-    let scale = f32::from_bits((((n as i32) + 127) << 23) as u32);
-    p * scale
-}
-
 /// A 64-byte (cache-line) aligned, zero-initialized f32 buffer for
 /// packed-panel scratch: panel loads never straddle an extra line and
 /// the alignment is stable across allocator choices.
@@ -682,33 +623,6 @@ mod tests {
             for (i, (got, want)) in xs.iter().zip(&expect).enumerate() {
                 assert_eq!(got.to_bits(), want.to_bits(), "n={n} i={i}");
             }
-        }
-    }
-
-    #[test]
-    fn fast_exp_accuracy_and_edges() {
-        let mut max_rel = 0.0f64;
-        let mut x = -87.0f32;
-        while x < 88.0 {
-            let approx = fast_exp(x) as f64;
-            let exact = (x as f64).exp();
-            max_rel = max_rel.max(((approx - exact) / exact).abs());
-            x += 0.0173;
-        }
-        assert!(max_rel < 1e-6, "fast_exp relative error {max_rel}");
-        assert_eq!(fast_exp(0.0), 1.0);
-        assert!(fast_exp(f32::NAN).is_nan());
-        assert_eq!(fast_exp(1000.0), f32::INFINITY);
-        assert_eq!(fast_exp(-1000.0), 0.0);
-        assert_eq!(fast_exp(f32::NEG_INFINITY), 0.0);
-        assert_eq!(fast_exp(f32::INFINITY), f32::INFINITY);
-    }
-
-    #[test]
-    fn exp_router_is_exact_by_default() {
-        assert!(!crate::kernel::fast_math());
-        for x in [-3.7f32, -0.1, 0.0, 0.5, 11.0] {
-            assert_eq!(exp(x).to_bits(), x.exp().to_bits());
         }
     }
 

@@ -1,10 +1,6 @@
 //! Numerically-stable statistical kernels used by the policy networks.
-//!
-//! The `exp` calls in softmax / logsumexp / sigmoid route through
-//! [`crate::simd::exp`]: exact `f32::exp` by default, the polynomial
-//! [`crate::simd::fast_exp`] when the opt-in `--fast-math` tier is on.
 
-use crate::{simd, Matrix};
+use crate::Matrix;
 
 /// Stable log-sum-exp of a slice.
 pub fn logsumexp(xs: &[f32]) -> f32 {
@@ -12,7 +8,7 @@ pub fn logsumexp(xs: &[f32]) -> f32 {
     if !m.is_finite() {
         return m;
     }
-    let s: f32 = xs.iter().map(|&x| simd::exp(x - m)).sum();
+    let s: f32 = xs.iter().map(|&x| (x - m).exp()).sum();
     m + s.ln()
 }
 
@@ -21,7 +17,7 @@ pub fn softmax_inplace(xs: &mut [f32]) {
     let m = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0f32;
     for x in xs.iter_mut() {
-        *x = simd::exp(*x - m);
+        *x = (*x - m).exp();
         sum += *x;
     }
     if sum > 0.0 {
@@ -69,9 +65,9 @@ pub fn argmax(xs: &[f32]) -> usize {
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
-        1.0 / (1.0 + simd::exp(-x))
+        1.0 / (1.0 + (-x).exp())
     } else {
-        let e = simd::exp(x);
+        let e = x.exp();
         e / (1.0 + e)
     }
 }

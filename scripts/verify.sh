@@ -31,51 +31,6 @@ SCALAR_OUT=$(MARS_KERNEL=scalar ./target/release/mars-cli train inception --budg
 diff <(echo "$SCALAR_OUT") <(echo "$SERIAL_OUT") || {
     echo "forcing the scalar kernel backend changed training output"; exit 1; }
 
-echo "==> fleet smoke: learner + 2 spawned workers must print identically to in-process"
-# The merged trace lands in target/experiments/ so CI can upload it as
-# an artifact; recording it must not change the training output.
-mkdir -p target/experiments
-FLEET_TRACE=target/experiments/fleet_run.jsonl
-FLEET_OUT=$(./target/release/mars-cli train inception --budget 40 --dgi-iters 10 --seed 1 \
-    --workers 2 --telemetry "$FLEET_TRACE")
-echo "$FLEET_OUT" | grep -q "^fleet: 2 worker(s) connected" || {
-    echo "fleet run did not report its workers"; exit 1; }
-diff <(echo "$FLEET_OUT" | grep -v "^fleet\|^telemetry written") <(echo "$SERIAL_OUT") || {
-    echo "distributed evaluation changed training output"; exit 1; }
-
-echo "==> fleet observability: summarize, flame, and tail over the merged trace"
-FLEET_SUMMARY=$(./target/release/mars-cli metrics summarize "$FLEET_TRACE")
-echo "$FLEET_SUMMARY" | grep -q "== worker 0 span tree" || {
-    echo "fleet summary has no per-worker span tree"; exit 1; }
-echo "$FLEET_SUMMARY" | grep -q "workers: 2 connected" || {
-    echo "fleet summary has no fleet health table"; exit 1; }
-echo "$FLEET_SUMMARY" | grep -q "frames" || {
-    echo "fleet summary has no wire counters"; exit 1; }
-# A `grep -q` fed straight from mars-cli exits at its first match, and a
-# mars-cli still printing then dies of the broken pipe (Rust ignores
-# SIGPIPE, println! panics), which `pipefail` reports: read to the end.
-./target/release/mars-cli metrics flame "$FLEET_TRACE" 2>/dev/null | grep "^learner;" > /dev/null || {
-    echo "flame export has no learner stacks"; exit 1; }
-./target/release/mars-cli metrics flame "$FLEET_TRACE" 2>/dev/null | grep "^worker:0;" > /dev/null || {
-    echo "flame export has no worker stacks"; exit 1; }
-./target/release/mars-cli metrics tail "$FLEET_TRACE" --lines 0 | grep "run complete" > /dev/null || {
-    echo "tail did not reach the end-of-run marker"; exit 1; }
-
-echo "==> fleet smoke: 2 external workers over a named unix socket"
-FLEET_SOCK=$(mktemp -u /tmp/mars-fleet-XXXXXX.sock)
-./target/release/mars-cli train inception --budget 40 --dgi-iters 10 --seed 1 \
-    --workers 2 --listen "unix:$FLEET_SOCK" > /tmp/mars-fleet-listen.$$ 2>&1 &
-FLEET_PID=$!
-for _ in $(seq 1 100); do [ -S "$FLEET_SOCK" ] && break; sleep 0.1; done
-[ -S "$FLEET_SOCK" ] || { echo "learner never bound $FLEET_SOCK"; exit 1; }
-./target/release/mars-cli train inception --connect "unix:$FLEET_SOCK" &
-./target/release/mars-cli train inception --connect "unix:$FLEET_SOCK" &
-wait "$FLEET_PID" || { echo "fleet learner failed"; cat /tmp/mars-fleet-listen.$$; exit 1; }
-wait
-diff <(grep -v "^fleet" /tmp/mars-fleet-listen.$$) <(echo "$SERIAL_OUT") || {
-    echo "listen-mode fleet changed training output"; exit 1; }
-rm -f /tmp/mars-fleet-listen.$$
-
 echo "==> telemetry smoke: tiny instrumented training run + summarize"
 TELEMETRY_RUN=$(mktemp /tmp/mars-telemetry-XXXXXX.jsonl)
 FAULT_RUN=$(mktemp /tmp/mars-fault-XXXXXX.jsonl)
@@ -90,6 +45,13 @@ echo "$SUMMARY" | grep -q "ppo.update" || {
     echo "telemetry summary has no PPO update events"; exit 1; }
 echo "$SUMMARY" | grep -q "sim.eval" || {
     echo "telemetry summary has no simulator eval events"; exit 1; }
+# A `grep -q` fed straight from mars-cli exits at its first match, and a
+# mars-cli still printing then dies of the broken pipe (Rust ignores
+# SIGPIPE, println! panics), which `pipefail` reports: read to the end.
+./target/release/mars-cli metrics flame "$TELEMETRY_RUN" 2>/dev/null | grep "^learner;" > /dev/null || {
+    echo "flame export has no learner stacks"; exit 1; }
+./target/release/mars-cli metrics tail "$TELEMETRY_RUN" --lines 0 | grep "run complete" > /dev/null || {
+    echo "tail did not reach the end-of-run marker"; exit 1; }
 
 echo "==> arena smoke: DGI pretrain recycles its tape every iteration"
 ./target/release/mars-cli pretrain inception --dgi-iters 10 --seed 1 \
@@ -127,6 +89,7 @@ diff <(echo "$FAULT_A" | grep -v "^eval cache") <(echo "$FAULT_D" | grep -v "^ev
 echo "==> serve smoke: daemon on a unix socket, bit-identical responses, warm restart"
 SERVE_SOCK=$(mktemp -u /tmp/mars-serve-XXXXXX.sock)
 SERVE_STORE=$(mktemp -u /tmp/mars-serve-store-XXXXXX.jsonl)
+mkdir -p target/experiments
 SERVE_TRACE=target/experiments/serve_smoke.jsonl
 # Wait until the daemon whose stdout is $1 is listening. `bind` creates
 # the socket file before `listen`, so a client that waits for the file
@@ -189,4 +152,4 @@ echo "==> ledger smoke: the benchmark is a package outside the workspace, so bui
 CARGO_TARGET_DIR=target/ledger cargo run --release --offline --quiet \
     --manifest-path ledger/Cargo.toml -- --smoke
 
-echo "==> OK: build, tests, bench smoke, engine parity, fleet, observability, fault, serve and ledger smokes all green"
+echo "==> OK: build, tests, bench smoke, engine parity, observability, fault, serve and ledger smokes all green"

@@ -19,18 +19,11 @@
 //! train options: --agent mars|mars-nopre|grouper|encoder   --budget N
 //!                --seed N   --profile small|full   --save <ckpt-path>
 //!                --telemetry <run.jsonl>   --dgi-iters N
-//!                --eval-threads N   --no-eval-cache   --fast-math
+//!                --eval-threads N   --no-eval-cache
 //!                --fault-plan <spec>   --max-eval-retries N
 //!                --eval-timeout-s S    --auto-checkpoint <ckpt-path>
-//!                (--fast-math opts into approximate transcendentals;
-//!                 also honored by pretrain and evaluate. The kernel
-//!                 backend is picked by the MARS_KERNEL env var:
-//!                 scalar | simd | auto — see DESIGN.md)
-//! fleet options: --workers N            spawn N local rollout workers
-//!                --workers N --listen ADDR   wait for N external workers
-//!                --connect ADDR         run as a rollout worker
-//!                (ADDR is host:port or unix:<path>; worker count
-//!                 never changes the training trace — see DESIGN.md)
+//!                (the kernel backend is picked by the MARS_KERNEL env
+//!                 var: scalar | simd | auto — see DESIGN.md)
 //! metrics tail:  --lines N (default 20, 0 = all)   --follow
 //! bench-gate:    --current <e2e.json>     --baseline <e2e.json>
 //!                --kernels <kernels.json> --kernels-baseline <kernels.json>
@@ -54,14 +47,12 @@
 //! `--telemetry <path>` records a JSONL event stream (per-iteration DGI
 //! loss, per-update PPO diagnostics, per-evaluation simulator gauges,
 //! and a span-tree profile of the hot kernels); inspect it afterwards
-//! with `mars-cli metrics summarize <path>`. In a fleet run the same
-//! file also carries each worker's shipped spans, counters, and health
-//! heartbeats, so the summary covers the whole fleet. `metrics tail
-//! --follow` renders records live as the run writes them (it exits
-//! when the end-of-run summary records appear); `metrics flame` folds
-//! span self-times into collapsed-stack lines (one process prefix per
-//! learner/worker) ready for `flamegraph.pl` or inferno, and prints a
-//! per-process kernel profile on stderr so stdout stays pipeable.
+//! with `mars-cli metrics summarize <path>`. `metrics tail --follow`
+//! renders records live as the run writes them (it exits when the
+//! end-of-run summary records appear); `metrics flame` folds span
+//! self-times into collapsed-stack lines (under a `learner` root
+//! frame) ready for `flamegraph.pl` or inferno, and prints the top
+//! self-time kernels on stderr so stdout stays pipeable.
 //!
 //! `--fault-plan` injects deterministic failures into the simulated
 //! cluster (see `mars_sim::FaultPlan::parse` for the grammar):
@@ -70,7 +61,7 @@
 //! evaluations 8×, `crash@100` crashes (and resumes) the agent. Same
 //! seed + same plan reproduces the run bit for bit.
 
-use mars::cli::{fail, Flags, FleetMode};
+use mars::cli::{fail, Flags};
 use mars::core::agent::{Agent, AgentKind, TrainingLog};
 use mars::core::baselines::{gpu_only, human_expert};
 use mars::core::config::MarsConfig;
@@ -80,9 +71,7 @@ use mars::graph::analysis::{stats, to_dot};
 use mars::graph::generators::{Profile, Workload};
 use mars::graph::CompGraph;
 use mars::json::Json;
-use mars::net::{
-    recv_msg, send_msg, Addr, Conn, EnvSetup, FleetBackend, Listener, Msg, PROTOCOL_VERSION,
-};
+use mars::net::{recv_msg, send_msg, Addr, Conn, Listener, Msg, PROTOCOL_VERSION};
 use mars::nn::checkpoint;
 use mars::serve::{PlacementEngine, ServeOptions};
 use mars::sim::{
@@ -195,13 +184,6 @@ fn config_from_flags(flags: &Flags) -> Result<MarsConfig, String> {
         ));
     }
     cfg.auto_checkpoint = flags.string_opt("auto-checkpoint")?;
-    if flags.switch("fast-math")? {
-        // Process-global engine tier: polynomial exp in softmax/sigmoid
-        // and reassociation-permitted kernels. Changes the bit trace
-        // (that is the point), so it is strictly opt-in.
-        mars::tensor::kernel::set_fast_math(true);
-        println!("fast-math tier enabled (approximate transcendentals; not bit-comparable to default-tier runs)");
-    }
     Ok(cfg)
 }
 
@@ -221,53 +203,7 @@ fn arm_environment(env: &mut SimEnv, cfg: &MarsConfig, flags: &Flags) -> Result<
     Ok(())
 }
 
-/// Build the fleet handshake payload describing `env`, and install the
-/// matching [`FleetBackend`] for `Spawn`/`Listen` modes. Workers
-/// rebuild the environment from this setup, so it must be assembled
-/// *after* `arm_environment` finalized the measurement knobs.
-fn install_fleet(
-    env: &mut SimEnv,
-    mode: &FleetMode,
-    workload: Workload,
-    profile: Profile,
-    flags: &Flags,
-) -> Result<(), String> {
-    let setup = EnvSetup {
-        workload: workload.name().into(),
-        profile: profile.name().into(),
-        seed: env.seed(),
-        fault_plan: flags.string_opt("fault-plan")?.unwrap_or_default(),
-        bad_cutoff_s: env.bad_cutoff_s,
-        invalid_penalty_s: env.invalid_penalty_s,
-        noise_sigma: env.noise_sigma,
-        steps_per_eval: env.steps_per_eval,
-        warmup_steps: env.warmup_steps,
-    };
-    let backend = match mode {
-        FleetMode::InProcess | FleetMode::Connect { .. } => return Ok(()),
-        FleetMode::Spawn { workers } => {
-            let exe = std::env::current_exe()
-                .map_err(|e| format!("cannot locate the worker executable: {e}"))?;
-            FleetBackend::spawn(*workers, &setup, &exe, &["train", workload.name()])?
-        }
-        FleetMode::Listen { workers, addr } => {
-            println!("fleet: waiting for {workers} worker(s) on {addr}…");
-            FleetBackend::listen(addr, *workers, &setup)?
-        }
-    };
-    println!("fleet: {} worker(s) connected over {}", backend.num_workers(), backend.transport());
-    env.set_backend(Some(Box::new(backend)));
-    Ok(())
-}
-
 fn cmd_train(workload: Workload, profile: Profile, flags: &Flags) -> Result<(), String> {
-    let fleet_mode = FleetMode::from_flags(flags)?;
-    if let FleetMode::Connect { addr } = &fleet_mode {
-        // Worker process: serve the learner at `addr` until it hangs
-        // up. Everything else on the command line is the learner's
-        // business — the environment arrives in the Welcome handshake.
-        return mars::net::worker::run(addr);
-    }
     let kind = match flags.one_of("agent", &["mars", "mars-nopre", "grouper", "encoder"], "mars")? {
         "mars-nopre" => AgentKind::MarsNoPretrain,
         "grouper" => AgentKind::GrouperPlacer,
@@ -276,8 +212,7 @@ fn cmd_train(workload: Workload, profile: Profile, flags: &Flags) -> Result<(), 
     };
     let budget: usize = flags.parsed("budget", 400)?;
     let seed: u64 = flags.parsed("seed", 42)?;
-    let mut cfg = config_from_flags(flags)?;
-    cfg.workers = fleet_mode.workers();
+    let cfg = config_from_flags(flags)?;
     let telemetry = install_telemetry(flags)?;
 
     let graph = workload.build(profile);
@@ -294,7 +229,6 @@ fn cmd_train(workload: Workload, profile: Profile, flags: &Flags) -> Result<(), 
     }
     let mut env = SimEnv::new(graph, cluster, seed);
     arm_environment(&mut env, &agent.cfg, flags)?;
-    install_fleet(&mut env, &fleet_mode, workload, profile, flags)?;
     let mut log = TrainingLog::default();
     println!(
         "training {} on {} for {budget} placement evaluations…",
@@ -302,9 +236,6 @@ fn cmd_train(workload: Workload, profile: Profile, flags: &Flags) -> Result<(), 
         workload.name()
     );
     agent.train(&mut env, &input, budget, &mut rng, &mut log);
-    // Shut the fleet down (workers get Shutdown, children are reaped)
-    // before the summary prints, so worker stderr cannot interleave.
-    env.set_backend(None);
     match log.best_reading_s {
         Some(best) => {
             let p = log.best_placement.as_ref().expect("placement recorded");
@@ -403,9 +334,6 @@ fn cmd_metrics_summarize(path: &str) -> Result<(), String> {
     if let Some(report) = summary.fault_report() {
         print!("{}", report.render());
     }
-    if let Some(report) = summary.fleet_report() {
-        print!("{}", report.render());
-    }
     if let Some(report) = summary.serve_report() {
         print!("{}", report.render());
     }
@@ -413,9 +341,9 @@ fn cmd_metrics_summarize(path: &str) -> Result<(), String> {
 }
 
 /// Fold span self-times into collapsed-stack lines
-/// (`process;frame;frame value`), the input format of `flamegraph.pl`
-/// and inferno. Stacks go to stdout (pipeable); the per-process
-/// kernel profile goes to stderr.
+/// (`learner;frame;frame value`), the input format of `flamegraph.pl`
+/// and inferno. Stacks go to stdout (pipeable); the top self-time
+/// kernels go to stderr.
 fn cmd_metrics_flame(path: &str) -> Result<(), String> {
     let summary = load_summary(path)?;
     let stacks = summary.collapsed_stacks();
@@ -425,15 +353,14 @@ fn cmd_metrics_flame(path: &str) -> Result<(), String> {
         ));
     }
     print!("{stacks}");
-    for (process, rows) in summary.process_profiles() {
-        let total: u64 = rows.iter().map(|(_, us)| *us).sum::<u64>().max(1);
-        let top: Vec<String> = rows
-            .iter()
-            .take(5)
-            .map(|(leaf, us)| format!("{leaf} {:.1}%", *us as f64 * 100.0 / total as f64))
-            .collect();
-        eprintln!("{process}: {}", top.join(", "));
-    }
+    let rows = summary.self_time_by_leaf();
+    let total: u64 = rows.iter().map(|(_, ns)| *ns).sum::<u64>().max(1);
+    let top: Vec<String> = rows
+        .iter()
+        .take(5)
+        .map(|(leaf, ns)| format!("{leaf} {:.1}%", *ns as f64 * 100.0 / total as f64))
+        .collect();
+    eprintln!("learner: {}", top.join(", "));
     Ok(())
 }
 
@@ -1030,12 +957,11 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn bench_json(serial_ns: f64, threads_ns: f64, fleet_ns: f64) -> String {
+    fn bench_json(serial_ns: f64, threads_ns: f64) -> String {
         format!(
             r#"{{"benchmarks":[
                 {{"name":"rollout_e2e/serial_nocache","iters":6,"median_ns":{serial_ns}}},
-                {{"name":"rollout_e2e/threads4_cache","iters":6,"median_ns":{threads_ns}}},
-                {{"name":"rollout_e2e/fleet2_unix","iters":6,"median_ns":{fleet_ns}}}],
+                {{"name":"rollout_e2e/threads4_cache","iters":6,"median_ns":{threads_ns}}}],
                 "speedup":{}}}"#,
             serial_ns / threads_ns
         )
@@ -1046,10 +972,10 @@ mod tests {
         // The current run is uniformly 10× faster in wall-clock than
         // the baseline (fewer rounds), but every arm kept its speedup
         // over serial — so every normalized ratio is exactly 1.
-        let baseline = parse_bench_run("b", &bench_json(1000.0, 500.0, 800.0)).expect("baseline");
-        let current = parse_bench_run("c", &bench_json(100.0, 50.0, 80.0)).expect("current");
+        let baseline = parse_bench_run("b", &bench_json(1000.0, 500.0)).expect("baseline");
+        let current = parse_bench_run("c", &bench_json(100.0, 50.0)).expect("current");
         let ratios = bench_arm_ratios(&current, &baseline);
-        assert_eq!(ratios.len(), 2, "serial arm must be skipped: {ratios:?}");
+        assert_eq!(ratios.len(), 1, "serial arm must be skipped: {ratios:?}");
         for (arm, ratio) in &ratios {
             assert!((ratio - 1.0).abs() < 1e-12, "{arm}: {ratio}");
         }
@@ -1057,15 +983,12 @@ mod tests {
 
     #[test]
     fn regressed_arm_is_named() {
-        let baseline = parse_bench_run("b", &bench_json(1000.0, 500.0, 800.0)).expect("baseline");
-        // The fleet arm got slower than serial; the threads arm held.
-        let current = parse_bench_run("c", &bench_json(1000.0, 500.0, 4000.0)).expect("current");
+        let baseline = parse_bench_run("b", &bench_json(1000.0, 500.0)).expect("baseline");
+        // The threads arm got slower than serial.
+        let current = parse_bench_run("c", &bench_json(1000.0, 4000.0)).expect("current");
         let ratios = bench_arm_ratios(&current, &baseline);
-        let fleet =
-            ratios.iter().find(|(arm, _)| arm.contains("fleet")).expect("fleet arm compared");
-        assert!(fleet.1 < 0.5, "fleet regression must show: {ratios:?}");
         let threads = ratios.iter().find(|(arm, _)| arm.contains("threads")).expect("threads arm");
-        assert!((threads.1 - 1.0).abs() < 1e-12, "healthy arm must not trip: {ratios:?}");
+        assert!(threads.1 < 0.5, "threads regression must show: {ratios:?}");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! each command reads; [`Flags::parse_for`] refuses everything else, so
 //! a typo or a removed flag cannot run as if it meant something.
 
-use mars_net::Addr;
 use std::collections::HashMap;
 use std::fmt::Display;
 use std::str::FromStr;
@@ -23,7 +22,6 @@ const CONFIG_FLAGS: &[&str] = &[
     "max-eval-retries",
     "eval-timeout-s",
     "auto-checkpoint",
-    "fast-math",
 ];
 
 /// Every flag each `mars-cli` command reads, as groups of names. A
@@ -31,14 +29,7 @@ const CONFIG_FLAGS: &[&str] = &[
 /// it.
 pub const COMMAND_FLAGS: &[(&str, &[&[&str]])] = &[
     ("inspect", &[&["profile"]]),
-    (
-        "train",
-        &[
-            CONFIG_FLAGS,
-            &["agent", "budget", "seed", "save", "telemetry", "fault-plan"],
-            &["workers", "listen", "connect"],
-        ],
-    ),
+    ("train", &[CONFIG_FLAGS, &["agent", "budget", "seed", "save", "telemetry", "fault-plan"]]),
     ("pretrain", &[CONFIG_FLAGS, &["seed", "save", "telemetry"]]),
     ("trace", &[&["profile", "placement"]]),
     ("dot", &[&["profile", "max-nodes"]]),
@@ -193,74 +184,6 @@ pub fn fail(err: impl Display) -> std::process::ExitCode {
     std::process::ExitCode::FAILURE
 }
 
-/// How `train` distributes placement evaluation, from the
-/// `--workers` / `--listen` / `--connect` flag triple.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FleetMode {
-    /// No fleet flags: evaluate in-process (the default).
-    InProcess,
-    /// `--workers N`: spawn N local worker processes over a private
-    /// socket.
-    Spawn {
-        /// Number of worker processes.
-        workers: usize,
-    },
-    /// `--workers N --listen ADDR`: bind `ADDR` and wait for N
-    /// externally started workers.
-    Listen {
-        /// Number of workers to wait for.
-        workers: usize,
-        /// Address to bind.
-        addr: Addr,
-    },
-    /// `--connect ADDR`: run as a rollout worker serving the learner
-    /// at `ADDR` (no training happens in this process).
-    Connect {
-        /// Learner address to dial.
-        addr: Addr,
-    },
-}
-
-impl FleetMode {
-    /// Resolve the fleet flags, rejecting contradictory combinations
-    /// with errors that name the offending flag.
-    pub fn from_flags(flags: &Flags) -> Result<FleetMode, String> {
-        let workers: Option<usize> = flags.parsed_opt("workers")?;
-        let listen = flags.string_opt("listen")?;
-        let connect = flags.string_opt("connect")?;
-        if let Some(0) = workers {
-            return Err("invalid value '0' for --workers (need at least 1)".into());
-        }
-        let parse_addr = |flag: &str, a: &str| -> Result<Addr, String> {
-            Addr::parse(a).map_err(|e| format!("invalid value '{a}' for --{flag}: {e}"))
-        };
-        match (workers, listen, connect) {
-            (_, Some(_), Some(_)) => Err("--listen and --connect are mutually exclusive".into()),
-            (Some(_), None, Some(_)) => {
-                Err("--connect runs a worker and takes no --workers".into())
-            }
-            (None, Some(_), None) => {
-                Err("--listen needs --workers N (how many workers to wait for)".into())
-            }
-            (None, None, Some(a)) => Ok(FleetMode::Connect { addr: parse_addr("connect", &a)? }),
-            (Some(workers), Some(a), None) => {
-                Ok(FleetMode::Listen { workers, addr: parse_addr("listen", &a)? })
-            }
-            (Some(workers), None, None) => Ok(FleetMode::Spawn { workers }),
-            (None, None, None) => Ok(FleetMode::InProcess),
-        }
-    }
-
-    /// Worker count this mode contributes to `MarsConfig::workers`
-    /// (0 = in-process; a `Connect` worker trains nothing).
-    pub fn workers(&self) -> usize {
-        match self {
-            FleetMode::InProcess | FleetMode::Connect { .. } => 0,
-            FleetMode::Spawn { workers } | FleetMode::Listen { workers, .. } => *workers,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,71 +227,6 @@ mod tests {
         let f = flags(&["--save", "--seed", "3"]);
         assert!(f.string_opt("save").unwrap_err().contains("--save"));
         assert_eq!(f.parsed("seed", 0u64).unwrap(), 3);
-    }
-
-    #[test]
-    fn fleet_mode_defaults_to_in_process() {
-        assert_eq!(FleetMode::from_flags(&flags(&[])).unwrap(), FleetMode::InProcess);
-        assert_eq!(FleetMode::from_flags(&flags(&[])).unwrap().workers(), 0);
-    }
-
-    #[test]
-    fn fleet_mode_parses_the_three_distributed_shapes() {
-        let spawn = FleetMode::from_flags(&flags(&["--workers", "4"])).unwrap();
-        assert_eq!(spawn, FleetMode::Spawn { workers: 4 });
-        assert_eq!(spawn.workers(), 4);
-
-        let listen =
-            FleetMode::from_flags(&flags(&["--workers", "2", "--listen", "unix:/tmp/f.sock"]))
-                .unwrap();
-        assert_eq!(
-            listen,
-            FleetMode::Listen { workers: 2, addr: Addr::Unix("/tmp/f.sock".into()) }
-        );
-
-        let connect = FleetMode::from_flags(&flags(&["--connect", "127.0.0.1:9000"])).unwrap();
-        assert_eq!(connect, FleetMode::Connect { addr: Addr::Tcp("127.0.0.1:9000".into()) });
-        assert_eq!(connect.workers(), 0);
-    }
-
-    #[test]
-    fn fleet_mode_rejects_zero_workers() {
-        let err = FleetMode::from_flags(&flags(&["--workers", "0"])).unwrap_err();
-        assert!(err.contains("'0'") && err.contains("--workers"), "{err}");
-        let err = FleetMode::from_flags(&flags(&["--workers", "-2"])).unwrap_err();
-        assert!(err.contains("--workers"), "{err}");
-    }
-
-    #[test]
-    fn fleet_mode_rejects_contradictory_flag_combinations() {
-        let err = FleetMode::from_flags(&flags(&[
-            "--listen",
-            "unix:/tmp/a.sock",
-            "--connect",
-            "unix:/tmp/b.sock",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--listen") && err.contains("--connect"), "{err}");
-
-        let err =
-            FleetMode::from_flags(&flags(&["--workers", "2", "--connect", "h:1"])).unwrap_err();
-        assert!(err.contains("--connect") && err.contains("--workers"), "{err}");
-
-        let err = FleetMode::from_flags(&flags(&["--listen", "unix:/tmp/a.sock"])).unwrap_err();
-        assert!(err.contains("--listen") && err.contains("--workers"), "{err}");
-    }
-
-    #[test]
-    fn fleet_mode_rejects_malformed_addresses_naming_the_flag() {
-        let err =
-            FleetMode::from_flags(&flags(&["--workers", "2", "--listen", "nowhere"])).unwrap_err();
-        assert!(err.contains("--listen") && err.contains("'nowhere'"), "{err}");
-
-        let err = FleetMode::from_flags(&flags(&["--connect", "host:99999"])).unwrap_err();
-        assert!(err.contains("--connect") && err.contains("'host:99999'"), "{err}");
-
-        let err = FleetMode::from_flags(&flags(&["--connect", "unix:"])).unwrap_err();
-        assert!(err.contains("--connect"), "{err}");
     }
 
     #[test]
