@@ -256,7 +256,7 @@ fn main() {
     bench_backward(&opts, &mut samples);
     // Only a full unfiltered run is a baseline worth comparing against.
     if !opts.smoke && opts.filter.is_none() {
-        write_baseline("BENCH_kernels.json", &samples, &[]);
+        write_baseline("BENCH_kernels.json", &samples);
     }
     opts.finish();
 }

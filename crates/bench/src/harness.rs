@@ -8,6 +8,7 @@
 
 use mars_json::Json;
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Parsed command-line options for a bench binary.
@@ -98,18 +99,20 @@ impl Sample {
     }
 }
 
+/// `rel` under the workspace root, wherever the bench runs from (cargo
+/// runs benches with the crate directory as CWD).
+pub(crate) fn workspace_path(rel: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel)
+}
+
 /// Write a `BENCH_*.json` perf baseline at the repository root: one
-/// record per benchmark (median + p10/p90 nanoseconds), plus optional
-/// free-form `extra` fields (e.g. an end-to-end speedup factor). These
-/// files are the trajectory future PRs compare against; `basename`
-/// must be the bare file name, e.g. `"BENCH_kernels.json"`.
-pub fn write_baseline(basename: &str, samples: &[Sample], extra: &[(&str, Json)]) {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut fields: Vec<(&str, Json)> =
-        vec![("benchmarks", Json::arr(samples.iter().map(Sample::to_json)))];
-    fields.extend(extra.iter().cloned());
-    let path = root.join(basename);
-    match std::fs::write(&path, format!("{}\n", Json::obj(fields))) {
+/// record per benchmark (median + p10/p90 nanoseconds). These files are
+/// the trajectory future PRs compare against; `basename` must be the
+/// bare file name, e.g. `"BENCH_kernels.json"`.
+pub fn write_baseline(basename: &str, samples: &[Sample]) {
+    let json = Json::obj([("benchmarks", Json::arr(samples.iter().map(Sample::to_json)))]);
+    let path = workspace_path(basename);
+    match std::fs::write(&path, format!("{json}\n")) {
         Ok(()) => println!("(baseline written to {basename})"),
         Err(e) => eprintln!("cannot write '{}': {e}", path.display()),
     }
@@ -118,8 +121,8 @@ pub fn write_baseline(basename: &str, samples: &[Sample], extra: &[(&str, Json)]
 /// Append one sample to `target/experiments/bench_samples.jsonl` so
 /// runs accumulate a machine-readable history next to the table JSON.
 fn append_sample_jsonl(sample: &Sample) {
-    let dir = std::path::Path::new("target/experiments");
-    if std::fs::create_dir_all(dir).is_err() {
+    let dir = workspace_path("target/experiments");
+    if std::fs::create_dir_all(&dir).is_err() {
         return;
     }
     if let Ok(mut f) =

@@ -22,8 +22,6 @@ pub mod harness;
 use mars_json::Json;
 use mars_rng::rngs::StdRng;
 use mars_rng::SeedableRng;
-use std::io::Write;
-use std::path::PathBuf;
 
 /// Experiment-wide settings.
 #[derive(Clone, Debug)]
@@ -134,8 +132,6 @@ pub fn run_agent(
     }
 
     let mut env = SimEnv::new(graph, cluster, cfg.seed ^ seed_offset ^ 0xE11);
-    env.set_eval_threads(cfg.mars.eval_threads);
-    env.set_cache_enabled(cfg.mars.eval_cache);
     agent.train(&mut env, &input, budget, &mut rng, &mut log);
     RunResult { log, agent, pretrain_losses }
 }
@@ -235,16 +231,15 @@ pub fn finish_runs(table: &str) {
     }
 }
 
-/// Persist an experiment record as JSON under `target/experiments/`.
+/// Persist an experiment record as JSON under the workspace's
+/// `target/experiments/`.
 pub fn save_json(name: &str, value: &Json) {
-    let dir = PathBuf::from("target/experiments");
+    let dir = harness::workspace_path("target/experiments");
     if std::fs::create_dir_all(&dir).is_err() {
         return;
     }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(mut f) = std::fs::File::create(&path) {
-        let _ = f.write_all(value.pretty().as_bytes());
-        println!("(wrote {})", path.display());
+    if std::fs::write(dir.join(format!("{name}.json")), value.pretty()).is_ok() {
+        println!("(wrote target/experiments/{name}.json)");
     }
 }
 

@@ -388,12 +388,11 @@ impl Agent {
             let mut valid_readings: Vec<f64> = Vec::new();
             let (mut oom_count, mut bad_count, mut fault_count) = (0usize, 0usize, 0usize);
             let mut reward_sum = 0.0f64;
-            // Draw the whole round up front (the agent RNG stream is
-            // identical to the old one-at-a-time loop), then hand the
-            // placements to the environment as one batch so it can
-            // evaluate them concurrently or from its memo cache.
-            // Outcomes come back in sample order, so how the work ran
-            // is invisible in the trace.
+            // Draw the whole round up front, then hand the placements
+            // to the environment as one batch. The RNG stream — and so
+            // the trace — depends on this order: sampling is never
+            // interleaved with evaluation. Outcomes come back in sample
+            // order.
             let sampled: Vec<_> = (0..round).map(|_| sample_actions(&probs, rng)).collect();
             let placements: Vec<Placement> =
                 sampled.iter().map(|(actions, _)| Placement(actions.clone())).collect();

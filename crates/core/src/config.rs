@@ -49,15 +49,6 @@ pub struct MarsConfig {
     /// DGI pre-training learning rate.
     pub dgi_lr: f32,
 
-    /// Threads used to evaluate each round's sampled placements
-    /// (calling thread included). Never changes results — evaluation is
-    /// pure and outcomes commit in sample order (see `mars_sim`).
-    pub eval_threads: usize,
-    /// Memoize placement evaluations in the environment's LRU cache.
-    /// Cache hits replay the stored outcome and machine-time cost bit
-    /// for bit, so this too changes wall-clock only.
-    pub eval_cache: bool,
-
     /// Retries allowed per evaluation after an injected transient
     /// error (bounded exponential backoff; see `mars_sim::RetryPolicy`).
     pub max_eval_retries: u32,
@@ -91,8 +82,6 @@ impl MarsConfig {
             ppo_epochs: 3,
             dgi_iters: 1000,
             dgi_lr: 1e-3,
-            eval_threads: 1,
-            eval_cache: true,
             max_eval_retries: 3,
             eval_timeout_s: 300.0,
             auto_checkpoint: None,
@@ -120,8 +109,6 @@ impl MarsConfig {
             ppo_epochs: 3,
             dgi_iters: 300,
             dgi_lr: 2e-3,
-            eval_threads: 1,
-            eval_cache: true,
             max_eval_retries: 3,
             eval_timeout_s: 300.0,
             auto_checkpoint: None,

@@ -14,9 +14,7 @@
 //!
 //! Eviction is least-recently-used with a monotonic tick: ticks are
 //! unique, so the eviction victim is deterministic and cache behavior
-//! is identical across serial and parallel rollout runs (all cache
-//! mutations happen in the serial commit phase of
-//! [`crate::measure::SimEnv::evaluate_batch`]). The victim scan is
+//! is a function of the evaluation sequence alone. The victim scan is
 //! `O(len)` per eviction; with the default capacity and
 //! millisecond-scale simulations this is noise, and it keeps the
 //! structure a single `HashMap` with no intrusive list to maintain.
@@ -75,13 +73,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
         }
     }
 
-    /// Whether `key` is cached, *without* touching recency or the
-    /// hit/miss statistics (used by the batch pre-pass to decide what
-    /// to compute; the authoritative lookup happens at commit time).
-    pub fn peek(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
     /// Insert (or overwrite) `key`, evicting the least-recently-used
     /// entry when full. Ticks are unique so the victim is deterministic.
     pub fn insert(&mut self, key: K, value: V) {
@@ -131,7 +122,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
 /// [`Lru`] from [`Placement`] to its evaluation result, bound to one
 /// environment: `get` and `insert` take the caller's fingerprint and
 /// panic on a foreign one. Reads that cannot serve a wrong reading
-/// (`peek`, `len`, `stats`, …) pass straight through to the [`Lru`].
+/// (`len`, `stats`, …) pass straight through to the [`Lru`].
 pub struct EvalCache {
     lru: Lru<Placement, EvalComputation>,
     fingerprint: u64,
@@ -204,10 +195,10 @@ mod tests {
         assert!(c.get(&0).is_some());
         c.insert(2, 0.3);
         assert_eq!(c.len(), 2);
-        assert!(c.peek(&0), "recently used entry survived");
-        assert!(!c.peek(&1), "LRU entry evicted");
-        assert!(c.peek(&2));
         assert_eq!(c.stats().2, 1, "one eviction");
+        assert!(c.get(&0).is_some(), "recently used entry survived");
+        assert!(c.get(&1).is_none(), "LRU entry evicted");
+        assert!(c.get(&2).is_some());
     }
 
     #[test]
@@ -219,18 +210,6 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().2, 0);
         assert_eq!(c.get(&0), Some(0.9), "overwritten entry");
-    }
-
-    #[test]
-    fn peek_does_not_disturb_recency_or_stats() {
-        let mut c = Lru::new(2);
-        c.insert(0, 0.1);
-        c.insert(1, 0.2);
-        assert!(c.peek(&0));
-        // peek(0) must NOT have refreshed it: 0 is still the LRU.
-        c.insert(2, 0.3);
-        assert!(!c.peek(&0));
-        assert_eq!(c.stats(), (0, 0, 1));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! happen purely in terms of the environment's global evaluation index,
 //! and every probabilistic draw is seeded from `(env seed, evaluation
 //! index)` with the same SplitMix64 folding scheme the measurement
-//! noise uses. Faults therefore commute with evaluation concurrency
-//! and memoization: a run with `--eval-threads 4` and the cache on is
-//! bit-identical to the serial, uncached run under the same plan.
+//! noise uses. Faults therefore commute with memoization: a run with
+//! the cache on is bit-identical to the uncached run under the same
+//! plan.
 //!
 //! Two fault classes exist:
 //!

@@ -7,27 +7,19 @@
 //! an extremely long reading (100 s); evaluations beyond a per-workload
 //! cutoff are aborted and marked *bad*.
 //!
-//! # Purity, parallelism, and memoization
+//! # Purity and memoization
 //!
 //! Evaluating a placement is a *pure function* of `(graph, cluster,
 //! environment seed, placement)`: the measurement noise is drawn from a
 //! generator seeded by mixing the environment seed with a stable hash
 //! of the (compatibility-enforced) placement, not from a shared
 //! sequential stream. Re-evaluating the same placement therefore
-//! always yields the bit-identical outcome and machine-time cost, which
-//! buys two things at once:
-//!
-//! * **Concurrency** — [`SimEnv::evaluate_batch`] computes a round's
-//!   evaluations on up to `eval_threads` threads
-//!   ([`mars_tensor::pool::par_tasks`]); results are committed in
-//!   sample order on the calling thread, so serial and parallel runs
-//!   are bit-identical.
-//! * **Memoization** — resampled placements are answered from a
-//!   bounded LRU cache ([`crate::cache::EvalCache`]) instead of a full
-//!   critical-path simulation. A cache hit replays the stored outcome
-//!   *and* the stored simulated machine-seconds, so enabling or
-//!   disabling the cache changes wall-clock only, never the training
-//!   trace.
+//! always yields the bit-identical outcome and machine-time cost, so
+//! resampled placements are answered from a bounded LRU cache
+//! ([`crate::cache::EvalCache`]) instead of a full critical-path
+//! simulation. A cache hit replays the stored outcome *and* the stored
+//! simulated machine-seconds, so enabling or disabling the cache
+//! changes wall-clock only, never the training trace.
 
 use crate::cache::EvalCache;
 use crate::device::Cluster;
@@ -39,10 +31,6 @@ use mars_graph::CompGraph;
 use mars_rng::rngs::{SplitMix64, StdRng};
 use mars_rng::{RngCore, SeedableRng};
 use mars_tensor::init::randn_scalar;
-use mars_tensor::pool;
-use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// Outcome of evaluating one placement.
 #[derive(Clone, Debug, PartialEq)]
@@ -150,10 +138,9 @@ pub trait Environment {
     fn evaluate(&mut self, placement: &Placement) -> EvalOutcome;
 
     /// Evaluate a whole round of placements, returning outcomes in
-    /// sample order. The default implementation is the serial loop;
-    /// implementations may compute concurrently as long as every
-    /// observable effect (outcomes, machine time, telemetry order) is
-    /// identical to the serial loop.
+    /// sample order: the serial loop over [`Environment::evaluate`].
+    /// Wrappers override it to observe a round as one unit; every
+    /// observable effect must stay that of the serial loop.
     fn evaluate_batch(&mut self, placements: &[Placement]) -> Vec<EvalOutcome> {
         placements.iter().map(|p| self.evaluate(p)).collect()
     }
@@ -212,7 +199,6 @@ pub struct SimEnv {
     pub eval_timeout_s: f64,
     machine_seconds: f64,
     evaluations: usize,
-    eval_threads: usize,
     fingerprint: u64,
     cache: Option<EvalCache>,
     fault_plan: FaultPlan,
@@ -224,8 +210,8 @@ pub struct SimEnv {
 
 impl SimEnv {
     /// Environment with the paper's defaults (15 steps, 5 warm-up,
-    /// 100 s invalid penalty, 20 s bad cutoff), a single evaluation
-    /// thread, and the memo cache enabled.
+    /// 100 s invalid penalty, 20 s bad cutoff) and the memo cache
+    /// enabled.
     pub fn new(graph: CompGraph, cluster: Cluster, seed: u64) -> Self {
         let fingerprint = env_fingerprint(&graph, &cluster);
         SimEnv {
@@ -241,7 +227,6 @@ impl SimEnv {
             eval_timeout_s: 300.0,
             machine_seconds: 0.0,
             evaluations: 0,
-            eval_threads: 1,
             fingerprint,
             cache: Some(EvalCache::with_default_capacity(fingerprint)),
             fault_plan: FaultPlan::none(),
@@ -267,15 +252,10 @@ impl SimEnv {
         &self.fault_plan
     }
 
-    /// Global index of the next boundary fault yet to fire, if any.
-    fn next_boundary(&self) -> Option<u64> {
-        self.boundaries.get(self.boundary_cursor).map(|f| f.at_eval)
-    }
-
     /// Fire every boundary fault scheduled at or before the current
-    /// evaluation count. Called before each evaluation (and before each
-    /// batch segment), so the firing point is a pure function of the
-    /// global evaluation index — identical across threads and caching.
+    /// evaluation count. Called before each evaluation, so the firing
+    /// point is a pure function of the global evaluation index —
+    /// identical with the cache on or off.
     fn fire_due_faults(&mut self) {
         while let Some(f) = self.boundaries.get(self.boundary_cursor) {
             if f.at_eval > self.evaluations as u64 {
@@ -324,18 +304,6 @@ impl SimEnv {
         }
     }
 
-    /// Use up to `n` threads (calling thread included) per
-    /// [`Environment::evaluate_batch`] round. `0` is treated as `1`.
-    /// Thread count never changes results — only wall-clock.
-    pub fn set_eval_threads(&mut self, n: usize) {
-        self.eval_threads = n.max(1);
-    }
-
-    /// Current evaluation concurrency.
-    pub fn eval_threads(&self) -> usize {
-        self.eval_threads
-    }
-
     /// Enable (default) or disable the placement memo cache. Disabling
     /// drops all entries. The cache never changes results — a hit
     /// replays the stored outcome and machine-time cost bit for bit.
@@ -375,8 +343,7 @@ impl SimEnv {
     }
 
     /// Compatibility-enforce a sampled placement and remap it off any
-    /// failed devices. Runs serially (pre-pass of the batch path, or
-    /// inline in the serial path) so remap telemetry is deterministic.
+    /// failed devices.
     fn normalize(&self, placement: &Placement) -> Placement {
         let mut p = placement.clone();
         p.enforce_compatibility(&self.graph, &self.cluster);
@@ -400,8 +367,8 @@ impl SimEnv {
     /// Apply this evaluation's commit faults (straggler, transient) to
     /// a pure computation. Keyed by the global evaluation index (the
     /// pre-commit evaluation count), so the transformation is identical
-    /// whether `comp` was freshly computed, replayed from the memo
-    /// cache, or produced on another thread.
+    /// whether `comp` was freshly computed or replayed from the memo
+    /// cache.
     fn apply_commit_faults(&self, comp: &EvalComputation) -> EvalComputation {
         if self.fault_plan.is_empty() {
             return comp.clone();
@@ -466,7 +433,7 @@ impl SimEnv {
 
     /// Stable seed for a placement's measurement noise: the env seed
     /// mixed with a SplitMix64 fold over the device ids. Function of
-    /// value only — independent of evaluation order, thread, or count.
+    /// value only — independent of evaluation order or count.
     fn noise_seed(&self, enforced: &Placement) -> u64 {
         let mut h = SplitMix64::new(self.seed ^ 0x4d41_5253_5349_4d21).next_u64();
         for &d in &enforced.0 {
@@ -477,9 +444,8 @@ impl SimEnv {
 
     /// The pure evaluation: everything §4.2 prescribes for one
     /// (already compatibility-enforced) placement. No `&mut self`, no
-    /// shared state — safe to run concurrently for distinct
-    /// placements on any thread.
-    pub fn compute(&self, enforced: &Placement) -> EvalComputation {
+    /// shared state — what the memo cache stores.
+    fn compute(&self, enforced: &Placement) -> EvalComputation {
         let _span = mars_telemetry::span("sim.measure.compute");
         let report = match check_memory(&self.graph, enforced, &self.cluster) {
             Err(oom) => {
@@ -540,10 +506,9 @@ impl SimEnv {
         }
     }
 
-    /// Serial bookkeeping for one evaluation: machine time, counters,
-    /// and the telemetry event. Called in sample order for both the
-    /// serial and the batched path, so the observable stream is
-    /// identical regardless of how the computation was produced.
+    /// Bookkeeping for one evaluation: machine time, counters, and the
+    /// telemetry event — identical whether the computation was fresh
+    /// or replayed from the cache.
     fn commit(&mut self, comp: &EvalComputation, cached: bool) -> EvalOutcome {
         self.evaluations += 1;
         self.machine_seconds += comp.machine_s;
@@ -669,28 +634,6 @@ impl Environment for SimEnv {
         self.commit(&comp, cached)
     }
 
-    /// One round of evaluations. Boundary faults (device failures,
-    /// crashes) split the round into segments — each segment sees one
-    /// consistent cluster, and faults fire at exactly the same global
-    /// evaluation index the serial loop would fire them at.
-    fn evaluate_batch(&mut self, placements: &[Placement]) -> Vec<EvalOutcome> {
-        let _span = mars_telemetry::span("sim.measure.evaluate_batch");
-        let mut outcomes = Vec::with_capacity(placements.len());
-        let mut i = 0;
-        while i < placements.len() {
-            self.fire_due_faults();
-            let remaining = placements.len() - i;
-            let seg = match self.next_boundary() {
-                Some(b) => (b.saturating_sub(self.evaluations as u64) as usize).min(remaining),
-                None => remaining,
-            };
-            debug_assert!(seg > 0, "due boundaries fire before segmentation");
-            outcomes.extend(self.evaluate_batch_segment(&placements[i..i + seg]));
-            i += seg;
-        }
-        outcomes
-    }
-
     fn graph(&self) -> &CompGraph {
         &self.graph
     }
@@ -709,105 +652,6 @@ impl Environment for SimEnv {
 
     fn take_crash(&mut self) -> bool {
         std::mem::take(&mut self.crash_pending)
-    }
-}
-
-impl SimEnv {
-    /// One boundary-free segment of a round: cache-known placements are
-    /// skipped, the remaining computations run on up to `eval_threads`
-    /// threads, and all bookkeeping (cache get/insert, machine time,
-    /// fault application, telemetry) is committed serially in sample
-    /// order — exactly the sequence the serial loop would produce.
-    fn evaluate_batch_segment(&mut self, placements: &[Placement]) -> Vec<EvalOutcome> {
-        let wall_t0 = Instant::now();
-        let enforced: Vec<Placement> = placements.iter().map(|p| self.normalize(p)).collect();
-
-        // Pre-pass: decide what actually needs computing. With the
-        // cache on, only the first occurrence of each unknown placement
-        // (`peek` leaves recency/stats untouched — the authoritative
-        // lookups happen at commit time). With the cache off, every
-        // occurrence is computed, matching the serial no-cache loop.
-        let mut jobs: Vec<usize> = Vec::new(); // indices into `enforced`
-        if self.cache.is_some() {
-            let mut scheduled: HashSet<&Placement> = HashSet::new();
-            for (i, p) in enforced.iter().enumerate() {
-                let known = self.cache.as_ref().is_some_and(|c| c.peek(p));
-                if !known && scheduled.insert(p) {
-                    jobs.push(i);
-                }
-            }
-        } else {
-            jobs = (0..enforced.len()).collect();
-        }
-
-        // Compute phase: pure evaluations on up to `eval_threads`
-        // threads. The results feed the serial commit below, so the
-        // thread count is trace-invisible.
-        let slots = Mutex::new(vec![None; jobs.len()]);
-        let env = &*self;
-        pool::par_tasks(jobs.len(), self.eval_threads, |j| {
-            let t0 = Instant::now();
-            let comp = env.compute(&enforced[jobs[j]]);
-            let wall = t0.elapsed().as_secs_f64();
-            slots.lock().unwrap_or_else(|e| e.into_inner())[j] = Some((comp, wall));
-        });
-        let computed = slots.into_inner().unwrap_or_else(|e| e.into_inner());
-        let mut by_placement: HashMap<&Placement, EvalComputation> = HashMap::new();
-        let mut by_index: HashMap<usize, EvalComputation> = HashMap::new();
-        let mut compute_wall_s = 0.0;
-        for (j, slot) in computed.into_iter().enumerate() {
-            let (comp, wall) = slot.expect("par_tasks ran every job");
-            compute_wall_s += wall;
-            by_placement.insert(&enforced[jobs[j]], comp.clone());
-            by_index.insert(jobs[j], comp);
-        }
-
-        // Commit phase: sample order, identical to serial evaluate().
-        let fp = self.fingerprint;
-        let mut outcomes = Vec::with_capacity(enforced.len());
-        let mut batch_hits = 0u64;
-        for (i, p) in enforced.iter().enumerate() {
-            let (comp, cached) = if self.cache.is_some() {
-                let from_cache = self.cache.as_mut().and_then(|c| c.get(p, fp));
-                match from_cache {
-                    Some(hit) => (hit, true),
-                    None => {
-                        // First occurrence: use the precomputed result
-                        // (recomputing on the spot covers the rare case
-                        // of an entry evicted between pre-pass and
-                        // commit with a tiny cache capacity — the pure
-                        // function makes both paths identical).
-                        let comp = by_placement.get(p).cloned().unwrap_or_else(|| self.compute(p));
-                        if let Some(cache) = &mut self.cache {
-                            cache.insert(p.clone(), comp.clone(), fp);
-                        }
-                        (comp, false)
-                    }
-                }
-            } else {
-                (by_index.get(&i).cloned().unwrap_or_else(|| self.compute(p)), false)
-            };
-            if cached {
-                batch_hits += 1;
-            }
-            let comp = self.apply_commit_faults(&comp);
-            outcomes.push(self.commit(&comp, cached));
-        }
-
-        if mars_telemetry::active() {
-            mars_telemetry::event(
-                "sim.eval_batch",
-                &[
-                    ("size", (enforced.len() as f64).into()),
-                    ("computed", (jobs.len() as f64).into()),
-                    ("cache_hits", (batch_hits as f64).into()),
-                    ("threads", (self.eval_threads as f64).into()),
-                    ("wall_s", wall_t0.elapsed().as_secs_f64().into()),
-                    ("compute_s", compute_wall_s.into()),
-                ],
-            );
-        }
-        outcomes
     }
 }
 
@@ -920,34 +764,6 @@ mod tests {
         assert_eq!(on.evaluations(), off.evaluations());
         assert!(on.cache_stats().unwrap().0 >= 2, "repeats hit the cache");
         assert!(off.cache_stats().is_none());
-    }
-
-    #[test]
-    fn batch_matches_serial_loop_bitwise() {
-        let g = Workload::InceptionV3.build(Profile::Reduced);
-        let ps: Vec<Placement> = (0..8)
-            .map(|i| {
-                if i % 3 == 0 {
-                    Placement::all_on(&g, 1 + i % 4)
-                } else {
-                    Placement::round_robin(&g, &[1, 1 + i % 4])
-                }
-            })
-            .collect();
-        for threads in [1usize, 4] {
-            let mut serial = env(Workload::InceptionV3, 21);
-            let serial_out: Vec<EvalOutcome> = ps.iter().map(|p| serial.evaluate(p)).collect();
-            let mut batch = env(Workload::InceptionV3, 21);
-            batch.set_eval_threads(threads);
-            let batch_out = batch.evaluate_batch(&ps);
-            assert_eq!(serial_out, batch_out, "threads={threads}");
-            assert_eq!(
-                serial.machine_seconds().to_bits(),
-                batch.machine_seconds().to_bits(),
-                "threads={threads}"
-            );
-            assert_eq!(serial.cache_stats(), batch.cache_stats(), "threads={threads}");
-        }
     }
 
     #[test]

@@ -81,24 +81,14 @@ pub struct RunSummary {
     pub histograms: Vec<HistogramRow>,
 }
 
-/// Rollout-engine digest: eval-cache effectiveness and the concurrent
-/// evaluation speedup, recovered from `sim.cache.*` counters and
-/// `sim.eval_batch` events.
+/// Rollout digest: eval-cache effectiveness and training-arena reuse,
+/// recovered from the `sim.cache.*` and `autograd.arena.*` telemetry.
 #[derive(Clone, Debug)]
 pub struct RolloutReport {
     /// Cache hits over all evaluations.
     pub cache_hits: u64,
     /// Cache misses over all evaluations.
     pub cache_misses: u64,
-    /// Evaluation rounds recorded.
-    pub rounds: u64,
-    /// Mean wall-clock seconds per evaluation round.
-    pub mean_round_wall_s: f64,
-    /// Total wall-clock seconds across rounds.
-    pub total_wall_s: f64,
-    /// Total per-evaluation compute seconds (sum of each evaluation's
-    /// own wall time — what a fully serial engine would have spent).
-    pub total_compute_s: f64,
     /// Training-tape arena reuses (`autograd.arena.reset` counter).
     pub arena_resets: u64,
     /// Peak pooled gradient/activation capacity in f32 elements
@@ -117,30 +107,16 @@ impl RolloutReport {
         }
     }
 
-    /// Parallel speedup factor: serial-equivalent compute time over the
-    /// actual batched wall time (1.0 when no rounds were recorded).
-    pub fn parallel_speedup(&self) -> f64 {
-        if self.total_wall_s > 0.0 {
-            self.total_compute_s / self.total_wall_s
-        } else {
-            1.0
-        }
-    }
-
     /// Render as the summary lines `metrics summarize` prints. The
-    /// cache/round lines always appear (a pretrain-only trace reads
-    /// "0 of 0 evaluations"); the arena line appears whenever the run
-    /// recorded training-arena activity.
+    /// cache line always appears (a pretrain-only trace reads "0 of 0
+    /// evaluations"); the arena line appears whenever the run recorded
+    /// training-arena activity.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "eval cache hit rate: {:.1}% ({} of {} evaluations)\n\
-             eval rounds: {} (mean {:.4} s wall; parallel speedup {:.2}x over serial compute)\n",
+            "eval cache hit rate: {:.1}% ({} of {} evaluations)\n",
             self.cache_hit_rate() * 100.0,
             self.cache_hits,
             self.cache_hits + self.cache_misses,
-            self.rounds,
-            self.mean_round_wall_s,
-            self.parallel_speedup(),
         );
         if self.arena_resets > 0 || self.arena_high_water > 0.0 {
             let _ = writeln!(
@@ -304,40 +280,26 @@ impl RunSummary {
         (report.requests + report.hot + report.warm + report.miss > 0).then_some(report)
     }
 
-    /// Rollout-engine digest, if the run recorded any evaluations
-    /// (`sim.cache.*` counters or `sim.eval_batch` events) *or* any
-    /// training-arena activity (`autograd.arena.*`). Pretrain-only
-    /// traces have no evaluations but do reuse the training tape, so
-    /// they still get a report — the eval lines read zero and the arena
-    /// line carries the signal.
+    /// Rollout digest, if the run recorded any evaluations
+    /// (`sim.cache.*` counters) *or* any training-arena activity
+    /// (`autograd.arena.*`). Pretrain-only traces have no evaluations
+    /// but do reuse the training tape, so they still get a report — the
+    /// cache line reads zero and the arena line carries the signal.
     pub fn rollout_report(&self) -> Option<RolloutReport> {
         let hits = self.counter("sim.cache.hit");
         let misses = self.counter("sim.cache.miss");
-        let rollup = |field: &str| {
-            self.rollups.iter().find(|r| r.event == "sim.eval_batch" && r.field == field)
-        };
-        let wall = rollup("wall_s");
-        let compute = rollup("compute_s");
         let arena_resets = self.counter("autograd.arena.reset");
         let arena_high_water = self
             .gauges
             .iter()
             .find(|(n, _)| n == "autograd.arena.high_water")
             .map_or(0.0, |(_, v)| *v);
-        if hits + misses == 0 && wall.is_none() && arena_resets == 0 {
+        if hits + misses == 0 && arena_resets == 0 {
             return None;
         }
-        let rounds = wall.map_or(0, |r| r.count);
-        let mean_round_wall_s = wall.map_or(0.0, |r| r.mean);
-        let total_wall_s = wall.map_or(0.0, |r| r.mean * r.count as f64);
-        let total_compute_s = compute.map_or(0.0, |r| r.mean * r.count as f64);
         Some(RolloutReport {
             cache_hits: hits,
             cache_misses: misses,
-            rounds,
-            mean_round_wall_s,
-            total_wall_s,
-            total_compute_s,
             arena_resets,
             arena_high_water,
         })
@@ -742,23 +704,28 @@ mod tests {
         assert!(text.contains("sim.eval.valid"));
     }
 
+    /// Captures recorded before evaluation became one serial path carry
+    /// a `sim.eval_batch` event per round: they parse like any other
+    /// event and add no line to the report.
     #[test]
     fn rollout_report_from_cache_counters_and_batch_events() {
         let run = [
-            r#"{"seq":1,"kind":"event","name":"sim.eval_batch","size":10,"computed":6,"wall_s":0.2,"compute_s":0.6}"#,
-            r#"{"seq":2,"kind":"event","name":"sim.eval_batch","size":10,"computed":2,"wall_s":0.2,"compute_s":0.6}"#,
-            r#"{"kind":"counters","counters":{"sim.cache.hit":12,"sim.cache.miss":8}}"#,
+            r#"{"seq":1,"kind":"event","name":"sim.eval_batch","size":10,"computed":6,"threads":4,"wall_s":0.2,"compute_s":0.6,"backend":"local"}"#,
+            r#"{"seq":2,"kind":"event","name":"sim.eval_batch","size":10,"computed":2,"threads":4,"wall_s":0.2,"compute_s":0.6,"backend":"local"}"#,
+            r#"{"kind":"counters","counters":{"sim.cache.hit":12,"sim.cache.miss":8,"autograd.arena.reset":3}}"#,
         ]
         .join("\n");
-        let report = summarize(&run).expect("parse").rollout_report().expect("report");
+        let summary = summarize(&run).expect("parse");
+        assert_eq!((summary.lines, summary.skipped), (3, 0));
+        let report = summary.rollout_report().expect("report");
         assert_eq!(report.cache_hits, 12);
         assert_eq!(report.cache_misses, 8);
         assert!((report.cache_hit_rate() - 0.6).abs() < 1e-12);
-        assert_eq!(report.rounds, 2);
-        assert!((report.parallel_speedup() - 3.0).abs() < 1e-9, "{}", report.parallel_speedup());
-        let text = report.render();
-        assert!(text.contains("60.0%"), "{text}");
-        assert!(text.contains("3.00x"), "{text}");
+        assert_eq!(
+            report.render(),
+            "eval cache hit rate: 60.0% (12 of 20 evaluations)\n\
+             training arena: 3 tape reuses (high water 0 pooled f32s)\n"
+        );
     }
 
     #[test]

@@ -1,17 +1,13 @@
 //! A small persistent thread pool for data-parallel kernels (the
 //! workspace's `rayon` replacement).
 //!
-//! Two parallel shapes are provided:
-//!
-//! * [`par_chunks_mut`] — split a mutable output buffer into fixed-size
-//!   chunks and run the same closure on each (the kernel shape). Work
-//!   is distributed by an atomic chunk counter; the calling thread
-//!   participates, so on a single-core machine (or when
-//!   `MARS_THREADS=1`) execution is exactly the sequential loop. Pool
-//!   threads are spawned once on first use and live for the process
-//!   lifetime, parked on a shared job channel.
-//! * [`par_tasks`] — run `f(i)` for independent coarse task indices on
-//!   scoped threads sized by the caller (the rollout-evaluation shape).
+//! [`par_chunks_mut`] splits a mutable output buffer into fixed-size
+//! chunks and runs the same closure on each (the kernel shape). Work is
+//! distributed by an atomic chunk counter; the calling thread
+//! participates, so on a single-core machine (or when `MARS_THREADS=1`)
+//! execution is exactly the sequential loop. Pool threads are spawned
+//! once on first use and live for the process lifetime, parked on a
+//! shared job channel.
 //!
 //! Panics inside the closure are caught on each worker, forwarded to
 //! the caller, and re-raised there after every helper has finished —
@@ -168,53 +164,6 @@ where
     }
 }
 
-/// Run `f(i)` for every task index `0..tasks` on up to `max_workers`
-/// threads (the calling thread included), claiming indices through an
-/// atomic counter.
-///
-/// Unlike [`par_chunks_mut`], which sizes itself from the persistent
-/// kernel pool (`MARS_THREADS`), this entry point spawns *scoped*
-/// helper threads per call and follows the caller's `max_workers`
-/// request. It exists for coarse tasks — placement evaluations take
-/// milliseconds each, so the ~10 µs spawn cost is noise, and rollout
-/// concurrency (`--eval-threads`) must be tunable independently of the
-/// kernel pool's sizing. With `max_workers <= 1` (or a single task)
-/// this is exactly the sequential loop; a panic in any task propagates
-/// to the caller after all threads have joined (scope semantics).
-///
-/// `f` must be safe to call concurrently for distinct indices; each
-/// index is claimed exactly once.
-pub fn par_tasks<F>(tasks: usize, max_workers: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let helpers = max_workers.saturating_sub(1).min(tasks.saturating_sub(1));
-    if helpers == 0 {
-        for i in 0..tasks {
-            f(i);
-        }
-        return;
-    }
-    let _span = mars_telemetry::span("tensor.pool.par_tasks");
-    let next = AtomicUsize::new(0);
-    let run = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= tasks {
-            break;
-        }
-        f(i);
-    };
-    thread::scope(|scope| {
-        for w in 0..helpers {
-            thread::Builder::new()
-                .name(format!("mars-eval-{w}"))
-                .spawn_scoped(scope, run)
-                .expect("spawn scoped eval worker");
-        }
-        run();
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,42 +209,6 @@ mod tests {
             chunk[0] = 9.0;
         });
         assert_eq!(one[0], 9.0);
-    }
-
-    #[test]
-    fn par_tasks_runs_every_index_once() {
-        use std::sync::atomic::AtomicU32;
-        let counts: Vec<AtomicU32> = (0..97).map(|_| AtomicU32::new(0)).collect();
-        par_tasks(97, 4, |i| {
-            counts[i].fetch_add(1, Ordering::SeqCst);
-        });
-        for (i, c) in counts.iter().enumerate() {
-            assert_eq!(c.load(Ordering::SeqCst), 1, "task {i}");
-        }
-    }
-
-    #[test]
-    fn par_tasks_single_worker_is_sequential_in_order() {
-        let order = Mutex::new(Vec::new());
-        par_tasks(10, 1, |i| order.lock().unwrap().push(i));
-        assert_eq!(*order.lock().unwrap(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_tasks_zero_tasks_is_a_noop() {
-        par_tasks(0, 8, |_| panic!("must not be called"));
-    }
-
-    #[test]
-    fn par_tasks_propagates_panics() {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            par_tasks(20, 3, |i| {
-                if i == 13 {
-                    panic!("deliberate task panic");
-                }
-            });
-        }));
-        assert!(result.is_err(), "panic inside a task must reach the caller");
     }
 
     #[test]

@@ -1,22 +1,26 @@
-//! The JSONL recorder under `par_tasks` contention: events emitted
-//! concurrently from pool workers must land as whole lines with a
-//! contiguous sequence — no torn writes, no dropped or duplicated
-//! records.
+//! The JSONL recorder under contention: events emitted concurrently
+//! from eight threads must land as whole lines with a contiguous
+//! sequence — no torn writes, no dropped or duplicated records.
 //!
 //! Lives in its own integration-test binary because installing the
 //! process-global recorder resets the shared registries; sharing a
 //! process with the counter-delta tests would race them.
 
 use mars_json::Json;
-use mars_tensor::pool::par_tasks;
 
 #[test]
-fn events_from_pool_workers_are_whole_lines_with_exact_seqs() {
+fn concurrent_events_are_whole_lines_with_exact_seqs() {
     const TASKS: usize = 1_500;
     let sink = mars_telemetry::install_memory();
 
-    par_tasks(TASKS, 8, |i| {
-        mars_telemetry::event("test.pool.event", &[("task", (i as f64).into())]);
+    std::thread::scope(|scope| {
+        for w in 0..8 {
+            scope.spawn(move || {
+                for i in (w..TASKS).step_by(8) {
+                    mars_telemetry::event("test.pool.event", &[("task", (i as f64).into())]);
+                }
+            });
+        }
     });
 
     mars_telemetry::uninstall();

@@ -11,20 +11,14 @@ use mars::plot::{render, ChartConfig, Series};
 use std::path::PathBuf;
 
 fn main() {
-    // The bench runs with CWD = crates/bench, this example with CWD =
-    // the workspace root; check both locations.
-    let candidates = [
-        PathBuf::from("crates/bench/target/experiments/fig7_curves.json"),
-        PathBuf::from("target/experiments/fig7_curves.json"),
-    ];
-    let Some(path) = candidates.iter().find(|p| p.exists()) else {
+    let Ok(text) = std::fs::read_to_string("target/experiments/fig7_curves.json") else {
         eprintln!(
-            "fig7_curves.json not found — run `cargo bench -p mars-bench --bench fig7_curves` first"
+            "target/experiments/fig7_curves.json not found — run \
+             `cargo bench -p mars-bench --bench fig7_curves` first"
         );
         std::process::exit(1);
     };
-    let data = mars::json::Json::parse(&std::fs::read_to_string(path).expect("read json"))
-        .expect("parse json");
+    let data = mars::json::Json::parse(&text).expect("parse json");
 
     let out_dir = PathBuf::from("target/experiments");
     std::fs::create_dir_all(&out_dir).expect("mkdir");

@@ -10,7 +10,7 @@
 //! mars-cli metrics summarize <run.jsonl>            render a telemetry capture
 //! mars-cli metrics tail <run.jsonl> [options]       one line per record, live with --follow
 //! mars-cli metrics flame <run.jsonl>                collapsed stacks for flamegraph tools
-//! mars-cli bench-gate --current <b.json> [options]  compare a bench run to baseline
+//! mars-cli bench-gate --kernels <k.json> [options]  compare a kernel bench run to baseline
 //! mars-cli serve --listen ADDR [options]            placement-as-a-service daemon
 //! mars-cli place <workload> --connect ADDR [opts]   query a running serve daemon
 //!
@@ -19,18 +19,13 @@
 //! train options: --agent mars|mars-nopre|grouper|encoder   --budget N
 //!                --seed N   --profile small|full   --save <ckpt-path>
 //!                --telemetry <run.jsonl>   --dgi-iters N
-//!                --eval-threads N   --no-eval-cache
 //!                --fault-plan <spec>   --max-eval-retries N
 //!                --eval-timeout-s S    --auto-checkpoint <ckpt-path>
 //!                (the kernel backend is picked by the MARS_KERNEL env
 //!                 var: scalar | simd | auto — see DESIGN.md)
 //! metrics tail:  --lines N (default 20, 0 = all)   --follow
-//! bench-gate:    --current <e2e.json>     --baseline <e2e.json>
-//!                --kernels <kernels.json> --kernels-baseline <kernels.json>
-//!                --serve <serve.json>     --serve-baseline <serve.json>
-//!                --min-ratio R (default 0.5)
+//! bench-gate:    --kernels <kernels.json> --kernels-baseline <kernels.json>
 //!                --min-kernel-ratio R (default 0.5)
-//!                --min-serve-ratio R (default 0.5)
 //!                --only <prefix>   gate only kernels matching prefix
 //! serve options: --listen ADDR          bind (host:port or unix:<path>)
 //!                --seed N   --checkpoint <ckpt>   --store <placements.jsonl>
@@ -166,15 +161,6 @@ fn config_from_flags(flags: &Flags) -> Result<MarsConfig, String> {
     if let Some(iters) = flags.parsed_opt("dgi-iters")? {
         cfg.dgi_iters = iters;
     }
-    if let Some(threads) = flags.parsed_opt("eval-threads")? {
-        if threads == 0 {
-            return Err("invalid value '0' for --eval-threads (need at least 1)".into());
-        }
-        cfg.eval_threads = threads;
-    }
-    if flags.switch("no-eval-cache")? {
-        cfg.eval_cache = false;
-    }
     cfg.max_eval_retries = flags.parsed("max-eval-retries", cfg.max_eval_retries)?;
     cfg.eval_timeout_s = flags.parsed("eval-timeout-s", cfg.eval_timeout_s)?;
     if cfg.eval_timeout_s <= 0.0 {
@@ -190,8 +176,6 @@ fn config_from_flags(flags: &Flags) -> Result<MarsConfig, String> {
 /// Parse and validate `--fault-plan` against the cluster, then install
 /// it (and the retry/timeout knobs from `cfg`) on the environment.
 fn arm_environment(env: &mut SimEnv, cfg: &MarsConfig, flags: &Flags) -> Result<(), String> {
-    env.set_eval_threads(cfg.eval_threads);
-    env.set_cache_enabled(cfg.eval_cache);
     env.retry.max_retries = cfg.max_eval_retries;
     env.eval_timeout_s = cfg.eval_timeout_s;
     if let Some(spec) = flags.string_opt("fault-plan")? {
@@ -415,15 +399,8 @@ fn print_tail_line(line: &str) -> bool {
     j.get("kind").and_then(Json::as_str) == Some("histograms")
 }
 
-/// One parsed bench-JSON file: its per-arm medians plus the aggregate
-/// speedup (present in e2e baselines, absent in kernel baselines).
-#[derive(Debug)]
-struct BenchRun {
-    speedup: Option<f64>,
-    arms: Vec<(String, f64)>,
-}
-
-fn parse_bench_run(path: &str, text: &str) -> Result<BenchRun, String> {
+/// One parsed kernel-bench JSON file: its `(name, median ns)` arms.
+fn parse_bench_run(path: &str, text: &str) -> Result<Vec<(String, f64)>, String> {
     let json = Json::parse(text).map_err(|e| format!("cannot parse '{path}': {e}"))?;
     // An empty run is a broken run: a bench JSON that carries no
     // samples must fail the gate loudly, not pass it vacuously
@@ -436,7 +413,7 @@ fn parse_bench_run(path: &str, text: &str) -> Result<BenchRun, String> {
             ))
         }
     };
-    let arms = samples
+    samples
         .iter()
         .map(|s| {
             let name = s
@@ -449,38 +426,6 @@ fn parse_bench_run(path: &str, text: &str) -> Result<BenchRun, String> {
                 .filter(|m| *m > 0.0)
                 .ok_or_else(|| format!("'{path}': arm '{name}' has no positive 'median_ns'"))?;
             Ok((name.to_string(), median))
-        })
-        .collect::<Result<_, String>>()?;
-    let speedup = json.get("speedup").and_then(Json::as_f64);
-    Ok(BenchRun { speedup, arms })
-}
-
-/// Require the aggregate speedup of an e2e bench file.
-fn require_speedup(run: &BenchRun, path: &str) -> Result<f64, String> {
-    run.speedup.ok_or_else(|| format!("'{path}' has no numeric 'speedup' field"))
-}
-
-/// Per-arm regression ratios between two bench runs. Raw medians are
-/// not comparable across runs (a smoke run uses fewer rounds than the
-/// committed baseline), so each arm is first normalized to its own
-/// file's serial arm — speedup(arm) = serial_median / arm_median —
-/// and the ratio compares those speedups. Arms missing from either
-/// file, and the serial arm itself (its ratio is 1 by construction),
-/// are skipped.
-fn bench_arm_ratios(current: &BenchRun, baseline: &BenchRun) -> Vec<(String, f64)> {
-    let serial =
-        |run: &BenchRun| run.arms.iter().find(|(name, _)| name.contains("serial")).map(|(_, m)| *m);
-    let (Some(serial_cur), Some(serial_base)) = (serial(current), serial(baseline)) else {
-        return Vec::new();
-    };
-    current
-        .arms
-        .iter()
-        .filter(|(name, _)| !name.contains("serial"))
-        .filter_map(|(name, median_cur)| {
-            let (_, median_base) = baseline.arms.iter().find(|(n, _)| n == name)?;
-            let ratio = (serial_cur / median_cur) / (serial_base / median_base);
-            Some((name.clone(), ratio))
         })
         .collect()
 }
@@ -495,19 +440,19 @@ fn bench_arm_ratios(current: &BenchRun, baseline: &BenchRun) -> Vec<(String, f64
 /// one of the two files (compared nowhere, reported so coverage loss is
 /// never silent).
 fn bench_kernel_ratios(
-    current: &BenchRun,
-    baseline: &BenchRun,
+    current: &[(String, f64)],
+    baseline: &[(String, f64)],
 ) -> (Vec<(String, f64)>, Vec<String>) {
     let mut raw: Vec<(String, f64)> = Vec::new();
     let mut unmatched = Vec::new();
-    for (name, cur) in &current.arms {
-        match baseline.arms.iter().find(|(n, _)| n == name) {
+    for (name, cur) in current {
+        match baseline.iter().find(|(n, _)| n == name) {
             Some((_, base)) => raw.push((name.clone(), base / cur)),
             None => unmatched.push(format!("{name} (current only)")),
         }
     }
-    for (name, _) in &baseline.arms {
-        if !current.arms.iter().any(|(n, _)| n == name) {
+    for (name, _) in baseline {
+        if !current.iter().any(|(n, _)| n == name) {
             unmatched.push(format!("{name} (baseline only)"));
         }
     }
@@ -522,181 +467,63 @@ fn bench_kernel_ratios(
 /// `--only`: a partial bench run (one kernel family re-measured) gates
 /// just that family, and baseline arms outside the prefix are dropped
 /// *before* matching so they produce no "baseline only" noise.
-fn filter_arms(run: &mut BenchRun, prefix: &str) {
-    run.arms.retain(|(name, _)| name.starts_with(prefix));
+fn filter_arms(run: &mut Vec<(String, f64)>, prefix: &str) {
+    run.retain(|(name, _)| name.starts_with(prefix));
 }
 
-/// One serve-bench file: open-loop load-generator results.
-#[derive(Debug)]
-struct ServeRun {
-    throughput_rps: f64,
-    p99_ns: f64,
-}
-
-fn parse_serve_run(path: &str, text: &str) -> Result<ServeRun, String> {
-    let json = Json::parse(text).map_err(|e| format!("cannot parse '{path}': {e}"))?;
-    let field = |name: &str| -> Result<f64, String> {
-        json.get(name)
-            .and_then(Json::as_f64)
-            .filter(|v| *v > 0.0)
-            .ok_or_else(|| format!("'{path}' has no positive '{name}' field"))
-    };
-    Ok(ServeRun { throughput_rps: field("throughput_rps")?, p99_ns: field("p99_ns")? })
-}
-
-/// Compare fresh benchmark JSONs against committed baselines and fail
-/// on regression. Three independent gates:
-///
-/// * `--current <e2e.json>` — the aggregate rollout speedup
-///   (threads+cache vs serial) and each arm's serial-normalized
-///   speedup, both against `--min-ratio`.
-/// * `--kernels <kernels.json>` — every microkernel's geomean-normalized
-///   median against `--min-kernel-ratio`, so a failure names the
-///   regressed kernel rather than a blended number. `--only <prefix>`
-///   restricts the gate to one kernel family.
-/// * `--serve <serve.json>` — the serve loop's throughput (floor) and
-///   p99 latency (ceiling) against `--min-serve-ratio`.
+/// Compare a fresh kernel-bench JSON against the committed baseline and
+/// fail on regression: every microkernel's geomean-normalized median
+/// against `--min-kernel-ratio`, so a failure names the regressed
+/// kernel rather than a blended number. `--only <prefix>` restricts the
+/// gate to one kernel family.
 fn cmd_bench_gate(flags: &Flags) -> Result<(), String> {
-    let usage = "usage: mars-cli bench-gate [--current <e2e.json> [--baseline <e2e.json>]] \
-                 [--kernels <kernels.json> [--kernels-baseline <kernels.json>] [--only <prefix>]] \
-                 [--serve <serve.json> [--serve-baseline <serve.json>]]";
-    let current_path = flags.string_opt("current")?;
-    let kernels_path = flags.string_opt("kernels")?;
-    let serve_path = flags.string_opt("serve")?;
-    if current_path.is_none() && kernels_path.is_none() && serve_path.is_none() {
-        return Err(usage.into());
-    }
-    let min_ratio: f64 = flags.parsed("min-ratio", 0.5)?;
-    if !(0.0..=1.0).contains(&min_ratio) {
-        return Err(format!("invalid value '{min_ratio}' for --min-ratio (expected 0..=1)"));
-    }
+    let usage = "usage: mars-cli bench-gate --kernels <kernels.json> \
+                 [--kernels-baseline <kernels.json>] [--min-kernel-ratio R] [--only <prefix>]";
+    let Some(kernels_path) = flags.string_opt("kernels")? else { return Err(usage.into()) };
     let min_kernel_ratio: f64 = flags.parsed("min-kernel-ratio", 0.5)?;
     if !(0.0..=1.0).contains(&min_kernel_ratio) {
         return Err(format!(
             "invalid value '{min_kernel_ratio}' for --min-kernel-ratio (expected 0..=1)"
         ));
     }
-    let load = |path: &str| -> Result<BenchRun, String> {
+    let load = |path: &str| -> Result<Vec<(String, f64)>, String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
         parse_bench_run(path, &text)
     };
 
-    if let Some(current_path) = current_path {
-        let baseline_path =
-            flags.string_opt("baseline")?.unwrap_or_else(|| "BENCH_e2e.json".to_string());
-        let baseline = load(&baseline_path)?;
-        let current = load(&current_path)?;
-        let baseline_speedup = require_speedup(&baseline, &baseline_path)?;
-        let current_speedup = require_speedup(&current, &current_path)?;
-        if baseline_speedup <= 0.0 {
-            return Err(format!(
-                "baseline speedup {baseline_speedup} in '{baseline_path}' is not positive"
-            ));
+    let kernels_baseline_path =
+        flags.string_opt("kernels-baseline")?.unwrap_or_else(|| "BENCH_kernels.json".to_string());
+    let mut baseline = load(&kernels_baseline_path)?;
+    let mut current = load(&kernels_path)?;
+    if let Some(prefix) = flags.string_opt("only")? {
+        filter_arms(&mut current, &prefix);
+        filter_arms(&mut baseline, &prefix);
+        if current.is_empty() {
+            return Err(format!("'{kernels_path}' has no kernel arms matching --only '{prefix}'"));
         }
-        let ratio = current_speedup / baseline_speedup;
-        println!(
-            "bench gate: current speedup {current_speedup:.3} vs baseline {baseline_speedup:.3} \
-             (ratio {ratio:.3}, floor {min_ratio:.3})"
-        );
-        for (arm, arm_ratio) in bench_arm_ratios(&current, &baseline) {
-            println!("bench gate: arm '{arm}' serial-normalized ratio {arm_ratio:.3}");
-            if arm_ratio < min_ratio {
-                return Err(format!(
-                    "benchmark regression in arm '{arm}': serial-normalized speedup ratio \
-                     {arm_ratio:.3} fell below the {min_ratio:.3} floor"
-                ));
-            }
-        }
-        if ratio < min_ratio {
-            return Err(format!(
-                "benchmark regression: speedup ratio {ratio:.3} fell below the {min_ratio:.3} \
-                 floor"
-            ));
-        }
+        println!("bench gate: --only '{prefix}' gates {} kernel arm(s)", current.len());
     }
-
-    if let Some(kernels_path) = kernels_path {
-        let kernels_baseline_path = flags
-            .string_opt("kernels-baseline")?
-            .unwrap_or_else(|| "BENCH_kernels.json".to_string());
-        let mut baseline = load(&kernels_baseline_path)?;
-        let mut current = load(&kernels_path)?;
-        if let Some(prefix) = flags.string_opt("only")? {
-            filter_arms(&mut current, &prefix);
-            filter_arms(&mut baseline, &prefix);
-            if current.arms.is_empty() {
-                return Err(format!(
-                    "'{kernels_path}' has no kernel arms matching --only '{prefix}'"
-                ));
-            }
-            println!("bench gate: --only '{prefix}' gates {} kernel arm(s)", current.arms.len());
-        }
-        let (ratios, unmatched) = bench_kernel_ratios(&current, &baseline);
-        if ratios.is_empty() {
-            return Err(format!(
-                "'{kernels_path}' and '{kernels_baseline_path}' share no kernel names; \
-                 nothing was gated"
-            ));
-        }
-        for name in &unmatched {
-            println!("bench gate: kernel {name} not compared");
-        }
-        for (kernel, ratio) in &ratios {
-            println!("bench gate: kernel '{kernel}' normalized ratio {ratio:.3}");
-        }
-        if let Some((kernel, ratio)) =
-            ratios.iter().filter(|(_, r)| *r < min_kernel_ratio).min_by(|a, b| a.1.total_cmp(&b.1))
-        {
-            return Err(format!(
-                "benchmark regression in kernel '{kernel}': geomean-normalized median ratio \
-                 {ratio:.3} fell below the {min_kernel_ratio:.3} floor"
-            ));
-        }
+    let (ratios, unmatched) = bench_kernel_ratios(&current, &baseline);
+    if ratios.is_empty() {
+        return Err(format!(
+            "'{kernels_path}' and '{kernels_baseline_path}' share no kernel names; \
+             nothing was gated"
+        ));
     }
-
-    if let Some(serve_path) = serve_path {
-        let serve_baseline_path =
-            flags.string_opt("serve-baseline")?.unwrap_or_else(|| "BENCH_serve.json".to_string());
-        let min_serve_ratio: f64 = flags.parsed("min-serve-ratio", 0.5)?;
-        if !(0.0..=1.0).contains(&min_serve_ratio) {
-            return Err(format!(
-                "invalid value '{min_serve_ratio}' for --min-serve-ratio (expected 0..=1)"
-            ));
-        }
-        let load_serve = |path: &str| -> Result<ServeRun, String> {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-            parse_serve_run(path, &text)
-        };
-        let baseline = load_serve(&serve_baseline_path)?;
-        let current = load_serve(&serve_path)?;
-        let throughput_ratio = current.throughput_rps / baseline.throughput_rps;
-        // The latency gate is a ceiling, expressed as the same kind of
-        // "bigger is better" ratio: p99 may grow at most 1/R.
-        let p99_ratio = baseline.p99_ns / current.p99_ns;
-        println!(
-            "bench gate: serve throughput {:.0} rps vs baseline {:.0} \
-             (ratio {throughput_ratio:.3}, floor {min_serve_ratio:.3})",
-            current.throughput_rps, baseline.throughput_rps
-        );
-        println!(
-            "bench gate: serve p99 {:.0} ns vs baseline {:.0} \
-             (ratio {p99_ratio:.3}, floor {min_serve_ratio:.3})",
-            current.p99_ns, baseline.p99_ns
-        );
-        if throughput_ratio < min_serve_ratio {
-            return Err(format!(
-                "benchmark regression in serve throughput: ratio {throughput_ratio:.3} fell \
-                 below the {min_serve_ratio:.3} floor"
-            ));
-        }
-        if p99_ratio < min_serve_ratio {
-            return Err(format!(
-                "benchmark regression in serve p99 latency: ratio {p99_ratio:.3} fell below \
-                 the {min_serve_ratio:.3} floor"
-            ));
-        }
+    for name in &unmatched {
+        println!("bench gate: kernel {name} not compared");
+    }
+    for (kernel, ratio) in &ratios {
+        println!("bench gate: kernel '{kernel}' normalized ratio {ratio:.3}");
+    }
+    if let Some((kernel, ratio)) =
+        ratios.iter().filter(|(_, r)| *r < min_kernel_ratio).min_by(|a, b| a.1.total_cmp(&b.1))
+    {
+        return Err(format!(
+            "benchmark regression in kernel '{kernel}': geomean-normalized median ratio \
+             {ratio:.3} fell below the {min_kernel_ratio:.3} floor"
+        ));
     }
 
     println!("bench gate passed");
@@ -897,7 +724,7 @@ fn cmd_evaluate(workload: Workload, profile: Profile, flags: &Flags) -> Result<(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: mars-cli <inspect|train|pretrain|trace|dot|evaluate|place> <workload> [--flags]\n       mars-cli metrics summarize <run.jsonl>\n       mars-cli bench-gate --current <bench.json> [--baseline <bench.json>]\n       mars-cli serve --listen ADDR [--flags]\n(see --help in the module docs)";
+    let usage = "usage: mars-cli <inspect|train|pretrain|trace|dot|evaluate|place> <workload> [--flags]\n       mars-cli metrics summarize <run.jsonl>\n       mars-cli bench-gate --kernels <kernels.json> [--kernels-baseline <kernels.json>]\n       mars-cli serve --listen ADDR [--flags]\n(see --help in the module docs)";
     match args.first().map(String::as_str) {
         Some("metrics") => {
             return match cmd_metrics(&args[1..]) {
@@ -957,52 +784,11 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn bench_json(serial_ns: f64, threads_ns: f64) -> String {
-        format!(
-            r#"{{"benchmarks":[
-                {{"name":"rollout_e2e/serial_nocache","iters":6,"median_ns":{serial_ns}}},
-                {{"name":"rollout_e2e/threads4_cache","iters":6,"median_ns":{threads_ns}}}],
-                "speedup":{}}}"#,
-            serial_ns / threads_ns
-        )
-    }
-
-    #[test]
-    fn arm_ratios_are_serial_normalized_and_skip_serial() {
-        // The current run is uniformly 10× faster in wall-clock than
-        // the baseline (fewer rounds), but every arm kept its speedup
-        // over serial — so every normalized ratio is exactly 1.
-        let baseline = parse_bench_run("b", &bench_json(1000.0, 500.0)).expect("baseline");
-        let current = parse_bench_run("c", &bench_json(100.0, 50.0)).expect("current");
-        let ratios = bench_arm_ratios(&current, &baseline);
-        assert_eq!(ratios.len(), 1, "serial arm must be skipped: {ratios:?}");
-        for (arm, ratio) in &ratios {
-            assert!((ratio - 1.0).abs() < 1e-12, "{arm}: {ratio}");
-        }
-    }
-
-    #[test]
-    fn regressed_arm_is_named() {
-        let baseline = parse_bench_run("b", &bench_json(1000.0, 500.0)).expect("baseline");
-        // The threads arm got slower than serial.
-        let current = parse_bench_run("c", &bench_json(1000.0, 4000.0)).expect("current");
-        let ratios = bench_arm_ratios(&current, &baseline);
-        let threads = ratios.iter().find(|(arm, _)| arm.contains("threads")).expect("threads arm");
-        assert!(threads.1 < 0.5, "threads regression must show: {ratios:?}");
-    }
-
-    #[test]
-    fn missing_serial_arm_disables_per_arm_checks() {
-        let no_serial = r#"{"benchmarks":[{"name":"only_arm","median_ns":10.0}],"speedup":1.0}"#;
-        let run = parse_bench_run("p", no_serial).expect("parses");
-        assert!(bench_arm_ratios(&run, &run).is_empty());
-    }
-
     #[test]
     fn malformed_bench_files_are_rejected() {
-        let e = parse_bench_run("p", r#"{"benchmarks":[],"speedup":1.0}"#).expect_err("empty");
+        let e = parse_bench_run("p", r#"{"benchmarks":[]}"#).expect_err("empty");
         assert!(e.contains("no benchmark samples"), "{e}");
-        let e = parse_bench_run("p", r#"{"benchmarks":[{"name":"a","median_ns":0}],"speedup":1}"#)
+        let e = parse_bench_run("p", r#"{"benchmarks":[{"name":"a","median_ns":0}]}"#)
             .expect_err("zero median");
         assert!(e.contains("'a'"), "{e}");
     }
@@ -1010,12 +796,11 @@ mod tests {
     #[test]
     fn kernel_files_parse_without_a_speedup_field() {
         let run = parse_bench_run("k", r#"{"benchmarks":[{"name":"matmul/256","median_ns":5.0}]}"#)
-            .expect("kernel baselines carry no aggregate speedup");
-        assert_eq!(run.speedup, None);
-        assert!(require_speedup(&run, "k").expect_err("absent").contains("'k'"));
+            .expect("a kernel file needs only names and medians");
+        assert_eq!(run, vec![("matmul/256".to_string(), 5.0)]);
     }
 
-    fn kernel_json(arms: &[(&str, f64)]) -> BenchRun {
+    fn kernel_json(arms: &[(&str, f64)]) -> Vec<(String, f64)> {
         let body: Vec<String> =
             arms.iter().map(|(n, m)| format!(r#"{{"name":"{n}","median_ns":{m}}}"#)).collect();
         parse_bench_run("k", &format!(r#"{{"benchmarks":[{}]}}"#, body.join(","))).expect("parses")
@@ -1061,21 +846,6 @@ mod tests {
         let (ratios, unmatched) = bench_kernel_ratios(&current, &baseline);
         assert_eq!(ratios.len(), 1, "{ratios:?}");
         assert!(unmatched.is_empty(), "out-of-prefix arms must not be noise: {unmatched:?}");
-    }
-
-    #[test]
-    fn serve_runs_parse_and_reject_missing_fields() {
-        let run = parse_serve_run(
-            "s",
-            r#"{"throughput_rps":1200.5,"p50_ns":80000,"p99_ns":410000,"requests":256}"#,
-        )
-        .expect("parses");
-        assert!((run.throughput_rps - 1200.5).abs() < 1e-9);
-        assert!((run.p99_ns - 410000.0).abs() < 1e-9);
-        let e = parse_serve_run("s", r#"{"throughput_rps":1200.5}"#).expect_err("no p99");
-        assert!(e.contains("p99_ns"), "{e}");
-        let e = parse_serve_run("s", r#"{"throughput_rps":0,"p99_ns":1}"#).expect_err("zero");
-        assert!(e.contains("throughput_rps"), "{e}");
     }
 
     #[test]

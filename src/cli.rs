@@ -14,15 +14,8 @@ use std::str::FromStr;
 
 /// The flags `config_from_flags` in the binary resolves into a
 /// `MarsConfig`; every command that builds a config reads all of them.
-const CONFIG_FLAGS: &[&str] = &[
-    "profile",
-    "dgi-iters",
-    "eval-threads",
-    "no-eval-cache",
-    "max-eval-retries",
-    "eval-timeout-s",
-    "auto-checkpoint",
-];
+const CONFIG_FLAGS: &[&str] =
+    &["profile", "dgi-iters", "max-eval-retries", "eval-timeout-s", "auto-checkpoint"];
 
 /// Every flag each `mars-cli` command reads, as groups of names. A
 /// flag a command starts reading is added here, or the command refuses
@@ -43,14 +36,7 @@ pub const COMMAND_FLAGS: &[(&str, &[&[&str]])] = &[
             &["checkpoint", "store", "telemetry"],
         ],
     ),
-    (
-        "bench-gate",
-        &[
-            &["current", "baseline", "min-ratio"],
-            &["kernels", "kernels-baseline", "min-kernel-ratio", "only"],
-            &["serve", "serve-baseline", "min-serve-ratio"],
-        ],
-    ),
+    ("bench-gate", &[&["kernels", "kernels-baseline", "min-kernel-ratio", "only"]]),
     ("metrics summarize", &[]),
     ("metrics tail", &[&["lines", "follow"]]),
     ("metrics flame", &[]),
@@ -68,7 +54,7 @@ pub struct Flags {
 
 impl Flags {
     /// Parse raw arguments. A flag followed by another `--flag` (or by
-    /// nothing) is a boolean switch, e.g. `--no-eval-cache`; bare
+    /// nothing) is a boolean switch, e.g. `--shutdown`; bare
     /// positional tokens are ignored (the caller consumes those first).
     pub fn parse(args: &[String]) -> Flags {
         let mut map = HashMap::new();
@@ -157,7 +143,7 @@ impl Flags {
 
     /// A boolean switch: present with no value → `true`, absent →
     /// `false`. Giving a switch a value is an error — it is the most
-    /// common way to typo a flag (`--no-eval-cache yes`).
+    /// common way to typo a flag (`--shutdown yes`).
     pub fn switch(&self, key: &str) -> Result<bool, String> {
         match self.get(key) {
             None => Ok(false),
@@ -194,10 +180,10 @@ mod tests {
 
     #[test]
     fn parses_values_and_switches() {
-        let f = flags(&["--budget", "100", "--no-eval-cache", "--seed", "7"]);
+        let f = flags(&["--budget", "100", "--shutdown", "--seed", "7"]);
         assert_eq!(f.parsed("budget", 0usize).unwrap(), 100);
         assert_eq!(f.parsed("seed", 0u64).unwrap(), 7);
-        assert!(f.switch("no-eval-cache").unwrap());
+        assert!(f.switch("shutdown").unwrap());
         assert!(!f.switch("absent").unwrap());
     }
 
@@ -217,9 +203,9 @@ mod tests {
 
     #[test]
     fn switch_with_value_is_rejected() {
-        let f = flags(&["--no-eval-cache", "yes"]);
-        let err = f.switch("no-eval-cache").unwrap_err();
-        assert!(err.contains("--no-eval-cache") && err.contains("'yes'"), "{err}");
+        let f = flags(&["--shutdown", "yes"]);
+        let err = f.switch("shutdown").unwrap_err();
+        assert!(err.contains("--shutdown") && err.contains("'yes'"), "{err}");
     }
 
     #[test]

@@ -74,20 +74,26 @@ fn malformed_numeric_flag_is_rejected() {
     assert!(err.contains("invalid value 'lots' for --budget"), "{err}");
 }
 
+/// Evaluation is one serial path with the memo always on: the old
+/// thread-count and cache switches are refused by name, any value.
 #[test]
 fn zero_eval_threads_is_rejected() {
-    let out = cli().args(["train", "inception", "--eval-threads", "0"]).output().expect("run");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--eval-threads"), "{err}");
+    assert_refused_by_name(&[
+        (vec!["train", "inception", "--eval-threads", "0"], "--eval-threads", "train"),
+        (vec!["train", "inception", "--eval-threads", "4"], "--eval-threads", "train"),
+        (vec!["train", "inception", "--no-eval-cache"], "--no-eval-cache", "train"),
+    ]);
 }
 
 #[test]
 fn switch_with_value_is_rejected() {
-    let out = cli().args(["train", "inception", "--no-eval-cache", "yes"]).output().expect("run");
+    let out = cli()
+        .args(["metrics", "tail", "/nonexistent.jsonl", "--follow", "yes"])
+        .output()
+        .expect("run");
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--no-eval-cache") && err.contains("takes no value"), "{err}");
+    assert!(err.contains("--follow") && err.contains("takes no value"), "{err}");
 }
 
 /// Each row runs `mars-cli <args>` and expects it refused as
@@ -113,8 +119,11 @@ fn unknown_flags_are_refused_before_any_work() {
         (vec!["train", "inception", "--bugdet", "40"], "--bugdet", "train"),
         (vec!["serve", "--listen", sock, "--cache-capcity", "8"], "--cache-capcity", "serve"),
         (vec!["place", "seq2seq", "--connect", sock, "--topk", "2"], "--topk", "place"),
-        (vec!["bench-gate", "--curent", "BENCH_e2e.json"], "--curent", "bench-gate"),
+        (vec!["bench-gate", "--curent", "BENCH_kernels.json"], "--curent", "bench-gate"),
         (vec!["metrics", "tail", "/nonexistent.jsonl", "--line", "5"], "--line", "metrics tail"),
+        // The ledger is the only whole-run benchmark: the gate is kernels only.
+        (vec!["bench-gate", "--current", "BENCH_kernels.json"], "--current", "bench-gate"),
+        (vec!["bench-gate", "--serve", "BENCH_kernels.json"], "--serve", "bench-gate"),
     ]);
 }
 
@@ -250,35 +259,53 @@ fn train_with_device_failure_reports_degraded_cluster() {
     assert!(text.contains("cluster degraded: failed devices [2]"), "{text}");
 }
 
+/// Without `--kernels-baseline` the gate reads the committed
+/// `BENCH_kernels.json`.
 #[test]
 fn bench_gate_passes_against_itself() {
-    let out = cli()
-        .args(["bench-gate", "--current", "BENCH_e2e.json", "--baseline", "BENCH_e2e.json"])
-        .output()
-        .expect("run");
+    let out = cli().args(["bench-gate", "--kernels", "BENCH_kernels.json"]).output().expect("run");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("bench gate passed"), "{text}");
-    assert!(text.contains("ratio 1.000"), "{text}");
+    assert!(text.contains("normalized ratio 1.000"), "{text}");
 }
 
+/// A partial re-run of one kernel family (`--only`) is gated against
+/// its own family of the baseline: a kernel that fell behind its peers
+/// fails the gate.
 #[test]
 fn bench_gate_fails_on_regression() {
     let dir = std::env::temp_dir().join("mars-cli-bench-gate");
     std::fs::create_dir_all(&dir).expect("tmpdir");
-    let bad = dir.join("regressed.json");
+    let base = dir.join("family-base.json");
+    let bad = dir.join("family-regressed.json");
+    std::fs::write(
+        &base,
+        r#"{"benchmarks": [
+            {"name": "matmul/256", "iters": 100, "median_ns": 1000000},
+            {"name": "matmul/512", "iters": 100, "median_ns": 8000000},
+            {"name": "softmax/4096", "iters": 100, "median_ns": 10000}]}"#,
+    )
+    .expect("write");
     std::fs::write(
         &bad,
-        r#"{"benchmarks": [{"name": "rollout_e2e/serial_nocache", "iters": 1, "median_ns": 133000000}], "speedup": 0.01}"#,
+        r#"{"benchmarks": [
+            {"name": "matmul/256", "iters": 100, "median_ns": 9000000},
+            {"name": "matmul/512", "iters": 100, "median_ns": 8000000}]}"#,
     )
     .expect("write");
     let out = cli()
-        .args(["bench-gate", "--current", bad.to_str().expect("utf8"), "--min-ratio", "0.5"])
+        .args(["bench-gate", "--kernels", bad.to_str().expect("utf8")])
+        .args(["--kernels-baseline", base.to_str().expect("utf8"), "--only", "matmul"])
         .output()
         .expect("run");
-    assert!(!out.status.success(), "a 100x regression must fail the gate");
+    assert!(!out.status.success(), "a 9x regression must fail the gate");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("--only 'matmul' gates 2 kernel arm(s)"), "{text}");
+    assert!(!text.contains("softmax"), "out-of-family arms are not compared: {text}");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("benchmark regression"), "{err}");
+    assert!(err.contains("benchmark regression in kernel 'matmul/256'"), "{err}");
+    let _ = std::fs::remove_file(base);
     let _ = std::fs::remove_file(bad);
 }
 
@@ -288,14 +315,13 @@ fn bench_gate_rejects_empty_or_missing_samples() {
     // error — not pass vacuously, not panic on an index.
     let dir = std::env::temp_dir().join("mars-cli-bench-gate");
     std::fs::create_dir_all(&dir).expect("tmpdir");
-    for (name, body) in [
-        ("empty-samples.json", r#"{"benchmarks": [], "speedup": 1.5}"#),
-        ("no-samples.json", r#"{"speedup": 1.5}"#),
-    ] {
+    for (name, body) in
+        [("empty-samples.json", r#"{"benchmarks": []}"#), ("no-samples.json", r#"{}"#)]
+    {
         let path = dir.join(name);
         std::fs::write(&path, body).expect("write");
         let out = cli()
-            .args(["bench-gate", "--current", path.to_str().expect("utf8")])
+            .args(["bench-gate", "--kernels", path.to_str().expect("utf8")])
             .output()
             .expect("run");
         assert!(!out.status.success(), "{name} must fail the gate");
@@ -370,32 +396,6 @@ fn bench_gate_without_inputs_prints_usage() {
     let out = cli().args(["bench-gate"]).output().expect("run");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"), "usage expected");
-}
-
-#[test]
-fn bench_gate_names_the_regressed_arm() {
-    // Per-arm gating is serial-normalized, so a current file with a
-    // faster absolute wall-clock can still fail on the one arm whose
-    // speedup over serial collapsed — and the error must say which.
-    let dir = std::env::temp_dir().join("mars-cli-bench-gate");
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    let bad = dir.join("arm-regressed.json");
-    std::fs::write(
-        &bad,
-        r#"{"benchmarks": [
-            {"name": "rollout_e2e/serial_nocache", "iters": 6, "median_ns": 13000000},
-            {"name": "rollout_e2e/threads4_cache", "iters": 6, "median_ns": 90000000}],
-            "speedup": 2.4}"#,
-    )
-    .expect("write");
-    let out = cli()
-        .args(["bench-gate", "--current", bad.to_str().expect("utf8"), "--min-ratio", "0.5"])
-        .output()
-        .expect("run");
-    assert!(!out.status.success(), "the collapsed threads arm must fail the gate");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("threads4_cache"), "the failing arm must be named: {err}");
-    let _ = std::fs::remove_file(bad);
 }
 
 #[test]
@@ -557,12 +557,12 @@ fn serve_keeps_accepting_after_running_out_of_descriptors() {
 #[test]
 fn bench_gate_rejects_malformed_ratio() {
     let out = cli()
-        .args(["bench-gate", "--current", "BENCH_e2e.json", "--min-ratio", "high"])
+        .args(["bench-gate", "--kernels", "BENCH_kernels.json", "--min-kernel-ratio", "high"])
         .output()
         .expect("run");
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("invalid value 'high' for --min-ratio"), "{err}");
+    assert!(err.contains("invalid value 'high' for --min-kernel-ratio"), "{err}");
 }
 
 #[test]
