@@ -3,6 +3,7 @@
 use crate::cost::op_time;
 use crate::device::Cluster;
 use crate::placement::Placement;
+use crate::trace::{OpSpan, StepTrace, TransferSpan};
 use mars_graph::{CompGraph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -52,16 +53,6 @@ enum Event {
     TransferDone(usize),
 }
 
-/// Tunable aspects of the scheduling model.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SimOptions {
-    /// Send one copy of an op's output tensor per destination *device*
-    /// instead of one per consuming edge (TensorFlow's send/recv pairs
-    /// are per-device). Off by default to match the calibrated
-    /// experiments; see DESIGN.md §5.
-    pub dedup_transfers: bool,
-}
-
 /// Simulate one training step of `graph` under `placement`.
 ///
 /// The placement must already be compatibility-enforced
@@ -73,15 +64,17 @@ pub struct SimOptions {
 /// between the endpoint devices (latency + bytes/bandwidth, serialized
 /// per link direction).
 pub fn simulate(graph: &CompGraph, placement: &Placement, cluster: &Cluster) -> StepReport {
-    simulate_with(graph, placement, cluster, SimOptions::default())
+    run(graph, placement, cluster, None)
 }
 
-/// [`simulate`] with explicit [`SimOptions`].
-pub fn simulate_with(
+/// The event loop behind [`simulate`] and [`crate::simulate_traced`]:
+/// with `trace`, each op execution and transfer is also recorded as the
+/// loop starts it. Recording reads the schedule and never changes it.
+pub(crate) fn run(
     graph: &CompGraph,
     placement: &Placement,
     cluster: &Cluster,
-    options: SimOptions,
+    mut trace: Option<&mut StepTrace>,
 ) -> StepReport {
     let _span = mars_telemetry::span("sim.engine.simulate");
     let n = graph.num_nodes();
@@ -113,8 +106,6 @@ pub fn simulate_with(
     let mut num_transfers = 0usize;
     let mut makespan = 0.0f64;
     let mut completed = 0usize;
-    // Per representative-edge member lists for grouped transfers.
-    let mut group_members: Vec<Vec<usize>> = vec![Vec::new(); graph.num_edges()];
 
     // Seed sources.
     for i in 0..n {
@@ -132,6 +123,9 @@ pub fn simulate_with(
                     let dur = op_time(graph.node(node), cluster.device(dev));
                     device_busy[dev] = true;
                     device_busy_s[dev] += dur;
+                    if let Some(t) = trace.as_deref_mut() {
+                        t.ops.push(OpSpan { node, device: dev, start_s: $now, end_s: $now + dur });
+                    }
                     seq += 1;
                     events.push(Reverse((Time($now + dur), seq, Event::OpDone(node))));
                 }
@@ -150,54 +144,54 @@ pub fn simulate_with(
                 completed += 1;
                 let dev = placement.device(node);
                 device_busy[dev] = false;
-                // Group cross-device edges by destination device when
-                // transfer deduplication is on (one tensor copy per
-                // device); otherwise every edge is its own group.
-                let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+                // Same-device consumers wake first, then every
+                // cross-device edge enqueues its own transfer, both in
+                // edge order. Events tied in time pop in push order, so
+                // this order is part of the schedule.
+                for &ei in &out_edges[node] {
+                    let dst = graph.edges()[ei].dst;
+                    if placement.device(dst) == dev {
+                        pending[dst] -= 1;
+                        if pending[dst] == 0 {
+                            ready[dev].push(Reverse((rank[dst], dst)));
+                            try_start!(dev, now);
+                        }
+                    }
+                }
                 for &ei in &out_edges[node] {
                     let e = graph.edges()[ei];
                     let dst_dev = placement.device(e.dst);
                     if dst_dev == dev {
-                        pending[e.dst] -= 1;
-                        if pending[e.dst] == 0 {
-                            ready[dst_dev].push(Reverse((rank[e.dst], e.dst)));
-                            try_start!(dst_dev, now);
-                        }
-                    } else if options.dedup_transfers {
-                        match groups.iter_mut().find(|(d, _)| *d == dst_dev) {
-                            Some((_, members)) => members.push(ei),
-                            None => groups.push((dst_dev, vec![ei])),
-                        }
-                    } else {
-                        groups.push((dst_dev, vec![ei]));
+                        continue;
                     }
-                }
-                for (dst_dev, members) in groups {
-                    let rep = members[0];
-                    let bytes = graph.edges()[rep].bytes;
-                    let link = cluster.link(dev, dst_dev);
                     let key = dev * nd + dst_dev;
                     let start = link_free_at[key].max(now);
-                    let dur = link.transfer_time(bytes);
+                    let dur = cluster.link(dev, dst_dev).transfer_time(e.bytes);
                     link_free_at[key] = start + dur;
                     comm_s += dur;
                     num_transfers += 1;
+                    if let Some(t) = trace.as_deref_mut() {
+                        t.transfers.push(TransferSpan {
+                            edge: ei,
+                            from: dev,
+                            to: dst_dev,
+                            start_s: start,
+                            end_s: start + dur,
+                            bytes: e.bytes,
+                        });
+                    }
                     seq += 1;
-                    group_members[rep] = members;
-                    events.push(Reverse((Time(start + dur), seq, Event::TransferDone(rep))));
+                    events.push(Reverse((Time(start + dur), seq, Event::TransferDone(ei))));
                 }
                 try_start!(dev, now);
             }
-            Event::TransferDone(rep) => {
-                let members = std::mem::take(&mut group_members[rep]);
-                for ei in members {
-                    let e = graph.edges()[ei];
-                    let dst_dev = placement.device(e.dst);
-                    pending[e.dst] -= 1;
-                    if pending[e.dst] == 0 {
-                        ready[dst_dev].push(Reverse((rank[e.dst], e.dst)));
-                        try_start!(dst_dev, now);
-                    }
+            Event::TransferDone(ei) => {
+                let dst = graph.edges()[ei].dst;
+                let dst_dev = placement.device(dst);
+                pending[dst] -= 1;
+                if pending[dst] == 0 {
+                    ready[dst_dev].push(Reverse((rank[dst], dst)));
+                    try_start!(dst_dev, now);
                 }
             }
         }
@@ -304,42 +298,6 @@ mod tests {
         let fastest = c.devices().iter().map(|d| d.peak_gflops).fold(0.0, f64::max);
         let lb = g.critical_path_flops() / (fastest * 1e9);
         assert!(rep.makespan_s >= lb, "makespan {} < lower bound {lb}", rep.makespan_s);
-    }
-
-    #[test]
-    fn dedup_merges_same_device_transfers() {
-        // One producer feeding two consumers on another device: with
-        // dedup one transfer, without dedup two.
-        let mut b = GraphBuilder::new("fanout");
-        let src = b.compute(OpKind::MatMul, "src", shape![256, 256], 1e9, &[]);
-        let a = b.compute(OpKind::Relu, "a", shape![256, 256], 1e8, &[src]);
-        let bb = b.compute(OpKind::Relu, "b", shape![256, 256], 1e8, &[src]);
-        b.compute(OpKind::Add, "sink", shape![256, 256], 1e6, &[a, bb]);
-        let g = b.build();
-        let c = Cluster::p100_quad();
-        let p = Placement(vec![1, 2, 2, 2]);
-
-        let plain = simulate(&g, &p, &c);
-        assert_eq!(plain.num_transfers, 2);
-        let dedup = simulate_with(&g, &p, &c, SimOptions { dedup_transfers: true });
-        assert_eq!(dedup.num_transfers, 1);
-        assert!(dedup.comm_s < plain.comm_s);
-        assert!(dedup.makespan_s <= plain.makespan_s + 1e-12);
-    }
-
-    #[test]
-    fn dedup_does_not_merge_across_devices() {
-        let mut b = GraphBuilder::new("fanout2");
-        let src = b.compute(OpKind::MatMul, "src", shape![64, 64], 1e9, &[]);
-        let a = b.compute(OpKind::Relu, "a", shape![64, 64], 1e8, &[src]);
-        let bb = b.compute(OpKind::Relu, "b", shape![64, 64], 1e8, &[src]);
-        b.compute(OpKind::Add, "sink", shape![64, 64], 1e6, &[a, bb]);
-        let g = b.build();
-        let c = Cluster::p100_quad();
-        // Consumers on two DIFFERENT devices → still two transfers.
-        let p = Placement(vec![1, 2, 3, 2]);
-        let dedup = simulate_with(&g, &p, &c, SimOptions { dedup_transfers: true });
-        assert!(dedup.num_transfers >= 2);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod trace;
 
 pub use cache::{EvalCache, Lru};
 pub use device::{Cluster, DeviceId, DeviceKind, DeviceSpec, LinkSpec};
-pub use engine::{simulate, simulate_with, SimOptions, StepReport};
+pub use engine::{simulate, StepReport};
 pub use fault::{Fault, FaultKind, FaultPlan, RetryPolicy};
 pub use measure::{env_fingerprint, Environment, EvalComputation, EvalOutcome, SimEnv};
 pub use memory::{check_memory, MemoryReport, OomError};

@@ -1,19 +1,15 @@
 //! Execution traces: per-device timelines of one simulated step.
 //!
-//! [`simulate_traced`] runs the same list-scheduling engine as
-//! [`crate::simulate`] but records every op execution and tensor
-//! transfer, enabling Gantt-style inspection of a placement — which
-//! devices idle, where communication serializes, which op is on the
-//! critical path.
+//! [`simulate_traced`] runs [`crate::simulate`]'s own event loop with a
+//! recorder attached, so the timeline it returns is the schedule the
+//! engine measured: every op execution and tensor transfer, for
+//! Gantt-style inspection of a placement (which devices idle, where
+//! communication serializes).
 
-use crate::cost::op_time;
 use crate::device::Cluster;
-use crate::engine::StepReport;
+use crate::engine::{run, StepReport};
 use crate::placement::Placement;
 use mars_graph::{CompGraph, NodeId};
-use mars_json::Json;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One op execution on a device.
 #[derive(Clone, Debug)]
@@ -67,45 +63,6 @@ impl StepTrace {
         1.0 - busy / self.makespan_s
     }
 
-    /// Ops on the tail of the critical path: the chain of spans ending
-    /// at the makespan, linked by exact finish-to-start adjacency on
-    /// the same device or through a transfer.
-    pub fn last_finisher(&self) -> Option<&OpSpan> {
-        self.ops.iter().max_by(|a, b| a.end_s.total_cmp(&b.end_s))
-    }
-
-    /// JSON encoding of the whole trace (encode-only; traces are
-    /// experiment artifacts, never read back by the repo).
-    pub fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("makespan_s", Json::from(self.makespan_s)),
-            (
-                "ops",
-                Json::arr(self.ops.iter().map(|o| {
-                    Json::obj([
-                        ("node", Json::from(o.node)),
-                        ("device", Json::from(o.device)),
-                        ("start_s", Json::from(o.start_s)),
-                        ("end_s", Json::from(o.end_s)),
-                    ])
-                })),
-            ),
-            (
-                "transfers",
-                Json::arr(self.transfers.iter().map(|t| {
-                    Json::obj([
-                        ("edge", Json::from(t.edge)),
-                        ("from", Json::from(t.from)),
-                        ("to", Json::from(t.to)),
-                        ("start_s", Json::from(t.start_s)),
-                        ("end_s", Json::from(t.end_s)),
-                        ("bytes", Json::from(t.bytes)),
-                    ])
-                })),
-            ),
-        ])
-    }
-
     /// Render a coarse ASCII Gantt chart (`width` columns).
     pub fn ascii_gantt(&self, num_devices: usize, width: usize) -> String {
         let mut out = String::new();
@@ -125,136 +82,22 @@ impl StepTrace {
     }
 }
 
-/// Like [`crate::simulate`], but records spans. The returned
-/// [`StepReport`] is identical to the untraced engine's.
+/// [`crate::simulate`] with a recorder: the report is the untraced
+/// engine's, bit for bit, and the trace lists the spans it scheduled.
 pub fn simulate_traced(
     graph: &CompGraph,
     placement: &Placement,
     cluster: &Cluster,
 ) -> (StepReport, StepTrace) {
-    let n = graph.num_nodes();
-    assert_eq!(placement.len(), n, "placement length mismatch");
-    let order = graph.topo_order().expect("graph must be a DAG");
-    let mut rank = vec![0usize; n];
-    for (r, &node) in order.iter().enumerate() {
-        rank[node] = r;
-    }
-
-    let out_edges = graph.out_edges();
-    let mut pending = graph.in_degrees();
-    let nd = cluster.num_devices();
-    let mut ready: Vec<BinaryHeap<Reverse<(usize, NodeId)>>> =
-        (0..nd).map(|_| BinaryHeap::new()).collect();
-    let mut device_busy = vec![false; nd];
-    let mut device_busy_s = vec![0.0f64; nd];
-    let mut link_free_at = vec![0.0f64; nd * nd];
-
-    #[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy)]
-    enum Ev {
-        OpDone(NodeId),
-        TransferDone(usize),
-    }
-    #[derive(Clone, Copy, PartialEq)]
-    struct Time(f64);
-    impl Eq for Time {}
-    impl PartialOrd for Time {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Time {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.partial_cmp(&other.0).expect("finite")
-        }
-    }
-
-    let mut events: BinaryHeap<Reverse<(Time, usize, Ev)>> = BinaryHeap::new();
-    let mut seq = 0usize;
-    let mut comm_s = 0.0;
-    let mut num_transfers = 0usize;
-    let mut makespan = 0.0f64;
-    let mut ops_trace: Vec<OpSpan> = Vec::with_capacity(n);
-    let mut transfers_trace: Vec<TransferSpan> = Vec::new();
-
-    for i in 0..n {
-        if pending[i] == 0 {
-            ready[placement.device(i)].push(Reverse((rank[i], i)));
-        }
-    }
-
-    macro_rules! try_start {
-        ($dev:expr, $now:expr) => {{
-            let dev = $dev;
-            if !device_busy[dev] {
-                if let Some(Reverse((_, node))) = ready[dev].pop() {
-                    let dur = op_time(graph.node(node), cluster.device(dev));
-                    device_busy[dev] = true;
-                    device_busy_s[dev] += dur;
-                    ops_trace.push(OpSpan { node, device: dev, start_s: $now, end_s: $now + dur });
-                    seq += 1;
-                    events.push(Reverse((Time($now + dur), seq, Ev::OpDone(node))));
-                }
-            }
-        }};
-    }
-
-    for d in 0..nd {
-        try_start!(d, 0.0);
-    }
-
-    while let Some(Reverse((Time(now), _, ev))) = events.pop() {
-        makespan = makespan.max(now);
-        match ev {
-            Ev::OpDone(node) => {
-                let dev = placement.device(node);
-                device_busy[dev] = false;
-                for &ei in &out_edges[node] {
-                    let e = graph.edges()[ei];
-                    let dst_dev = placement.device(e.dst);
-                    if dst_dev == dev {
-                        pending[e.dst] -= 1;
-                        if pending[e.dst] == 0 {
-                            ready[dst_dev].push(Reverse((rank[e.dst], e.dst)));
-                            try_start!(dst_dev, now);
-                        }
-                    } else {
-                        let link = cluster.link(dev, dst_dev);
-                        let key = dev * nd + dst_dev;
-                        let start = link_free_at[key].max(now);
-                        let dur = link.transfer_time(e.bytes);
-                        link_free_at[key] = start + dur;
-                        comm_s += dur;
-                        num_transfers += 1;
-                        transfers_trace.push(TransferSpan {
-                            edge: ei,
-                            from: dev,
-                            to: dst_dev,
-                            start_s: start,
-                            end_s: start + dur,
-                            bytes: e.bytes,
-                        });
-                        seq += 1;
-                        events.push(Reverse((Time(start + dur), seq, Ev::TransferDone(ei))));
-                    }
-                }
-                try_start!(dev, now);
-            }
-            Ev::TransferDone(ei) => {
-                let e = graph.edges()[ei];
-                let dst_dev = placement.device(e.dst);
-                pending[e.dst] -= 1;
-                if pending[e.dst] == 0 {
-                    ready[dst_dev].push(Reverse((rank[e.dst], e.dst)));
-                    try_start!(dst_dev, now);
-                }
-            }
-        }
-    }
-
-    ops_trace.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
-    transfers_trace.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
-    let report = StepReport { makespan_s: makespan, device_busy_s, comm_s, num_transfers };
-    let trace = StepTrace { makespan_s: makespan, ops: ops_trace, transfers: transfers_trace };
+    let mut trace = StepTrace {
+        makespan_s: 0.0,
+        ops: Vec::with_capacity(graph.num_nodes()),
+        transfers: Vec::new(),
+    };
+    let report = run(graph, placement, cluster, Some(&mut trace));
+    trace.makespan_s = report.makespan_s;
+    trace.ops.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
+    trace.transfers.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
     (report, trace)
 }
 
@@ -272,14 +115,36 @@ mod tests {
         (g, p, c)
     }
 
+    /// The recorder never touches the schedule: every workload, both
+    /// profiles, both cluster presets, structured and random placements.
     #[test]
     fn traced_report_matches_untraced() {
-        let (g, p, c) = setup();
-        let plain = simulate(&g, &p, &c);
-        let (traced, _) = simulate_traced(&g, &p, &c);
-        assert!((plain.makespan_s - traced.makespan_s).abs() < 1e-12);
-        assert_eq!(plain.num_transfers, traced.num_transfers);
-        assert!((plain.comm_s - traced.comm_s).abs() < 1e-12);
+        use mars_rng::{rngs::StdRng, SeedableRng};
+        let bits = |r: &StepReport| {
+            let busy = r.device_busy_s.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+            (r.makespan_s.to_bits(), r.comm_s.to_bits(), r.num_transfers, busy)
+        };
+        let mut rng = StdRng::seed_from_u64(27);
+        for w in Workload::ALL {
+            for profile in [Profile::Reduced, Profile::Paper] {
+                let g = w.build(profile);
+                for c in [Cluster::p100_quad(), Cluster::heterogeneous()] {
+                    let gpus = c.gpu_ids();
+                    let mut placements = vec![
+                        Placement::round_robin(&g, &gpus),
+                        Placement::blocked(&g, &gpus),
+                        Placement::all_on(&g, gpus[0]),
+                        Placement::all_on(&g, c.cpu_id()),
+                    ];
+                    placements.extend((0..8).map(|_| Placement::random(&g, &c, &mut rng)));
+                    for mut p in placements {
+                        p.enforce_compatibility(&g, &c);
+                        let (traced, _) = simulate_traced(&g, &p, &c);
+                        assert_eq!(bits(&simulate(&g, &p, &c)), bits(&traced), "{}", g.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -345,6 +210,5 @@ mod tests {
         let gantt = trace.ascii_gantt(c.num_devices(), 60);
         assert_eq!(gantt.lines().count(), c.num_devices());
         assert!(gantt.contains('#'));
-        assert!(trace.last_finisher().is_some());
     }
 }

@@ -10,7 +10,6 @@
 //! mars-cli metrics summarize <run.jsonl>            render a telemetry capture
 //! mars-cli metrics tail <run.jsonl> [options]       one line per record, live with --follow
 //! mars-cli metrics flame <run.jsonl>                collapsed stacks for flamegraph tools
-//! mars-cli bench-gate --kernels <k.json> [options]  compare a kernel bench run to baseline
 //! mars-cli serve --listen ADDR [options]            placement-as-a-service daemon
 //! mars-cli place <workload> --connect ADDR [opts]   query a running serve daemon
 //!
@@ -24,9 +23,6 @@
 //!                (the kernel backend is picked by the MARS_KERNEL env
 //!                 var: scalar | simd | auto — see DESIGN.md)
 //! metrics tail:  --lines N (default 20, 0 = all)   --follow
-//! bench-gate:    --kernels <kernels.json> --kernels-baseline <kernels.json>
-//!                --min-kernel-ratio R (default 0.5)
-//!                --only <prefix>   gate only kernels matching prefix
 //! serve options: --listen ADDR          bind (host:port or unix:<path>)
 //!                --seed N   --checkpoint <ckpt>   --store <placements.jsonl>
 //!                --cache-capacity N   --max-requests N   --devices N
@@ -35,8 +31,9 @@
 //!                --profile small|full   --fail-device N
 //! ```
 //!
-//! A flag the command does not read is refused before any work starts
-//! (`unknown flag --bugdet for 'train'`; the table is
+//! A command the table does not list, or a flag the command does not
+//! read, is refused before any work starts (`unknown command 'tarin'`,
+//! `unknown flag --bugdet for 'train'`; the table is
 //! `mars::cli::COMMAND_FLAGS`), so a typo cannot run as a no-op.
 //!
 //! `--telemetry <path>` records a JSONL event stream (per-iteration DGI
@@ -56,7 +53,7 @@
 //! evaluations 8×, `crash@100` crashes (and resumes) the agent. Same
 //! seed + same plan reproduces the run bit for bit.
 
-use mars::cli::{fail, Flags};
+use mars::cli::{fail, Flags, COMMAND_FLAGS};
 use mars::core::agent::{Agent, AgentKind, TrainingLog};
 use mars::core::baselines::{gpu_only, human_expert};
 use mars::core::config::MarsConfig;
@@ -399,137 +396,6 @@ fn print_tail_line(line: &str) -> bool {
     j.get("kind").and_then(Json::as_str) == Some("histograms")
 }
 
-/// One parsed kernel-bench JSON file: its `(name, median ns)` arms.
-fn parse_bench_run(path: &str, text: &str) -> Result<Vec<(String, f64)>, String> {
-    let json = Json::parse(text).map_err(|e| format!("cannot parse '{path}': {e}"))?;
-    // An empty run is a broken run: a bench JSON that carries no
-    // samples must fail the gate loudly, not pass it vacuously
-    // (and certainly not panic on an index).
-    let samples = match json.get("benchmarks").and_then(Json::as_array) {
-        Some(samples) if !samples.is_empty() => samples,
-        _ => {
-            return Err(format!(
-                "'{path}' has no benchmark samples (missing or empty 'benchmarks' array)"
-            ))
-        }
-    };
-    samples
-        .iter()
-        .map(|s| {
-            let name = s
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("'{path}' has a benchmark sample without a 'name'"))?;
-            let median = s
-                .get("median_ns")
-                .and_then(Json::as_f64)
-                .filter(|m| *m > 0.0)
-                .ok_or_else(|| format!("'{path}': arm '{name}' has no positive 'median_ns'"))?;
-            Ok((name.to_string(), median))
-        })
-        .collect()
-}
-
-/// Per-kernel regression ratios between two kernel-bench runs. Raw
-/// medians are machine-dependent, so each kernel's raw improvement
-/// `r = baseline_median / current_median` is normalized by the
-/// geometric mean of all raw ratios: a uniformly faster or slower
-/// machine moves every `r` by the same factor, which the geomean
-/// divides back out, while a single regressed kernel falls below its
-/// peers. Returns the normalized ratios plus the names present in only
-/// one of the two files (compared nowhere, reported so coverage loss is
-/// never silent).
-fn bench_kernel_ratios(
-    current: &[(String, f64)],
-    baseline: &[(String, f64)],
-) -> (Vec<(String, f64)>, Vec<String>) {
-    let mut raw: Vec<(String, f64)> = Vec::new();
-    let mut unmatched = Vec::new();
-    for (name, cur) in current {
-        match baseline.iter().find(|(n, _)| n == name) {
-            Some((_, base)) => raw.push((name.clone(), base / cur)),
-            None => unmatched.push(format!("{name} (current only)")),
-        }
-    }
-    for (name, _) in baseline {
-        if !current.iter().any(|(n, _)| n == name) {
-            unmatched.push(format!("{name} (baseline only)"));
-        }
-    }
-    if raw.is_empty() {
-        return (raw, unmatched);
-    }
-    let geomean = (raw.iter().map(|(_, r)| r.ln()).sum::<f64>() / raw.len() as f64).exp();
-    (raw.into_iter().map(|(n, r)| (n, r / geomean)).collect(), unmatched)
-}
-
-/// Restrict a run to the arms whose names start with `prefix`. Used by
-/// `--only`: a partial bench run (one kernel family re-measured) gates
-/// just that family, and baseline arms outside the prefix are dropped
-/// *before* matching so they produce no "baseline only" noise.
-fn filter_arms(run: &mut Vec<(String, f64)>, prefix: &str) {
-    run.retain(|(name, _)| name.starts_with(prefix));
-}
-
-/// Compare a fresh kernel-bench JSON against the committed baseline and
-/// fail on regression: every microkernel's geomean-normalized median
-/// against `--min-kernel-ratio`, so a failure names the regressed
-/// kernel rather than a blended number. `--only <prefix>` restricts the
-/// gate to one kernel family.
-fn cmd_bench_gate(flags: &Flags) -> Result<(), String> {
-    let usage = "usage: mars-cli bench-gate --kernels <kernels.json> \
-                 [--kernels-baseline <kernels.json>] [--min-kernel-ratio R] [--only <prefix>]";
-    let Some(kernels_path) = flags.string_opt("kernels")? else { return Err(usage.into()) };
-    let min_kernel_ratio: f64 = flags.parsed("min-kernel-ratio", 0.5)?;
-    if !(0.0..=1.0).contains(&min_kernel_ratio) {
-        return Err(format!(
-            "invalid value '{min_kernel_ratio}' for --min-kernel-ratio (expected 0..=1)"
-        ));
-    }
-    let load = |path: &str| -> Result<Vec<(String, f64)>, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-        parse_bench_run(path, &text)
-    };
-
-    let kernels_baseline_path =
-        flags.string_opt("kernels-baseline")?.unwrap_or_else(|| "BENCH_kernels.json".to_string());
-    let mut baseline = load(&kernels_baseline_path)?;
-    let mut current = load(&kernels_path)?;
-    if let Some(prefix) = flags.string_opt("only")? {
-        filter_arms(&mut current, &prefix);
-        filter_arms(&mut baseline, &prefix);
-        if current.is_empty() {
-            return Err(format!("'{kernels_path}' has no kernel arms matching --only '{prefix}'"));
-        }
-        println!("bench gate: --only '{prefix}' gates {} kernel arm(s)", current.len());
-    }
-    let (ratios, unmatched) = bench_kernel_ratios(&current, &baseline);
-    if ratios.is_empty() {
-        return Err(format!(
-            "'{kernels_path}' and '{kernels_baseline_path}' share no kernel names; \
-             nothing was gated"
-        ));
-    }
-    for name in &unmatched {
-        println!("bench gate: kernel {name} not compared");
-    }
-    for (kernel, ratio) in &ratios {
-        println!("bench gate: kernel '{kernel}' normalized ratio {ratio:.3}");
-    }
-    if let Some((kernel, ratio)) =
-        ratios.iter().filter(|(_, r)| *r < min_kernel_ratio).min_by(|a, b| a.1.total_cmp(&b.1))
-    {
-        return Err(format!(
-            "benchmark regression in kernel '{kernel}': geomean-normalized median ratio \
-             {ratio:.3} fell below the {min_kernel_ratio:.3} floor"
-        ));
-    }
-
-    println!("bench gate passed");
-    Ok(())
-}
-
 /// Run the placement-as-a-service daemon: build (or load) an agent,
 /// wrap it in the tiered engine, and serve `PlaceRequest`s until a
 /// client sends `Shutdown` (or `--max-requests` is reached).
@@ -724,17 +590,10 @@ fn cmd_evaluate(workload: Workload, profile: Profile, flags: &Flags) -> Result<(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: mars-cli <inspect|train|pretrain|trace|dot|evaluate|place> <workload> [--flags]\n       mars-cli metrics summarize <run.jsonl>\n       mars-cli bench-gate --kernels <kernels.json> [--kernels-baseline <kernels.json>]\n       mars-cli serve --listen ADDR [--flags]\n(see --help in the module docs)";
+    let usage = "usage: mars-cli <inspect|train|pretrain|trace|dot|evaluate|place> <workload> [--flags]\n       mars-cli metrics summarize <run.jsonl>\n       mars-cli serve --listen ADDR [--flags]\n(see --help in the module docs)";
     match args.first().map(String::as_str) {
         Some("metrics") => {
             return match cmd_metrics(&args[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(e),
-            }
-        }
-        Some("bench-gate") => {
-            return match Flags::parse_for("bench-gate", &args[1..]).and_then(|f| cmd_bench_gate(&f))
-            {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => fail(e),
             }
@@ -747,9 +606,13 @@ fn main() -> ExitCode {
         }
         _ => {}
     }
-    let (Some(cmd), Some(wname)) = (args.first(), args.get(1)) else {
-        return fail(usage);
-    };
+    let Some(cmd) = args.first() else { return fail(usage) };
+    // `COMMAND_FLAGS` lists every command: a removed or mistyped one is
+    // named as a command before its next word is read as a workload.
+    if !COMMAND_FLAGS.iter().any(|(c, _)| *c == cmd.as_str()) {
+        return fail(format!("unknown command '{cmd}'\n{usage}"));
+    }
+    let Some(wname) = args.get(1) else { return fail(usage) };
     let Some(workload) = Workload::parse(wname) else {
         return fail(format!("unknown workload '{wname}'"));
     };
@@ -777,84 +640,5 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => fail(e),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn malformed_bench_files_are_rejected() {
-        let e = parse_bench_run("p", r#"{"benchmarks":[]}"#).expect_err("empty");
-        assert!(e.contains("no benchmark samples"), "{e}");
-        let e = parse_bench_run("p", r#"{"benchmarks":[{"name":"a","median_ns":0}]}"#)
-            .expect_err("zero median");
-        assert!(e.contains("'a'"), "{e}");
-    }
-
-    #[test]
-    fn kernel_files_parse_without_a_speedup_field() {
-        let run = parse_bench_run("k", r#"{"benchmarks":[{"name":"matmul/256","median_ns":5.0}]}"#)
-            .expect("a kernel file needs only names and medians");
-        assert_eq!(run, vec![("matmul/256".to_string(), 5.0)]);
-    }
-
-    fn kernel_json(arms: &[(&str, f64)]) -> Vec<(String, f64)> {
-        let body: Vec<String> =
-            arms.iter().map(|(n, m)| format!(r#"{{"name":"{n}","median_ns":{m}}}"#)).collect();
-        parse_bench_run("k", &format!(r#"{{"benchmarks":[{}]}}"#, body.join(","))).expect("parses")
-    }
-
-    #[test]
-    fn kernel_ratios_cancel_uniform_machine_speed() {
-        // The current run is uniformly 3× slower (a slower CI box) —
-        // after geomean normalization every kernel's ratio is exactly 1.
-        let baseline = kernel_json(&[("matmul/256", 100.0), ("softmax/4096", 10.0)]);
-        let current = kernel_json(&[("matmul/256", 300.0), ("softmax/4096", 30.0)]);
-        let (ratios, unmatched) = bench_kernel_ratios(&current, &baseline);
-        assert!(unmatched.is_empty());
-        for (k, r) in &ratios {
-            assert!((r - 1.0).abs() < 1e-12, "{k}: {r}");
-        }
-    }
-
-    #[test]
-    fn regressed_kernel_falls_below_its_peers() {
-        let baseline = kernel_json(&[("matmul/256", 100.0), ("softmax/4096", 10.0)]);
-        // matmul regressed 4× while softmax held: normalized ratios
-        // split around the geomean, with matmul on the losing side.
-        let current = kernel_json(&[("matmul/256", 400.0), ("softmax/4096", 10.0)]);
-        let (ratios, _) = bench_kernel_ratios(&current, &baseline);
-        let matmul = ratios.iter().find(|(k, _)| k == "matmul/256").expect("gated");
-        let softmax = ratios.iter().find(|(k, _)| k == "softmax/4096").expect("gated");
-        assert!(matmul.1 < 0.55, "regressed kernel must stand out: {ratios:?}");
-        assert!(softmax.1 > 1.5, "healthy kernel sits above the geomean: {ratios:?}");
-    }
-
-    #[test]
-    fn only_prefix_drops_out_of_family_baseline_arms_without_noise() {
-        // A partial re-run measured only the matmul family; the
-        // committed baseline still carries other kernels. With --only,
-        // those extra baseline arms are filtered out before matching,
-        // so nothing is reported as "baseline only".
-        let mut baseline =
-            kernel_json(&[("matmul/256", 100.0), ("softmax/4096", 10.0), ("lstm/64", 50.0)]);
-        let mut current = kernel_json(&[("matmul/256", 100.0)]);
-        filter_arms(&mut current, "matmul");
-        filter_arms(&mut baseline, "matmul");
-        let (ratios, unmatched) = bench_kernel_ratios(&current, &baseline);
-        assert_eq!(ratios.len(), 1, "{ratios:?}");
-        assert!(unmatched.is_empty(), "out-of-prefix arms must not be noise: {unmatched:?}");
-    }
-
-    #[test]
-    fn unmatched_kernels_are_reported_not_gated() {
-        let baseline = kernel_json(&[("matmul/256", 100.0), ("retired/old", 5.0)]);
-        let current = kernel_json(&[("matmul/256", 100.0), ("softmax/4096", 10.0)]);
-        let (ratios, unmatched) = bench_kernel_ratios(&current, &baseline);
-        assert_eq!(ratios.len(), 1, "{ratios:?}");
-        assert!(unmatched.iter().any(|n| n.contains("softmax/4096") && n.contains("current only")));
-        assert!(unmatched.iter().any(|n| n.contains("retired/old") && n.contains("baseline only")));
     }
 }

@@ -17,9 +17,9 @@ use std::str::FromStr;
 const CONFIG_FLAGS: &[&str] =
     &["profile", "dgi-iters", "max-eval-retries", "eval-timeout-s", "auto-checkpoint"];
 
-/// Every flag each `mars-cli` command reads, as groups of names. A
-/// flag a command starts reading is added here, or the command refuses
-/// it.
+/// Every `mars-cli` command and the flags it reads, as groups of names.
+/// A command missing here is refused as unknown; a flag a command
+/// starts reading is added here, or the command refuses it.
 pub const COMMAND_FLAGS: &[(&str, &[&[&str]])] = &[
     ("inspect", &[&["profile"]]),
     ("train", &[CONFIG_FLAGS, &["agent", "budget", "seed", "save", "telemetry", "fault-plan"]]),
@@ -36,7 +36,6 @@ pub const COMMAND_FLAGS: &[(&str, &[&[&str]])] = &[
             &["checkpoint", "store", "telemetry"],
         ],
     ),
-    ("bench-gate", &[&["kernels", "kernels-baseline", "min-kernel-ratio", "only"]]),
     ("metrics summarize", &[]),
     ("metrics tail", &[&["lines", "follow"]]),
     ("metrics flame", &[]),
@@ -103,11 +102,6 @@ impl Flags {
     /// Raw string value of `--key`, if present (empty for switches).
     pub fn get(&self, key: &str) -> Option<&str> {
         self.map.get(key).map(String::as_str)
-    }
-
-    /// Was `--key` given at all (with or without a value)?
-    pub fn has(&self, key: &str) -> bool {
-        self.map.contains_key(key)
     }
 
     /// `--key value` parsed as `T`, or `default` when absent.

@@ -13,4 +13,3 @@ pub use mars_telemetry as telemetry;
 pub use mars_tensor as tensor;
 
 pub mod cli;
-pub mod plot;

@@ -109,8 +109,8 @@ fn assert_refused_by_name(rows: &[(Vec<&str>, &str, &str)]) {
 }
 
 /// A typo, or a flag a later version removed, is refused by name before
-/// the command does anything — the daemon and its client, the gate and
-/// `metrics tail` included.
+/// the command does anything — the daemon and its client and `metrics
+/// tail` included.
 #[test]
 fn unknown_flags_are_refused_before_any_work() {
     let sock = "unix:/nonexistent-dir/mars.sock";
@@ -119,12 +119,22 @@ fn unknown_flags_are_refused_before_any_work() {
         (vec!["train", "inception", "--bugdet", "40"], "--bugdet", "train"),
         (vec!["serve", "--listen", sock, "--cache-capcity", "8"], "--cache-capcity", "serve"),
         (vec!["place", "seq2seq", "--connect", sock, "--topk", "2"], "--topk", "place"),
-        (vec!["bench-gate", "--curent", "BENCH_kernels.json"], "--curent", "bench-gate"),
         (vec!["metrics", "tail", "/nonexistent.jsonl", "--line", "5"], "--line", "metrics tail"),
-        // The ledger is the only whole-run benchmark: the gate is kernels only.
-        (vec!["bench-gate", "--current", "BENCH_kernels.json"], "--current", "bench-gate"),
-        (vec!["bench-gate", "--serve", "BENCH_kernels.json"], "--serve", "bench-gate"),
     ]);
+}
+
+/// A command `COMMAND_FLAGS` does not list — one a later version
+/// removed (the old kernel gate) or a typo — is refused as a command,
+/// not as a workload, before any work starts.
+#[test]
+fn removed_or_mistyped_command_is_named_as_a_command() {
+    for args in [["bench-gate", "--kernels", "x.json"], ["frobnicate", "--x", "1"]] {
+        let out = cli().args(args).output().expect("run");
+        assert!(!out.status.success(), "{args:?} must be refused");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown command '{}'", args[0])), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} started work before refusing");
+    }
 }
 
 /// libm `exp` is the only transcendental tier: `--fast-math` is refused
@@ -257,145 +267,6 @@ fn train_with_device_failure_reports_degraded_cluster() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("fault plan armed"), "{text}");
     assert!(text.contains("cluster degraded: failed devices [2]"), "{text}");
-}
-
-/// Without `--kernels-baseline` the gate reads the committed
-/// `BENCH_kernels.json`.
-#[test]
-fn bench_gate_passes_against_itself() {
-    let out = cli().args(["bench-gate", "--kernels", "BENCH_kernels.json"]).output().expect("run");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("bench gate passed"), "{text}");
-    assert!(text.contains("normalized ratio 1.000"), "{text}");
-}
-
-/// A partial re-run of one kernel family (`--only`) is gated against
-/// its own family of the baseline: a kernel that fell behind its peers
-/// fails the gate.
-#[test]
-fn bench_gate_fails_on_regression() {
-    let dir = std::env::temp_dir().join("mars-cli-bench-gate");
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    let base = dir.join("family-base.json");
-    let bad = dir.join("family-regressed.json");
-    std::fs::write(
-        &base,
-        r#"{"benchmarks": [
-            {"name": "matmul/256", "iters": 100, "median_ns": 1000000},
-            {"name": "matmul/512", "iters": 100, "median_ns": 8000000},
-            {"name": "softmax/4096", "iters": 100, "median_ns": 10000}]}"#,
-    )
-    .expect("write");
-    std::fs::write(
-        &bad,
-        r#"{"benchmarks": [
-            {"name": "matmul/256", "iters": 100, "median_ns": 9000000},
-            {"name": "matmul/512", "iters": 100, "median_ns": 8000000}]}"#,
-    )
-    .expect("write");
-    let out = cli()
-        .args(["bench-gate", "--kernels", bad.to_str().expect("utf8")])
-        .args(["--kernels-baseline", base.to_str().expect("utf8"), "--only", "matmul"])
-        .output()
-        .expect("run");
-    assert!(!out.status.success(), "a 9x regression must fail the gate");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("--only 'matmul' gates 2 kernel arm(s)"), "{text}");
-    assert!(!text.contains("softmax"), "out-of-family arms are not compared: {text}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("benchmark regression in kernel 'matmul/256'"), "{err}");
-    let _ = std::fs::remove_file(base);
-    let _ = std::fs::remove_file(bad);
-}
-
-#[test]
-fn bench_gate_rejects_empty_or_missing_samples() {
-    // A bench JSON with no samples must fail the gate with a clear
-    // error — not pass vacuously, not panic on an index.
-    let dir = std::env::temp_dir().join("mars-cli-bench-gate");
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    for (name, body) in
-        [("empty-samples.json", r#"{"benchmarks": []}"#), ("no-samples.json", r#"{}"#)]
-    {
-        let path = dir.join(name);
-        std::fs::write(&path, body).expect("write");
-        let out = cli()
-            .args(["bench-gate", "--kernels", path.to_str().expect("utf8")])
-            .output()
-            .expect("run");
-        assert!(!out.status.success(), "{name} must fail the gate");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("no benchmark samples"), "{name}: {err}");
-        let _ = std::fs::remove_file(path);
-    }
-}
-
-#[test]
-fn bench_gate_kernels_pass_against_itself() {
-    let out = cli()
-        .args([
-            "bench-gate",
-            "--kernels",
-            "BENCH_kernels.json",
-            "--kernels-baseline",
-            "BENCH_kernels.json",
-        ])
-        .output()
-        .expect("run");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("bench gate passed"), "{text}");
-    assert!(text.contains("kernel 'matmul/256' normalized ratio 1.000"), "{text}");
-}
-
-#[test]
-fn bench_gate_names_the_regressed_kernel() {
-    // The per-kernel gate is geomean-normalized, so the current file
-    // being uniformly slower (a slower machine) is fine — but one
-    // kernel collapsing relative to its peers must fail, naming it.
-    let dir = std::env::temp_dir().join("mars-cli-bench-gate");
-    std::fs::create_dir_all(&dir).expect("tmpdir");
-    let base = dir.join("kernels-base.json");
-    let bad = dir.join("kernels-regressed.json");
-    std::fs::write(
-        &base,
-        r#"{"benchmarks": [
-            {"name": "matmul/256", "iters": 100, "median_ns": 1000000},
-            {"name": "softmax/4096", "iters": 100, "median_ns": 10000},
-            {"name": "lstm_cell/fused", "iters": 100, "median_ns": 15000}]}"#,
-    )
-    .expect("write");
-    std::fs::write(
-        &bad,
-        r#"{"benchmarks": [
-            {"name": "matmul/256", "iters": 100, "median_ns": 9000000},
-            {"name": "softmax/4096", "iters": 100, "median_ns": 10000},
-            {"name": "lstm_cell/fused", "iters": 100, "median_ns": 15000}]}"#,
-    )
-    .expect("write");
-    let out = cli()
-        .args([
-            "bench-gate",
-            "--kernels",
-            bad.to_str().expect("utf8"),
-            "--kernels-baseline",
-            base.to_str().expect("utf8"),
-        ])
-        .output()
-        .expect("run");
-    assert!(!out.status.success(), "the collapsed matmul kernel must fail the gate");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("matmul/256"), "the failing kernel must be named: {err}");
-    let _ = std::fs::remove_file(base);
-    let _ = std::fs::remove_file(bad);
-}
-
-#[test]
-fn bench_gate_without_inputs_prints_usage() {
-    let out = cli().args(["bench-gate"]).output().expect("run");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"), "usage expected");
 }
 
 #[test]
@@ -552,17 +423,6 @@ fn serve_keeps_accepting_after_running_out_of_descriptors() {
     let summary = String::from_utf8_lossy(&out.expect("summarize").stdout).into_owned();
     assert!(summary.lines().any(|l| l.starts_with("serve.accept_errors")), "{summary}");
     let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn bench_gate_rejects_malformed_ratio() {
-    let out = cli()
-        .args(["bench-gate", "--kernels", "BENCH_kernels.json", "--min-kernel-ratio", "high"])
-        .output()
-        .expect("run");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("invalid value 'high' for --min-kernel-ratio"), "{err}");
 }
 
 #[test]
