@@ -6,6 +6,7 @@ use mars_tensor::ops::{
 };
 use mars_tensor::simd::{axpy, strided_sweep, tanh_inplace};
 use mars_tensor::{stats, Matrix};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 mod decode;
@@ -45,24 +46,23 @@ pub struct Tape {
     /// [`Op::Leaf`], so backward caches (LSTM gate matrices, attention
     /// activations) are dropped the moment the forward value exists.
     record: bool,
-    /// Scratch buffers recycled during the current pass, handed back
-    /// out by the pooled builders and backward rules before `stock` is
-    /// touched — forwards *and* backwards after the first run are
-    /// allocation-free on the hot path (the training scratch arena).
-    pool: Vec<Vec<f32>>,
-    /// What the previous pass left behind: every node value, gradient
-    /// and scratch buffer [`Tape::reset_for_reuse`] harvested. A buffer
-    /// still here at the next reset went unused for a whole pass and is
-    /// freed, so a tape that serves graphs of different sizes holds one
-    /// pass's worth of memory, not the largest of each shape it has seen.
-    stock: Vec<Vec<f32>>,
+    /// Buffers recycled during the current pass, binned by capacity. A
+    /// request takes a buffer of exactly its size from here before
+    /// `stock` is touched, so after the first pass forwards *and*
+    /// backwards are allocation-free on the hot path (the training
+    /// scratch arena).
+    pool: Bins,
+    /// What the previous pass left behind, binned the same way: every
+    /// node value, gradient and scratch buffer [`Tape::reset_for_reuse`]
+    /// harvested. A buffer still here at the next reset went unused for
+    /// a whole pass and is freed, so a tape that serves graphs of
+    /// different sizes holds one pass's worth of memory, not the largest
+    /// of each shape it has seen.
+    stock: Bins,
     /// Largest total f32 capacity a [`Tape::reset_for_reuse`] has ever
     /// kept as `stock` — exported as the `autograd.arena.high_water`
     /// gauge on every reset.
     high_water: usize,
-    /// Buffers the last [`Tape::reset_for_reuse`] was handed, before the
-    /// [`MAX_POOLED_BUFS`] cap.
-    retired: usize,
     /// Transposed weights `(w, wᵀ)` of the current backward pass, so
     /// every `dY·Wᵀ` after the first reads `Wᵀ` instead of packing it
     /// again (one decoder weight serves 528 steps of a gnmt4 pass).
@@ -72,18 +72,13 @@ pub struct Tape {
     wt: Vec<(Var, Matrix)>,
 }
 
-/// Upper bound on the recycled buffers of one generation (`pool`,
-/// and so the `stock` it becomes), which keeps the linear best-candidate
-/// scan in [`Tape::take_buf_empty`] short. Idle memory is bounded by the
-/// two generations, not by this count. A pass that retires more has the
-/// overflow — the gradients and transposed weights, retired last — freed
-/// and allocated again every update: a gnmt4 (paper granularity) PPO
-/// forward + backward at the `small` widths retires 589 (pinned in
-/// `mars-core`). Holding all of them measured worse, not better: the
-/// passes are identical, yet at either cap each one still allocates
-/// ~0.9M f32s afresh, so the first-fit scan hands large kept buffers to
-/// small requests and a bigger cap mostly raises what the arena holds.
-pub const MAX_POOLED_BUFS: usize = 512;
+/// One arena generation: recycled buffers keyed by their capacity.
+type Bins = BTreeMap<usize, Vec<Vec<f32>>>;
+
+/// Return `b` to the bin for its capacity.
+fn put(bins: &mut Bins, b: Vec<f32>) {
+    bins.entry(b.capacity()).or_default().push(b);
+}
 
 /// One LSTM step over the fused `[i|f|g|o]` gate block, shared by
 /// [`Tape::lstm_seq`] and [`Tape::attn_decode`]: `hw` (a `4H` scratch
@@ -189,10 +184,9 @@ impl Tape {
             nodes: Vec::new(),
             grads: Vec::new(),
             record: true,
-            pool: Vec::new(),
-            stock: Vec::new(),
+            pool: Bins::new(),
+            stock: Bins::new(),
             high_water: 0,
-            retired: 0,
             wt: Vec::new(),
         }
     }
@@ -225,21 +219,15 @@ impl Tape {
     /// existing [`Var`] handles become invalid; callers start a fresh
     /// forward afterwards.
     pub fn reset_for_reuse(&mut self) {
-        self.retired = self.pool.len()
-            + self.nodes.len()
-            + self.grads.iter().flatten().count()
-            + self.wt.len();
         for node in self.nodes.drain(..) {
-            if self.pool.len() < MAX_POOLED_BUFS {
-                self.pool.push(node.value.into_vec());
-            }
+            put(&mut self.pool, node.value.into_vec());
         }
         self.retire_backward_state();
         // Generation turnover: what is still in `stock` was not needed
         // by the pass that just ended.
         self.stock.clear();
         std::mem::swap(&mut self.pool, &mut self.stock);
-        let held: usize = self.stock.iter().map(|b| b.capacity()).sum();
+        let held: usize = self.stock.values().flatten().map(|b| b.capacity()).sum();
         if held > self.high_water {
             self.high_water = held;
         }
@@ -254,26 +242,18 @@ impl Tape {
         self.high_water
     }
 
-    /// Buffers the last [`Tape::reset_for_reuse`] was handed — node
-    /// values, gradient slots, transposed weights and the pass's recycled
-    /// scratch — of which it keeps at most [`MAX_POOLED_BUFS`].
-    pub fn arena_retired(&self) -> usize {
-        self.retired
-    }
-
-    /// A recycled buffer with `len == 0` and capacity ≥ `min_cap`, or a
-    /// fresh one. This pass's recycled buffers are searched before the
-    /// previous pass's `stock`, each newest-first so the most recently
-    /// retired (cache-warm) buffer wins.
-    fn take_buf_empty(&mut self, min_cap: usize) -> Vec<f32> {
+    /// An empty recycled buffer of capacity exactly `cap`, or a fresh
+    /// one. This pass's returns are tried before the previous pass's
+    /// `stock`, each newest-first so the most recently retired
+    /// (cache-warm) buffer wins.
+    fn take_buf_empty(&mut self, cap: usize) -> Vec<f32> {
         for gen in [&mut self.pool, &mut self.stock] {
-            if let Some(i) = gen.iter().rposition(|b| b.capacity() >= min_cap) {
-                let mut b = gen.swap_remove(i);
+            if let Some(mut b) = gen.get_mut(&cap).and_then(Vec::pop) {
                 b.clear();
                 return b;
             }
         }
-        Vec::with_capacity(min_cap)
+        Vec::with_capacity(cap)
     }
 
     /// A zero-filled buffer of exactly `len` elements, recycled when
@@ -292,9 +272,7 @@ impl Tape {
 
     /// Return a scratch matrix's backing buffer to the pool.
     fn recycle(&mut self, m: Matrix) {
-        if self.pool.len() < MAX_POOLED_BUFS {
-            self.pool.push(m.into_vec());
-        }
+        put(&mut self.pool, m.into_vec());
     }
 
     /// Pooled gate caches for `rows` LSTM steps of width `hd`.
@@ -322,9 +300,7 @@ impl Tape {
     fn retire_backward_state(&mut self) {
         let retired = self.grads.drain(..).flatten().chain(self.wt.drain(..).map(|(_, t)| t));
         for m in retired {
-            if self.pool.len() < MAX_POOLED_BUFS {
-                self.pool.push(m.into_vec());
-            }
+            put(&mut self.pool, m.into_vec());
         }
     }
 

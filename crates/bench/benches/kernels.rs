@@ -9,6 +9,7 @@
 //! that a ledger per-layer metric or a traced span times; the comment
 //! above each names it.
 
+use mars_autograd::Tape;
 use mars_bench::harness::{bench, BenchOpts};
 use mars_core::config::MarsConfig;
 use mars_core::encoder::{Encoder, GcnEncoder};
@@ -81,7 +82,7 @@ fn bench_gcn_forward(opts: &BenchOpts) {
     let mut store = ParamStore::new();
     let enc = GcnEncoder::new(&mut store, FEATURE_DIM, 48, 3, &mut rng);
     bench(opts, "gcn_encoder_forward_inception", || {
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let h = enc.encode(&mut ctx, black_box(&input));
         black_box(ctx.tape.value(h).sum());
     });
@@ -104,7 +105,7 @@ fn bench_segment_placer(opts: &BenchOpts) {
     // `core.policy_forward.ms`, its placer half: the forward without
     // the GCN encoder.
     bench(opts, "segment_placer_forward_128ops", || {
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let r = ctx.tape.constant(reps.clone());
         let l = placer.logits(&mut ctx, r);
         black_box(ctx.tape.value(l).sum());
@@ -112,19 +113,16 @@ fn bench_segment_placer(opts: &BenchOpts) {
     // `autograd.tape.backward.self_s`: one PPO minibatch's worth of
     // placer work, the forward above plus the reverse sweep, on a
     // persistent tape as `Agent::train` runs it.
-    let mut tape: Option<mars_autograd::Tape> = None;
+    let mut tape = Tape::new();
     bench(opts, "segment_placer_forward_backward_128ops", || {
-        let mut ctx = match tape.take() {
-            Some(prev) => FwdCtx::with_tape(prev, &store),
-            None => FwdCtx::new(&store),
-        };
+        let mut ctx = FwdCtx::new(std::mem::take(&mut tape), &store);
         let r = ctx.tape.constant(reps.clone());
         let l = placer.logits(&mut ctx, r);
         let loss = ctx.tape.mean_all(l);
-        let (grads, mut reclaimed) = ctx.into_grads_and_tape(loss, 1.0);
+        let grads;
+        (grads, tape) = ctx.into_grads(loss, 1.0);
         black_box(grads.len());
-        reclaimed.reset_for_reuse();
-        tape = Some(reclaimed);
+        tape.reset_for_reuse();
     });
 }
 
@@ -140,7 +138,7 @@ fn bench_lstm_cell(opts: &BenchOpts) {
     let h0 = init::uniform(1, hd, 0.5, &mut rng);
     let c0 = init::uniform(1, hd, 0.5, &mut rng);
     bench(opts, "lstm_cell/fused", || {
-        let mut t = mars_autograd::Tape::new();
+        let mut t = Tape::new();
         let vs: Vec<_> =
             [&x, &w_ih, &w_hh, &b, &h0, &c0].iter().map(|m| t.constant((*m).clone())).collect();
         let out_v = t.lstm_seq(vs[0], vs[1], vs[2], vs[3], vs[4], vs[5]);
@@ -160,13 +158,13 @@ fn bench_attn_decode(opts: &BenchOpts) {
     let head = Linear::new(&mut store, "head", hd, 5, true, &mut rng);
     let enc = init::uniform(cfg.segment_size, hd, 0.8, &mut rng);
     bench(opts, "attn_decode/fused", || {
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let enc = ctx.tape.leaf_from(&enc, true);
         let keys = attn.precompute(&mut ctx, enc);
         let state = cell.zero_state(&mut ctx);
         let logits = decode(&mut ctx, &cell, &attn, &head, &[keys], state);
         let loss = ctx.tape.mean_all(logits);
-        black_box(ctx.into_grads(loss, 1.0).len());
+        black_box(ctx.into_grads(loss, 1.0).0.len());
     });
 }
 
@@ -193,10 +191,10 @@ fn bench_backward(opts: &BenchOpts) {
     let enc = GcnEncoder::new(&mut store, FEATURE_DIM, 48, 3, &mut rng);
     let targets = std::sync::Arc::new(Matrix::full(input.num_ops, 48, 0.5));
     bench(opts, "gcn_forward_backward_inception", || {
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let h = enc.encode(&mut ctx, &input);
         let loss = ctx.tape.bce_with_logits(h, targets.clone());
-        black_box(ctx.into_grads(loss, 1.0).len());
+        black_box(ctx.into_grads(loss, 1.0).0.len());
     });
 }
 

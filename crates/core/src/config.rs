@@ -7,6 +7,13 @@
 
 use crate::ppo::RewardShaping;
 
+/// Entropy bonus coefficient (paper §4.2: 0.001).
+pub const ENTROPY_COEF: f32 = 0.001;
+/// Global gradient-norm clip of every Adam step, PPO and DGI (paper: 1.0).
+pub const GRAD_CLIP: f32 = 1.0;
+/// EMA baseline decay μ (paper: 0.99).
+pub const BASELINE_MU: f32 = 0.99;
+
 /// All hyper-parameters of the agent and its training.
 #[derive(Clone, Debug)]
 pub struct MarsConfig {
@@ -28,12 +35,6 @@ pub struct MarsConfig {
     pub lr: f32,
     /// PPO clip ratio ε (paper: 0.2).
     pub clip_eps: f32,
-    /// Entropy bonus coefficient (paper: 0.001).
-    pub entropy_coef: f32,
-    /// Global gradient-norm clip (paper: 1.0).
-    pub grad_clip: f32,
-    /// EMA baseline decay μ (paper: 0.99).
-    pub baseline_mu: f32,
     /// Reward shaping (paper: `R = −√t`, Eq. 7).
     pub reward_shaping: RewardShaping,
 
@@ -73,9 +74,6 @@ impl MarsConfig {
             num_groups: 256,
             lr: 3e-4,
             clip_eps: 0.2,
-            entropy_coef: 0.001,
-            grad_clip: 1.0,
-            baseline_mu: 0.99,
             reward_shaping: RewardShaping::NegSqrt,
             samples_per_update: 20,
             minibatches: 4,
@@ -100,9 +98,6 @@ impl MarsConfig {
             num_groups: 16,
             lr: 1e-3,
             clip_eps: 0.2,
-            entropy_coef: 0.001,
-            grad_clip: 1.0,
-            baseline_mu: 0.99,
             reward_shaping: RewardShaping::NegSqrt,
             samples_per_update: 20,
             minibatches: 4,
@@ -139,13 +134,14 @@ mod tests {
         assert_eq!(c.segment_size, 128);
         assert_eq!(c.lr, 3e-4);
         assert_eq!(c.clip_eps, 0.2);
-        assert_eq!(c.entropy_coef, 0.001);
-        assert_eq!(c.baseline_mu, 0.99);
         assert_eq!(c.reward_shaping, RewardShaping::NegSqrt);
         assert_eq!(c.samples_per_update, 20);
         assert_eq!(c.minibatches, 4);
         assert_eq!(c.ppo_epochs, 3);
         assert_eq!(c.dgi_iters, 1000);
+        assert_eq!(ENTROPY_COEF, 0.001);
+        assert_eq!(GRAD_CLIP, 1.0);
+        assert_eq!(BASELINE_MU, 0.99);
     }
 
     #[test]
@@ -153,8 +149,6 @@ mod tests {
         let p = MarsConfig::paper();
         let s = MarsConfig::small();
         assert_eq!(p.clip_eps, s.clip_eps);
-        assert_eq!(p.entropy_coef, s.entropy_coef);
-        assert_eq!(p.baseline_mu, s.baseline_mu);
         assert!(s.encoder_hidden < p.encoder_hidden);
     }
 }

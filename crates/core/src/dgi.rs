@@ -11,6 +11,7 @@
 //! 1000 iterations and save the parameters corresponding to the lowest
 //! loss" — [`pretrain`] restores the best snapshot before returning.
 
+use crate::config::GRAD_CLIP;
 use crate::encoder::Encoder;
 use crate::workload_input::WorkloadInput;
 use mars_autograd::{Tape, Var};
@@ -100,7 +101,6 @@ impl Dgi {
 ///
 /// The tape persists across iterations, so activation and gradient
 /// buffers come from the scratch arena after the first update.
-#[allow(clippy::too_many_arguments)]
 pub fn pretrain(
     store: &mut ParamStore,
     encoder: &dyn Encoder,
@@ -108,7 +108,6 @@ pub fn pretrain(
     input: &WorkloadInput,
     iters: usize,
     lr: f32,
-    grad_clip: f32,
     rng: &mut impl Rng,
 ) -> DgiReport {
     let _span = mars_telemetry::span("core.dgi.pretrain");
@@ -118,21 +117,18 @@ pub fn pretrain(
     let mut best_iter = 0;
     let mut best_snapshot = store.snapshot();
     let mut perm: Vec<usize> = (0..input.num_ops).collect();
-    let mut tape: Option<Tape> = None;
+    let mut tape = Tape::new();
 
     for it in 0..iters {
         perm.shuffle(rng);
-        let mut ctx = match tape.take() {
-            Some(t) => FwdCtx::with_tape(t, store),
-            None => FwdCtx::new(store),
-        };
+        let mut ctx = FwdCtx::new(tape, store);
         let (loss, disc_acc) = dgi.loss_stats(&mut ctx, encoder, input, &perm);
         let value = ctx.tape.scalar(loss);
-        let (grads, mut t) = ctx.into_grads_and_tape(loss, 1.0);
+        let grads;
+        (grads, tape) = ctx.into_grads(loss, 1.0);
         apply_grads(store, grads);
-        t.reset_for_reuse();
-        tape = Some(t);
-        adam.step(store, grad_clip);
+        tape.reset_for_reuse();
+        adam.step(store, GRAD_CLIP);
         losses.push(value);
         if mars_telemetry::active() {
             mars_telemetry::event(
@@ -171,7 +167,7 @@ mod tests {
         let enc = GcnEncoder::new(&mut store, FEATURE_DIM, 16, 2, &mut rng);
         let dgi = Dgi::new(&mut store, 16, &mut rng);
         let input = WorkloadInput::from_graph(&Workload::InceptionV3.build(Profile::Reduced));
-        let report = pretrain(&mut store, &enc, &dgi, &input, 150, 5e-3, 1.0, &mut rng);
+        let report = pretrain(&mut store, &enc, &dgi, &input, 150, 5e-3, &mut rng);
         let first10: f32 = report.losses[..10].iter().sum::<f32>() / 10.0;
         let last10: f32 = report.losses[report.losses.len() - 10..].iter().sum::<f32>() / 10.0;
         assert!(
@@ -191,7 +187,7 @@ mod tests {
         let dgi = Dgi::new(&mut store, 8, &mut rng);
         let input = WorkloadInput::from_graph(&Workload::InceptionV3.build(Profile::Reduced));
         let perm: Vec<usize> = (0..input.num_ops).rev().collect();
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let (loss, _) = dgi.loss_stats(&mut ctx, &enc, &input, &perm);
         let v = ctx.tape.scalar(loss);
         assert!((v - 0.693).abs() < 0.1, "initial loss {v}");
@@ -204,11 +200,11 @@ mod tests {
         let enc = GcnEncoder::new(&mut store, FEATURE_DIM, 8, 1, &mut rng);
         let dgi = Dgi::new(&mut store, 8, &mut rng);
         let input = WorkloadInput::from_graph(&Workload::InceptionV3.build(Profile::Reduced));
-        let report = pretrain(&mut store, &enc, &dgi, &input, 30, 5e-3, 1.0, &mut rng);
+        let report = pretrain(&mut store, &enc, &dgi, &input, 30, 5e-3, &mut rng);
         // Evaluate the restored parameters: their loss must be close to
         // the reported best (same permutation class, modest variance).
         let perm: Vec<usize> = (0..input.num_ops).rev().collect();
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let (loss, _) = dgi.loss_stats(&mut ctx, &enc, &input, &perm);
         let v = ctx.tape.scalar(loss);
         assert!(v < report.losses[0] * 1.2, "restored loss {v} vs first {}", report.losses[0]);

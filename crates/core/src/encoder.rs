@@ -141,6 +141,7 @@ impl Encoder for RawEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mars_autograd::Tape;
     use mars_graph::features::FEATURE_DIM;
     use mars_graph::generators::{Profile, Workload};
     use mars_rng::rngs::StdRng;
@@ -156,7 +157,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let enc = GcnEncoder::new(&mut store, FEATURE_DIM, 16, 3, &mut rng);
         let inp = input();
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let h = enc.encode(&mut ctx, &inp);
         assert_eq!(ctx.tape.value(h).shape(), (inp.num_ops, 16));
         assert!(ctx.tape.value(h).is_finite());
@@ -168,7 +169,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let enc = SageEncoder::new(&mut store, FEATURE_DIM, 12, 2, &mut rng);
         let inp = input();
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let h = enc.encode(&mut ctx, &inp);
         assert_eq!(ctx.tape.value(h).shape(), (inp.num_ops, 12));
     }
@@ -178,7 +179,7 @@ mod tests {
         let inp = input();
         let store = ParamStore::new();
         let enc = RawEncoder::new(FEATURE_DIM);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let h = enc.encode(&mut ctx, &inp);
         assert_eq!(ctx.tape.value(h), &inp.features);
     }
@@ -190,7 +191,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let enc = GcnEncoder::new(&mut store, FEATURE_DIM, FEATURE_DIM, 1, &mut rng);
         let inp = input();
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let h = enc.encode(&mut ctx, &inp);
         assert!(ctx.tape.value(h).max_abs_diff(&inp.features) > 1e-3);
     }

@@ -118,6 +118,7 @@ impl PlacerNet for GrouperPlacerNet {
 mod tests {
     use super::*;
     use crate::placers::oracle::assert_same_bits;
+    use mars_autograd::Tape;
     use mars_nn::decode::decode_composed;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
@@ -157,7 +158,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let p = GrouperPlacerNet::new(&mut store, 6, 8, 4, 3, 5, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let reps = ctx.tape.constant(init::uniform(9, 6, 1.0, &mut rng));
         let l = p.logits(&mut ctx, reps);
         let lv = ctx.tape.value(l);
@@ -185,7 +186,7 @@ mod tests {
         let mut feats = init::uniform(6, 4, 1.0, &mut rng);
         let row0 = feats.row(0).to_vec();
         feats.row_mut(3).copy_from_slice(&row0);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let reps = ctx.tape.constant(feats);
         let l = p.logits(&mut ctx, reps);
         let lv = ctx.tape.value(l);
@@ -199,12 +200,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut store = ParamStore::new();
         let p = GrouperPlacerNet::new(&mut store, 4, 8, 4, 3, 4, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let reps = ctx.tape.constant(init::uniform(5, 4, 1.0, &mut rng));
         let l = p.logits(&mut ctx, reps);
         let sel = ctx.tape.select_per_row(l, vec![0, 1, 2, 3, 0]);
         let loss = ctx.tape.mean_all(sel);
-        let grads = ctx.into_grads(loss, 1.0);
+        let (grads, _) = ctx.into_grads(loss, 1.0);
         let by_name: Vec<&str> = grads.iter().map(|(id, _)| store.name(*id)).collect();
         assert!(by_name.iter().any(|n| n.starts_with("grp.fc1")), "{by_name:?}");
         assert!(by_name.iter().any(|n| n.starts_with("grp.head")), "{by_name:?}");

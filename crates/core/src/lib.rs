@@ -35,6 +35,6 @@ pub mod ppo;
 pub mod workload_input;
 
 pub use agent::{Agent, AgentKind, TrainingLog};
-pub use config::MarsConfig;
+pub use config::{MarsConfig, BASELINE_MU, ENTROPY_COEF, GRAD_CLIP};
 pub use infer::PolicyInference;
 pub use workload_input::WorkloadInput;

@@ -49,6 +49,7 @@ impl PlacerNet for MlpPlacer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mars_autograd::Tape;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
     use mars_tensor::init;
@@ -58,7 +59,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let p = MlpPlacer::new(&mut store, 6, 12, 5, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let reps = ctx.tape.constant(init::uniform(7, 6, 1.0, &mut rng));
         let l = p.logits(&mut ctx, reps);
         assert_eq!(ctx.tape.value(l).shape(), (7, 5));
@@ -73,10 +74,10 @@ mod tests {
         let base = init::uniform(5, 4, 1.0, &mut rng);
         let mut altered = base.clone();
         altered.set(4, 0, altered.get(4, 0) + 1.0);
-        let mut c1 = FwdCtx::new(&store);
+        let mut c1 = FwdCtx::new(Tape::new(), &store);
         let r1 = c1.tape.constant(base);
         let l1 = p.logits(&mut c1, r1);
-        let mut c2 = FwdCtx::new(&store);
+        let mut c2 = FwdCtx::new(Tape::new(), &store);
         let r2 = c2.tape.constant(altered);
         let l2 = p.logits(&mut c2, r2);
         for r in 0..4 {

@@ -61,7 +61,7 @@ impl PlacerChoice {
 /// the fusion, rebuilt from [`mars_nn::decode::decode_composed`].
 #[cfg(test)]
 pub(crate) mod oracle {
-    use mars_autograd::Var;
+    use mars_autograd::{Tape, Var};
     use mars_nn::{FwdCtx, ParamStore};
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
@@ -76,7 +76,7 @@ pub(crate) mod oracle {
         logits: impl FnOnce(&mut FwdCtx<'_>, Var) -> Var,
     ) -> Vec<Vec<u32>> {
         let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        let mut ctx = FwdCtx::new(store);
+        let mut ctx = FwdCtx::new(Tape::new(), store);
         let reps = ctx.tape.leaf(reps.clone(), true);
         let l = logits(&mut ctx, reps);
         let mut out = vec![bits(ctx.tape.value(l))];
@@ -84,7 +84,7 @@ pub(crate) mod oracle {
         let mix = ctx.tape.constant(init::uniform(r, c, 1.0, &mut StdRng::seed_from_u64(99)));
         let weighted = ctx.tape.mul(l, mix);
         let loss = ctx.tape.sum_all(weighted);
-        let (grads, tape) = ctx.into_grads_and_tape(loss, 1.0);
+        let (grads, tape) = ctx.into_grads(loss, 1.0);
         out.push(bits(tape.grad(reps).expect("gradient on reps")));
         assert_eq!(grads.len(), store.len(), "a parameter got no gradient");
         out.extend(grads.iter().map(|(_, g)| bits(g)));

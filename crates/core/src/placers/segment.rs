@@ -97,6 +97,7 @@ impl PlacerNet for SegmentSeq2Seq {
 mod tests {
     use super::*;
     use crate::placers::oracle::assert_same_bits;
+    use mars_autograd::Tape;
     use mars_nn::decode::decode_composed;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
@@ -137,7 +138,7 @@ mod tests {
         let mut store = ParamStore::new();
         // 10 ops, segment 4 → segments of 4, 4, 2.
         let p = SegmentSeq2Seq::new(&mut store, 6, 8, 4, 4, 5, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let reps = ctx.tape.constant(init::uniform(10, 6, 1.0, &mut rng));
         let l = p.logits(&mut ctx, reps);
         assert_eq!(ctx.tape.value(l).shape(), (10, 5));
@@ -149,7 +150,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut store = ParamStore::new();
         let p = SegmentSeq2Seq::new(&mut store, 4, 6, 4, 32, 3, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let reps = ctx.tape.constant(init::uniform(5, 4, 1.0, &mut rng));
         let l = p.logits(&mut ctx, reps);
         assert_eq!(ctx.tape.value(l).shape(), (5, 3));
@@ -166,10 +167,10 @@ mod tests {
         let mut altered = base.clone();
         altered.set(1, 2, altered.get(1, 2) + 1.0); // inside segment 0
 
-        let mut c1 = FwdCtx::new(&store);
+        let mut c1 = FwdCtx::new(Tape::new(), &store);
         let r1 = c1.tape.constant(base);
         let l1 = p.logits(&mut c1, r1);
-        let mut c2 = FwdCtx::new(&store);
+        let mut c2 = FwdCtx::new(Tape::new(), &store);
         let r2 = c2.tape.constant(altered);
         let l2 = p.logits(&mut c2, r2);
 
@@ -183,11 +184,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut store = ParamStore::new();
         let p = SegmentSeq2Seq::new(&mut store, 4, 6, 4, 3, 4, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let reps = ctx.tape.constant(init::uniform(7, 4, 1.0, &mut rng));
         let l = p.logits(&mut ctx, reps);
         let loss = ctx.tape.mean_all(l);
-        let grads = ctx.into_grads(loss, 1.0);
+        let (grads, _) = ctx.into_grads(loss, 1.0);
         assert!(!grads.is_empty());
         let total: f32 = grads.iter().map(|(_, g)| g.frobenius_norm()).sum();
         assert!(total > 0.0);

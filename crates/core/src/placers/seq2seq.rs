@@ -60,6 +60,7 @@ impl PlacerNet for FullSeq2Seq {
 mod tests {
     use super::*;
     use crate::placers::oracle::assert_same_bits;
+    use mars_autograd::Tape;
     use mars_nn::decode::decode_composed;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
@@ -96,7 +97,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let p = FullSeq2Seq::new(&mut store, 5, 8, 4, 5, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let reps = ctx.tape.constant(init::uniform(9, 5, 1.0, &mut rng));
         let l = p.logits(&mut ctx, reps);
         assert_eq!(ctx.tape.value(l).shape(), (9, 5));
@@ -114,10 +115,10 @@ mod tests {
         let mut altered = base.clone();
         altered.set(5, 0, altered.get(5, 0) + 1.0);
 
-        let mut c1 = FwdCtx::new(&store);
+        let mut c1 = FwdCtx::new(Tape::new(), &store);
         let r1 = c1.tape.constant(base);
         let l1 = p.logits(&mut c1, r1);
-        let mut c2 = FwdCtx::new(&store);
+        let mut c2 = FwdCtx::new(Tape::new(), &store);
         let r2 = c2.tape.constant(altered);
         let l2 = p.logits(&mut c2, r2);
         let first_a = mars_tensor::Matrix::row_vector(c1.tape.value(l1).row(0));

@@ -125,6 +125,7 @@ impl PlacerNet for TrfXlPlacer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mars_autograd::Tape;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
     use mars_tensor::init;
@@ -134,7 +135,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut store = ParamStore::new();
         let p = TrfXlPlacer::new(&mut store, 5, 8, 4, 5, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let reps = ctx.tape.constant(init::uniform(11, 5, 1.0, &mut rng));
         let l = p.logits(&mut ctx, reps);
         assert_eq!(ctx.tape.value(l).shape(), (11, 5));
@@ -150,10 +151,10 @@ mod tests {
         let mut altered = base.clone();
         altered.set(0, 0, altered.get(0, 0) + 1.0); // segment 0
 
-        let mut c1 = FwdCtx::new(&store);
+        let mut c1 = FwdCtx::new(Tape::new(), &store);
         let r1 = c1.tape.constant(base);
         let l1 = p.logits(&mut c1, r1);
-        let mut c2 = FwdCtx::new(&store);
+        let mut c2 = FwdCtx::new(Tape::new(), &store);
         let r2 = c2.tape.constant(altered);
         let l2 = p.logits(&mut c2, r2);
         let s2a = c1.tape.value(l1).slice_rows(4, 8);

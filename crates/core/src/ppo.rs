@@ -206,6 +206,7 @@ pub fn ppo_loss_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mars_autograd::Tape;
     use mars_nn::ParamStore;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
@@ -271,10 +272,10 @@ mod tests {
             valid: true,
             advantage: 1.0,
         };
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let logits = ctx.p(w);
         let loss = ppo_loss(&mut ctx, logits, &[&rec], 0.2, 0.0);
-        let grads = ctx.into_grads(loss, 1.0);
+        let (grads, _) = ctx.into_grads(loss, 1.0);
         let g = &grads.iter().find(|(id, _)| *id == w).expect("grad").1;
         // Minimizing the loss should increase logit 0 relative to 1.
         assert!(g.get(0, 0) < 0.0, "{g:?}");
@@ -295,10 +296,10 @@ mod tests {
             valid: true,
             advantage: 1.0,
         };
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let logits = ctx.p(w);
         let loss = ppo_loss(&mut ctx, logits, &[&rec], 0.2, 0.0);
-        let grads = ctx.into_grads(loss, 1.0);
+        let (grads, _) = ctx.into_grads(loss, 1.0);
         let g = &grads.iter().find(|(id, _)| *id == w).expect("grad").1;
         assert!(g.frobenius_norm() < 1e-6, "clipping should zero the gradient: {g:?}");
     }

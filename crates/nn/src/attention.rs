@@ -92,6 +92,7 @@ impl Attention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mars_autograd::Tape;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
     use mars_tensor::Matrix;
@@ -101,7 +102,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
         let attn = Attention::new(&mut store, "a", 3, 2, 4, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         // Encoder rows are one-hot — context components must be softmax
         // weights, hence in [0, 1] and summing to 1.
         let enc = ctx.tape.constant(Matrix::eye(3));
@@ -120,7 +121,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(1);
         let attn = Attention::new(&mut store, "a", 4, 4, 8, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let enc = ctx.tape.constant(init::uniform(6, 4, 1.0, &mut rng));
         let keys = attn.precompute(&mut ctx, enc);
         let d1 = ctx.tape.constant(init::uniform(1, 4, 1.0, &mut rng));
@@ -135,13 +136,13 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(2);
         let attn = Attention::new(&mut store, "a", 3, 3, 5, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let enc = ctx.tape.constant(init::uniform(4, 3, 1.0, &mut rng));
         let keys = attn.precompute(&mut ctx, enc);
         let dec = ctx.tape.constant(init::uniform(1, 3, 1.0, &mut rng));
         let c = attn.read(&mut ctx, keys, dec);
         let loss = ctx.tape.mean_all(c);
-        let grads = ctx.into_grads(loss, 1.0);
+        let (grads, _) = ctx.into_grads(loss, 1.0);
         crate::ctx::apply_grads(&mut store, grads);
         assert!(store.grad(attn.w_enc).frobenius_norm() > 0.0);
         assert!(store.grad(attn.w_dec).frobenius_norm() > 0.0);

@@ -1,11 +1,12 @@
 //! Forward-pass context: binds [`ParamStore`] parameters onto a tape.
 //!
-//! One [`FwdCtx`] lives for exactly one forward/backward pass. It
-//! lazily inserts each parameter as a tape leaf (cached, so a parameter
-//! used by several layers is a *single* leaf and its gradient
-//! accumulates correctly). After the pass, [`FwdCtx::into_grads`]
-//! consumes the context and hands back `(ParamId, gradient)` pairs to
-//! apply to the (then mutably borrowable) store.
+//! One [`FwdCtx`] lives for exactly one forward/backward pass on the
+//! tape it is given. It lazily inserts each parameter as a tape leaf
+//! (cached, so a parameter used by several layers is a *single* leaf and
+//! its gradient accumulates correctly). After the pass,
+//! [`FwdCtx::into_grads`] consumes the context and hands back
+//! `(ParamId, gradient)` pairs to apply to the (then mutably borrowable)
+//! store, together with the tape for the next pass.
 
 use crate::param::{ParamId, ParamStore};
 use mars_autograd::{Tape, Var};
@@ -22,15 +23,12 @@ pub struct FwdCtx<'s> {
 }
 
 impl<'s> FwdCtx<'s> {
-    /// Start a forward pass against `store`.
-    pub fn new(store: &'s ParamStore) -> Self {
-        Self::with_tape(Tape::new(), store)
-    }
-
-    /// Start a forward pass on a caller-provided tape — how the serving
-    /// path reuses one inference tape (and its pooled activation
-    /// buffers) across requests. Pair with [`FwdCtx::into_tape`].
-    pub fn with_tape(tape: Tape, store: &'s ParamStore) -> Self {
+    /// Start a forward pass against `store` on `tape` — a fresh
+    /// [`Tape::new`] for one training pass, a [`Tape::inference`] for
+    /// a forward only, or a tape handed back by [`FwdCtx::into_grads`]
+    /// or [`FwdCtx::into_tape`] and `reset_for_reuse`d, whose arena then
+    /// serves this pass's buffers.
+    pub fn new(tape: Tape, store: &'s ParamStore) -> Self {
         FwdCtx { tape, store, bound: vec![None; store.len()] }
     }
 
@@ -63,25 +61,11 @@ impl<'s> FwdCtx<'s> {
 
     /// Run backward from `loss`, consume the context, and return the
     /// parameter gradients scaled by `scale` (use e.g. `1/k` when
-    /// averaging `k` sample losses). Apply them with [`apply_grads`].
-    pub fn into_grads(mut self, loss: Var, scale: f32) -> Vec<(ParamId, Matrix)> {
-        self.tape.backward(loss);
-        let mut out = Vec::new();
-        for (id, var) in Self::bound(&self.bound) {
-            if let Some(g) = self.tape.grad(var) {
-                let g = if scale == 1.0 { g.clone() } else { g.scale(scale) };
-                out.push((id, g));
-            }
-        }
-        out
-    }
-
-    /// Like [`FwdCtx::into_grads`], but also hands the tape back so a
-    /// persistent training loop can `reset_for_reuse` it and keep its
-    /// scratch arena warm across updates. Parameter gradients are moved
-    /// out of the tape (no clone) and scaled in place — bit-identical
-    /// to [`FwdCtx::into_grads`] for the same pass.
-    pub fn into_grads_and_tape(mut self, loss: Var, scale: f32) -> (Vec<(ParamId, Matrix)>, Tape) {
+    /// averaging `k` sample losses) with the tape. Gradients are moved
+    /// out of the tape (no clone) and scaled in place; apply them with
+    /// [`apply_grads`], and `reset_for_reuse` the tape to keep its arena
+    /// warm for the next pass.
+    pub fn into_grads(mut self, loss: Var, scale: f32) -> (Vec<(ParamId, Matrix)>, Tape) {
         self.tape.backward(loss);
         let mut out = Vec::new();
         for (id, var) in Self::bound(&self.bound) {
@@ -113,7 +97,7 @@ mod tests {
     fn param_bound_once() {
         let mut store = ParamStore::new();
         let w = store.add("w", Matrix::from_vec(1, 1, vec![2.0]));
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let v1 = ctx.p(w);
         let v2 = ctx.p(w);
         assert_eq!(v1, v2);
@@ -124,14 +108,14 @@ mod tests {
         // loss = sum(w·x + w·x) → dw = 2x.
         let mut store = ParamStore::new();
         let w = store.add("w", Matrix::from_vec(1, 1, vec![2.0]));
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let wv = ctx.p(w);
         let x = ctx.tape.constant(Matrix::from_vec(1, 1, vec![3.0]));
         let a = ctx.tape.mul(wv, x);
         let b = ctx.tape.mul(wv, x);
         let s = ctx.tape.add(a, b);
         let loss = ctx.tape.sum_all(s);
-        let grads = ctx.into_grads(loss, 1.0);
+        let (grads, _) = ctx.into_grads(loss, 1.0);
         apply_grads(&mut store, grads);
         assert_eq!(store.grad(w).get(0, 0), 6.0);
     }
@@ -140,10 +124,10 @@ mod tests {
     fn backward_scale_applied() {
         let mut store = ParamStore::new();
         let w = store.add("w", Matrix::from_vec(1, 1, vec![1.0]));
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let wv = ctx.p(w);
         let loss = ctx.tape.sum_all(wv);
-        let grads = ctx.into_grads(loss, 0.5);
+        let (grads, _) = ctx.into_grads(loss, 0.5);
         apply_grads(&mut store, grads);
         assert_eq!(store.grad(w).get(0, 0), 0.5);
     }

@@ -68,6 +68,7 @@ mod tests {
     use super::*;
     use crate::ctx::apply_grads;
     use crate::param::ParamStore;
+    use mars_autograd::Tape;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
     use mars_tensor::{init, Matrix};
@@ -89,7 +90,7 @@ mod tests {
         let encs: Vec<Matrix> = [4, 4, 3].map(|t| init::uniform(t, ed, 1.0, &mut rng)).into();
         let mix = init::uniform(11, nd, 1.0, &mut rng);
 
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let enc_vars: Vec<Var> = encs.iter().map(|m| ctx.tape.leaf(m.clone(), true)).collect();
         let state = cell.zero_state(&mut ctx);
         let logits = if fused {
@@ -108,7 +109,7 @@ mod tests {
         let weights = ctx.tape.constant(mix);
         let weighted = ctx.tape.mul(logits, weights);
         let loss = ctx.tape.sum_all(weighted);
-        let (grads, tape) = ctx.into_grads_and_tape(loss, 1.0);
+        let (grads, tape) = ctx.into_grads(loss, 1.0);
         let enc_grads = enc_vars.iter().map(|&e| bits(tape.grad(e).expect("enc grad"))).collect();
         apply_grads(&mut store, grads);
         // Every parameter, `attn.w_enc` (fed through the `proj` slots) included.

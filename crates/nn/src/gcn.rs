@@ -66,6 +66,7 @@ impl GcnLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mars_autograd::Tape;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
 
@@ -91,7 +92,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
         let layer = GcnLayer::new(&mut store, "g", 4, 6, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let x = ctx.tape.constant(Matrix::full(3, 4, 0.5));
         let y = layer.forward(&mut ctx, &tiny_adj(), x);
         assert_eq!(ctx.tape.value(y).shape(), (3, 6));
@@ -105,7 +106,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let layer = GcnLayer::new(&mut store, "g", 2, 2, &mut rng);
         *store.value_mut(layer.w) = Matrix::eye(2);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let x = ctx.tape.constant(Matrix::from_vec(3, 2, vec![3.0, 0.0, 0.0, 0.0, 0.0, 9.0]));
         let y = layer.forward(&mut ctx, &tiny_adj(), x);
         let v = ctx.tape.value(y);
@@ -118,11 +119,11 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(2);
         let layer = GcnLayer::new(&mut store, "g", 3, 3, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let x = ctx.tape.constant(Matrix::full(3, 3, -0.7));
         let y = layer.forward(&mut ctx, &tiny_adj(), x);
         let loss = ctx.tape.mean_all(y);
-        let grads = ctx.into_grads(loss, 1.0);
+        let (grads, _) = ctx.into_grads(loss, 1.0);
         crate::ctx::apply_grads(&mut store, grads);
         assert!(store.grad(layer.w).frobenius_norm() > 0.0);
         assert!(store.grad(layer.b).frobenius_norm() > 0.0);

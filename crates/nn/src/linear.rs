@@ -67,6 +67,7 @@ impl Linear {
 mod tests {
     use super::*;
     use crate::adam::Adam;
+    use mars_autograd::Tape;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
 
@@ -75,7 +76,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
         let l = Linear::new(&mut store, "l", 3, 5, true, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let x = ctx.tape.constant(Matrix::zeros(4, 3));
         let y = l.forward(&mut ctx, x);
         assert_eq!(ctx.tape.value(y).shape(), (4, 5));
@@ -92,7 +93,7 @@ mod tests {
         let ys = Matrix::from_vec(4, 1, vec![1., -2., -1., 1.5]);
         let mut last = f32::INFINITY;
         for _ in 0..300 {
-            let mut ctx = FwdCtx::new(&store);
+            let mut ctx = FwdCtx::new(Tape::new(), &store);
             let x = ctx.tape.constant(xs.clone());
             let t = ctx.tape.constant(ys.clone());
             let pred = l.forward(&mut ctx, x);
@@ -100,7 +101,7 @@ mod tests {
             let sq = ctx.tape.mul(err, err);
             let loss = ctx.tape.mean_all(sq);
             last = ctx.tape.scalar(loss);
-            let grads = ctx.into_grads(loss, 1.0);
+            let (grads, _) = ctx.into_grads(loss, 1.0);
             crate::ctx::apply_grads(&mut store, grads);
             adam.step(&mut store, 1.0);
         }

@@ -213,6 +213,7 @@ mod tests {
     use super::*;
     use crate::adam::Adam;
     use crate::linear::Linear;
+    use mars_autograd::Tape;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
 
@@ -221,7 +222,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
         let lstm = Lstm::new(&mut store, "l", 3, 5, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let xs = ctx.tape.constant(Matrix::full(4, 3, 0.1));
         let (out, state) = lstm.run(&mut ctx, xs, None);
         assert_eq!(ctx.tape.value(out).shape(), (4, 5));
@@ -241,12 +242,12 @@ mod tests {
         let lstm = Lstm::new(&mut store, "l", 2, 4, &mut rng);
         let xs = init::uniform(4, 2, 1.0, &mut rng);
 
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let x_all = ctx.tape.constant(xs.clone());
         let (out_full, _) = lstm.run(&mut ctx, x_all, None);
         let full = ctx.tape.value(out_full).clone();
 
-        let mut ctx2 = FwdCtx::new(&store);
+        let mut ctx2 = FwdCtx::new(Tape::new(), &store);
         let x1 = ctx2.tape.constant(xs.slice_rows(0, 2));
         let (o1, s1) = lstm.run(&mut ctx2, x1, None);
         let x2 = ctx2.tape.constant(xs.slice_rows(2, 4));
@@ -261,7 +262,7 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(2);
         let bi = BiLstm::new(&mut store, "b", 3, 4, &mut rng);
-        let mut ctx = FwdCtx::new(&store);
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
         let xs = ctx.tape.constant(init::uniform(5, 3, 1.0, &mut rng));
         let (out, _) = bi.run(&mut ctx, xs, None);
         assert_eq!(ctx.tape.value(out).shape(), (5, 8));
@@ -287,14 +288,14 @@ mod tests {
         for _ in 0..150 {
             let mut total = 0.0;
             for (xs, target) in &seqs {
-                let mut ctx = FwdCtx::new(&store);
+                let mut ctx = FwdCtx::new(Tape::new(), &store);
                 let x = ctx.tape.constant(xs.clone());
                 let (_, state) = lstm.run(&mut ctx, x, None);
                 let logit = head.forward(&mut ctx, state.h);
                 let t = std::sync::Arc::new(Matrix::from_vec(1, 1, vec![*target]));
                 let loss = ctx.tape.bce_with_logits(logit, t);
                 total += ctx.tape.scalar(loss);
-                let grads = ctx.into_grads(loss, 1.0 / seqs.len() as f32);
+                let (grads, _) = ctx.into_grads(loss, 1.0 / seqs.len() as f32);
                 crate::ctx::apply_grads(&mut store, grads);
             }
             last_loss = total / seqs.len() as f32;

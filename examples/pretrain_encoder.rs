@@ -10,6 +10,7 @@
 //! cargo run --release --example pretrain_encoder
 //! ```
 
+use mars::autograd::Tape;
 use mars::core::config::MarsConfig;
 use mars::core::dgi::{pretrain, Dgi};
 use mars::core::encoder::{Encoder, GcnEncoder};
@@ -37,8 +38,7 @@ fn main() {
         "Pre-training on {} ({} ops) for {} iterations…",
         graph.name, input.num_ops, cfg.dgi_iters
     );
-    let report =
-        pretrain(&mut store, &encoder, &dgi, &input, cfg.dgi_iters, cfg.dgi_lr, 1.0, &mut rng);
+    let report = pretrain(&mut store, &encoder, &dgi, &input, cfg.dgi_iters, cfg.dgi_lr, &mut rng);
     for (i, chunk) in report.losses.chunks(cfg.dgi_iters / 10).enumerate() {
         let mean = chunk.iter().sum::<f32>() / chunk.len() as f32;
         println!("  iters {:>4}-{:<4} mean loss {mean:.4}", i * chunk.len(), (i + 1) * chunk.len());
@@ -46,7 +46,7 @@ fn main() {
     println!("Best loss {:.4} at iteration {} (restored)", report.best_loss, report.best_iter);
 
     // Representation structure: intra-kind vs inter-kind distances.
-    let mut ctx = FwdCtx::new(&store);
+    let mut ctx = FwdCtx::new(Tape::new(), &store);
     let h = encoder.encode(&mut ctx, &input);
     let reps = ctx.tape.value(h).clone();
     let lstm: Vec<usize> = ids_of_kind(&graph, OpKind::LstmCell);

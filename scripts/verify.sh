@@ -29,12 +29,15 @@ trap 'rm -f "$TELEMETRY_RUN" "$FAULT_RUN" "$ARENA_RUN"' EXIT
 ./target/release/mars-cli train inception --budget 40 --dgi-iters 10 --seed 1 \
     --telemetry "$TELEMETRY_RUN" > /dev/null
 SUMMARY=$(./target/release/mars-cli metrics summarize "$TELEMETRY_RUN")
-echo "$SUMMARY" | grep -q "tensor.ops.matmul" || {
-    echo "telemetry summary has no tensor kernel spans"; exit 1; }
-echo "$SUMMARY" | grep -q "ppo.update" || {
-    echo "telemetry summary has no PPO update events"; exit 1; }
-echo "$SUMMARY" | grep -q "sim.eval" || {
-    echo "telemetry summary has no simulator eval events"; exit 1; }
+# Captured text is searched from a here-string: `echo "$X" | grep -q`
+# under `pipefail` fails when grep exits at an early match and echo
+# meets the closed pipe. A failing check prints the text it searched.
+grep -q "tensor.ops.matmul" <<< "$SUMMARY" || {
+    echo "$SUMMARY"; echo "telemetry summary has no tensor kernel spans"; exit 1; }
+grep -q "ppo.update" <<< "$SUMMARY" || {
+    echo "$SUMMARY"; echo "telemetry summary has no PPO update events"; exit 1; }
+grep -q "sim.eval" <<< "$SUMMARY" || {
+    echo "$SUMMARY"; echo "telemetry summary has no simulator eval events"; exit 1; }
 # A `grep -q` fed straight from mars-cli exits at its first match, and a
 # mars-cli still printing then dies of the broken pipe (Rust ignores
 # SIGPIPE, println! panics), which `pipefail` reports: read to the end.
@@ -55,15 +58,15 @@ FAULT_ARGS=(train inception --budget 40 --dgi-iters 10 --seed 1
     --fault-plan "fail:2@10, transient:0.2, straggler:0.1x6")
 FAULT_A=$(./target/release/mars-cli "${FAULT_ARGS[@]}" --telemetry "$FAULT_RUN" \
     | grep -v "^telemetry written")
-echo "$FAULT_A" | grep -q "cluster degraded: failed devices \[2\]" || {
-    echo "planned device failure did not degrade the cluster"; exit 1; }
+grep -q "cluster degraded: failed devices \[2\]" <<< "$FAULT_A" || {
+    echo "$FAULT_A"; echo "planned device failure did not degrade the cluster"; exit 1; }
 FAULT_SUMMARY=$(./target/release/mars-cli metrics summarize "$FAULT_RUN")
-echo "$FAULT_SUMMARY" | grep -q "fault injection" || {
-    echo "telemetry summary has no fault-injection section"; exit 1; }
-echo "$FAULT_SUMMARY" | grep -q "device failures: 1 (" || {
-    echo "fault summary did not count the device failure"; exit 1; }
-echo "$FAULT_SUMMARY" | grep -Eq "device failures: 1 \([1-9][0-9]* remaps" || {
-    echo "fault summary recorded no placement remaps"; exit 1; }
+grep -q "fault injection" <<< "$FAULT_SUMMARY" || {
+    echo "$FAULT_SUMMARY"; echo "telemetry summary has no fault-injection section"; exit 1; }
+grep -q "device failures: 1 (" <<< "$FAULT_SUMMARY" || {
+    echo "$FAULT_SUMMARY"; echo "fault summary did not count the device failure"; exit 1; }
+grep -Eq "device failures: 1 \([1-9][0-9]* remaps" <<< "$FAULT_SUMMARY" || {
+    echo "$FAULT_SUMMARY"; echo "fault summary recorded no placement remaps"; exit 1; }
 # Same seed + same plan must reproduce the run bit for bit
 # (tests/fault_determinism.rs pins the cache as invisible under faults).
 FAULT_B=$(./target/release/mars-cli "${FAULT_ARGS[@]}")
@@ -92,8 +95,8 @@ PLACE_A=$(./target/release/mars-cli place seq2seq --connect "unix:$SERVE_SOCK" -
 PLACE_B=$(./target/release/mars-cli place seq2seq --connect "unix:$SERVE_SOCK" --top-k 2 --repeat 3)
 diff <(echo "$PLACE_A") <(echo "$PLACE_B") || {
     echo "placement responses were not bit-identical across client runs"; exit 1; }
-echo "$PLACE_A" | grep -q "identical to response 0" || {
-    echo "repeat responses were not verified identical"; exit 1; }
+grep -q "identical to response 0" <<< "$PLACE_A" || {
+    echo "$PLACE_A"; echo "repeat responses were not verified identical"; exit 1; }
 # The same graph on a degraded cluster: a new key, landed from the
 # graph's memo without a second forward.
 ./target/release/mars-cli place seq2seq --connect "unix:$SERVE_SOCK" --fail-device 2 > /dev/null
