@@ -171,52 +171,3 @@ pub struct LstmCache {
     /// `tanh(c_t)`, `T × H`.
     pub tanh_c: Matrix,
 }
-
-impl Op {
-    /// Parent variables of this op, in order.
-    pub fn parents(&self) -> Vec<Var> {
-        match self {
-            Op::Leaf => vec![],
-            Op::MatMul(a, b)
-            | Op::Add(a, b)
-            | Op::Sub(a, b)
-            | Op::Mul(a, b)
-            | Op::AddBias(a, b)
-            | Op::PRelu(a, b)
-            | Op::MinElem(a, b)
-            | Op::ConcatCols(a, b, _)
-            | Op::ConcatRows(a, b, _) => vec![*a, *b],
-            Op::Spmm(_, x)
-            | Op::Scale(x, _)
-            | Op::AddScalar(x, _)
-            | Op::Sigmoid(x)
-            | Op::Tanh(x)
-            | Op::Relu(x)
-            | Op::Exp(x)
-            | Op::Ln(x)
-            | Op::SoftmaxRows(x)
-            | Op::LogSoftmaxRows(x)
-            | Op::MeanAll(x)
-            | Op::SumAll(x)
-            | Op::MeanRows(x)
-            | Op::SumRows(x)
-            | Op::SliceRows(x, _, _)
-            | Op::GatherRows(x, _)
-            | Op::SelectPerRow(x, _)
-            | Op::Transpose(x)
-            | Op::Clamp(x, _, _)
-            | Op::BceWithLogits(x, _) => vec![*x],
-            Op::StackRows(vars) => vars.as_ref().clone(),
-            Op::LstmSeq { x, w_ih, w_hh, b, h0, c0, .. } => {
-                vec![*x, *w_ih, *w_hh, *b, *h0, *c0]
-            }
-            Op::AttnScores { proj, dproj, v, .. } => vec![*proj, *dproj, *v],
-            Op::AttnDecode { segs, params, h0, c0, .. } => segs
-                .iter()
-                .flat_map(|&(enc, proj)| [enc, proj])
-                .chain(*params)
-                .chain([*h0, *c0])
-                .collect(),
-        }
-    }
-}

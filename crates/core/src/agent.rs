@@ -401,7 +401,7 @@ impl Agent {
             for (((actions, old_logp), placement), outcome) in
                 sampled.into_iter().zip(placements).zip(outcomes)
             {
-                let reading = outcome.reading_s(100.0);
+                let reading = outcome.reading_s();
                 match outcome {
                     EvalOutcome::Valid { per_step_s } => {
                         valid_readings.push(per_step_s);

@@ -109,16 +109,6 @@ impl MarsConfig {
             auto_checkpoint: None,
         }
     }
-
-    /// Resolve a profile from the `MARS_PROFILE` environment variable
-    /// (`"full"`/`"paper"` → [`MarsConfig::paper`], anything else →
-    /// [`MarsConfig::small`]).
-    pub fn from_env() -> Self {
-        match std::env::var("MARS_PROFILE").as_deref() {
-            Ok("full") | Ok("paper") => Self::paper(),
-            _ => Self::small(),
-        }
-    }
 }
 
 #[cfg(test)]

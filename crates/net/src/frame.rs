@@ -158,49 +158,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
     verify(payload, expected).map(Some)
 }
 
-/// Incremental frame decoder over a growable byte buffer: push bytes
-/// as they arrive, pull frames as they complete. Used by the property
-/// tests to exercise every chunking of a stream; the blocking paths
-/// use [`read_frame`] directly.
-#[derive(Debug, Default)]
-pub struct Decoder {
-    buf: Vec<u8>,
-}
-
-impl Decoder {
-    /// Empty decoder.
-    pub fn new() -> Self {
-        Decoder::default()
-    }
-
-    /// Append raw bytes received from the transport.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed by a complete frame.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Pop the next complete frame's payload, `Ok(None)` when more
-    /// bytes are needed. Errors are sticky in practice: a corrupt
-    /// header leaves the buffer as-is and every subsequent call fails
-    /// the same way (the connection is expected to be dropped).
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        if self.buf.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let (len, expected) = parse_header(&self.buf[..HEADER_LEN])?;
-        if self.buf.len() < HEADER_LEN + len {
-            return Ok(None);
-        }
-        let payload = self.buf[HEADER_LEN..HEADER_LEN + len].to_vec();
-        self.buf.drain(..HEADER_LEN + len);
-        verify(payload, expected).map(Some)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,16 +206,5 @@ mod tests {
         let last = frame.len() - 1;
         frame[last] ^= 0x40;
         assert!(matches!(read_frame(&mut Cursor::new(frame)), Err(FrameError::Checksum { .. })));
-    }
-
-    #[test]
-    fn decoder_waits_for_more_bytes() {
-        let frame = encode(b"split me").expect("encode");
-        let mut dec = Decoder::new();
-        dec.push(&frame[..7]);
-        assert!(dec.next_frame().expect("partial header is not an error").is_none());
-        dec.push(&frame[7..]);
-        assert_eq!(dec.next_frame().unwrap().unwrap(), b"split me");
-        assert_eq!(dec.buffered(), 0);
     }
 }

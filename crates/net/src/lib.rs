@@ -21,6 +21,6 @@ pub mod frame;
 pub mod msg;
 pub mod transport;
 
-pub use frame::{Decoder, FrameError, HEADER_LEN, MAX_PAYLOAD};
+pub use frame::{FrameError, HEADER_LEN, MAX_PAYLOAD};
 pub use msg::{Msg, PROTOCOL_VERSION};
 pub use transport::{recv_msg, send_msg, Addr, Conn, Listener};

@@ -43,14 +43,6 @@ impl Addr {
         }
         Ok(Addr::Tcp(s.to_string()))
     }
-
-    /// The Unix socket path, when this is a Unix address.
-    pub fn unix_path(&self) -> Option<&PathBuf> {
-        match self {
-            Addr::Unix(p) => Some(p),
-            Addr::Tcp(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Addr {

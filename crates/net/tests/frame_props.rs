@@ -39,31 +39,6 @@ props! {
         assert_eq!(got, payload);
     }
 
-    /// The incremental decoder reassembles a multi-frame stream
-    /// identically under every random chunking, with nothing left
-    /// buffered at the end.
-    fn roundtrip_decoder_any_chunking(rng, 48) {
-        let payloads: Vec<Vec<u8>> =
-            (0..rng.gen_range(1..5usize)).map(|_| arb_payload(rng)).collect();
-        let stream: Vec<u8> = payloads
-            .iter()
-            .flat_map(|p| frame::encode(p).expect("encode"))
-            .collect();
-        let mut dec = frame::Decoder::new();
-        let mut got: Vec<Vec<u8>> = Vec::new();
-        let mut at = 0;
-        while at < stream.len() {
-            let take = rng.gen_range(1..=(stream.len() - at).min(8192));
-            dec.push(&stream[at..at + take]);
-            at += take;
-            while let Some(p) = dec.next_frame().expect("clean stream never errors") {
-                got.push(p);
-            }
-        }
-        assert_eq!(got, payloads);
-        assert_eq!(dec.buffered(), 0, "no bytes may linger after the last frame");
-    }
-
     /// A stream cut at any offset is a clean EOF (cut before byte one)
     /// or `Truncated` — never a panic, never a phantom payload.
     fn truncation_is_detected_at_every_offset(rng, 64) {
@@ -75,11 +50,6 @@ props! {
             Err(FrameError::Truncated) => assert!(cut > 0),
             other => panic!("cut at {cut}/{}: expected Truncated, got {other:?}", frame.len()),
         }
-        // The incremental decoder must simply wait for more bytes:
-        // a prefix of a valid frame is pending, not corrupt.
-        let mut dec = frame::Decoder::new();
-        dec.push(&frame[..cut]);
-        assert!(dec.next_frame().expect("prefix is not corrupt").is_none());
     }
 
     /// Flipping any single bit of a frame yields a typed error from
@@ -114,7 +84,7 @@ props! {
     }
 
     /// A length field pointing past the 64 MiB ceiling is rejected as
-    /// `Oversized` before any allocation, by both decode paths.
+    /// `Oversized` before any allocation.
     fn oversized_lengths_are_rejected_up_front(rng, 64) {
         let payload = arb_payload(rng);
         let mut frame = frame::encode(&payload).expect("encode");
@@ -124,14 +94,10 @@ props! {
             Err(FrameError::Oversized(len)) => assert_eq!(len, bogus),
             other => panic!("expected Oversized({bogus}), got {other:?}"),
         }
-        let mut dec = frame::Decoder::new();
-        dec.push(&frame);
-        assert!(matches!(dec.next_frame(), Err(FrameError::Oversized(len)) if len == bogus));
     }
 
-    /// Garbage that does not start with the magic is `BadMagic` from
-    /// both decode paths (framing errors are connection-fatal; there
-    /// is no resync scan).
+    /// Garbage that does not start with the magic is `BadMagic`
+    /// (framing errors are connection-fatal; there is no resync scan).
     fn garbage_magic_is_rejected(rng, 64) {
         let mut junk = vec![0u8; rng.gen_range(HEADER_LEN..256)];
         rng.fill_bytes(&mut junk);
@@ -140,8 +106,5 @@ props! {
             frame::read_frame(&mut Cursor::new(&junk)),
             Err(FrameError::BadMagic(_))
         ));
-        let mut dec = frame::Decoder::new();
-        dec.push(&junk);
-        assert!(matches!(dec.next_frame(), Err(FrameError::BadMagic(_))));
     }
 }

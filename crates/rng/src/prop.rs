@@ -125,12 +125,6 @@ macro_rules! props {
     };
 }
 
-/// `RngCore` passthrough so property bodies can use the harness rng
-/// for nested helpers expecting `&mut impl RngCore`.
-pub fn fork(rng: &mut StdRng) -> StdRng {
-    rng.split()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

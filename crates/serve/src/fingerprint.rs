@@ -1,14 +1,12 @@
 //! Cache-key derivation: stable 64-bit fingerprints for the two halves
 //! of a placement query.
 //!
-//! The serve cache is keyed by `(graph_fingerprint, cluster_fingerprint)`
-//! — the same SplitMix64 fold as `mars_sim::measure::env_fingerprint`,
-//! split into its graph and cluster halves (a serve cache spans many
-//! environments, so the halves must be independently reusable) and
-//! deepened on the cluster side: a query cluster arrives over the wire
-//! from an arbitrary client, so every field that could distinguish two
-//! clusters (per-device compute model, per-pair links, failure mask)
-//! folds into the key, not just the memory sizes the eval memo guards.
+//! The serve cache is keyed by `(graph_fingerprint, cluster_fingerprint)`,
+//! each a SplitMix64 fold. The halves are separate because a serve cache
+//! spans many environments, so each must be independently reusable. A
+//! query cluster arrives over the wire from an arbitrary client, so
+//! every field that could distinguish two clusters (per-device compute
+//! model, per-pair links, failure mask) folds into the key.
 
 use mars_graph::CompGraph;
 use mars_rng::rngs::SplitMix64;

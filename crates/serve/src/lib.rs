@@ -6,8 +6,7 @@
 //! Three tiers answer it, cheapest first:
 //!
 //! 1. **Hot** — an in-memory LRU ([`cache::PlacementCache`]) keyed by
-//!    `(graph fingerprint, cluster fingerprint)`: the `mars_sim::Lru`
-//!    of the eval memo, holding policy outputs.
+//!    `(graph fingerprint, cluster fingerprint)`, holding policy outputs.
 //! 2. **Warm** — a persistent JSONL-backed store
 //!    ([`store::PlacementStore`]) with crash-safe append and
 //!    load-on-start, stamped with the weights fingerprint so stale

@@ -7,9 +7,8 @@
 //! happen purely in terms of the environment's global evaluation index,
 //! and every probabilistic draw is seeded from `(env seed, evaluation
 //! index)` with the same SplitMix64 folding scheme the measurement
-//! noise uses. Faults therefore commute with memoization: a run with
-//! the cache on is bit-identical to the uncached run under the same
-//! plan.
+//! noise uses. A run under a plan is therefore bit-identical to every
+//! same-seed rerun under the same plan.
 //!
 //! Two fault classes exist:
 //!
@@ -20,7 +19,7 @@
 //! * **Commit faults** ([`FaultKind::Transient`],
 //!   [`FaultKind::Straggler`]) perturb a single evaluation's outcome
 //!   and machine-time cost at commit time, after the pure computation
-//!   (which may have come from the memo cache) is in hand.
+//!   is in hand.
 
 use crate::device::{Cluster, DeviceId, DeviceKind};
 use mars_rng::rngs::SplitMix64;

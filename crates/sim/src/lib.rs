@@ -22,7 +22,6 @@
 //! ("bad placements"), and penalize invalid placements with a 100 s
 //! reading.
 
-pub mod cache;
 pub mod cost;
 pub mod device;
 pub mod engine;
@@ -32,11 +31,13 @@ pub mod memory;
 pub mod placement;
 pub mod trace;
 
-pub use cache::{EvalCache, Lru};
 pub use device::{Cluster, DeviceId, DeviceKind, DeviceSpec, LinkSpec};
 pub use engine::{simulate, StepReport};
 pub use fault::{Fault, FaultKind, FaultPlan, RetryPolicy};
-pub use measure::{env_fingerprint, Environment, EvalComputation, EvalOutcome, SimEnv};
+pub use measure::{
+    Environment, EvalOutcome, SimEnv, BAD_CUTOFF_S, INVALID_PENALTY_S, NOISE_SIGMA, STEPS_PER_EVAL,
+    WARMUP_STEPS,
+};
 pub use memory::{check_memory, MemoryReport, OomError};
 pub use placement::Placement;
 pub use trace::{simulate_traced, StepTrace};

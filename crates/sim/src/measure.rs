@@ -7,21 +7,17 @@
 //! an extremely long reading (100 s); evaluations beyond a per-workload
 //! cutoff are aborted and marked *bad*.
 //!
-//! # Purity and memoization
+//! # Purity
 //!
 //! Evaluating a placement is a *pure function* of `(graph, cluster,
 //! environment seed, placement)`: the measurement noise is drawn from a
 //! generator seeded by mixing the environment seed with a stable hash
 //! of the (compatibility-enforced) placement, not from a shared
 //! sequential stream. Re-evaluating the same placement therefore
-//! always yields the bit-identical outcome and machine-time cost, so
-//! resampled placements are answered from a bounded LRU cache
-//! ([`crate::cache::EvalCache`]) instead of a full critical-path
-//! simulation. A cache hit replays the stored outcome *and* the stored
-//! simulated machine-seconds, so enabling or disabling the cache
-//! changes wall-clock only, never the training trace.
+//! always yields the bit-identical outcome and machine-time cost, in
+//! this environment or in a fresh one of the same seed. Injected faults
+//! are keyed by the evaluation index, not by the placement.
 
-use crate::cache::EvalCache;
 use crate::device::Cluster;
 use crate::engine::{simulate, StepReport};
 use crate::fault::{Fault, FaultKind, FaultPlan, RetryPolicy};
@@ -31,6 +27,17 @@ use mars_graph::CompGraph;
 use mars_rng::rngs::{SplitMix64, StdRng};
 use mars_rng::{RngCore, SeedableRng};
 use mars_tensor::init::randn_scalar;
+
+/// Per-step times beyond this are aborted and marked bad (§3.4).
+pub const BAD_CUTOFF_S: f64 = 20.0;
+/// Reading assigned to invalid (OOM) placements (§3.4).
+pub const INVALID_PENALTY_S: f64 = 100.0;
+/// Relative measurement-noise standard deviation.
+pub const NOISE_SIGMA: f64 = 0.03;
+/// Steps run per evaluation, warm-up included (§4.2).
+pub const STEPS_PER_EVAL: usize = 15;
+/// Warm-up steps discarded (§4.2).
+pub const WARMUP_STEPS: usize = 5;
 
 /// Outcome of evaluating one placement.
 #[derive(Clone, Debug, PartialEq)]
@@ -69,13 +76,13 @@ pub enum EvalOutcome {
 
 impl EvalOutcome {
     /// The per-step reading fed to the reward (§3.4): the measurement
-    /// for valid placements, the cutoff for bad ones, and the 100 s
-    /// penalty for invalid ones.
-    pub fn reading_s(&self, invalid_penalty_s: f64) -> f64 {
+    /// for valid placements, the cutoff for bad ones, and
+    /// [`INVALID_PENALTY_S`] for invalid ones.
+    pub fn reading_s(&self) -> f64 {
         match self {
             EvalOutcome::Valid { per_step_s } => *per_step_s,
             EvalOutcome::Bad { cutoff_s } => *cutoff_s,
-            EvalOutcome::Invalid { .. } => invalid_penalty_s,
+            EvalOutcome::Invalid { .. } => INVALID_PENALTY_S,
             EvalOutcome::TransientError { cutoff_s, .. } => *cutoff_s,
             EvalOutcome::Straggler { cutoff_s, .. } => *cutoff_s,
         }
@@ -88,48 +95,23 @@ impl EvalOutcome {
 }
 
 /// Everything one evaluation produces: the outcome plus the simulated
-/// machine-time cost and the telemetry readings. This is what the
-/// memo cache stores — committing a cached computation is
-/// indistinguishable from committing a fresh one.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EvalComputation {
+/// machine-time cost and the telemetry readings.
+struct EvalComputation {
     /// The agent-visible outcome.
-    pub outcome: EvalOutcome,
+    outcome: EvalOutcome,
     /// Simulated machine-seconds this evaluation costs (§4.2 protocol
     /// accounting: warm-up steps at double cost, aborted step for bad
     /// placements, 5 s startup overhead for OOM).
-    pub machine_s: f64,
+    machine_s: f64,
     /// Noise-free makespan of one step (NaN for OOM).
-    pub makespan_s: f64,
+    makespan_s: f64,
     /// Link-occupancy seconds (NaN for OOM).
-    pub comm_s: f64,
+    comm_s: f64,
     /// Cross-device transfers (0 for OOM).
-    pub num_transfers: usize,
+    num_transfers: usize,
     /// Peak device-memory utilization (for OOM: the overflow ratio
     /// `required / capacity` of the overflowing device).
-    pub peak_mem_utilization: f64,
-}
-
-/// Stable 64-bit fingerprint of a (graph, cluster) pair — the guard key
-/// for [`EvalCache`]. Coarse by design (name, sizes, device memory): it
-/// exists to catch a cache accidentally reused across environments, not
-/// to distinguish adversarially similar graphs.
-pub fn env_fingerprint(graph: &CompGraph, cluster: &Cluster) -> u64 {
-    let mut h: u64 = 0x4d41_5253_4556_414c; // "MARSEVAL"
-    let mut fold = |v: u64| h = SplitMix64::new(h ^ v).next_u64();
-    for b in graph.name.bytes() {
-        fold(b as u64);
-    }
-    fold(graph.num_nodes() as u64);
-    fold(graph.num_edges() as u64);
-    fold(cluster.num_devices() as u64);
-    for d in 0..cluster.num_devices() {
-        fold(cluster.device(d).memory_bytes);
-        // The failure mask is part of the environment identity: losing
-        // a device invalidates every memoized evaluation.
-        fold(cluster.is_alive(d) as u64);
-    }
-    h
+    peak_mem_utilization: f64,
 }
 
 /// An RL environment measuring placements.
@@ -181,16 +163,6 @@ pub struct SimEnv {
     graph: CompGraph,
     cluster: Cluster,
     seed: u64,
-    /// Per-step times beyond this are aborted and marked bad.
-    pub bad_cutoff_s: f64,
-    /// Reading assigned to invalid placements.
-    pub invalid_penalty_s: f64,
-    /// Relative measurement-noise standard deviation.
-    pub noise_sigma: f64,
-    /// Steps run per evaluation (warm-up included).
-    pub steps_per_eval: usize,
-    /// Warm-up steps discarded.
-    pub warmup_steps: usize,
     /// Retry policy for injected transient errors.
     pub retry: RetryPolicy,
     /// Per-evaluation machine-time budget: retries that would push one
@@ -199,8 +171,6 @@ pub struct SimEnv {
     pub eval_timeout_s: f64,
     machine_seconds: f64,
     evaluations: usize,
-    fingerprint: u64,
-    cache: Option<EvalCache>,
     fault_plan: FaultPlan,
     /// Boundary faults (device failures, crashes) not yet fired.
     boundaries: Vec<Fault>,
@@ -209,26 +179,17 @@ pub struct SimEnv {
 }
 
 impl SimEnv {
-    /// Environment with the paper's defaults (15 steps, 5 warm-up,
-    /// 100 s invalid penalty, 20 s bad cutoff) and the memo cache
-    /// enabled.
+    /// Environment measuring under the paper's protocol (the constants
+    /// above), with no fault plan armed.
     pub fn new(graph: CompGraph, cluster: Cluster, seed: u64) -> Self {
-        let fingerprint = env_fingerprint(&graph, &cluster);
         SimEnv {
             graph,
             cluster,
             seed,
-            bad_cutoff_s: 20.0,
-            invalid_penalty_s: 100.0,
-            noise_sigma: 0.03,
-            steps_per_eval: 15,
-            warmup_steps: 5,
             retry: RetryPolicy::default(),
             eval_timeout_s: 300.0,
             machine_seconds: 0.0,
             evaluations: 0,
-            fingerprint,
-            cache: Some(EvalCache::with_default_capacity(fingerprint)),
             fault_plan: FaultPlan::none(),
             boundaries: Vec::new(),
             boundary_cursor: 0,
@@ -254,8 +215,7 @@ impl SimEnv {
 
     /// Fire every boundary fault scheduled at or before the current
     /// evaluation count. Called before each evaluation, so the firing
-    /// point is a pure function of the global evaluation index —
-    /// identical with the cache on or off.
+    /// point is a pure function of the global evaluation index.
     fn fire_due_faults(&mut self) {
         while let Some(f) = self.boundaries.get(self.boundary_cursor) {
             if f.at_eval > self.evaluations as u64 {
@@ -281,16 +241,10 @@ impl SimEnv {
         }
     }
 
-    /// Degrade the cluster: mark the device dead, refresh the
-    /// environment fingerprint (the failure mask is part of it), and
-    /// rebuild the memo cache — every stored reading was measured on
-    /// the healthy cluster and must not be replayed.
+    /// Degrade the cluster: mark the device dead. Later evaluations
+    /// remap their placements off it (see `normalize`).
     fn apply_device_failure(&mut self, device: usize) {
         self.cluster.fail_device(device);
-        self.fingerprint = env_fingerprint(&self.graph, &self.cluster);
-        if self.cache.is_some() {
-            self.cache = Some(EvalCache::with_default_capacity(self.fingerprint));
-        }
         mars_telemetry::counter("sim.fault.device_failure").inc();
         if mars_telemetry::active() {
             mars_telemetry::event(
@@ -304,34 +258,11 @@ impl SimEnv {
         }
     }
 
-    /// Enable (default) or disable the placement memo cache. Disabling
-    /// drops all entries. The cache never changes results — a hit
-    /// replays the stored outcome and machine-time cost bit for bit.
-    pub fn set_cache_enabled(&mut self, on: bool) {
-        if on && self.cache.is_none() {
-            self.cache = Some(EvalCache::with_default_capacity(self.fingerprint));
-        } else if !on {
-            self.cache = None;
-        }
-    }
-
-    /// Drop all cached evaluations (call after mutating protocol
-    /// parameters such as `noise_sigma` so stale readings cannot be
-    /// replayed).
-    pub fn reset_cache(&mut self) {
-        if self.cache.is_some() {
-            self.cache = Some(EvalCache::with_default_capacity(self.fingerprint));
-        }
-    }
-
-    /// `(hits, misses, evictions)` of the memo cache, if enabled.
+    /// Always `None`: there is no evaluation memo. Kept only because
+    /// the benchmark's `train_gnmt4` (`ledger/src/train.rs`) reads
+    /// `cache_stats()` to report `sim.cache.hit_ratio`.
     pub fn cache_stats(&self) -> Option<(u64, u64, u64)> {
-        self.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// Hit fraction of the memo cache, if enabled.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        self.cache.as_ref().map(|c| c.hit_rate())
+        None
     }
 
     /// Noise-free single-step simulation (for analysis and tests).
@@ -366,15 +297,12 @@ impl SimEnv {
 
     /// Apply this evaluation's commit faults (straggler, transient) to
     /// a pure computation. Keyed by the global evaluation index (the
-    /// pre-commit evaluation count), so the transformation is identical
-    /// whether `comp` was freshly computed or replayed from the memo
-    /// cache.
-    fn apply_commit_faults(&self, comp: &EvalComputation) -> EvalComputation {
+    /// pre-commit evaluation count), not by the placement.
+    fn apply_commit_faults(&self, mut comp: EvalComputation) -> EvalComputation {
         if self.fault_plan.is_empty() {
-            return comp.clone();
+            return comp;
         }
         let idx = self.evaluations as u64;
-        let mut comp = comp.clone();
 
         // Straggler: the whole evaluation runs `slow`× longer; if the
         // slowed per-step time would blow the cutoff, the measurement
@@ -385,9 +313,9 @@ impl SimEnv {
                 comp.machine_s *= slow;
                 mars_telemetry::counter("sim.fault.straggler").inc();
                 if let EvalOutcome::Valid { per_step_s } = comp.outcome {
-                    if per_step_s * slow > self.bad_cutoff_s {
+                    if per_step_s * slow > BAD_CUTOFF_S {
                         comp.outcome =
-                            EvalOutcome::Straggler { slowdown: slow, cutoff_s: self.bad_cutoff_s };
+                            EvalOutcome::Straggler { slowdown: slow, cutoff_s: BAD_CUTOFF_S };
                         mars_telemetry::counter("sim.fault.straggler_abort").inc();
                     }
                 }
@@ -424,8 +352,7 @@ impl SimEnv {
             } else {
                 mars_telemetry::counter("sim.fault.retry_exhausted").inc();
                 comp.machine_s = spend.min(self.eval_timeout_s);
-                comp.outcome =
-                    EvalOutcome::TransientError { attempts, cutoff_s: self.bad_cutoff_s };
+                comp.outcome = EvalOutcome::TransientError { attempts, cutoff_s: BAD_CUTOFF_S };
             }
         }
         comp
@@ -444,7 +371,7 @@ impl SimEnv {
 
     /// The pure evaluation: everything §4.2 prescribes for one
     /// (already compatibility-enforced) placement. No `&mut self`, no
-    /// shared state — what the memo cache stores.
+    /// shared state.
     fn compute(&self, enforced: &Placement) -> EvalComputation {
         let _span = mars_telemetry::span("sim.measure.compute");
         let report = match check_memory(&self.graph, enforced, &self.cluster) {
@@ -469,9 +396,9 @@ impl SimEnv {
         let base = report.makespan_s;
 
         // Bad placements: abort as soon as one step exceeds the cutoff.
-        if base > self.bad_cutoff_s {
+        if base > BAD_CUTOFF_S {
             return EvalComputation {
-                outcome: EvalOutcome::Bad { cutoff_s: self.bad_cutoff_s },
+                outcome: EvalOutcome::Bad { cutoff_s: BAD_CUTOFF_S },
                 machine_s: base, // one aborted step
                 makespan_s: base,
                 comm_s: report.comm_s,
@@ -484,11 +411,11 @@ impl SimEnv {
         let warm_factor = 2.0;
         let mut rng = StdRng::seed_from_u64(self.noise_seed(enforced));
         let mut machine_s = 0.0;
-        let mut kept = Vec::with_capacity(self.steps_per_eval - self.warmup_steps);
-        for step in 0..self.steps_per_eval {
-            let noise = 1.0 + self.noise_sigma * randn_scalar(&mut rng) as f64;
+        let mut kept = Vec::with_capacity(STEPS_PER_EVAL - WARMUP_STEPS);
+        for step in 0..STEPS_PER_EVAL {
+            let noise = 1.0 + NOISE_SIGMA * randn_scalar(&mut rng) as f64;
             let t = base * noise.clamp(0.5, 1.5);
-            if step < self.warmup_steps {
+            if step < WARMUP_STEPS {
                 machine_s += t * warm_factor;
             } else {
                 machine_s += t;
@@ -507,9 +434,8 @@ impl SimEnv {
     }
 
     /// Bookkeeping for one evaluation: machine time, counters, and the
-    /// telemetry event — identical whether the computation was fresh
-    /// or replayed from the cache.
-    fn commit(&mut self, comp: &EvalComputation, cached: bool) -> EvalOutcome {
+    /// telemetry event.
+    fn commit(&mut self, comp: EvalComputation) -> EvalOutcome {
         self.evaluations += 1;
         self.machine_seconds += comp.machine_s;
         match &comp.outcome {
@@ -522,13 +448,12 @@ impl SimEnv {
                             ("outcome", "oom".into()),
                             ("device", (oom.device as f64).into()),
                             ("peak_mem_utilization", comp.peak_mem_utilization.into()),
-                            ("cached", (cached as u64 as f64).into()),
                         ],
                     );
                 }
             }
             EvalOutcome::Bad { .. } => {
-                self.eval_gauges(comp);
+                self.eval_gauges(&comp);
                 mars_telemetry::counter("sim.eval.bad").inc();
                 if mars_telemetry::active() {
                     mars_telemetry::event(
@@ -539,7 +464,6 @@ impl SimEnv {
                             ("comm_s", comp.comm_s.into()),
                             ("transfers", (comp.num_transfers as f64).into()),
                             ("peak_mem_utilization", comp.peak_mem_utilization.into()),
-                            ("cached", (cached as u64 as f64).into()),
                         ],
                     );
                 }
@@ -552,7 +476,6 @@ impl SimEnv {
                         &[
                             ("outcome", "transient_error".into()),
                             ("attempts", (*attempts as f64).into()),
-                            ("cached", (cached as u64 as f64).into()),
                         ],
                     );
                 }
@@ -566,13 +489,12 @@ impl SimEnv {
                             ("outcome", "straggler".into()),
                             ("slowdown", (*slowdown).into()),
                             ("makespan_s", comp.makespan_s.into()),
-                            ("cached", (cached as u64 as f64).into()),
                         ],
                     );
                 }
             }
             EvalOutcome::Valid { per_step_s } => {
-                self.eval_gauges(comp);
+                self.eval_gauges(&comp);
                 mars_telemetry::counter("sim.eval.valid").inc();
                 if mars_telemetry::active() {
                     mars_telemetry::event(
@@ -584,18 +506,12 @@ impl SimEnv {
                             ("comm_s", comp.comm_s.into()),
                             ("transfers", (comp.num_transfers as f64).into()),
                             ("peak_mem_utilization", comp.peak_mem_utilization.into()),
-                            ("cached", (cached as u64 as f64).into()),
                         ],
                     );
                 }
             }
         }
-        if cached {
-            mars_telemetry::counter("sim.cache.hit").inc();
-        } else {
-            mars_telemetry::counter("sim.cache.miss").inc();
-        }
-        comp.outcome.clone()
+        comp.outcome
     }
 
     fn eval_gauges(&self, comp: &EvalComputation) {
@@ -606,22 +522,6 @@ impl SimEnv {
             mars_telemetry::gauge("sim.eval.peak_mem_utilization", comp.peak_mem_utilization);
         }
     }
-
-    /// Cache-aware lookup-or-compute for one enforced placement.
-    /// Returns the computation and whether it was a cache hit.
-    fn lookup_or_compute(&mut self, enforced: Placement) -> (EvalComputation, bool) {
-        let fp = self.fingerprint;
-        if let Some(cache) = &mut self.cache {
-            if let Some(hit) = cache.get(&enforced, fp) {
-                return (hit, true);
-            }
-        }
-        let comp = self.compute(&enforced);
-        if let Some(cache) = &mut self.cache {
-            cache.insert(enforced, comp.clone(), fp);
-        }
-        (comp, false)
-    }
 }
 
 impl Environment for SimEnv {
@@ -629,9 +529,8 @@ impl Environment for SimEnv {
         let _span = mars_telemetry::span("sim.measure.evaluate");
         self.fire_due_faults();
         let p = self.normalize(placement);
-        let (comp, cached) = self.lookup_or_compute(p);
-        let comp = self.apply_commit_faults(&comp);
-        self.commit(&comp, cached)
+        let comp = self.apply_commit_faults(self.compute(&p));
+        self.commit(comp)
     }
 
     fn graph(&self) -> &CompGraph {
@@ -685,7 +584,7 @@ mod tests {
         let p = Placement::all_on(e.graph(), 1);
         let out = e.evaluate(&p);
         assert!(matches!(out, EvalOutcome::Invalid { .. }));
-        assert_eq!(out.reading_s(100.0), 100.0);
+        assert_eq!(out.reading_s(), INVALID_PENALTY_S);
     }
 
     #[test]
@@ -718,7 +617,7 @@ mod tests {
         let a = e.evaluate(&p1);
         let b = e.evaluate(&p2);
         let a2 = e.evaluate(&p1);
-        assert_eq!(a, a2, "re-evaluation replays the identical reading");
+        assert_eq!(a, a2, "re-evaluation reads the identical value");
         assert_ne!(a, b, "distinct placements draw distinct noise");
     }
 
@@ -730,47 +629,5 @@ mod tests {
         let after_one = e.machine_seconds();
         e.evaluate(&p);
         assert!(e.machine_seconds() > 1.9 * after_one);
-    }
-
-    #[test]
-    fn cache_hits_replay_machine_time_and_count_evaluations() {
-        let mut e = env(Workload::InceptionV3, 5);
-        let p = Placement::all_on(e.graph(), 1);
-        e.evaluate(&p);
-        let after_one = e.machine_seconds();
-        e.evaluate(&p); // cache hit
-        assert_eq!(e.machine_seconds(), 2.0 * after_one, "hit replays the stored cost exactly");
-        assert_eq!(e.evaluations(), 2);
-        assert_eq!(e.cache_stats(), Some((1, 1, 0)));
-    }
-
-    #[test]
-    fn cache_on_off_observables_identical() {
-        let g = Workload::InceptionV3.build(Profile::Reduced);
-        let ps: Vec<Placement> = vec![
-            Placement::all_on(&g, 1),
-            Placement::round_robin(&g, &[1, 2]),
-            Placement::all_on(&g, 1), // repeat → hit when cached
-            Placement::blocked(&g, &[1, 2, 3]),
-            Placement::round_robin(&g, &[1, 2]), // repeat
-        ];
-        let mut on = env(Workload::InceptionV3, 11);
-        let mut off = env(Workload::InceptionV3, 11);
-        off.set_cache_enabled(false);
-        let out_on = on.evaluate_batch(&ps);
-        let out_off = off.evaluate_batch(&ps);
-        assert_eq!(out_on, out_off);
-        assert_eq!(on.machine_seconds().to_bits(), off.machine_seconds().to_bits());
-        assert_eq!(on.evaluations(), off.evaluations());
-        assert!(on.cache_stats().unwrap().0 >= 2, "repeats hit the cache");
-        assert!(off.cache_stats().is_none());
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_graphs_and_clusters() {
-        let a =
-            env_fingerprint(&Workload::InceptionV3.build(Profile::Reduced), &Cluster::p100_quad());
-        let b = env_fingerprint(&Workload::BertBase.build(Profile::Reduced), &Cluster::p100_quad());
-        assert_ne!(a, b);
     }
 }

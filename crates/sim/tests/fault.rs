@@ -1,11 +1,11 @@
 //! Integration tests for the fault-injection subsystem: remapping
-//! correctness (property-tested), retry/straggler semantics, cache
-//! invalidation on device failure, and cache on ≡ off under an active
-//! fault plan.
+//! correctness (property-tested), retry/straggler semantics, the
+//! degraded cluster after a device failure, and same-seed reruns under
+//! an active fault plan.
 
 use mars_graph::generators::{Profile, Workload};
 use mars_rng::Rng;
-use mars_sim::{Cluster, Environment, EvalOutcome, FaultPlan, Placement, SimEnv};
+use mars_sim::{Cluster, Environment, EvalOutcome, FaultPlan, Placement, SimEnv, BAD_CUTOFF_S};
 
 fn env(w: Workload, seed: u64) -> SimEnv {
     SimEnv::new(w.build(Profile::Reduced), Cluster::p100_quad(), seed)
@@ -54,20 +54,17 @@ mars_rng::props! {
 }
 
 #[test]
-fn device_failure_degrades_cluster_and_invalidates_cache() {
+fn device_failure_degrades_cluster_and_remaps() {
     let mut e = env(Workload::InceptionV3, 7);
     e.set_fault_plan(FaultPlan::parse("fail:2@2").unwrap()).unwrap();
     let p = Placement::all_on(e.graph(), 2);
-    // Two healthy evaluations — second is a cache hit.
     let healthy = e.evaluate(&p);
     assert!(healthy.is_valid());
     assert_eq!(e.evaluate(&p), healthy);
-    assert_eq!(e.cache_stats().unwrap().0, 1, "one hit before the failure");
-    // Evaluation 2 fires the failure first: device 2 dies, the cache is
-    // rebuilt, and the placement is remapped off the dead device.
+    // Evaluation 2 fires the failure first: device 2 dies and the
+    // placement is remapped off the dead device.
     let degraded = e.evaluate(&p);
     assert!(!e.cluster().is_alive(2));
-    assert_eq!(e.cache_stats().unwrap(), (0, 1, 0), "cache was rebuilt on failure");
     assert!(degraded.is_valid(), "remapped placement still runs");
     assert_ne!(
         outcome_bits(&degraded),
@@ -104,7 +101,7 @@ fn transient_fault_exhausts_retry_budget() {
     match e.evaluate(&p) {
         EvalOutcome::TransientError { attempts, cutoff_s } => {
             assert_eq!(attempts, e.retry.max_retries + 1);
-            assert_eq!(cutoff_s, e.bad_cutoff_s);
+            assert_eq!(cutoff_s, BAD_CUTOFF_S);
         }
         other => panic!("expected retry exhaustion, got {other:?}"),
     }
@@ -139,7 +136,7 @@ fn straggler_slows_machine_time_and_aborts_past_cutoff() {
     match abort.evaluate(&p) {
         EvalOutcome::Straggler { slowdown, cutoff_s } => {
             assert_eq!(slowdown, 100000.0);
-            assert_eq!(cutoff_s, abort.bad_cutoff_s);
+            assert_eq!(cutoff_s, BAD_CUTOFF_S);
         }
         other => panic!("expected straggler abort, got {other:?}"),
     }
@@ -149,13 +146,13 @@ fn straggler_slows_machine_time_and_aborts_past_cutoff() {
 fn fault_readings_feed_the_cutoff_penalty() {
     let t = EvalOutcome::TransientError { attempts: 4, cutoff_s: 20.0 };
     let s = EvalOutcome::Straggler { slowdown: 8.0, cutoff_s: 20.0 };
-    assert_eq!(t.reading_s(100.0), 20.0);
-    assert_eq!(s.reading_s(100.0), 20.0);
+    assert_eq!(t.reading_s(), 20.0);
+    assert_eq!(s.reading_s(), 20.0);
     assert!(!t.is_valid() && !s.is_valid());
 }
 
 #[test]
-fn faulty_round_is_identical_with_cache_on_or_off() {
+fn faulty_round_is_identical_across_same_seed_reruns() {
     let g = Workload::InceptionV3.build(Profile::Reduced);
     let ps: Vec<Placement> = (0..12)
         .map(|i| match i % 3 {
@@ -165,14 +162,15 @@ fn faulty_round_is_identical_with_cache_on_or_off() {
         })
         .collect();
     let plan = "fail:2@5, transient:0.3, straggler:0.2x5, straggler:30@3";
-    let run = |cache: bool| {
+    let run = || {
         let mut e = env(Workload::InceptionV3, 33);
         e.set_fault_plan(FaultPlan::parse(plan).unwrap()).unwrap();
-        e.set_cache_enabled(cache);
         let out = e.evaluate_batch(&ps);
         (out, e.machine_seconds().to_bits(), e.cluster().failed_ids())
     };
-    assert_eq!(run(true), run(false));
+    let first = run();
+    assert_eq!(first.2, vec![2], "the planned device failure fired");
+    assert_eq!(first, run());
 }
 
 #[test]

@@ -61,7 +61,7 @@ pub mod summary;
 pub use metrics::{counter, gauge, gauge_value, histogram, Counter, Histogram};
 pub use recorder::{active, event, install_file, install_memory, uninstall, MemorySink};
 pub use spans::{enable_spans, span, spans_enabled, SpanGuard};
-pub use summary::{summarize, RolloutReport, RunSummary, ServeReport};
+pub use summary::{summarize, ArenaReport, RunSummary, ServeReport};
 
 /// Serializes tests that flip process-global telemetry state (span
 /// enablement, recorder installation, metric resets).

@@ -81,14 +81,10 @@ pub struct RunSummary {
     pub histograms: Vec<HistogramRow>,
 }
 
-/// Rollout digest: eval-cache effectiveness and training-arena reuse,
-/// recovered from the `sim.cache.*` and `autograd.arena.*` telemetry.
+/// Training-arena digest: tape reuse recovered from the
+/// `autograd.arena.*` telemetry.
 #[derive(Clone, Debug)]
-pub struct RolloutReport {
-    /// Cache hits over all evaluations.
-    pub cache_hits: u64,
-    /// Cache misses over all evaluations.
-    pub cache_misses: u64,
+pub struct ArenaReport {
     /// Training-tape arena reuses (`autograd.arena.reset` counter).
     pub arena_resets: u64,
     /// Peak pooled gradient/activation capacity in f32 elements
@@ -96,36 +92,13 @@ pub struct RolloutReport {
     pub arena_high_water: f64,
 }
 
-impl RolloutReport {
-    /// Hit fraction over all lookups (0 when none were made).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Render as the summary lines `metrics summarize` prints. The
-    /// cache line always appears (a pretrain-only trace reads "0 of 0
-    /// evaluations"); the arena line appears whenever the run recorded
-    /// training-arena activity.
+impl ArenaReport {
+    /// Render as the summary line `metrics summarize` prints.
     pub fn render(&self) -> String {
-        let mut out = format!(
-            "eval cache hit rate: {:.1}% ({} of {} evaluations)\n",
-            self.cache_hit_rate() * 100.0,
-            self.cache_hits,
-            self.cache_hits + self.cache_misses,
-        );
-        if self.arena_resets > 0 || self.arena_high_water > 0.0 {
-            let _ = writeln!(
-                out,
-                "training arena: {} tape reuses (high water {:.0} pooled f32s)",
-                self.arena_resets, self.arena_high_water
-            );
-        }
-        out
+        format!(
+            "training arena: {} tape reuses (high water {:.0} pooled f32s)\n",
+            self.arena_resets, self.arena_high_water
+        )
     }
 }
 
@@ -280,29 +253,16 @@ impl RunSummary {
         (report.requests + report.hot + report.warm + report.miss > 0).then_some(report)
     }
 
-    /// Rollout digest, if the run recorded any evaluations
-    /// (`sim.cache.*` counters) *or* any training-arena activity
-    /// (`autograd.arena.*`). Pretrain-only traces have no evaluations
-    /// but do reuse the training tape, so they still get a report — the
-    /// cache line reads zero and the arena line carries the signal.
-    pub fn rollout_report(&self) -> Option<RolloutReport> {
-        let hits = self.counter("sim.cache.hit");
-        let misses = self.counter("sim.cache.miss");
+    /// Training-arena digest, if the run reused a training tape
+    /// (`autograd.arena.reset` counter).
+    pub fn arena_report(&self) -> Option<ArenaReport> {
         let arena_resets = self.counter("autograd.arena.reset");
         let arena_high_water = self
             .gauges
             .iter()
             .find(|(n, _)| n == "autograd.arena.high_water")
             .map_or(0.0, |(_, v)| *v);
-        if hits + misses == 0 && arena_resets == 0 {
-            return None;
-        }
-        Some(RolloutReport {
-            cache_hits: hits,
-            cache_misses: misses,
-            arena_resets,
-            arena_high_water,
-        })
+        (arena_resets > 0).then_some(ArenaReport { arena_resets, arena_high_water })
     }
 
     /// Fraction of total span *self* time spent in spans whose leaf name
@@ -704,43 +664,18 @@ mod tests {
         assert!(text.contains("sim.eval.valid"));
     }
 
-    /// Captures recorded before evaluation became one serial path carry
-    /// a `sim.eval_batch` event per round: they parse like any other
-    /// event and add no line to the report.
     #[test]
-    fn rollout_report_from_cache_counters_and_batch_events() {
-        let run = [
-            r#"{"seq":1,"kind":"event","name":"sim.eval_batch","size":10,"computed":6,"threads":4,"wall_s":0.2,"compute_s":0.6,"backend":"local"}"#,
-            r#"{"seq":2,"kind":"event","name":"sim.eval_batch","size":10,"computed":2,"threads":4,"wall_s":0.2,"compute_s":0.6,"backend":"local"}"#,
-            r#"{"kind":"counters","counters":{"sim.cache.hit":12,"sim.cache.miss":8,"autograd.arena.reset":3}}"#,
-        ]
-        .join("\n");
-        let summary = summarize(&run).expect("parse");
-        assert_eq!((summary.lines, summary.skipped), (3, 0));
-        let report = summary.rollout_report().expect("report");
-        assert_eq!(report.cache_hits, 12);
-        assert_eq!(report.cache_misses, 8);
-        assert!((report.cache_hit_rate() - 0.6).abs() < 1e-12);
-        assert_eq!(
-            report.render(),
-            "eval cache hit rate: 60.0% (12 of 20 evaluations)\n\
-             training arena: 3 tape reuses (high water 0 pooled f32s)\n"
-        );
-    }
-
-    #[test]
-    fn rollout_report_absent_without_eval_telemetry() {
+    fn arena_report_absent_without_arena_telemetry() {
         let run = summarize(&sample_run()).expect("parse");
-        assert!(run.rollout_report().is_none());
+        assert!(run.arena_report().is_none());
     }
 
-    /// A pretrain-only trace (zero PPO updates, zero evaluations) must
-    /// still produce a rollout report carrying the training-arena
-    /// telemetry, with the eval lines reading zero. The capture also
-    /// carries an `encode.batch_size` histogram, as runs recorded before
-    /// PR 19 do: it parses and is ignored.
+    /// A pretrain-only trace (zero PPO updates, zero evaluations) still
+    /// reports the training arena. The capture also carries an
+    /// `encode.batch_size` histogram, as runs recorded before PR 19 do:
+    /// it parses and is ignored.
     #[test]
-    fn rollout_report_renders_arena_for_pretrain_only_traces() {
+    fn arena_report_renders_for_pretrain_only_traces() {
         let run = [
             r#"{"seq":1,"kind":"event","name":"dgi.iter","loss":0.69}"#,
             r#"{"kind":"counters","counters":{"autograd.arena.reset":300}}"#,
@@ -748,17 +683,13 @@ mod tests {
             r#"{"kind":"histograms","histograms":[{"name":"encode.batch_size","edges":[1,2,4,8,16,32],"buckets":[0,300,0,0,0,0,0],"count":300,"sum":600}]}"#,
         ]
         .join("\n");
-        let report = summarize(&run).expect("parse").rollout_report().expect("arena report");
-        assert_eq!(report.cache_hits + report.cache_misses, 0);
+        let report = summarize(&run).expect("parse").arena_report().expect("arena report");
         assert_eq!(report.arena_resets, 300);
         assert_eq!(report.arena_high_water, 8192.0);
-        let text = report.render();
-        assert!(text.contains("0 of 0 evaluations"), "{text}");
-        assert!(
-            text.contains("training arena: 300 tape reuses (high water 8192 pooled f32s)"),
-            "{text}"
+        assert_eq!(
+            report.render(),
+            "training arena: 300 tape reuses (high water 8192 pooled f32s)\n"
         );
-        assert!(!text.contains("encode"), "{text}");
     }
 
     #[test]
@@ -825,29 +756,49 @@ mod tests {
         assert_eq!(run.events, 1);
     }
 
-    /// A capture recorded by the retired rollout fleet: worker heartbeat
-    /// events, per-worker snapshot records and fleet counters.
-    fn fleet_run() -> String {
-        [
-            r#"{"seq":1,"kind":"event","name":"net.unit","worker":0,"placements":10,"latency_s":0.02}"#,
-            r#"{"seq":2,"kind":"event","name":"fleet.health","worker":0,"units":2,"wall_s":4.0}"#,
+    /// Captures from retired features keep summarizing, and only
+    /// through the generic path: the rollout fleet's heartbeat events and
+    /// per-worker records, the rollout engine's `sim.eval_batch` events
+    /// and the evaluation memo's `sim.cache.*` counters. Their events and
+    /// counters land in the generic rollups and counter table, worker
+    /// records are counted as lines and otherwise ignored, and none of
+    /// them gets a report line of its own.
+    #[test]
+    fn retired_feature_captures_summarize_through_the_generic_path() {
+        let retired = [
+            r#"{"seq":4,"kind":"event","name":"net.unit","worker":0,"placements":10,"latency_s":0.02}"#,
+            r#"{"seq":5,"kind":"event","name":"fleet.health","worker":0,"units":2,"wall_s":4.0}"#,
+            r#"{"seq":6,"kind":"event","name":"sim.eval_batch","size":10,"computed":6,"threads":4,"wall_s":0.2,"compute_s":0.6,"backend":"local"}"#,
+            r#"{"seq":7,"kind":"event","name":"sim.eval_batch","size":10,"computed":2,"threads":4,"wall_s":0.2,"compute_s":0.6,"backend":"local"}"#,
             r#"{"kind":"worker_spans","worker":0,"spans":[{"path":"net.worker.unit","count":1,"total_ns":500,"self_ns":100}]}"#,
             r#"{"kind":"worker_counters","worker":0,"counters":{"net.worker.units_served":2}}"#,
-            r#"{"kind":"counters","counters":{"net.workers_connected":1,"net.frames_tx":5}}"#,
-        ]
-        .join("\n")
-    }
-
-    #[test]
-    fn old_fleet_capture_summarizes_with_worker_records_ignored() {
-        let both = format!("{}\n{}", sample_run(), fleet_run());
-        let run = summarize(&both).expect("parse");
-        assert_eq!((run.lines, run.skipped), (12, 0), "worker records are not malformed");
-        assert_eq!(run.events, 5, "heartbeats are events like any other");
+            r#"{"kind":"counters","counters":{"sim.cache.hit":12,"sim.cache.miss":8,"net.workers_connected":1}}"#,
+        ];
+        let run = summarize(&format!("{}\n{}", sample_run(), retired.join("\n"))).expect("parse");
+        assert_eq!((run.lines, run.skipped), (14, 0), "worker records are not malformed");
+        assert_eq!(run.events, 7, "retired events are events like any other");
         assert_eq!(run.spans.len(), 2, "worker spans are not the recording process's");
+        let batch =
+            run.rollups.iter().find(|r| r.event == "sim.eval_batch" && r.field == "computed");
+        assert_eq!(batch.map(|r| (r.count, r.mean)), Some((2, 4.0)));
+        assert!(run.counters.contains(&("sim.cache.hit".to_string(), 12)));
+        assert!(run.arena_report().is_none() && run.fault_report().is_none());
+        assert!(run.serve_report().is_none());
         let text = run.render();
-        assert!(!text.contains("net.worker.unit"), "{text}");
-        assert!(text.contains("net.workers_connected"), "{text}");
+        let sections: Vec<&str> = text.lines().filter(|l| l.starts_with("== ")).collect();
+        assert_eq!(
+            sections,
+            [
+                "== span tree (total | self | count) ==",
+                "== span self-time by name ==",
+                "== event field rollups ==",
+                "== counters ==",
+                "== gauges (final reading) ==",
+                "== histograms ==",
+            ]
+        );
+        assert!(!text.contains("net.worker."), "{text}");
+        assert!(!text.contains("hit rate"), "{text}");
     }
 
     #[test]

@@ -68,7 +68,7 @@ grep -q "device failures: 1 (" <<< "$FAULT_SUMMARY" || {
 grep -Eq "device failures: 1 \([1-9][0-9]* remaps" <<< "$FAULT_SUMMARY" || {
     echo "$FAULT_SUMMARY"; echo "fault summary recorded no placement remaps"; exit 1; }
 # Same seed + same plan must reproduce the run bit for bit
-# (tests/fault_determinism.rs pins the cache as invisible under faults).
+# (tests/fault_determinism.rs pins the same for the training trace).
 FAULT_B=$(./target/release/mars-cli "${FAULT_ARGS[@]}")
 diff <(echo "$FAULT_A") <(echo "$FAULT_B") || {
     echo "faulty rerun was not bit-identical"; exit 1; }
@@ -132,8 +132,11 @@ scripts/ledger_pairs.sh --self-test
 echo "==> ledger smoke: the benchmark is a package outside the workspace, so build it here too"
 # Nothing above compiles ledger/, and it calls public entry points of
 # crates/ — an API change there would otherwise break the benchmark
-# unseen. --smoke runs every workload at ~1/50 size with all checks on.
-CARGO_TARGET_DIR=target/ledger cargo run --release --offline --quiet \
+# unseen. --locked fails the build, instead of rewriting
+# ledger/Cargo.lock, when a crate's [dependencies] drifted from the
+# lockfile the benchmark is pinned to. --smoke runs every workload at
+# ~1/50 size with all checks on.
+CARGO_TARGET_DIR=target/ledger cargo run --release --offline --locked --quiet \
     --manifest-path ledger/Cargo.toml -- --smoke
 
 echo "==> OK: build, tests, bench smoke, kernel parity, observability, fault, serve and ledger smokes all green"

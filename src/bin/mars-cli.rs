@@ -233,13 +233,6 @@ fn cmd_train(workload: Workload, profile: Profile, flags: &Flags) -> Result<(), 
     if env.cluster().has_failures() {
         println!("cluster degraded: failed devices {:?}", env.cluster().failed_ids());
     }
-    if let Some((hits, misses, evictions)) = env.cache_stats() {
-        let total = hits + misses;
-        println!(
-            "eval cache: {hits}/{total} hits ({:.1}%), {evictions} evictions",
-            env.cache_hit_rate().unwrap_or(0.0) * 100.0
-        );
-    }
     if let Some(path) = flags.string_opt("save")? {
         checkpoint::save_file(&agent.store, &path)
             .map_err(|e| format!("checkpoint save failed: {e}"))?;
@@ -309,7 +302,7 @@ fn cmd_metrics_summarize(path: &str) -> Result<(), String> {
     if kernel_share > 0.0 {
         println!("kernel self-time share (tensor/nn/autograd): {:.1}%", kernel_share * 100.0);
     }
-    if let Some(report) = summary.rollout_report() {
+    if let Some(report) = summary.arena_report() {
         print!("{}", report.render());
     }
     if let Some(report) = summary.fault_report() {

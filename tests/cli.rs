@@ -74,8 +74,8 @@ fn malformed_numeric_flag_is_rejected() {
     assert!(err.contains("invalid value 'lots' for --budget"), "{err}");
 }
 
-/// Evaluation is one serial path with the memo always on: the old
-/// thread-count and cache switches are refused by name, any value.
+/// Evaluation is one serial path with no memo: the old thread-count
+/// and cache switches are refused by name, any value.
 #[test]
 fn zero_eval_threads_is_rejected() {
     assert_refused_by_name(&[

@@ -23,9 +23,8 @@ fn tiny_cfg() -> MarsConfig {
 }
 
 /// Run DGI pre-training + PPO and return the pretrain loss curve and
-/// the training log. `eval_cache` switches the evaluation memo — it
-/// must never change anything this function returns.
-fn run_with_cache(seed: u64, samples: usize, eval_cache: bool) -> (Vec<f32>, TrainingLog) {
+/// the training log.
+fn run(seed: u64, samples: usize) -> (Vec<f32>, TrainingLog) {
     let graph = Workload::InceptionV3.build(Profile::Reduced);
     let input = WorkloadInput::from_graph(&graph);
     let cluster = Cluster::p100_quad();
@@ -34,14 +33,9 @@ fn run_with_cache(seed: u64, samples: usize, eval_cache: bool) -> (Vec<f32>, Tra
         Agent::new(AgentKind::Mars, tiny_cfg(), FEATURE_DIM, cluster.num_devices(), &mut rng);
     let report = agent.pretrain(&input, &mut rng).expect("Mars agent pre-trains");
     let mut env = SimEnv::new(graph, cluster, seed);
-    env.set_cache_enabled(eval_cache);
     let mut log = TrainingLog::default();
     agent.train(&mut env, &input, samples, &mut rng, &mut log);
     (report.losses, log)
-}
-
-fn run(seed: u64, samples: usize) -> (Vec<f32>, TrainingLog) {
-    run_with_cache(seed, samples, true)
 }
 
 /// The deterministic portion of a training trace, with floats reduced
@@ -84,23 +78,6 @@ fn same_seed_runs_are_byte_identical() {
     // Final placement and its reading.
     assert_eq!(log_a.best_placement, log_b.best_placement);
     assert_eq!(log_a.best_reading_s.map(f64::to_bits), log_b.best_reading_s.map(f64::to_bits));
-}
-
-#[test]
-fn cached_eval_is_bit_identical_to_uncached() {
-    // The evaluation memo may change wall-clock only: the cached run
-    // must reproduce the no-cache trace bit for bit, including
-    // simulated machine time.
-    let (losses_ref, log_ref) = run_with_cache(42, 48, false);
-    let (losses, log) = run_with_cache(42, 48, true);
-    assert_eq!(
-        losses_ref.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-        losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>(),
-        "DGI losses diverged with the cache on"
-    );
-    assert_eq!(trace_bits(&log_ref), trace_bits(&log), "training trace diverged with the cache on");
-    assert_eq!(log_ref.best_placement, log.best_placement);
-    assert_eq!(log_ref.best_reading_s.map(f64::to_bits), log.best_reading_s.map(f64::to_bits));
 }
 
 #[test]

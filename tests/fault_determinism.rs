@@ -1,9 +1,8 @@
 //! Determinism under fault injection: an armed fault plan must change
-//! *what* happens (failures, retries, remaps) without breaking the
-//! invariant that the evaluation memo changes wall-clock only. A faulty
-//! run must be bit-identical with the cache on or off, and an injected
-//! crash — absorbed by a checkpoint save/reload roundtrip — must leave
-//! no trace in the training record.
+//! *what* happens (failures, retries, remaps) without breaking bitwise
+//! determinism. A faulty run must be bit-identical across same-seed
+//! reruns, and an injected crash — absorbed by a checkpoint save/reload
+//! roundtrip — must leave no trace in the training record.
 
 use mars::core::agent::{Agent, AgentKind, TrainingLog};
 use mars::core::config::MarsConfig;
@@ -29,7 +28,6 @@ fn tiny_cfg() -> MarsConfig {
 fn run_faulty(
     seed: u64,
     samples: usize,
-    eval_cache: bool,
     plan_spec: Option<&str>,
     auto_checkpoint: Option<String>,
 ) -> (TrainingLog, Vec<usize>) {
@@ -42,7 +40,6 @@ fn run_faulty(
     let mut agent = Agent::new(AgentKind::Mars, cfg, FEATURE_DIM, cluster.num_devices(), &mut rng);
     agent.pretrain(&input, &mut rng).expect("Mars agent pre-trains");
     let mut env = SimEnv::new(graph, cluster, seed);
-    env.set_cache_enabled(eval_cache);
     if let Some(spec) = plan_spec {
         env.set_fault_plan(FaultPlan::parse(spec).expect("plan parses")).expect("plan installs");
     }
@@ -54,7 +51,7 @@ fn run_faulty(
 
 /// The deterministic portion of a training trace, floats as bits
 /// (wall-clock fields excluded). Simulated machine time IS included:
-/// retries and stragglers must cost the same with or without the cache.
+/// retries and stragglers must cost the same on every rerun.
 type TraceRow = (usize, Option<u64>, Option<u64>, u64, u64, u64);
 
 fn trace_bits(log: &TrainingLog) -> Vec<TraceRow> {
@@ -76,11 +73,11 @@ fn trace_bits(log: &TrainingLog) -> Vec<TraceRow> {
 const PLAN: &str = "fail:2@10, transient:0.25, straggler:0.15x6";
 
 #[test]
-fn faulty_run_is_bit_identical_across_eval_engines() {
-    let (log_ref, failed_ref) = run_faulty(42, 48, false, Some(PLAN), None);
+fn faulty_run_is_bit_identical_across_reruns() {
+    let (log_ref, failed_ref) = run_faulty(42, 48, Some(PLAN), None);
     assert_eq!(failed_ref, vec![2], "the planned device failure fired");
-    let (log, failed) = run_faulty(42, 48, true, Some(PLAN), None);
-    assert_eq!(trace_bits(&log_ref), trace_bits(&log), "faulty trace diverged with the cache on");
+    let (log, failed) = run_faulty(42, 48, Some(PLAN), None);
+    assert_eq!(trace_bits(&log_ref), trace_bits(&log), "faulty trace diverged on a rerun");
     assert_eq!(log_ref.best_placement, log.best_placement);
     assert_eq!(log_ref.best_reading_s.map(f64::to_bits), log.best_reading_s.map(f64::to_bits));
     assert_eq!(failed_ref, failed, "degraded cluster diverged");
@@ -90,8 +87,8 @@ fn faulty_run_is_bit_identical_across_eval_engines() {
 fn fault_plan_changes_the_trace() {
     // Sanity: the plan above is not a no-op — a healthy run reads
     // differently (and spends less machine time on retries).
-    let (faulty, _) = run_faulty(42, 48, true, Some(PLAN), None);
-    let (clean, failed) = run_faulty(42, 48, true, None, None);
+    let (faulty, _) = run_faulty(42, 48, Some(PLAN), None);
+    let (clean, failed) = run_faulty(42, 48, None, None);
     assert_eq!(failed, Vec::<usize>::new());
     assert_ne!(trace_bits(&faulty), trace_bits(&clean), "fault plan had no effect");
 }
@@ -102,14 +99,14 @@ fn crash_resume_is_invisible_in_the_trace() {
     // checkpoint roundtrip: the resumed run must equal the
     // uninterrupted one — through the in-memory path and through a
     // real checkpoint file.
-    let (clean, _) = run_faulty(42, 48, true, None, None);
-    let (crashed_mem, _) = run_faulty(42, 48, true, Some("crash@24"), None);
+    let (clean, _) = run_faulty(42, 48, None, None);
+    let (crashed_mem, _) = run_faulty(42, 48, Some("crash@24"), None);
     assert_eq!(trace_bits(&clean), trace_bits(&crashed_mem), "in-memory resume left a trace");
     assert_eq!(clean.best_placement, crashed_mem.best_placement);
 
     let path = std::env::temp_dir().join("mars-fault-determinism.ckpt");
     let (crashed_file, _) =
-        run_faulty(42, 48, true, Some("crash@24"), Some(path.to_str().expect("utf8").into()));
+        run_faulty(42, 48, Some("crash@24"), Some(path.to_str().expect("utf8").into()));
     assert_eq!(trace_bits(&clean), trace_bits(&crashed_file), "file resume left a trace");
     assert!(path.exists(), "auto-checkpoint written");
     let _ = std::fs::remove_file(path);
