@@ -4,7 +4,9 @@ use crate::ops::{LstmCache, Op};
 use mars_tensor::ops::{
     matmul_into, matmul_nt_into, matmul_nt_packed_into, matmul_tn_into, CsrMatrix,
 };
-use mars_tensor::simd::{axpy, strided_sweep, tanh_inplace};
+use mars_tensor::simd::{
+    attn_score_grads, attn_scores, outer_sum, strided_sweep, tanh_inplace, ProjGrad,
+};
 use mars_tensor::{stats, Matrix};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -157,18 +159,23 @@ fn lstm_gate_grads(
     }
 }
 
-/// `slot.row(r) += input[r] · g` for every non-zero `input[r]`: the
-/// rank-1 weight gradient of a one-row product `input · W`, added
-/// straight into `W`'s gradient slot. Equals materialising
-/// `inputᵀ · g` from zero and `add_assign`ing it unless the slot holds
-/// a `-0.0`, which a sum that began at `+0.0` never does.
-fn add_outer(slot: &mut Option<Matrix>, input: &[f32], g: &[f32]) {
-    let Some(slot) = slot else { return };
-    for (r, &x) in input.iter().enumerate() {
-        if x != 0.0 {
-            axpy(slot.row_mut(r), x, g);
-        }
-    }
+/// Steps of a [`Op::LstmSeq`] reverse sweep recorded before their
+/// weight-gradient terms and `dx` rows are replayed: bounds the record
+/// to one placer segment's worth however long the sequence.
+const LSTM_REPLAY_STEPS: usize = 32;
+
+/// `buf` cut into consecutive parts of `rows × widths[i]` floats — the
+/// per-step record of a reverse sweep, one part per recorded quantity.
+fn record_parts<const N: usize>(
+    mut buf: &mut [f32],
+    rows: usize,
+    widths: [usize; N],
+) -> [&mut [f32]; N] {
+    widths.map(|w| {
+        let (part, rest) = std::mem::take(&mut buf).split_at_mut(rows * w);
+        buf = rest;
+        part
+    })
 }
 
 impl Default for Tape {
@@ -311,6 +318,15 @@ impl Tape {
         let mut buf = self.take_buf_empty(r * c);
         buf.extend_from_slice(src.as_slice());
         Matrix::from_vec(r, c, buf)
+    }
+
+    /// A pooled copy of rows `start..end` of `src` — bit-identical to
+    /// `src.slice_rows(start, end)`.
+    fn rows_pooled(&mut self, src: &Matrix, start: usize, end: usize) -> Matrix {
+        let c = src.cols();
+        let mut buf = self.take_buf_empty((end - start) * c);
+        buf.extend_from_slice(&src.as_slice()[start * c..end * c]);
+        Matrix::from_vec(end - start, c, buf)
     }
 
     /// A pooled copy of `v`'s value (the `Var` form of
@@ -727,8 +743,9 @@ impl Tape {
     /// (`A × 1`); returns the `1 × T` score row. One node replaces the
     /// four-op `add_bias → tanh → matmul → transpose` chain (and its
     /// three `T × A`-sized intermediates) on the per-placement decoder
-    /// hot path. Per element the score accumulates ascending `a` with
-    /// the `== 0.0` skip, exactly like the `matmul` it replaces.
+    /// hot path. Per element the score accumulates ascending `a`, a zero
+    /// activation adding `+0.0` — the `matmul`'s `== 0.0` skip, bit for
+    /// bit (see [`mars_tensor::simd::attn_scores`]).
     pub fn attn_scores(&mut self, proj: Var, dproj: Var, v: Var) -> Var {
         let (t_len, ad) = self.value(proj).shape();
         assert_eq!(self.value(dproj).shape(), (1, ad), "attn_scores: dproj shape mismatch");
@@ -738,24 +755,14 @@ impl Tape {
         {
             let proj_m = self.value(proj);
             let dproj_row = self.value(dproj).row(0);
-            let v_m = self.value(v);
-            let v_col = v_m.as_slice(); // A × 1, contiguous
             for j in 0..t_len {
-                let proj_row = proj_m.row(j);
-                let act_row = act.row_mut(j);
-                for a in 0..ad {
-                    act_row[a] = proj_row[a] + dproj_row[a];
+                for ((e, &p), &d) in act.row_mut(j).iter_mut().zip(proj_m.row(j)).zip(dproj_row) {
+                    *e = p + d;
                 }
-                tanh_inplace(act_row);
-                let mut s = 0.0f32;
-                for a in 0..ad {
-                    let tv = act_row[a];
-                    if tv != 0.0 {
-                        s += tv * v_col[a];
-                    }
-                }
-                scores.set(0, j, s);
             }
+            tanh_inplace(act.as_mut_slice());
+            // v is A × 1, contiguous.
+            attn_scores(scores.as_mut_slice(), act.as_slice(), self.value(v).as_slice());
         }
         if !self.record {
             // The tanh activations are a backward-only cache.
@@ -1105,7 +1112,7 @@ impl Tape {
                 }
                 Op::ConcatCols(a, b, split) => {
                     if self.rg(a) {
-                        let mut ga = Matrix::zeros(g.rows(), split);
+                        let mut ga = self.alloc_zeros(g.rows(), split);
                         for r in 0..g.rows() {
                             ga.row_mut(r).copy_from_slice(&g.row(r)[..split]);
                         }
@@ -1113,7 +1120,7 @@ impl Tape {
                     }
                     if self.rg(b) {
                         let bw = g.cols() - split;
-                        let mut gb = Matrix::zeros(g.rows(), bw);
+                        let mut gb = self.alloc_zeros(g.rows(), bw);
                         for r in 0..g.rows() {
                             gb.row_mut(r).copy_from_slice(&g.row(r)[split..]);
                         }
@@ -1122,16 +1129,18 @@ impl Tape {
                 }
                 Op::ConcatRows(a, b, split) => {
                     if self.rg(a) {
-                        self.accumulate(a, g.slice_rows(0, split));
+                        let ga = self.rows_pooled(&g, 0, split);
+                        self.accumulate(a, ga);
                     }
                     if self.rg(b) {
-                        self.accumulate(b, g.slice_rows(split, g.rows()));
+                        let gb = self.rows_pooled(&g, split, g.rows());
+                        self.accumulate(b, gb);
                     }
                 }
                 Op::SliceRows(x, start, end) => {
                     if self.rg(x) {
                         let (r, c) = self.value(x).shape();
-                        let mut gx = Matrix::zeros(r, c);
+                        let mut gx = self.alloc_zeros(r, c);
                         for (gi, rr) in (start..end).enumerate() {
                             gx.row_mut(rr).copy_from_slice(g.row(gi));
                         }
@@ -1141,7 +1150,7 @@ impl Tape {
                 Op::GatherRows(x, indices) => {
                     if self.rg(x) {
                         let (r, c) = self.value(x).shape();
-                        let mut gx = Matrix::zeros(r, c);
+                        let mut gx = self.alloc_zeros(r, c);
                         for (gi, &idx) in indices.iter().enumerate() {
                             let row = g.row(gi);
                             let dst = gx.row_mut(idx);
@@ -1155,7 +1164,7 @@ impl Tape {
                 Op::SelectPerRow(x, indices) => {
                     if self.rg(x) {
                         let (r, c) = self.value(x).shape();
-                        let mut gx = Matrix::zeros(r, c);
+                        let mut gx = self.alloc_zeros(r, c);
                         for (rr, &cc) in indices.iter().enumerate() {
                             gx.set(rr, cc, g.get(rr, 0));
                         }
@@ -1165,14 +1174,16 @@ impl Tape {
                 Op::StackRows(vars) => {
                     for (rr, &v) in vars.iter().enumerate() {
                         if self.rg(v) {
-                            let gr = Matrix::row_vector(g.row(rr));
+                            let gr = self.rows_pooled(&g, rr, rr + 1);
                             self.accumulate(v, gr);
                         }
                     }
                 }
                 Op::Transpose(x) => {
                     if self.rg(x) {
-                        self.accumulate(x, g.transpose());
+                        let mut gx = self.alloc_zeros(g.cols(), g.rows());
+                        g.transpose_into(&mut gx);
+                        self.accumulate(x, gx);
                     }
                 }
                 Op::Clamp(x, lo, hi) => {
@@ -1187,27 +1198,19 @@ impl Tape {
                     }
                 }
                 Op::MinElem(a, b) => {
-                    let av = self.value(a).clone();
-                    let bv = self.value(b).clone();
-                    if self.rg(a) {
-                        let ga = Matrix::from_fn(g.rows(), g.cols(), |r, c| {
-                            if av.get(r, c) <= bv.get(r, c) {
-                                g.get(r, c)
-                            } else {
-                                0.0
+                    // The gradient goes to the smaller operand, to `a`
+                    // on ties; a NaN comparison sends it to `b`.
+                    for (x, to_a) in [(a, true), (b, false)] {
+                        if self.rg(x) {
+                            let mut gx = self.clone_pooled(&g);
+                            let (av, bv) = (self.value(a).as_slice(), self.value(b).as_slice());
+                            for ((e, &p), &q) in gx.as_mut_slice().iter_mut().zip(av).zip(bv) {
+                                if (p <= q) != to_a {
+                                    *e = 0.0;
+                                }
                             }
-                        });
-                        self.accumulate(a, ga);
-                    }
-                    if self.rg(b) {
-                        let gb = Matrix::from_fn(g.rows(), g.cols(), |r, c| {
-                            if av.get(r, c) <= bv.get(r, c) {
-                                0.0
-                            } else {
-                                g.get(r, c)
-                            }
-                        });
-                        self.accumulate(b, gb);
+                            self.accumulate(x, gx);
+                        }
                     }
                 }
                 Op::BceWithLogits(x, targets) => {
@@ -1223,15 +1226,14 @@ impl Tape {
                 }
                 Op::LstmSeq { x, w_ih, w_hh, b, h0, c0, cache } => {
                     // All scratch comes from the arena and all reads
-                    // borrow node values in place. `dz · Wᵀ` sweeps the
-                    // cached transposes — per element the same ascending
-                    // mul + add as the dot product it stands for (see
-                    // `matmul_nt_into`) — and the gate outer products
-                    // run through the dispatched axpy.
+                    // borrow node values in place. Only the recurrence
+                    // runs per step (`dz`, then `dh_{t-1} = dz · W_hhᵀ`
+                    // as a sweep over the cached transpose); the weight
+                    // gradients' rank-1 terms and `dx = dz · W_ihᵀ` are
+                    // recorded and replayed per chunk of steps.
                     let (t_len, in_dim) = self.value(x).shape();
                     let hd = self.value(h0).cols();
                     let mut gx = self.alloc_zeros(t_len, in_dim);
-                    let mut dz_m = self.alloc_zeros(1, 4 * hd);
                     // Recurrent carries: dh from t+1's gates, dc from
                     // t+1's forget path (seeded by the grad on c_T).
                     let mut dh_rec = self.alloc_zeros(1, hd);
@@ -1253,26 +1255,51 @@ impl Tape {
                             slot.unwrap_or_else(|| self.alloc_zeros(r, c))
                         })
                     });
+                    // One chunk's record, row m = the m-th step visited
+                    // (steps descending), and `dz` transposed for `dx`.
+                    let chunk = t_len.min(LSTM_REPLAY_STEPS);
+                    let widths = [4 * hd, 4 * hd, in_dim, hd, 1];
+                    let mut record = self.alloc_zeros(chunk, widths.iter().sum());
                     let (wt_ih, wt_hh) = (self.transposed(w_ih), self.transposed(w_hh));
                     let (wt_ih, wt_hh) = (self.wt[wt_ih].1.as_slice(), self.wt[wt_hh].1.as_slice());
                     let x_m = self.value(x);
-                    let dz = dz_m.as_mut_slice();
-                    for t in (0..t_len).rev() {
-                        let (c_prev, h_prev) = match t {
-                            0 => (self.value(c0).row(0), self.value(h0).row(0)),
-                            _ => (cache.c.row(t - 1), self.nodes[i].value.row(t - 1)),
-                        };
-                        let dh = |k: usize| g.get(t, k) + dh_rec.get(0, k);
-                        lstm_gate_grads(dz, dc_rec.as_mut_slice(), dh, &cache, t, c_prev);
-                        // Parameter gradients: outer products with the
-                        // step inputs (the bias's input is the constant 1).
-                        for (sum, input) in sums.iter_mut().zip([x_m.row(t), h_prev, &[1.0]]) {
-                            add_outer(sum, input, dz);
+                    let [dz_rows, dz_t, x_rows, h_prev_rows, ones] =
+                        record_parts(record.as_mut_slice(), chunk, widths);
+                    ones.fill(1.0);
+                    let mut t1 = t_len;
+                    while t1 > 0 {
+                        let t0 = t1.saturating_sub(chunk);
+                        let n = t1 - t0;
+                        for t in (t0..t1).rev() {
+                            let m = t1 - 1 - t;
+                            let (c_prev, h_prev) = match t {
+                                0 => (self.value(c0).row(0), self.value(h0).row(0)),
+                                _ => (cache.c.row(t - 1), self.nodes[i].value.row(t - 1)),
+                            };
+                            let dz = &mut dz_rows[m * 4 * hd..(m + 1) * 4 * hd];
+                            let dh = |k: usize| g.get(t, k) + dh_rec.get(0, k);
+                            lstm_gate_grads(dz, dc_rec.as_mut_slice(), dh, &cache, t, c_prev);
+                            for (k, &d) in dz.iter().enumerate() {
+                                dz_t[k * n + (t - t0)] = d;
+                            }
+                            x_rows[m * in_dim..(m + 1) * in_dim].copy_from_slice(x_m.row(t));
+                            h_prev_rows[m * hd..(m + 1) * hd].copy_from_slice(h_prev);
+                            dh_rec.as_mut_slice().fill(0.0);
+                            strided_sweep(dh_rec.as_mut_slice(), dz, wt_hh, hd);
                         }
-                        // Input and recurrent gradients: dz · Wᵀ.
-                        strided_sweep(gx.row_mut(t), dz, wt_ih, in_dim);
-                        dh_rec.as_mut_slice().fill(0.0);
-                        strided_sweep(dh_rec.as_mut_slice(), dz, wt_hh, hd);
+                        // Parameter gradients: outer products with the
+                        // step inputs (the bias's input is the constant
+                        // 1), steps descending; then dx = dz · W_ihᵀ.
+                        let dz = &dz_rows[..n * 4 * hd];
+                        let inputs = [&x_rows[..n * in_dim], &h_prev_rows[..n * hd], &ones[..n]];
+                        for (sum, input) in sums.iter_mut().zip(inputs) {
+                            if let Some(sum) = sum {
+                                outer_sum(sum.as_mut_slice(), 4 * hd, input, dz, 4 * hd);
+                            }
+                        }
+                        let gx_rows = &mut gx.as_mut_slice()[t0 * in_dim..t1 * in_dim];
+                        outer_sum(gx_rows, in_dim, &dz_t[..4 * hd * n], wt_ih, in_dim);
+                        t1 = t0;
                     }
                     self.accumulate(x, gx);
                     for (w, sum) in [w_ih, w_hh, b].into_iter().zip(sums) {
@@ -1282,7 +1309,7 @@ impl Tape {
                     }
                     self.accumulate(h0, dh_rec);
                     self.accumulate(c0, dc_rec);
-                    self.recycle(dz_m);
+                    self.recycle(record);
                 }
                 Op::AttnScores { proj, dproj, v, act } => {
                     // s_j = Σ_a tanh(proj[j][a] + dproj[a]) · v[a], so
@@ -1293,33 +1320,19 @@ impl Tape {
                     //   d_dproj[a]   = Σ_j d_pre[j][a]    (broadcast)
                     //   d_v[a]       = Σ_j u[j][a] · g_j
                     let (t_len, ad) = act.shape();
-                    let g_row = g.row(0);
-                    let v_col = self.value(v).as_slice().to_vec();
-                    let mut gproj = Matrix::zeros(t_len, ad);
-                    let mut gdproj = Matrix::zeros(1, ad);
-                    let mut gv = Matrix::zeros(ad, 1);
-                    for (j, &gj) in g_row.iter().enumerate().take(t_len) {
-                        let act_row = act.row(j);
-                        let gproj_row = gproj.row_mut(j);
-                        let gdproj_row = gdproj.row_mut(0);
-                        for a in 0..ad {
-                            let u = act_row[a];
-                            let dpre = gj * v_col[a] * (1.0 - u * u);
-                            gproj_row[a] = dpre;
-                            gdproj_row[a] += dpre;
-                            if u != 0.0 {
-                                gv.as_mut_slice()[a] += u * gj;
-                            }
-                        }
-                    }
-                    if self.rg(proj) {
-                        self.accumulate(proj, gproj);
-                    }
-                    if self.rg(dproj) {
-                        self.accumulate(dproj, gdproj);
-                    }
-                    if self.rg(v) {
-                        self.accumulate(v, gv);
+                    let mut gproj = self.alloc_zeros(t_len, ad);
+                    let mut gdproj = self.alloc_zeros(1, ad);
+                    let mut gv = self.alloc_zeros(ad, 1);
+                    attn_score_grads(
+                        act.as_slice(),
+                        g.row(0),
+                        self.nodes[v.0].value.as_slice(),
+                        gdproj.as_mut_slice(),
+                        gv.as_mut_slice(),
+                        ProjGrad::Assign(gproj.as_mut_slice()),
+                    );
+                    for (x, gx) in [(proj, gproj), (dproj, gdproj), (v, gv)] {
+                        self.accumulate(x, gx);
                     }
                 }
                 Op::AttnDecode { segs, params, h0, c0, cache } => {

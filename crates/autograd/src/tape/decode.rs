@@ -7,12 +7,13 @@
 //! same f32 operations in the same order as the op-by-op chain they
 //! replace (DESIGN §5j has the slot-by-slot table), so values and
 //! gradients are bit-identical to it on every kernel backend: all
-//! vector work goes through the dispatched `strided_sweep` / `axpy` /
-//! `tanh_inplace`.
+//! vector work goes through the dispatched `mars_tensor::simd` kernels.
 
-use super::{add_outer, lstm_gate_grads, lstm_step, Tape, Var};
+use super::{lstm_gate_grads, lstm_step, record_parts, Tape, Var};
 use crate::ops::{AttnDecodeCache, Op};
-use mars_tensor::simd::{strided_sweep, tanh_inplace};
+use mars_tensor::simd::{
+    attn_score_grads, attn_scores, outer_sum, strided_sweep, tanh_inplace, ProjGrad,
+};
 use mars_tensor::{stats, Matrix};
 use std::sync::Arc;
 
@@ -98,7 +99,7 @@ impl Tape {
                     let r = if keep { step } else { 0 };
                     // dproj = h · w_dec, then the score row
                     // s_j = Σ_a tanh(proj[j][a] + dproj[a]) · v[a]
-                    // (ascending a, zero activations skipped).
+                    // (ascending a, zero activations adding +0.0).
                     dproj.fill(0.0);
                     strided_sweep(dproj, h_prev, w_dec_m.as_slice(), ad);
                     if !keep {
@@ -110,15 +111,8 @@ impl Tape {
                         act.extend(proj_row.iter().zip(&*dproj).map(|(&p, &d)| p + d));
                     }
                     tanh_inplace(&mut act[a0..]);
-                    for act_row in act[a0..].chunks_exact(ad) {
-                        let mut s = 0.0f32;
-                        for (&tv, &vv) in act_row.iter().zip(v_col) {
-                            if tv != 0.0 {
-                                s += tv * vv;
-                            }
-                        }
-                        weights.push(s);
-                    }
+                    weights.resize(w0 + proj_m.rows(), 0.0);
+                    attn_scores(&mut weights[w0..], &act[a0..], v_col);
                     stats::softmax_inplace(&mut weights[w0..]);
                     // [enc_i ‖ context], context = α · enc.
                     let (row, context) = dec_in.row_mut(r).split_at_mut(ed);
@@ -168,7 +162,11 @@ impl Tape {
     /// Reverse sweep of [`Op::AttnDecode`]: steps walked backwards, each
     /// reproducing the chain's rules in their tape order (head, state
     /// slices, LSTM, concat, context product, softmax, scores, query
-    /// projection, encoder-row slice).
+    /// projection, encoder-row slice). Only the recurrence runs per
+    /// step: the weight gradients' rank-1 terms, the `enc_out`
+    /// gradient and `grow = dz·W_ih[:E]ᵀ` are recorded per step and
+    /// replayed once per segment, each slot element receiving the same
+    /// terms in the same (descending step) order.
     pub(super) fn attn_decode_backward(
         &mut self,
         g: &Matrix,
@@ -179,19 +177,18 @@ impl Tape {
     ) {
         let [w_dec, v, w_ih, w_hh, _, head_w, _] = params;
         let (hd, ad) = self.value(w_dec).shape();
-        let ed = cache.dec_in.cols() / 2;
+        let (ed, nd) = (cache.dec_in.cols() / 2, g.cols());
         let t_max = segs.iter().map(|&(enc, _)| self.value(enc).rows()).max().unwrap_or(0);
 
         // Every parameter slot is taken for the sweep and added to in
-        // place (see `add_outer`); an empty one starts from zeros, so
-        // its first term is the `0 + x` the chain would have assigned.
+        // place; an empty one starts from zeros, so its first term is
+        // the `0 + x` the chain would have assigned.
         let mut slots = params.map(|p| {
             self.rg(p).then(|| {
                 let (r, c) = self.value(p).shape();
                 self.grads[p.0].take().unwrap_or_else(|| self.alloc_zeros(r, c))
             })
         });
-        let [s_w_dec, s_v, s_w_ih, s_w_hh, s_b, s_head_w, s_head_b] = &mut slots;
         // `enc` slots likewise; a `proj` slot created here is *assigned*
         // by its first step (the chain moves that matrix in, signed
         // zeros and all) and added to afterwards.
@@ -209,19 +206,22 @@ impl Tape {
         let mut dh_rec = self.alloc_zeros(1, hd);
         let mut ga_dproj = self.alloc_zeros(1, hd);
         let mut dc_rec = self.alloc_zeros(1, hd);
-        let mut scratch = self.alloc_zeros(1, 6 * hd + 2 * ed + 2 * ad + 2 * t_max);
+        let mut scratch = self.alloc_zeros(1, 2 * hd + ad + 2 * t_max);
         let mut enc_t = self.alloc_zeros(1, ed * t_max);
+        // One segment's record, row m = the m-th step visited (steps
+        // descending): what the replay reads, in the order it adds.
+        let widths = [4 * hd, 4 * hd, ad, ed, hd, hd, 2 * ed, nd, t_max, ed, 1];
+        let mut record = self.alloc_zeros(t_max, widths.iter().sum());
         let at = [head_w, w_ih, w_hh, w_dec].map(|w| self.transposed(w));
         {
             let [wt_head, wt_ih, wt_hh, wt_dec] = at.map(|i| self.wt[i].1.as_slice());
             let v_col = self.nodes[v.0].value.as_slice();
-            let (ga_head, rest) = scratch.as_mut_slice().split_at_mut(hd);
-            let (dh, rest) = rest.split_at_mut(hd);
-            let (dz, rest) = rest.split_at_mut(4 * hd);
-            let (gx, rest) = rest.split_at_mut(2 * ed);
-            let (gdproj, rest) = rest.split_at_mut(ad);
-            let (gv, rest) = rest.split_at_mut(ad);
-            let (dweights, gscores) = rest.split_at_mut(t_max);
+            let [s_w_dec, s_v, s_w_ih, s_w_hh, s_b, s_head_w, s_head_b] = &mut slots;
+            let [ga_head, dh, gv, dweights, gscores] =
+                record_parts(scratch.as_mut_slice(), 1, [hd, hd, ad, t_max, t_max]);
+            let [dz_rows, dz_t, gdproj_rows, gctx_rows, h_prev_rows, h_rows, dec_in_rows, g_rows, alpha_t, grow, ones] =
+                record_parts(record.as_mut_slice(), t_max, widths);
+            ones.fill(1.0);
             let (dh_rec, ga_dproj, dc_rec) =
                 (dh_rec.as_mut_slice(), ga_dproj.as_mut_slice(), dc_rec.as_mut_slice());
 
@@ -244,6 +244,7 @@ impl Tape {
                     if self.nodes[proj.0].requires_grad { self.grads[proj.0].take() } else { None };
                 let (dweights, gscores) = (&mut dweights[..t_s], &mut gscores[..t_s]);
                 for i in (0..t_s).rev() {
+                    let m = t_s - 1 - i;
                     step -= 1;
                     w_end -= t_s;
                     a_end -= t_s * ad;
@@ -252,8 +253,14 @@ impl Tape {
                         0 => (self.nodes[h0.0].value.row(0), self.nodes[c0.0].value.row(0)),
                         _ => (cache.h.row(step - 1), cache.gates.c.row(step - 1)),
                     };
+                    let row = |w: usize| m * w..(m + 1) * w;
+                    h_prev_rows[row(hd)].copy_from_slice(h_prev);
+                    h_rows[row(hd)].copy_from_slice(cache.h.row(step));
+                    dec_in_rows[row(2 * ed)].copy_from_slice(cache.dec_in.row(step));
+                    g_rows[row(nd)].copy_from_slice(g_row);
 
-                    // Head: add_bias, then h · head_w.
+                    // Head: add_bias, then h · head_w (its weight term
+                    // is replayed).
                     if let Some(slot) = s_head_b.as_mut() {
                         for (e, &gc) in slot.as_mut_slice().iter_mut().zip(g_row) {
                             *e += 0.0 + gc;
@@ -261,7 +268,6 @@ impl Tape {
                     }
                     ga_head.fill(0.0);
                     strided_sweep(ga_head, g_row, wt_head, hd);
-                    add_outer(s_head_w, cache.h.row(step), g_row);
 
                     // The state slices: h_n's slot holds the next step's
                     // `(dh_rec + ga_dproj)` before the head's term joins
@@ -276,22 +282,26 @@ impl Tape {
                         }
                     }
 
-                    // The T = 1 LSTM rule (its own `dh_rec` starts at 0).
+                    // The T = 1 LSTM rule (its own `dh_rec` starts at 0);
+                    // `dz` is kept, transposed too for `grow`.
+                    let dz = &mut dz_rows[m * 4 * hd..(m + 1) * 4 * hd];
                     lstm_gate_grads(dz, dc_rec, |k| dh[k] + 0.0, &cache.gates, step, c_prev);
-                    add_outer(s_w_ih, cache.dec_in.row(step), dz);
-                    add_outer(s_w_hh, h_prev, dz);
-                    add_outer(s_b, &[1.0], dz);
-                    gx.fill(0.0);
-                    strided_sweep(gx, dz, wt_ih, 2 * ed);
+                    for (k, &d) in dz.iter().enumerate() {
+                        dz_t[k * t_s + i] = d;
+                    }
+                    let gctx = &mut gctx_rows[m * ed..(m + 1) * ed];
+                    gctx.fill(0.0);
+                    strided_sweep(gctx, dz, &wt_ih[ed..], 2 * ed);
                     dh_rec.fill(0.0);
                     strided_sweep(dh_rec, dz, wt_hh, hd);
 
                     // concat_cols, then context = α · enc.
-                    let (grow, gctx) = gx.split_at(ed);
                     let alpha = &cache.weights.as_slice()[w_end..w_end + t_s];
                     dweights.fill(0.0);
                     strided_sweep(dweights, gctx, enc_t, t_s);
-                    add_outer(&mut enc_slot, alpha, gctx);
+                    for (j, &a) in alpha.iter().enumerate() {
+                        alpha_t[j * t_s + m] = a;
+                    }
 
                     // softmax_rows: ds = α ⊙ (dα − ⟨dα, α⟩).
                     let dot: f32 = dweights.iter().zip(alpha).map(|(&gi, &pi)| gi * pi).sum();
@@ -300,28 +310,16 @@ impl Tape {
                     }
 
                     // attn_scores: gdproj and gv sum over j from +0.0.
-                    gdproj.fill(0.0);
-                    gv.fill(0.0);
-                    let assign = proj_fresh[s] && i == t_s - 1;
                     let act = &cache.act.as_slice()[a_end..a_end + t_s * ad];
-                    for (j, (act_row, &gj)) in act.chunks_exact(ad).zip(&*gscores).enumerate() {
-                        let mut gproj_row = proj_slot.as_mut().map(|m| m.row_mut(j));
-                        for a in 0..ad {
-                            let u = act_row[a];
-                            let dpre = gj * v_col[a] * (1.0 - u * u);
-                            if let Some(row) = &mut gproj_row {
-                                if assign {
-                                    row[a] = dpre;
-                                } else {
-                                    row[a] += dpre;
-                                }
-                            }
-                            gdproj[a] += dpre;
-                            if u != 0.0 {
-                                gv[a] += u * gj;
-                            }
+                    let gdproj = &mut gdproj_rows[m * ad..(m + 1) * ad];
+                    let sink = match proj_slot.as_mut() {
+                        None => ProjGrad::Skip,
+                        Some(p) if proj_fresh[s] && i == t_s - 1 => {
+                            ProjGrad::Assign(p.as_mut_slice())
                         }
-                    }
+                        Some(p) => ProjGrad::Add(p.as_mut_slice()),
+                    };
+                    attn_score_grads(act, gscores, v_col, gdproj, gv, sink);
                     if let Some(slot) = s_v.as_mut() {
                         for (e, &x) in slot.as_mut_slice().iter_mut().zip(&*gv) {
                             *e += x;
@@ -331,15 +329,38 @@ impl Tape {
                     // dproj = h_prev · w_dec.
                     ga_dproj.fill(0.0);
                     strided_sweep(ga_dproj, gdproj, wt_dec, hd);
-                    add_outer(s_w_dec, h_prev, gdproj);
+                    last = false;
+                }
 
-                    // slice_rows(enc, i, i + 1).
-                    if let Some(slot) = &mut enc_slot {
-                        for (e, &x) in slot.row_mut(i).iter_mut().zip(grow) {
+                // Replay the segment's rank-1 terms, steps descending.
+                let dz = &dz_rows[..t_s * 4 * hd];
+                let hp = &h_prev_rows[..t_s * hd];
+                for (slot, coeffs, terms, width) in [
+                    (&mut *s_w_ih, &dec_in_rows[..t_s * 2 * ed], dz, 4 * hd),
+                    (&mut *s_w_hh, hp, dz, 4 * hd),
+                    (&mut *s_b, &ones[..t_s], dz, 4 * hd),
+                    (&mut *s_w_dec, hp, &gdproj_rows[..t_s * ad], ad),
+                    (&mut *s_head_w, &h_rows[..t_s * hd], &g_rows[..t_s * nd], nd),
+                ] {
+                    if let Some(slot) = slot {
+                        outer_sum(slot.as_mut_slice(), width, coeffs, terms, width);
+                    }
+                }
+                // enc_out row j: the `α[j]·gctx` terms of steps ≥ j, the
+                // row's own `grow` (slice_rows), then those of steps < j.
+                if let Some(slot) = &mut enc_slot {
+                    let grow = &mut grow[..t_s * ed];
+                    grow.fill(0.0);
+                    outer_sum(grow, ed, &dz_t[..4 * hd * t_s], wt_ih, 2 * ed);
+                    let rows = slot.as_mut_slice().chunks_exact_mut(ed).zip(grow.chunks_exact(ed));
+                    for (j, (out, gr)) in rows.enumerate() {
+                        let (alpha_j, split) = (&alpha_t[j * t_s..(j + 1) * t_s], t_s - j);
+                        outer_sum(out, ed, &alpha_j[..split], &gctx_rows[..split * ed], ed);
+                        for (e, &x) in out.iter_mut().zip(gr) {
                             *e += x;
                         }
+                        outer_sum(out, ed, &alpha_j[split..], &gctx_rows[split * ed..t_s * ed], ed);
                     }
-                    last = false;
                 }
                 if enc_slot.is_some() {
                     self.grads[enc.0] = enc_slot;
@@ -359,7 +380,8 @@ impl Tape {
         self.accumulate(h0, dh_rec);
         self.accumulate(h0, ga_dproj);
         self.accumulate(c0, dc_rec);
-        self.recycle(scratch);
-        self.recycle(enc_t);
+        for m in [scratch, enc_t, record] {
+            self.recycle(m);
+        }
     }
 }

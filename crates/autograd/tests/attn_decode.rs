@@ -143,6 +143,30 @@ fn zero_rows_and_zero_state_take_the_skip_paths_bitwise() {
     }
 }
 
+/// The placers' segment length and two ragged ones, at widths off every
+/// lane boundary: the score rows fill whole 8-row blocks and leave
+/// remainders, the per-segment replay adds 32, 17 and 9 steps' terms
+/// through 4-row tiles with ragged row and column tails. Zero `enc`
+/// rows and elements, zero `v` entries and the zero initial state put
+/// zero coefficients and zero activations in every replayed sum.
+#[test]
+fn placer_segments_at_ragged_widths_match_composed_bitwise() {
+    let shape = Shape { segs: &[32, 17, 9], ed: 13, hd: 11, ad: 45, nd: 5 };
+    for seed in 0..2 {
+        let mut ins = inputs(shape, 30 + seed);
+        ins[0].row_mut(0).fill(0.0);
+        ins[1].row_mut(16).fill(0.0);
+        ins[2].set(3, 7, 0.0);
+        let v = 3 + 1 + 1;
+        ins[v].set(0, 0, 0.0);
+        ins[v].set(44, 0, 0.0);
+        let n = ins.len();
+        ins[n - 2].fill_zero();
+        ins[n - 1].fill_zero();
+        assert_paths_agree(&ins, 3, seed, "placer segments, ragged widths");
+    }
+}
+
 #[test]
 fn inference_tape_matches_recording_tape() {
     let ins = inputs(RAGGED, 11);

@@ -288,11 +288,18 @@ fn loss_weights(rows: usize, cols: usize, seed: u64) -> Matrix {
 
 #[test]
 fn backward_is_bitwise_the_old_per_step_rule() {
-    // T = 1 takes the in-place weight-gradient path, T = 2 and 33 the
-    // local sums; widths sit off the 8-lane and 32-column strips.
-    for (t_len, in_dim, hd) in [(1usize, 35usize, 12usize), (2, 7, 5), (33, 9, 8)] {
+    // T = 1 takes the in-place weight-gradient path, the rest the local
+    // sums, replayed per 32 steps: T = 9 and 17 in one ragged chunk, 33
+    // and 70 across chunk boundaries. Widths sit off the 8-lane,
+    // 16- and 32-column strips and the 4-row tiles.
+    let cases =
+        [(1usize, 35usize, 12usize), (2, 7, 5), (9, 13, 11), (17, 9, 8), (33, 9, 8), (70, 6, 5)];
+    for (t_len, in_dim, hd) in cases {
         let mut ins = inputs(t_len, in_dim, hd, 40 + t_len as u64);
         ins[0].set(0, 2, 0.0); // a skipped outer-product row
+        for t in (t_len / 2..t_len).step_by(5) {
+            ins[0].row_mut(t).fill(0.0); // a step with no input terms
+        }
         ins[4].set(0, 1, 0.0);
         let w = loss_weights(t_len + 1, hd, 50 + t_len as u64);
 

@@ -146,8 +146,10 @@ fn bench_lstm_cell(opts: &BenchOpts) {
     });
 }
 
-// `nn.decode`: one 32-op segment of the placer's fused decoder at the
-// `small` widths, forward + backward.
+// `nn.decode`: the placer's fused decoder over one gnmt4 pass — 528
+// ops in 17 segments (16 of 32, one of 16) at the `small` widths,
+// forward + backward, so the per-segment replay runs at the size
+// `train_gnmt4` trains.
 fn bench_attn_decode(opts: &BenchOpts) {
     let cfg = MarsConfig::small();
     let (hd, ad) = (cfg.placer_hidden, cfg.attn_dim);
@@ -156,13 +158,20 @@ fn bench_attn_decode(opts: &BenchOpts) {
     let cell = LstmCell::new(&mut store, "dec", 2 * hd, hd, &mut rng);
     let attn = Attention::new(&mut store, "attn", hd, hd, ad, &mut rng);
     let head = Linear::new(&mut store, "head", hd, 5, true, &mut rng);
-    let enc = init::uniform(cfg.segment_size, hd, 0.8, &mut rng);
+    let seg_rows = (0..528).step_by(cfg.segment_size).map(|s| cfg.segment_size.min(528 - s));
+    let encs: Vec<Matrix> = seg_rows.map(|t| init::uniform(t, hd, 0.8, &mut rng)).collect();
+    assert_eq!(encs.len(), 17);
     bench(opts, "attn_decode/fused", || {
         let mut ctx = FwdCtx::new(Tape::new(), &store);
-        let enc = ctx.tape.leaf_from(&enc, true);
-        let keys = attn.precompute(&mut ctx, enc);
+        let keys: Vec<_> = encs
+            .iter()
+            .map(|enc| {
+                let enc = ctx.tape.leaf_from(enc, true);
+                attn.precompute(&mut ctx, enc)
+            })
+            .collect();
         let state = cell.zero_state(&mut ctx);
-        let logits = decode(&mut ctx, &cell, &attn, &head, &[keys], state);
+        let logits = decode(&mut ctx, &cell, &attn, &head, &keys, state);
         let loss = ctx.tape.mean_all(logits);
         black_box(ctx.into_grads(loss, 1.0).0.len());
     });

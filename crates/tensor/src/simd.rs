@@ -15,6 +15,11 @@
 //!
 //! The remainder tail (< one lane width) runs the scalar loop, which is
 //! the same arithmetic, so ragged widths stay exact too.
+//!
+//! The decoder's kernels follow the same rule: [`outer_sum`] lanes over
+//! output columns, [`attn_scores`] over output *rows* (an 8 × 8
+//! register transpose feeds it), [`attn_score_grads`] over columns.
+//! Those three have an AVX2 path only; NEON runs their scalar loops.
 
 use crate::kernel::{self, Backend};
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
@@ -218,6 +223,27 @@ unsafe fn strided_sweep_avx2(out: &mut [f32], coeffs: &[f32], src: &[f32], strid
         }
         j += 32;
     }
+    // A 16-column remainder keeps two chains in flight, not one after
+    // the other (hidden widths of 48 end in one).
+    if j + 16 <= w {
+        unsafe {
+            let po = out.as_mut_ptr().add(j);
+            let mut a0 = _mm256_loadu_ps(po);
+            let mut a1 = _mm256_loadu_ps(po.add(8));
+            for (t, &av) in coeffs.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let va = _mm256_set1_ps(av);
+                let p = ps.add(t * stride + j);
+                a0 = _mm256_add_ps(a0, _mm256_mul_ps(va, _mm256_loadu_ps(p)));
+                a1 = _mm256_add_ps(a1, _mm256_mul_ps(va, _mm256_loadu_ps(p.add(8))));
+            }
+            _mm256_storeu_ps(po, a0);
+            _mm256_storeu_ps(po.add(8), a1);
+        }
+        j += 16;
+    }
     while j + 8 <= w {
         unsafe {
             let po = out.as_mut_ptr().add(j);
@@ -303,6 +329,465 @@ unsafe fn strided_sweep_neon(out: &mut [f32], coeffs: &[f32], src: &[f32], strid
                 continue;
             }
             axpy_scalar(&mut out[j..], av, &src[t * stride + j..t * stride + w]);
+        }
+    }
+}
+
+// ------------------------------------------------------------------
+// Outer-product replay
+// ------------------------------------------------------------------
+
+/// `out[r][c] += a[t][r] · b[t·ldb + c]` for every term `t` in order
+/// (`0, 1, …`), skipping zero coefficients `a[t][r]`, where `out` is
+/// `R × cols` and `a` is `T × R`, both row-major.
+///
+/// Per element this is the sequence of rank-1 `axpy` updates
+/// `for t { for r { if a[t][r] != 0 { out.row(r) += a[t][r] · b.row(t) } } }`
+/// — each element receives its terms in term order, one two-rounding
+/// mul + add at a time, so a slot that already holds values (even
+/// `-0.0`) ends bit-identical to that loop. The SIMD path keeps a
+/// 4-row × 16-column tile of `out` in registers across all `T` terms
+/// (each `b` load feeds four rows), which is what lets a caller store a
+/// sequence's rank-1 weight-gradient terms and add them in one sweep
+/// instead of loading and storing the slot once per term.
+///
+/// # Panics
+/// If `a` is not a whole number of `R`-wide rows, or `b` is too short
+/// for that many rows of stride `ldb` and width `cols`.
+pub fn outer_sum(out: &mut [f32], cols: usize, a: &[f32], b: &[f32], ldb: usize) {
+    if out.is_empty() || cols == 0 {
+        return;
+    }
+    assert!(out.len().is_multiple_of(cols), "outer_sum: out is not whole rows of {cols}");
+    let rows = out.len() / cols;
+    assert!(a.len().is_multiple_of(rows), "outer_sum: a is not whole rows of {rows}");
+    let terms = a.len() / rows;
+    assert!(
+        terms == 0 || (cols <= ldb && (terms - 1) * ldb + cols <= b.len()),
+        "outer_sum: b too short ({terms} rows × stride {ldb}, width {cols}, len {})",
+        b.len()
+    );
+    match kernel::backend() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { outer_sum_avx2(out, cols, a, b, ldb) },
+        _ => outer_sum_scalar(out, cols, a, b, ldb),
+    }
+}
+
+fn outer_sum_scalar(out: &mut [f32], cols: usize, a: &[f32], b: &[f32], ldb: usize) {
+    let rows = out.len() / cols;
+    for (t, coeffs) in a.chunks_exact(rows).enumerate() {
+        let b_row = &b[t * ldb..t * ldb + cols];
+        for (out_row, &x) in out.chunks_exact_mut(cols).zip(coeffs) {
+            if x != 0.0 {
+                axpy_scalar(out_row, x, b_row);
+            }
+        }
+    }
+}
+
+/// AVX2 [`outer_sum`]: 4-row tiles of two ymm accumulators per row
+/// (eight independent add chains), then single rows of four; 8-column
+/// strips and a scalar tail finish ragged widths. Mul + add, never FMA.
+///
+/// # Safety
+/// Caller must ensure AVX2 support and the bounds checked by
+/// [`outer_sum`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn outer_sum_avx2(out: &mut [f32], cols: usize, a: &[f32], b: &[f32], ldb: usize) {
+    let rows = out.len() / cols;
+    let mut r = 0;
+    while r + 4 <= rows {
+        let c = unsafe { outer_strips_avx2::<4, 2>(out, cols, a, b, ldb, r, 0) };
+        let c = unsafe { outer_strips_avx2::<4, 1>(out, cols, a, b, ldb, r, c) };
+        outer_scalar_cols(out, cols, a, b, ldb, r..r + 4, c);
+        r += 4;
+    }
+    for r in r..rows {
+        let c = unsafe { outer_strips_avx2::<1, 4>(out, cols, a, b, ldb, r, 0) };
+        let c = unsafe { outer_strips_avx2::<1, 1>(out, cols, a, b, ldb, r, c) };
+        outer_scalar_cols(out, cols, a, b, ldb, r..r + 1, c);
+    }
+}
+
+/// Rows `r0 .. r0 + RT` of [`outer_sum_avx2`] from column `c0`, in
+/// `8·G`-column strips held in registers across every term; returns
+/// the first column no whole strip covered.
+///
+/// # Safety
+/// As [`outer_sum_avx2`], with `r0 + RT <= rows`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn outer_strips_avx2<const RT: usize, const G: usize>(
+    out: &mut [f32],
+    cols: usize,
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    r0: usize,
+    c0: usize,
+) -> usize {
+    use std::arch::x86_64::*;
+    let rows = out.len() / cols;
+    let terms = a.len() / rows;
+    let (po, pa, pb) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+    let mut c = c0;
+    while c + 8 * G <= cols {
+        unsafe {
+            let mut acc = [[_mm256_setzero_ps(); G]; RT];
+            for (rr, acc_r) in acc.iter_mut().enumerate() {
+                for (g, x) in acc_r.iter_mut().enumerate() {
+                    *x = _mm256_loadu_ps(po.add((r0 + rr) * cols + c + 8 * g));
+                }
+            }
+            for t in 0..terms {
+                let mut bv = [_mm256_setzero_ps(); G];
+                for (g, x) in bv.iter_mut().enumerate() {
+                    *x = _mm256_loadu_ps(pb.add(t * ldb + c + 8 * g));
+                }
+                for (rr, acc_r) in acc.iter_mut().enumerate() {
+                    let x = *pa.add(t * rows + r0 + rr);
+                    if x == 0.0 {
+                        continue;
+                    }
+                    let vx = _mm256_set1_ps(x);
+                    for (acc_g, &b_g) in acc_r.iter_mut().zip(&bv) {
+                        *acc_g = _mm256_add_ps(*acc_g, _mm256_mul_ps(vx, b_g));
+                    }
+                }
+            }
+            for (rr, acc_r) in acc.iter().enumerate() {
+                for (g, &x) in acc_r.iter().enumerate() {
+                    _mm256_storeu_ps(po.add((r0 + rr) * cols + c + 8 * g), x);
+                }
+            }
+        }
+        c += 8 * G;
+    }
+    c
+}
+
+/// The scalar loop of [`outer_sum`] restricted to `rows` and columns
+/// `c0..cols` — the ragged tail of the SIMD tiles.
+#[cfg(target_arch = "x86_64")]
+fn outer_scalar_cols(
+    out: &mut [f32],
+    cols: usize,
+    a: &[f32],
+    b: &[f32],
+    ldb: usize,
+    rows: std::ops::Range<usize>,
+    c0: usize,
+) {
+    if c0 == cols {
+        return;
+    }
+    let n_rows = out.len() / cols;
+    for (t, coeffs) in a.chunks_exact(n_rows).enumerate() {
+        let b_row = &b[t * ldb + c0..t * ldb + cols];
+        for r in rows.clone() {
+            let x = coeffs[r];
+            if x != 0.0 {
+                axpy_scalar(&mut out[r * cols + c0..(r + 1) * cols], x, b_row);
+            }
+        }
+    }
+}
+
+// ------------------------------------------------------------------
+// Additive-attention scores
+// ------------------------------------------------------------------
+
+/// `out[j] = Σ_a act[j][a] · v[a]` over `act` (`out.len() × v.len()`,
+/// row-major), each sum from `+0.0` by ascending `a`, zero activations
+/// contributing `+0.0` — the score row `(tanh(proj ⊕ dproj) · v)ᵀ` of
+/// an additive-attention read from its activations.
+///
+/// Adding `+0.0` for a zero activation is adding nothing: a sum that
+/// starts at `+0.0` never becomes `-0.0` under round-to-nearest, and
+/// `s + 0.0 == s` for every other `s`. The products are masked, not
+/// skipped, so a `0 · ∞` never reaches a sum. The SIMD path runs eight
+/// rows at a time, one row per lane, transposing each 8 × 8 block of
+/// activations in registers; per row the adds still ascend `a`.
+///
+/// # Panics
+/// If `act` is not `out.len()` rows of `v.len()`.
+pub fn attn_scores(out: &mut [f32], act: &[f32], v: &[f32]) {
+    assert_eq!(act.len(), out.len() * v.len(), "attn_scores: act is not rows × v.len()");
+    match kernel::backend() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { attn_scores_avx2(out, act, v) },
+        _ => attn_scores_scalar(out, act, v),
+    }
+}
+
+fn attn_scores_scalar(out: &mut [f32], act: &[f32], v: &[f32]) {
+    if v.is_empty() {
+        out.fill(0.0);
+        return;
+    }
+    for (s, act_row) in out.iter_mut().zip(act.chunks_exact(v.len())) {
+        *s = 0.0;
+        for (&u, &vv) in act_row.iter().zip(v) {
+            *s += if u != 0.0 { u * vv } else { 0.0 };
+        }
+    }
+}
+
+/// AVX2 [`attn_scores`]: lane `l` accumulates row `j + l`.
+///
+/// # Safety
+/// Caller must ensure AVX2 support and the shape checked by
+/// [`attn_scores`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn attn_scores_avx2(out: &mut [f32], act: &[f32], v: &[f32]) {
+    use std::arch::x86_64::*;
+    let (rows, ad) = (out.len(), v.len());
+    let mut j = 0;
+    while j + 8 <= rows {
+        let block = &act[j * ad..(j + 8) * ad];
+        let mut s = _mm256_setzero_ps();
+        let mut a = 0;
+        while a + 8 <= ad {
+            let mut r = [_mm256_setzero_ps(); 8];
+            for (l, x) in r.iter_mut().enumerate() {
+                *x = unsafe { _mm256_loadu_ps(block.as_ptr().add(l * ad + a)) };
+            }
+            for (k, col) in transpose8(r).into_iter().enumerate() {
+                s = score_term(s, col, v[a + k]);
+            }
+            a += 8;
+        }
+        for (a, &vv) in v.iter().enumerate().skip(a) {
+            let col: [f32; 8] = std::array::from_fn(|l| block[l * ad + a]);
+            s = score_term(s, unsafe { _mm256_loadu_ps(col.as_ptr()) }, vv);
+        }
+        unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(j), s) };
+        j += 8;
+    }
+    attn_scores_scalar(&mut out[j..], &act[j * ad..], v);
+}
+
+/// `s + (u ≠ 0 ? u·v : +0.0)` per lane; `≠` is unordered, so a NaN `u`
+/// counts, as in the scalar loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn score_term(
+    s: std::arch::x86_64::__m256,
+    u: std::arch::x86_64::__m256,
+    v: f32,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(u, _mm256_setzero_ps());
+    _mm256_add_ps(s, _mm256_and_ps(keep, _mm256_mul_ps(u, _mm256_set1_ps(v))))
+}
+
+/// Transpose an 8 × 8 block held as eight row vectors: lane `l` of
+/// output `k` is lane `k` of input `l`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn transpose8(r: [std::arch::x86_64::__m256; 8]) -> [std::arch::x86_64::__m256; 8] {
+    use std::arch::x86_64::*;
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+    let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+    let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+    let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+    [
+        _mm256_permute2f128_ps::<0x20>(u0, u4),
+        _mm256_permute2f128_ps::<0x20>(u1, u5),
+        _mm256_permute2f128_ps::<0x20>(u2, u6),
+        _mm256_permute2f128_ps::<0x20>(u3, u7),
+        _mm256_permute2f128_ps::<0x31>(u0, u4),
+        _mm256_permute2f128_ps::<0x31>(u1, u5),
+        _mm256_permute2f128_ps::<0x31>(u2, u6),
+        _mm256_permute2f128_ps::<0x31>(u3, u7),
+    ]
+}
+
+/// Where [`attn_score_grads`] puts the activation gradient of row `j`.
+pub enum ProjGrad<'a> {
+    /// Nowhere: the projection takes no gradient.
+    Skip,
+    /// Overwrite the slot (its first term, moved in with signed zeros).
+    Assign(&'a mut [f32]),
+    /// Add to the slot.
+    Add(&'a mut [f32]),
+}
+
+/// Reverse of [`attn_scores`] for score gradients `gs`: with
+/// `dpre[j][a] = gs[j] · v[a] · (1 − act[j][a]²)`,
+///
+/// ```text
+/// gproj[j][a]  (=|+=) dpre[j][a]
+/// gdproj[a]    = Σ_j dpre[j][a]
+/// gv[a]        = Σ_j (act[j][a] ≠ 0 ? act[j][a] · gs[j] : +0.0)
+/// ```
+///
+/// both sums from `+0.0` by ascending `j`. `gdproj` and `gv` are
+/// overwritten. The SIMD path holds 32-column strips of both sums in
+/// registers across every row; the `gproj` mode is resolved once, not
+/// per element.
+///
+/// # Panics
+/// If the slices' lengths disagree with `gs.len() × v.len()`.
+pub fn attn_score_grads(
+    act: &[f32],
+    gs: &[f32],
+    v: &[f32],
+    gdproj: &mut [f32],
+    gv: &mut [f32],
+    gproj: ProjGrad<'_>,
+) {
+    let ad = v.len();
+    assert_eq!(act.len(), gs.len() * ad, "attn_score_grads: act is not rows × v.len()");
+    assert!(gdproj.len() == ad && gv.len() == ad, "attn_score_grads: sum width mismatch");
+    match gproj {
+        ProjGrad::Skip => score_grads::<SKIP>(act, gs, v, gdproj, gv, &mut []),
+        ProjGrad::Assign(p) => score_grads::<ASSIGN>(act, gs, v, gdproj, gv, p),
+        ProjGrad::Add(p) => score_grads::<ADD>(act, gs, v, gdproj, gv, p),
+    }
+}
+
+const SKIP: u8 = 0;
+const ASSIGN: u8 = 1;
+const ADD: u8 = 2;
+
+fn score_grads<const MODE: u8>(
+    act: &[f32],
+    gs: &[f32],
+    v: &[f32],
+    gdproj: &mut [f32],
+    gv: &mut [f32],
+    gproj: &mut [f32],
+) {
+    assert!(MODE == SKIP || gproj.len() == act.len(), "attn_score_grads: gproj shape mismatch");
+    match kernel::backend() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { score_grads_avx2::<MODE>(act, gs, v, gdproj, gv, gproj) },
+        _ => score_grads_cols::<MODE>(act, gs, v, gdproj, gv, gproj, 0),
+    }
+}
+
+/// The scalar loop of [`attn_score_grads`] over columns `a0..`.
+fn score_grads_cols<const MODE: u8>(
+    act: &[f32],
+    gs: &[f32],
+    v: &[f32],
+    gdproj: &mut [f32],
+    gv: &mut [f32],
+    gproj: &mut [f32],
+    a0: usize,
+) {
+    let ad = v.len();
+    gdproj[a0..].fill(0.0);
+    gv[a0..].fill(0.0);
+    for (j, &gj) in gs.iter().enumerate() {
+        for a in a0..ad {
+            let u = act[j * ad + a];
+            let dpre = gj * v[a] * (1.0 - u * u);
+            match MODE {
+                ASSIGN => gproj[j * ad + a] = dpre,
+                ADD => gproj[j * ad + a] += dpre,
+                _ => {}
+            }
+            gdproj[a] += dpre;
+            gv[a] += if u != 0.0 { u * gj } else { 0.0 };
+        }
+    }
+}
+
+/// AVX2 [`attn_score_grads`]: 32-column strips (eight add chains),
+/// then 8-column groups, then the scalar tail.
+///
+/// # Safety
+/// Caller must ensure AVX2 support and the shapes checked by
+/// [`attn_score_grads`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn score_grads_avx2<const MODE: u8>(
+    act: &[f32],
+    gs: &[f32],
+    v: &[f32],
+    gdproj: &mut [f32],
+    gv: &mut [f32],
+    gproj: &mut [f32],
+) {
+    let ad = v.len();
+    let mut a = 0;
+    while a + 32 <= ad {
+        unsafe { score_strip_avx2::<MODE, 4>(act, gs, v, gdproj, gv, gproj, a) };
+        a += 32;
+    }
+    while a + 8 <= ad {
+        unsafe { score_strip_avx2::<MODE, 1>(act, gs, v, gdproj, gv, gproj, a) };
+        a += 8;
+    }
+    score_grads_cols::<MODE>(act, gs, v, gdproj, gv, gproj, a);
+}
+
+/// Columns `a0 .. a0 + 8·G` of [`score_grads_avx2`].
+///
+/// # Safety
+/// As [`score_grads_avx2`], with `a0 + 8·G <= v.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn score_strip_avx2<const MODE: u8, const G: usize>(
+    act: &[f32],
+    gs: &[f32],
+    v: &[f32],
+    gdproj: &mut [f32],
+    gv: &mut [f32],
+    gproj: &mut [f32],
+    a0: usize,
+) {
+    use std::arch::x86_64::*;
+    let ad = v.len();
+    let (zero, one) = (_mm256_setzero_ps(), _mm256_set1_ps(1.0));
+    unsafe {
+        let mut vv = [zero; G];
+        for (g, x) in vv.iter_mut().enumerate() {
+            *x = _mm256_loadu_ps(v.as_ptr().add(a0 + 8 * g));
+        }
+        let (mut sd, mut sv) = ([zero; G], [zero; G]);
+        for (j, &gj) in gs.iter().enumerate() {
+            let vg = _mm256_set1_ps(gj);
+            for g in 0..G {
+                let at = j * ad + a0 + 8 * g;
+                let u = _mm256_loadu_ps(act.as_ptr().add(at));
+                let tanh_d = _mm256_sub_ps(one, _mm256_mul_ps(u, u));
+                let dpre = _mm256_mul_ps(_mm256_mul_ps(vg, vv[g]), tanh_d);
+                match MODE {
+                    ASSIGN => _mm256_storeu_ps(gproj.as_mut_ptr().add(at), dpre),
+                    ADD => {
+                        let p = gproj.as_mut_ptr().add(at);
+                        _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), dpre));
+                    }
+                    _ => {}
+                }
+                sd[g] = _mm256_add_ps(sd[g], dpre);
+                let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(u, zero);
+                sv[g] = _mm256_add_ps(sv[g], _mm256_and_ps(keep, _mm256_mul_ps(u, vg)));
+            }
+        }
+        for g in 0..G {
+            _mm256_storeu_ps(gdproj.as_mut_ptr().add(a0 + 8 * g), sd[g]);
+            _mm256_storeu_ps(gv.as_mut_ptr().add(a0 + 8 * g), sv[g]);
         }
     }
 }

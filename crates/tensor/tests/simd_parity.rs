@@ -35,6 +35,16 @@ fn spicy(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     m
 }
 
+/// [`spicy`] through `tanh`: the same zeros, signed zeros and
+/// subnormals, every other entry inside `(-1, 1)` — activation-like
+/// values whose products and short sums cannot overflow into a second
+/// NaN.
+fn bounded(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
+    let mut m = spicy(rows, cols, rng);
+    simd::tanh_inplace(m.as_mut_slice());
+    m
+}
+
 fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
     assert_eq!(a.shape(), b.shape(), "{what}: shape mismatch");
     for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
@@ -150,6 +160,84 @@ fn simd_kernels_are_bit_identical_to_scalar() {
         });
         for (i, (x, y)) in s.iter().zip(&v).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "tanh n={n} i={i}");
+        }
+    }
+
+    // Outer-product replay against the per-term rank-1 loop it stands
+    // for, on both backends: ragged tiles (rows around the 4-row tile,
+    // widths around the 8/16/32-column strips), a `b` stride wider than
+    // the slot, spicy coefficients (zeros, `-0.0`, subnormals), NaN in
+    // both operands, and a slot pre-seeded with values and `-0.0` that a
+    // skipped coefficient must leave alone.
+    // One NaN per case (in `b` or in `a`): with two NaNs meeting in
+    // one sum, which payload survives is the compiler's choice.
+    let cases = [(1, 1, 1), (1, 192, 32), (4, 16, 3), (5, 17, 9), (7, 33, 17), (96, 192, 32)];
+    for (k, &(rows, cols, terms)) in cases.iter().chain(&[(3, 5, 0)]).enumerate() {
+        let ldb = cols + 3;
+        let mut a = spicy(terms, rows, &mut rng);
+        let mut b = bounded(terms.max(1), ldb, &mut rng);
+        if k % 2 == 0 {
+            b.set(0, cols - 1, f32::NAN);
+        } else {
+            a.set(terms - 1, rows - 1, f32::NAN);
+        }
+        let mut seed = spicy(rows, cols, &mut rng);
+        seed.row_mut(0).fill(-0.0);
+        let mut want = seed.clone();
+        for t in 0..terms {
+            for r in 0..rows {
+                let x = a.get(t, r);
+                if x != 0.0 {
+                    for c in 0..cols {
+                        let e = want.get(r, c) + x * b.get(t, c);
+                        want.set(r, c, e);
+                    }
+                }
+            }
+        }
+        let (s, v) = under_both(|| {
+            let mut out = seed.clone();
+            simd::outer_sum(out.as_mut_slice(), cols, a.as_slice(), b.as_slice(), ldb);
+            out
+        });
+        let what = format!("outer_sum {rows}x{cols}, {terms} terms");
+        assert_bits_eq(&s, &want, &format!("{what} (scalar vs per-term loop)"));
+        assert_bits_eq(&s, &v, &what);
+    }
+
+    // Attention scores and their reverse, rows and widths on either
+    // side of the 8-row block and the 8/32-column strips, with zero and
+    // NaN activations and a zero score gradient.
+    for &(rows, ad) in &[(1, 1), (8, 8), (9, 3), (17, 32), (32, 32), (33, 41), (5, 0)] {
+        let mut act = bounded(rows, ad, &mut rng);
+        let v = bounded(ad, 1, &mut rng);
+        let mut gs = bounded(1, rows, &mut rng);
+        if ad > 0 {
+            act.set(rows - 1, ad - 1, f32::NAN);
+        }
+        gs.set(0, 0, 0.0);
+        let (s, w) = under_both(|| {
+            let mut out = Matrix::full(1, rows, 7.0);
+            simd::attn_scores(out.as_mut_slice(), act.as_slice(), v.as_slice());
+            out
+        });
+        assert_bits_eq(&s, &w, &format!("attn_scores {rows}x{ad}"));
+        let seed = spicy(rows, ad, &mut rng);
+        for mode in 0..3 {
+            let (s, w) = under_both(|| {
+                let (mut gd, mut gv, mut gp) =
+                    (Matrix::full(1, ad, 3.0), Matrix::zeros(1, ad), seed.clone());
+                let sink = match mode {
+                    0 => simd::ProjGrad::Skip,
+                    1 => simd::ProjGrad::Assign(gp.as_mut_slice()),
+                    _ => simd::ProjGrad::Add(gp.as_mut_slice()),
+                };
+                let (act, gs, v) = (act.as_slice(), gs.as_slice(), v.as_slice());
+                simd::attn_score_grads(act, gs, v, gd.as_mut_slice(), gv.as_mut_slice(), sink);
+                let all = [gd.as_slice(), gv.as_slice(), gp.as_slice()].concat();
+                Matrix::from_vec(1, all.len(), all)
+            });
+            assert_bits_eq(&s, &w, &format!("attn_score_grads {rows}x{ad} mode {mode}"));
         }
     }
 
