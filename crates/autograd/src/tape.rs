@@ -4,9 +4,7 @@ use crate::ops::{LstmCache, Op};
 use mars_tensor::ops::{
     matmul_into, matmul_nt_into, matmul_nt_packed_into, matmul_tn_into, CsrMatrix,
 };
-use mars_tensor::simd::{
-    attn_score_grads, attn_scores, outer_sum, strided_sweep, tanh_inplace, ProjGrad,
-};
+use mars_tensor::simd::{outer_sum, strided_sweep, tanh_inplace};
 use mars_tensor::{stats, Matrix};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -743,9 +741,11 @@ impl Tape {
     /// (`A × 1`); returns the `1 × T` score row. One node replaces the
     /// four-op `add_bias → tanh → matmul → transpose` chain (and its
     /// three `T × A`-sized intermediates) on the per-placement decoder
-    /// hot path. Per element the score accumulates ascending `a`, a zero
-    /// activation adding `+0.0` — the `matmul`'s `== 0.0` skip, bit for
-    /// bit (see [`mars_tensor::simd::attn_scores`]).
+    /// hot path. Per element the score accumulates ascending `a` with
+    /// the `== 0.0` skip, exactly like the `matmul` it replaces. These
+    /// loops stay scalar: `attn_scores` is the composed decoder's
+    /// (test oracle's) read, which checks the fused decoder's lane
+    /// kernels against the skip they stand for.
     pub fn attn_scores(&mut self, proj: Var, dproj: Var, v: Var) -> Var {
         let (t_len, ad) = self.value(proj).shape();
         assert_eq!(self.value(dproj).shape(), (1, ad), "attn_scores: dproj shape mismatch");
@@ -755,14 +755,24 @@ impl Tape {
         {
             let proj_m = self.value(proj);
             let dproj_row = self.value(dproj).row(0);
+            let v_m = self.value(v);
+            let v_col = v_m.as_slice(); // A × 1, contiguous
             for j in 0..t_len {
-                for ((e, &p), &d) in act.row_mut(j).iter_mut().zip(proj_m.row(j)).zip(dproj_row) {
-                    *e = p + d;
+                let proj_row = proj_m.row(j);
+                let act_row = act.row_mut(j);
+                for a in 0..ad {
+                    act_row[a] = proj_row[a] + dproj_row[a];
                 }
+                tanh_inplace(act_row);
+                let mut s = 0.0f32;
+                for a in 0..ad {
+                    let tv = act_row[a];
+                    if tv != 0.0 {
+                        s += tv * v_col[a];
+                    }
+                }
+                scores.set(0, j, s);
             }
-            tanh_inplace(act.as_mut_slice());
-            // v is A × 1, contiguous.
-            attn_scores(scores.as_mut_slice(), act.as_slice(), self.value(v).as_slice());
         }
         if !self.record {
             // The tanh activations are a backward-only cache.
@@ -1323,14 +1333,21 @@ impl Tape {
                     let mut gproj = self.alloc_zeros(t_len, ad);
                     let mut gdproj = self.alloc_zeros(1, ad);
                     let mut gv = self.alloc_zeros(ad, 1);
-                    attn_score_grads(
-                        act.as_slice(),
-                        g.row(0),
-                        self.nodes[v.0].value.as_slice(),
-                        gdproj.as_mut_slice(),
-                        gv.as_mut_slice(),
-                        ProjGrad::Assign(gproj.as_mut_slice()),
-                    );
+                    let v_col = self.nodes[v.0].value.as_slice();
+                    for (j, &gj) in g.row(0).iter().enumerate().take(t_len) {
+                        let act_row = act.row(j);
+                        let gproj_row = gproj.row_mut(j);
+                        let gdproj_row = gdproj.row_mut(0);
+                        for a in 0..ad {
+                            let u = act_row[a];
+                            let dpre = gj * v_col[a] * (1.0 - u * u);
+                            gproj_row[a] = dpre;
+                            gdproj_row[a] += dpre;
+                            if u != 0.0 {
+                                gv.as_mut_slice()[a] += u * gj;
+                            }
+                        }
+                    }
                     for (x, gx) in [(proj, gproj), (dproj, gdproj), (v, gv)] {
                         self.accumulate(x, gx);
                     }

@@ -223,27 +223,6 @@ unsafe fn strided_sweep_avx2(out: &mut [f32], coeffs: &[f32], src: &[f32], strid
         }
         j += 32;
     }
-    // A 16-column remainder keeps two chains in flight, not one after
-    // the other (hidden widths of 48 end in one).
-    if j + 16 <= w {
-        unsafe {
-            let po = out.as_mut_ptr().add(j);
-            let mut a0 = _mm256_loadu_ps(po);
-            let mut a1 = _mm256_loadu_ps(po.add(8));
-            for (t, &av) in coeffs.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let va = _mm256_set1_ps(av);
-                let p = ps.add(t * stride + j);
-                a0 = _mm256_add_ps(a0, _mm256_mul_ps(va, _mm256_loadu_ps(p)));
-                a1 = _mm256_add_ps(a1, _mm256_mul_ps(va, _mm256_loadu_ps(p.add(8))));
-            }
-            _mm256_storeu_ps(po, a0);
-            _mm256_storeu_ps(po.add(8), a1);
-        }
-        j += 16;
-    }
     while j + 8 <= w {
         unsafe {
             let po = out.as_mut_ptr().add(j);
@@ -713,7 +692,7 @@ fn score_grads_cols<const MODE: u8>(
 }
 
 /// AVX2 [`attn_score_grads`]: 32-column strips (eight add chains),
-/// then 8-column groups, then the scalar tail.
+/// then the scalar tail (attention widths are multiples of 32).
 ///
 /// # Safety
 /// Caller must ensure AVX2 support and the shapes checked by
@@ -731,23 +710,19 @@ unsafe fn score_grads_avx2<const MODE: u8>(
     let ad = v.len();
     let mut a = 0;
     while a + 32 <= ad {
-        unsafe { score_strip_avx2::<MODE, 4>(act, gs, v, gdproj, gv, gproj, a) };
+        unsafe { score_strip_avx2::<MODE>(act, gs, v, gdproj, gv, gproj, a) };
         a += 32;
-    }
-    while a + 8 <= ad {
-        unsafe { score_strip_avx2::<MODE, 1>(act, gs, v, gdproj, gv, gproj, a) };
-        a += 8;
     }
     score_grads_cols::<MODE>(act, gs, v, gdproj, gv, gproj, a);
 }
 
-/// Columns `a0 .. a0 + 8·G` of [`score_grads_avx2`].
+/// Columns `a0 .. a0 + 32` of [`score_grads_avx2`], four ymm groups.
 ///
 /// # Safety
-/// As [`score_grads_avx2`], with `a0 + 8·G <= v.len()`.
+/// As [`score_grads_avx2`], with `a0 + 32 <= v.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn score_strip_avx2<const MODE: u8, const G: usize>(
+unsafe fn score_strip_avx2<const MODE: u8>(
     act: &[f32],
     gs: &[f32],
     v: &[f32],
@@ -757,6 +732,7 @@ unsafe fn score_strip_avx2<const MODE: u8, const G: usize>(
     a0: usize,
 ) {
     use std::arch::x86_64::*;
+    const G: usize = 4;
     let ad = v.len();
     let (zero, one) = (_mm256_setzero_ps(), _mm256_set1_ps(1.0));
     unsafe {

@@ -206,9 +206,11 @@ fn simd_kernels_are_bit_identical_to_scalar() {
     }
 
     // Attention scores and their reverse, rows and widths on either
-    // side of the 8-row block and the 8/32-column strips, with zero and
-    // NaN activations and a zero score gradient.
-    for &(rows, ad) in &[(1, 1), (8, 8), (9, 3), (17, 32), (32, 32), (33, 41), (5, 0)] {
+    // side of the 8-row block and the 32-column strips, with zero and
+    // NaN activations and a zero score gradient — against each other
+    // and against the `if u != 0.0` skip loops the kernels' `+0.0`
+    // selects replace.
+    for &(rows, ad) in &[(1, 1), (8, 8), (9, 3), (17, 32), (32, 32), (33, 41), (32, 64), (5, 0)] {
         let mut act = bounded(rows, ad, &mut rng);
         let v = bounded(ad, 1, &mut rng);
         let mut gs = bounded(1, rows, &mut rng);
@@ -221,9 +223,40 @@ fn simd_kernels_are_bit_identical_to_scalar() {
             simd::attn_scores(out.as_mut_slice(), act.as_slice(), v.as_slice());
             out
         });
+        let want = Matrix::from_fn(1, rows, |_, j| {
+            let mut s = 0.0f32;
+            for a in 0..ad {
+                let u = act.get(j, a);
+                if u != 0.0 {
+                    s += u * v.get(a, 0);
+                }
+            }
+            s
+        });
+        assert_bits_eq(&s, &want, &format!("attn_scores {rows}x{ad} (scalar vs skip loop)"));
         assert_bits_eq(&s, &w, &format!("attn_scores {rows}x{ad}"));
         let seed = spicy(rows, ad, &mut rng);
         for mode in 0..3 {
+            let (mut gd, mut gv, mut gp) =
+                (Matrix::zeros(1, ad), Matrix::zeros(1, ad), seed.clone());
+            for j in 0..rows {
+                let gj = gs.get(0, j);
+                for a in 0..ad {
+                    let u = act.get(j, a);
+                    let dpre = gj * v.get(a, 0) * (1.0 - u * u);
+                    match mode {
+                        0 => {}
+                        1 => gp.set(j, a, dpre),
+                        _ => gp.set(j, a, gp.get(j, a) + dpre),
+                    }
+                    gd.set(0, a, gd.get(0, a) + dpre);
+                    if u != 0.0 {
+                        gv.set(0, a, gv.get(0, a) + u * gj);
+                    }
+                }
+            }
+            let all = [gd.as_slice(), gv.as_slice(), gp.as_slice()].concat();
+            let want = Matrix::from_vec(1, all.len(), all);
             let (s, w) = under_both(|| {
                 let (mut gd, mut gv, mut gp) =
                     (Matrix::full(1, ad, 3.0), Matrix::zeros(1, ad), seed.clone());
@@ -237,7 +270,9 @@ fn simd_kernels_are_bit_identical_to_scalar() {
                 let all = [gd.as_slice(), gv.as_slice(), gp.as_slice()].concat();
                 Matrix::from_vec(1, all.len(), all)
             });
-            assert_bits_eq(&s, &w, &format!("attn_score_grads {rows}x{ad} mode {mode}"));
+            let what = format!("attn_score_grads {rows}x{ad} mode {mode}");
+            assert_bits_eq(&s, &want, &format!("{what} (scalar vs skip loop)"));
+            assert_bits_eq(&s, &w, &what);
         }
     }
 
