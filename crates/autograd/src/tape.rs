@@ -4,7 +4,7 @@ use crate::ops::{LstmCache, Op};
 use mars_tensor::ops::{
     matmul_into, matmul_nt_into, matmul_nt_packed_into, matmul_tn_into, CsrMatrix,
 };
-use mars_tensor::simd::{outer_sum, strided_sweep, tanh_inplace};
+use mars_tensor::simd::{product, tanh_inplace, Coeffs};
 use mars_tensor::{stats, Matrix};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -64,7 +64,7 @@ pub struct Tape {
     /// gauge on every reset.
     high_water: usize,
     /// Transposed weights `(w, wᵀ)` of the current backward pass, so
-    /// every `dY·Wᵀ` after the first reads `Wᵀ` instead of packing it
+    /// every `dY·Wᵀ` after the first reads `Wᵀ` instead of transposing it
     /// again (one decoder weight serves 528 steps of a gnmt4 pass).
     /// Filled on first use, retired with the gradients. A `Vec` scanned
     /// linearly: a pass touches a handful of weights, and an empty one
@@ -98,7 +98,7 @@ fn lstm_step(
 ) {
     let hd = h_prev.len();
     hw.fill(0.0);
-    strided_sweep(hw, h_prev, w_hh.as_slice(), 4 * hd);
+    product(hw, 4 * hd, Coeffs::row(h_prev), w_hh.as_slice(), 4 * hd);
     for j in 0..4 * hd {
         hw[j] = (xw[j] + hw[j]) + b[j];
     }
@@ -680,12 +680,12 @@ impl Tape {
         assert_eq!(self.value(c0).shape(), (1, hd), "c0 shape mismatch");
         assert!(t_len > 0, "empty sequence");
 
-        // Fused gate pass: one packed matmul computes x·W_ih for all
-        // four gates of the whole sequence, and the recurrent h·W_hh
-        // term is an in-place axpy sweep over W_hh rows — no per-step
-        // Matrix allocation. Per element the arithmetic is exactly the
-        // serial `inner_nn` sequence (ascending k with the zero skip),
-        // so the fused loop is bit-identical to the matmul it replaces.
+        // Fused gate pass: one matmul computes x·W_ih for all four
+        // gates of the whole sequence, and the recurrent h·W_hh term is
+        // a single-row product over W_hh in place — no per-step Matrix
+        // allocation. Per element the arithmetic is the matmul's
+        // (ascending k with the zero skip), so the fused loop is
+        // bit-identical to the matmul it replaces.
         let mut xw = self.alloc_zeros(t_len, hd4); // T × 4H
         matmul_into(self.value(x), self.value(w_ih), &mut xw);
 
@@ -802,7 +802,7 @@ impl Tape {
 
     /// `g · bᵀ`, the input gradient of `a · b`. A leaf `b` is a weight
     /// that many products share, so its transpose comes from the cache;
-    /// any other operand is packed by the kernel for this one product.
+    /// any other operand is transposed for this one product.
     fn grad_nt(&mut self, g: &Matrix, b: Var) -> Matrix {
         let mut ga = self.alloc_zeros(g.rows(), self.value(b).rows());
         if matches!(self.nodes[b.0].op, Op::Leaf) {
@@ -1295,7 +1295,7 @@ impl Tape {
                             x_rows[m * in_dim..(m + 1) * in_dim].copy_from_slice(x_m.row(t));
                             h_prev_rows[m * hd..(m + 1) * hd].copy_from_slice(h_prev);
                             dh_rec.as_mut_slice().fill(0.0);
-                            strided_sweep(dh_rec.as_mut_slice(), dz, wt_hh, hd);
+                            product(dh_rec.as_mut_slice(), hd, Coeffs::row(dz), wt_hh, hd);
                         }
                         // Parameter gradients: outer products with the
                         // step inputs (the bias's input is the constant
@@ -1304,11 +1304,12 @@ impl Tape {
                         let inputs = [&x_rows[..n * in_dim], &h_prev_rows[..n * hd], &ones[..n]];
                         for (sum, input) in sums.iter_mut().zip(inputs) {
                             if let Some(sum) = sum {
-                                outer_sum(sum.as_mut_slice(), 4 * hd, input, dz, 4 * hd);
+                                let input = Coeffs::cols(input, input.len() / n, n);
+                                product(sum.as_mut_slice(), 4 * hd, input, dz, 4 * hd);
                             }
                         }
                         let gx_rows = &mut gx.as_mut_slice()[t0 * in_dim..t1 * in_dim];
-                        outer_sum(gx_rows, in_dim, &dz_t[..4 * hd * n], wt_ih, in_dim);
+                        product(gx_rows, in_dim, Coeffs::cols(dz_t, n, 4 * hd), wt_ih, in_dim);
                         t1 = t0;
                     }
                     self.accumulate(x, gx);

@@ -11,9 +11,7 @@
 
 use super::{lstm_gate_grads, lstm_step, record_parts, Tape, Var};
 use crate::ops::{AttnDecodeCache, Op};
-use mars_tensor::simd::{
-    attn_score_grads, attn_scores, outer_sum, strided_sweep, tanh_inplace, ProjGrad,
-};
+use mars_tensor::simd::{attn_score_grads, attn_scores, product, tanh_inplace, Coeffs, ProjGrad};
 use mars_tensor::{stats, Matrix};
 use std::sync::Arc;
 
@@ -101,7 +99,7 @@ impl Tape {
                     // s_j = Σ_a tanh(proj[j][a] + dproj[a]) · v[a]
                     // (ascending a, zero activations adding +0.0).
                     dproj.fill(0.0);
-                    strided_sweep(dproj, h_prev, w_dec_m.as_slice(), ad);
+                    product(dproj, ad, Coeffs::row(h_prev), w_dec_m.as_slice(), ad);
                     if !keep {
                         act.clear();
                         weights.clear();
@@ -118,15 +116,15 @@ impl Tape {
                     let (row, context) = dec_in.row_mut(r).split_at_mut(ed);
                     row.copy_from_slice(enc_m.row(i));
                     context.fill(0.0);
-                    strided_sweep(context, &weights[w0..], enc_m.as_slice(), ed);
+                    product(context, ed, Coeffs::row(&weights[w0..]), enc_m.as_slice(), ed);
                     // One LSTM step on it.
                     xw.fill(0.0);
-                    strided_sweep(xw, dec_in.row(r), w_ih_m.as_slice(), 4 * hd);
+                    product(xw, 4 * hd, Coeffs::row(dec_in.row(r)), w_ih_m.as_slice(), 4 * hd);
                     lstm_step(hw, xw, w_hh_m, b_row, h_prev, c_prev, &mut gates, r);
                     h_all.row_mut(r).copy_from_slice(h_prev);
                     // Device head.
                     let y = logits.row_mut(step);
-                    strided_sweep(y, h_prev, head_w_m.as_slice(), nd);
+                    product(y, nd, Coeffs::row(h_prev), head_w_m.as_slice(), nd);
                     for (e, &bv) in y.iter_mut().zip(head_b_row) {
                         *e += bv;
                     }
@@ -267,7 +265,7 @@ impl Tape {
                         }
                     }
                     ga_head.fill(0.0);
-                    strided_sweep(ga_head, g_row, wt_head, hd);
+                    product(ga_head, hd, Coeffs::row(g_row), wt_head, hd);
 
                     // The state slices: h_n's slot holds the next step's
                     // `(dh_rec + ga_dproj)` before the head's term joins
@@ -291,14 +289,14 @@ impl Tape {
                     }
                     let gctx = &mut gctx_rows[m * ed..(m + 1) * ed];
                     gctx.fill(0.0);
-                    strided_sweep(gctx, dz, &wt_ih[ed..], 2 * ed);
+                    product(gctx, ed, Coeffs::row(dz), &wt_ih[ed..], 2 * ed);
                     dh_rec.fill(0.0);
-                    strided_sweep(dh_rec, dz, wt_hh, hd);
+                    product(dh_rec, hd, Coeffs::row(dz), wt_hh, hd);
 
                     // concat_cols, then context = α · enc.
                     let alpha = &cache.weights.as_slice()[w_end..w_end + t_s];
                     dweights.fill(0.0);
-                    strided_sweep(dweights, gctx, enc_t, t_s);
+                    product(dweights, t_s, Coeffs::row(gctx), enc_t, t_s);
                     for (j, &a) in alpha.iter().enumerate() {
                         alpha_t[j * t_s + m] = a;
                     }
@@ -328,7 +326,7 @@ impl Tape {
 
                     // dproj = h_prev · w_dec.
                     ga_dproj.fill(0.0);
-                    strided_sweep(ga_dproj, gdproj, wt_dec, hd);
+                    product(ga_dproj, hd, Coeffs::row(gdproj), wt_dec, hd);
                     last = false;
                 }
 
@@ -343,7 +341,8 @@ impl Tape {
                     (&mut *s_head_w, &h_rows[..t_s * hd], &g_rows[..t_s * nd], nd),
                 ] {
                     if let Some(slot) = slot {
-                        outer_sum(slot.as_mut_slice(), width, coeffs, terms, width);
+                        let coeffs = Coeffs::cols(coeffs, slot.rows(), t_s);
+                        product(slot.as_mut_slice(), width, coeffs, terms, width);
                     }
                 }
                 // enc_out row j: the `α[j]·gctx` terms of steps ≥ j, the
@@ -351,15 +350,16 @@ impl Tape {
                 if let Some(slot) = &mut enc_slot {
                     let grow = &mut grow[..t_s * ed];
                     grow.fill(0.0);
-                    outer_sum(grow, ed, &dz_t[..4 * hd * t_s], wt_ih, 2 * ed);
+                    product(grow, ed, Coeffs::cols(dz_t, t_s, 4 * hd), wt_ih, 2 * ed);
                     let rows = slot.as_mut_slice().chunks_exact_mut(ed).zip(grow.chunks_exact(ed));
                     for (j, (out, gr)) in rows.enumerate() {
-                        let (alpha_j, split) = (&alpha_t[j * t_s..(j + 1) * t_s], t_s - j);
-                        outer_sum(out, ed, &alpha_j[..split], &gctx_rows[..split * ed], ed);
+                        let split = t_s - j;
+                        let (later, earlier) = alpha_t[j * t_s..(j + 1) * t_s].split_at(split);
+                        product(out, ed, Coeffs::row(later), gctx_rows, ed);
                         for (e, &x) in out.iter_mut().zip(gr) {
                             *e += x;
                         }
-                        outer_sum(out, ed, &alpha_j[split..], &gctx_rows[split * ed..t_s * ed], ed);
+                        product(out, ed, Coeffs::row(earlier), &gctx_rows[split * ed..], ed);
                     }
                 }
                 if enc_slot.is_some() {

@@ -12,6 +12,7 @@
 use mars_autograd::Tape;
 use mars_bench::harness::{bench, BenchOpts};
 use mars_core::config::MarsConfig;
+use mars_core::dgi::Dgi;
 use mars_core::encoder::{Encoder, GcnEncoder};
 use mars_core::placers::segment::SegmentSeq2Seq;
 use mars_core::placers::PlacerNet;
@@ -27,40 +28,63 @@ use mars_tensor::ops::{matmul, matmul_nt, matmul_tn, CsrMatrix};
 use mars_tensor::{init, Matrix};
 use std::hint::black_box;
 
-// `tensor.ops.matmul.self_s`.
-fn bench_matmul(opts: &BenchOpts) {
-    for n in [32usize, 128, 256, 512] {
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = init::uniform(n, n, 1.0, &mut rng);
-        let b = init::uniform(n, n, 1.0, &mut rng);
-        bench(opts, &format!("matmul/{n}"), || {
-            black_box(matmul(black_box(&a), black_box(&b)));
-        });
+/// The GCN's widest product, `H · W` at the paper's width: 528 ops
+/// (Paper GNMT) by 256 features.
+const LEDGER_SHAPE: (usize, usize, usize) = (528, 256, 256);
+
+/// `tensor.ops.{matmul,matmul_tn,matmul_nt}.self_s` at square sizes
+/// and at the ledger's shape: `matmul` is `A·B` with `A: m×k`,
+/// `matmul_tn` the backward's `grad_w = xᵀ · grad_y` with `x: m×k`
+/// (at `528x256x1` the DGI head's `Hᵀ · g`), `matmul_nt` the backward's
+/// `grad_x = grad_y · wᵀ` with `grad_y: m×k`.
+fn bench_products(opts: &BenchOpts) {
+    let (m, k, n) = LEDGER_SHAPE;
+    let square = [128, 256].map(|n| (n, n, n));
+    type Product = fn(&Matrix, &Matrix) -> Matrix;
+    let arms: [(&str, Product, Vec<_>); 3] = [
+        ("matmul", matmul, [&[(32, 32, 32)], &square[..], &[(512, 512, 512), (m, k, n)]].concat()),
+        ("matmul_tn", matmul_tn, [&square[..], &[(m, k, n), (m, k, 1)]].concat()),
+        ("matmul_nt", matmul_nt, [&square[..], &[(m, k, n)]].concat()),
+    ];
+    for (op, product, shapes) in arms {
+        for (m, k, n) in shapes {
+            let b_shape = match op {
+                "matmul" => (k, n),
+                "matmul_tn" => (m, n),
+                _ => (n, k),
+            };
+            let mut rng = StdRng::seed_from_u64(1);
+            let a = init::uniform(m, k, 1.0, &mut rng);
+            let b = init::uniform(b_shape.0, b_shape.1, 1.0, &mut rng);
+            let name =
+                if m == k && k == n { format!("{op}/{n}") } else { format!("{op}/{m}x{k}x{n}") };
+            bench(opts, &name, || {
+                black_box(product(black_box(&a), black_box(&b)));
+            });
+        }
     }
 }
 
-// `tensor.ops.matmul_tn.self_s`: the backward's grad_w = xᵀ · grad_y.
-fn bench_matmul_tn(opts: &BenchOpts) {
-    for n in [128usize, 256] {
-        let mut rng = StdRng::seed_from_u64(6);
-        let a = init::uniform(n, n, 1.0, &mut rng);
-        let b = init::uniform(n, n, 1.0, &mut rng);
-        bench(opts, &format!("matmul_tn/{n}"), || {
-            black_box(matmul_tn(black_box(&a), black_box(&b)));
-        });
-    }
-}
-
-// `tensor.ops.matmul_nt.self_s`: the backward's grad_x = grad_y · wᵀ.
-fn bench_matmul_nt(opts: &BenchOpts) {
-    for n in [128usize, 256] {
-        let mut rng = StdRng::seed_from_u64(10);
-        let a = init::uniform(n, n, 1.0, &mut rng);
-        let b = init::uniform(n, n, 1.0, &mut rng);
-        bench(opts, &format!("matmul_nt/{n}"), || {
-            black_box(matmul_nt(black_box(&a), black_box(&b)));
-        });
-    }
+// `core.pretrain.busy_s`, one iteration of it: DGI's loss on Paper
+// GNMT at the paper's encoder width (256, three layers), and its
+// backward — what `pretrain_corpus` repeats on its largest graph.
+fn bench_dgi_iteration(opts: &BenchOpts) {
+    let g = Workload::Gnmt4.build(Profile::Paper);
+    let input = WorkloadInput::from_graph(&g);
+    let mut rng = StdRng::seed_from_u64(12);
+    let mut store = ParamStore::new();
+    let enc = GcnEncoder::new(&mut store, FEATURE_DIM, 256, 3, &mut rng);
+    let dgi = Dgi::new(&mut store, 256, &mut rng);
+    let perm: Vec<usize> = (0..input.num_ops).rev().collect();
+    let mut tape = Tape::new();
+    bench(opts, "dgi_iteration/gnmt_paper_256", || {
+        let mut ctx = FwdCtx::new(std::mem::take(&mut tape), &store);
+        let (loss, _) = dgi.loss_stats(&mut ctx, &enc, &input, &perm);
+        let grads;
+        (grads, tape) = ctx.into_grads(loss, 1.0);
+        black_box(grads.len());
+        tape.reset_for_reuse();
+    });
 }
 
 // `tensor.ops.spmm.self_s`.
@@ -209,9 +233,8 @@ fn bench_backward(opts: &BenchOpts) {
 
 fn main() {
     let opts = BenchOpts::from_args();
-    bench_matmul(&opts);
-    bench_matmul_tn(&opts);
-    bench_matmul_nt(&opts);
+    bench_products(&opts);
+    bench_dgi_iteration(&opts);
     bench_spmm(&opts);
     bench_gcn_forward(&opts);
     bench_segment_placer(&opts);

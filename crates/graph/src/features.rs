@@ -72,11 +72,10 @@ pub fn node_features(graph: &CompGraph) -> Matrix {
 /// the standard GCN treatment of directed graphs (and what DGI assumes).
 pub fn normalized_adjacency(graph: &CompGraph) -> Arc<CsrMatrix> {
     let n = graph.num_nodes();
-    let mut undirected: std::collections::HashSet<(usize, usize)> =
-        std::collections::HashSet::new();
-    for e in graph.edges() {
-        undirected.insert((e.src.min(e.dst), e.src.max(e.dst)));
-    }
+    let mut undirected: Vec<(usize, usize)> =
+        graph.edges().iter().map(|e| (e.src.min(e.dst), e.src.max(e.dst))).collect();
+    undirected.sort_unstable();
+    undirected.dedup();
     let mut degree = vec![1.0f32; n]; // self-loop contributes 1
     for &(a, b) in &undirected {
         degree[a] += 1.0;
@@ -155,6 +154,47 @@ mod tests {
         for r in 0..d.rows() {
             let s: f32 = d.row(r).iter().sum();
             assert!(s > 0.0 && s < 1.5, "row {r} sum {s}");
+        }
+    }
+
+    /// `normalized_adjacency` as it was built, on a `HashSet` of edges.
+    fn hashset_reference(graph: &CompGraph) -> CsrMatrix {
+        let n = graph.num_nodes();
+        let mut undirected = std::collections::HashSet::new();
+        for e in graph.edges() {
+            undirected.insert((e.src.min(e.dst), e.src.max(e.dst)));
+        }
+        let mut degree = vec![1.0f32; n];
+        for &(a, b) in &undirected {
+            degree[a] += 1.0;
+            degree[b] += 1.0;
+        }
+        let mut triplets = Vec::new();
+        for &(a, b) in &undirected {
+            let w = 1.0 / (degree[a] * degree[b]).sqrt();
+            triplets.extend([(a, b, w), (b, a, w)]);
+        }
+        triplets.extend(degree.iter().enumerate().map(|(i, d)| (i, i, 1.0 / d)));
+        CsrMatrix::from_triplets(n, n, &triplets)
+    }
+
+    #[test]
+    fn adjacency_matches_hashset_reference_bitwise() {
+        use crate::generators::{Profile, Workload};
+        // Every workload graph at both profiles, and one whose op reads
+        // the same input twice (a duplicate undirected edge).
+        let mut b = GraphBuilder::new("twice");
+        let a = b.compute(OpKind::Input, "in", shape![4, 8], 0.0, &[]);
+        b.compute(OpKind::Add, "sum", shape![4, 8], 32.0, &[a, a]);
+        let mut graphs = vec![b.build()];
+        for w in Workload::ALL {
+            graphs.extend([Profile::Reduced, Profile::Paper].map(|p| w.build(p)));
+        }
+        let bits = |m: &CsrMatrix| -> Vec<Vec<(usize, u32)>> {
+            (0..m.rows()).map(|r| m.row_iter(r).map(|(c, v)| (c, v.to_bits())).collect()).collect()
+        };
+        for g in &graphs {
+            assert_eq!(bits(&normalized_adjacency(g)), bits(&hashset_reference(g)), "{}", g.name);
         }
     }
 

@@ -62,23 +62,6 @@ impl Matrix {
         Self::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
     }
 
-    /// Build a matrix by stacking row slices. All rows must have equal length.
-    pub fn from_rows(rows: &[&[f32]]) -> Self {
-        assert!(!rows.is_empty(), "Matrix::from_rows: no rows");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(
-                r.len(),
-                cols,
-                "Matrix::from_rows: row {i} has length {} != {cols}",
-                r.len()
-            );
-            data.extend_from_slice(r);
-        }
-        Matrix { rows: rows.len(), cols, data }
-    }
-
     /// A `1 × n` row vector.
     pub fn row_vector(values: &[f32]) -> Self {
         Matrix { rows: 1, cols: values.len(), data: values.to_vec() }
@@ -164,29 +147,11 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copy of column `c`.
-    pub fn col(&self, c: usize) -> Vec<f32> {
-        debug_assert!(c < self.cols);
-        self.col_iter(c).collect()
-    }
-
-    /// Strided, non-allocating iterator over column `c` — use this (or
-    /// [`Self::copy_col_into`]) instead of [`Self::col`] on hot paths:
-    /// `col` allocates a fresh `Vec` per call.
+    /// Strided, non-allocating iterator over column `c`.
     #[inline]
     pub fn col_iter(&self, c: usize) -> impl Iterator<Item = f32> + '_ {
         debug_assert!(c < self.cols);
         self.data.iter().skip(c).step_by(self.cols.max(1)).copied()
-    }
-
-    /// Copy column `c` into a caller-owned scratch slice of length
-    /// [`Self::rows`], avoiding the per-call allocation of
-    /// [`Self::col`].
-    pub fn copy_col_into(&self, c: usize, out: &mut [f32]) {
-        assert_eq!(out.len(), self.rows, "copy_col_into: scratch length != rows");
-        for (o, v) in out.iter_mut().zip(self.col_iter(c)) {
-            *o = v;
-        }
     }
 
     /// Iterator over row slices.
@@ -417,18 +382,7 @@ mod tests {
         assert_eq!(m.get(0, 2), 3.0);
         assert_eq!(m.get(1, 0), 4.0);
         assert_eq!(m.row(1), &[4., 5., 6.]);
-        assert_eq!(m.col(1), vec![2., 5.]);
         assert_eq!(m.col_iter(2).collect::<Vec<_>>(), vec![3., 6.]);
-        let mut scratch = [0.0f32; 2];
-        m.copy_col_into(0, &mut scratch);
-        assert_eq!(scratch, [1., 4.]);
-    }
-
-    #[test]
-    #[should_panic(expected = "scratch length != rows")]
-    fn copy_col_into_wrong_length_panics() {
-        let m = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        m.copy_col_into(0, &mut [0.0; 3]);
     }
 
     #[test]
@@ -484,7 +438,7 @@ mod tests {
     fn gather_rows_permutation() {
         let m = Matrix::from_fn(4, 2, |r, _| r as f32);
         let g = m.gather_rows(&[3, 1, 0, 2]);
-        assert_eq!(g.col(0), vec![3., 1., 0., 2.]);
+        assert_eq!(g.col_iter(0).collect::<Vec<_>>(), vec![3., 1., 0., 2.]);
     }
 
     #[test]

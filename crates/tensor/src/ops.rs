@@ -2,110 +2,48 @@
 //!
 //! The hot loops of Mars are `X·W` products in the GCN/LSTM layers and
 //! their gradient counterparts `Aᵀ·B` / `A·Bᵀ`. All three transpose
-//! variants run the same row sweep; the two transposed ones pack their
-//! transposed operand first (`matmul_nt` on every call, or once per
-//! weight when the caller keeps `Bᵀ`: [`matmul_nt_packed_into`]).
+//! variants are one call shape of [`simd::product`], the workspace's
+//! single dense-product kernel: `A·B` reads `A` row-major, `Aᵀ·B` reads
+//! it term-major in place (no `Aᵀ` copy), and `A·Bᵀ` transposes `B`
+//! first (on every call, or once per weight when the caller keeps `Bᵀ`:
+//! [`matmul_nt_packed_into`]).
 //!
-//! Each kernel uses a cache-friendly i-k-j loop order and switches to a
-//! row partition parallelized on the in-repo thread pool
-//! ([`crate::pool`]) once the output is large enough for the fork/join
-//! overhead to pay off. Large products additionally take a blocked
-//! (GEBP-style) path: `B` is packed into contiguous column panels of
-//! [`PANEL_W`] floats that stay resident in cache while a block of
-//! [`BLOCK_ROWS`] output rows is swept, and `matmul_tn` packs `Aᵀ` so
-//! the backward hot path reads both operands contiguously.
+//! A product large enough for the fork/join overhead to pay off splits
+//! its output into [`BLOCK_ROWS`]-row blocks on the in-repo thread pool
+//! ([`crate::pool`]); a smaller one is one kernel call.
 //!
-//! **Bit-exactness contract.** Every tiled/packed path performs, for
-//! each output element, the *same sequence of f32 operations* as the
-//! naive kernel: accumulation strictly ascends over the contraction
-//! index and the `a == 0.0` skip is preserved. Tiling here reorders
-//! only *which element* is updated next, never the order of adds within
-//! an element, so packed results are bit-identical to the naive loops
-//! (asserted by the `*_bit_identical_*` tests below) and the numerics
-//! tests keep exact equality rather than relaxing to epsilon bounds.
-//!
-//! The row-sweep inner loops route through [`crate::simd::axpy`], which
-//! vectorizes across output columns (lanes = different elements) with
-//! two-rounding `mul` + `add` — bit-identical to the scalar loop on
-//! every backend, so the contract holds under SIMD dispatch too (see
-//! `crates/tensor/tests/simd_parity.rs`).
+//! **Bit-exactness contract.** Every product computes each output
+//! element as the same sequence of f32 operations: from `+0.0`, one
+//! two-rounding `mul` + `add` per contraction index `t`, in ascending
+//! `t`, skipping a term whose `A` coefficient is `== 0.0`. Blocking,
+//! threading, register tiles and SIMD lanes change only *which element*
+//! is updated next, never the order of adds within an element, so
+//! every path, every thread count and every backend give the same bits
+//! (asserted against explicit loops by the tests below and by
+//! `crates/tensor/tests/simd_parity.rs`), and the numerics tests keep
+//! exact equality rather than relaxing to epsilon bounds.
 
-use crate::simd::{self, AlignedBuf};
+use crate::simd::{self, Coeffs};
 use crate::{pool, Matrix};
 
 /// Minimum number of multiply-accumulate operations before a kernel
 /// parallelizes across rows. Below this the sequential loop wins.
 const PAR_FLOP_THRESHOLD: usize = 64 * 64 * 64;
 
-/// Width (in f32 columns) of one packed `B` panel: 64 floats = 256
-/// bytes = 4 cache lines per packed row.
-const PANEL_W: usize = 64;
-
-/// Output rows swept per parallel task in the blocked path; one block
-/// reuses each resident packed panel `BLOCK_ROWS` times.
+/// Output rows per parallel task of a large product.
 const BLOCK_ROWS: usize = 32;
 
-/// Minimum `m` before packing `B` pays for its `O(k·n)` copy: the pack
-/// is amortized over `m` row sweeps, so single-row products (LSTM
-/// steps) stay on the unpacked path.
-const PACK_MIN_ROWS: usize = 8;
-
-#[inline]
-fn inner_nn(out_row: &mut [f32], a_row: &[f32], b: &Matrix) {
-    // out_row += a_row · B, with k-outer loop so B is streamed
-    // row-wise; the sweep keeps the output accumulators in registers
-    // across k on SIMD backends.
-    simd::strided_sweep(out_row, a_row, b.as_slice(), b.cols());
-}
-
-/// `B` repacked into contiguous column panels: panel `p` holds columns
-/// `p·PANEL_W .. min((p+1)·PANEL_W, n)` as `k` consecutive rows of the
-/// panel's width, so the inner kernel streams both operands linearly.
-struct PackedB {
-    /// Cache-line aligned panel storage: panel loads never straddle an
-    /// extra line regardless of allocator behavior.
-    data: AlignedBuf,
-    /// Start offset of each panel in `data` (one trailing sentinel).
-    offsets: Vec<usize>,
-    /// Column range `(j0, width)` of each panel.
-    panels: Vec<(usize, usize)>,
-}
-
-fn pack_b(b: &Matrix) -> PackedB {
-    let (k, n) = b.shape();
-    let num_panels = n.div_ceil(PANEL_W);
-    let mut data = AlignedBuf::zeroed(k * n);
-    let mut offsets = Vec::with_capacity(num_panels + 1);
-    let mut panels = Vec::with_capacity(num_panels);
-    let mut off = 0;
-    for p in 0..num_panels {
-        let j0 = p * PANEL_W;
-        let w = PANEL_W.min(n - j0);
-        offsets.push(off);
-        panels.push((j0, w));
-        for t in 0..k {
-            let src = &b.row(t)[j0..j0 + w];
-            data[off + t * w..off + t * w + w].copy_from_slice(src);
-        }
-        off += k * w;
-    }
-    offsets.push(off);
-    PackedB { data, offsets, panels }
-}
-
-/// Blocked row sweep: accumulate `rows` output rows starting at global
-/// row `i0` against every packed panel. Per element the adds ascend in
-/// `t` with the zero skip, exactly like [`inner_nn`].
-fn packed_block(out_blk: &mut [f32], a: &Matrix, bp: &PackedB, i0: usize, n: usize) {
-    let rows = out_blk.len() / n;
-    for (p, &(j0, w)) in bp.panels.iter().enumerate() {
-        let panel = &bp.data[bp.offsets[p]..bp.offsets[p + 1]];
-        for r in 0..rows {
-            let a_row = a.row(i0 + r);
-            let out_seg = &mut out_blk[r * n + j0..r * n + j0 + w];
-            simd::strided_sweep(out_seg, a_row, panel, w);
-        }
-    }
+/// `out = Σ_t a[r, t] · b.row(t)` for the `m × n` output: one kernel
+/// call, or one per [`BLOCK_ROWS`]-row block on the pool once the
+/// product reaches [`PAR_FLOP_THRESHOLD`].
+fn product_into(a: Coeffs<'_>, m: usize, b: &Matrix, out: &mut Matrix) {
+    let n = b.cols();
+    assert_eq!(out.shape(), (m, n), "product out shape {:?} != ({m}, {n})", out.shape());
+    out.as_mut_slice().fill(0.0);
+    let block = if m * n * a.terms >= PAR_FLOP_THRESHOLD { BLOCK_ROWS } else { m };
+    pool::par_chunks_mut(out.as_mut_slice(), block * n, |i, out_blk| {
+        simd::product(out_blk, n, a.skip_rows(i * block), b.as_slice(), n)
+    });
 }
 
 /// `C = A · B` where `A: m×k`, `B: k×n`.
@@ -130,32 +68,7 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         a.shape(),
         b.shape()
     );
-    product_into(a, b, out);
-}
-
-/// `out = A · B` for conforming operands: the row sweeps behind
-/// [`matmul_into`] and, on a transposed `B`, behind [`matmul_nt_into`].
-fn product_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(out.shape(), (m, n), "product out shape {:?} != ({m}, {n})", out.shape());
-    out.as_mut_slice().fill(0.0);
-    if m * n * k >= PAR_FLOP_THRESHOLD && m >= PACK_MIN_ROWS {
-        // Blocked/packed path: pack B once, sweep BLOCK_ROWS-row blocks
-        // in parallel with the packed panels shared read-only.
-        let bp = pack_b(b);
-        pool::par_chunks_mut(out.as_mut_slice(), BLOCK_ROWS * n.max(1), |blk, out_blk| {
-            packed_block(out_blk, a, &bp, blk * BLOCK_ROWS, n)
-        });
-    } else if m * n * k >= PAR_FLOP_THRESHOLD && m > 1 {
-        let cols = n.max(1);
-        pool::par_chunks_mut(out.as_mut_slice(), cols, |i, out_row| inner_nn(out_row, a.row(i), b));
-    } else {
-        for i in 0..m {
-            let row = &mut out.as_mut_slice()[i * n..(i + 1) * n];
-            inner_nn(row, a.row(i), b);
-        }
-    }
+    product_into(Coeffs::rows(a.as_slice(), a.cols()), a.rows(), b, out);
 }
 
 /// `C = Aᵀ · B` where `A: k×m`, `B: k×n` (result `m×n`).
@@ -171,7 +84,8 @@ pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
 /// `C = Aᵀ · B` written into a caller-provided `m×n` matrix (zeroed
 /// here first) — the allocation-free entry point that [`matmul_tn`]
 /// wraps, used by the training arena's pooled gradient buffers. Same
-/// kernels and per-element op order as [`matmul_tn`].
+/// kernel and per-element op order as [`matmul_tn`]: output row `i`
+/// reads column `i` of `A` in place, one coefficient per row of `A`.
 pub fn matmul_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let _span = mars_telemetry::span("tensor.ops.matmul_tn");
     assert_eq!(
@@ -181,38 +95,8 @@ pub fn matmul_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         a.shape(),
         b.shape()
     );
-    let k = a.rows();
-    let m = a.cols();
-    let n = b.cols();
-    assert_eq!(out.shape(), (m, n), "matmul_tn_into: out shape {:?} != ({m}, {n})", out.shape());
-    out.as_mut_slice().fill(0.0);
-    if m * n * k >= PAR_FLOP_THRESHOLD && m > 1 {
-        // Packed path: transpose A once so each output row reads one
-        // contiguous k-slice, then sweep rows in parallel. Per element
-        // the adds ascend in t with the zero skip — bit-identical to
-        // the rank-1 accumulation below.
-        let mut at = AlignedBuf::zeroed(m * k);
-        for t in 0..k {
-            for (i, &av) in a.row(t).iter().enumerate() {
-                at[i * k + t] = av;
-            }
-        }
-        pool::par_chunks_mut(out.as_mut_slice(), n.max(1), |i, out_row| {
-            simd::strided_sweep(out_row, &at[i * k..(i + 1) * k], b.as_slice(), n);
-        });
-        return;
-    }
-    // Accumulate rank-1 updates; row-major friendly for both inputs.
-    for t in 0..k {
-        let a_row = a.row(t);
-        let b_row = b.row(t);
-        for (i, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            simd::axpy(&mut out.as_mut_slice()[i * n..(i + 1) * n], av, b_row);
-        }
-    }
+    let (k, m) = (a.rows(), a.cols());
+    product_into(Coeffs::cols(a.as_slice(), m, k), m, b, out);
 }
 
 /// `C = A · Bᵀ` where `A: m×k`, `B: n×k` (result `m×n`).
@@ -231,11 +115,12 @@ pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
 ///
 /// The contraction runs along the contiguous axis of both operands, so
 /// lanes over it would sum each element as a lane tree. Transposing `B`
-/// once turns it into the [`matmul`] sweep instead — lanes over output
-/// columns, each element ascending `t` with `mul` + `add` — which is
-/// bit-identical to the naive dot `Σ_t a[i][t]·b[j][t]` on finite
-/// operands: that accumulator starts at `+0.0` and can never become
-/// `-0.0`, so the `a == 0.0` skip drops only terms that leave it as is.
+/// once turns it into the [`matmul`] product instead — lanes over
+/// output columns, each element ascending `t` with `mul` + `add` —
+/// which is bit-identical to the naive dot `Σ_t a[i][t]·b[j][t]` on
+/// finite operands: that accumulator starts at `+0.0` and can never
+/// become `-0.0`, so the `a == 0.0` skip drops only terms that leave it
+/// as is.
 pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let _span = mars_telemetry::span("tensor.ops.matmul_nt");
     assert_eq!(
@@ -245,12 +130,12 @@ pub fn matmul_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         a.shape(),
         b.shape()
     );
-    product_into(a, &b.transpose(), out);
+    product_into(Coeffs::rows(a.as_slice(), a.cols()), a.rows(), &b.transpose(), out);
 }
 
 /// [`matmul_nt_into`] for a caller that already holds `bt = Bᵀ`
 /// (`k×n`) and reuses it across products — the backward pass keeps one
-/// per weight leaf. Same span, same sweep, same bits.
+/// per weight leaf. Same span, same kernel, same bits.
 pub fn matmul_nt_packed_into(a: &Matrix, bt: &Matrix, out: &mut Matrix) {
     let _span = mars_telemetry::span("tensor.ops.matmul_nt");
     assert_eq!(
@@ -260,24 +145,7 @@ pub fn matmul_nt_packed_into(a: &Matrix, bt: &Matrix, out: &mut Matrix) {
         a.shape(),
         bt.shape()
     );
-    product_into(a, bt, out);
-}
-
-/// Dot product of two equal-length slices.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Outer product `a · bᵀ` of two vectors (`m×1` result from slices).
-pub fn outer(a: &[f32], b: &[f32]) -> Matrix {
-    let mut out = Matrix::zeros(a.len(), b.len());
-    for (i, &av) in a.iter().enumerate() {
-        for (j, &bv) in b.iter().enumerate() {
-            out.set(i, j, av * bv);
-        }
-    }
-    out
+    product_into(Coeffs::rows(a.as_slice(), a.cols()), a.rows(), bt, out);
 }
 
 /// Sparse matrix in compressed-sparse-row form.
@@ -297,27 +165,41 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Build from (row, col, value) triplets. Duplicate entries are summed.
+    /// Build from (row, col, value) triplets. Duplicate entries are
+    /// summed in input order.
+    ///
+    /// A counting sort by row keeps each row's triplets in input order,
+    /// then a stable sort by column orders the row, so equal columns
+    /// stay in input order for the sum.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(usize, usize, f32)]) -> Self {
-        let mut per_row: Vec<Vec<(usize, f32)>> = vec![Vec::new(); rows];
-        for &(r, c, v) in triplets {
+        let mut start = vec![0usize; rows + 1];
+        for &(r, c, _) in triplets {
             assert!(r < rows && c < cols, "triplet ({r},{c}) out of {rows}x{cols}");
-            per_row[r].push((c, v));
+            start[r + 1] += 1;
+        }
+        for r in 0..rows {
+            start[r + 1] += start[r];
+        }
+        let mut sorted = vec![(0usize, 0.0f32); triplets.len()];
+        let mut next = start.clone();
+        for &(r, c, v) in triplets {
+            sorted[next[r]] = (c, v);
+            next[r] += 1;
         }
         let mut indptr = Vec::with_capacity(rows + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
+        let mut indices = Vec::with_capacity(triplets.len());
+        let mut values: Vec<f32> = Vec::with_capacity(triplets.len());
         indptr.push(0);
-        for row in &mut per_row {
+        for r in 0..rows {
+            let row = &mut sorted[start[r]..start[r + 1]];
             row.sort_by_key(|&(c, _)| c);
-            let mut last: Option<usize> = None;
+            let row_start = indices.len();
             for &(c, v) in row.iter() {
-                if last == Some(c) {
+                if indices.len() > row_start && indices.last() == Some(&c) {
                     *values.last_mut().expect("non-empty") += v;
                 } else {
                     indices.push(c);
                     values.push(v);
-                    last = Some(c);
                 }
             }
             indptr.push(indices.len());
@@ -422,20 +304,6 @@ impl CsrMatrix {
 mod tests {
     use super::*;
 
-    fn seq_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for j in 0..b.cols() {
-                let mut acc = 0.0;
-                for t in 0..a.cols() {
-                    acc += a.get(i, t) * b.get(t, j);
-                }
-                out.set(i, j, acc);
-            }
-        }
-        out
-    }
-
     #[test]
     fn matmul_small_known() {
         let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
@@ -463,119 +331,130 @@ mod tests {
         assert!(c.max_abs_diff(&c_nt) < 1e-5);
     }
 
-    #[test]
-    fn large_parallel_path_matches_sequential() {
-        let a = Matrix::from_fn(70, 70, |r, c| ((r + 2 * c) as f32 * 0.01).sin());
-        let b = Matrix::from_fn(70, 70, |r, c| ((3 * r + c) as f32 * 0.02).cos());
-        let fast = matmul(&a, &b);
-        let slow = seq_matmul(&a, &b);
-        assert!(fast.max_abs_diff(&slow) < 1e-4);
-    }
-
-    #[test]
-    fn parallel_path_is_bit_identical_to_sequential_kernel() {
-        // 70³ MACs exceed PAR_FLOP_THRESHOLD, so matmul takes the pool
-        // path. Per-row arithmetic is the same `inner_nn` either way,
-        // so the results must match exactly — not just within tolerance.
-        let a = Matrix::from_fn(70, 70, |r, c| ((r + 2 * c) as f32 * 0.01).sin());
-        let b = Matrix::from_fn(70, 70, |r, c| ((3 * r + c) as f32 * 0.02).cos());
-        const { assert!(70 * 70 * 70 >= PAR_FLOP_THRESHOLD) }
-        let fast = matmul(&a, &b);
-        let mut seq = Matrix::zeros(70, 70);
-        for i in 0..70 {
-            inner_nn(&mut seq.as_mut_slice()[i * 70..(i + 1) * 70], a.row(i), &b);
+    /// The contract every product keeps, as a plain loop that calls no
+    /// kernel: element `(i, j)` from `+0.0`, one `mul` + `add` per `t`
+    /// in ascending order, a zero coefficient `a(i, t)` skipped.
+    fn skip_loop(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: impl Fn(usize, usize) -> f32,
+        b: &Matrix,
+    ) -> Matrix {
+        let mut out = Matrix::zeros(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for t in 0..k {
+                    let x = a(i, t);
+                    if x != 0.0 {
+                        acc += x * b.get(t, j);
+                    }
+                }
+                out.set(i, j, acc);
+            }
         }
-        assert_eq!(fast, seq);
+        out
+    }
+
+    fn bits(x: &Matrix) -> Vec<u32> {
+        x.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `m × k` operand with exact zeros, `-0.0` and a NaN-free spread.
+    fn zeroed_operand(m: usize, k: usize, seed: usize) -> Matrix {
+        Matrix::from_fn(m, k, |r, c| match (r * 5 + c + seed) % 7 {
+            0 => 0.0,
+            3 => -0.0,
+            _ => ((r * 3 + c + seed) as f32 * 0.013).sin(),
+        })
+    }
+
+    /// `m × k` operand with no zero, so no skip can happen in it.
+    fn dense_operand(m: usize, k: usize, seed: usize) -> Matrix {
+        Matrix::from_fn(m, k, |r, c| ((r * 3 + c + seed) as f32 * 0.013).sin() - 1.5)
     }
 
     #[test]
-    fn threshold_switch_small_stays_sequential_and_agrees() {
-        // Below the cutoff (8³ MACs) matmul uses the plain loop; the
-        // same operands pushed through the parallel entry point via a
-        // larger embedding must agree exactly on the shared block.
-        let a = Matrix::from_fn(8, 8, |r, c| (r * 8 + c) as f32 * 0.5);
-        let b = Matrix::from_fn(8, 8, |r, c| ((r + c) as f32).cos());
+    fn matmul_bit_identical_to_skip_loop_on_every_path() {
+        // The serial call (below PAR_FLOP_THRESHOLD) and the pooled
+        // blocks, with a ragged last block (m % BLOCK_ROWS ≠ 0), widths
+        // around the 8- and 16-column strips, single columns (the
+        // transposed-lane path) and the DGI head's 528×256·256×1.
+        let shapes = [
+            (8, 8, 8),
+            (70, 70, 70),
+            (33, 100, 90),
+            (41, 128, 130),
+            (8, 300, 200),
+            (37, 64, 1),
+            (528, 256, 1),
+            (9, 1, 17),
+            (65, 70, 64),
+        ];
         const { assert!(8 * 8 * 8 < PAR_FLOP_THRESHOLD) }
-        let small = matmul(&a, &b);
-        let slow = seq_matmul(&a, &b);
-        assert!(small.max_abs_diff(&slow) < 1e-5);
-    }
-
-    #[test]
-    fn packed_matmul_bit_identical_on_ragged_shapes() {
-        // Shapes that hit the packed path with a ragged last panel
-        // (n % PANEL_W ≠ 0) and a ragged last row block
-        // (m % BLOCK_ROWS ≠ 0). The packed result must equal the naive
-        // inner_nn rows bit for bit — same per-element add sequence.
-        for (m, k, n) in [(70, 70, 70), (33, 100, 90), (41, 128, 130), (8, 300, 200)] {
-            assert!(m * n * k >= PAR_FLOP_THRESHOLD && m >= 8, "({m},{k},{n}) misses path");
-            let a = Matrix::from_fn(m, k, |r, c| ((r * 3 + c) as f32 * 0.013).sin());
+        for (m, k, n) in shapes {
             let b = Matrix::from_fn(k, n, |r, c| ((r + 5 * c) as f32 * 0.007).cos());
+            for a in [zeroed_operand(m, k, n), dense_operand(m, k, n)] {
+                let want = skip_loop(m, k, n, |i, t| a.get(i, t), &b);
+                let mut dirty = Matrix::full(m, n, f32::NAN);
+                matmul_into(&a, &b, &mut dirty);
+                assert_eq!(bits(&matmul(&a, &b)), bits(&want), "({m},{k},{n})");
+                assert_eq!(bits(&dirty), bits(&want), "({m},{k},{n}) into a dirty buffer");
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_zero_coefficients_skip_infinite_terms() {
+        // A zero coefficient facing an infinite `b` entry adds nothing:
+        // with the skip `0 · ∞` never reaches a sum, so no NaN appears,
+        // on the pooled tiles and in the single-column lanes alike.
+        for n in [96, 1] {
+            let mut a = zeroed_operand(40, 80, 1);
+            for i in 0..40 {
+                a.set(i, 11, 0.0);
+                a.set(i, 12, -0.0);
+            }
+            let mut b = Matrix::from_fn(80, n, |r, c| ((2 * r + c) as f32 * 0.011).cos());
+            b.row_mut(11).fill(f32::INFINITY);
+            b.row_mut(12).fill(f32::NEG_INFINITY);
             let fast = matmul(&a, &b);
-            let mut seq = Matrix::zeros(m, n);
-            for i in 0..m {
-                inner_nn(&mut seq.as_mut_slice()[i * n..(i + 1) * n], a.row(i), &b);
-            }
-            assert_eq!(fast, seq, "({m},{k},{n})");
+            assert!(fast.as_slice().iter().all(|v| v.is_finite()), "width {n}");
+            assert_eq!(
+                bits(&fast),
+                bits(&skip_loop(40, 80, n, |i, t| a.get(i, t), &b)),
+                "width {n}"
+            );
         }
-    }
-
-    #[test]
-    fn packed_matmul_preserves_zero_skip_semantics() {
-        let mut a = Matrix::from_fn(40, 80, |r, c| ((r + c) as f32 * 0.02).sin());
-        for i in 0..40 {
-            // Zero out a stripe so the skip branch is exercised.
-            let row = &mut a.as_mut_slice()[i * 80..i * 80 + 80];
-            row[i..80].iter_mut().step_by(3).for_each(|v| *v = 0.0);
-        }
-        let b = Matrix::from_fn(80, 96, |r, c| ((2 * r + c) as f32 * 0.011).cos());
         const { assert!(40 * 80 * 96 >= PAR_FLOP_THRESHOLD) }
-        let fast = matmul(&a, &b);
-        let mut seq = Matrix::zeros(40, 96);
-        for i in 0..40 {
-            inner_nn(&mut seq.as_mut_slice()[i * 96..(i + 1) * 96], a.row(i), &b);
-        }
-        assert_eq!(fast, seq);
     }
 
     #[test]
-    fn matmul_tn_packed_bit_identical_to_rank1() {
-        // (k, m, n) hitting the packed-Aᵀ path; reference is the serial
-        // rank-1 accumulation (the small-size code path).
-        let (k, m, n) = (90, 70, 70);
-        assert!(m * n * k >= PAR_FLOP_THRESHOLD);
-        let a = Matrix::from_fn(k, m, |r, c| ((r * 7 + c) as f32 * 0.017).sin());
-        let b = Matrix::from_fn(k, n, |r, c| ((r + 11 * c) as f32 * 0.019).cos());
-        let fast = matmul_tn(&a, &b);
-        let mut seq = Matrix::zeros(m, n);
-        for t in 0..k {
-            let a_row = a.row(t);
-            let b_row = b.row(t);
-            for (i, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let out_row = &mut seq.as_mut_slice()[i * n..(i + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
+    fn matmul_tn_bit_identical_to_skip_loop() {
+        // (k, m, n): the pooled blocks, a ragged one, the serial call
+        // and the DGI head's 528×256ᵀ·528×1 (rows in lanes).
+        for (k, m, n) in [(90, 70, 70), (100, 41, 33), (5, 6, 4), (528, 256, 1), (20, 13, 1)] {
+            let b = Matrix::from_fn(k, n, |r, c| ((r + 11 * c) as f32 * 0.019).cos());
+            for a in [zeroed_operand(k, m, n), dense_operand(k, m, n)] {
+                let want = skip_loop(m, k, n, |i, t| a.get(t, i), &b);
+                let mut dirty = Matrix::full(m, n, f32::NAN);
+                matmul_tn_into(&a, &b, &mut dirty);
+                assert_eq!(bits(&matmul_tn(&a, &b)), bits(&want), "({k},{m},{n})");
+                assert_eq!(bits(&dirty), bits(&want), "({k},{m},{n}) into a dirty buffer");
             }
         }
-        assert_eq!(fast, seq);
+        const { assert!(90 * 70 * 70 >= PAR_FLOP_THRESHOLD) }
     }
 
     #[test]
     fn matmul_nt_bit_identical_to_naive_dot() {
         // The oracle is the plain ascending dot per element, with no
         // zero skip. Shapes cover single rows, ragged lane tails, the
-        // serial path, the unpacked parallel path (m < PACK_MIN_ROWS)
-        // and the blocked one; inputs carry exact zeros and `-0.0`.
+        // serial call and the pooled blocks; inputs carry exact zeros
+        // and `-0.0`.
         for (m, k, n) in [(1, 192, 96), (3, 17, 31), (5, 1, 40), (4, 300, 250), (70, 80, 67)] {
-            let a = Matrix::from_fn(m, k, |r, c| match (r * 5 + c) % 7 {
-                0 => 0.0,
-                3 => -0.0,
-                _ => ((r + 2 * c) as f32 * 0.01).sin(),
-            });
+            let a = zeroed_operand(m, k, 0);
             let b = Matrix::from_fn(n, k, |r, c| match (r + 3 * c) % 11 {
                 0 => -0.0,
                 _ => ((3 * r + c) as f32 * 0.02).cos(),
@@ -590,22 +469,12 @@ mod tests {
                     seq.set(i, j, acc);
                 }
             }
-            let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&matmul_nt(&a, &b)), bits(&seq), "({m},{k},{n})");
             let mut held = Matrix::full(m, n, f32::NAN);
             matmul_nt_packed_into(&a, &b.transpose(), &mut held);
             assert_eq!(bits(&held), bits(&seq), "({m},{k},{n}) with a caller-held Bᵀ");
         }
-        const { assert!(4 * 300 * 250 >= PAR_FLOP_THRESHOLD && 4 < PACK_MIN_ROWS) }
         const { assert!(70 * 80 * 67 >= PAR_FLOP_THRESHOLD) }
-    }
-
-    #[test]
-    fn dot_and_outer() {
-        assert_eq!(dot(&[1., 2., 3.], &[4., 5., 6.]), 32.0);
-        let o = outer(&[1., 2.], &[3., 4., 5.]);
-        assert_eq!(o.shape(), (2, 3));
-        assert_eq!(o.row(1), &[6., 8., 10.]);
     }
 
     #[test]
@@ -657,6 +526,50 @@ mod tests {
         let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 0, 2.0)]);
         assert_eq!(a.nnz(), 1);
         assert_eq!(a.to_dense().get(0, 0), 3.0);
+    }
+
+    #[test]
+    fn csr_matches_per_row_reference_bitwise() {
+        // Unordered triplets, three per cell, whose sum depends on the
+        // order (`(1e8 - 1e8) + x` is `x`, `(x - 1e8) + 1e8` is not),
+        // rows of more than 20 (past the sort's insertion-sort cutoff),
+        // an empty row and an empty column, against the per-row `Vec`
+        // build: push in input order, stable sort by column, sum
+        // duplicates as they come.
+        let (rows, cols) = (17, 29);
+        let mut triplets = Vec::new();
+        for v in [1.0e8, -1.0e8, 0.75] {
+            for i in 0..rows * cols {
+                let (r, c) = ((i * 7) % rows, (i * 11) % cols);
+                if r != 4 && c != 9 {
+                    triplets.push((r, c, v + (i as f32) * 1e-3));
+                }
+            }
+        }
+        let mut per_row: Vec<Vec<(usize, f32)>> = vec![Vec::new(); rows];
+        for &(r, c, v) in &triplets {
+            per_row[r].push((c, v));
+        }
+        let want: Vec<Vec<(usize, u32)>> = per_row
+            .into_iter()
+            .map(|mut row| {
+                row.sort_by_key(|&(c, _)| c);
+                let mut out: Vec<(usize, f32)> = Vec::new();
+                for (c, v) in row {
+                    match out.last_mut() {
+                        Some((lc, lv)) if *lc == c => *lv += v,
+                        _ => out.push((c, v)),
+                    }
+                }
+                out.into_iter().map(|(c, v)| (c, v.to_bits())).collect()
+            })
+            .collect();
+        let csr = CsrMatrix::from_triplets(rows, cols, &triplets);
+        let got: Vec<Vec<(usize, u32)>> =
+            (0..rows).map(|r| csr.row_iter(r).map(|(c, v)| (c, v.to_bits())).collect()).collect();
+        assert_eq!(got, want);
+        assert!(got[4].is_empty());
+        assert_eq!(csr.nnz(), want.iter().map(Vec::len).sum::<usize>());
     }
 
     #[test]

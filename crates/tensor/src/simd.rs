@@ -1,11 +1,12 @@
 //! SIMD microkernels behind the [`crate::kernel`] dispatch seam.
 //!
-//! **Lane layout vs. accumulation order.** Every matmul variant in this
-//! crate accumulates each output element by ascending contraction index
-//! `t` (with the `a == 0.0` skip). The vector kernels here keep that
-//! order *per element* by vectorizing **across output columns**: one
-//! `axpy` lane holds a different output element, and each element still
-//! receives its adds one `t` at a time, in the same order, with the same
+//! **Lane layout vs. accumulation order.** Every dense product in the
+//! workspace runs [`product`], which accumulates each output element by
+//! ascending contraction index `t` (with the `a == 0.0` skip). The
+//! vector paths keep that order *per element* by putting a different
+//! output element in each lane — across output columns, or for a
+//! single-column output across rows — so each element still receives
+//! its adds one `t` at a time, in the same order, with the same
 //! two-rounding `mul` + `add` arithmetic as the scalar loop. FMA (one
 //! rounding) would change the bits, so the default tier never uses it —
 //! AVX2 issues `vmulps` + `vaddps`, NEON `fmul` + `fadd`. That makes
@@ -16,14 +17,12 @@
 //! The remainder tail (< one lane width) runs the scalar loop, which is
 //! the same arithmetic, so ragged widths stay exact too.
 //!
-//! The decoder's kernels follow the same rule: [`outer_sum`] lanes over
-//! output columns, [`attn_scores`] over output *rows* (an 8 × 8
-//! register transpose feeds it), [`attn_score_grads`] over columns.
-//! Those three have an AVX2 path only; NEON runs their scalar loops.
+//! The decoder's score kernels follow the same rule: [`attn_scores`]
+//! lanes over output *rows* (an 8 × 8 register transpose feeds it),
+//! [`attn_score_grads`] over columns. Those two have an AVX2 path only;
+//! NEON runs their scalar loops.
 
 use crate::kernel::{self, Backend};
-use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
-use std::ptr::NonNull;
 
 /// `out[i] += a * b[i]` — the axpy at the heart of every matmul/spmm
 /// inner loop. Bit-identical to the scalar loop on every backend.
@@ -137,282 +136,234 @@ unsafe fn axpy_neon(out: &mut [f32], a: f32, b: &[f32]) {
     axpy_scalar(&mut out[i..], a, &b[i..]);
 }
 
-/// `out[j] += Σ_t coeffs[t] · src[t·stride + j]` for `j < out.len()`,
-/// skipping zero coefficients — the k-outer row sweep shared by the
-/// matmul kernels (`stride` = packed-panel width or dense row width).
-///
-/// Unlike per-`t` [`axpy`], the SIMD paths keep the output accumulators
-/// **in registers across the whole `t` loop** (one load + mul + add per
-/// lane group per `t`, stores only at the end), which roughly halves
-/// memory traffic on the hot panels. Per element the adds still ascend
-/// `t` with the `== 0.0` skip and two-rounding mul + add, so the result
-/// stays bit-identical to the scalar loop.
-///
-/// # Panics
-/// If `src` is too short for `coeffs.len()` rows of the given stride
-/// and width.
-#[inline]
-pub fn strided_sweep(out: &mut [f32], coeffs: &[f32], src: &[f32], stride: usize) {
-    let w = out.len();
-    if w == 0 {
-        return;
-    }
-    assert!(
-        coeffs.is_empty() || (coeffs.len() - 1) * stride + w <= src.len(),
-        "strided_sweep: src too short ({} rows × stride {stride}, width {w}, len {})",
-        coeffs.len(),
-        src.len()
-    );
-    match kernel::backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { strided_sweep_avx2(out, coeffs, src, stride) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { strided_sweep_neon(out, coeffs, src, stride) },
-        _ => strided_sweep_scalar(out, coeffs, src, stride),
-    }
-}
-
-#[inline]
-fn strided_sweep_scalar(out: &mut [f32], coeffs: &[f32], src: &[f32], stride: usize) {
-    let w = out.len();
-    for (t, &a) in coeffs.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        axpy_scalar(out, a, &src[t * stride..t * stride + w]);
-    }
-}
-
-/// Register-blocked AVX2 sweep: 32-column strips hold four ymm
-/// accumulators across the whole `t` loop. Mul + add (two roundings),
-/// never FMA — same bit-identity argument as [`axpy_avx2`].
-///
-/// # Safety
-/// Caller must ensure AVX2 support and that `src` covers
-/// `coeffs.len()` rows of `stride` floats (checked by the dispatching
-/// wrapper).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn strided_sweep_avx2(out: &mut [f32], coeffs: &[f32], src: &[f32], stride: usize) {
-    use std::arch::x86_64::*;
-    let w = out.len();
-    let ps = src.as_ptr();
-    let mut j = 0;
-    while j + 32 <= w {
-        unsafe {
-            let po = out.as_mut_ptr().add(j);
-            let mut a0 = _mm256_loadu_ps(po);
-            let mut a1 = _mm256_loadu_ps(po.add(8));
-            let mut a2 = _mm256_loadu_ps(po.add(16));
-            let mut a3 = _mm256_loadu_ps(po.add(24));
-            for (t, &av) in coeffs.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let va = _mm256_set1_ps(av);
-                let p = ps.add(t * stride + j);
-                a0 = _mm256_add_ps(a0, _mm256_mul_ps(va, _mm256_loadu_ps(p)));
-                a1 = _mm256_add_ps(a1, _mm256_mul_ps(va, _mm256_loadu_ps(p.add(8))));
-                a2 = _mm256_add_ps(a2, _mm256_mul_ps(va, _mm256_loadu_ps(p.add(16))));
-                a3 = _mm256_add_ps(a3, _mm256_mul_ps(va, _mm256_loadu_ps(p.add(24))));
-            }
-            _mm256_storeu_ps(po, a0);
-            _mm256_storeu_ps(po.add(8), a1);
-            _mm256_storeu_ps(po.add(16), a2);
-            _mm256_storeu_ps(po.add(24), a3);
-        }
-        j += 32;
-    }
-    while j + 8 <= w {
-        unsafe {
-            let po = out.as_mut_ptr().add(j);
-            let mut a0 = _mm256_loadu_ps(po);
-            for (t, &av) in coeffs.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let va = _mm256_set1_ps(av);
-                a0 = _mm256_add_ps(a0, _mm256_mul_ps(va, _mm256_loadu_ps(ps.add(t * stride + j))));
-            }
-            _mm256_storeu_ps(po, a0);
-        }
-        j += 8;
-    }
-    if j < w {
-        for (t, &av) in coeffs.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            axpy_scalar(&mut out[j..], av, &src[t * stride + j..t * stride + w]);
-        }
-    }
-}
-
-/// Register-blocked NEON sweep: 16-column strips hold four q
-/// accumulators. `fmul` + `fadd`, never `vfmaq` (bit-identity).
-///
-/// # Safety
-/// Caller must ensure NEON support and that `src` covers
-/// `coeffs.len()` rows of `stride` floats (checked by the dispatching
-/// wrapper).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn strided_sweep_neon(out: &mut [f32], coeffs: &[f32], src: &[f32], stride: usize) {
-    use std::arch::aarch64::*;
-    let w = out.len();
-    let ps = src.as_ptr();
-    let mut j = 0;
-    while j + 16 <= w {
-        unsafe {
-            let po = out.as_mut_ptr().add(j);
-            let mut a0 = vld1q_f32(po);
-            let mut a1 = vld1q_f32(po.add(4));
-            let mut a2 = vld1q_f32(po.add(8));
-            let mut a3 = vld1q_f32(po.add(12));
-            for (t, &av) in coeffs.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let va = vdupq_n_f32(av);
-                let p = ps.add(t * stride + j);
-                a0 = vaddq_f32(a0, vmulq_f32(va, vld1q_f32(p)));
-                a1 = vaddq_f32(a1, vmulq_f32(va, vld1q_f32(p.add(4))));
-                a2 = vaddq_f32(a2, vmulq_f32(va, vld1q_f32(p.add(8))));
-                a3 = vaddq_f32(a3, vmulq_f32(va, vld1q_f32(p.add(12))));
-            }
-            vst1q_f32(po, a0);
-            vst1q_f32(po.add(4), a1);
-            vst1q_f32(po.add(8), a2);
-            vst1q_f32(po.add(12), a3);
-        }
-        j += 16;
-    }
-    while j + 4 <= w {
-        unsafe {
-            let po = out.as_mut_ptr().add(j);
-            let mut a0 = vld1q_f32(po);
-            for (t, &av) in coeffs.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let va = vdupq_n_f32(av);
-                a0 = vaddq_f32(a0, vmulq_f32(va, vld1q_f32(ps.add(t * stride + j))));
-            }
-            vst1q_f32(po, a0);
-        }
-        j += 4;
-    }
-    if j < w {
-        for (t, &av) in coeffs.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            axpy_scalar(&mut out[j..], av, &src[t * stride + j..t * stride + w]);
-        }
-    }
-}
-
 // ------------------------------------------------------------------
-// Outer-product replay
+// The product kernel
 // ------------------------------------------------------------------
 
-/// `out[r][c] += a[t][r] · b[t·ldb + c]` for every term `t` in order
-/// (`0, 1, …`), skipping zero coefficients `a[t][r]`, where `out` is
-/// `R × cols` and `a` is `T × R`, both row-major.
+/// The coefficient side of [`product`]: output row `r`'s term `t` is
+/// `a[r·rs + t·ts]`, for `t < terms`. One of the two strides is 1:
+/// each row's coefficients are adjacent ([`Coeffs::rows`]) or each
+/// term's are ([`Coeffs::cols`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Coeffs<'a> {
+    a: &'a [f32],
+    rs: usize,
+    ts: usize,
+    pub(crate) terms: usize,
+}
+
+impl<'a> Coeffs<'a> {
+    /// All of `a` as the coefficients of a single output row.
+    pub fn row(a: &'a [f32]) -> Self {
+        Coeffs::rows(a, a.len())
+    }
+
+    /// Rows of `terms` coefficients, one per output row: `A` of `A·B`.
+    pub fn rows(a: &'a [f32], terms: usize) -> Self {
+        Coeffs { a, rs: terms, ts: 1, terms }
+    }
+
+    /// Column `r` of the row-major `terms × width` matrix `a` for
+    /// output row `r`: `A` of `Aᵀ·B`, read in place.
+    pub fn cols(a: &'a [f32], width: usize, terms: usize) -> Self {
+        Coeffs { a, rs: 1, ts: width, terms }
+    }
+
+    /// The same layout from output row `r0` on.
+    pub(crate) fn skip_rows(self, r0: usize) -> Self {
+        Coeffs { a: &self.a[r0 * self.rs..], ..self }
+    }
+
+    #[inline]
+    fn at(&self, r: usize, t: usize) -> f32 {
+        self.a[r * self.rs + t * self.ts]
+    }
+
+    /// Whether any of `rows`' coefficients is `== 0.0`, i.e. whether a
+    /// skip can happen in them (no early exit, so the scan vectorizes).
+    #[cfg(target_arch = "x86_64")]
+    fn has_zero(&self, rows: std::ops::Range<usize>) -> bool {
+        let any_zero = |xs: &[f32]| xs.iter().fold(false, |z, &x| z | (x == 0.0));
+        if self.ts == 1 {
+            rows.into_iter().any(|r| any_zero(&self.a[r * self.rs..][..self.terms]))
+        } else {
+            let n = rows.len();
+            (0..self.terms).any(|t| any_zero(&self.a[rows.start + t * self.ts..][..n]))
+        }
+    }
+}
+
+/// `out[r][c] += Σ_t a[r·rs + t·ts] · b[t·ldb + c]` over the
+/// `out.len() / cols` rows of `out` — the one dense-product kernel:
+/// every matmul variant, the LSTM and decoder steps and the
+/// weight-gradient replay call it.
 ///
-/// Per element this is the sequence of rank-1 `axpy` updates
-/// `for t { for r { if a[t][r] != 0 { out.row(r) += a[t][r] · b.row(t) } } }`
-/// — each element receives its terms in term order, one two-rounding
-/// mul + add at a time, so a slot that already holds values (even
-/// `-0.0`) ends bit-identical to that loop. The SIMD path keeps a
-/// 4-row × 16-column tile of `out` in registers across all `T` terms
-/// (each `b` load feeds four rows), which is what lets a caller store a
-/// sequence's rank-1 weight-gradient terms and add them in one sweep
-/// instead of loading and storing the slot once per term.
+/// Per element the terms are added in ascending `t`, a zero
+/// coefficient is skipped, and each term is a two-rounding mul + add,
+/// so a slot that already holds a value (even `-0.0`) ends
+/// bit-identical to the loop
+/// `for t { for r { if x != 0 { out.row(r) += x · b.row(t) } } }`
+/// on every backend. The AVX2 path keeps a 4-row × 16-column tile of
+/// `out` in registers across all terms (each `b` load feeds four rows),
+/// single rows in 32- and 8-column strips, then a scalar tail; a tile
+/// whose coefficients hold no zero runs without the skip's branch. A
+/// single-column output runs eight rows in lanes instead, where a
+/// zero coefficient's lane keeps its old value through a blend — the
+/// skip, lane by lane, so a `-0.0` slot or a `0 · ∞` term comes out as
+/// the loop leaves it.
 ///
 /// # Panics
-/// If `a` is not a whole number of `R`-wide rows, or `b` is too short
-/// for that many rows of stride `ldb` and width `cols`.
-pub fn outer_sum(out: &mut [f32], cols: usize, a: &[f32], b: &[f32], ldb: usize) {
-    if out.is_empty() || cols == 0 {
+/// If `out` is not whole rows of `cols`, or `a` or `b` is too short for
+/// the rows, terms and strides asked of it.
+pub fn product(out: &mut [f32], cols: usize, a: Coeffs<'_>, b: &[f32], ldb: usize) {
+    if out.is_empty() || cols == 0 || a.terms == 0 {
         return;
     }
-    assert!(out.len().is_multiple_of(cols), "outer_sum: out is not whole rows of {cols}");
+    assert!(out.len().is_multiple_of(cols), "product: out is not whole rows of {cols}");
     let rows = out.len() / cols;
-    assert!(a.len().is_multiple_of(rows), "outer_sum: a is not whole rows of {rows}");
-    let terms = a.len() / rows;
     assert!(
-        terms == 0 || (cols <= ldb && (terms - 1) * ldb + cols <= b.len()),
-        "outer_sum: b too short ({terms} rows × stride {ldb}, width {cols}, len {})",
+        (rows - 1) * a.rs + (a.terms - 1) * a.ts < a.a.len(),
+        "product: a too short ({rows} rows × stride {}, {} terms × stride {}, len {})",
+        a.rs,
+        a.terms,
+        a.ts,
+        a.a.len()
+    );
+    assert!(
+        (a.terms - 1) * ldb + cols <= b.len(),
+        "product: b too short ({} rows × stride {ldb}, width {cols}, len {})",
+        a.terms,
         b.len()
     );
     match kernel::backend() {
+        // SAFETY: the dispatch returns Avx2 only on an AVX2 host, and
+        // the two asserts above are the bounds `product_avx2` reads in.
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { outer_sum_avx2(out, cols, a, b, ldb) },
-        _ => outer_sum_scalar(out, cols, a, b, ldb),
+        Backend::Avx2 => unsafe { product_avx2(out, cols, a, b, ldb) },
+        #[cfg(target_arch = "aarch64")]
+        Backend::Neon => {
+            for r in 0..rows {
+                let row = &mut out[r * cols..(r + 1) * cols];
+                // SAFETY: Neon only on a NEON host; row `r` of the
+                // bounds asserted above.
+                unsafe { product_row_neon(row, a.skip_rows(r), b, ldb) };
+            }
+        }
+        _ => product_scalar(out, cols, a, b, ldb, 0..rows, 0),
     }
 }
 
-fn outer_sum_scalar(out: &mut [f32], cols: usize, a: &[f32], b: &[f32], ldb: usize) {
-    let rows = out.len() / cols;
-    for (t, coeffs) in a.chunks_exact(rows).enumerate() {
-        let b_row = &b[t * ldb..t * ldb + cols];
-        for (out_row, &x) in out.chunks_exact_mut(cols).zip(coeffs) {
+/// The scalar loop of [`product`] over `rows` and columns `c0..cols`:
+/// the scalar backend, and the ragged edges of the SIMD tiles.
+fn product_scalar(
+    out: &mut [f32],
+    cols: usize,
+    a: Coeffs<'_>,
+    b: &[f32],
+    ldb: usize,
+    rows: std::ops::Range<usize>,
+    c0: usize,
+) {
+    if c0 == cols {
+        return;
+    }
+    for t in 0..a.terms {
+        let b_row = &b[t * ldb + c0..t * ldb + cols];
+        for r in rows.clone() {
+            let x = a.at(r, t);
             if x != 0.0 {
-                axpy_scalar(out_row, x, b_row);
+                axpy_scalar(&mut out[r * cols + c0..(r + 1) * cols], x, b_row);
             }
         }
     }
 }
 
-/// AVX2 [`outer_sum`]: 4-row tiles of two ymm accumulators per row
-/// (eight independent add chains), then single rows of four; 8-column
-/// strips and a scalar tail finish ragged widths. Mul + add, never FMA.
+/// AVX2 [`product`]: 4-row tiles of two ymm accumulators per row
+/// (eight add chains), then single rows of four; 8-column strips and a
+/// scalar tail finish ragged widths. Single-column outputs go to
+/// [`column_avx2`]. Mul + add, never FMA.
 ///
 /// # Safety
 /// Caller must ensure AVX2 support and the bounds checked by
-/// [`outer_sum`].
+/// [`product`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn outer_sum_avx2(out: &mut [f32], cols: usize, a: &[f32], b: &[f32], ldb: usize) {
+unsafe fn product_avx2(out: &mut [f32], cols: usize, a: Coeffs<'_>, b: &[f32], ldb: usize) {
     let rows = out.len() / cols;
+    // SAFETY (every call below): this function's own contract, with
+    // `r + 4 <= rows` for the tiles and `r < rows` for the single rows.
+    if cols == 1 {
+        let r = unsafe { column_avx2(out, a, b, ldb) };
+        product_scalar(out, 1, a, b, ldb, r..rows, 0);
+        return;
+    }
     let mut r = 0;
     while r + 4 <= rows {
-        let c = unsafe { outer_strips_avx2::<4, 2>(out, cols, a, b, ldb, r, 0) };
-        let c = unsafe { outer_strips_avx2::<4, 1>(out, cols, a, b, ldb, r, c) };
-        outer_scalar_cols(out, cols, a, b, ldb, r..r + 4, c);
+        let c = unsafe { row_strips_avx2::<4, 2>(out, cols, a, b, ldb, r) };
+        product_scalar(out, cols, a, b, ldb, r..r + 4, c);
         r += 4;
     }
     for r in r..rows {
-        let c = unsafe { outer_strips_avx2::<1, 4>(out, cols, a, b, ldb, r, 0) };
-        let c = unsafe { outer_strips_avx2::<1, 1>(out, cols, a, b, ldb, r, c) };
-        outer_scalar_cols(out, cols, a, b, ldb, r..r + 1, c);
+        let c = unsafe { row_strips_avx2::<1, 4>(out, cols, a, b, ldb, r) };
+        product_scalar(out, cols, a, b, ldb, r..r + 1, c);
     }
 }
 
-/// Rows `r0 .. r0 + RT` of [`outer_sum_avx2`] from column `c0`, in
+/// Rows `r0 .. r0 + RT` of [`product_avx2`] in `8·G`- then 8-column
+/// strips; returns the first column left to the scalar tail. The skip's
+/// branch runs only if one of the rows' coefficients is `== 0.0`:
+/// without one no term can be skipped, so the plain loop is the same
+/// arithmetic.
+///
+/// # Safety
+/// As [`product_avx2`], with `r0 + RT <= rows`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn row_strips_avx2<const RT: usize, const G: usize>(
+    out: &mut [f32],
+    cols: usize,
+    a: Coeffs<'_>,
+    b: &[f32],
+    ldb: usize,
+    r0: usize,
+) -> usize {
+    // SAFETY: this function's contract, passed on unchanged.
+    unsafe {
+        if a.has_zero(r0..r0 + RT) {
+            let c = strips_avx2::<RT, G, true>(out, cols, a, b, ldb, r0, 0);
+            strips_avx2::<RT, 1, true>(out, cols, a, b, ldb, r0, c)
+        } else {
+            let c = strips_avx2::<RT, G, false>(out, cols, a, b, ldb, r0, 0);
+            strips_avx2::<RT, 1, false>(out, cols, a, b, ldb, r0, c)
+        }
+    }
+}
+
+/// Rows `r0 .. r0 + RT` of [`product_avx2`] from column `c0`, in
 /// `8·G`-column strips held in registers across every term; returns
 /// the first column no whole strip covered.
 ///
 /// # Safety
-/// As [`outer_sum_avx2`], with `r0 + RT <= rows`.
+/// As [`product_avx2`], with `r0 + RT <= rows`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn outer_strips_avx2<const RT: usize, const G: usize>(
+unsafe fn strips_avx2<const RT: usize, const G: usize, const SKIP: bool>(
     out: &mut [f32],
     cols: usize,
-    a: &[f32],
+    a: Coeffs<'_>,
     b: &[f32],
     ldb: usize,
     r0: usize,
     c0: usize,
 ) -> usize {
     use std::arch::x86_64::*;
-    let rows = out.len() / cols;
-    let terms = a.len() / rows;
-    let (po, pa, pb) = (out.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+    let (po, pa, pb) = (out.as_mut_ptr(), a.a.as_ptr(), b.as_ptr());
     let mut c = c0;
     while c + 8 * G <= cols {
+        // SAFETY: rows `r0..r0 + RT` and columns `c..c + 8·G` lie in
+        // `out`; `b`'s reads end at `(terms - 1)·ldb + cols` and the
+        // coefficients' at `(rows - 1)·rs + (terms - 1)·ts`, the bounds
+        // `product` asserted.
         unsafe {
             let mut acc = [[_mm256_setzero_ps(); G]; RT];
             for (rr, acc_r) in acc.iter_mut().enumerate() {
@@ -420,14 +371,14 @@ unsafe fn outer_strips_avx2<const RT: usize, const G: usize>(
                     *x = _mm256_loadu_ps(po.add((r0 + rr) * cols + c + 8 * g));
                 }
             }
-            for t in 0..terms {
+            for t in 0..a.terms {
                 let mut bv = [_mm256_setzero_ps(); G];
                 for (g, x) in bv.iter_mut().enumerate() {
                     *x = _mm256_loadu_ps(pb.add(t * ldb + c + 8 * g));
                 }
                 for (rr, acc_r) in acc.iter_mut().enumerate() {
-                    let x = *pa.add(t * rows + r0 + rr);
-                    if x == 0.0 {
+                    let x = *pa.add((r0 + rr) * a.rs + t * a.ts);
+                    if SKIP && x == 0.0 {
                         continue;
                     }
                     let vx = _mm256_set1_ps(x);
@@ -447,31 +398,155 @@ unsafe fn outer_strips_avx2<const RT: usize, const G: usize>(
     c
 }
 
-/// The scalar loop of [`outer_sum`] restricted to `rows` and columns
-/// `c0..cols` — the ragged tail of the SIMD tiles.
+/// A single-column [`product_avx2`] with lane `l` holding row `r + l`:
+/// four groups of eight rows at a time when the rows' coefficients are
+/// adjacent (`rs == 1`), one 8 × 8 register transpose per eight terms
+/// when each row's are (`ts == 1`). Returns the first row left to the
+/// scalar loop.
+///
+/// # Safety
+/// As [`product_avx2`], with `cols == 1`.
 #[cfg(target_arch = "x86_64")]
-fn outer_scalar_cols(
-    out: &mut [f32],
-    cols: usize,
-    a: &[f32],
-    b: &[f32],
-    ldb: usize,
-    rows: std::ops::Range<usize>,
-    c0: usize,
-) {
-    if c0 == cols {
-        return;
-    }
-    let n_rows = out.len() / cols;
-    for (t, coeffs) in a.chunks_exact(n_rows).enumerate() {
-        let b_row = &b[t * ldb + c0..t * ldb + cols];
-        for r in rows.clone() {
-            let x = coeffs[r];
-            if x != 0.0 {
-                axpy_scalar(&mut out[r * cols + c0..(r + 1) * cols], x, b_row);
+#[target_feature(enable = "avx2")]
+unsafe fn column_avx2(out: &mut [f32], a: Coeffs<'_>, b: &[f32], ldb: usize) -> usize {
+    use std::arch::x86_64::*;
+    let rows = out.len();
+    let (po, pa) = (out.as_mut_ptr(), a.a.as_ptr());
+    let mut r = 0;
+    if a.rs == 1 {
+        const G: usize = 4;
+        // SAFETY (this and the next two blocks): rows `r..r + 8·G` or
+        // `r..r + 8` lie in `out`, and their coefficients within the
+        // extent `product` asserted.
+        while r + 8 * G <= rows {
+            unsafe {
+                let mut acc = [_mm256_setzero_ps(); G];
+                for (g, x) in acc.iter_mut().enumerate() {
+                    *x = _mm256_loadu_ps(po.add(r + 8 * g));
+                }
+                for t in 0..a.terms {
+                    let vb = _mm256_set1_ps(b[t * ldb]);
+                    for (g, x) in acc.iter_mut().enumerate() {
+                        *x = kept_term(*x, _mm256_loadu_ps(pa.add(r + 8 * g + t * a.ts)), vb);
+                    }
+                }
+                for (g, &x) in acc.iter().enumerate() {
+                    _mm256_storeu_ps(po.add(r + 8 * g), x);
+                }
             }
+            r += 8 * G;
+        }
+        while r + 8 <= rows {
+            unsafe {
+                let mut acc = _mm256_loadu_ps(po.add(r));
+                for t in 0..a.terms {
+                    let vb = _mm256_set1_ps(b[t * ldb]);
+                    acc = kept_term(acc, _mm256_loadu_ps(pa.add(r + t * a.ts)), vb);
+                }
+                _mm256_storeu_ps(po.add(r), acc);
+            }
+            r += 8;
+        }
+    } else {
+        let terms = a.terms;
+        while r + 8 <= rows {
+            unsafe {
+                let mut acc = _mm256_loadu_ps(po.add(r));
+                let mut t = 0;
+                while t + 8 <= terms {
+                    let mut block = [_mm256_setzero_ps(); 8];
+                    for (l, x) in block.iter_mut().enumerate() {
+                        *x = _mm256_loadu_ps(pa.add((r + l) * a.rs + t));
+                    }
+                    for (k, col) in transpose8(block).into_iter().enumerate() {
+                        acc = kept_term(acc, col, _mm256_set1_ps(b[(t + k) * ldb]));
+                    }
+                    t += 8;
+                }
+                for t in t..terms {
+                    let col: [f32; 8] = std::array::from_fn(|l| a.at(r + l, t));
+                    acc = kept_term(acc, _mm256_loadu_ps(col.as_ptr()), _mm256_set1_ps(b[t * ldb]));
+                }
+                _mm256_storeu_ps(po.add(r), acc);
+            }
+            r += 8;
         }
     }
+    r
+}
+
+/// `s + x·b` per lane, except where `x == 0.0`, which keep `s` — the
+/// scalar loop's skip. `==` is ordered, so a NaN `x` counts, as there.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn kept_term(
+    s: std::arch::x86_64::__m256,
+    x: std::arch::x86_64::__m256,
+    b: std::arch::x86_64::__m256,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let skip = _mm256_cmp_ps::<_CMP_EQ_OQ>(x, _mm256_setzero_ps());
+    _mm256_blendv_ps(_mm256_add_ps(s, _mm256_mul_ps(x, b)), s, skip)
+}
+
+/// One output row of [`product`] on NEON: 16-column strips of four q
+/// accumulators held across every term, then 4-column strips and a
+/// scalar tail. `fmul` + `fadd`, never `vfmaq` (bit-identity).
+///
+/// # Safety
+/// Caller must ensure NEON support and the bounds checked by
+/// [`product`] for this row.
+#[cfg(target_arch = "aarch64")]
+#[target_feature(enable = "neon")]
+unsafe fn product_row_neon(out: &mut [f32], a: Coeffs<'_>, b: &[f32], ldb: usize) {
+    use std::arch::aarch64::*;
+    let w = out.len();
+    let pb = b.as_ptr();
+    let mut j = 0;
+    while j + 16 <= w {
+        unsafe {
+            let po = out.as_mut_ptr().add(j);
+            let mut a0 = vld1q_f32(po);
+            let mut a1 = vld1q_f32(po.add(4));
+            let mut a2 = vld1q_f32(po.add(8));
+            let mut a3 = vld1q_f32(po.add(12));
+            for t in 0..a.terms {
+                let av = a.at(0, t);
+                if av == 0.0 {
+                    continue;
+                }
+                let va = vdupq_n_f32(av);
+                let p = pb.add(t * ldb + j);
+                a0 = vaddq_f32(a0, vmulq_f32(va, vld1q_f32(p)));
+                a1 = vaddq_f32(a1, vmulq_f32(va, vld1q_f32(p.add(4))));
+                a2 = vaddq_f32(a2, vmulq_f32(va, vld1q_f32(p.add(8))));
+                a3 = vaddq_f32(a3, vmulq_f32(va, vld1q_f32(p.add(12))));
+            }
+            vst1q_f32(po, a0);
+            vst1q_f32(po.add(4), a1);
+            vst1q_f32(po.add(8), a2);
+            vst1q_f32(po.add(12), a3);
+        }
+        j += 16;
+    }
+    while j + 4 <= w {
+        unsafe {
+            let po = out.as_mut_ptr().add(j);
+            let mut a0 = vld1q_f32(po);
+            for t in 0..a.terms {
+                let av = a.at(0, t);
+                if av == 0.0 {
+                    continue;
+                }
+                let va = vdupq_n_f32(av);
+                a0 = vaddq_f32(a0, vmulq_f32(va, vld1q_f32(pb.add(t * ldb + j))));
+            }
+            vst1q_f32(po, a0);
+        }
+        j += 4;
+    }
+    product_scalar(out, w, a, b, ldb, 0..1, j);
 }
 
 // ------------------------------------------------------------------
@@ -934,77 +1009,6 @@ unsafe fn tanh_neon(xs: &mut [f32]) {
     }
 }
 
-/// A 64-byte (cache-line) aligned, zero-initialized f32 buffer for
-/// packed-panel scratch: panel loads never straddle an extra line and
-/// the alignment is stable across allocator choices.
-pub struct AlignedBuf {
-    ptr: NonNull<f32>,
-    len: usize,
-    layout: Option<Layout>,
-}
-
-// Plain f32 storage with unique ownership: safe to move across and
-// share between pool threads.
-unsafe impl Send for AlignedBuf {}
-unsafe impl Sync for AlignedBuf {}
-
-impl AlignedBuf {
-    /// Allocate `len` zeroed f32s aligned to 64 bytes.
-    pub fn zeroed(len: usize) -> Self {
-        if len == 0 {
-            return AlignedBuf { ptr: NonNull::dangling(), len: 0, layout: None };
-        }
-        let layout = Layout::from_size_align(len * size_of::<f32>(), 64)
-            .expect("AlignedBuf: layout overflow");
-        let raw = unsafe { alloc_zeroed(layout) };
-        let Some(ptr) = NonNull::new(raw.cast::<f32>()) else {
-            handle_alloc_error(layout);
-        };
-        AlignedBuf { ptr, len, layout: Some(layout) }
-    }
-
-    /// Number of f32 elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The elements as a shared slice.
-    pub fn as_slice(&self) -> &[f32] {
-        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-    }
-
-    /// The elements as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-    }
-}
-
-impl Drop for AlignedBuf {
-    fn drop(&mut self) {
-        if let Some(layout) = self.layout {
-            unsafe { dealloc(self.ptr.as_ptr().cast(), layout) };
-        }
-    }
-}
-
-impl std::ops::Deref for AlignedBuf {
-    type Target = [f32];
-    fn deref(&self) -> &[f32] {
-        self.as_slice()
-    }
-}
-
-impl std::ops::DerefMut for AlignedBuf {
-    fn deref_mut(&mut self) -> &mut [f32] {
-        self.as_mut_slice()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1085,20 +1089,5 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "n={n} i={i}");
             }
         }
-    }
-
-    #[test]
-    fn aligned_buf_is_cache_aligned_and_zeroed() {
-        for len in [1usize, 7, 64, 1000] {
-            let mut buf = AlignedBuf::zeroed(len);
-            assert_eq!(buf.as_slice().as_ptr() as usize % 64, 0);
-            assert_eq!(buf.len(), len);
-            assert!(buf.iter().all(|&v| v == 0.0));
-            buf.as_mut_slice()[len - 1] = 3.0;
-            assert_eq!(buf[len - 1], 3.0);
-        }
-        let empty = AlignedBuf::zeroed(0);
-        assert!(empty.is_empty());
-        assert_eq!(empty.as_slice(), &[] as &[f32]);
     }
 }

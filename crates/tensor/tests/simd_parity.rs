@@ -5,8 +5,9 @@
 //! many output elements one instruction touches, never the per-element
 //! operation sequence. This file pins that claim over randomized shapes
 //! (including degenerate `1 × N` / `N × 1` and non-lane-multiple
-//! remainders), subnormal inputs, and NaN propagation, for all three
-//! dense transpose variants, both sparse products and the tanh batch.
+//! remainders), subnormal inputs, and NaN propagation, for the dense
+//! product kernel and its three transpose variants, both sparse
+//! products and the tanh batch.
 //!
 //! The backend override is process-global, so everything runs inside a
 //! single `#[test]` to keep the comparison race-free.
@@ -163,46 +164,103 @@ fn simd_kernels_are_bit_identical_to_scalar() {
         }
     }
 
-    // Outer-product replay against the per-term rank-1 loop it stands
-    // for, on both backends: ragged tiles (rows around the 4-row tile,
-    // widths around the 8/16/32-column strips), a `b` stride wider than
-    // the slot, spicy coefficients (zeros, `-0.0`, subnormals), NaN in
-    // both operands, and a slot pre-seeded with values and `-0.0` that a
-    // skipped coefficient must leave alone.
-    // One NaN per case (in `b` or in `a`): with two NaNs meeting in
-    // one sum, which payload survives is the compiler's choice.
-    let cases = [(1, 1, 1), (1, 192, 32), (4, 16, 3), (5, 17, 9), (7, 33, 17), (96, 192, 32)];
-    for (k, &(rows, cols, terms)) in cases.iter().chain(&[(3, 5, 0)]).enumerate() {
-        let ldb = cols + 3;
-        let mut a = spicy(terms, rows, &mut rng);
-        let mut b = bounded(terms.max(1), ldb, &mut rng);
-        if k % 2 == 0 {
-            b.set(0, cols - 1, f32::NAN);
-        } else {
-            a.set(terms - 1, rows - 1, f32::NAN);
-        }
-        let mut seed = spicy(rows, cols, &mut rng);
-        seed.row_mut(0).fill(-0.0);
-        let mut want = seed.clone();
-        for t in 0..terms {
-            for r in 0..rows {
-                let x = a.get(t, r);
-                if x != 0.0 {
-                    for c in 0..cols {
-                        let e = want.get(r, c) + x * b.get(t, c);
-                        want.set(r, c, e);
+    // The product kernel against the loop it stands for, on both
+    // backends: both coefficient layouts, rows 1–9 around the 4-row
+    // tile and the 8-row lanes, widths around the 8/16/32-column
+    // strips, a `b` stride wider than the slot, and term counts on
+    // either side of the 8 × 8 transpose. With zeros, row 0's
+    // coefficients are all zero and its slot `-0.0`, which only the
+    // skip leaves as is, and even rows skip terms 0 and 1, where `b`
+    // holds `+∞` and a NaN (one of each per element: with two NaNs
+    // meeting in one sum, which payload survives is the compiler's
+    // choice). Without, every tile runs the kernel's no-skip loop. The
+    // other slots hold values.
+    for rows in 1..=9usize {
+        for cols in [1usize, 7, 8, 15, 16, 17, 32, 33, 256] {
+            for terms in [1usize, 13] {
+                for (term_major, zeros) in
+                    [(false, true), (true, true), (false, false), (true, false)]
+                {
+                    let ldb = cols + 3;
+                    let (rs, ts) = if term_major { (1, rows) } else { (terms, 1) };
+                    let mut a = spicy(rows, terms, &mut rng).as_slice().to_vec();
+                    for t in 0..terms {
+                        if !zeros {
+                            for r in 0..rows {
+                                if a[r * rs + t * ts] == 0.0 {
+                                    a[r * rs + t * ts] = 0.5;
+                                }
+                            }
+                            continue;
+                        }
+                        a[t * ts] = if t % 2 == 0 { 0.0 } else { -0.0 };
+                        for r in (2..rows).step_by(2) {
+                            if t < 2 {
+                                a[r * rs + t * ts] = 0.0;
+                            }
+                        }
+                    }
+                    let mut b = bounded(terms, ldb, &mut rng);
+                    b.set(0, cols - 1, f32::INFINITY);
+                    b.set(1 % terms, 0, f32::NAN);
+                    let mut seed = spicy(rows, cols, &mut rng);
+                    seed.row_mut(0).fill(-0.0);
+                    let mut want = seed.clone();
+                    for r in 0..rows {
+                        for c in 0..cols {
+                            let mut e = want.get(r, c);
+                            for t in 0..terms {
+                                let x = a[r * rs + t * ts];
+                                if x != 0.0 {
+                                    e += x * b.get(t, c);
+                                }
+                            }
+                            want.set(r, c, e);
+                        }
+                    }
+                    let (s, v) = under_both(|| {
+                        let mut out = seed.clone();
+                        let coeffs = if term_major {
+                            simd::Coeffs::cols(&a, rows, terms)
+                        } else {
+                            simd::Coeffs::rows(&a, terms)
+                        };
+                        simd::product(out.as_mut_slice(), cols, coeffs, b.as_slice(), ldb);
+                        out
+                    });
+                    let what = format!(
+                        "product {rows}x{cols}, {terms} terms, term-major {term_major}, zeros {zeros}"
+                    );
+                    assert_bits_eq(&s, &want, &format!("{what} (scalar vs loop)"));
+                    assert_bits_eq(&v, &want, &format!("{what} (dispatched vs loop)"));
+                    if zeros {
+                        let neg_zero = (-0.0f32).to_bits();
+                        assert!(s.row(0).iter().all(|x| x.to_bits() == neg_zero), "{what}");
                     }
                 }
             }
         }
-        let (s, v) = under_both(|| {
-            let mut out = seed.clone();
-            simd::outer_sum(out.as_mut_slice(), cols, a.as_slice(), b.as_slice(), ldb);
-            out
-        });
-        let what = format!("outer_sum {rows}x{cols}, {terms} terms");
-        assert_bits_eq(&s, &want, &format!("{what} (scalar vs per-term loop)"));
-        assert_bits_eq(&s, &v, &what);
+    }
+
+    // The DGI head's two single-column products at the paper's width:
+    // scores `H · w` (528×256·256×1) and their weight gradient `Hᵀ · g`
+    // (528×256ᵀ·528×1), against the loop on both backends.
+    let h = bounded(528, 256, &mut rng);
+    let w = bounded(256, 1, &mut rng);
+    let g = bounded(528, 1, &mut rng);
+    let loop_nn = Matrix::from_fn(528, 1, |i, _| {
+        (0..256).filter(|&t| h.get(i, t) != 0.0).fold(0.0f32, |e, t| e + h.get(i, t) * w.get(t, 0))
+    });
+    let loop_tn = Matrix::from_fn(256, 1, |i, _| {
+        (0..528).filter(|&t| h.get(t, i) != 0.0).fold(0.0f32, |e, t| e + h.get(t, i) * g.get(t, 0))
+    });
+    for (what, want, f) in [
+        ("matmul 528x256·256x1", &loop_nn, &(|| matmul(&h, &w)) as &dyn Fn() -> Matrix),
+        ("matmul_tn 528x256ᵀ·528x1", &loop_tn, &|| matmul_tn(&h, &g)),
+    ] {
+        let (s, v) = under_both(f);
+        assert_bits_eq(&s, want, &format!("{what} (scalar vs loop)"));
+        assert_bits_eq(&v, want, &format!("{what} (dispatched vs loop)"));
     }
 
     // Attention scores and their reverse, rows and widths on either

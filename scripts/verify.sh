@@ -139,4 +139,16 @@ echo "==> ledger smoke: the benchmark is a package outside the workspace, so bui
 CARGO_TARGET_DIR=target/ledger cargo run --release --offline --locked --quiet \
     --manifest-path ledger/Cargo.toml -- --smoke
 
+echo "==> kernel dispatch parity at DGI width: MARS_KERNEL=scalar must pin the same dgi_loss_fnv"
+# The parity diff above runs Reduced Inception at small widths, where the
+# product kernel's width-256 tiles and single-column lanes barely run;
+# pretrain_corpus --smoke runs DGI at width 256 over all eight graphs.
+LEDGER=target/ledger/release/ledger
+SCALAR_FNV=$(MARS_KERNEL=scalar "$LEDGER" --workload pretrain_corpus --smoke | grep "dgi_loss_fnv")
+AUTO_FNV=$("$LEDGER" --workload pretrain_corpus --smoke | grep "dgi_loss_fnv")
+echo "scalar:   $SCALAR_FNV"
+echo "detected: $AUTO_FNV"
+[ "$SCALAR_FNV" = "$AUTO_FNV" ] || {
+    echo "forcing the scalar kernel backend changed the DGI losses at width 256"; exit 1; }
+
 echo "==> OK: build, tests, bench smoke, kernel parity, observability, fault, serve and ledger smokes all green"
