@@ -39,23 +39,21 @@ const LEDGER_SHAPE: (usize, usize, usize) = (528, 256, 256);
 /// `grad_x = grad_y · wᵀ` with `grad_y: m×k`.
 fn bench_products(opts: &BenchOpts) {
     let (m, k, n) = LEDGER_SHAPE;
-    let square = [128, 256].map(|n| (n, n, n));
+    let sq = |n| (n, n, n);
     type Product = fn(&Matrix, &Matrix) -> Matrix;
-    let arms: [(&str, Product, Vec<_>); 3] = [
-        ("matmul", matmul, [&[(32, 32, 32)], &square[..], &[(512, 512, 512), (m, k, n)]].concat()),
-        ("matmul_tn", matmul_tn, [&square[..], &[(m, k, n), (m, k, 1)]].concat()),
-        ("matmul_nt", matmul_nt, [&square[..], &[(m, k, n)]].concat()),
+    // `b`'s shape for the arm's `(m, k, n)`.
+    type BShape = fn(usize, usize, usize) -> (usize, usize);
+    let arms: [(&str, Product, BShape, Vec<_>); 3] = [
+        ("matmul", matmul, |_, k, n| (k, n), vec![sq(32), sq(128), sq(256), sq(512), (m, k, n)]),
+        ("matmul_tn", matmul_tn, |m, _, n| (m, n), vec![sq(128), sq(256), (m, k, n), (m, k, 1)]),
+        ("matmul_nt", matmul_nt, |_, k, n| (n, k), vec![sq(128), sq(256), (m, k, n)]),
     ];
-    for (op, product, shapes) in arms {
+    for (op, product, b_shape, shapes) in arms {
         for (m, k, n) in shapes {
-            let b_shape = match op {
-                "matmul" => (k, n),
-                "matmul_tn" => (m, n),
-                _ => (n, k),
-            };
+            let (b_rows, b_cols) = b_shape(m, k, n);
             let mut rng = StdRng::seed_from_u64(1);
             let a = init::uniform(m, k, 1.0, &mut rng);
-            let b = init::uniform(b_shape.0, b_shape.1, 1.0, &mut rng);
+            let b = init::uniform(b_rows, b_cols, 1.0, &mut rng);
             let name =
                 if m == k && k == n { format!("{op}/{n}") } else { format!("{op}/{m}x{k}x{n}") };
             bench(opts, &name, || {

@@ -9,8 +9,8 @@
 //! [`matmul_nt_packed_into`]).
 //!
 //! A product large enough for the fork/join overhead to pay off splits
-//! its output into [`BLOCK_ROWS`]-row blocks on the in-repo thread pool
-//! ([`crate::pool`]); a smaller one is one kernel call.
+//! its output into row blocks of at most [`BLOCK_ROWS`] on the in-repo
+//! thread pool ([`crate::pool`]); a smaller one is one kernel call.
 //!
 //! **Bit-exactness contract.** Every product computes each output
 //! element as the same sequence of f32 operations: from `+0.0`, one
@@ -34,13 +34,19 @@ const PAR_FLOP_THRESHOLD: usize = 64 * 64 * 64;
 const BLOCK_ROWS: usize = 32;
 
 /// `out = Σ_t a[r, t] · b.row(t)` for the `m × n` output: one kernel
-/// call, or one per [`BLOCK_ROWS`]-row block on the pool once the
-/// product reaches [`PAR_FLOP_THRESHOLD`].
+/// call, or, once the product reaches [`PAR_FLOP_THRESHOLD`], one per
+/// row block on the pool. A block is [`BLOCK_ROWS`] rows, or fewer when
+/// that would leave a thread idle, so a product with as few rows as
+/// threads still spreads (`m = 39` on two threads: 20 + 19 rows).
 fn product_into(a: Coeffs<'_>, m: usize, b: &Matrix, out: &mut Matrix) {
     let n = b.cols();
     assert_eq!(out.shape(), (m, n), "product out shape {:?} != ({m}, {n})", out.shape());
     out.as_mut_slice().fill(0.0);
-    let block = if m * n * a.terms >= PAR_FLOP_THRESHOLD { BLOCK_ROWS } else { m };
+    let block = if m * n * a.terms >= PAR_FLOP_THRESHOLD {
+        BLOCK_ROWS.min(m.div_ceil(pool::threads()))
+    } else {
+        m
+    };
     pool::par_chunks_mut(out.as_mut_slice(), block * n, |i, out_blk| {
         simd::product(out_blk, n, a.skip_rows(i * block), b.as_slice(), n)
     });

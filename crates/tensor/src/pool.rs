@@ -102,6 +102,12 @@ unsafe fn call_closure<F: Fn(usize, &mut [f32])>(f: *const (), i: usize, chunk: 
     (*(f as *const F))(i, chunk)
 }
 
+/// Threads a [`par_chunks_mut`] call can run on: the pool's helpers
+/// plus the caller (`MARS_THREADS`, else the machine's parallelism).
+pub fn threads() -> usize {
+    pool().helpers + 1
+}
+
 /// Run `f(chunk_index, chunk)` over `data` split into `chunk_len`-sized
 /// pieces (last piece may be shorter), distributing chunks across the
 /// pool. Equivalent to

@@ -173,8 +173,11 @@ fn simd_kernels_are_bit_identical_to_scalar() {
     // skip leaves as is, and even rows skip terms 0 and 1, where `b`
     // holds `+∞` and a NaN (one of each per element: with two NaNs
     // meeting in one sum, which payload survives is the compiler's
-    // choice). Without, every tile runs the kernel's no-skip loop. The
-    // other slots hold values.
+    // choice). With 13 terms, rows 2 and 4 then hold a NaN coefficient,
+    // at term 2 (inside the first 8 × 8 transpose) and at term 12 (past
+    // it): `==` against zero is false for NaN, so the lanes must add it
+    // as the loop's `!=` does. Without zeros, every tile runs the
+    // kernel's no-skip loop. The other slots hold values.
     for rows in 1..=9usize {
         for cols in [1usize, 7, 8, 15, 16, 17, 32, 33, 256] {
             for terms in [1usize, 13] {
@@ -198,6 +201,11 @@ fn simd_kernels_are_bit_identical_to_scalar() {
                             if t < 2 {
                                 a[r * rs + t * ts] = 0.0;
                             }
+                        }
+                    }
+                    if zeros && terms > 2 {
+                        for (r, t) in [(2, 2), (4, terms - 1)].into_iter().filter(|p| p.0 < rows) {
+                            a[r * rs + t * ts] = f32::NAN;
                         }
                     }
                     let mut b = bounded(terms, ldb, &mut rng);
