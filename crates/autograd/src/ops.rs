@@ -101,6 +101,25 @@ pub enum Op {
         /// Forward-pass activations cached for BPTT.
         cache: Arc<LstmCache>,
     },
+    /// Both directions of a bidirectional LSTM layer over one
+    /// sequence, the second reading it backwards; built by
+    /// [`crate::Tape::bilstm`].
+    ///
+    /// Output is `(T+1) × 2H`: row `t < T` is `[h_fwd(t) ‖ h_bwd(t)]`,
+    /// row `T` the forward direction's final `[h ‖ c]`.
+    BiLstm {
+        /// Input sequence (`T × F`).
+        x: Var,
+        /// Forward direction's `[w_ih, w_hh, b]`.
+        fwd: [Var; 3],
+        /// Reversed direction's `[w_ih, w_hh, b]`.
+        bwd: [Var; 3],
+        /// The forward direction's initial `[h ‖ c]` (`1 × 2H`); zeros
+        /// when absent.
+        carry: Option<Var>,
+        /// Each direction's activations, in its own step order.
+        cache: Arc<[LstmCache; 2]>,
+    },
     /// Fused additive-attention scores
     /// `s = (tanh(proj ⊕ dproj) · v)ᵀ` — the
     /// `add_bias → tanh → matmul → transpose` chain of a Bahdanau read

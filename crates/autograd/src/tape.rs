@@ -4,12 +4,13 @@ use crate::ops::{LstmCache, Op};
 use mars_tensor::ops::{
     matmul_into, matmul_nt_into, matmul_nt_packed_into, matmul_tn_into, CsrMatrix,
 };
-use mars_tensor::simd::{product, tanh_inplace, Coeffs};
+use mars_tensor::simd::tanh_inplace;
 use mars_tensor::{stats, Matrix};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 mod decode;
+mod lstm;
 
 /// Handle to a value recorded on a [`Tape`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -79,88 +80,6 @@ type Bins = BTreeMap<usize, Vec<Vec<f32>>>;
 fn put(bins: &mut Bins, b: Vec<f32>) {
     bins.entry(b.capacity()).or_default().push(b);
 }
-
-/// One LSTM step over the fused `[i|f|g|o]` gate block, shared by
-/// [`Tape::lstm_seq`] and [`Tape::attn_decode`]: `hw` (a `4H` scratch
-/// row) becomes `z = (x·W_ih + h_prev·W_hh) + b` from the precomputed
-/// `xw = x·W_ih`, the activations land in row `t` of `cache`, and
-/// `h_prev`/`c_prev` are replaced by `h_t`/`c_t`.
-#[allow(clippy::too_many_arguments)]
-fn lstm_step(
-    hw: &mut [f32],
-    xw: &[f32],
-    w_hh: &Matrix,
-    b: &[f32],
-    h_prev: &mut [f32],
-    c_prev: &mut [f32],
-    cache: &mut LstmCache,
-    t: usize,
-) {
-    let hd = h_prev.len();
-    hw.fill(0.0);
-    product(hw, 4 * hd, Coeffs::row(h_prev), w_hh.as_slice(), 4 * hd);
-    for j in 0..4 * hd {
-        hw[j] = (xw[j] + hw[j]) + b[j];
-    }
-    // Candidate gate tanh as one batch kernel call; the sigmoid gates
-    // stay per-element (libm exp is cheap).
-    tanh_inplace(&mut hw[2 * hd..3 * hd]);
-    for k in 0..hd {
-        let ig = stats::sigmoid(hw[k]);
-        let fg = stats::sigmoid(hw[hd + k]);
-        let gg = hw[2 * hd + k];
-        let og = stats::sigmoid(hw[3 * hd + k]);
-        let c = fg * c_prev[k] + ig * gg;
-        cache.i.set(t, k, ig);
-        cache.f.set(t, k, fg);
-        cache.g.set(t, k, gg);
-        cache.o.set(t, k, og);
-        cache.c.set(t, k, c);
-        c_prev[k] = c;
-    }
-    // tanh(c_t) for the whole row, then h_t = o ⊙ tanh(c_t).
-    let tc_row = cache.tanh_c.row_mut(t);
-    tc_row.copy_from_slice(c_prev);
-    tanh_inplace(tc_row);
-    for (k, hp) in h_prev.iter_mut().enumerate() {
-        *hp = cache.o.get(t, k) * cache.tanh_c.get(t, k);
-    }
-}
-
-/// The gate half of one reverse LSTM step, shared by the
-/// [`Op::LstmSeq`] and [`Op::AttnDecode`] rules: from the gradient
-/// `dh(k)` on `h_t` and the carry in `dc_rec` (the gradient on `c_t`),
-/// fill the pre-activation gradient `dz` (`4H`) and leave the gradient
-/// on `c_{t-1}` in `dc_rec`.
-fn lstm_gate_grads(
-    dz: &mut [f32],
-    dc_rec: &mut [f32],
-    dh: impl Fn(usize) -> f32,
-    cache: &LstmCache,
-    t: usize,
-    c_prev: &[f32],
-) {
-    let hd = dc_rec.len();
-    for k in 0..hd {
-        let dh = dh(k);
-        let o = cache.o.get(t, k);
-        let tc = cache.tanh_c.get(t, k);
-        let i = cache.i.get(t, k);
-        let f = cache.f.get(t, k);
-        let gg = cache.g.get(t, k);
-        let dc = dh * o * (1.0 - tc * tc) + dc_rec[k];
-        dz[k] = dc * gg * i * (1.0 - i);
-        dz[hd + k] = dc * c_prev[k] * f * (1.0 - f);
-        dz[2 * hd + k] = dc * i * (1.0 - gg * gg);
-        dz[3 * hd + k] = dh * tc * o * (1.0 - o);
-        dc_rec[k] = dc * f;
-    }
-}
-
-/// Steps of a [`Op::LstmSeq`] reverse sweep recorded before their
-/// weight-gradient terms and `dx` rows are replayed: bounds the record
-/// to one placer segment's worth however long the sequence.
-const LSTM_REPLAY_STEPS: usize = 32;
 
 /// `buf` cut into consecutive parts of `rows × widths[i]` floats — the
 /// per-step record of a reverse sweep, one part per recorded quantity.
@@ -657,81 +576,6 @@ impl Tape {
         let v = Matrix::from_vec(1, 1, vec![acc / x.len() as f32]);
         let rg = self.rg(logits);
         self.push(v, Op::BceWithLogits(logits, targets), rg)
-    }
-
-    /// Fused LSTM over a whole sequence (hand-written BPTT).
-    ///
-    /// `x` is `T × F`; `w_ih`/`w_hh`/`b` are the fused gate parameters
-    /// (`F × 4H`, `H × 4H`, `1 × 4H`, gate order `[i|f|g|o]`);
-    /// `h0`/`c0` the initial state (`1 × H`). Returns `(T+1) × H`: rows
-    /// `0..T` are hidden states, row `T` is the final cell state.
-    ///
-    /// Replaces ~25 recorded ops per timestep with a single node —
-    /// the difference between minutes and hours at paper-scale widths.
-    pub fn lstm_seq(&mut self, x: Var, w_ih: Var, w_hh: Var, b: Var, h0: Var, c0: Var) -> Var {
-        let (t_len, in_dim) = self.value(x).shape();
-        let hd4 = self.value(w_ih).cols();
-        assert_eq!(self.value(w_ih).rows(), in_dim, "w_ih shape mismatch");
-        assert!(hd4.is_multiple_of(4), "w_ih width must be 4·H");
-        let hd = hd4 / 4;
-        assert_eq!(self.value(w_hh).shape(), (hd, hd4), "w_hh shape mismatch");
-        assert_eq!(self.value(b).shape(), (1, hd4), "bias shape mismatch");
-        assert_eq!(self.value(h0).shape(), (1, hd), "h0 shape mismatch");
-        assert_eq!(self.value(c0).shape(), (1, hd), "c0 shape mismatch");
-        assert!(t_len > 0, "empty sequence");
-
-        // Fused gate pass: one matmul computes x·W_ih for all four
-        // gates of the whole sequence, and the recurrent h·W_hh term is
-        // a single-row product over W_hh in place — no per-step Matrix
-        // allocation. Per element the arithmetic is the matmul's
-        // (ascending k with the zero skip), so the fused loop is
-        // bit-identical to the matmul it replaces.
-        let mut xw = self.alloc_zeros(t_len, hd4); // T × 4H
-        matmul_into(self.value(x), self.value(w_ih), &mut xw);
-
-        let mut cache = self.alloc_lstm_cache(t_len, hd);
-        let mut out = self.alloc_zeros(t_len + 1, hd);
-        {
-            let mut h_prev: Vec<f32> = self.value(h0).row(0).to_vec();
-            let mut c_prev: Vec<f32> = self.value(c0).row(0).to_vec();
-            let w_hh_m = self.value(w_hh);
-            let b_row = self.value(b).row(0);
-            let mut hw = vec![0.0f32; hd4]; // reusable 1 × 4H scratch
-
-            for t in 0..t_len {
-                lstm_step(
-                    &mut hw,
-                    xw.row(t),
-                    w_hh_m,
-                    b_row,
-                    &mut h_prev,
-                    &mut c_prev,
-                    &mut cache,
-                    t,
-                );
-                out.row_mut(t).copy_from_slice(&h_prev);
-            }
-            // Final cell state as the extra row.
-            for (k, &c) in c_prev.iter().enumerate() {
-                out.set(t_len, k, c);
-            }
-        }
-
-        self.recycle(xw);
-        if !self.record {
-            // Inference: the gate caches exist only for BPTT — recycle
-            // their buffers instead of threading them through `push`
-            // (which would drop them on the floor).
-            self.recycle_lstm_cache(cache);
-            return self.push(out, Op::Leaf, false);
-        }
-        let rg = self.rg(x)
-            || self.rg(w_ih)
-            || self.rg(w_hh)
-            || self.rg(b)
-            || self.rg(h0)
-            || self.rg(c0);
-        self.push(out, Op::LstmSeq { x, w_ih, w_hh, b, h0, c0, cache: Arc::new(cache) }, rg)
     }
 
     /// Fused additive-attention scores `(tanh(proj ⊕ dproj) · v)ᵀ`.
@@ -1235,92 +1079,10 @@ impl Tape {
                     }
                 }
                 Op::LstmSeq { x, w_ih, w_hh, b, h0, c0, cache } => {
-                    // All scratch comes from the arena and all reads
-                    // borrow node values in place. Only the recurrence
-                    // runs per step (`dz`, then `dh_{t-1} = dz · W_hhᵀ`
-                    // as a sweep over the cached transpose); the weight
-                    // gradients' rank-1 terms and `dx = dz · W_ihᵀ` are
-                    // recorded and replayed per chunk of steps.
-                    let (t_len, in_dim) = self.value(x).shape();
-                    let hd = self.value(h0).cols();
-                    let mut gx = self.alloc_zeros(t_len, in_dim);
-                    // Recurrent carries: dh from t+1's gates, dc from
-                    // t+1's forget path (seeded by the grad on c_T).
-                    let mut dh_rec = self.alloc_zeros(1, hd);
-                    let mut dc_rec = self.alloc_zeros(1, hd);
-                    dc_rec.as_mut_slice().copy_from_slice(g.row(t_len));
-                    // Where the weight gradients sum up. One step
-                    // (`LstmCell::step`) contributes a single rank-1 term per
-                    // weight, so it adds straight into the taken slot:
-                    // `slot + (0 + x·dz)` is `slot + x·dz` bit for bit
-                    // unless both `slot` and `x·dz` are `-0.0`, and a
-                    // weight's slot never is — whatever reaches it
-                    // (this rule, `matmul_tn`) is a sum that began at
-                    // `+0.0`. Longer sequences sum locally first, as
-                    // `slot + Σ_t` associates.
-                    let mut sums = [w_ih, w_hh, b].map(|w| {
-                        self.rg(w).then(|| {
-                            let slot = if t_len == 1 { self.grads[w.0].take() } else { None };
-                            let (r, c) = self.value(w).shape();
-                            slot.unwrap_or_else(|| self.alloc_zeros(r, c))
-                        })
-                    });
-                    // One chunk's record, row m = the m-th step visited
-                    // (steps descending), and `dz` transposed for `dx`.
-                    let chunk = t_len.min(LSTM_REPLAY_STEPS);
-                    let widths = [4 * hd, 4 * hd, in_dim, hd, 1];
-                    let mut record = self.alloc_zeros(chunk, widths.iter().sum());
-                    let (wt_ih, wt_hh) = (self.transposed(w_ih), self.transposed(w_hh));
-                    let (wt_ih, wt_hh) = (self.wt[wt_ih].1.as_slice(), self.wt[wt_hh].1.as_slice());
-                    let x_m = self.value(x);
-                    let [dz_rows, dz_t, x_rows, h_prev_rows, ones] =
-                        record_parts(record.as_mut_slice(), chunk, widths);
-                    ones.fill(1.0);
-                    let mut t1 = t_len;
-                    while t1 > 0 {
-                        let t0 = t1.saturating_sub(chunk);
-                        let n = t1 - t0;
-                        for t in (t0..t1).rev() {
-                            let m = t1 - 1 - t;
-                            let (c_prev, h_prev) = match t {
-                                0 => (self.value(c0).row(0), self.value(h0).row(0)),
-                                _ => (cache.c.row(t - 1), self.nodes[i].value.row(t - 1)),
-                            };
-                            let dz = &mut dz_rows[m * 4 * hd..(m + 1) * 4 * hd];
-                            let dh = |k: usize| g.get(t, k) + dh_rec.get(0, k);
-                            lstm_gate_grads(dz, dc_rec.as_mut_slice(), dh, &cache, t, c_prev);
-                            for (k, &d) in dz.iter().enumerate() {
-                                dz_t[k * n + (t - t0)] = d;
-                            }
-                            x_rows[m * in_dim..(m + 1) * in_dim].copy_from_slice(x_m.row(t));
-                            h_prev_rows[m * hd..(m + 1) * hd].copy_from_slice(h_prev);
-                            dh_rec.as_mut_slice().fill(0.0);
-                            product(dh_rec.as_mut_slice(), hd, Coeffs::row(dz), wt_hh, hd);
-                        }
-                        // Parameter gradients: outer products with the
-                        // step inputs (the bias's input is the constant
-                        // 1), steps descending; then dx = dz · W_ihᵀ.
-                        let dz = &dz_rows[..n * 4 * hd];
-                        let inputs = [&x_rows[..n * in_dim], &h_prev_rows[..n * hd], &ones[..n]];
-                        for (sum, input) in sums.iter_mut().zip(inputs) {
-                            if let Some(sum) = sum {
-                                let input = Coeffs::cols(input, input.len() / n, n);
-                                product(sum.as_mut_slice(), 4 * hd, input, dz, 4 * hd);
-                            }
-                        }
-                        let gx_rows = &mut gx.as_mut_slice()[t0 * in_dim..t1 * in_dim];
-                        product(gx_rows, in_dim, Coeffs::cols(dz_t, n, 4 * hd), wt_ih, in_dim);
-                        t1 = t0;
-                    }
-                    self.accumulate(x, gx);
-                    for (w, sum) in [w_ih, w_hh, b].into_iter().zip(sums) {
-                        if let Some(sum) = sum {
-                            self.accumulate(w, sum);
-                        }
-                    }
-                    self.accumulate(h0, dh_rec);
-                    self.accumulate(c0, dc_rec);
-                    self.recycle(record);
+                    self.lstm_seq_backward(i, &g, [x, w_ih, w_hh, b, h0, c0], &cache);
+                }
+                Op::BiLstm { x, fwd, bwd, carry, cache } => {
+                    self.bilstm_backward(i, &g, (x, fwd, bwd, carry), &cache);
                 }
                 Op::AttnScores { proj, dproj, v, act } => {
                     // s_j = Σ_a tanh(proj[j][a] + dproj[a]) · v[a], so

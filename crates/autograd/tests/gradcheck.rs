@@ -288,6 +288,29 @@ fn grad_composite_lstm_gate() {
 }
 
 #[test]
+fn grad_bilstm() {
+    // Both directions over four steps, the forward one seeded by a
+    // carry; the loss reads every output row and the final carry, so
+    // each direction's BPTT and the carry's gradient are checked.
+    let (t_len, in_dim, hd) = (4, 3, 2);
+    let mut inputs = vec![rand_m(t_len, in_dim, 40)];
+    for d in 0..2 {
+        inputs.push(rand_m(in_dim, 4 * hd, 41 + 3 * d));
+        inputs.push(rand_m(hd, 4 * hd, 42 + 3 * d));
+        inputs.push(rand_m(1, 4 * hd, 43 + 3 * d));
+    }
+    inputs.push(rand_m(1, 2 * hd, 47));
+    let mix = rand_m(t_len + 1, 2 * hd, 48);
+    check_gradients_default(&inputs, move |t, v| {
+        let out = t.bilstm(v[0], [v[1], v[2], v[3]], [v[4], v[5], v[6]], Some(v[7]));
+        let w = t.constant(mix.clone());
+        let weighted = t.mul(out, w);
+        let act = t.tanh(weighted);
+        t.mean_all(act)
+    });
+}
+
+#[test]
 fn grad_ppo_surrogate_shape() {
     // min(r·A, clamp(r, 0.8, 1.2)·A) with r = exp(lp − lp_old).
     // Seed chosen so no ratio lands on the clip boundary, where the

@@ -20,7 +20,7 @@ use mars_core::workload_input::WorkloadInput;
 use mars_graph::features::FEATURE_DIM;
 use mars_graph::generators::{Profile, Workload};
 use mars_nn::decode::decode;
-use mars_nn::{Attention, FwdCtx, Linear, LstmCell, ParamStore};
+use mars_nn::{Attention, BiLstm, FwdCtx, Linear, LstmCell, ParamStore};
 use mars_rng::rngs::StdRng;
 use mars_rng::SeedableRng;
 use mars_sim::{simulate, Cluster, Placement};
@@ -148,23 +148,22 @@ fn bench_segment_placer(opts: &BenchOpts) {
     });
 }
 
-// `nn.lstm.bi_run.self_s`: one step of the fused `lstm_seq` node each
-// direction of the placer's encoder runs.
-fn bench_lstm_cell(opts: &BenchOpts) {
-    let hd = 96usize;
+// `nn.lstm.bi_run.self_s`: one segment of the placer's encoder at the
+// `small` widths (32 ops, 48 wide in, 24 per direction), forward and
+// reverse sweep — both directions one `Tape::bilstm` node, on two lanes.
+fn bench_bilstm(opts: &BenchOpts) {
+    let cfg = MarsConfig::small();
     let mut rng = StdRng::seed_from_u64(7);
-    let x = init::uniform(1, hd, 0.8, &mut rng);
-    let w_ih = init::uniform(hd, 4 * hd, 0.5, &mut rng);
-    let w_hh = init::uniform(hd, 4 * hd, 0.5, &mut rng);
-    let b = init::uniform(1, 4 * hd, 0.3, &mut rng);
-    let h0 = init::uniform(1, hd, 0.5, &mut rng);
-    let c0 = init::uniform(1, hd, 0.5, &mut rng);
-    bench(opts, "lstm_cell/fused", || {
-        let mut t = Tape::new();
-        let vs: Vec<_> =
-            [&x, &w_ih, &w_hh, &b, &h0, &c0].iter().map(|m| t.constant((*m).clone())).collect();
-        let out_v = t.lstm_seq(vs[0], vs[1], vs[2], vs[3], vs[4], vs[5]);
-        black_box(t.value(out_v).sum());
+    let mut store = ParamStore::new();
+    let (rep, hd) = (cfg.encoder_hidden, cfg.placer_hidden / 2);
+    let bi = BiLstm::new(&mut store, "enc", rep, hd, &mut rng);
+    let xs = init::uniform(cfg.segment_size, rep, 0.8, &mut rng);
+    bench(opts, "bilstm/segment", || {
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
+        let x = ctx.tape.constant(xs.clone());
+        let (out, _) = bi.run(&mut ctx, x, None);
+        let loss = ctx.tape.mean_all(out);
+        black_box(ctx.into_grads(loss, 1.0).0.len());
     });
 }
 
@@ -236,7 +235,7 @@ fn main() {
     bench_spmm(&opts);
     bench_gcn_forward(&opts);
     bench_segment_placer(&opts);
-    bench_lstm_cell(&opts);
+    bench_bilstm(&opts);
     bench_attn_decode(&opts);
     bench_simulator(&opts);
     bench_backward(&opts);

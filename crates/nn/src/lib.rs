@@ -32,5 +32,5 @@ pub use ctx::{apply_grads, FwdCtx};
 pub use decode::decode;
 pub use gcn::GcnLayer;
 pub use linear::Linear;
-pub use lstm::{BiLstm, Lstm, LstmCell, LstmState};
+pub use lstm::{BiLstm, BiLstmCarry, Lstm, LstmCell, LstmState};
 pub use param::{ParamId, ParamStore};

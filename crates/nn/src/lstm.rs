@@ -145,6 +145,12 @@ impl Lstm {
     }
 }
 
+/// The forward direction's final `[h ‖ c]` (`1 × 2H`) after one
+/// [`BiLstm::run`]: what the Mars placer carries from one segment's
+/// encoder to the next.
+#[derive(Clone, Copy)]
+pub struct BiLstmCarry(Var);
+
 /// Bidirectional LSTM: forward and backward passes concatenated
 /// (`T × 2H` output).
 pub struct BiLstm {
@@ -170,41 +176,29 @@ impl BiLstm {
     }
 
     /// Run over the sequence; `init` seeds the *forward* direction
-    /// (segment carry-over in the Mars placer). Returns `T × 2H`
-    /// outputs and the forward direction's final state.
+    /// (segment carry-over in the Mars placer), which otherwise starts
+    /// from zeros like the backward one. Returns `T × 2H` outputs and
+    /// the forward direction's final state.
     ///
-    /// Both directions use the fused
-    /// [`mars_autograd::Tape::lstm_seq`] op; the backward direction
-    /// processes a row-reversed view of the input and un-reverses its
-    /// outputs.
-    pub fn run(&self, ctx: &mut FwdCtx<'_>, xs: Var, init: Option<LstmState>) -> (Var, LstmState) {
+    /// Both directions are one [`mars_autograd::Tape::bilstm`] node,
+    /// the backward direction on a pool lane beside the forward one.
+    /// The carry is sliced after the outputs, the order the node's
+    /// bit-identity with the two-`lstm_seq` chain relies on.
+    pub fn run(
+        &self,
+        ctx: &mut FwdCtx<'_>,
+        xs: Var,
+        init: Option<BiLstmCarry>,
+    ) -> (Var, BiLstmCarry) {
         let _span = mars_telemetry::span("nn.lstm.bi_run");
         let t_len = ctx.tape.value(xs).rows();
         assert!(t_len > 0, "BiLstm::run on empty sequence");
-        let reversed: Vec<usize> = (0..t_len).rev().collect();
-
-        // Forward direction.
-        let state_f = init.unwrap_or_else(|| self.fwd.zero_state(ctx));
-        let wf_ih = ctx.p(self.fwd.w_ih);
-        let wf_hh = ctx.p(self.fwd.w_hh);
-        let bf = ctx.p(self.fwd.b);
-        let out_f = ctx.tape.lstm_seq(xs, wf_ih, wf_hh, bf, state_f.h, state_f.c);
-        let hs_f = ctx.tape.slice_rows(out_f, 0, t_len);
-        let hf_final = ctx.tape.slice_rows(out_f, t_len - 1, t_len);
-        let cf_final = ctx.tape.slice_rows(out_f, t_len, t_len + 1);
-
-        // Backward direction over the reversed sequence.
-        let state_b = self.bwd.zero_state(ctx);
-        let wb_ih = ctx.p(self.bwd.w_ih);
-        let wb_hh = ctx.p(self.bwd.w_hh);
-        let bb = ctx.p(self.bwd.b);
-        let xs_rev = ctx.tape.gather_rows(xs, reversed.clone());
-        let out_b = ctx.tape.lstm_seq(xs_rev, wb_ih, wb_hh, bb, state_b.h, state_b.c);
-        let hs_b_rev = ctx.tape.slice_rows(out_b, 0, t_len);
-        let hs_b = ctx.tape.gather_rows(hs_b_rev, reversed);
-
-        let stacked = ctx.tape.concat_cols(hs_f, hs_b);
-        (stacked, LstmState { h: hf_final, c: cf_final })
+        let fwd = self.fwd.params().map(|p| ctx.p(p));
+        let bwd = self.bwd.params().map(|p| ctx.p(p));
+        let out = ctx.tape.bilstm(xs, fwd, bwd, init.map(|c| c.0));
+        let stacked = ctx.tape.slice_rows(out, 0, t_len);
+        let carry = ctx.tape.slice_rows(out, t_len, t_len + 1);
+        (stacked, BiLstmCarry(carry))
     }
 }
 
@@ -266,6 +260,127 @@ mod tests {
         let xs = ctx.tape.constant(init::uniform(5, 3, 1.0, &mut rng));
         let (out, _) = bi.run(&mut ctx, xs, None);
         assert_eq!(ctx.tape.value(out).shape(), (5, 8));
+    }
+
+    /// The chain one [`BiLstm::run`] node replaced: two `lstm_seq`
+    /// nodes, the backward one over a `gather_rows`-reversed input whose
+    /// outputs are gathered back and `concat_cols`-joined to the forward
+    /// ones, the forward state carried as two row slices.
+    fn run_composed(
+        bi: &BiLstm,
+        ctx: &mut FwdCtx<'_>,
+        xs: Var,
+        init: Option<LstmState>,
+    ) -> (Var, LstmState) {
+        let t_len = ctx.tape.value(xs).rows();
+        let reversed: Vec<usize> = (0..t_len).rev().collect();
+        let state_f = init.unwrap_or_else(|| bi.fwd.zero_state(ctx));
+        let [wf_ih, wf_hh, bf] = bi.fwd.params().map(|p| ctx.p(p));
+        let out_f = ctx.tape.lstm_seq(xs, wf_ih, wf_hh, bf, state_f.h, state_f.c);
+        let hs_f = ctx.tape.slice_rows(out_f, 0, t_len);
+        let hf_final = ctx.tape.slice_rows(out_f, t_len - 1, t_len);
+        let cf_final = ctx.tape.slice_rows(out_f, t_len, t_len + 1);
+        let state_b = bi.bwd.zero_state(ctx);
+        let [wb_ih, wb_hh, bb] = bi.bwd.params().map(|p| ctx.p(p));
+        let xs_rev = ctx.tape.gather_rows(xs, reversed.clone());
+        let out_b = ctx.tape.lstm_seq(xs_rev, wb_ih, wb_hh, bb, state_b.h, state_b.c);
+        let hs_b_rev = ctx.tape.slice_rows(out_b, 0, t_len);
+        let hs_b = ctx.tape.gather_rows(hs_b_rev, reversed);
+        let stacked = ctx.tape.concat_cols(hs_f, hs_b);
+        (stacked, LstmState { h: hf_final, c: cf_final })
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Per segment the outputs, then the last carry `[h ‖ c]`, the input
+    /// gradient and every parameter gradient, as bits. The loss weighs
+    /// every output and the last carry by values that include `+0.0` and
+    /// `-0.0`, so signed-zero gradients reach both directions.
+    fn bilstm_bits(seed: u64, segs: &[usize], fused: bool) -> Vec<Vec<u32>> {
+        let (fd, hd) = (6, 5);
+        let n: usize = segs.iter().sum();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut store = ParamStore::new();
+        let bi = BiLstm::new(&mut store, "bi", fd, hd, &mut rng);
+        let mut x = init::uniform(n, fd, 1.0, &mut rng);
+        if n > 4 {
+            for c in 0..fd {
+                x.set(2, c, 0.0);
+            }
+            x.set(4, 1, -0.0);
+        }
+        let mut signed = |rows, cols| {
+            let mut m = init::uniform(rows, cols, 1.0, &mut rng);
+            m.as_mut_slice().iter_mut().step_by(4).for_each(|v| *v = 0.0);
+            m.as_mut_slice().iter_mut().skip(2).step_by(5).for_each(|v| *v = -0.0);
+            m
+        };
+        let mixes: Vec<Matrix> = segs.iter().map(|&t| signed(t, 2 * hd)).collect();
+        let carry_mix = signed(1, 2 * hd);
+
+        let mut ctx = FwdCtx::new(Tape::new(), &store);
+        let xv = ctx.tape.leaf(x, true);
+        let (mut outs, mut start) = (Vec::new(), 0);
+        let (mut carry, mut state) = (None, None);
+        for &t in segs {
+            let seg = ctx.tape.slice_rows(xv, start, start + t);
+            let out = if fused {
+                let (out, c) = bi.run(&mut ctx, seg, carry);
+                carry = Some(c);
+                out
+            } else {
+                let (out, s) = run_composed(&bi, &mut ctx, seg, state);
+                state = Some(s);
+                out
+            };
+            outs.push(out);
+            start += t;
+        }
+        let last = match (carry, state) {
+            (Some(c), _) => c.0,
+            (_, Some(s)) => ctx.tape.concat_cols(s.h, s.c),
+            _ => unreachable!(),
+        };
+        let mut result: Vec<Vec<u32>> = outs.iter().map(|&o| bits(ctx.tape.value(o))).collect();
+        result.push(bits(ctx.tape.value(last)));
+        let mut terms = Vec::new();
+        for (&o, mix) in outs.iter().chain([&last]).zip(mixes.iter().chain([&carry_mix])) {
+            let w = ctx.tape.constant(mix.clone());
+            let weighted = ctx.tape.mul(o, w);
+            terms.push(ctx.tape.sum_all(weighted));
+        }
+        let loss = terms.into_iter().reduce(|a, b| ctx.tape.add(a, b)).unwrap();
+        let (grads, tape) = ctx.into_grads(loss, 1.0);
+        result.push(bits(tape.grad(xv).expect("input gradient")));
+        crate::ctx::apply_grads(&mut store, grads);
+        result.extend(store.ids().map(|id| bits(store.grad(id))));
+        result
+    }
+
+    #[test]
+    fn bilstm_node_matches_the_composed_chain_bitwise() {
+        use mars_tensor::kernel::{self, Backend};
+        let backends = [Some(Backend::Scalar), None];
+        for backend in backends {
+            kernel::set_backend_override(backend);
+            // A one-step segment (its weights add straight into the slot)
+            // and one longer than a replay chunk (32 steps).
+            for (seed, segs) in [(0, &[4, 4, 3][..]), (1, &[37, 1, 5]), (2, &[1]), (3, &[9])] {
+                let fused = bilstm_bits(seed, segs, true);
+                let composed = bilstm_bits(seed, segs, false);
+                assert_eq!(fused.len(), composed.len());
+                for (k, (f, c)) in fused.iter().zip(&composed).enumerate() {
+                    assert_eq!(f, c, "part {k} differs (seed {seed}, backend {backend:?})");
+                }
+                // (A lone one-step segment gives `w_hh` no term: h_prev = 0.)
+                let param_grads = &fused[segs.len() + 2..];
+                let live = param_grads.iter().all(|g| g.iter().any(|&b| b != 0));
+                assert!(live || segs == [1], "a parameter got no gradient (seed {seed})");
+            }
+        }
+        kernel::set_backend_override(None);
     }
 
     #[test]

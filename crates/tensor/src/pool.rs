@@ -1,30 +1,172 @@
-//! A small persistent thread pool for data-parallel kernels (the
-//! workspace's `rayon` replacement).
+//! A small persistent thread pool for data-parallel kernels and
+//! two-lane joins (the workspace's `rayon` replacement).
 //!
 //! [`par_chunks_mut`] splits a mutable output buffer into fixed-size
-//! chunks and runs the same closure on each (the kernel shape). Work is
-//! distributed by an atomic chunk counter; the calling thread
-//! participates, so on a single-core machine (or when `MARS_THREADS=1`)
-//! execution is exactly the sequential loop. Pool threads are spawned
-//! once on first use and live for the process lifetime, parked on a
-//! shared job channel.
+//! chunks and runs the same closure on each (the kernel shape); [`join`]
+//! runs two closures, the second on a helper while the caller runs the
+//! first. Both use one dispatch path. Every helper thread owns an atomic
+//! job slot; after its last job it spins on that slot for [`SPIN`] and
+//! then parks. A caller posts a job by one compare-and-swap on an idle
+//! helper's slot (unparking it only if it sleeps), does its own share,
+//! takes back a job no helper has claimed yet, and waits on the job's
+//! atomic done counter for the rest. So no call ever waits for a helper
+//! to become free: a caller that finds no idle helper — two daemon
+//! handlers at once, a `join` inside a `par_chunks_mut` closure — does
+//! the work itself. With `MARS_THREADS=1` (or one core) there are no
+//! helpers and both calls are exactly their sequential loops.
 //!
-//! Panics inside the closure are caught on each worker, forwarded to
-//! the caller, and re-raised there after every helper has finished —
-//! the borrow of the caller's stack never outlives the call.
+//! Pool threads are spawned once on first use and live for the process
+//! lifetime. Panics inside a job are caught on the helper, forwarded to
+//! the caller, and re-raised there after every lane has finished — the
+//! borrow of the caller's stack never outlives the call.
 
+use std::any::Any;
+use std::cell::UnsafeCell;
+use std::hint;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// How long a helper keeps polling its slot after a job before it
+/// parks: long enough to bridge the serial gaps between the placer's
+/// lanes and between a pretrain pass's products (a spinning helper picks
+/// a job up in under a microsecond, a parked one in tens), short enough
+/// that an idle pool costs no CPU.
+const SPIN: Duration = Duration::from_micros(100);
 
-struct Pool {
-    tx: Sender<Job>,
-    /// Helper threads beyond the caller.
-    helpers: usize,
+/// Slot value of a helper with no job. Any other value is the address
+/// of a posted [`Task`] or [`RUNNING`].
+const IDLE: usize = 0;
+/// Slot value while a helper runs the task it claimed.
+const RUNNING: usize = 1;
+
+type Payload = Box<dyn Any + Send + 'static>;
+
+/// One posted job: a type-erased call on caller-owned data, and where
+/// the helpers that ran it report. It lives on the posting caller's
+/// stack, and that caller does not return (or unwind) before every
+/// helper that claimed it has counted itself into `done`.
+struct Task {
+    call: unsafe fn(*const ()),
+    data: *const (),
+    done: AtomicUsize,
+    panic: Mutex<Option<Payload>>,
+}
+
+// Helpers reach `data` only through `call`, whose callers (`join`,
+// `par_chunks_mut`) require the shared state to be `Sync`/`Send`.
+unsafe impl Sync for Task {}
+
+impl Task {
+    fn new(call: unsafe fn(*const ()), data: *const ()) -> Self {
+        Task { call, data, done: AtomicUsize::new(0), panic: Mutex::new(None) }
+    }
+
+    fn addr(&self) -> usize {
+        self as *const Task as usize
+    }
+
+    /// Run the job here, keeping its panic (if any) in `self.panic`.
+    fn run(&self) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| unsafe { (self.call)(self.data) })) {
+            self.panic.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(payload);
+        }
+    }
+
+    /// Wait until `claimed` helpers have finished the job, then hand
+    /// back the first panic any run of it raised.
+    fn wait(&self, claimed: usize) -> Option<Payload> {
+        let mut spins = 0u32;
+        while self.done.load(Ordering::Acquire) < claimed {
+            if spins < 1024 {
+                spins += 1;
+                hint::spin_loop();
+            } else {
+                thread::yield_now();
+            }
+        }
+        self.panic.lock().unwrap_or_else(|e| e.into_inner()).take()
+    }
+}
+
+/// One helper thread's mailbox, on its own cache line.
+#[repr(align(64))]
+struct Helper {
+    slot: AtomicUsize,
+    sleeping: AtomicBool,
+    thread: OnceLock<Thread>,
+}
+
+impl Helper {
+    /// Offer `task` to this helper; `false` if it already has a job.
+    fn post(&self, task: &Task) -> bool {
+        let posted =
+            self.slot.compare_exchange(IDLE, task.addr(), Ordering::SeqCst, Ordering::Relaxed);
+        if posted.is_err() {
+            return false;
+        }
+        // Pairs with the helper's `sleeping` store and slot re-check
+        // before it parks: one of the two sees the other.
+        if self.sleeping.load(Ordering::SeqCst) {
+            if let Some(t) = self.thread.get() {
+                t.unpark();
+            }
+        }
+        true
+    }
+
+    /// Take `task` back if this helper holds it unclaimed.
+    fn retract(&self, task: &Task) -> bool {
+        let addr = task.addr();
+        self.slot.load(Ordering::Relaxed) == addr
+            && self.slot.compare_exchange(addr, IDLE, Ordering::Relaxed, Ordering::Relaxed).is_ok()
+    }
+
+    /// The helper thread's loop: wait for a posted task, claim it, run
+    /// it, report.
+    fn serve(&self) {
+        let _ = self.thread.set(thread::current());
+        loop {
+            let addr = self.next_post();
+            if self
+                .slot
+                .compare_exchange(addr, RUNNING, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+            {
+                continue; // taken back by its caller
+            }
+            // SAFETY: the caller keeps the task alive until `done`
+            // counts this claim.
+            let task = unsafe { &*(addr as *const Task) };
+            task.run();
+            // Free the slot before reporting, so the caller's next post
+            // finds this helper idle.
+            self.slot.store(IDLE, Ordering::Release);
+            task.done.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// Spin on the slot for [`SPIN`], then park until a post arrives.
+    fn next_post(&self) -> usize {
+        let start = Instant::now();
+        loop {
+            let addr = self.slot.load(Ordering::Acquire);
+            if addr != IDLE {
+                return addr;
+            }
+            if start.elapsed() < SPIN {
+                hint::spin_loop();
+                continue;
+            }
+            self.sleeping.store(true, Ordering::SeqCst);
+            while self.slot.load(Ordering::SeqCst) == IDLE {
+                thread::park();
+            }
+            self.sleeping.store(false, Ordering::SeqCst);
+        }
+    }
 }
 
 fn helper_count() -> usize {
@@ -36,36 +178,33 @@ fn helper_count() -> usize {
     hw.saturating_sub(1)
 }
 
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
+/// The helpers beyond the caller, started on first use.
+fn helpers() -> &'static [Helper] {
+    static POOL: OnceLock<&'static [Helper]> = OnceLock::new();
     POOL.get_or_init(|| {
-        let helpers = helper_count();
-        let (tx, rx) = channel::<Job>();
-        let rx: Arc<Mutex<Receiver<Job>>> = Arc::new(Mutex::new(rx));
-        for w in 0..helpers {
-            let rx = Arc::clone(&rx);
+        let helpers: &'static [Helper] = Box::leak(
+            (0..helper_count())
+                .map(|_| Helper {
+                    slot: AtomicUsize::new(IDLE),
+                    sleeping: AtomicBool::new(false),
+                    thread: OnceLock::new(),
+                })
+                .collect(),
+        );
+        for (w, helper) in helpers.iter().enumerate() {
             thread::Builder::new()
                 .name(format!("mars-pool-{w}"))
-                .spawn(move || loop {
-                    let job = {
-                        let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                        guard.recv()
-                    };
-                    match job {
-                        Ok(job) => job(),
-                        Err(_) => break, // channel closed: process exit
-                    }
-                })
+                .spawn(move || helper.serve())
                 .expect("spawn pool worker");
         }
-        Pool { tx, helpers }
+        helpers
     })
 }
 
-/// Everything a work-stealing participant needs, shared by address and
-/// fully type-erased so pool jobs (which must be `'static`) never name
-/// the caller's closure type. `data` chunks are disjoint because each
-/// index is claimed exactly once through the atomic counter.
+/// Everything a chunk-claiming participant needs, shared by address and
+/// type-erased so a [`Task`] never names the caller's closure type.
+/// `data` chunks are disjoint because each index is claimed exactly once
+/// through the atomic counter.
 struct Shared {
     data: *mut f32,
     len: usize,
@@ -77,8 +216,6 @@ struct Shared {
     /// Monomorphized trampoline that downcasts `f` back to `&F`.
     call: unsafe fn(*const (), usize, &mut [f32]),
 }
-
-unsafe impl Sync for Shared {}
 
 impl Shared {
     /// # Safety
@@ -98,6 +235,10 @@ impl Shared {
     }
 }
 
+unsafe fn run_shared(shared: *const ()) {
+    (*(shared as *const Shared)).run()
+}
+
 unsafe fn call_closure<F: Fn(usize, &mut [f32])>(f: *const (), i: usize, chunk: &mut [f32]) {
     (*(f as *const F))(i, chunk)
 }
@@ -105,23 +246,23 @@ unsafe fn call_closure<F: Fn(usize, &mut [f32])>(f: *const (), i: usize, chunk: 
 /// Threads a [`par_chunks_mut`] call can run on: the pool's helpers
 /// plus the caller (`MARS_THREADS`, else the machine's parallelism).
 pub fn threads() -> usize {
-    pool().helpers + 1
+    helpers().len() + 1
 }
 
 /// Run `f(chunk_index, chunk)` over `data` split into `chunk_len`-sized
 /// pieces (last piece may be shorter), distributing chunks across the
 /// pool. Equivalent to
 /// `data.chunks_mut(chunk_len).enumerate().for_each(...)` — including
-/// observable panics — but parallel when the machine has spare cores.
+/// observable panics — but parallel when a helper is free.
 pub fn par_chunks_mut<F>(data: &mut [f32], chunk_len: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     let chunk_len = chunk_len.max(1);
     let chunks = data.len().div_ceil(chunk_len);
-    let p = pool();
-    let helpers = p.helpers.min(chunks.saturating_sub(1));
-    if helpers == 0 {
+    let pool = helpers();
+    let wanted = pool.len().min(chunks.saturating_sub(1));
+    if wanted == 0 {
         for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(i, chunk);
         }
@@ -140,39 +281,73 @@ where
         f: &f as *const F as *const (),
         call: call_closure::<F>,
     };
-    let (done_tx, done_rx) = channel();
-    for _ in 0..helpers {
-        // Lifetime erasure: ship the address of the stack-held `shared`
-        // to pool threads. Sound because this function does not return
-        // (or unwind) until every helper has reported done below.
-        let addr = &shared as *const Shared as usize;
-        let tx = done_tx.clone();
-        let job: Job = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| unsafe {
-                (*(addr as *const Shared)).run();
-            }));
-            let _ = tx.send(result);
-        });
-        p.tx.send(job).expect("pool job channel closed");
-    }
-
-    let mut first_panic = catch_unwind(AssertUnwindSafe(|| unsafe { shared.run() })).err();
-    for _ in 0..helpers {
-        match done_rx.recv().expect("pool worker vanished mid-job") {
-            Ok(()) => {}
-            Err(payload) => {
-                first_panic.get_or_insert(payload);
-            }
+    let task = Task::new(run_shared, &shared as *const Shared as *const ());
+    let mut posted = 0;
+    for helper in pool {
+        if posted == wanted {
+            break;
         }
+        posted += usize::from(helper.post(&task));
     }
-    if let Some(payload) = first_panic {
+    task.run();
+    let taken_back = pool.iter().filter(|h| h.retract(&task)).count();
+    if let Some(payload) = task.wait(posted - taken_back) {
         resume_unwind(payload);
     }
+}
+
+/// The second lane of a [`join`]: its closure until run, then its result.
+struct Lane<B, R> {
+    f: UnsafeCell<Option<B>>,
+    out: UnsafeCell<Option<R>>,
+}
+
+/// # Safety
+/// `lane` points at a live `Lane<B, R>` that no other thread touches
+/// until this returns.
+unsafe fn run_lane<B: FnOnce() -> R, R>(lane: *const ()) {
+    let lane = &*(lane as *const Lane<B, R>);
+    let f = (*lane.f.get()).take().expect("a join lane runs once");
+    *lane.out.get() = Some(f());
+}
+
+/// Run `a` on the calling thread and `b` on an idle helper, and return
+/// both results. When no helper is idle — `MARS_THREADS=1`, another
+/// caller holds it, or this call is itself inside a pool job — or none
+/// has picked `b` up by the time `a` returns, the caller runs `b` itself
+/// after `a`. Either way each closure runs exactly once, and a panic in
+/// either reaches the caller only after both have finished (`a`'s first).
+///
+/// `b` runs concurrently with `a`: it must write only memory `a` does
+/// not touch, which the borrow checker enforces for safe code.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    let lane = Lane { f: UnsafeCell::new(Some(b)), out: UnsafeCell::new(None) };
+    let task = Task::new(run_lane::<B, RB>, &lane as *const Lane<B, RB> as *const ());
+    let helper = helpers().iter().find(|h| h.post(&task));
+    let ra = catch_unwind(AssertUnwindSafe(a));
+    let panic_b = match helper {
+        Some(h) if !h.retract(&task) => task.wait(1),
+        _ => {
+            task.run();
+            task.panic.lock().unwrap_or_else(|e| e.into_inner()).take()
+        }
+    };
+    let ra = ra.unwrap_or_else(|payload| resume_unwind(payload));
+    if let Some(payload) = panic_b {
+        resume_unwind(payload);
+    }
+    (ra, lane.out.into_inner().expect("the join lane ran"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU32;
 
     #[test]
     fn covers_every_chunk_exactly_once() {
@@ -231,5 +406,119 @@ mod tests {
         // The pool must still be usable afterwards.
         par_chunks_mut(&mut data, 1, |_, chunk| chunk[0] = 1.0);
         assert!(data.iter().all(|&v| v == 1.0));
+    }
+
+    #[test]
+    fn join_runs_each_closure_exactly_once() {
+        for round in 0..200 {
+            let (runs_a, runs_b) = (AtomicU32::new(0), AtomicU32::new(0));
+            let (ra, rb) = join(
+                || {
+                    runs_a.fetch_add(1, Ordering::Relaxed);
+                    round * 2
+                },
+                || {
+                    runs_b.fetch_add(1, Ordering::Relaxed);
+                    vec![round; 3]
+                },
+            );
+            assert_eq!((ra, rb), (round * 2, vec![round; 3]));
+            assert_eq!(runs_a.load(Ordering::Relaxed), 1, "round {round}");
+            assert_eq!(runs_b.load(Ordering::Relaxed), 1, "round {round}");
+        }
+    }
+
+    /// Panic in each lane in turn: the payload must reach the caller
+    /// only after the other lane has finished.
+    fn panic_in_each_lane() {
+        for panicking_lane in ["a", "b"] {
+            let finished = AtomicU32::new(0);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                join(
+                    || {
+                        std::thread::sleep(Duration::from_millis(2));
+                        if panicking_lane == "a" {
+                            panic!("deliberate panic in lane a");
+                        }
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    },
+                    || {
+                        std::thread::sleep(Duration::from_millis(20));
+                        if panicking_lane == "b" {
+                            panic!("deliberate panic in lane b");
+                        }
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    },
+                )
+            }));
+            let payload = result.expect_err("the lane's panic must reach the caller");
+            let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(msg, format!("deliberate panic in lane {panicking_lane}"));
+            assert_eq!(finished.load(Ordering::SeqCst), 1, "lane {panicking_lane} panicked");
+        }
+    }
+
+    #[test]
+    fn join_panics_after_both_lanes_finish() {
+        // On a helper when one is idle, and inline while an outer lane
+        // holds the helper (see `join_with_the_helper_busy_runs_inline`).
+        panic_in_each_lane();
+        let inner_done = AtomicBool::new(false);
+        join(
+            || {
+                let checked = catch_unwind(panic_in_each_lane);
+                inner_done.store(true, Ordering::SeqCst);
+                checked.unwrap_or_else(|payload| resume_unwind(payload));
+            },
+            || {
+                while !inner_done.load(Ordering::SeqCst) {
+                    hint::spin_loop();
+                }
+            },
+        );
+        // The pool still works afterwards.
+        assert_eq!(join(|| 1, || 2), (1, 2));
+        let mut data = vec![0.0f32; 64];
+        par_chunks_mut(&mut data, 4, |_, chunk| chunk.fill(3.0));
+        assert!(data.iter().all(|&v| v == 3.0));
+    }
+
+    #[test]
+    fn join_with_the_helper_busy_runs_inline() {
+        // The outer `b` holds the helper (posted or running) until the
+        // inner join has returned, so the inner join finds no idle
+        // helper and must finish on the calling thread. `a` never waits
+        // for `b`, so no schedule can deadlock, with or without helpers.
+        let caller = thread::current().id();
+        let inner_done = AtomicBool::new(false);
+        let (inner, ()) = join(
+            || {
+                let lanes = join(|| thread::current().id(), || thread::current().id());
+                inner_done.store(true, Ordering::SeqCst);
+                lanes
+            },
+            || {
+                while !inner_done.load(Ordering::SeqCst) {
+                    hint::spin_loop();
+                }
+            },
+        );
+        // With more than one helper the inner `b` may run on another.
+        if helpers().len() <= 1 {
+            assert_eq!(inner, (caller, caller));
+        }
+    }
+
+    #[test]
+    fn join_inside_a_par_chunks_closure_finishes() {
+        let mut data = vec![0.0f32; 64];
+        par_chunks_mut(&mut data, 8, |i, chunk| {
+            let (left, right) = chunk.split_at_mut(4);
+            join(|| left.fill(i as f32), || right.fill(-(i as f32)));
+        });
+        for (k, &v) in data.iter().enumerate() {
+            let i = (k / 8) as f32;
+            assert_eq!(v, if k % 8 < 4 { i } else { -i }, "element {k}");
+        }
     }
 }

@@ -151,4 +151,18 @@ echo "detected: $AUTO_FNV"
 [ "$SCALAR_FNV" = "$AUTO_FNV" ] || {
     echo "forcing the scalar kernel backend changed the DGI losses at width 256"; exit 1; }
 
-echo "==> OK: build, tests, bench smoke, kernel parity, observability, fault, serve and ledger smokes all green"
+echo "==> thread-count parity: MARS_THREADS=1 must pin the same fnv lines as the default pool"
+# The pool's lanes (the two BiLSTM directions, the decoder's per-segment
+# replay, the products' row blocks) change which thread computes a
+# value, never its arithmetic: a run without helpers must print the
+# default run's training trace and DGI losses.
+for WORKLOAD in train_gnmt4 pretrain_corpus; do
+    ONE_FNV=$(MARS_THREADS=1 "$LEDGER" --workload "$WORKLOAD" --smoke | grep "_fnv")
+    POOL_FNV=$("$LEDGER" --workload "$WORKLOAD" --smoke | grep "_fnv")
+    echo "$WORKLOAD, MARS_THREADS=1:" $ONE_FNV
+    echo "$WORKLOAD, default:      " $POOL_FNV
+    [ "$ONE_FNV" = "$POOL_FNV" ] || {
+        echo "running $WORKLOAD on one thread changed its fnv pins"; exit 1; }
+done
+
+echo "==> OK: build, tests, bench smoke, kernel and thread parity, observability, fault, serve and ledger smokes all green"
