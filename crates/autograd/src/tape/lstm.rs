@@ -7,7 +7,7 @@
 //! maps step `t` to input row `T − 1 − t`. So there is one copy of the
 //! LSTM math, and the bidirectional node is bit-identical to the
 //! `gather_rows → lstm_seq → slice_rows → gather_rows → concat_cols`
-//! chain it replaces (DESIGN §5j).
+//! chain it replaces (DESIGN §5i).
 
 use super::{record_parts, Tape, Var};
 use crate::ops::{LstmCache, Op};
@@ -175,18 +175,19 @@ struct LstmBptt<'a> {
     cache: &'a LstmCache,
 }
 
-/// Where one direction's reverse sweep writes. `dh_rec`/`dc_rec` come
-/// in holding the gradients on `h_T` (added to step `T − 1`'s `dh`) and
-/// `c_T`, and leave holding those on `h_0` and `c_0`.
+/// Where one direction's reverse sweep writes. `dh_rec`/`dc_rec`
+/// (`1 × H`) come in holding the gradients on `h_T` (added to step
+/// `T − 1`'s `dh`) and `c_T`, and leave holding those on `h_0` and
+/// `c_0`.
 struct LstmGrads<'a> {
-    dh_rec: &'a mut [f32],
-    dc_rec: &'a mut [f32],
+    dh_rec: &'a mut Matrix,
+    dc_rec: &'a mut Matrix,
     /// `[w_ih, w_hh, b]`, `None` where no gradient is required.
     sums: &'a mut [Option<Matrix>; 3],
     /// `dx`, `T × F` in input order, zeroed.
-    gx: &'a mut [f32],
+    gx: &'a mut Matrix,
     /// [`record_len`] floats of scratch.
-    record: &'a mut [f32],
+    record: &'a mut Matrix,
 }
 
 impl LstmBptt<'_> {
@@ -202,13 +203,14 @@ impl LstmBptt<'_> {
     /// terms in the same (descending step) order.
     fn run(&self, out: LstmGrads<'_>) {
         let LstmGrads { dh_rec, dc_rec, sums, gx, record } = out;
+        let (dh_rec, dc_rec) = (dh_rec.as_mut_slice(), dc_rec.as_mut_slice());
         let (t_len, in_dim) = self.x.shape();
         let hd = dh_rec.len();
         // One chunk's record, row m = the m-th step visited (steps
         // descending), and `dz` transposed for `dx`.
         let chunk = t_len.min(LSTM_REPLAY_STEPS);
         let [dz_rows, dz_t, x_rows, h_prev_rows, ones] =
-            record_parts(record, chunk, record_widths(in_dim, hd));
+            record_parts(record.as_mut_slice(), chunk, record_widths(in_dim, hd));
         ones.fill(1.0);
         let mut t1 = t_len;
         while t1 > 0 {
@@ -246,7 +248,7 @@ impl LstmBptt<'_> {
                     product(sum.as_mut_slice(), 4 * hd, input, dz, 4 * hd);
                 }
             }
-            let gx_rows = &mut gx[lo * in_dim..(lo + n) * in_dim];
+            let gx_rows = &mut gx.as_mut_slice()[lo * in_dim..(lo + n) * in_dim];
             product(gx_rows, in_dim, Coeffs::cols(dz_t, n, 4 * hd), self.wt_ih, in_dim);
             t1 = t0;
         }
@@ -440,11 +442,11 @@ impl Tape {
             cache,
         }
         .run(LstmGrads {
-            dh_rec: dh_rec.as_mut_slice(),
-            dc_rec: dc_rec.as_mut_slice(),
+            dh_rec: &mut dh_rec,
+            dc_rec: &mut dc_rec,
             sums: &mut sums,
-            gx: gx.as_mut_slice(),
-            record: record.as_mut_slice(),
+            gx: &mut gx,
+            record: &mut record,
         });
         self.accumulate(x, gx);
         for (w, sum) in [w_ih, w_hh, b].into_iter().zip(sums) {
@@ -502,19 +504,12 @@ impl Tape {
                 c0: if rev { &zero } else { c0 },
                 cache: &caches[d],
             });
-            let [grads_f, grads_b] = {
-                let ([gx_f, gx_b], [sums_f, sums_b]) = (&mut gx, &mut sums);
-                let ([dh_f, dh_b], [dc_f, dc_b], [rec_f, rec_b]) = (&mut dh, &mut dc, &mut records);
-                [(dh_f, dc_f, sums_f, gx_f, rec_f), (dh_b, dc_b, sums_b, gx_b, rec_b)].map(
-                    |(dh, dc, sums, gx, rec)| LstmGrads {
-                        dh_rec: dh.as_mut_slice(),
-                        dc_rec: dc.as_mut_slice(),
-                        sums,
-                        gx: gx.as_mut_slice(),
-                        record: rec.as_mut_slice(),
-                    },
-                )
-            };
+            let ([gx_f, gx_b], [sums_f, sums_b]) = (&mut gx, &mut sums);
+            let ([dh_f, dh_b], [dc_f, dc_b], [rec_f, rec_b]) = (&mut dh, &mut dc, &mut records);
+            let grads_f =
+                LstmGrads { dh_rec: dh_f, dc_rec: dc_f, sums: sums_f, gx: gx_f, record: rec_f };
+            let grads_b =
+                LstmGrads { dh_rec: dh_b, dc_rec: dc_b, sums: sums_b, gx: gx_b, record: rec_b };
             pool::join(|| sweep_f.run(grads_f), || sweep_b.run(grads_b));
         }
         let [gx_f, gx_b] = gx;

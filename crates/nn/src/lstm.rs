@@ -3,9 +3,10 @@
 //! The Mars placer is "a bidirectional LSTM layer as the encoder and a
 //! uni-directional LSTM layer as the decoder" (§4.2), processing the
 //! operation sequence segment-by-segment with the encoder hidden state
-//! carried across segments. [`LstmState`] makes that carry-over
-//! explicit: `Lstm::run` accepts an initial state and returns the final
-//! one.
+//! carried across segments. That carry-over is explicit: `Lstm::run`
+//! accepts an initial [`LstmState`] and returns the final one, and
+//! `BiLstm::run` does the same with the forward direction's
+//! [`BiLstmCarry`].
 //!
 //! Sequences are represented as `T × F` matrices (one row per element);
 //! this matches how node representations come out of the GCN encoder.

@@ -5,7 +5,7 @@
 //! chunks and runs the same closure on each (the kernel shape); [`join`]
 //! runs two closures, the second on a helper while the caller runs the
 //! first. Both use one dispatch path. Every helper thread owns an atomic
-//! job slot; after its last job it spins on that slot for [`SPIN`] and
+//! job slot; after its last job it spins on that slot for `SPIN` and
 //! then parks. A caller posts a job by one compare-and-swap on an idle
 //! helper's slot (unparking it only if it sleeps), does its own share,
 //! takes back a job no helper has claimed yet, and waits on the job's
@@ -55,8 +55,12 @@ struct Task {
     panic: Mutex<Option<Payload>>,
 }
 
-// Helpers reach `data` only through `call`, whose callers (`join`,
-// `par_chunks_mut`) require the shared state to be `Sync`/`Send`.
+// SAFETY: `call` is a plain fn pointer, `done` an atomic and `panic` a
+// `Mutex` of a `Send` payload, all `Sync`. `data` is only dereferenced
+// through `call`, and the two constructors of a `Task` bound what it
+// points at: `par_chunks_mut` shares a `Shared` whose closure is `Sync`
+// and whose chunks are disjoint, and `join` hands a `Lane` whose closure
+// and result are `Send` to exactly one thread at a time.
 unsafe impl Sync for Task {}
 
 impl Task {
@@ -70,13 +74,17 @@ impl Task {
 
     /// Run the job here, keeping its panic (if any) in `self.panic`.
     fn run(&self) {
+        // SAFETY: a task is run only by its caller, or by the one helper
+        // that claimed it, while the caller keeps `data` alive.
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| unsafe { (self.call)(self.data) })) {
             self.panic.lock().unwrap_or_else(|e| e.into_inner()).get_or_insert(payload);
         }
     }
 
     /// Wait until `claimed` helpers have finished the job, then hand
-    /// back the first panic any run of it raised.
+    /// back the first panic any run of it raised. The `Acquire` load
+    /// pairs with each helper's `Release` count, so the job's writes are
+    /// visible once it returns.
     fn wait(&self, claimed: usize) -> Option<Payload> {
         let mut spins = 0u32;
         while self.done.load(Ordering::Acquire) < claimed {
@@ -117,7 +125,10 @@ impl Helper {
         true
     }
 
-    /// Take `task` back if this helper holds it unclaimed.
+    /// Take `task` back if this helper holds it unclaimed. `Relaxed`
+    /// suffices: a taken-back job was never seen by the helper, and when
+    /// the helper did claim it the caller synchronises through
+    /// [`Task::wait`] instead.
     fn retract(&self, task: &Task) -> bool {
         let addr = task.addr();
         self.slot.load(Ordering::Relaxed) == addr
@@ -130,6 +141,8 @@ impl Helper {
         let _ = self.thread.set(thread::current());
         loop {
             let addr = self.next_post();
+            // `Acquire` pairs with the poster's compare-and-swap, which
+            // published the task record.
             if self
                 .slot
                 .compare_exchange(addr, RUNNING, Ordering::Acquire, Ordering::Relaxed)
@@ -235,10 +248,14 @@ impl Shared {
     }
 }
 
+/// # Safety
+/// `shared` points at a live [`Shared`] (see [`Shared::run`]).
 unsafe fn run_shared(shared: *const ()) {
     (*(shared as *const Shared)).run()
 }
 
+/// # Safety
+/// `f` points at a live `F`.
 unsafe fn call_closure<F: Fn(usize, &mut [f32])>(f: *const (), i: usize, chunk: &mut [f32]) {
     (*(f as *const F))(i, chunk)
 }
@@ -429,23 +446,28 @@ mod tests {
     }
 
     /// Panic in each lane in turn: the payload must reach the caller
-    /// only after the other lane has finished.
+    /// only after the other lane has finished. When `a` panics, `b` is
+    /// held until `a` is about to, so a helper running `b` is still busy
+    /// at that moment; run inline, `b` finds the flag already up.
     fn panic_in_each_lane() {
         for panicking_lane in ["a", "b"] {
             let finished = AtomicU32::new(0);
+            let a_panicking = AtomicBool::new(false);
             let result = catch_unwind(AssertUnwindSafe(|| {
                 join(
                     || {
-                        std::thread::sleep(Duration::from_millis(2));
                         if panicking_lane == "a" {
+                            a_panicking.store(true, Ordering::SeqCst);
                             panic!("deliberate panic in lane a");
                         }
                         finished.fetch_add(1, Ordering::SeqCst);
                     },
                     || {
-                        std::thread::sleep(Duration::from_millis(20));
                         if panicking_lane == "b" {
                             panic!("deliberate panic in lane b");
+                        }
+                        while !a_panicking.load(Ordering::SeqCst) {
+                            hint::spin_loop();
                         }
                         finished.fetch_add(1, Ordering::SeqCst);
                     },
