@@ -532,6 +532,30 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_callers_share_the_helpers() {
+        // Two threads dispatching at once, as two daemon handlers do:
+        // each call either gets a helper or runs inline, and every
+        // result is complete and exact.
+        std::thread::scope(|scope| {
+            for caller in 0..2u32 {
+                scope.spawn(move || {
+                    let mut data = vec![0.0f32; 96];
+                    for round in 0..500u32 {
+                        let (a, b) = join(|| round + caller, || round * 2 + caller);
+                        assert_eq!((a, b), (round + caller, round * 2 + caller));
+                        par_chunks_mut(&mut data, 8, |i, chunk| {
+                            chunk.fill((i as u32 + round) as f32)
+                        });
+                        for (k, &v) in data.iter().enumerate() {
+                            assert_eq!(v, (k / 8) as f32 + round as f32, "caller {caller}");
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
     fn join_inside_a_par_chunks_closure_finishes() {
         let mut data = vec![0.0f32; 64];
         par_chunks_mut(&mut data, 8, |i, chunk| {
