@@ -1,29 +1,41 @@
 #![warn(missing_docs)]
-//! Shared experiment harness for regenerating the paper's tables and
-//! figures.
+//! The experiment runner behind the paper's tables and figures.
 //!
-//! Every bench target (`cargo bench -p mars-bench --bench <name>`)
-//! prints the paper's table layout with our measured values and writes
-//! a JSON record under `target/experiments/` for EXPERIMENTS.md.
+//! Every table — Tables 1–3, Figs. 7–8 and four ablations — is one
+//! function `fn(&ExpConfig) -> Vec<Table>` listed in [`EXPERIMENTS`],
+//! and one entry point runs them:
 //!
-//! Two run profiles, selected by `MARS_PROFILE`:
-//! * default (*small*) — reduced graph/width profile; minutes on a
-//!   CPU-only box.
-//! * `MARS_PROFILE=full` — paper-scale graphs and widths (much slower).
+//! ```text
+//! cargo bench -p mars-bench --bench experiments -- <table|all> \
+//!     [--profile reduced|paper] [--budget N] [--seed N] [--seeds K] [--telemetry PATH]
+//! ```
+//!
+//! One writer ([`report::write`]) prints each table as markdown and
+//! writes `target/experiments/<table>.json`, a record naming the axes
+//! it ran at. `--profile reduced` (the default) runs reduced graphs at
+//! small widths, minutes on a CPU-only box; `--profile paper` runs
+//! paper-scale graphs and widths (much slower).
+//!
+//! The `kernels` bench target times the hot kernels on [`harness`].
 
 use mars_core::agent::{Agent, AgentKind, TrainingLog};
 use mars_core::config::MarsConfig;
 use mars_core::workload_input::WorkloadInput;
 use mars_graph::features::FEATURE_DIM;
 use mars_graph::generators::{Profile, Workload};
-use mars_sim::{Cluster, Environment, EvalOutcome, Placement, SimEnv};
-pub mod harness;
-
-use mars_json::Json;
 use mars_rng::rngs::StdRng;
 use mars_rng::SeedableRng;
+use mars_sim::{Cluster, Environment, EvalOutcome, Placement, SimEnv};
+use std::str::FromStr;
 
-/// Experiment-wide settings.
+mod experiments;
+pub mod harness;
+pub mod report;
+
+pub use experiments::EXPERIMENTS;
+use report::Table;
+
+/// The axes one experiment runs at.
 #[derive(Clone, Debug)]
 pub struct ExpConfig {
     /// Graph granularity.
@@ -39,28 +51,138 @@ pub struct ExpConfig {
 }
 
 impl ExpConfig {
-    /// Resolve from `MARS_PROFILE` / `MARS_BUDGET` / `MARS_SEED` /
-    /// `MARS_SEED_COUNT`.
-    pub fn from_env() -> Self {
-        let full = matches!(std::env::var("MARS_PROFILE").as_deref(), Ok("full") | Ok("paper"));
-        let budget = std::env::var("MARS_BUDGET")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(if full { 2000 } else { 600 });
-        let seed = std::env::var("MARS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42);
-        let seeds = std::env::var("MARS_SEED_COUNT").ok().and_then(|s| s.parse().ok()).unwrap_or(3);
+    /// The default axes of `profile`: small widths and 600 evaluations
+    /// per agent run on reduced graphs, paper widths and 2000 on paper
+    /// graphs; base seed 42, 3 seeds per cell.
+    pub fn new(profile: Profile) -> Self {
+        let paper = matches!(profile, Profile::Paper);
         ExpConfig {
-            profile: if full { Profile::Paper } else { Profile::Reduced },
-            mars: if full { MarsConfig::paper() } else { MarsConfig::small() },
-            budget,
-            seed,
-            seeds,
+            profile,
+            mars: if paper { MarsConfig::paper() } else { MarsConfig::small() },
+            budget: if paper { 2000 } else { 600 },
+            seed: 42,
+            seeds: 3,
         }
     }
 }
 
+/// One table or figure: its name on the command line and in
+/// `target/experiments/<name>.json`, and the function that runs it.
+#[derive(Clone, Copy)]
+pub struct Experiment {
+    /// Command-line and file name, e.g. `table2_final`.
+    pub name: &'static str,
+    /// Runs the experiment at the given axes.
+    pub run: fn(&ExpConfig) -> Vec<Table>,
+}
+
+/// The runner's command line.
+pub const USAGE: &str = "usage: experiments <table|all> [--profile reduced|paper] [--budget N] \
+                         [--seed N] [--seeds K] [--telemetry PATH]";
+
+/// A parsed command line: what to run, at which axes, and where to
+/// record telemetry.
+pub struct Invocation {
+    /// The experiments to run, in [`EXPERIMENTS`] order.
+    pub experiments: Vec<Experiment>,
+    /// Their axes.
+    pub cfg: ExpConfig,
+    /// JSONL telemetry sink (`--telemetry`), if any.
+    pub telemetry: Option<String>,
+}
+
+impl Invocation {
+    /// Parse the runner's arguments (program name excluded). Besides
+    /// the flags in [`USAGE`] only cargo's forwarded `--bench` is
+    /// accepted. An unknown table or flag, a repeated flag, a malformed
+    /// number, a zero budget or seed count and a seed above 2^53 are
+    /// errors naming the argument: none of them may silently change
+    /// what runs or what the record says ran.
+    pub fn parse(args: &[String]) -> Result<Invocation, String> {
+        let mut name = None;
+        let (mut profile, mut budget, mut seed, mut seeds, mut telemetry) =
+            (None, None, None, None, None);
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--bench" {
+                continue;
+            }
+            let Some(flag) = arg.strip_prefix("--") else {
+                if name.replace(arg.as_str()).is_some() {
+                    return Err(format!("unexpected argument '{arg}' (give one table or 'all')"));
+                }
+                continue;
+            };
+            let slot = match flag {
+                "profile" => &mut profile,
+                "budget" => &mut budget,
+                "seed" => &mut seed,
+                "seeds" => &mut seeds,
+                "telemetry" => &mut telemetry,
+                _ => return Err(format!("unknown flag --{flag}")),
+            };
+            let value = args
+                .next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("missing value for --{flag}"))?;
+            if slot.replace(value.as_str()).is_some() {
+                return Err(format!("--{flag} given twice"));
+            }
+        }
+
+        let profile = match profile {
+            None => Profile::Reduced,
+            Some(v) => [Profile::Reduced, Profile::Paper]
+                .into_iter()
+                .find(|p| p.name() == v)
+                .ok_or_else(|| format!("invalid value '{v}' for --profile (reduced or paper)"))?,
+        };
+        let mut cfg = ExpConfig::new(profile);
+        cfg.budget = count("budget", budget, cfg.budget)?;
+        cfg.seeds = count("seeds", seeds, cfg.seeds)?;
+        if let Some(v) = seed {
+            cfg.seed = number("seed", v)?;
+            // JSON numbers are f64: a larger seed would be recorded as
+            // a different one.
+            if cfg.seed > 1 << 53 {
+                return Err(format!("--seed must be at most 2^53 = {} (got {v})", 1u64 << 53));
+            }
+        }
+        let names = || EXPERIMENTS.map(|e| e.name).join(", ");
+        let experiments = match name {
+            None => return Err(format!("no table given (all, {})", names())),
+            Some("all") => EXPERIMENTS.to_vec(),
+            Some(n) => vec![*EXPERIMENTS
+                .iter()
+                .find(|e| e.name == n)
+                .ok_or_else(|| format!("unknown table '{n}' (all, {})", names()))?],
+        };
+        Ok(Invocation { experiments, cfg, telemetry: telemetry.map(str::to_string) })
+    }
+}
+
+fn number<T: FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("invalid value '{v}' for --{flag}"))
+}
+
+/// `--flag N` where zero would leave every cell empty.
+fn count(flag: &str, v: Option<&str>, default: usize) -> Result<usize, String> {
+    match v.map(|v| number(flag, v)).transpose()? {
+        None => Ok(default),
+        Some(0) => Err(format!("--{flag} must be at least 1")),
+        Some(n) => Ok(n),
+    }
+}
+
+/// Mean of the values that are present — over the seeds that found a
+/// placement, say — or `None` when none is.
+pub(crate) fn mean_found(values: impl IntoIterator<Item = Option<f64>>) -> Option<f64> {
+    let found: Vec<f64> = values.into_iter().flatten().collect();
+    (!found.is_empty()).then(|| found.iter().sum::<f64>() / found.len() as f64)
+}
+
 /// Aggregate of several seeds of the same (agent, workload) run.
-pub struct MultiRunResult {
+pub(crate) struct MultiRunResult {
     /// Per-seed best per-step times (None = no valid placement found).
     pub bests: Vec<Option<f64>>,
     /// Mean of the per-seed bests (None if no seed found a placement).
@@ -69,48 +191,31 @@ pub struct MultiRunResult {
     pub logs: Vec<TrainingLog>,
 }
 
-/// Run `cfg.seeds` independent trainings and aggregate.
-pub fn run_agent_multi(
+/// Train `kind` on `workload` once per seed of `cfg`, record the run
+/// in telemetry ([`note_run`]) and aggregate.
+pub(crate) fn run_agent_multi(
     cfg: &ExpConfig,
     kind: AgentKind,
     workload: Workload,
-    pretrain: bool,
-    budget: usize,
     seed_offset: u64,
 ) -> MultiRunResult {
-    let mut bests = Vec::new();
-    let mut logs = Vec::new();
-    for s in 0..cfg.seeds {
-        let r = run_agent(cfg, kind, workload, pretrain, budget, seed_offset + (s as u64) * 7919);
-        bests.push(r.log.best_reading_s);
-        logs.push(r.log);
-    }
-    let found: Vec<f64> = bests.iter().flatten().copied().collect();
-    let mean_best = (!found.is_empty()).then(|| found.iter().sum::<f64>() / found.len() as f64);
-    MultiRunResult { bests, mean_best, logs }
+    let logs: Vec<TrainingLog> = (0..cfg.seeds as u64)
+        .map(|s| run_agent(cfg, kind, workload, seed_offset + s * 7919))
+        .collect();
+    let bests: Vec<Option<f64>> = logs.iter().map(|l| l.best_reading_s).collect();
+    note_run(&kind.label(), workload, &bests);
+    MultiRunResult { mean_best: mean_found(bests.iter().copied()), bests, logs }
 }
 
-/// One trained-agent result.
-pub struct RunResult {
-    /// Training trace.
-    pub log: TrainingLog,
-    /// The trained agent (for generalization / inspection).
-    pub agent: Agent,
-    /// Pre-training report losses, if pre-training ran.
-    pub pretrain_losses: Option<Vec<f32>>,
-}
-
-/// Train an agent of `kind` on `workload` for `budget` evaluations.
-///
-/// `pretrain = true` runs DGI first (only meaningful for GCN agents).
-pub fn run_agent(
+/// Train an agent of `kind` on `workload` for `cfg.budget`
+/// evaluations. Mars and Table 1's frozen encoders pre-train their GCN
+/// with DGI first; the frozen encoders then freeze it.
+fn run_agent(
     cfg: &ExpConfig,
     kind: AgentKind,
     workload: Workload,
-    pretrain: bool,
-    budget: usize,
     seed_offset: u64,
-) -> RunResult {
+) -> TrainingLog {
     let graph = workload.build(cfg.profile);
     let input = WorkloadInput::from_graph(&graph);
     let cluster = Cluster::p100_quad();
@@ -119,12 +224,10 @@ pub fn run_agent(
         Agent::new(kind, cfg.mars.clone(), FEATURE_DIM, cluster.num_devices(), &mut rng);
 
     let mut log = TrainingLog::default();
-    let mut pretrain_losses = None;
-    if pretrain {
+    if matches!(kind, AgentKind::Mars | AgentKind::FixedEncoder(_)) {
         let t0 = std::time::Instant::now();
-        if let Some(report) = agent.pretrain(&input, &mut rng) {
+        if agent.pretrain(&input, &mut rng).is_some() {
             log.pretrain_wall_s = t0.elapsed().as_secs_f64();
-            pretrain_losses = Some(report.losses);
         }
     }
     if let AgentKind::FixedEncoder(_) = kind {
@@ -132,12 +235,12 @@ pub fn run_agent(
     }
 
     let mut env = SimEnv::new(graph, cluster, cfg.seed ^ seed_offset ^ 0xE11);
-    agent.train(&mut env, &input, budget, &mut rng, &mut log);
-    RunResult { log, agent, pretrain_losses }
+    agent.train(&mut env, &input, cfg.budget, &mut rng, &mut log);
+    log
 }
 
 /// Evaluate a fixed placement under the measurement protocol.
-pub fn measure_placement(
+pub(crate) fn measure_placement(
     cfg: &ExpConfig,
     workload: Workload,
     placement: &Placement,
@@ -149,8 +252,32 @@ pub fn measure_placement(
     env.evaluate(placement)
 }
 
+/// Record one aggregated (agent, workload) training run in telemetry:
+/// bumps the `bench.runs` / `bench.runs_no_valid` counters and, when a
+/// recorder is active, emits a `bench.run` event carrying the per-seed
+/// bests.
+pub(crate) fn note_run(label: &str, workload: Workload, bests: &[Option<f64>]) {
+    let mean_best = mean_found(bests.iter().copied());
+    mars_telemetry::counter("bench.runs").inc();
+    if mean_best.is_none() {
+        mars_telemetry::counter("bench.runs_no_valid").inc();
+    }
+    if mars_telemetry::active() {
+        mars_telemetry::event(
+            "bench.run",
+            &[
+                ("agent", label.into()),
+                ("workload", workload.name().into()),
+                ("mean_best_s", mean_best.unwrap_or(f64::NAN).into()),
+                ("seeds", (bests.len() as f64).into()),
+                ("seeds_valid", (bests.iter().filter(|b| b.is_some()).count() as f64).into()),
+            ],
+        );
+    }
+}
+
 /// Format a table cell: seconds or "OOM".
-pub fn cell(v: &EvalOutcome) -> String {
+pub(crate) fn cell(v: &EvalOutcome) -> String {
     match v {
         EvalOutcome::Valid { per_step_s } => format!("{per_step_s:.3}"),
         EvalOutcome::Bad { .. } => "bad".into(),
@@ -161,93 +288,19 @@ pub fn cell(v: &EvalOutcome) -> String {
 }
 
 /// Format an optional seconds value.
-pub fn cell_opt(v: Option<f64>) -> String {
+pub(crate) fn cell_opt(v: Option<f64>) -> String {
     match v {
         Some(s) => format!("{s:.3}"),
         None => "OOM".into(),
     }
 }
 
-/// Print a markdown-style table.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n### {title}\n");
-    println!("| {} |", header.join(" | "));
-    println!("|{}|", header.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
-    for row in rows {
-        println!("| {} |", row.join(" | "));
-    }
-    println!();
-}
-
-/// Install a telemetry JSONL recorder when `MARS_TELEMETRY=<path>` is
-/// set. Call [`finish_runs`] at the end of the bench to flush it.
-pub fn telemetry_from_env() -> bool {
-    match std::env::var("MARS_TELEMETRY") {
-        Ok(path) if !path.is_empty() => match mars_telemetry::install_file(&path) {
-            Ok(()) => true,
-            Err(e) => {
-                eprintln!("cannot open telemetry sink '{path}': {e}");
-                false
-            }
-        },
-        _ => false,
-    }
-}
-
-/// Record one aggregated (agent, workload) training run in telemetry —
-/// the structured replacement for the old per-run stderr lines. Bumps
-/// the `bench.runs` / `bench.runs_no_valid` counters and, when a
-/// recorder is active, emits a `bench.run` event carrying the per-seed
-/// bests.
-pub fn note_run(label: &str, workload: Workload, r: &MultiRunResult) {
-    mars_telemetry::counter("bench.runs").inc();
-    if r.mean_best.is_none() {
-        mars_telemetry::counter("bench.runs_no_valid").inc();
-    }
-    if mars_telemetry::active() {
-        mars_telemetry::event(
-            "bench.run",
-            &[
-                ("agent", label.into()),
-                ("workload", workload.name().into()),
-                ("mean_best_s", r.mean_best.unwrap_or(f64::NAN).into()),
-                ("seeds", (r.bests.len() as f64).into()),
-                ("seeds_valid", (r.bests.iter().filter(|b| b.is_some()).count() as f64).into()),
-            ],
-        );
-    }
-}
-
-/// Print the single end-of-bench summary line for the runs noted via
-/// [`note_run`] and flush the env-installed recorder, if any.
-pub fn finish_runs(table: &str) {
-    let runs = mars_telemetry::counter("bench.runs").get();
-    let no_valid = mars_telemetry::counter("bench.runs_no_valid").get();
-    eprintln!("{table}: {runs} training runs, {no_valid} found no valid placement");
-    if mars_telemetry::uninstall() {
-        if let Ok(path) = std::env::var("MARS_TELEMETRY") {
-            println!("(telemetry written to {path})");
-        }
-    }
-}
-
-/// Persist an experiment record as JSON under the workspace's
-/// `target/experiments/`.
-pub fn save_json(name: &str, value: &Json) {
-    let dir = harness::workspace_path("target/experiments");
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    if std::fs::write(dir.join(format!("{name}.json")), value.pretty()).is_ok() {
-        println!("(wrote target/experiments/{name}.json)");
-    }
-}
-
 /// The three benchmark workloads of §4.1, in table order.
-pub const BENCHMARKS: [Workload; 3] = [Workload::InceptionV3, Workload::Gnmt4, Workload::BertBase];
+pub(crate) const BENCHMARKS: [Workload; 3] =
+    [Workload::InceptionV3, Workload::Gnmt4, Workload::BertBase];
 
 /// Paper row label per benchmark.
-pub fn bench_label(w: Workload) -> &'static str {
+pub(crate) fn bench_label(w: Workload) -> &'static str {
     match w {
         Workload::InceptionV3 => "Inception-V3",
         Workload::Gnmt4 => "GNMT-4",
@@ -263,7 +316,12 @@ pub fn bench_label(w: Workload) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mars_json::Json;
     use mars_sim::OomError;
+
+    fn parse(args: &[&str]) -> Result<Invocation, String> {
+        Invocation::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
 
     #[test]
     fn cells_format_outcomes() {
@@ -285,21 +343,13 @@ mod tests {
 
     #[test]
     fn multi_run_aggregates_means() {
-        let mut cfg = ExpConfig::from_env();
-        cfg.seeds = 2;
+        let mut cfg = ExpConfig { seeds: 2, budget: 40, ..ExpConfig::new(Profile::Reduced) };
         cfg.mars.encoder_hidden = 16;
         cfg.mars.placer_hidden = 16;
         cfg.mars.attn_dim = 8;
         cfg.mars.segment_size = 16;
         cfg.mars.dgi_iters = 5;
-        let r = run_agent_multi(
-            &cfg,
-            mars_core::agent::AgentKind::MarsNoPretrain,
-            Workload::InceptionV3,
-            false,
-            40,
-            12345,
-        );
+        let r = run_agent_multi(&cfg, AgentKind::MarsNoPretrain, Workload::InceptionV3, 12345);
         assert_eq!(r.bests.len(), 2);
         assert_eq!(r.logs.len(), 2);
         let found: Vec<f64> = r.bests.iter().flatten().copied().collect();
@@ -309,5 +359,126 @@ mod tests {
         } else {
             assert!(r.mean_best.is_none());
         }
+    }
+
+    #[test]
+    fn mean_skips_missing_values() {
+        assert_eq!(mean_found([Some(1.0), None, Some(2.0)]), Some(1.5));
+        assert_eq!(mean_found([None, None]), None);
+        assert_eq!(mean_found([]), None);
+    }
+
+    #[test]
+    fn axes_default_per_profile_and_parse_from_flags() {
+        let inv = parse(&["table2_final", "--bench"]).unwrap();
+        assert_eq!(inv.experiments.len(), 1);
+        assert_eq!(inv.experiments[0].name, "table2_final");
+        assert_eq!((inv.cfg.budget, inv.cfg.seed, inv.cfg.seeds), (600, 42, 3));
+        assert!(matches!(inv.cfg.profile, Profile::Reduced));
+        assert!(inv.telemetry.is_none());
+
+        let inv = parse(&["all", "--profile", "paper", "--seeds", "2", "--telemetry", "t.jsonl"])
+            .unwrap();
+        assert_eq!(inv.experiments.len(), EXPERIMENTS.len());
+        assert!(matches!(inv.cfg.profile, Profile::Paper));
+        assert_eq!(inv.cfg.mars.segment_size, MarsConfig::paper().segment_size);
+        assert_eq!((inv.cfg.budget, inv.cfg.seeds), (2000, 2));
+        assert_eq!(inv.telemetry.as_deref(), Some("t.jsonl"));
+
+        let inv = parse(&["ablation_rl", "--budget", "8", "--seed", "7"]).unwrap();
+        assert_eq!((inv.cfg.budget, inv.cfg.seed), (8, 7));
+    }
+
+    fn refused(args: &[&str], needle: &str) {
+        let err = parse(args).err().unwrap_or_else(|| panic!("{args:?} was accepted"));
+        assert!(err.contains(needle), "{args:?}: {err}");
+    }
+
+    #[test]
+    fn unknown_table_is_refused() {
+        refused(&["table4"], "unknown table 'table4'");
+        refused(&[], "no table given");
+        refused(&["table1_placers", "fig7_curves"], "unexpected argument 'fig7_curves'");
+    }
+
+    #[test]
+    fn unknown_flag_is_refused() {
+        refused(&["all", "--smoke"], "unknown flag --smoke");
+        refused(&["all", "--profile", "full"], "invalid value 'full' for --profile");
+        refused(&["all", "--budget", "8", "--budget", "9"], "--budget given twice");
+        refused(&["all", "--telemetry"], "missing value for --telemetry");
+    }
+
+    #[test]
+    fn unparsable_number_is_refused() {
+        refused(&["all", "--budget", "2k"], "invalid value '2k' for --budget");
+        refused(&["all", "--seed", "-1"], "invalid value '-1' for --seed");
+        refused(&["all", "--seeds", "1.5"], "invalid value '1.5' for --seeds");
+        refused(&["all", "--seed", "9007199254740993"], "--seed must be at most 2^53");
+    }
+
+    #[test]
+    fn zero_budget_is_refused() {
+        refused(&["all", "--budget", "0"], "--budget must be at least 1");
+    }
+
+    #[test]
+    fn zero_seeds_is_refused() {
+        refused(&["all", "--seeds", "0"], "--seeds must be at least 1");
+    }
+
+    /// Runs `name` at a smoke budget and checks that its record parses
+    /// back with `rows[i]` rows in table `i`, each as wide as its header.
+    fn smoke(name: &str, rows: &[usize]) {
+        let cfg = ExpConfig { budget: 8, seeds: 1, ..ExpConfig::new(Profile::Reduced) };
+        let exp = EXPERIMENTS.iter().find(|e| e.name == name).expect("listed");
+        let text = report::record(name, &cfg, &(exp.run)(&cfg)).pretty();
+        let record = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(record["experiment"].as_str(), Some(name));
+        assert_eq!(record["profile"].as_str(), Some("reduced"));
+        assert_eq!(record["budget"].as_usize(), Some(8));
+        assert_eq!(record["seed"].as_u64(), Some(42));
+        assert_eq!(record["seeds"].as_usize(), Some(1));
+        let tables = record["tables"].as_array().expect("tables");
+        let got: Vec<usize> =
+            tables.iter().map(|t| t["rows"].as_array().expect("rows").len()).collect();
+        assert_eq!(got, rows, "{name}: rows per table");
+        for t in tables {
+            let width = t["header"].as_array().expect("header").len();
+            for row in t["rows"].as_array().expect("rows") {
+                assert_eq!(row.as_array().expect("row").len(), width, "{name}: {row}");
+            }
+        }
+    }
+
+    /// One test per experiment, so they run side by side.
+    macro_rules! smoke_tests {
+        ($($name:ident: $rows:expr;)*) => {
+            mod smoke {
+                $(#[test]
+                fn $name() {
+                    super::smoke(stringify!($name), &$rows);
+                })*
+
+                #[test]
+                fn covers_every_experiment() {
+                    assert_eq!([$(stringify!($name)),*], super::EXPERIMENTS.map(|e| e.name));
+                }
+            }
+        };
+    }
+
+    // At budget 8 every run is one update round, so Fig. 7 has one row
+    // per (workload, agent) series.
+    smoke_tests! {
+        table1_placers: [3];
+        table2_final: [3];
+        table3_generalization: [3];
+        fig7_curves: [6, 6];
+        fig8_training_time: [12, 4];
+        ablation_rl: [4];
+        ablation_segment: [10];
+        ablation_partitioner: [3];
+        ablation_reward: [6];
     }
 }

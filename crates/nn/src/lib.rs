@@ -8,8 +8,8 @@
 //! * [`ctx::FwdCtx`] — binds store parameters onto a fresh tape for one
 //!   forward pass and harvests their gradients after `backward`.
 //! * [`linear::Linear`], [`gcn::GcnLayer`], [`lstm::LstmCell`] /
-//!   [`lstm::Lstm`] / [`lstm::BiLstm`], [`attention::Attention`] — the
-//!   building blocks of the encoder and the placers.
+//!   [`lstm::BiLstm`], [`attention::Attention`] — the building blocks
+//!   of the encoder and the placers.
 //! * [`decode::decode`] — the placers' attention decoder (attention
 //!   read + LSTM step + device head per placed op) as one fused tape op.
 //! * [`adam::Adam`] — Adam with global-norm gradient clipping, the
@@ -32,5 +32,5 @@ pub use ctx::{apply_grads, FwdCtx};
 pub use decode::decode;
 pub use gcn::GcnLayer;
 pub use linear::Linear;
-pub use lstm::{BiLstm, BiLstmCarry, Lstm, LstmCell, LstmState};
+pub use lstm::{BiLstm, BiLstmCarry, LstmCell, LstmState};
 pub use param::{ParamId, ParamStore};

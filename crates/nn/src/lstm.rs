@@ -1,12 +1,11 @@
-//! LSTM cell, unidirectional and bidirectional sequence runners.
+//! LSTM cell and the bidirectional sequence runner.
 //!
 //! The Mars placer is "a bidirectional LSTM layer as the encoder and a
 //! uni-directional LSTM layer as the decoder" (§4.2), processing the
 //! operation sequence segment-by-segment with the encoder hidden state
-//! carried across segments. That carry-over is explicit: `Lstm::run`
-//! accepts an initial [`LstmState`] and returns the final one, and
-//! `BiLstm::run` does the same with the forward direction's
-//! [`BiLstmCarry`].
+//! carried across segments. That carry-over is explicit: `BiLstm::run`
+//! accepts the forward direction's [`BiLstmCarry`] and returns the
+//! final one, and `LstmCell::step` maps one [`LstmState`] to the next.
 //!
 //! Sequences are represented as `T × F` matrices (one row per element);
 //! this matches how node representations come out of the GCN encoder.
@@ -105,47 +104,6 @@ impl LstmCell {
     }
 }
 
-/// Unidirectional LSTM over a `T × F` sequence.
-pub struct Lstm {
-    /// The underlying cell.
-    pub cell: LstmCell,
-}
-
-impl Lstm {
-    /// Register a new LSTM.
-    pub fn new(
-        store: &mut ParamStore,
-        name: &str,
-        input_dim: usize,
-        hidden_dim: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
-        Lstm { cell: LstmCell::new(store, name, input_dim, hidden_dim, rng) }
-    }
-
-    /// Run over the whole sequence. Returns the stacked hidden states
-    /// (`T × H`) and the final state (for segment carry-over).
-    ///
-    /// Uses the fused [`mars_autograd::Tape::lstm_seq`] op (one tape
-    /// node for the whole sequence, hand-written BPTT) — verified
-    /// equivalent to the step-composed rollout in
-    /// `mars-autograd/tests/lstm_fused.rs`.
-    pub fn run(&self, ctx: &mut FwdCtx<'_>, xs: Var, init: Option<LstmState>) -> (Var, LstmState) {
-        let _span = mars_telemetry::span("nn.lstm.run");
-        let t_len = ctx.tape.value(xs).rows();
-        assert!(t_len > 0, "Lstm::run on empty sequence");
-        let state = init.unwrap_or_else(|| self.cell.zero_state(ctx));
-        let w_ih = ctx.p(self.cell.w_ih);
-        let w_hh = ctx.p(self.cell.w_hh);
-        let b = ctx.p(self.cell.b);
-        let out = ctx.tape.lstm_seq(xs, w_ih, w_hh, b, state.h, state.c);
-        let hs = ctx.tape.slice_rows(out, 0, t_len);
-        let h_final = ctx.tape.slice_rows(out, t_len - 1, t_len);
-        let c_final = ctx.tape.slice_rows(out, t_len, t_len + 1);
-        (hs, LstmState { h: h_final, c: c_final })
-    }
-}
-
 /// The forward direction's final `[h ‖ c]` (`1 × 2H`) after one
 /// [`BiLstm::run`]: what the Mars placer carries from one segment's
 /// encoder to the next.
@@ -211,6 +169,43 @@ mod tests {
     use mars_autograd::Tape;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
+
+    /// Unidirectional LSTM over a `T × F` sequence: one `lstm_seq`
+    /// node, the multi-step use of the fused op the tests below pin.
+    struct Lstm {
+        cell: LstmCell,
+    }
+
+    impl Lstm {
+        fn new(
+            store: &mut ParamStore,
+            name: &str,
+            input_dim: usize,
+            hidden_dim: usize,
+            rng: &mut impl Rng,
+        ) -> Self {
+            Lstm { cell: LstmCell::new(store, name, input_dim, hidden_dim, rng) }
+        }
+
+        /// Run over the whole sequence. Returns the stacked hidden states
+        /// (`T × H`) and the final state (for segment carry-over).
+        ///
+        /// Uses the fused [`mars_autograd::Tape::lstm_seq`] op (one tape
+        /// node for the whole sequence, hand-written BPTT) — verified
+        /// equivalent to the step-composed rollout in
+        /// `mars-autograd/tests/lstm_fused.rs`.
+        fn run(&self, ctx: &mut FwdCtx<'_>, xs: Var, init: Option<LstmState>) -> (Var, LstmState) {
+            let t_len = ctx.tape.value(xs).rows();
+            assert!(t_len > 0, "Lstm::run on empty sequence");
+            let state = init.unwrap_or_else(|| self.cell.zero_state(ctx));
+            let [w_ih, w_hh, b] = self.cell.params().map(|p| ctx.p(p));
+            let out = ctx.tape.lstm_seq(xs, w_ih, w_hh, b, state.h, state.c);
+            let hs = ctx.tape.slice_rows(out, 0, t_len);
+            let h_final = ctx.tape.slice_rows(out, t_len - 1, t_len);
+            let c_final = ctx.tape.slice_rows(out, t_len, t_len + 1);
+            (hs, LstmState { h: h_final, c: c_final })
+        }
+    }
 
     #[test]
     fn step_shapes_and_state_carry() {

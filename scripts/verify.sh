@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: hermetic offline build, full test suite, and a
-# one-iteration smoke pass over every microbenchmark. This is the exact
+# Tier-1 verification: hermetic offline build, full test suite, a
+# one-iteration smoke pass over every microbenchmark and every
+# experiment table at a smoke budget. This is the exact
 # gate CI runs; run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -13,6 +14,9 @@ cargo test -q --offline --workspace
 
 echo "==> kernel benches, smoke mode (one iteration each)"
 cargo bench -p mars-bench --bench kernels --offline -- --smoke
+
+echo "==> experiments smoke: every table and figure at 8 evaluations, 1 seed"
+cargo bench -p mars-bench --bench experiments --offline -- all --budget 8 --seeds 1
 
 echo "==> kernel dispatch parity: MARS_KERNEL=scalar must print identically to auto"
 SERIAL_OUT=$(./target/release/mars-cli train inception --budget 40 --dgi-iters 10 --seed 1)
@@ -165,4 +169,4 @@ for WORKLOAD in train_gnmt4 pretrain_corpus; do
         echo "running $WORKLOAD on one thread changed its fnv pins"; exit 1; }
 done
 
-echo "==> OK: build, tests, bench smoke, kernel and thread parity, observability, fault, serve and ledger smokes all green"
+echo "==> OK: build, tests, bench and experiments smokes, kernel and thread parity, observability, fault, serve and ledger smokes all green"
