@@ -120,28 +120,12 @@ pub enum Op {
         /// Each direction's activations, in its own step order.
         cache: Arc<[LstmCache; 2]>,
     },
-    /// Fused additive-attention scores
-    /// `s = (tanh(proj ⊕ dproj) · v)ᵀ` — the
-    /// `add_bias → tanh → matmul → transpose` chain of a Bahdanau read
-    /// collapsed into one node (`1 × T` output, no `T × A`
-    /// intermediates on the tape).
-    AttnScores {
-        /// Projected encoder keys (`T × A`).
-        proj: Var,
-        /// Projected decoder query (`1 × A`, broadcast over rows).
-        dproj: Var,
-        /// Scoring vector (`A × 1`).
-        v: Var,
-        /// Cached `tanh(proj ⊕ dproj)` activations (`T × A`).
-        act: Arc<Matrix>,
-    },
     /// The whole attention decoder as one node: for every step of every
     /// segment, an additive-attention read over the segment's encoder
     /// block, one LSTM step on `[enc row ‖ context]` and the device
     /// head (`N × D` output, `N = Σ T_s`). Bit-identical, forward and
-    /// backward, to the `matmul → attn_scores → softmax_rows → matmul →
-    /// concat_cols → lstm_seq(T = 1) → slice_rows → matmul → add_bias`
-    /// chain recorded once per step and stacked.
+    /// backward, to the same loop recorded op by op from primitive ops
+    /// and stacked (the `mars-oracle` crate's `decode_segment`).
     AttnDecode {
         /// Per segment, the encoder outputs (`T_s × E`) and their
         /// attention projection (`T_s × A`).

@@ -292,12 +292,6 @@ impl Tape {
         self.push(m, Op::Leaf, requires_grad)
     }
 
-    /// Gradless leaf copied from `src` into a recycled buffer.
-    /// Bit-identical to `leaf(src.clone(), false)`.
-    pub fn leaf_copy(&mut self, src: &Matrix) -> Var {
-        self.leaf_from(src, false)
-    }
-
     /// Value of a variable.
     pub fn value(&self, v: Var) -> &Matrix {
         &self.nodes[v.0].value
@@ -576,55 +570,6 @@ impl Tape {
         let v = Matrix::from_vec(1, 1, vec![acc / x.len() as f32]);
         let rg = self.rg(logits);
         self.push(v, Op::BceWithLogits(logits, targets), rg)
-    }
-
-    /// Fused additive-attention scores `(tanh(proj ⊕ dproj) · v)ᵀ`.
-    ///
-    /// `proj` is the pre-projected encoder matrix (`T × A`), `dproj`
-    /// the projected decoder query (`1 × A`), `v` the scoring vector
-    /// (`A × 1`); returns the `1 × T` score row. One node replaces the
-    /// four-op `add_bias → tanh → matmul → transpose` chain (and its
-    /// three `T × A`-sized intermediates) on the per-placement decoder
-    /// hot path. Per element the score accumulates ascending `a` with
-    /// the `== 0.0` skip, exactly like the `matmul` it replaces. These
-    /// loops stay scalar: `attn_scores` is the composed decoder's
-    /// (test oracle's) read, which checks the fused decoder's lane
-    /// kernels against the skip they stand for.
-    pub fn attn_scores(&mut self, proj: Var, dproj: Var, v: Var) -> Var {
-        let (t_len, ad) = self.value(proj).shape();
-        assert_eq!(self.value(dproj).shape(), (1, ad), "attn_scores: dproj shape mismatch");
-        assert_eq!(self.value(v).shape(), (ad, 1), "attn_scores: v shape mismatch");
-        let mut act = self.alloc_zeros(t_len, ad);
-        let mut scores = self.alloc_zeros(1, t_len);
-        {
-            let proj_m = self.value(proj);
-            let dproj_row = self.value(dproj).row(0);
-            let v_m = self.value(v);
-            let v_col = v_m.as_slice(); // A × 1, contiguous
-            for j in 0..t_len {
-                let proj_row = proj_m.row(j);
-                let act_row = act.row_mut(j);
-                for a in 0..ad {
-                    act_row[a] = proj_row[a] + dproj_row[a];
-                }
-                tanh_inplace(act_row);
-                let mut s = 0.0f32;
-                for a in 0..ad {
-                    let tv = act_row[a];
-                    if tv != 0.0 {
-                        s += tv * v_col[a];
-                    }
-                }
-                scores.set(0, j, s);
-            }
-        }
-        if !self.record {
-            // The tanh activations are a backward-only cache.
-            self.recycle(act);
-            return self.push(scores, Op::Leaf, false);
-        }
-        let rg = self.rg(proj) || self.rg(dproj) || self.rg(v);
-        self.push(scores, Op::AttnScores { proj, dproj, v, act: Arc::new(act) }, rg)
     }
 
     // ---------------------------------------------------------------
@@ -1084,37 +1029,6 @@ impl Tape {
                 Op::BiLstm { x, fwd, bwd, carry, cache } => {
                     self.bilstm_backward(i, &g, (x, fwd, bwd, carry), &cache);
                 }
-                Op::AttnScores { proj, dproj, v, act } => {
-                    // s_j = Σ_a tanh(proj[j][a] + dproj[a]) · v[a], so
-                    // with u = act (the cached tanh):
-                    //   d_act[j][a]  = g_j · v[a]
-                    //   d_pre[j][a]  = d_act · (1 − u²)   (tanh')
-                    //   d_proj       = d_pre
-                    //   d_dproj[a]   = Σ_j d_pre[j][a]    (broadcast)
-                    //   d_v[a]       = Σ_j u[j][a] · g_j
-                    let (t_len, ad) = act.shape();
-                    let mut gproj = self.alloc_zeros(t_len, ad);
-                    let mut gdproj = self.alloc_zeros(1, ad);
-                    let mut gv = self.alloc_zeros(ad, 1);
-                    let v_col = self.nodes[v.0].value.as_slice();
-                    for (j, &gj) in g.row(0).iter().enumerate().take(t_len) {
-                        let act_row = act.row(j);
-                        let gproj_row = gproj.row_mut(j);
-                        let gdproj_row = gdproj.row_mut(0);
-                        for a in 0..ad {
-                            let u = act_row[a];
-                            let dpre = gj * v_col[a] * (1.0 - u * u);
-                            gproj_row[a] = dpre;
-                            gdproj_row[a] += dpre;
-                            if u != 0.0 {
-                                gv.as_mut_slice()[a] += u * gj;
-                            }
-                        }
-                    }
-                    for (x, gx) in [(proj, gproj), (dproj, gdproj), (v, gv)] {
-                        self.accumulate(x, gx);
-                    }
-                }
                 Op::AttnDecode { segs, params, h0, c0, cache } => {
                     self.attn_decode_backward(&g, &segs, params, (h0, c0), &cache);
                 }
@@ -1200,25 +1114,28 @@ mod tests {
     }
 
     /// One representative forward touching every pooled builder:
-    /// leaf → matmul → tanh → lstm_seq → attn_scores → stack_rows.
+    /// leaf → matmul → tanh → bilstm → attn_decode → stack_rows.
     fn forward_values(t: &mut Tape, bind: impl Fn(&mut Tape, Matrix) -> Var) -> Vec<Vec<f32>> {
         let x = bind(t, Matrix::from_vec(3, 2, vec![0.1, -0.2, 0.3, 0.7, -0.5, 0.25]));
         let w = bind(t, Matrix::from_vec(2, 4, (0..8).map(|i| 0.1 * i as f32 - 0.3).collect()));
         let mm = t.matmul(x, w);
         let th = t.tanh(mm);
-        let w_ih =
-            bind(t, Matrix::from_vec(4, 8, (0..32).map(|i| 0.05 * (i % 7) as f32).collect()));
-        let w_hh = bind(t, Matrix::from_vec(2, 8, (0..16).map(|i| -0.04 * i as f32).collect()));
-        let b = bind(t, Matrix::from_vec(1, 8, vec![0.01; 8]));
+        // BiLSTM over the 3 × 4 rows, 2 units per direction.
+        let mut lstm = |seed| [(4, 8), (2, 8), (1, 8)].map(|(r, c)| bind(t, pseudo(r, c, seed)));
+        let (fwd, bwd) = (lstm(1), lstm(2));
+        let hs = t.bilstm(th, fwd, bwd, None);
+        let enc = t.slice_rows(hs, 0, 3);
+        // Decode over `enc` with `th` as its keys: H = 2, A = 4, D = 3.
+        let shapes = [(2, 4), (4, 1), (8, 8), (2, 8), (1, 8), (2, 3), (1, 3)];
+        let params = shapes.map(|(r, c)| bind(t, pseudo(r, c, 10 + r as u32 * c as u32)));
         let h0 = bind(t, Matrix::zeros(1, 2));
-        let c0 = bind(t, Matrix::zeros(1, 2));
-        let hs = t.lstm_seq(th, w_ih, w_hh, b, h0, c0);
-        let dq = bind(t, Matrix::from_vec(1, 4, vec![0.2, -0.1, 0.4, -0.3]));
-        let v = bind(t, Matrix::from_vec(4, 1, vec![0.3, -0.9, 0.5, 0.1]));
-        let sc = t.attn_scores(th, dq, v);
-        let sm = t.softmax_rows(sc);
-        let st = t.stack_rows(vec![sc, sm]);
-        [x, mm, th, hs, sc, sm, st].iter().map(|&v| t.value(v).as_slice().to_vec()).collect()
+        let c0 = bind(t, pseudo(1, 2, 3));
+        let logits = t.attn_decode(&[(enc, th)], params, h0, c0);
+        let sm = t.softmax_rows(logits);
+        let first = t.slice_rows(sm, 0, 1);
+        let last = t.slice_rows(logits, 2, 3);
+        let st = t.stack_rows(vec![first, last]);
+        [x, mm, th, hs, logits, sm, st].iter().map(|&v| t.value(v).as_slice().to_vec()).collect()
     }
 
     #[test]
@@ -1226,18 +1143,18 @@ mod tests {
         let mut rec = Tape::new();
         let want = forward_values(&mut rec, |t, m| t.leaf(m, true));
         let mut inf = Tape::inference();
-        let got = forward_values(&mut inf, |t, m| t.leaf_copy(&m));
+        let got = forward_values(&mut inf, |t, m| t.leaf_from(&m, false));
         assert_eq!(want, got, "inference forward diverged from recorded forward");
     }
 
     #[test]
     fn reused_inference_tape_is_bit_stable() {
         let mut inf = Tape::inference();
-        let first = forward_values(&mut inf, |t, m| t.leaf_copy(&m));
+        let first = forward_values(&mut inf, |t, m| t.leaf_from(&m, false));
         for _ in 0..3 {
             inf.reset_for_reuse();
             assert!(inf.is_empty());
-            let again = forward_values(&mut inf, |t, m| t.leaf_copy(&m));
+            let again = forward_values(&mut inf, |t, m| t.leaf_from(&m, false));
             assert_eq!(first, again, "pooled-buffer reuse changed forward values");
         }
     }
@@ -1246,7 +1163,7 @@ mod tests {
     #[should_panic(expected = "inference tape")]
     fn backward_panics_on_inference_tape() {
         let mut t = Tape::inference();
-        let x = t.leaf_copy(&Matrix::from_vec(1, 1, vec![1.0]));
+        let x = t.leaf_from(&Matrix::from_vec(1, 1, vec![1.0]), false);
         let loss = t.sum_all(x);
         t.backward(loss);
     }

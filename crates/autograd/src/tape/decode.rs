@@ -33,13 +33,16 @@ impl Tape {
     /// logits  = h·head_w + head_b
     /// ```
     ///
-    /// exactly as `matmul → attn_scores → softmax_rows → matmul →
-    /// concat_cols → lstm_seq → slice_rows → matmul → add_bias` would,
-    /// in one node instead of twelve per step. The reverse sweep adds
-    /// every gradient term into its parent's slot in place; that equals
-    /// the chain's accumulation provided nothing recorded after this
-    /// node has left a `-0.0` in a slot of `params`, `enc` or `proj` —
-    /// true whenever the decoder is the last consumer of its inputs.
+    /// exactly as the primitive-op chain `matmul → add_bias → tanh →
+    /// matmul → transpose → softmax_rows → matmul → concat_cols → LSTM
+    /// step → matmul → add_bias` would (the `mars-oracle` crate records
+    /// it, the LSTM step as `matmul`s, gate slices, `sigmoid`/`tanh` and
+    /// `mul`/`add`), in one node instead of three dozen per step. The
+    /// reverse sweep adds every gradient term into its parent's slot in
+    /// place; that equals the chain's accumulation provided nothing
+    /// recorded after this node has left a `-0.0` in a slot of
+    /// `params`, `enc` or `proj` — true whenever the decoder is the last
+    /// consumer of its inputs.
     pub fn attn_decode(&mut self, segs: &[(Var, Var)], params: [Var; 7], h0: Var, c0: Var) -> Var {
         let [w_dec, v, w_ih, w_hh, b, head_w, head_b] = params;
         assert!(!segs.is_empty(), "attn_decode: no segments");
@@ -335,7 +338,8 @@ impl Tape {
                             *gs = p * (dw - dot);
                         }
 
-                        // attn_scores: gdproj and gv sum over j from +0.0.
+                        // add_bias → tanh → matmul: gdproj and gv sum over j
+                        // from +0.0.
                         let act = &cache.act.as_slice()[a_end..a_end + t_s * ad];
                         let gdproj = &mut gdproj_rows[m * ad..(m + 1) * ad];
                         let sink = match proj_slot.as_mut() {

@@ -269,8 +269,8 @@ impl Tape {
         hd
     }
 
-    /// Where one direction's weight gradients sum up. One step
-    /// (`LstmCell::step`) contributes a single rank-1 term per weight,
+    /// Where one direction's weight gradients sum up. One step (a
+    /// `T = 1` node) contributes a single rank-1 term per weight,
     /// so it adds straight into the taken slot: `slot + (0 + x·dz)` is
     /// `slot + x·dz` bit for bit unless both `slot` and `x·dz` are
     /// `-0.0`, and a weight's slot never is — whatever reaches it (this

@@ -1,6 +1,7 @@
 //! The fused attention decoder (`Tape::attn_decode`) against the
-//! op-by-op chain it replaces: logits and every gradient compared by
-//! `to_bits`, plus inference/arena parity and finite differences.
+//! primitive-op chain of `mars-oracle`: logits and every gradient
+//! compared by `to_bits`, plus inference/arena parity and finite
+//! differences.
 //!
 //! CI's `verify-scalar` job runs this file with `MARS_KERNEL=scalar`,
 //! so the same equalities are pinned on the portable backend.
@@ -51,34 +52,21 @@ enum Path {
 }
 
 /// Record a decode over `vars` (laid out as [`inputs`]) and return the
-/// `N × D` logits. `Composed` is the chain the placers recorded before
-/// the fusion, each segment's key projection right before its steps.
+/// `N × D` logits. `Composed` is the oracle's primitive-op chain, each
+/// segment's key projection right before its steps.
 fn decode(t: &mut Tape, n_segs: usize, vars: &[Var], path: Path) -> Var {
     let encs = &vars[..n_segs];
     let w_enc = vars[n_segs];
     let params: [Var; 7] = vars[n_segs + 1..n_segs + 8].try_into().expect("seven parameters");
-    let (mut h, mut c) = (vars[n_segs + 8], vars[n_segs + 9]);
+    let mut state = (vars[n_segs + 8], vars[n_segs + 9]);
     if path == Path::Fused {
         let segs: Vec<(Var, Var)> = encs.iter().map(|&e| (e, t.matmul(e, w_enc))).collect();
-        return t.attn_decode(&segs, params, h, c);
+        return t.attn_decode(&segs, params, state.0, state.1);
     }
-    let [w_dec, v, w_ih, w_hh, b, head_w, head_b] = params;
     let mut rows = Vec::new();
     for &enc in encs {
         let proj = t.matmul(enc, w_enc);
-        for i in 0..t.value(enc).rows() {
-            let row = t.slice_rows(enc, i, i + 1);
-            let dproj = t.matmul(h, w_dec);
-            let scores = t.attn_scores(proj, dproj, v);
-            let alpha = t.softmax_rows(scores);
-            let context = t.matmul(alpha, enc);
-            let dec_in = t.concat_cols(row, context);
-            let out = t.lstm_seq(dec_in, w_ih, w_hh, b, h, c);
-            h = t.slice_rows(out, 0, 1);
-            c = t.slice_rows(out, 1, 2);
-            let y = t.matmul(h, head_w);
-            rows.push(t.add_bias(y, head_b));
-        }
+        state = mars_oracle::decode_segment(t, (enc, proj), params, state, &mut rows);
     }
     t.stack_rows(rows)
 }
@@ -175,7 +163,7 @@ fn inference_tape_matches_recording_tape() {
     let want = decode(&mut rec, 3, &vars, Path::Fused);
     let mut inf = Tape::inference();
     for round in 0..3 {
-        let vars: Vec<Var> = ins.iter().map(|m| inf.leaf_copy(m)).collect();
+        let vars: Vec<Var> = ins.iter().map(|m| inf.leaf_from(m, false)).collect();
         let got = decode(&mut inf, 3, &vars, Path::Fused);
         assert_eq!(bits(rec.value(want)), bits(inf.value(got)), "inference round {round}");
         // The step caches went back to the pool: nothing but the

@@ -1,49 +1,12 @@
 //! Correctness of the fused LSTM sequence op: value and gradient
-//! equivalence with the op-composed reference implementation, plus
-//! finite-difference checks on every input.
+//! equivalence with `mars-oracle`'s primitive-op step rolled over the
+//! sequence, plus finite-difference checks on every input.
 
 use mars_autograd::check::check_gradients_default;
 use mars_autograd::{Tape, Var};
 use mars_rng::rngs::StdRng;
 use mars_rng::SeedableRng;
 use mars_tensor::{init, Matrix};
-
-/// Composed reference: one step of the same LSTM from primitive ops.
-#[allow(clippy::too_many_arguments)]
-fn composed_step(
-    t: &mut Tape,
-    x_t: Var,
-    w_ih: Var,
-    w_hh: Var,
-    b: Var,
-    h: Var,
-    c: Var,
-    hd: usize,
-) -> (Var, Var) {
-    let slice_cols = |t: &mut Tape, m: Var, a: usize, bb: usize| {
-        let mt = t.transpose(m);
-        let s = t.slice_rows(mt, a, bb);
-        t.transpose(s)
-    };
-    let xi = t.matmul(x_t, w_ih);
-    let hh = t.matmul(h, w_hh);
-    let z0 = t.add(xi, hh);
-    let z = t.add_bias(z0, b);
-    let i_pre = slice_cols(t, z, 0, hd);
-    let f_pre = slice_cols(t, z, hd, 2 * hd);
-    let g_pre = slice_cols(t, z, 2 * hd, 3 * hd);
-    let o_pre = slice_cols(t, z, 3 * hd, 4 * hd);
-    let i = t.sigmoid(i_pre);
-    let f = t.sigmoid(f_pre);
-    let g = t.tanh(g_pre);
-    let o = t.sigmoid(o_pre);
-    let fc = t.mul(f, c);
-    let ig = t.mul(i, g);
-    let c2 = t.add(fc, ig);
-    let ct = t.tanh(c2);
-    let h2 = t.mul(o, ct);
-    (h2, c2)
-}
 
 fn inputs(t_len: usize, in_dim: usize, hd: usize, seed: u64) -> Vec<Matrix> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -74,7 +37,7 @@ fn fused_values_match_composed() {
     let mut h_rows = Vec::new();
     for t in 0..t_len {
         let x_t = tape.slice_rows(vars[0], t, t + 1);
-        let (h2, c2) = composed_step(&mut tape, x_t, vars[1], vars[2], vars[3], h, c, hd);
+        let (h2, c2) = mars_oracle::lstm_step(&mut tape, x_t, vars[1], vars[2], vars[3], h, c);
         h = h2;
         c = c2;
         h_rows.push(h2);
@@ -116,7 +79,7 @@ fn fused_gradients_match_composed() {
         let mut h_rows = Vec::new();
         for t in 0..t_len {
             let x_t = tape.slice_rows(vars[0], t, t + 1);
-            let (h2, c2) = composed_step(&mut tape, x_t, vars[1], vars[2], vars[3], h, c, hd);
+            let (h2, c2) = mars_oracle::lstm_step(&mut tape, x_t, vars[1], vars[2], vars[3], h, c);
             h = h2;
             c = c2;
             h_rows.push(h2);

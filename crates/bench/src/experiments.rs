@@ -164,9 +164,9 @@ fn table3_generalization(cfg: &ExpConfig) -> Vec<Table> {
             sim_bests.push(sim.best_s);
             dif_bests.push(dif.best_s);
         }
-        note_run("direct", w, &dir_bests);
-        note_run(&format!("generalized from {}", sim_src.name()), w, &sim_bests);
-        note_run(&format!("generalized from {}", dif_src.name()), w, &dif_bests);
+        note_run("direct", w, None, &dir_bests);
+        note_run(&format!("generalized from {}", sim_src.name()), w, None, &sim_bests);
+        note_run(&format!("generalized from {}", dif_src.name()), w, None, &dif_bests);
         table.push(vec![
             text(bench_label(w)),
             text(cell_opt(mean_found(dir_bests))),

@@ -192,7 +192,8 @@ pub(crate) struct MultiRunResult {
 }
 
 /// Train `kind` on `workload` once per seed of `cfg`, record the run
-/// in telemetry ([`note_run`]) and aggregate.
+/// in telemetry ([`note_run`], naming the cell by `seed_offset`) and
+/// aggregate.
 pub(crate) fn run_agent_multi(
     cfg: &ExpConfig,
     kind: AgentKind,
@@ -203,7 +204,7 @@ pub(crate) fn run_agent_multi(
         .map(|s| run_agent(cfg, kind, workload, seed_offset + s * 7919))
         .collect();
     let bests: Vec<Option<f64>> = logs.iter().map(|l| l.best_reading_s).collect();
-    note_run(&kind.label(), workload, &bests);
+    note_run(&kind.label(), workload, Some(seed_offset), &bests);
     MultiRunResult { mean_best: mean_found(bests.iter().copied()), bests, logs }
 }
 
@@ -255,24 +256,31 @@ pub(crate) fn measure_placement(
 /// Record one aggregated (agent, workload) training run in telemetry:
 /// bumps the `bench.runs` / `bench.runs_no_valid` counters and, when a
 /// recorder is active, emits a `bench.run` event carrying the per-seed
-/// bests.
-pub(crate) fn note_run(label: &str, workload: Workload, bests: &[Option<f64>]) {
+/// bests. A table's cells differ by their seed offset, which depends
+/// only on the cell's place in the table; the event carries it when
+/// given, so the variants of an ablation (same agent label) can be
+/// told apart.
+pub(crate) fn note_run(
+    label: &str,
+    workload: Workload,
+    seed_offset: Option<u64>,
+    bests: &[Option<f64>],
+) {
     let mean_best = mean_found(bests.iter().copied());
     mars_telemetry::counter("bench.runs").inc();
     if mean_best.is_none() {
         mars_telemetry::counter("bench.runs_no_valid").inc();
     }
     if mars_telemetry::active() {
-        mars_telemetry::event(
-            "bench.run",
-            &[
-                ("agent", label.into()),
-                ("workload", workload.name().into()),
-                ("mean_best_s", mean_best.unwrap_or(f64::NAN).into()),
-                ("seeds", (bests.len() as f64).into()),
-                ("seeds_valid", (bests.iter().filter(|b| b.is_some()).count() as f64).into()),
-            ],
-        );
+        let mut fields = vec![
+            ("agent", label.into()),
+            ("workload", workload.name().into()),
+            ("mean_best_s", mean_best.unwrap_or(f64::NAN).into()),
+            ("seeds", (bests.len() as f64).into()),
+            ("seeds_valid", (bests.iter().filter(|b| b.is_some()).count() as f64).into()),
+        ];
+        fields.extend(seed_offset.map(|o| ("seed_offset", o.into())));
+        mars_telemetry::event("bench.run", &fields);
     }
 }
 

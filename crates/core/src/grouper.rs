@@ -119,7 +119,7 @@ mod tests {
     use super::*;
     use crate::placers::oracle::assert_same_bits;
     use mars_autograd::Tape;
-    use mars_nn::decode::decode_composed;
+    use mars_nn::decode::bind_params;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
     use mars_tensor::init;
@@ -130,9 +130,11 @@ mod tests {
         let (s, group_emb) = p.group(ctx, reps);
         let (enc_out, _) = p.enc.run(ctx, group_emb, None);
         let keys = p.attn.precompute(ctx, enc_out);
+        let params = bind_params(ctx, &p.dec, &p.attn, &p.head);
         let state = p.dec.zero_state(ctx);
         let mut rows = Vec::new();
-        decode_composed(ctx, &p.dec, &p.attn, &p.head, keys, state, &mut rows);
+        let seg = (keys.enc, keys.proj);
+        mars_oracle::decode_segment(&mut ctx.tape, seg, params, (state.h, state.c), &mut rows);
         let group_dev_logits = ctx.tape.stack_rows(rows);
         p.mix(ctx, s, group_dev_logits)
     }

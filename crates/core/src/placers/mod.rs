@@ -58,7 +58,8 @@ impl PlacerChoice {
 
 /// Shared by the seq2seq placers' tests: each pins its `logits` (one
 /// fused [`mars_nn::decode`]) to the op-by-op tape it recorded before
-/// the fusion, rebuilt from [`mars_nn::decode::decode_composed`].
+/// the fusion, its decode loop rebuilt from primitive ops by
+/// `mars_oracle::decode_segment`.
 #[cfg(test)]
 pub(crate) mod oracle {
     use mars_autograd::{Tape, Var};

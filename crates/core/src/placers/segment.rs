@@ -98,7 +98,7 @@ mod tests {
     use super::*;
     use crate::placers::oracle::assert_same_bits;
     use mars_autograd::Tape;
-    use mars_nn::decode::decode_composed;
+    use mars_nn::decode::bind_params;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
     use mars_tensor::init;
@@ -106,11 +106,12 @@ mod tests {
     /// The tape `logits` recorded before the decoder was fused: per
     /// segment, encoder then op-by-op decode steps.
     fn composed_logits(p: &SegmentSeq2Seq, ctx: &mut FwdCtx<'_>, reps: Var) -> Var {
-        let mut dec_state = p.decoder.zero_state(ctx);
-        let mut rows = Vec::new();
+        let params = bind_params(ctx, &p.decoder, &p.attn, &p.head);
+        let state = p.decoder.zero_state(ctx);
+        let (mut rows, mut state) = (Vec::new(), (state.h, state.c));
         p.encode_segments(ctx, reps, |ctx, keys| {
-            dec_state =
-                decode_composed(ctx, &p.decoder, &p.attn, &p.head, keys, dec_state, &mut rows);
+            let seg = (keys.enc, keys.proj);
+            state = mars_oracle::decode_segment(&mut ctx.tape, seg, params, state, &mut rows);
         });
         ctx.tape.stack_rows(rows)
     }

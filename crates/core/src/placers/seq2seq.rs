@@ -61,7 +61,7 @@ mod tests {
     use super::*;
     use crate::placers::oracle::assert_same_bits;
     use mars_autograd::Tape;
-    use mars_nn::decode::decode_composed;
+    use mars_nn::decode::bind_params;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
     use mars_tensor::init;
@@ -70,9 +70,11 @@ mod tests {
     fn composed_logits(p: &FullSeq2Seq, ctx: &mut FwdCtx<'_>, reps: Var) -> Var {
         let (enc_out, _) = p.encoder.run(ctx, reps, None);
         let keys = p.attn.precompute(ctx, enc_out);
+        let params = bind_params(ctx, &p.decoder, &p.attn, &p.head);
         let state = p.decoder.zero_state(ctx);
         let mut rows = Vec::new();
-        decode_composed(ctx, &p.decoder, &p.attn, &p.head, keys, state, &mut rows);
+        let seg = (keys.enc, keys.proj);
+        mars_oracle::decode_segment(&mut ctx.tape, seg, params, (state.h, state.c), &mut rows);
         ctx.tape.stack_rows(rows)
     }
 

@@ -71,9 +71,9 @@ pub fn write_ranking(out: &mut String, rows: &[Vec<usize>], top_k: usize) {
 /// first), straight from the engine's full ranking: each row is cut to
 /// `top_k` devices as it is written, a `top_k` of 0 reading as 1 (the
 /// greedy device is always reported). The one encoder of this message:
-/// [`Msg::to_bytes`] goes through it, and the bytes equal
-/// `Msg::PlaceResponse { .. }.to_json().to_string()` over the truncated
-/// ranking (the property test below).
+/// [`Msg::to_bytes`] goes through it, and the bytes equal the printed
+/// `Json` tree of the response over the truncated ranking (the property
+/// test below).
 pub fn write_place_response(
     out: &mut String,
     unit: u64,
@@ -158,41 +158,6 @@ pub enum Msg {
 }
 
 impl Msg {
-    /// JSON encoding (the frame payload).
-    pub fn to_json(&self) -> Json {
-        match self {
-            Msg::Hello { version } => {
-                Json::obj([("type", Json::from("hello")), ("version", Json::from(*version as f64))])
-            }
-            Msg::PlaceRequest { unit, workload, profile, cluster, top_k } => Json::obj([
-                ("type", Json::from("place_request")),
-                ("unit", u64_to_wire(*unit)),
-                ("workload", Json::from(workload.as_str())),
-                ("profile", Json::from(profile.as_str())),
-                ("cluster", cluster.to_json_value()),
-                ("top_k", Json::from(*top_k as f64)),
-            ]),
-            Msg::PlaceResponse { unit, graph_fp, cluster_fp, weights_fp, ranking } => Json::obj([
-                ("type", Json::from("place_response")),
-                ("unit", u64_to_wire(*unit)),
-                ("graph_fp", u64_to_wire(*graph_fp)),
-                ("cluster_fp", u64_to_wire(*cluster_fp)),
-                ("weights_fp", u64_to_wire(*weights_fp)),
-                (
-                    "ranking",
-                    Json::arr(
-                        ranking.iter().map(|p| Json::arr(p.iter().map(|&d| Json::from(d as f64)))),
-                    ),
-                ),
-            ]),
-            Msg::Shutdown => Json::obj([("type", Json::from("shutdown"))]),
-            Msg::Error { message } => Json::obj([
-                ("type", Json::from("error")),
-                ("message", Json::from(message.as_str())),
-            ]),
-        }
-    }
-
     /// Decode a frame payload.
     pub fn from_json(j: &Json) -> Result<Msg, String> {
         let usize_list = |j: &Json, field: &str| -> Result<Vec<usize>, String> {
@@ -246,11 +211,21 @@ impl Msg {
         }
     }
 
-    /// Serialize to the frame payload bytes: [`Self::to_json`] printed
-    /// compactly, which for a `PlaceResponse` is written directly by
-    /// [`write_place_response`].
+    /// Serialize to the frame payload bytes: compact JSON, which for a
+    /// `PlaceResponse` is written directly by [`write_place_response`].
     pub fn to_bytes(&self) -> Vec<u8> {
-        let text = match self {
+        let json = match self {
+            Msg::Hello { version } => {
+                Json::obj([("type", Json::from("hello")), ("version", Json::from(*version as f64))])
+            }
+            Msg::PlaceRequest { unit, workload, profile, cluster, top_k } => Json::obj([
+                ("type", Json::from("place_request")),
+                ("unit", u64_to_wire(*unit)),
+                ("workload", Json::from(workload.as_str())),
+                ("profile", Json::from(profile.as_str())),
+                ("cluster", cluster.to_json_value()),
+                ("top_k", Json::from(*top_k as f64)),
+            ]),
             Msg::PlaceResponse { unit, graph_fp, cluster_fp, weights_fp, ranking } => {
                 let mut out = String::new();
                 write_place_response(
@@ -262,11 +237,15 @@ impl Msg {
                     ranking,
                     usize::MAX,
                 );
-                out
+                return out.into_bytes();
             }
-            other => other.to_json().to_string(),
+            Msg::Shutdown => Json::obj([("type", Json::from("shutdown"))]),
+            Msg::Error { message } => Json::obj([
+                ("type", Json::from("error")),
+                ("message", Json::from(message.as_str())),
+            ]),
         };
-        text.into_bytes()
+        json.to_string().into_bytes()
     }
 
     /// Parse from frame payload bytes.
@@ -314,6 +293,30 @@ mod tests {
         });
     }
 
+    /// The `Json` tree of a `PlaceResponse`, field by field: what
+    /// [`write_place_response`] must print.
+    fn place_response_json(
+        unit: u64,
+        graph_fp: u64,
+        cluster_fp: u64,
+        weights_fp: u64,
+        ranking: &[Vec<usize>],
+    ) -> Json {
+        Json::obj([
+            ("type", Json::from("place_response")),
+            ("unit", u64_to_wire(unit)),
+            ("graph_fp", u64_to_wire(graph_fp)),
+            ("cluster_fp", u64_to_wire(cluster_fp)),
+            ("weights_fp", u64_to_wire(weights_fp)),
+            (
+                "ranking",
+                Json::arr(
+                    ranking.iter().map(|p| Json::arr(p.iter().map(|&d| Json::from(d as f64)))),
+                ),
+            ),
+        ])
+    }
+
     mars_rng::props! {
         /// The direct rendering is the `Json` tree's, byte for byte,
         /// for any ranking (no rows, empty rows, devices of one digit
@@ -335,13 +338,14 @@ mod tests {
                 let cut = top_k.max(1);
                 let truncated: Vec<Vec<usize>> =
                     ranking.iter().map(|row| row.iter().copied().take(cut).collect()).collect();
-                let oracle =
-                    Msg::PlaceResponse { unit, graph_fp, cluster_fp, weights_fp, ranking: truncated };
+                let tree = place_response_json(unit, graph_fp, cluster_fp, weights_fp, &truncated);
                 write_place_response(
                     &mut out, unit, graph_fp, cluster_fp, weights_fp, &ranking, top_k,
                 );
-                assert_eq!(out, oracle.to_json().to_string(), "top_k {top_k}");
-                assert_eq!(oracle.to_bytes(), out.as_bytes(), "to_bytes uses the same encoder");
+                assert_eq!(out, tree.to_string(), "top_k {top_k}");
+                let msg =
+                    Msg::PlaceResponse { unit, graph_fp, cluster_fp, weights_fp, ranking: truncated };
+                assert_eq!(msg.to_bytes(), out.as_bytes(), "to_bytes uses the same encoder");
             }
         }
     }
@@ -353,14 +357,15 @@ mod tests {
     #[test]
     fn place_request_without_top_k_defaults_to_greedy() {
         let with_top_k = |top_k: Option<Json>| {
-            let mut msg = Msg::PlaceRequest {
+            let bytes = Msg::PlaceRequest {
                 unit: 1,
                 workload: "vgg16".into(),
                 profile: "paper".into(),
                 cluster: mars_sim::Cluster::p100_quad(),
                 top_k: 5,
             }
-            .to_json();
+            .to_bytes();
+            let mut msg = Json::parse(std::str::from_utf8(&bytes).expect("UTF-8")).expect("JSON");
             let Json::Obj(pairs) = &mut msg else { panic!("place_request is an object") };
             pairs.retain(|(k, _)| k != "top_k");
             pairs.extend(top_k.map(|v| ("top_k".to_string(), v)));

@@ -6,14 +6,34 @@
 //! step on `[encoder row ‖ context]` with the state carried from the
 //! previous op (across segments too), and a linear head producing the
 //! device logits. [`decode`] records that whole loop as one
-//! [`mars_autograd::Tape::attn_decode`] node; [`decode_composed`] is the
-//! op-by-op loop it replaces, kept as the test oracle.
+//! [`mars_autograd::Tape::attn_decode`] node over the parameters
+//! [`bind_params`] puts on the tape. The `mars-oracle` crate (a
+//! dev-dependency) records the same loop from primitive ops; the test
+//! below and the placers' tests compare the two bit for bit.
 
 use crate::attention::{Attention, AttentionKeys};
 use crate::ctx::FwdCtx;
 use crate::linear::Linear;
 use crate::lstm::{LstmCell, LstmState};
 use mars_autograd::Var;
+
+/// Bind the decoder's seven parameters on `ctx`'s tape, in the order
+/// [`mars_autograd::Tape::attn_decode`] reads them: `[w_dec, v, w_ih,
+/// w_hh, b, head_w, head_b]`.
+///
+/// # Panics
+/// If `head` has no bias.
+pub fn bind_params(
+    ctx: &mut FwdCtx<'_>,
+    cell: &LstmCell,
+    attn: &Attention,
+    head: &Linear,
+) -> [Var; 7] {
+    let [w_dec, v] = attn.query_params();
+    let [w_ih, w_hh, b] = cell.params();
+    let head_b = head.bias().expect("decode: the device head has a bias");
+    [w_dec, v, w_ih, w_hh, b, head.weight(), head_b].map(|p| ctx.p(p))
+}
 
 /// Decode every row of every segment in `keys` (in order) from `state`
 /// and return the `N × D` logits. The segments' encoders never read the
@@ -30,37 +50,9 @@ pub fn decode(
     state: LstmState,
 ) -> Var {
     let _span = mars_telemetry::span("nn.decode");
-    let [w_dec, v] = attn.query_params();
-    let [w_ih, w_hh, b] = cell.params();
-    let head_b = head.bias().expect("decode: the device head has a bias");
-    let params = [w_dec, v, w_ih, w_hh, b, head.weight(), head_b].map(|p| ctx.p(p));
+    let params = bind_params(ctx, cell, attn, head);
     let segs: Vec<(Var, Var)> = keys.iter().map(|k| (k.enc, k.proj)).collect();
     ctx.tape.attn_decode(&segs, params, state.h, state.c)
-}
-
-/// Test oracle: one segment of the decode loop as the op-by-op chain
-/// (`slice_rows → Attention::read → concat_cols → LstmCell::step →
-/// Linear::forward` per row) that [`decode`] fuses. Pushes the
-/// segment's `1 × D` logit rows onto `rows` and returns the carried
-/// state, so a caller can interleave it with the segment encoders the
-/// way the placers recorded their tapes before the fusion.
-pub fn decode_composed(
-    ctx: &mut FwdCtx<'_>,
-    cell: &LstmCell,
-    attn: &Attention,
-    head: &Linear,
-    keys: AttentionKeys,
-    mut state: LstmState,
-    rows: &mut Vec<Var>,
-) -> LstmState {
-    for i in 0..ctx.tape.value(keys.enc).rows() {
-        let row = ctx.tape.slice_rows(keys.enc, i, i + 1);
-        let context = attn.read(ctx, keys, state.h);
-        let dec_in = ctx.tape.concat_cols(row, context);
-        state = cell.step(ctx, dec_in, state);
-        rows.push(head.forward(ctx, state.h));
-    }
-    state
 }
 
 #[cfg(test)]
@@ -98,10 +90,14 @@ mod tests {
                 enc_vars.iter().map(|&e| attn.precompute(&mut ctx, e)).collect();
             decode(&mut ctx, &cell, &attn, &head, &keys, state)
         } else {
-            let (mut rows, mut state) = (Vec::new(), state);
+            // The chain the placers recorded before the fusion: each
+            // segment's key projection right before its steps.
+            let params = bind_params(&mut ctx, &cell, &attn, &head);
+            let (mut rows, mut state) = (Vec::new(), (state.h, state.c));
             for &e in &enc_vars {
                 let keys = attn.precompute(&mut ctx, e);
-                state = decode_composed(&mut ctx, &cell, &attn, &head, keys, state, &mut rows);
+                let seg = (keys.enc, keys.proj);
+                state = mars_oracle::decode_segment(&mut ctx.tape, seg, params, state, &mut rows);
             }
             ctx.tape.stack_rows(rows)
         };

@@ -24,7 +24,6 @@ pub mod gcn;
 pub mod linear;
 pub mod lstm;
 pub mod param;
-pub mod util;
 
 pub use adam::Adam;
 pub use attention::Attention;

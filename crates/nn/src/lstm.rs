@@ -5,7 +5,10 @@
 //! operation sequence segment-by-segment with the encoder hidden state
 //! carried across segments. That carry-over is explicit: `BiLstm::run`
 //! accepts the forward direction's [`BiLstmCarry`] and returns the
-//! final one, and `LstmCell::step` maps one [`LstmState`] to the next.
+//! final one. The decoder's cell steps inside the fused
+//! [`crate::decode::decode`] node, which carries its [`LstmState`] from
+//! op to op; an [`LstmCell`] itself only owns parameters and the zero
+//! state.
 //!
 //! Sequences are represented as `T × F` matrices (one row per element);
 //! this matches how node representations come out of the GCN encoder.
@@ -33,7 +36,6 @@ pub struct LstmCell {
     w_ih: ParamId,
     w_hh: ParamId,
     b: ParamId,
-    input_dim: usize,
     hidden_dim: usize,
 }
 
@@ -56,17 +58,7 @@ impl LstmCell {
             bias.set(0, cidx, 1.0);
         }
         let b = store.add(format!("{name}.b"), bias);
-        LstmCell { w_ih, w_hh, b, input_dim, hidden_dim }
-    }
-
-    /// Hidden width.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
+        LstmCell { w_ih, w_hh, b, hidden_dim }
     }
 
     /// The fused gate parameters `[w_ih, w_hh, b]`.
@@ -78,28 +70,6 @@ impl LstmCell {
     pub fn zero_state(&self, ctx: &mut FwdCtx<'_>) -> LstmState {
         let h = ctx.tape.constant(Matrix::zeros(1, self.hidden_dim));
         let c = ctx.tape.constant(Matrix::zeros(1, self.hidden_dim));
-        LstmState { h, c }
-    }
-
-    /// One step: `x` is `1 × input_dim`; returns the new state.
-    ///
-    /// Routed through the fused [`mars_autograd::Tape::lstm_seq`]
-    /// kernel with `T = 1`: one packed pass over the concatenated
-    /// `[i|f|g|o]` gate block (plus two row slices for the state)
-    /// instead of the ~20 tape ops of the composed formulation —
-    /// this is the decoder hot path, stepped once per placed op.
-    /// Forward values are bit-identical to the composed ops: the fused
-    /// gate math associates `(x·W_ih + h·W_hh) + b`, `(f·c) + (i·g)`
-    /// and `o·tanh(c)` exactly like the op-by-op tape did.
-    pub fn step(&self, ctx: &mut FwdCtx<'_>, x: Var, state: LstmState) -> LstmState {
-        debug_assert_eq!(ctx.tape.value(x).shape(), (1, self.input_dim));
-        let w_ih = ctx.p(self.w_ih);
-        let w_hh = ctx.p(self.w_hh);
-        let b = ctx.p(self.b);
-        // 2 × H: row 0 is h_1, row 1 is the final cell state c_1.
-        let out = ctx.tape.lstm_seq(x, w_ih, w_hh, b, state.h, state.c);
-        let h = ctx.tape.slice_rows(out, 0, 1);
-        let c = ctx.tape.slice_rows(out, 1, 2);
         LstmState { h, c }
     }
 }

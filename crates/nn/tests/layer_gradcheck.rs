@@ -4,7 +4,6 @@
 
 use mars_autograd::check::check_gradients;
 use mars_autograd::{Tape, Var};
-use mars_nn::util::slice_cols;
 use mars_rng::rngs::StdRng;
 use mars_rng::SeedableRng;
 use mars_tensor::ops::CsrMatrix;
@@ -42,25 +41,8 @@ fn lstm_cell_parameters() {
     let h0 = init::uniform(1, hd, 0.5, &mut r);
     let c0 = init::uniform(1, hd, 0.5, &mut r);
 
-    let step = move |t: &mut Tape, v: &[Var]| -> Var {
-        let (x, w_ih, w_hh, bias, h0, c0) = (v[0], v[1], v[2], v[3], v[4], v[5]);
-        let xi = t.matmul(x, w_ih);
-        let hh = t.matmul(h0, w_hh);
-        let z0 = t.add(xi, hh);
-        let z = t.add_bias(z0, bias);
-        let i_pre = slice_cols(t, z, 0, hd);
-        let f_pre = slice_cols(t, z, hd, 2 * hd);
-        let g_pre = slice_cols(t, z, 2 * hd, 3 * hd);
-        let o_pre = slice_cols(t, z, 3 * hd, 4 * hd);
-        let i = t.sigmoid(i_pre);
-        let f = t.sigmoid(f_pre);
-        let g = t.tanh(g_pre);
-        let o = t.sigmoid(o_pre);
-        let fc = t.mul(f, c0);
-        let ig = t.mul(i, g);
-        let c = t.add(fc, ig);
-        let ct = t.tanh(c);
-        let h = t.mul(o, ct);
+    let step = |t: &mut Tape, v: &[Var]| -> Var {
+        let (h, _) = mars_oracle::lstm_step(t, v[0], v[1], v[2], v[3], v[4], v[5]);
         t.mean_all(h)
     };
     check_gradients(&[x, w_ih, w_hh, bias, h0, c0], 2e-2, 1e-2, step);
@@ -97,7 +79,8 @@ fn gcn_layer_parameters() {
     });
 }
 
-/// Bahdanau attention read, gradients w.r.t. all three projections.
+/// Bahdanau attention read (the fused decoder's, as `mars-oracle`
+/// transcribes it), gradients w.r.t. all three projections.
 #[test]
 fn attention_parameters() {
     let mut r = rng(4);
@@ -108,13 +91,7 @@ fn attention_parameters() {
     let dec = init::uniform(1, 2, 0.6, &mut r);
     check_gradients(&[enc, w_enc, w_dec, vvec, dec], 2e-2, 1e-2, |t, v| {
         let proj = t.matmul(v[0], v[1]);
-        let dproj = t.matmul(v[4], v[2]);
-        let summed = t.add_bias(proj, dproj);
-        let act = t.tanh(summed);
-        let scores = t.matmul(act, v[3]);
-        let row = t.transpose(scores);
-        let weights = t.softmax_rows(row);
-        let context = t.matmul(weights, v[0]);
+        let context = mars_oracle::attention_read(t, v[0], proj, v[4], v[2], v[3]);
         let y = t.tanh(context);
         t.mean_all(y)
     });
@@ -133,24 +110,10 @@ fn cross_segment_gradient_flow() {
     let checks = check_gradients(&[xs, w_ih, w_hh], 2e-2, 1e-2, move |t, v| {
         let mut h = t.constant(Matrix::zeros(1, hd));
         let mut c = t.constant(Matrix::zeros(1, hd));
+        let b = t.constant(Matrix::zeros(1, 4 * hd));
         for i in 0..4 {
             let x = t.slice_rows(v[0], i, i + 1);
-            let xi = t.matmul(x, v[1]);
-            let hh = t.matmul(h, v[2]);
-            let z = t.add(xi, hh);
-            let i_pre = slice_cols(t, z, 0, hd);
-            let f_pre = slice_cols(t, z, hd, 2 * hd);
-            let g_pre = slice_cols(t, z, 2 * hd, 3 * hd);
-            let o_pre = slice_cols(t, z, 3 * hd, 4 * hd);
-            let ig = t.sigmoid(i_pre);
-            let fg = t.sigmoid(f_pre);
-            let gg = t.tanh(g_pre);
-            let og = t.sigmoid(o_pre);
-            let fc = t.mul(fg, c);
-            let igg = t.mul(ig, gg);
-            c = t.add(fc, igg);
-            let ct = t.tanh(c);
-            h = t.mul(og, ct);
+            (h, c) = mars_oracle::lstm_step(t, x, v[1], v[2], b, h, c);
         }
         // Loss only on the FINAL hidden state: early steps receive
         // gradient exclusively through the recurrence.

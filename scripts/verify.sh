@@ -1,13 +1,27 @@
 #!/usr/bin/env bash
-# Tier-1 verification: hermetic offline build, full test suite, a
-# one-iteration smoke pass over every microbenchmark and every
-# experiment table at a smoke budget. This is the exact
-# gate CI runs; run it locally before pushing.
+# Tier-1 verification: hermetic offline build, full test suite (which
+# runs every experiment table at a smoke budget), a one-iteration smoke
+# pass over every microbenchmark and one table through the experiments
+# binary. This is the exact gate CI runs; run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release (offline)"
 cargo build --release --offline --workspace
+
+echo "==> the test oracle ships nowhere: mars-oracle is outside the normal dependency trees"
+# mars-oracle (the fused decoder's primitive-op transcription) is named
+# only in [dev-dependencies]. A normal dependency on it would link test
+# code into mars-cli or the benchmark; print the path that pulled it in.
+for TREE_ARGS in "-p mars" "--manifest-path ledger/Cargo.toml"; do
+    # shellcheck disable=SC2086 # two words each, split on purpose
+    TREE=$(cargo tree --offline --locked -e normal $TREE_ARGS --prefix none)
+    if grep -q "^mars-oracle " <<< "$TREE"; then
+        echo "mars-oracle is a normal dependency of $TREE_ARGS, pulled in by:"
+        cargo tree --offline --locked -e normal $TREE_ARGS -i mars-oracle
+        exit 1
+    fi
+done
 
 echo "==> cargo test -q (offline)"
 cargo test -q --offline --workspace
@@ -15,8 +29,20 @@ cargo test -q --offline --workspace
 echo "==> kernel benches, smoke mode (one iteration each)"
 cargo bench -p mars-bench --bench kernels --offline -- --smoke
 
-echo "==> experiments smoke: every table and figure at 8 evaluations, 1 seed"
-cargo bench -p mars-bench --bench experiments --offline -- all --budget 8 --seeds 1
+echo "==> experiments runner: one table through the binary, its JSON record written and parsed"
+# `cargo test` above already ran every table at 8 evaluations and 1 seed
+# (mars-bench's smoke::* tests). This checks what they do not reach:
+# the binary's argument parsing and the file the writer leaves behind.
+RECORD=target/experiments/ablation_partitioner.json
+rm -f "$RECORD"
+cargo bench -p mars-bench --bench experiments --offline -- ablation_partitioner --budget 8 --seeds 1
+python3 - "$RECORD" <<'PY' || { echo "the runner left no parsable record at $RECORD"; exit 1; }
+import json, sys
+record = json.load(open(sys.argv[1]))
+assert record["experiment"] == "ablation_partitioner", record["experiment"]
+assert (record["budget"], record["seeds"]) == (8, 1), (record["budget"], record["seeds"])
+assert len(record["tables"][0]["rows"]) == 3, record["tables"]
+PY
 
 echo "==> kernel dispatch parity: MARS_KERNEL=scalar must print identically to auto"
 SERIAL_OUT=$(./target/release/mars-cli train inception --budget 40 --dgi-iters 10 --seed 1)
