@@ -116,13 +116,14 @@ fn bench_segment_placer(opts: &BenchOpts) {
     let mut store = ParamStore::new();
     let placer = SegmentSeq2Seq::new(
         &mut store,
+        "seg",
         cfg.encoder_hidden,
         cfg.placer_hidden,
         cfg.attn_dim,
-        cfg.segment_size,
         5,
         &mut rng,
-    );
+    )
+    .with_segment_size(cfg.segment_size);
     let reps = init::uniform(128, cfg.encoder_hidden, 1.0, &mut rng);
     // `core.policy_forward.ms`, its placer half: the forward without
     // the GCN encoder.

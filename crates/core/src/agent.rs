@@ -11,10 +11,6 @@ use crate::config::{MarsConfig, BASELINE_MU, ENTROPY_COEF, GRAD_CLIP};
 use crate::dgi::{pretrain, Dgi, DgiReport};
 use crate::encoder::{Encoder, GcnEncoder, RawEncoder, SageEncoder};
 use crate::grouper::GrouperPlacerNet;
-use crate::placers::mlp::MlpPlacer;
-use crate::placers::segment::SegmentSeq2Seq;
-use crate::placers::seq2seq::FullSeq2Seq;
-use crate::placers::trfxl::TrfXlPlacer;
 use crate::placers::{PlacerChoice, PlacerNet};
 use crate::ppo::{ppo_loss_stats, sample_actions, EmaBaseline, PpoStats, SampleRecord};
 use crate::workload_input::WorkloadInput;
@@ -188,25 +184,15 @@ impl Agent {
             AgentKind::GrouperPlacer => (Box::new(RawEncoder::new(feature_dim)), None),
         };
         let rep_dim = encoder.out_dim();
-        let placer: Box<dyn PlacerNet + Send + Sync> = match kind {
-            AgentKind::Mars | AgentKind::MarsNoPretrain => Box::new(SegmentSeq2Seq::new(
-                &mut store,
-                rep_dim,
-                cfg.placer_hidden,
-                cfg.attn_dim,
-                cfg.segment_size,
-                num_devices,
-                rng,
-            )),
-            AgentKind::EncoderPlacer => Box::new(TrfXlPlacer::new(
-                &mut store,
-                rep_dim,
-                cfg.placer_hidden,
-                cfg.segment_size,
-                num_devices,
-                rng,
-            )),
-            AgentKind::GrouperPlacer => Box::new(GrouperPlacerNet::new(
+        let choice = match kind {
+            AgentKind::Mars | AgentKind::MarsNoPretrain => Some(PlacerChoice::Segment),
+            AgentKind::EncoderPlacer => Some(PlacerChoice::TrfXl),
+            AgentKind::FixedEncoder(choice) => Some(choice),
+            AgentKind::GrouperPlacer => None,
+        };
+        let placer: Box<dyn PlacerNet + Send + Sync> = match choice {
+            Some(choice) => choice.build(&mut store, rep_dim, &cfg, num_devices, rng),
+            None => Box::new(GrouperPlacerNet::new(
                 &mut store,
                 rep_dim,
                 cfg.placer_hidden,
@@ -215,40 +201,6 @@ impl Agent {
                 num_devices,
                 rng,
             )),
-            AgentKind::FixedEncoder(choice) => match choice {
-                PlacerChoice::Seq2Seq => Box::new(FullSeq2Seq::new(
-                    &mut store,
-                    rep_dim,
-                    cfg.placer_hidden,
-                    cfg.attn_dim,
-                    num_devices,
-                    rng,
-                )),
-                PlacerChoice::Segment => Box::new(SegmentSeq2Seq::new(
-                    &mut store,
-                    rep_dim,
-                    cfg.placer_hidden,
-                    cfg.attn_dim,
-                    cfg.segment_size,
-                    num_devices,
-                    rng,
-                )),
-                PlacerChoice::TrfXl => Box::new(TrfXlPlacer::new(
-                    &mut store,
-                    rep_dim,
-                    cfg.placer_hidden,
-                    cfg.segment_size,
-                    num_devices,
-                    rng,
-                )),
-                PlacerChoice::Mlp => Box::new(MlpPlacer::new(
-                    &mut store,
-                    rep_dim,
-                    cfg.placer_hidden,
-                    num_devices,
-                    rng,
-                )),
-            },
         };
         let adam = Adam::new(cfg.lr);
         Agent {

@@ -50,12 +50,6 @@ pub struct MarsConfig {
     /// DGI pre-training learning rate.
     pub dgi_lr: f32,
 
-    /// Retries allowed per evaluation after an injected transient
-    /// error (bounded exponential backoff; see `mars_sim::RetryPolicy`).
-    pub max_eval_retries: u32,
-    /// Per-evaluation machine-time budget in seconds: retries beyond
-    /// this are abandoned and the evaluation reads as the cutoff.
-    pub eval_timeout_s: f64,
     /// Checkpoint path used to resume through injected agent crashes.
     /// `None` keeps the checkpoint in memory (still a full
     /// save-and-reload roundtrip, so resume stays bit-exact).
@@ -80,8 +74,6 @@ impl MarsConfig {
             ppo_epochs: 3,
             dgi_iters: 1000,
             dgi_lr: 1e-3,
-            max_eval_retries: 3,
-            eval_timeout_s: 300.0,
             auto_checkpoint: None,
         }
     }
@@ -104,8 +96,6 @@ impl MarsConfig {
             ppo_epochs: 3,
             dgi_iters: 300,
             dgi_lr: 2e-3,
-            max_eval_retries: 3,
-            eval_timeout_s: 300.0,
             auto_checkpoint: None,
         }
     }

@@ -101,44 +101,6 @@ pub fn direct(
     log.best_reading_s
 }
 
-/// Train one agent over a *set* of workloads, round-robin (§4.3: "the
-/// state-of-the-arts generalize the agent by training it over a set of
-/// workloads"). Returns the agent plus one [`TrainingLog`] per
-/// workload. The encoder is DGI-pre-trained on the first workload.
-pub fn train_over_set(
-    cfg: &MarsConfig,
-    workloads: &[Workload],
-    profile: Profile,
-    samples_per_round: usize,
-    rounds: usize,
-    seed: u64,
-) -> (Agent, Vec<TrainingLog>) {
-    assert!(!workloads.is_empty());
-    let cluster = Cluster::p100_quad();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut agent =
-        Agent::new(AgentKind::Mars, cfg.clone(), FEATURE_DIM, cluster.num_devices(), &mut rng);
-
-    let inputs: Vec<WorkloadInput> =
-        workloads.iter().map(|w| WorkloadInput::from_graph(&w.build(profile))).collect();
-    agent.pretrain(&inputs[0], &mut rng);
-
-    let mut envs: Vec<SimEnv> = workloads
-        .iter()
-        .enumerate()
-        .map(|(i, w)| SimEnv::new(w.build(profile), cluster.clone(), seed ^ (i as u64 * 131)))
-        .collect();
-    let mut logs: Vec<TrainingLog> = workloads.iter().map(|_| TrainingLog::default()).collect();
-
-    for _round in 0..rounds {
-        for (i, input) in inputs.iter().enumerate() {
-            let target = logs[i].total_samples + samples_per_round;
-            agent.train(&mut envs[i], input, target, &mut rng, &mut logs[i]);
-        }
-    }
-    (agent, logs)
-}
-
 /// Table 3's pairing: the "similar type" training workload per unseen
 /// workload (VGG16 → Inception, seq2seq → GNMT, Transformer → BERT).
 pub fn similar_source(test_w: Workload) -> Workload {
@@ -184,29 +146,6 @@ mod tests {
         assert_eq!(different_source(Workload::InceptionV3), Workload::Gnmt4);
         assert_eq!(different_source(Workload::Gnmt4), Workload::InceptionV3);
         assert_eq!(different_source(Workload::BertBase), Workload::Vgg16);
-    }
-
-    #[test]
-    fn multi_workload_training_covers_every_workload() {
-        let mut cfg = MarsConfig::small();
-        cfg.encoder_hidden = 16;
-        cfg.placer_hidden = 16;
-        cfg.attn_dim = 8;
-        cfg.segment_size = 16;
-        cfg.dgi_iters = 10;
-        let (_agent, logs) = train_over_set(
-            &cfg,
-            &[Workload::Vgg16, Workload::InceptionV3],
-            Profile::Reduced,
-            20,
-            2,
-            9,
-        );
-        assert_eq!(logs.len(), 2);
-        for (i, log) in logs.iter().enumerate() {
-            assert_eq!(log.total_samples, 40, "workload {i}");
-            assert!(log.best_reading_s.is_some(), "workload {i} found nothing");
-        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! A two-layer MLP grouper soft-assigns each op to one of `G` groups;
 //! group embeddings are the assignment-weighted means of op features;
-//! a seq2seq placer with attention assigns a device distribution to
-//! each group; an op's device distribution is the assignment-weighted
-//! mixture of its groups' device distributions.
+//! a seq2seq placer with attention (the [`SegmentSeq2Seq`] network run
+//! as one segment) assigns a device distribution to each group; an
+//! op's device distribution is the assignment-weighted mixture of its
+//! groups' device distributions.
 //!
 //! Substitution note (DESIGN.md §2): the original trains hard group
 //! assignments with REINFORCE through two stochastic stages; we use the
@@ -13,21 +14,17 @@
 //! trainer. The action space reduction — the paper's Fig. 2a — is
 //! preserved: devices are chosen per *group*, ops inherit them.
 
+use crate::placers::segment::SegmentSeq2Seq;
 use crate::placers::PlacerNet;
 use mars_autograd::Var;
-use mars_nn::{decode, Attention, BiLstm, FwdCtx, Linear, LstmCell, ParamStore};
+use mars_nn::{FwdCtx, Linear, ParamStore};
 use mars_rng::Rng;
 
 /// Grouper + seq2seq-placer policy producing per-op device log-probs.
 pub struct GrouperPlacerNet {
     grouper_fc1: Linear,
     grouper_fc2: Linear,
-    enc: BiLstm,
-    dec: LstmCell,
-    attn: Attention,
-    head: Linear,
-    num_groups: usize,
-    num_devices: usize,
+    placer: SegmentSeq2Seq,
 }
 
 impl GrouperPlacerNet {
@@ -41,22 +38,11 @@ impl GrouperPlacerNet {
         num_devices: usize,
         rng: &mut impl Rng,
     ) -> Self {
-        assert!(hidden.is_multiple_of(2));
-        GrouperPlacerNet {
-            grouper_fc1: Linear::new(store, "grp.fc1", feature_dim, hidden, true, rng),
-            grouper_fc2: Linear::new(store, "grp.fc2", hidden, num_groups, true, rng),
-            enc: BiLstm::new(store, "grp.enc", feature_dim, hidden / 2, rng),
-            dec: LstmCell::new(store, "grp.dec", 2 * hidden, hidden, rng),
-            attn: Attention::new(store, "grp.attn", hidden, hidden, attn_dim, rng),
-            head: Linear::new(store, "grp.head", hidden, num_devices, true, rng),
-            num_groups,
-            num_devices,
-        }
-    }
-
-    /// Number of groups `G`.
-    pub fn num_groups(&self) -> usize {
-        self.num_groups
+        let grouper_fc1 = Linear::new(store, "grp.fc1", feature_dim, hidden, true, rng);
+        let grouper_fc2 = Linear::new(store, "grp.fc2", hidden, num_groups, true, rng);
+        let placer =
+            SegmentSeq2Seq::new(store, "grp", feature_dim, hidden, attn_dim, num_devices, rng);
+        GrouperPlacerNet { grouper_fc1, grouper_fc2, placer }
     }
 }
 
@@ -102,15 +88,12 @@ impl PlacerNet for GrouperPlacerNet {
     fn logits(&self, ctx: &mut FwdCtx<'_>, reps: Var) -> Var {
         let (s, group_emb) = self.group(ctx, reps);
         // Seq2seq placer over group embeddings → per-group device logits.
-        let (enc_out, _) = self.enc.run(ctx, group_emb, None);
-        let keys = self.attn.precompute(ctx, enc_out);
-        let state = self.dec.zero_state(ctx);
-        let group_dev_logits = decode(ctx, &self.dec, &self.attn, &self.head, &[keys], state); // G × D
+        let group_dev_logits = self.placer.logits(ctx, group_emb); // G × D
         self.mix(ctx, s, group_dev_logits)
     }
 
     fn num_devices(&self) -> usize {
-        self.num_devices
+        self.placer.num_devices()
     }
 }
 
@@ -118,8 +101,8 @@ impl PlacerNet for GrouperPlacerNet {
 mod tests {
     use super::*;
     use crate::placers::oracle::assert_same_bits;
+    use crate::placers::segment;
     use mars_autograd::Tape;
-    use mars_nn::decode::bind_params;
     use mars_rng::rngs::StdRng;
     use mars_rng::SeedableRng;
     use mars_tensor::init;
@@ -128,14 +111,7 @@ mod tests {
     /// The tape `logits` recorded before the decoder was fused.
     fn composed_logits(p: &GrouperPlacerNet, ctx: &mut FwdCtx<'_>, reps: Var) -> Var {
         let (s, group_emb) = p.group(ctx, reps);
-        let (enc_out, _) = p.enc.run(ctx, group_emb, None);
-        let keys = p.attn.precompute(ctx, enc_out);
-        let params = bind_params(ctx, &p.dec, &p.attn, &p.head);
-        let state = p.dec.zero_state(ctx);
-        let mut rows = Vec::new();
-        let seg = (keys.enc, keys.proj);
-        mars_oracle::decode_segment(&mut ctx.tape, seg, params, (state.h, state.c), &mut rows);
-        let group_dev_logits = ctx.tape.stack_rows(rows);
+        let group_dev_logits = segment::tests::composed_logits(&p.placer, ctx, group_emb);
         p.mix(ctx, s, group_dev_logits)
     }
 

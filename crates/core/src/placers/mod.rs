@@ -6,8 +6,9 @@
 //! sampled actions through the same forward pass.
 //!
 //! Compared in Table 1:
-//! * [`seq2seq::FullSeq2Seq`] — classic full-sequence seq2seq with
-//!   attention (struggles on long op sequences);
+//! * Seq2seq — classic full-sequence seq2seq with attention (struggles
+//!   on long op sequences): [`segment::SegmentSeq2Seq`] with one
+//!   segment over the whole sequence;
 //! * [`segment::SegmentSeq2Seq`] — **the Mars placer**: segment-level
 //!   BiLSTM encoder + LSTM decoder with state carried across segments;
 //! * [`trfxl::TrfXlPlacer`] — a Transformer-XL-style segment-recurrent
@@ -17,11 +18,15 @@
 
 pub mod mlp;
 pub mod segment;
-pub mod seq2seq;
 pub mod trfxl;
 
+use crate::config::MarsConfig;
 use mars_autograd::Var;
-use mars_nn::FwdCtx;
+use mars_nn::{FwdCtx, ParamStore};
+use mars_rng::Rng;
+use mlp::MlpPlacer;
+use segment::SegmentSeq2Seq;
+use trfxl::TrfXlPlacer;
 
 /// A network producing per-op device logits.
 pub trait PlacerNet {
@@ -54,12 +59,38 @@ impl PlacerChoice {
             PlacerChoice::Mlp => "MLP",
         }
     }
+
+    /// Register this placer's parameters at `cfg`'s widths, over
+    /// `rep_dim`-wide representations and `num_devices` devices.
+    pub fn build(
+        self,
+        store: &mut ParamStore,
+        rep_dim: usize,
+        cfg: &MarsConfig,
+        num_devices: usize,
+        rng: &mut impl Rng,
+    ) -> Box<dyn PlacerNet + Send + Sync> {
+        let (hidden, attn, d) = (cfg.placer_hidden, cfg.attn_dim, num_devices);
+        match self {
+            PlacerChoice::Seq2Seq => {
+                Box::new(SegmentSeq2Seq::new(store, "s2s", rep_dim, hidden, attn, d, rng))
+            }
+            PlacerChoice::Segment => Box::new(
+                SegmentSeq2Seq::new(store, "seg", rep_dim, hidden, attn, d, rng)
+                    .with_segment_size(cfg.segment_size),
+            ),
+            PlacerChoice::TrfXl => {
+                Box::new(TrfXlPlacer::new(store, rep_dim, hidden, cfg.segment_size, d, rng))
+            }
+            PlacerChoice::Mlp => Box::new(MlpPlacer::new(store, rep_dim, hidden, d, rng)),
+        }
+    }
 }
 
-/// Shared by the seq2seq placers' tests: each pins its `logits` (one
-/// fused [`mars_nn::decode`]) to the op-by-op tape it recorded before
-/// the fusion, its decode loop rebuilt from primitive ops by
-/// `mars_oracle::decode_segment`.
+/// Shared by the seq2seq placer's and the grouper's tests: each pins
+/// its `logits` (one fused [`mars_nn::decode`]) to the op-by-op tape it
+/// recorded before the fusion, its decode loop rebuilt from primitive
+/// ops by `mars_oracle::decode_segment`.
 #[cfg(test)]
 pub(crate) mod oracle {
     use mars_autograd::{Tape, Var};

@@ -170,7 +170,8 @@ mod tests {
         let mut s1 = ParamStore::new();
         let _ = TrfXlPlacer::new(&mut s1, 16, 32, 8, 5, &mut rng);
         let mut s2 = ParamStore::new();
-        let _ = crate::placers::segment::SegmentSeq2Seq::new(&mut s2, 16, 32, 16, 8, 5, &mut rng);
+        let _ =
+            crate::placers::segment::SegmentSeq2Seq::new(&mut s2, "seg", 16, 32, 16, 5, &mut rng);
         assert!(
             s1.num_scalars() > s2.num_scalars(),
             "{} vs {}",

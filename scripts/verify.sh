@@ -45,11 +45,16 @@ assert len(record["tables"][0]["rows"]) == 3, record["tables"]
 PY
 
 echo "==> kernel dispatch parity: MARS_KERNEL=scalar must print identically to auto"
-SERIAL_OUT=$(./target/release/mars-cli train inception --budget 40 --dgi-iters 10 --seed 1)
-SCALAR_OUT=$(MARS_KERNEL=scalar ./target/release/mars-cli train inception --budget 40 \
-    --dgi-iters 10 --seed 1)
-diff <(echo "$SCALAR_OUT") <(echo "$SERIAL_OUT") || {
-    echo "forcing the scalar kernel backend changed training output"; exit 1; }
+# Mars runs the seq2seq placer in segments; the grouper runs it as one
+# segment over its group embeddings.
+for AGENT in mars grouper; do
+    SERIAL_OUT=$(./target/release/mars-cli train inception --agent "$AGENT" --budget 40 \
+        --dgi-iters 10 --seed 1)
+    SCALAR_OUT=$(MARS_KERNEL=scalar ./target/release/mars-cli train inception --agent "$AGENT" \
+        --budget 40 --dgi-iters 10 --seed 1)
+    diff <(echo "$SCALAR_OUT") <(echo "$SERIAL_OUT") || {
+        echo "forcing the scalar kernel backend changed $AGENT's training output"; exit 1; }
+done
 
 echo "==> telemetry smoke: tiny instrumented training run + summarize"
 TELEMETRY_RUN=$(mktemp /tmp/mars-telemetry-XXXXXX.jsonl)

@@ -22,6 +22,8 @@
 //!                --eval-timeout-s S    --auto-checkpoint <ckpt-path>
 //!                (the kernel backend is picked by the MARS_KERNEL env
 //!                 var: scalar | simd | auto — see DESIGN.md)
+//! evaluate:      --placement <name>   --seed N   --profile small|full
+//!                --fault-plan <spec>   --max-eval-retries N   --eval-timeout-s S
 //! metrics tail:  --lines N (default 20, 0 = all)   --follow
 //! serve options: --listen ADDR          bind (host:port or unix:<path>)
 //!                --seed N   --checkpoint <ckpt>   --store <placements.jsonl>
@@ -147,9 +149,8 @@ fn finish_telemetry(path: Option<String>) {
     }
 }
 
-/// Resolve `--profile`, `--dgi-iters`, and the resilience flags
-/// (`--max-eval-retries`, `--eval-timeout-s`, `--auto-checkpoint`)
-/// into a [`MarsConfig`]. Shared by `train` and `pretrain`.
+/// Resolve `--profile` and `--dgi-iters` into a [`MarsConfig`]. Shared
+/// by `train`, `pretrain` and `serve`.
 fn config_from_flags(flags: &Flags) -> Result<MarsConfig, String> {
     let mut cfg = match flags.one_of("profile", &["small", "full", "paper"], "small")? {
         "full" | "paper" => MarsConfig::paper(),
@@ -158,23 +159,21 @@ fn config_from_flags(flags: &Flags) -> Result<MarsConfig, String> {
     if let Some(iters) = flags.parsed_opt("dgi-iters")? {
         cfg.dgi_iters = iters;
     }
-    cfg.max_eval_retries = flags.parsed("max-eval-retries", cfg.max_eval_retries)?;
-    cfg.eval_timeout_s = flags.parsed("eval-timeout-s", cfg.eval_timeout_s)?;
-    if cfg.eval_timeout_s <= 0.0 {
-        return Err(format!(
-            "invalid value '{}' for --eval-timeout-s (must be positive)",
-            cfg.eval_timeout_s
-        ));
-    }
-    cfg.auto_checkpoint = flags.string_opt("auto-checkpoint")?;
     Ok(cfg)
 }
 
-/// Parse and validate `--fault-plan` against the cluster, then install
-/// it (and the retry/timeout knobs from `cfg`) on the environment.
-fn arm_environment(env: &mut SimEnv, cfg: &MarsConfig, flags: &Flags) -> Result<(), String> {
-    env.retry.max_retries = cfg.max_eval_retries;
-    env.eval_timeout_s = cfg.eval_timeout_s;
+/// Install `--max-eval-retries` and `--eval-timeout-s` on the
+/// environment, then parse and validate `--fault-plan` against the
+/// cluster and install it too. Shared by `train` and `evaluate`.
+fn arm_environment(env: &mut SimEnv, flags: &Flags) -> Result<(), String> {
+    env.retry.max_retries = flags.parsed("max-eval-retries", env.retry.max_retries)?;
+    env.eval_timeout_s = flags.parsed("eval-timeout-s", env.eval_timeout_s)?;
+    if env.eval_timeout_s <= 0.0 {
+        return Err(format!(
+            "invalid value '{}' for --eval-timeout-s (must be positive)",
+            env.eval_timeout_s
+        ));
+    }
     if let Some(spec) = flags.string_opt("fault-plan")? {
         let plan =
             FaultPlan::parse(&spec).map_err(|e| format!("invalid value for --fault-plan: {e}"))?;
@@ -193,23 +192,23 @@ fn cmd_train(workload: Workload, profile: Profile, flags: &Flags) -> Result<(), 
     };
     let budget: usize = flags.parsed("budget", 400)?;
     let seed: u64 = flags.parsed("seed", 42)?;
-    let cfg = config_from_flags(flags)?;
+    let mut cfg = config_from_flags(flags)?;
+    cfg.auto_checkpoint = flags.string_opt("auto-checkpoint")?;
     let telemetry = install_telemetry(flags)?;
 
     let graph = workload.build(profile);
     let input = WorkloadInput::from_graph(&graph);
-    let cluster = Cluster::p100_quad();
+    let mut env = SimEnv::new(graph, Cluster::p100_quad(), seed);
+    arm_environment(&mut env, flags)?;
+    let devices = env.cluster().num_devices();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut agent =
-        Agent::new(kind, cfg, mars::graph::features::FEATURE_DIM, cluster.num_devices(), &mut rng);
+    let mut agent = Agent::new(kind, cfg, mars::graph::features::FEATURE_DIM, devices, &mut rng);
     if kind == AgentKind::Mars {
         println!("DGI pre-training…");
         if let Some(report) = agent.pretrain(&input, &mut rng) {
             println!("  loss {:.4} → {:.4}", report.losses[0], report.best_loss);
         }
     }
-    let mut env = SimEnv::new(graph, cluster, seed);
-    arm_environment(&mut env, &agent.cfg, flags)?;
     let mut log = TrainingLog::default();
     println!(
         "training {} on {} for {budget} placement evaluations…",
@@ -563,8 +562,7 @@ fn cmd_evaluate(workload: Workload, profile: Profile, flags: &Flags) -> Result<(
     };
     let seed = flags.parsed("seed", 42u64)?;
     let mut env = SimEnv::new(graph, cluster, seed);
-    let cfg = config_from_flags(flags)?;
-    arm_environment(&mut env, &cfg, flags)?;
+    arm_environment(&mut env, flags)?;
     match env.evaluate(&p) {
         EvalOutcome::Valid { per_step_s } => {
             println!("{per_step_s:.4} s/step (15-step protocol, 5 warm-up discarded)")

@@ -13,26 +13,35 @@ use std::fmt::Display;
 use std::str::FromStr;
 
 /// The flags `config_from_flags` in the binary resolves into a
-/// `MarsConfig`; every command that builds a config reads all of them.
-const CONFIG_FLAGS: &[&str] =
-    &["profile", "dgi-iters", "max-eval-retries", "eval-timeout-s", "auto-checkpoint"];
+/// `MarsConfig`. `serve` never pre-trains, so it reads `--profile` only.
+const CONFIG_FLAGS: &[&str] = &["profile", "dgi-iters"];
+
+/// The flags `arm_environment` in the binary installs on the simulated
+/// cluster; every command that evaluates placements reads all of them.
+const ENV_FLAGS: &[&str] = &["fault-plan", "max-eval-retries", "eval-timeout-s"];
 
 /// Every `mars-cli` command and the flags it reads, as groups of names.
 /// A command missing here is refused as unknown; a flag a command
 /// starts reading is added here, or the command refuses it.
 pub const COMMAND_FLAGS: &[(&str, &[&[&str]])] = &[
     ("inspect", &[&["profile"]]),
-    ("train", &[CONFIG_FLAGS, &["agent", "budget", "seed", "save", "telemetry", "fault-plan"]]),
+    (
+        "train",
+        &[
+            CONFIG_FLAGS,
+            ENV_FLAGS,
+            &["agent", "budget", "seed", "save", "telemetry", "auto-checkpoint"],
+        ],
+    ),
     ("pretrain", &[CONFIG_FLAGS, &["seed", "save", "telemetry"]]),
     ("trace", &[&["profile", "placement"]]),
     ("dot", &[&["profile", "max-nodes"]]),
-    ("evaluate", &[CONFIG_FLAGS, &["placement", "seed", "fault-plan"]]),
+    ("evaluate", &[ENV_FLAGS, &["profile", "placement", "seed"]]),
     ("place", &[&["profile", "connect", "top-k", "repeat", "fail-device", "shutdown"]]),
     (
         "serve",
         &[
-            CONFIG_FLAGS,
-            &["listen", "seed", "devices", "cache-capacity", "max-requests"],
+            &["profile", "listen", "seed", "devices", "cache-capacity", "max-requests"],
             &["checkpoint", "store", "telemetry"],
         ],
     ),
