@@ -10,6 +10,9 @@
 //!   referencing their parents by [`Var`] index.
 //! * [`Tape::backward`] runs the reverse sweep, accumulating gradients
 //!   for every node that (transitively) requires them.
+//!   [`Tape::backward_seeded`] is the same sweep started from a
+//!   non-scalar output with a given gradient, for a model split over
+//!   several tapes.
 //! * Parameters live *outside* the tape (see `mars-nn`); each training
 //!   step inserts them as leaves, and reads their gradient back out
 //!   after the backward pass.

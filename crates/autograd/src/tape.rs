@@ -360,9 +360,15 @@ impl Tape {
 
     /// Broadcast-add a `1 × n` bias to every row.
     pub fn add_bias(&mut self, x: Var, bias: Var) -> Var {
-        let v = self.value(x).add_row_broadcast(self.value(bias));
+        let (r, c) = self.value(x).shape();
+        assert_eq!(self.value(bias).shape(), (1, c), "bias must be a 1 × cols row");
+        let mut buf = self.take_buf_empty(r * c);
+        let b = self.value(bias).as_slice();
+        for row in self.value(x).as_slice().chunks_exact(c.max(1)) {
+            buf.extend(row.iter().zip(b).map(|(&e, &bv)| e + bv));
+        }
         let rg = self.rg(x) || self.rg(bias);
-        self.push(v, Op::AddBias(x, bias), rg)
+        self.push(Matrix::from_vec(r, c, buf), Op::AddBias(x, bias), rg)
     }
 
     /// Multiply by a scalar constant.
@@ -414,9 +420,11 @@ impl Tape {
     pub fn prelu(&mut self, x: Var, alpha: Var) -> Var {
         assert_eq!(self.value(alpha).shape(), (1, 1), "prelu alpha must be 1x1");
         let a = self.scalar(alpha);
-        let v = self.value(x).map(|e| if e > 0.0 { e } else { a * e });
+        let (r, c) = self.value(x).shape();
+        let mut buf = self.take_buf_empty(r * c);
+        buf.extend(self.value(x).as_slice().iter().map(|&e| if e > 0.0 { e } else { a * e }));
         let rg = self.rg(x) || self.rg(alpha);
-        self.push(v, Op::PRelu(x, alpha), rg)
+        self.push(Matrix::from_vec(r, c, buf), Op::PRelu(x, alpha), rg)
     }
 
     /// Elementwise exponential.
@@ -629,28 +637,47 @@ impl Tape {
         true
     }
 
-    /// Run the reverse sweep from a scalar (`1 × 1`) loss.
+    /// Run the reverse sweep from a scalar (`1 × 1`) loss: the seeded
+    /// sweep of [`Tape::backward_seeded`] with a seed of one.
     ///
     /// Gradients are available through [`Tape::grad`] afterwards. A
     /// second call resets previous gradients.
     pub fn backward(&mut self, loss: Var) {
-        let _span = mars_telemetry::span("autograd.tape.backward");
-        assert!(self.record, "backward() on an inference tape — build it with Tape::new()");
         assert_eq!(
             self.value(loss).shape(),
             (1, 1),
             "backward() requires a scalar loss, got {:?}",
             self.value(loss).shape()
         );
+        self.backward_seeded(loss, &[1.0]);
+    }
+
+    /// Run the reverse sweep from `out`, whose gradient is `seed`: the
+    /// gradient of some loss recorded elsewhere (another tape) with
+    /// respect to `out`, row-major in `out`'s shape. This is how one
+    /// model split over several tapes runs its backward, tape by tape.
+    ///
+    /// Gradients are available through [`Tape::grad`] afterwards. A
+    /// second call resets previous gradients.
+    pub fn backward_seeded(&mut self, out: Var, seed: &[f32]) {
+        let _span = mars_telemetry::span("autograd.tape.backward");
+        assert!(self.record, "backward() on an inference tape — build it with Tape::new()");
+        let (r, c) = self.value(out).shape();
+        assert_eq!(
+            seed.len(),
+            r * c,
+            "backward seed must have the shape {:?} of its output",
+            (r, c)
+        );
         // Arena: recycle whatever a previous backward on this tape left
         // and reuse the slot vector's capacity.
         self.retire_backward_state();
         self.grads.resize_with(self.nodes.len(), || None);
-        let mut seed = self.take_buf_empty(1);
-        seed.push(1.0);
-        self.grads[loss.0] = Some(Matrix::from_vec(1, 1, seed));
+        let mut g = self.take_buf_empty(seed.len());
+        g.extend_from_slice(seed);
+        self.grads[out.0] = Some(Matrix::from_vec(r, c, g));
 
-        for i in (0..=loss.0).rev() {
+        for i in (0..=out.0).rev() {
             // Take-and-restore instead of clone: the node's own grad is
             // never aliased by its parents' slots (parents have strictly
             // lower indices), so the loop can own `g` for free.
@@ -1209,6 +1236,59 @@ mod tests {
             assert_eq!(want, again, "arena reuse changed results in round {round}");
         }
         assert!(reused.arena_high_water() > 0, "high-water gauge never recorded");
+    }
+
+    /// A chain split over two tapes — its body, then a head that takes
+    /// the body's output as a leaf — and swept backward head first,
+    /// the body seeded with the leaf's gradient, must give every
+    /// parameter the bits the one-tape scalar backward gives it. The
+    /// body's output gets two gradient terms (scores, then readout).
+    #[test]
+    fn seeded_backward_matches_the_scalar_loss_backward_bitwise() {
+        let body = |t: &mut Tape| {
+            let x = t.leaf_from(&pseudo(7, 5, 31), false);
+            let w = t.leaf_from(&pseudo(5, 4, 32), true);
+            let b = t.leaf_from(&pseudo(1, 4, 33), true);
+            let alpha = t.leaf_from(&Matrix::from_vec(1, 1, vec![0.25]), true);
+            let xw = t.matmul(x, w);
+            let z = t.add_bias(xw, b);
+            let h = t.prelu(z, alpha);
+            (h, [w, b, alpha])
+        };
+        let head = |t: &mut Tape, h: Var| {
+            let v = t.leaf_from(&pseudo(4, 4, 34), true);
+            let mean = t.mean_rows(h);
+            let s = t.sigmoid(mean);
+            let st = t.transpose(s);
+            let vs = t.matmul(v, st);
+            let scores = t.matmul(h, vs);
+            let targets = Arc::new(Matrix::from_fn(7, 1, |r, _| (r % 2) as f32));
+            (t.bce_with_logits(scores, targets), v)
+        };
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut one = Tape::new();
+        let (h, params) = body(&mut one);
+        let (loss, v) = head(&mut one, h);
+        one.backward(loss);
+        let want: Vec<_> = params.iter().chain([&v]).map(|&p| bits(one.grad(p).unwrap())).collect();
+
+        let (mut lower, mut upper) = (Tape::new(), Tape::new());
+        for round in 0..2 {
+            let (h, params) = body(&mut lower);
+            let h_leaf = upper.leaf_from(lower.value(h), true);
+            let (loss, v) = head(&mut upper, h_leaf);
+            upper.backward(loss);
+            lower.backward_seeded(h, upper.grad(h_leaf).unwrap().as_slice());
+            let got: Vec<_> = params
+                .iter()
+                .map(|&p| bits(lower.grad(p).unwrap()))
+                .chain([bits(upper.grad(v).unwrap())])
+                .collect();
+            assert_eq!(got, want, "round {round}");
+            lower.reset_for_reuse();
+            upper.reset_for_reuse();
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use mars_autograd::Tape;
 use mars_bench::harness::{bench, BenchOpts};
 use mars_core::config::MarsConfig;
-use mars_core::dgi::Dgi;
+use mars_core::dgi::{Dgi, DgiTapes};
 use mars_core::encoder::{Encoder, GcnEncoder};
 use mars_core::placers::segment::SegmentSeq2Seq;
 use mars_core::placers::PlacerNet;
@@ -65,7 +65,8 @@ fn bench_products(opts: &BenchOpts) {
 
 // `core.pretrain.busy_s`, one iteration of it: DGI's loss on Paper
 // GNMT at the paper's encoder width (256, three layers), and its
-// backward — what `pretrain_corpus` repeats on its largest graph.
+// backward, the two views on the pool's lanes — what `pretrain_corpus`
+// repeats on its largest graph, without the optimizer step.
 fn bench_dgi_iteration(opts: &BenchOpts) {
     let g = Workload::Gnmt4.build(Profile::Paper);
     let input = WorkloadInput::from_graph(&g);
@@ -74,14 +75,10 @@ fn bench_dgi_iteration(opts: &BenchOpts) {
     let enc = GcnEncoder::new(&mut store, FEATURE_DIM, 256, 3, &mut rng);
     let dgi = Dgi::new(&mut store, 256, &mut rng);
     let perm: Vec<usize> = (0..input.num_ops).rev().collect();
-    let mut tape = Tape::new();
+    let mut tapes = DgiTapes::default();
     bench(opts, "dgi_iteration/gnmt_paper_256", || {
-        let mut ctx = FwdCtx::new(std::mem::take(&mut tape), &store);
-        let (loss, _) = dgi.loss_stats(&mut ctx, &enc, &input, &perm);
-        let grads;
-        (grads, tape) = ctx.into_grads(loss, 1.0);
-        black_box(grads.len());
-        tape.reset_for_reuse();
+        black_box(dgi.step(&mut tapes, &mut store, &enc, &input, &perm));
+        store.zero_grads();
     });
 }
 

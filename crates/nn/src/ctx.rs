@@ -65,8 +65,22 @@ impl<'s> FwdCtx<'s> {
     /// out of the tape (no clone) and scaled in place; apply them with
     /// [`apply_grads`], and `reset_for_reuse` the tape to keep its arena
     /// warm for the next pass.
-    pub fn into_grads(mut self, loss: Var, scale: f32) -> (Vec<(ParamId, Matrix)>, Tape) {
-        self.tape.backward(loss);
+    ///
+    /// This is [`FwdCtx::into_grads_seeded`] with a seed of one.
+    pub fn into_grads(self, loss: Var, scale: f32) -> (Vec<(ParamId, Matrix)>, Tape) {
+        self.into_grads_seeded(loss, &[1.0], scale)
+    }
+
+    /// [`FwdCtx::into_grads`] for a pass whose loss lives on another
+    /// tape: the sweep starts at `output` with the loss's gradient
+    /// `seed` ([`Tape::backward_seeded`]).
+    pub fn into_grads_seeded(
+        mut self,
+        output: Var,
+        seed: &[f32],
+        scale: f32,
+    ) -> (Vec<(ParamId, Matrix)>, Tape) {
+        self.tape.backward_seeded(output, seed);
         let mut out = Vec::new();
         for (id, var) in Self::bound(&self.bound) {
             if let Some(mut g) = self.tape.take_grad(var) {

@@ -246,20 +246,6 @@ impl Matrix {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 
-    /// Add a `1 × cols` row vector to every row (broadcast).
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
-        assert_eq!(bias.rows, 1, "bias must be a row vector");
-        assert_eq!(bias.cols, self.cols, "bias width mismatch");
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            let row = out.row_mut(r);
-            for (x, &b) in row.iter_mut().zip(&bias.data) {
-                *x += b;
-            }
-        }
-        out
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -400,16 +386,6 @@ mod tests {
         assert_eq!(b.sub(&a).as_slice(), &[9., 18., 27., 36.]);
         assert_eq!(a.hadamard(&b).as_slice(), &[10., 40., 90., 160.]);
         assert_eq!(a.scale(2.0).as_slice(), &[2., 4., 6., 8.]);
-    }
-
-    #[test]
-    fn broadcast_bias() {
-        let a = Matrix::zeros(3, 2);
-        let b = Matrix::row_vector(&[1.0, -1.0]);
-        let out = a.add_row_broadcast(&b);
-        for r in 0..3 {
-            assert_eq!(out.row(r), &[1.0, -1.0]);
-        }
     }
 
     #[test]

@@ -45,16 +45,20 @@ assert len(record["tables"][0]["rows"]) == 3, record["tables"]
 PY
 
 echo "==> kernel dispatch parity: MARS_KERNEL=scalar must print identically to auto"
-# Mars runs the seq2seq placer in segments; the grouper runs it as one
-# segment over its group embeddings.
-for AGENT in mars grouper; do
-    SERIAL_OUT=$(./target/release/mars-cli train inception --agent "$AGENT" --budget 40 \
-        --dgi-iters 10 --seed 1)
-    SCALAR_OUT=$(MARS_KERNEL=scalar ./target/release/mars-cli train inception --agent "$AGENT" \
-        --budget 40 --dgi-iters 10 --seed 1)
-    diff <(echo "$SCALAR_OUT") <(echo "$SERIAL_OUT") || {
-        echo "forcing the scalar kernel backend changed $AGENT's training output"; exit 1; }
-done
+# Mars runs the seq2seq placer in segments, after ten DGI iterations;
+# the grouper runs it as one segment over its group embeddings, and
+# does not pre-train (it refuses --dgi-iters).
+MARS_OUT=$(./target/release/mars-cli train inception --agent mars --budget 40 \
+    --dgi-iters 10 --seed 1)
+MARS_SCALAR_OUT=$(MARS_KERNEL=scalar ./target/release/mars-cli train inception --agent mars \
+    --budget 40 --dgi-iters 10 --seed 1)
+diff <(echo "$MARS_SCALAR_OUT") <(echo "$MARS_OUT") || {
+    echo "forcing the scalar kernel backend changed mars's training output"; exit 1; }
+GROUPER_OUT=$(./target/release/mars-cli train inception --agent grouper --budget 40 --seed 1)
+GROUPER_SCALAR_OUT=$(MARS_KERNEL=scalar ./target/release/mars-cli train inception \
+    --agent grouper --budget 40 --seed 1)
+diff <(echo "$GROUPER_SCALAR_OUT") <(echo "$GROUPER_OUT") || {
+    echo "forcing the scalar kernel backend changed grouper's training output"; exit 1; }
 
 echo "==> telemetry smoke: tiny instrumented training run + summarize"
 TELEMETRY_RUN=$(mktemp /tmp/mars-telemetry-XXXXXX.jsonl)
@@ -81,11 +85,13 @@ grep -q "sim.eval" <<< "$SUMMARY" || {
 ./target/release/mars-cli metrics tail "$TELEMETRY_RUN" --lines 0 | grep "run complete" > /dev/null || {
     echo "tail did not reach the end-of-run marker"; exit 1; }
 
-echo "==> arena smoke: DGI pretrain recycles its tape every iteration"
+echo "==> arena smoke: DGI pretrain recycles its three tapes every iteration"
+# Ten iterations, each resetting the two views' tapes and the
+# discriminator's.
 ./target/release/mars-cli pretrain inception --dgi-iters 10 --seed 1 \
     --telemetry "$ARENA_RUN" > /dev/null
 ./target/release/mars-cli metrics summarize "$ARENA_RUN" \
-    | grep "training arena: 10 tape reuses" > /dev/null || {
+    | grep "training arena: 30 tape reuses" > /dev/null || {
     echo "autograd.arena.reset counter never fired during pretrain"; exit 1; }
 
 echo "==> fault smoke: degraded train, remap telemetry, bit-identical reruns"

@@ -17,7 +17,7 @@
 //! placements: human | gpu-only | rr2 | rr4 | blocked2 | blocked3 | blocked4 | mincut
 //! train options: --agent mars|mars-nopre|grouper|encoder   --budget N
 //!                --seed N   --profile small|full   --save <ckpt-path>
-//!                --telemetry <run.jsonl>   --dgi-iters N
+//!                --telemetry <run.jsonl>   --dgi-iters N (≥ 1; mars only)
 //!                --fault-plan <spec>   --max-eval-retries N
 //!                --eval-timeout-s S    --auto-checkpoint <ckpt-path>
 //!                (the kernel backend is picked by the MARS_KERNEL env
@@ -157,6 +157,9 @@ fn config_from_flags(flags: &Flags) -> Result<MarsConfig, String> {
         _ => MarsConfig::small(),
     };
     if let Some(iters) = flags.parsed_opt("dgi-iters")? {
+        if iters == 0 {
+            return Err("invalid value '0' for --dgi-iters (must be at least 1)".into());
+        }
         cfg.dgi_iters = iters;
     }
     Ok(cfg)
@@ -190,6 +193,12 @@ fn cmd_train(workload: Workload, profile: Profile, flags: &Flags) -> Result<(), 
         "encoder" => AgentKind::EncoderPlacer,
         _ => AgentKind::Mars,
     };
+    if kind != AgentKind::Mars && flags.get("dgi-iters").is_some() {
+        return Err(format!(
+            "--dgi-iters is read only by --agent mars: {} has no DGI pre-training",
+            kind.label()
+        ));
+    }
     let budget: usize = flags.parsed("budget", 400)?;
     let seed: u64 = flags.parsed("seed", 42)?;
     let mut cfg = config_from_flags(flags)?;

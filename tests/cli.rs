@@ -240,6 +240,27 @@ fn environment_flags_are_read_only_where_placements_are_evaluated() {
     assert!(err.contains("invalid value '0' for --eval-timeout-s"), "{err}");
 }
 
+/// `--dgi-iters 0` would leave DGI without a first loss to report, and
+/// only `--agent mars` pre-trains: both are refused, naming the flag,
+/// before any work starts.
+#[test]
+fn dgi_iters_is_refused_where_it_cannot_mean_something() {
+    let rows: [(&[&str], &str); 5] = [
+        (&["pretrain", "inception", "--dgi-iters", "0"], "invalid value '0' for --dgi-iters"),
+        (&["train", "inception", "--dgi-iters", "0", "--budget", "8"], "invalid value '0'"),
+        (&["train", "inception", "--agent", "grouper", "--dgi-iters", "5"], "--dgi-iters"),
+        (&["train", "inception", "--agent", "encoder", "--dgi-iters", "5"], "--dgi-iters"),
+        (&["train", "inception", "--agent", "mars-nopre", "--dgi-iters", "5"], "--dgi-iters"),
+    ];
+    for (args, wanted) in rows {
+        let out = cli().args(args).output().expect("run");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must be refused, not panic");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(wanted) && err.contains("--dgi-iters"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} started work before refusing");
+    }
+}
+
 /// `--max-eval-retries` reaches the environment: under a plan of
 /// frequent transient errors, allowing no retry changes what training
 /// finds.
