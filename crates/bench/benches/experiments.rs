@@ -4,8 +4,7 @@
 //! `cargo bench -p mars-bench --bench experiments -- all --budget 8 --seeds 1`
 //! runs every table at a smoke budget.
 
-use mars_bench::{report, Invocation, USAGE};
-use mars_telemetry::counter;
+use mars_bench::{report, Cells, Invocation, USAGE};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -26,6 +25,7 @@ fn run(args: &[String]) -> Result<(), String> {
         mars_telemetry::install_file(path)
             .map_err(|e| format!("cannot open telemetry sink '{path}': {e}"))?;
     }
+    let dir = report::experiments_dir();
     for exp in &inv.experiments {
         println!(
             "{} — profile {}, budget {}, seed {}, {} seeds",
@@ -35,16 +35,15 @@ fn run(args: &[String]) -> Result<(), String> {
             cfg.seed,
             cfg.seeds
         );
-        let (runs, no_valid) = (counter("bench.runs").get(), counter("bench.runs_no_valid").get());
-        let tables = (exp.run)(cfg);
+        let mut cells = Cells::open(&dir, exp.name, cfg)
+            .map_err(|e| format!("cannot open target/experiments/{}.cells.jsonl: {e}", exp.name))?;
+        let tables = (exp.run)(cfg, &mut cells).map_err(|e| {
+            format!("cannot append to target/experiments/{}.cells.jsonl: {e}", exp.name)
+        })?;
         report::write(exp.name, cfg, &tables)
             .map_err(|e| format!("cannot write target/experiments/{}.json: {e}", exp.name))?;
-        eprintln!(
-            "{}: {} training runs, {} found no valid placement",
-            exp.name,
-            counter("bench.runs").get() - runs,
-            counter("bench.runs_no_valid").get() - no_valid
-        );
+        let (ran, reused) = cells.counts();
+        eprintln!("{}: ran {ran} cells, reused {reused}", exp.name);
     }
     if mars_telemetry::uninstall() {
         println!("(telemetry written to {})", inv.telemetry.unwrap_or_default());

@@ -1,21 +1,22 @@
 //! The paper's tables and figures and four ablations, one function
-//! each. Every cell is a mean over `cfg.seeds` seeds; a run's seed
-//! offsets depend only on its place in its table, so one cell can be
-//! re-run alone.
+//! each. Every table cell is a mean over `cfg.seeds` seed cells; a seed
+//! cell's offset depends only on its place in its table, so it is found
+//! again in the cells file by a later run.
 
 use crate::report::{Cell, Table};
 use crate::{
-    bench_label, cell, cell_opt, mean_found, measure_placement, note_run, run_agent_multi,
-    ExpConfig, Experiment, BENCHMARKS,
+    bench_label, cell, cell_opt, mean_best, mean_found, measure_placement, run_agent_multi, train,
+    Cells, ExpConfig, Experiment, BENCHMARKS,
 };
-use mars_core::agent::{AgentKind, TrainingRecord};
+use mars_core::agent::{AgentKind, TrainingLog, TrainingRecord};
 use mars_core::baselines::{gpu_only, human_expert};
-use mars_core::generalize::{different_source, direct, generalize, similar_source};
+use mars_core::generalize::{different_source, generalize, similar_source, GeneralizeResult};
 use mars_core::partitioner::best_min_cut;
 use mars_core::placers::PlacerChoice;
 use mars_core::ppo::RewardShaping;
 use mars_graph::generators::{Profile, Workload};
 use mars_sim::Cluster;
+use std::io;
 
 /// Every experiment, in the order `all` runs them.
 pub const EXPERIMENTS: [Experiment; 9] = [
@@ -47,7 +48,7 @@ fn text(s: impl Into<String>) -> Cell {
 /// | Inception-V3 | 0.100   | 0.067  | 0.067             |
 /// | GNMT-4       | 2.040   | 1.449  | 1.440             |
 /// | BERT         | 12.529  | 11.363 | 9.821             |
-fn table1_placers(cfg: &ExpConfig) -> Vec<Table> {
+fn table1_placers(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
     let mut table = Table::new(
         "Table 1: per-step time (s) by placer (frozen trained encoder); MLP column is the §3.3 ablation",
         &["Models", "Seq2seq", "Trf-XL", "Seq2seq (segment)", "MLP (§3.3)"],
@@ -60,12 +61,12 @@ fn table1_placers(cfg: &ExpConfig) -> Vec<Table> {
                 .enumerate()
         {
             let kind = AgentKind::FixedEncoder(choice);
-            let r = run_agent_multi(cfg, kind, w, (wi * 8 + pi) as u64 + 300);
-            row.push(text(cell_opt(r.mean_best)));
+            let logs = run_agent_multi(cfg, cells, kind, w, (wi * 8 + pi) as u64 + 300)?;
+            row.push(text(cell_opt(mean_best(&logs))));
         }
         table.push(row);
     }
-    vec![table]
+    Ok(vec![table])
 }
 
 /// Table 2 — per-step runtime (s) of the best placements found by each
@@ -77,7 +78,7 @@ fn table1_placers(cfg: &ExpConfig) -> Vec<Table> {
 /// | Inception-V3 | 0.071 | 0.071    | 0.067   | 0.067   | 0.067 | 0.067          |
 /// | GNMT-4       | 1.661 | OOM      | 1.418   | 1.437   | 1.379 | 1.396          |
 /// | BERT         | OOM   | OOM      | 12.661  | 11.737  | 9.214 | 11.363         |
-fn table2_final(cfg: &ExpConfig) -> Vec<Table> {
+fn table2_final(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
     let mut table = Table::new(
         "Table 2: per-step runtime (s) of best placements",
         &[
@@ -105,12 +106,12 @@ fn table2_final(cfg: &ExpConfig) -> Vec<Table> {
         .into_iter()
         .enumerate()
         {
-            let r = run_agent_multi(cfg, kind, w, (wi * 16 + ai) as u64 + 100);
-            row.push(text(cell_opt(r.mean_best)));
+            let logs = run_agent_multi(cfg, cells, kind, w, (wi * 16 + ai) as u64 + 100)?;
+            row.push(text(cell_opt(mean_best(&logs))));
         }
         table.push(row);
     }
-    vec![table]
+    Ok(vec![table])
 }
 
 /// Table 3 — generalizability: per-step time (s) of placements found
@@ -126,7 +127,7 @@ fn table2_final(cfg: &ExpConfig) -> Vec<Table> {
 /// | Inception-V3 | 0.067  | 0.067        | 0.067          |
 /// | GNMT-4       | 1.379  | 1.422        | 1.472          |
 /// | BERT         | 9.214  | 10.127       | 12.426         |
-fn table3_generalization(cfg: &ExpConfig) -> Vec<Table> {
+fn table3_generalization(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
     let finetune = 100;
     let patience = 100;
     let mut table = Table::with_recorded(
@@ -142,31 +143,37 @@ fn table3_generalization(cfg: &ExpConfig) -> Vec<Table> {
     for (wi, w) in BENCHMARKS.into_iter().enumerate() {
         let sim_src = similar_source(w);
         let dif_src = different_source(w);
-        let seed = |arm: u64, s: u64| cfg.seed ^ (wi as u64 * 31 + arm + s * 977);
+        // Arm 1 generalizes from the similar source, arm 2 from the
+        // different one; arm 3 trains directly for as many samples as
+        // arm 1 spent in all.
+        let offset = |arm: u64| wi as u64 * 31 + arm;
+        let seed = |arm: u64, s: u64| cfg.seed ^ (offset(arm) + s * 977);
         let (mut sim_bests, mut dif_bests, mut dir_bests) = (Vec::new(), Vec::new(), Vec::new());
         for s in 0..cfg.seeds as u64 {
-            let from = |src, arm| {
-                generalize(
-                    &cfg.mars,
-                    src,
-                    w,
-                    cfg.profile,
-                    cfg.budget,
-                    patience,
-                    finetune,
-                    seed(arm, s),
-                )
+            let mut from = |src, arm| -> io::Result<GeneralizeResult> {
+                cells.run(offset(arm), s, || {
+                    generalize(
+                        &cfg.mars,
+                        src,
+                        w,
+                        cfg.profile,
+                        cfg.budget,
+                        patience,
+                        finetune,
+                        seed(arm, s),
+                    )
+                })
             };
-            let sim = from(sim_src, 1);
-            let dif = from(dif_src, 2);
+            let sim = from(sim_src, 1)?;
+            let dif = from(dif_src, 2)?;
             let total = sim.train_samples + finetune;
-            dir_bests.push(direct(&cfg.mars, w, cfg.profile, total, seed(3, s)));
+            let dir: TrainingLog = cells.run(offset(3), s, || {
+                train(cfg, AgentKind::Mars, w, total, seed(3, s), seed(3, s) ^ 0x5151)
+            })?;
+            dir_bests.push(dir.best_reading_s);
             sim_bests.push(sim.best_s);
             dif_bests.push(dif.best_s);
         }
-        note_run("direct", w, None, &dir_bests);
-        note_run(&format!("generalized from {}", sim_src.name()), w, None, &sim_bests);
-        note_run(&format!("generalized from {}", dif_src.name()), w, None, &dif_bests);
         table.push(vec![
             text(bench_label(w)),
             text(cell_opt(mean_found(dir_bests))),
@@ -176,7 +183,7 @@ fn table3_generalization(cfg: &ExpConfig) -> Vec<Table> {
             text(dif_src.name()),
         ]);
     }
-    vec![table]
+    Ok(vec![table])
 }
 
 /// Fig. 7 — per-step runtime of the placements found during training,
@@ -189,7 +196,7 @@ fn table3_generalization(cfg: &ExpConfig) -> Vec<Table> {
 ///   converges far more slowly (paper: ~2500 steps vs Mars < 100).
 /// * 7b: Mars starts from better placements (all < 4 s even at the
 ///   beginning) and finds the best final placement.
-fn fig7_curves(cfg: &ExpConfig) -> Vec<Table> {
+fn fig7_curves(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
     let mut series = Table::new(
         "Fig. 7: per update round, mean over seeds of the round's valid readings and of the best so far",
         &["Workload", "Agent", "Samples", "Mean valid (s)", "Best so far (s)", "Policy entropy"],
@@ -203,32 +210,32 @@ fn fig7_curves(cfg: &ExpConfig) -> Vec<Table> {
             .into_iter()
             .enumerate()
         {
-            let r = run_agent_multi(cfg, kind, w, (wi * 32 + ai) as u64 + 700);
-            let rounds = r.logs.iter().map(|l| l.records.len()).min().unwrap_or(0);
+            let logs = run_agent_multi(cfg, cells, kind, w, (wi * 32 + ai) as u64 + 700)?;
+            let rounds = logs.iter().map(|l| l.records.len()).min().unwrap_or(0);
             for i in 0..rounds {
                 let mean = |f: fn(&TrainingRecord) -> Option<f64>| {
-                    mean_found(r.logs.iter().map(|l| f(&l.records[i])))
+                    mean_found(logs.iter().map(|l| f(&l.records[i])))
                 };
                 series.push(vec![
                     text(bench_label(w)),
                     text(kind.label()),
-                    Cell::Num(Some(r.logs[0].records[i].samples_so_far as f64), 0),
+                    Cell::Num(Some(logs[0].records[i].samples_so_far as f64), 0),
                     Cell::Num(mean(|rec| rec.mean_valid_reading_s), 3),
                     Cell::Num(mean(|rec| rec.best_so_far_s), 3),
                     Cell::Num(mean(|rec| Some(rec.policy_entropy)), 2),
                 ]);
             }
             let converge =
-                mean_found(r.logs.iter().map(|l| l.samples_to_converge(1.10).map(|s| s as f64)));
+                mean_found(logs.iter().map(|l| l.samples_to_converge(1.10).map(|s| s as f64)));
             summary.push(vec![
                 text(bench_label(w)),
                 text(kind.label()),
-                Cell::Num(r.mean_best, 3),
+                Cell::Num(mean_best(&logs), 3),
                 Cell::Num(converge, 0),
             ]);
         }
     }
-    vec![series, summary]
+    Ok(vec![series, summary])
 }
 
 /// Fig. 8 — training time of the agent under each RL approach,
@@ -246,7 +253,7 @@ fn fig7_curves(cfg: &ExpConfig) -> Vec<Table> {
 ///
 /// Paper shape: Mars trains fastest on Inception-V3; self-supervised
 /// pre-training saves ~13.2% of training time on average.
-fn fig8_training_time(cfg: &ExpConfig) -> Vec<Table> {
+fn fig8_training_time(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
     const AGENTS: [AgentKind; 4] = [
         AgentKind::GrouperPlacer,
         AgentKind::EncoderPlacer,
@@ -272,33 +279,34 @@ fn fig8_training_time(cfg: &ExpConfig) -> Vec<Table> {
     );
     let mut saved = Vec::new();
     for (wi, w) in BENCHMARKS.into_iter().enumerate() {
-        let runs: Vec<_> = AGENTS
+        let runs = AGENTS
             .iter()
             .enumerate()
-            .map(|(ai, &kind)| (kind, run_agent_multi(cfg, kind, w, (wi * 64 + ai) as u64 + 800)))
-            .collect();
+            .map(|(ai, &kind)| {
+                Ok((kind, run_agent_multi(cfg, cells, kind, w, (wi * 64 + ai) as u64 + 800)?))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
         let global_best = runs
             .iter()
-            .flat_map(|(_, r)| r.bests.iter().flatten().copied())
+            .flat_map(|(_, logs)| logs.iter().filter_map(|l| l.best_reading_s))
             .fold(f64::INFINITY, f64::min);
         let target = global_best * 1.10;
 
         let mut hours_by_agent = Vec::new();
-        for (kind, r) in &runs {
-            let hits: Vec<Option<&TrainingRecord>> = r
-                .logs
+        for (kind, logs) in &runs {
+            let hits: Vec<Option<&TrainingRecord>> = logs
                 .iter()
                 .map(|l| {
                     l.records.iter().find(|rec| rec.best_so_far_s.is_some_and(|b| b <= target))
                 })
                 .collect();
-            let time = mean_found(r.logs.iter().zip(&hits).map(|(l, hit)| {
+            let time = mean_found(logs.iter().zip(&hits).map(|(l, hit)| {
                 Some(match hit {
                     Some(rec) => rec.machine_s + (rec.agent_wall_s + l.pretrain_wall_s),
                     None => l.total_training_time_s(),
                 })
             }));
-            let samples = mean_found(r.logs.iter().zip(&hits).map(|(l, hit)| {
+            let samples = mean_found(logs.iter().zip(&hits).map(|(l, hit)| {
                 Some(hit.map_or(l.total_samples, |rec| rec.samples_so_far) as f64)
             }));
             let reached = hits.iter().flatten().count();
@@ -311,7 +319,7 @@ fn fig8_training_time(cfg: &ExpConfig) -> Vec<Table> {
                 Cell::Num(hours, 2),
                 Cell::Num(samples, 0),
                 Cell::Num(Some(reached as f64), 0),
-                Cell::Num(Some(r.logs.len() as f64), 0),
+                Cell::Num(Some(logs.len() as f64), 0),
             ]);
         }
         let hours_of = |k| hours_by_agent.iter().find(|(kind, _)| *kind == k).and_then(|(_, h)| *h);
@@ -327,7 +335,7 @@ fn fig8_training_time(cfg: &ExpConfig) -> Vec<Table> {
     }
     let average = mean_found(saved).map(|s| s * 100.0);
     savings.push(vec![text("Average"), Cell::Num(None, 3), Cell::Num(average, 1)]);
-    vec![times, savings]
+    Ok(vec![times, savings])
 }
 
 /// Ablation: PPO vs. plain REINFORCE (§2 motivates PPO by the "slow
@@ -337,7 +345,7 @@ fn fig8_training_time(cfg: &ExpConfig) -> Vec<Table> {
 /// epoch, one minibatch, effectively-unbounded clip — the first (and
 /// only) update then uses ratio ≡ 1, i.e. the vanilla policy gradient
 /// `∇ log π × Â`.
-fn ablation_rl(cfg: &ExpConfig) -> Vec<Table> {
+fn ablation_rl(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
     let mut reinforce = cfg.clone();
     reinforce.mars.ppo_epochs = 1;
     reinforce.mars.minibatches = 1;
@@ -348,18 +356,19 @@ fn ablation_rl(cfg: &ExpConfig) -> Vec<Table> {
     );
     for (wi, w) in [Workload::InceptionV3, Workload::Gnmt4].into_iter().enumerate() {
         for (ci, (algo, exp)) in [("PPO", cfg), ("REINFORCE", &reinforce)].into_iter().enumerate() {
-            let r = run_agent_multi(exp, AgentKind::Mars, w, (wi * 4 + ci) as u64 + 4000);
+            let logs =
+                run_agent_multi(exp, cells, AgentKind::Mars, w, (wi * 4 + ci) as u64 + 4000)?;
             let converge =
-                mean_found(r.logs.iter().map(|l| l.samples_to_converge(1.05).map(|s| s as f64)));
+                mean_found(logs.iter().map(|l| l.samples_to_converge(1.05).map(|s| s as f64)));
             table.push(vec![
                 text(bench_label(w)),
                 text(algo),
-                Cell::Num(r.mean_best, 3),
+                Cell::Num(mean_best(&logs), 3),
                 Cell::Num(converge, 0),
             ]);
         }
     }
-    vec![table]
+    Ok(vec![table])
 }
 
 /// Ablation: segment size `s` of the Mars placer (§3.3 fixes s = 128
@@ -367,7 +376,7 @@ fn ablation_rl(cfg: &ExpConfig) -> Vec<Table> {
 /// sweet spot between per-op context (small s ⇒ more recurrence
 /// carry-over) and encoding efficiency (large s ⇒ full-sequence
 /// seq2seq behaviour, which Table 1 shows degrading).
-fn ablation_segment(cfg: &ExpConfig) -> Vec<Table> {
+fn ablation_segment(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
     let sweep: &[usize] = match cfg.profile {
         Profile::Paper => &[32, 64, 128, 256, 4096],
         Profile::Reduced => &[8, 16, 32, 64, 4096],
@@ -381,16 +390,17 @@ fn ablation_segment(cfg: &ExpConfig) -> Vec<Table> {
         for (si, &s) in sweep.iter().enumerate() {
             let mut exp = cfg.clone();
             exp.mars.segment_size = s;
-            let r = run_agent_multi(&exp, AgentKind::Mars, w, (wi * 16 + si) as u64 + 5000);
+            let logs =
+                run_agent_multi(&exp, cells, AgentKind::Mars, w, (wi * 16 + si) as u64 + 5000)?;
             table.push(vec![
                 text(bench_label(w)),
                 text(if s >= 4096 { "whole-seq".into() } else { s.to_string() }),
-                Cell::Num(r.mean_best, 3),
+                Cell::Num(mean_best(&logs), 3),
                 Cell::Num(Some(s as f64), 0),
             ]);
         }
     }
-    vec![table]
+    Ok(vec![table])
 }
 
 /// Ablation: classical min-cut graph partitioning vs. the RL agent
@@ -400,7 +410,7 @@ fn ablation_segment(cfg: &ExpConfig) -> Vec<Table> {
 /// The partitioner optimizes cut bytes + compute balance — a proxy
 /// that ignores scheduling/pipelining — while Mars optimizes measured
 /// step time directly.
-fn ablation_partitioner(cfg: &ExpConfig) -> Vec<Table> {
+fn ablation_partitioner(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
     let mut table = Table::with_recorded(
         "Ablation: min-cut partitioner vs Mars (per-step s)",
         &["Workload", "Min-cut partitioner", "Mars"],
@@ -416,15 +426,15 @@ fn ablation_partitioner(cfg: &ExpConfig) -> Vec<Table> {
             }
             None => ("infeasible".to_string(), 0.0),
         };
-        let mars = run_agent_multi(cfg, AgentKind::Mars, w, 6100 + wi as u64);
+        let mars = run_agent_multi(cfg, cells, AgentKind::Mars, w, 6100 + wi as u64)?;
         table.push(vec![
             text(bench_label(w)),
             text(cut_cell),
-            text(Cell::Num(mars.mean_best, 3).to_string()),
+            text(Cell::Num(mean_best(&mars), 3).to_string()),
             Cell::Num(Some(cut_mb), 1),
         ]);
     }
-    vec![table]
+    Ok(vec![table])
 }
 
 /// Ablation: reward shaping (Eq. 7 uses `R = −√t`; compare against
@@ -432,7 +442,7 @@ fn ablation_partitioner(cfg: &ExpConfig) -> Vec<Table> {
 /// penalty relative to good readings, keeping advantages from being
 /// dominated by OOM samples — linear shaping should be noisier on
 /// memory-constrained workloads.
-fn ablation_reward(cfg: &ExpConfig) -> Vec<Table> {
+fn ablation_reward(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
     let mut table = Table::new(
         "Ablation: reward shaping (Mars agent)",
         &["Workload", "Shaping", "Mean best (s)"],
@@ -445,13 +455,14 @@ fn ablation_reward(cfg: &ExpConfig) -> Vec<Table> {
         {
             let mut exp = cfg.clone();
             exp.mars.reward_shaping = shaping;
-            let r = run_agent_multi(&exp, AgentKind::Mars, w, (wi * 8 + si) as u64 + 7000);
+            let logs =
+                run_agent_multi(&exp, cells, AgentKind::Mars, w, (wi * 8 + si) as u64 + 7000)?;
             table.push(vec![
                 text(bench_label(w)),
                 text(format!("{shaping:?}")),
-                Cell::Num(r.mean_best, 3),
+                Cell::Num(mean_best(&logs), 3),
             ]);
         }
     }
-    vec![table]
+    Ok(vec![table])
 }

@@ -10,6 +10,14 @@
 //!     [--profile reduced|paper] [--budget N] [--seed N] [--seeds K] [--telemetry PATH]
 //! ```
 //!
+//! A table function does not train: it asks [`Cells`] for its seed
+//! cells, one training or generalization run each. A cell missing from
+//! `target/experiments/<table>.cells.jsonl` runs and is appended there
+//! as it finishes; one already there is read back. Re-running the same
+//! command therefore resumes a killed run, and with every cell present
+//! a table function is a pure render. Deleting the cells file starts
+//! over.
+//!
 //! One writer ([`report::write`]) prints each table as markdown and
 //! writes `target/experiments/<table>.json`, a record naming the axes
 //! it ran at. `--profile reduced` (the default) runs reduced graphs at
@@ -18,15 +26,23 @@
 //!
 //! The `kernels` bench target times the hot kernels on [`harness`].
 
-use mars_core::agent::{Agent, AgentKind, TrainingLog};
+use mars_core::agent::{Agent, AgentKind, TrainingLog, TrainingRecord};
 use mars_core::config::MarsConfig;
+use mars_core::generalize::GeneralizeResult;
 use mars_core::workload_input::WorkloadInput;
 use mars_graph::features::FEATURE_DIM;
 use mars_graph::generators::{Profile, Workload};
+use mars_json::Json;
 use mars_rng::rngs::StdRng;
 use mars_rng::SeedableRng;
 use mars_sim::{Cluster, Environment, EvalOutcome, Placement, SimEnv};
+use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Write};
+use std::path::Path;
 use std::str::FromStr;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 mod experiments;
 pub mod harness;
@@ -67,13 +83,15 @@ impl ExpConfig {
 }
 
 /// One table or figure: its name on the command line and in
-/// `target/experiments/<name>.json`, and the function that runs it.
+/// `target/experiments/<name>.json`, and the function that renders it.
 #[derive(Clone, Copy)]
 pub struct Experiment {
     /// Command-line and file name, e.g. `table2_final`.
     pub name: &'static str,
-    /// Runs the experiment at the given axes.
-    pub run: fn(&ExpConfig) -> Vec<Table>,
+    /// Renders the experiment at the given axes from its seed cells,
+    /// running the cells that are missing. Fails only if a finished
+    /// cell cannot be appended to the cells file.
+    pub run: fn(&ExpConfig, &mut Cells) -> io::Result<Vec<Table>>,
 }
 
 /// The runner's command line.
@@ -181,52 +199,264 @@ pub(crate) fn mean_found(values: impl IntoIterator<Item = Option<f64>>) -> Optio
     (!found.is_empty()).then(|| found.iter().sum::<f64>() / found.len() as f64)
 }
 
-/// Aggregate of several seeds of the same (agent, workload) run.
-pub(crate) struct MultiRunResult {
-    /// Per-seed best per-step times (None = no valid placement found).
-    pub bests: Vec<Option<f64>>,
-    /// Mean of the per-seed bests (None if no seed found a placement).
-    pub mean_best: Option<f64>,
-    /// Per-seed training logs.
-    pub logs: Vec<TrainingLog>,
+/// Mean best per-step time over the seeds that found a placement.
+pub(crate) fn mean_best(logs: &[TrainingLog]) -> Option<f64> {
+    mean_found(logs.iter().map(|l| l.best_reading_s))
 }
 
-/// Train `kind` on `workload` once per seed of `cfg`, record the run
-/// in telemetry ([`note_run`], naming the cell by `seed_offset`) and
-/// aggregate.
+/// What one seed cell keeps in its table's cells file.
+pub(crate) trait CellValue: Sized {
+    /// The value as the `value` field of its line.
+    fn to_json(&self) -> Json;
+    /// The value back from its line; `None` if the line does not hold one.
+    fn from_json(json: &Json) -> Option<Self>;
+    /// The best per-step time the cell found, for its progress line.
+    fn best_s(&self) -> Option<f64>;
+}
+
+/// `null` as `None`, a number as `Some`, anything else as a bad line.
+fn opt_f64(json: &Json) -> Option<Option<f64>> {
+    if json.is_null() {
+        Some(None)
+    } else {
+        json.as_f64().map(Some)
+    }
+}
+
+/// Everything of a training run but its best placement, which no table
+/// reads.
+impl CellValue for TrainingLog {
+    fn to_json(&self) -> Json {
+        let record = |r: &TrainingRecord| {
+            Json::obj([
+                ("samples", Json::from(r.samples_so_far)),
+                ("mean_valid_s", r.mean_valid_reading_s.into()),
+                ("best_so_far_s", r.best_so_far_s.into()),
+                ("valid_fraction", r.valid_fraction.into()),
+                ("agent_wall_s", r.agent_wall_s.into()),
+                ("machine_s", r.machine_s.into()),
+                ("entropy", r.policy_entropy.into()),
+            ])
+        };
+        Json::obj([
+            ("best_s", self.best_reading_s.into()),
+            ("pretrain_wall_s", self.pretrain_wall_s.into()),
+            ("train_wall_s", self.train_wall_s.into()),
+            ("machine_s", self.machine_s.into()),
+            ("samples", self.total_samples.into()),
+            ("records", Json::arr(self.records.iter().map(record))),
+        ])
+    }
+
+    fn from_json(json: &Json) -> Option<TrainingLog> {
+        let record = |r: &Json| {
+            Some(TrainingRecord {
+                samples_so_far: r["samples"].as_usize()?,
+                mean_valid_reading_s: opt_f64(&r["mean_valid_s"])?,
+                best_so_far_s: opt_f64(&r["best_so_far_s"])?,
+                valid_fraction: r["valid_fraction"].as_f64()?,
+                agent_wall_s: r["agent_wall_s"].as_f64()?,
+                machine_s: r["machine_s"].as_f64()?,
+                policy_entropy: r["entropy"].as_f64()?,
+            })
+        };
+        Some(TrainingLog {
+            records: json["records"].as_array()?.iter().map(record).collect::<Option<_>>()?,
+            best_placement: None,
+            best_reading_s: opt_f64(&json["best_s"])?,
+            pretrain_wall_s: json["pretrain_wall_s"].as_f64()?,
+            train_wall_s: json["train_wall_s"].as_f64()?,
+            machine_s: json["machine_s"].as_f64()?,
+            total_samples: json["samples"].as_usize()?,
+        })
+    }
+
+    fn best_s(&self) -> Option<f64> {
+        self.best_reading_s
+    }
+}
+
+impl CellValue for GeneralizeResult {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("best_s", self.best_s.into()),
+            ("train_samples", self.train_samples.into()),
+            ("finetune_samples", self.finetune_samples.into()),
+        ])
+    }
+
+    fn from_json(json: &Json) -> Option<GeneralizeResult> {
+        Some(GeneralizeResult {
+            best_s: opt_f64(&json["best_s"])?,
+            train_samples: json["train_samples"].as_usize()?,
+            finetune_samples: json["finetune_samples"].as_usize()?,
+        })
+    }
+
+    fn best_s(&self) -> Option<f64> {
+        self.best_s
+    }
+}
+
+/// FNV-1a of the running executable's bytes, read once per process.
+/// Any change to the code that trains a cell changes it, so no cell of
+/// another build is reused.
+fn fingerprint() -> io::Result<&'static str> {
+    static FINGERPRINT: OnceLock<String> = OnceLock::new();
+    if let Some(f) = FINGERPRINT.get() {
+        return Ok(f);
+    }
+    let bytes = std::fs::read(std::env::current_exe()?)?;
+    let hash = bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+    Ok(FINGERPRINT.get_or_init(|| format!("{hash:016x}")))
+}
+
+/// The seed cells of one table at one set of axes, backed by
+/// `<dir>/<table>.cells.jsonl`.
+///
+/// A seed cell is one training or generalization run, keyed
+/// `<table>/<seed offset>/<seed index>`. Each line of the file holds a
+/// key, the axes it ran at (profile, budget, base seed and the
+/// [`fingerprint`] of the executable), its wall seconds and its value.
+/// A line is reused only at equal axes, and of two lines for one key
+/// the later wins; the seed count is not an axis,
+/// so raising `--seeds` reuses the seeds already run.
+pub struct Cells {
+    table: String,
+    file: File,
+    axes: Json,
+    done: HashMap<String, Json>,
+    ran: usize,
+    reused: usize,
+}
+
+impl Cells {
+    /// Open (or create) `<dir>/<table>.cells.jsonl` and read the cells
+    /// already run at `cfg`'s axes. A final line without its newline
+    /// was torn by a killed run: it is cut off, and its cell runs again.
+    pub fn open(dir: &Path, table: &str, cfg: &ExpConfig) -> io::Result<Cells> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("{table}.cells.jsonl"));
+        let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let whole = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        file.set_len(whole as u64)?;
+        let axes = Json::obj([
+            ("profile", Json::from(cfg.profile.name())),
+            ("budget", cfg.budget.into()),
+            ("seed", cfg.seed.into()),
+            ("fingerprint", fingerprint()?.into()),
+        ]);
+        let mut done = HashMap::new();
+        for line in bytes[..whole].split(|&b| b == b'\n') {
+            let Some(line) = std::str::from_utf8(line).ok().and_then(|l| Json::parse(l).ok())
+            else {
+                continue;
+            };
+            if let (Some(key), true) = (line["cell"].as_str(), line["axes"] == axes) {
+                done.insert(key.to_string(), line["value"].clone());
+            }
+        }
+        Ok(Cells { table: table.to_string(), file, axes, done, ran: 0, reused: 0 })
+    }
+
+    /// Seed cell `(offset, seed_index)`: its value from the cells file
+    /// if it is there, else `train`'s, appended to the file as one
+    /// synced line and announced by a progress line on stderr and a
+    /// `bench.run` event. Either way the value is the one the line
+    /// decodes to, so a table renders the same bytes from a fresh run
+    /// and from a resumed one.
+    pub(crate) fn run<T: CellValue>(
+        &mut self,
+        offset: u64,
+        seed_index: u64,
+        train: impl FnOnce() -> T,
+    ) -> io::Result<T> {
+        let key = format!("{}/{offset}/{seed_index}", self.table);
+        if let Some(value) = self.done.get(&key).and_then(T::from_json) {
+            self.reused += 1;
+            return Ok(value);
+        }
+        let t0 = Instant::now();
+        let value = train();
+        let wall_s = t0.elapsed().as_secs_f64();
+        let line = Json::obj([
+            ("cell", Json::from(&key)),
+            ("axes", self.axes.clone()),
+            ("wall_s", wall_s.into()),
+            ("value", value.to_json()),
+        ])
+        .to_string();
+        // A value its own line cannot give back (a non-finite number
+        // written as `null` where the codec wants one) would be re-run
+        // on every resume; it is refused before it is appended.
+        let value =
+            Json::parse(&line).ok().and_then(|l| T::from_json(&l["value"])).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("cell {key} does not decode: {line}"),
+                )
+            })?;
+        self.file.write_all(format!("{line}\n").as_bytes())?;
+        self.file.sync_data()?;
+        self.ran += 1;
+        eprintln!("{key}: best {}, {wall_s:.1} s", cell_opt(value.best_s()));
+        mars_telemetry::event(
+            "bench.run",
+            &[("cell", key.into()), ("best_s", value.best_s().into()), ("wall_s", wall_s.into())],
+        );
+        Ok(value)
+    }
+
+    /// How many cells this process ran, and how many it read back.
+    pub fn counts(&self) -> (usize, usize) {
+        (self.ran, self.reused)
+    }
+}
+
+/// Seeds `0..cfg.seeds` of one (agent, workload) cell of a table:
+/// seed `s` trains `kind` on `workload` for `cfg.budget` evaluations
+/// from seed `cfg.seed ^ (offset + s·7919)`.
 pub(crate) fn run_agent_multi(
     cfg: &ExpConfig,
+    cells: &mut Cells,
     kind: AgentKind,
     workload: Workload,
-    seed_offset: u64,
-) -> MultiRunResult {
-    let logs: Vec<TrainingLog> = (0..cfg.seeds as u64)
-        .map(|s| run_agent(cfg, kind, workload, seed_offset + s * 7919))
-        .collect();
-    let bests: Vec<Option<f64>> = logs.iter().map(|l| l.best_reading_s).collect();
-    note_run(&kind.label(), workload, Some(seed_offset), &bests);
-    MultiRunResult { mean_best: mean_found(bests.iter().copied()), bests, logs }
+    offset: u64,
+) -> io::Result<Vec<TrainingLog>> {
+    (0..cfg.seeds as u64)
+        .map(|s| {
+            let seed = cfg.seed ^ (offset + s * 7919);
+            cells.run(offset, s, || train(cfg, kind, workload, cfg.budget, seed, seed ^ 0xE11))
+        })
+        .collect()
 }
 
-/// Train an agent of `kind` on `workload` for `cfg.budget`
-/// evaluations. Mars and Table 1's frozen encoders pre-train their GCN
-/// with DGI first; the frozen encoders then freeze it.
-fn run_agent(
+/// Train an agent of `kind` on `workload` for `budget` evaluations,
+/// its weights and samples drawn from `rng_seed` and its measurement
+/// noise from `env_seed`. Mars and Table 1's frozen encoders pre-train
+/// their GCN with DGI first; the frozen encoders then freeze it.
+pub(crate) fn train(
     cfg: &ExpConfig,
     kind: AgentKind,
     workload: Workload,
-    seed_offset: u64,
+    budget: usize,
+    rng_seed: u64,
+    env_seed: u64,
 ) -> TrainingLog {
     let graph = workload.build(cfg.profile);
     let input = WorkloadInput::from_graph(&graph);
     let cluster = Cluster::p100_quad();
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ seed_offset);
+    let mut rng = StdRng::seed_from_u64(rng_seed);
     let mut agent =
         Agent::new(kind, cfg.mars.clone(), FEATURE_DIM, cluster.num_devices(), &mut rng);
 
     let mut log = TrainingLog::default();
     if matches!(kind, AgentKind::Mars | AgentKind::FixedEncoder(_)) {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         if agent.pretrain(&input, &mut rng).is_some() {
             log.pretrain_wall_s = t0.elapsed().as_secs_f64();
         }
@@ -235,8 +465,8 @@ fn run_agent(
         agent.freeze_encoder(&input);
     }
 
-    let mut env = SimEnv::new(graph, cluster, cfg.seed ^ seed_offset ^ 0xE11);
-    agent.train(&mut env, &input, cfg.budget, &mut rng, &mut log);
+    let mut env = SimEnv::new(graph, cluster, env_seed);
+    agent.train(&mut env, &input, budget, &mut rng, &mut log);
     log
 }
 
@@ -251,37 +481,6 @@ pub(crate) fn measure_placement(
     let cluster = Cluster::p100_quad();
     let mut env = SimEnv::new(graph, cluster, cfg.seed ^ seed_offset);
     env.evaluate(placement)
-}
-
-/// Record one aggregated (agent, workload) training run in telemetry:
-/// bumps the `bench.runs` / `bench.runs_no_valid` counters and, when a
-/// recorder is active, emits a `bench.run` event carrying the per-seed
-/// bests. A table's cells differ by their seed offset, which depends
-/// only on the cell's place in the table; the event carries it when
-/// given, so the variants of an ablation (same agent label) can be
-/// told apart.
-pub(crate) fn note_run(
-    label: &str,
-    workload: Workload,
-    seed_offset: Option<u64>,
-    bests: &[Option<f64>],
-) {
-    let mean_best = mean_found(bests.iter().copied());
-    mars_telemetry::counter("bench.runs").inc();
-    if mean_best.is_none() {
-        mars_telemetry::counter("bench.runs_no_valid").inc();
-    }
-    if mars_telemetry::active() {
-        let mut fields = vec![
-            ("agent", label.into()),
-            ("workload", workload.name().into()),
-            ("mean_best_s", mean_best.unwrap_or(f64::NAN).into()),
-            ("seeds", (bests.len() as f64).into()),
-            ("seeds_valid", (bests.iter().filter(|b| b.is_some()).count() as f64).into()),
-        ];
-        fields.extend(seed_offset.map(|o| ("seed_offset", o.into())));
-        mars_telemetry::event("bench.run", &fields);
-    }
 }
 
 /// Format a table cell: seconds or "OOM".
@@ -326,6 +525,7 @@ mod tests {
     use super::*;
     use mars_json::Json;
     use mars_sim::OomError;
+    use std::path::PathBuf;
 
     fn parse(args: &[&str]) -> Result<Invocation, String> {
         Invocation::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -349,6 +549,66 @@ mod tests {
         assert_eq!(bench_label(Workload::BertBase), "BERT");
     }
 
+    /// A fresh directory for one test's cells file.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mars-bench-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A stand-in for a training run: a log that depends on `x`, with
+    /// one record.
+    fn fake_log(x: f64) -> TrainingLog {
+        TrainingLog {
+            records: vec![TrainingRecord {
+                samples_so_far: 8,
+                mean_valid_reading_s: Some(x * 1.5),
+                best_so_far_s: Some(x),
+                valid_fraction: 0.75,
+                agent_wall_s: x / 3.0,
+                machine_s: 2.0 * x,
+                policy_entropy: 1.1,
+            }],
+            best_reading_s: Some(x),
+            machine_s: 2.0 * x,
+            total_samples: 8,
+            ..TrainingLog::default()
+        }
+    }
+
+    /// Asks for cells `(offset, 0)` of `offsets` and returns their best
+    /// times and how many of them trained.
+    fn ask(cells: &mut Cells, offsets: &[u64]) -> (Vec<Option<f64>>, usize) {
+        let mut trained = 0;
+        let bests = offsets
+            .iter()
+            .map(|&o| {
+                cells
+                    .run(o, 0, || {
+                        trained += 1;
+                        fake_log(o as f64 + 0.1)
+                    })
+                    .expect("cells file")
+                    .best_reading_s
+            })
+            .collect();
+        (bests, trained)
+    }
+
+    fn smoke_cfg() -> ExpConfig {
+        ExpConfig { budget: 8, seeds: 1, ..ExpConfig::new(Profile::Reduced) }
+    }
+
+    #[test]
+    fn a_log_survives_its_cell_line_exactly() {
+        let log = fake_log(0.1 + 0.2);
+        let back = TrainingLog::from_json(&Json::parse(&log.to_json().to_string()).unwrap())
+            .expect("decodes");
+        assert_eq!(back.to_json(), log.to_json());
+        assert_eq!(back.records[0].agent_wall_s.to_bits(), log.records[0].agent_wall_s.to_bits());
+        assert!(TrainingLog::from_json(&Json::parse(r#"{"best_s":"x"}"#).unwrap()).is_none());
+    }
+
     #[test]
     fn multi_run_aggregates_means() {
         let mut cfg = ExpConfig { seeds: 2, budget: 40, ..ExpConfig::new(Profile::Reduced) };
@@ -357,16 +617,100 @@ mod tests {
         cfg.mars.attn_dim = 8;
         cfg.mars.segment_size = 16;
         cfg.mars.dgi_iters = 5;
-        let r = run_agent_multi(&cfg, AgentKind::MarsNoPretrain, Workload::InceptionV3, 12345);
-        assert_eq!(r.bests.len(), 2);
-        assert_eq!(r.logs.len(), 2);
-        let found: Vec<f64> = r.bests.iter().flatten().copied().collect();
-        if !found.is_empty() {
-            let mean = found.iter().sum::<f64>() / found.len() as f64;
-            assert!((r.mean_best.unwrap() - mean).abs() < 1e-12);
-        } else {
-            assert!(r.mean_best.is_none());
+        let dir = scratch_dir("multi");
+        let run = |cells: &mut Cells| {
+            run_agent_multi(&cfg, cells, AgentKind::MarsNoPretrain, Workload::InceptionV3, 12345)
+                .expect("cells file")
+        };
+
+        let mut cells = Cells::open(&dir, "t", &cfg).unwrap();
+        let logs = run(&mut cells);
+        // Each seed is its own cell: none reuses another's line.
+        assert_eq!(logs.len(), 2);
+        assert_eq!(cells.counts(), (2, 0));
+        let found: Vec<f64> = logs.iter().filter_map(|l| l.best_reading_s).collect();
+        match mean_best(&logs) {
+            Some(mean) => {
+                assert!((mean - found.iter().sum::<f64>() / found.len() as f64).abs() < 1e-12)
+            }
+            None => assert!(found.is_empty()),
         }
+
+        let mut again = Cells::open(&dir, "t", &cfg).unwrap();
+        let reused = run(&mut again);
+        assert_eq!(again.counts(), (0, 2));
+        let json = |logs: &[TrainingLog]| logs.iter().map(|l| l.to_json()).collect::<Vec<_>>();
+        assert_eq!(json(&reused), json(&logs));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_value_its_line_cannot_give_back_is_refused() {
+        let dir = scratch_dir("nan");
+        let mut cells = Cells::open(&dir, "t", &smoke_cfg()).unwrap();
+        let mut log = fake_log(0.5);
+        log.records[0].policy_entropy = f64::NAN;
+        let err = cells.run(1, 0, || log).map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("t/1/0"), "{err}");
+        assert_eq!(std::fs::read_to_string(dir.join("t.cells.jsonl")).unwrap(), "");
+        assert_eq!(cells.counts(), (0, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_complete_cells_file_trains_nothing() {
+        let dir = scratch_dir("complete");
+        let cfg = smoke_cfg();
+        let first = ask(&mut Cells::open(&dir, "t", &cfg).unwrap(), &[1, 2, 3]);
+        assert_eq!(first.1, 3);
+        let mut cells = Cells::open(&dir, "t", &cfg).unwrap();
+        assert_eq!(ask(&mut cells, &[1, 2, 3]), (first.0, 0));
+        assert_eq!(cells.counts(), (0, 3));
+        // The seed count is not an axis: more seeds reuse the ones run.
+        let more = ExpConfig { seeds: 5, ..smoke_cfg() };
+        assert_eq!(ask(&mut Cells::open(&dir, "t", &more).unwrap(), &[1, 2, 3]).1, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_final_line_is_skipped_and_its_cell_rerun() {
+        let dir = scratch_dir("torn");
+        let cfg = smoke_cfg();
+        let first = ask(&mut Cells::open(&dir, "t", &cfg).unwrap(), &[1, 2, 3]);
+        let path = dir.join("t.cells.jsonl");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3);
+        let torn = format!("{}\n{}\n{}", lines[0], lines[1], &lines[2][..lines[2].len() / 2]);
+        std::fs::write(&path, torn).unwrap();
+
+        assert_eq!(ask(&mut Cells::open(&dir, "t", &cfg).unwrap(), &[1, 2, 3]), (first.0, 1));
+        // The torn half is gone and the re-run cell's line is whole.
+        let resumed = std::fs::read_to_string(&path).unwrap();
+        assert!(resumed.starts_with(&format!("{}\n{}\n{{", lines[0], lines[1])), "{resumed}");
+        assert!(resumed.lines().all(|l| Json::parse(l).is_ok()), "{resumed}");
+        assert_eq!(resumed.lines().count(), 3);
+        assert_eq!(ask(&mut Cells::open(&dir, "t", &cfg).unwrap(), &[1, 2, 3]).1, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_line_of_another_build_or_budget_is_never_reused() {
+        let dir = scratch_dir("stale");
+        let cfg = smoke_cfg();
+        ask(&mut Cells::open(&dir, "t", &cfg).unwrap(), &[1, 2]);
+
+        let other_budget = ExpConfig { budget: 9, ..smoke_cfg() };
+        assert_eq!(ask(&mut Cells::open(&dir, "t", &other_budget).unwrap(), &[1, 2]).1, 2);
+
+        let path = dir.join("t.cells.jsonl");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let fp = fingerprint().unwrap();
+        assert!(text.contains(fp));
+        std::fs::write(&path, text.replace(fp, "0000000000000000")).unwrap();
+        assert_eq!(ask(&mut Cells::open(&dir, "t", &cfg).unwrap(), &[1, 2]).1, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -438,9 +782,13 @@ mod tests {
     /// Runs `name` at a smoke budget and checks that its record parses
     /// back with `rows[i]` rows in table `i`, each as wide as its header.
     fn smoke(name: &str, rows: &[usize]) {
-        let cfg = ExpConfig { budget: 8, seeds: 1, ..ExpConfig::new(Profile::Reduced) };
+        let cfg = smoke_cfg();
         let exp = EXPERIMENTS.iter().find(|e| e.name == name).expect("listed");
-        let text = report::record(name, &cfg, &(exp.run)(&cfg)).pretty();
+        let dir = scratch_dir(name);
+        let mut cells = Cells::open(&dir, name, &cfg).expect("cells file");
+        let tables = (exp.run)(&cfg, &mut cells).expect("cells file");
+        let text = report::record(name, &cfg, &tables).pretty();
+        std::fs::remove_dir_all(&dir).expect("remove the cells file");
         let record = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(record["experiment"].as_str(), Some(name));
         assert_eq!(record["profile"].as_str(), Some("reduced"));

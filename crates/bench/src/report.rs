@@ -107,6 +107,12 @@ pub(crate) fn record(experiment: &str, cfg: &ExpConfig, tables: &[Table]) -> Jso
     ])
 }
 
+/// `target/experiments` under the workspace root: the records and the
+/// cells files.
+pub fn experiments_dir() -> std::path::PathBuf {
+    crate::harness::workspace_path("target/experiments")
+}
+
 /// Print every table as markdown and write the experiment's JSON
 /// record (its name, its axes, every table with every column) to
 /// `target/experiments/<experiment>.json` under the workspace root.
@@ -114,7 +120,7 @@ pub fn write(experiment: &str, cfg: &ExpConfig, tables: &[Table]) -> std::io::Re
     for t in tables {
         print!("{}", t.markdown());
     }
-    let dir = crate::harness::workspace_path("target/experiments");
+    let dir = experiments_dir();
     std::fs::create_dir_all(&dir)?;
     std::fs::write(
         dir.join(format!("{experiment}.json")),

@@ -2,8 +2,8 @@
 //!
 //! §4.3: train Mars on a *training workload* until it stops improving
 //! for 100 steps, then fine-tune the policy on the *unseen* workload
-//! for 100 steps; compare against direct training with the same total
-//! step budget.
+//! for 100 steps. Table 3 compares this against direct training with
+//! the same total step budget, an ordinary training run of its own.
 
 use crate::agent::{Agent, AgentKind, TrainingLog};
 use crate::config::MarsConfig;
@@ -76,29 +76,6 @@ pub fn generalize(
         train_samples,
         finetune_samples: ft_log.total_samples,
     }
-}
-
-/// Direct training on `test_w` with the same total budget (the Table 3
-/// "Direct training" column): total = source samples + fine-tune
-/// samples, all spent on the target workload.
-pub fn direct(
-    cfg: &MarsConfig,
-    test_w: Workload,
-    profile: Profile,
-    total_samples: usize,
-    seed: u64,
-) -> Option<f64> {
-    let cluster = Cluster::p100_quad();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let graph = test_w.build(profile);
-    let input = WorkloadInput::from_graph(&graph);
-    let mut agent =
-        Agent::new(AgentKind::Mars, cfg.clone(), FEATURE_DIM, cluster.num_devices(), &mut rng);
-    agent.pretrain(&input, &mut rng);
-    let mut env = SimEnv::new(graph, cluster, seed ^ 0x5151);
-    let mut log = TrainingLog::default();
-    agent.train(&mut env, &input, total_samples, &mut rng, &mut log);
-    log.best_reading_s
 }
 
 /// Table 3's pairing: the "similar type" training workload per unseen

@@ -29,13 +29,22 @@ cargo test -q --offline --workspace
 echo "==> kernel benches, smoke mode (one iteration each)"
 cargo bench -p mars-bench --bench kernels --offline -- --smoke
 
-echo "==> experiments runner: one table through the binary, its JSON record written and parsed"
+echo "==> experiments runner: one table through the binary twice, the second run a pure render"
 # `cargo test` above already ran every table at 8 evaluations and 1 seed
 # (mars-bench's smoke::* tests). This checks what they do not reach:
-# the binary's argument parsing and the file the writer leaves behind.
+# the binary's argument parsing, the record the writer leaves behind,
+# and the cells file: the same command run again must train no cell
+# and write the same record.
 RECORD=target/experiments/ablation_partitioner.json
-rm -f "$RECORD"
+CELLS=target/experiments/ablation_partitioner.cells.jsonl
+rm -f "$RECORD" "$CELLS"
 cargo bench -p mars-bench --bench experiments --offline -- ablation_partitioner --budget 8 --seeds 1
+cp "$RECORD" "$RECORD.first"
+RERUN_ERR=$(cargo bench -p mars-bench --bench experiments --offline -- ablation_partitioner \
+    --budget 8 --seeds 1 2>&1 >/dev/null)
+grep -q "^ablation_partitioner: ran 0 cells, reused 3$" <<< "$RERUN_ERR" || {
+    echo "the re-run over a complete cells file trained cells:"; echo "$RERUN_ERR"; exit 1; }
+cmp "$RECORD.first" "$RECORD" || { echo "the re-run from the cells file wrote another record"; exit 1; }
 python3 - "$RECORD" <<'PY' || { echo "the runner left no parsable record at $RECORD"; exit 1; }
 import json, sys
 record = json.load(open(sys.argv[1]))
