@@ -13,14 +13,14 @@ use crate::encoder::{Encoder, GcnEncoder, RawEncoder, SageEncoder};
 use crate::grouper::GrouperPlacerNet;
 use crate::placers::{PlacerChoice, PlacerNet};
 use crate::ppo::{ppo_loss_stats, sample_actions, EmaBaseline, PpoStats, SampleRecord};
+use crate::search::Rounds;
 use crate::workload_input::WorkloadInput;
 use mars_autograd::Tape;
 use mars_nn::{apply_grads, Adam, FwdCtx, ParamStore};
 use mars_rng::rngs::StdRng;
 use mars_rng::seq::SliceRandom;
-use mars_sim::{Environment, EvalOutcome, Placement};
+use mars_sim::{Environment, Placement};
 use mars_tensor::{stats, Matrix};
-use std::time::Instant;
 
 /// Which agent architecture to build.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -307,8 +307,8 @@ impl Agent {
         Placement(crate::ppo::greedy_actions(&probs))
     }
 
-    /// Run `max_samples` placement evaluations of PPO training,
-    /// extending `log`.
+    /// Run PPO training until `log` holds `max_samples` placement
+    /// evaluations, extending it.
     pub fn train(
         &mut self,
         env: &mut dyn Environment,
@@ -318,15 +318,13 @@ impl Agent {
         log: &mut TrainingLog,
     ) {
         let _span = mars_telemetry::span("core.agent.train");
-        let t0 = Instant::now();
-        let machine_t0 = env.machine_seconds();
-        let start_wall = log.train_wall_s;
+        let mut rounds = Rounds::new(env, log, max_samples);
         // Training-tape scratch arena: every minibatch update runs on
         // this one tape and recycles its node and gradient buffers
         // (bit-identical to fresh tapes; see `Tape::reset_for_reuse`).
         let mut tape = Tape::new();
 
-        while log.total_samples < max_samples {
+        while let Some(round) = rounds.next(self.cfg.samples_per_update) {
             // ---- Sampling phase: one forward, S samples. ----
             let sample_span = mars_telemetry::span("core.agent.sample");
             let probs = self.policy_probs(input);
@@ -334,60 +332,29 @@ impl Agent {
                 .map(|r| mars_tensor::stats::entropy(probs.row(r)) as f64)
                 .sum::<f64>()
                 / probs.rows().max(1) as f64;
-            let round = self.cfg.samples_per_update.min(max_samples - log.total_samples);
-            let mut records: Vec<SampleRecord> = Vec::with_capacity(round);
-            let mut valid_readings: Vec<f64> = Vec::new();
-            let (mut oom_count, mut bad_count, mut fault_count) = (0usize, 0usize, 0usize);
-            let mut reward_sum = 0.0f64;
             // Draw the whole round up front, then hand the placements
             // to the environment as one batch. The RNG stream — and so
             // the trace — depends on this order: sampling is never
-            // interleaved with evaluation. Outcomes come back in sample
-            // order.
-            let sampled: Vec<_> = (0..round).map(|_| sample_actions(&probs, rng)).collect();
-            let placements: Vec<Placement> =
-                sampled.iter().map(|(actions, _)| Placement(actions.clone())).collect();
-            let eval_t0 = Instant::now();
-            let outcomes = env.evaluate_batch(&placements);
-            let eval_wall_s = eval_t0.elapsed().as_secs_f64();
-            for (((actions, old_logp), placement), outcome) in
-                sampled.into_iter().zip(placements).zip(outcomes)
-            {
-                let reading = outcome.reading_s();
-                match outcome {
-                    EvalOutcome::Valid { per_step_s } => {
-                        valid_readings.push(per_step_s);
-                        let better = log.best_reading_s.is_none_or(|b| per_step_s < b);
-                        if better {
-                            log.best_reading_s = Some(per_step_s);
-                            log.best_placement = Some(placement.clone());
-                        }
-                    }
-                    EvalOutcome::Invalid { .. } => {
-                        oom_count += 1;
-                        mars_telemetry::counter("train.oom_penalty").inc();
-                    }
-                    EvalOutcome::Bad { .. } => {
-                        bad_count += 1;
-                        mars_telemetry::counter("train.eval_cutoff").inc();
-                    }
-                    EvalOutcome::TransientError { .. } | EvalOutcome::Straggler { .. } => {
-                        fault_count += 1;
-                        mars_telemetry::counter("train.eval_fault").inc();
-                    }
-                }
-                let reward = self.cfg.reward_shaping.reward(reading);
-                reward_sum += reward as f64;
-                let advantage = self.baseline.advantage(reward, BASELINE_MU);
-                records.push(SampleRecord {
-                    actions,
-                    old_logp,
-                    reading_s: reading,
-                    valid: matches!(outcome, EvalOutcome::Valid { .. }),
-                    advantage,
-                });
-                log.total_samples += 1;
-            }
+            // interleaved with evaluation.
+            let (placements, old_logps): (Vec<Placement>, Vec<Matrix>) = (0..round)
+                .map(|_| {
+                    let (actions, old_logp) = sample_actions(&probs, rng);
+                    (Placement(actions), old_logp)
+                })
+                .unzip();
+            let outcomes = rounds.evaluate(&placements);
+            let mut reward_sum = 0.0f64;
+            let records: Vec<SampleRecord> = placements
+                .into_iter()
+                .zip(old_logps)
+                .zip(&outcomes)
+                .map(|((Placement(actions), old_logp), outcome)| {
+                    let reward = self.cfg.reward_shaping.reward(outcome.reading_s());
+                    reward_sum += reward as f64;
+                    let advantage = self.baseline.advantage(reward, BASELINE_MU);
+                    SampleRecord { actions, old_logp, advantage }
+                })
+                .collect();
             drop(sample_span);
 
             // ---- PPO update phase. ----
@@ -429,11 +396,7 @@ impl Agent {
             }
             drop(update_span);
 
-            let mean_valid = if valid_readings.is_empty() {
-                None
-            } else {
-                Some(valid_readings.iter().sum::<f64>() / valid_readings.len() as f64)
-            };
+            let summary = rounds.summary();
             if mars_telemetry::active() {
                 let inv = 1.0 / stats_n.max(1) as f32;
                 let advs: Vec<f32> = records.iter().map(|r| r.advantage).collect();
@@ -443,7 +406,7 @@ impl Agent {
                 mars_telemetry::event(
                     "ppo.update",
                     &[
-                        ("samples_so_far", (log.total_samples as f64).into()),
+                        ("samples_so_far", (summary.samples_so_far as f64).into()),
                         ("reward_mean", (reward_sum / round.max(1) as f64).into()),
                         ("baseline", self.baseline.value().unwrap_or(0.0).into()),
                         ("adv_mean", adv_mean.into()),
@@ -453,37 +416,24 @@ impl Agent {
                         ("entropy", (stats_acc.entropy * inv).into()),
                         ("grad_norm", grad_norm_sq.sqrt().into()),
                         ("policy_entropy", policy_entropy.into()),
-                        ("oom_count", (oom_count as f64).into()),
-                        ("bad_count", (bad_count as f64).into()),
-                        ("fault_count", (fault_count as f64).into()),
+                        ("oom_count", (summary.oom as f64).into()),
+                        ("bad_count", (summary.bad as f64).into()),
+                        ("fault_count", (summary.fault as f64).into()),
+                        ("valid_fraction", summary.valid_fraction().into()),
                         (
-                            "valid_fraction",
-                            (valid_readings.len() as f64 / round.max(1) as f64).into(),
+                            "mean_valid_reading_s",
+                            summary.mean_valid_reading_s().unwrap_or(f64::NAN).into(),
                         ),
-                        ("mean_valid_reading_s", mean_valid.unwrap_or(f64::NAN).into()),
-                        ("best_so_far_s", log.best_reading_s.unwrap_or(f64::NAN).into()),
-                        ("eval_wall_s", eval_wall_s.into()),
+                        ("best_so_far_s", summary.best_so_far_s.unwrap_or(f64::NAN).into()),
+                        ("eval_wall_s", summary.eval_wall_s.into()),
                     ],
                 );
             }
-            log.records.push(TrainingRecord {
-                samples_so_far: log.total_samples,
-                mean_valid_reading_s: mean_valid,
-                best_so_far_s: log.best_reading_s,
-                valid_fraction: valid_readings.len() as f64 / round.max(1) as f64,
-                agent_wall_s: start_wall + t0.elapsed().as_secs_f64(),
-                machine_s: env.machine_seconds(),
-                policy_entropy,
-            });
-
-            // An injected crash killed the process during this round's
-            // evaluations; checkpoint and resume before the next round.
-            if env.take_crash() {
-                self.resume_from_crash(log.total_samples);
+            if rounds.close(policy_entropy) {
+                self.resume_from_crash(summary.samples_so_far);
             }
         }
-        log.train_wall_s = start_wall + t0.elapsed().as_secs_f64();
-        log.machine_s += env.machine_seconds() - machine_t0;
+        rounds.finish();
     }
 
     /// Checkpoint-and-resume after an injected crash: serialize every
@@ -614,7 +564,7 @@ mod tests {
         let records: Vec<SampleRecord> = (0..minibatch)
             .map(|i| {
                 let (actions, old_logp) = sample_actions(&probs, &mut rng);
-                SampleRecord { actions, old_logp, reading_s: 1.0, valid: true, advantage: i as f32 }
+                SampleRecord { actions, old_logp, advantage: i as f32 }
             })
             .collect();
         let batch: Vec<&SampleRecord> = records.iter().collect();

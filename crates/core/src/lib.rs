@@ -16,6 +16,7 @@
 //! * [`agent`] — the joint training loop (§3.4) with full logging for
 //!   Fig. 7 (per-step runtime of found placements over training) and
 //!   Fig. 8 (agent training time).
+//! * [`search`] — the evaluation loop's books: budget, best, records.
 //! * [`baselines`] — Human Expert and GPU-Only placements (§4.1).
 //! * [`partitioner`] — a classical min-cut graph-partitioning baseline
 //!   (the "Scotch" family §2 argues against).
@@ -32,6 +33,7 @@ pub mod infer;
 pub mod partitioner;
 pub mod placers;
 pub mod ppo;
+pub mod search;
 pub mod workload_input;
 
 pub use agent::{Agent, AgentKind, TrainingLog};

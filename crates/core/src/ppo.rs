@@ -21,10 +21,6 @@ pub struct SampleRecord {
     /// Log-probability of each chosen action under the sampling policy
     /// (`N × 1`).
     pub old_logp: Matrix,
-    /// Per-step reading fed to the reward.
-    pub reading_s: f64,
-    /// Whether the environment ran the placement to completion.
-    pub valid: bool,
     /// Advantage (filled in after the baseline update).
     pub advantage: f32,
 }
@@ -61,11 +57,6 @@ pub struct EmaBaseline {
 }
 
 impl EmaBaseline {
-    /// Reward for a reading: `R = −√t` (the paper's shaping).
-    pub fn reward(reading_s: f64) -> f32 {
-        RewardShaping::NegSqrt.reward(reading_s)
-    }
-
     /// Update with a new reward and return the advantage `R − B`
     /// (using the *pre-update* baseline; `B₁ = R₁` so the first
     /// advantage is 0).
@@ -134,18 +125,8 @@ pub struct PpoStats {
 ///
 /// `logits` are the current policy's `N × D` logits; each record
 /// contributes `mean_ops(min(ρ·Â, clip(ρ, 1±ε)·Â))`. Returns the scalar
-/// loss variable `-(surrogate + entropy_coef × entropy)`.
-pub fn ppo_loss(
-    ctx: &mut FwdCtx<'_>,
-    logits: Var,
-    batch: &[&SampleRecord],
-    clip_eps: f32,
-    entropy_coef: f32,
-) -> Var {
-    ppo_loss_stats(ctx, logits, batch, clip_eps, entropy_coef).0
-}
-
-/// [`ppo_loss`] plus [`PpoStats`] diagnostics for telemetry.
+/// loss variable `-(surrogate + entropy_coef × entropy)` and its
+/// [`PpoStats`] diagnostics for telemetry.
 pub fn ppo_loss_stats(
     ctx: &mut FwdCtx<'_>,
     logits: Var,
@@ -213,9 +194,10 @@ mod tests {
 
     #[test]
     fn reward_is_negative_sqrt() {
-        assert_eq!(EmaBaseline::reward(4.0), -2.0);
-        assert_eq!(EmaBaseline::reward(100.0), -10.0);
-        assert!(EmaBaseline::reward(0.067) > EmaBaseline::reward(1.4));
+        let reward = |t| RewardShaping::NegSqrt.reward(t);
+        assert_eq!(reward(4.0), -2.0);
+        assert_eq!(reward(100.0), -10.0);
+        assert!(reward(0.067) > reward(1.4));
     }
 
     #[test]
@@ -268,13 +250,11 @@ mod tests {
         let rec = SampleRecord {
             actions: vec![0],
             old_logp: Matrix::from_vec(1, 1, vec![(0.5f32).ln()]),
-            reading_s: 1.0,
-            valid: true,
             advantage: 1.0,
         };
         let mut ctx = FwdCtx::new(Tape::new(), &store);
         let logits = ctx.p(w);
-        let loss = ppo_loss(&mut ctx, logits, &[&rec], 0.2, 0.0);
+        let loss = ppo_loss_stats(&mut ctx, logits, &[&rec], 0.2, 0.0).0;
         let (grads, _) = ctx.into_grads(loss, 1.0);
         let g = &grads.iter().find(|(id, _)| *id == w).expect("grad").1;
         // Minimizing the loss should increase logit 0 relative to 1.
@@ -292,13 +272,11 @@ mod tests {
             actions: vec![0],
             // Sampled when the action was very unlikely.
             old_logp: Matrix::from_vec(1, 1, vec![(0.001f32).ln()]),
-            reading_s: 1.0,
-            valid: true,
             advantage: 1.0,
         };
         let mut ctx = FwdCtx::new(Tape::new(), &store);
         let logits = ctx.p(w);
-        let loss = ppo_loss(&mut ctx, logits, &[&rec], 0.2, 0.0);
+        let loss = ppo_loss_stats(&mut ctx, logits, &[&rec], 0.2, 0.0).0;
         let (grads, _) = ctx.into_grads(loss, 1.0);
         let g = &grads.iter().find(|(id, _)| *id == w).expect("grad").1;
         assert!(g.frobenius_norm() < 1e-6, "clipping should zero the gradient: {g:?}");

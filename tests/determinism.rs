@@ -25,6 +25,12 @@ fn tiny_cfg() -> MarsConfig {
 /// Run DGI pre-training + PPO and return the pretrain loss curve and
 /// the training log.
 fn run(seed: u64, samples: usize) -> (Vec<f32>, TrainingLog) {
+    run_in_calls(seed, &[samples])
+}
+
+/// [`run`] with the training split into one `Agent::train` call per
+/// cumulative target, all extending one log.
+fn run_in_calls(seed: u64, targets: &[usize]) -> (Vec<f32>, TrainingLog) {
     let graph = Workload::InceptionV3.build(Profile::Reduced);
     let input = WorkloadInput::from_graph(&graph);
     let cluster = Cluster::p100_quad();
@@ -34,7 +40,9 @@ fn run(seed: u64, samples: usize) -> (Vec<f32>, TrainingLog) {
     let report = agent.pretrain(&input, &mut rng).expect("Mars agent pre-trains");
     let mut env = SimEnv::new(graph, cluster, seed);
     let mut log = TrainingLog::default();
-    agent.train(&mut env, &input, samples, &mut rng, &mut log);
+    for &target in targets {
+        agent.train(&mut env, &input, target, &mut rng, &mut log);
+    }
     (report.losses, log)
 }
 
@@ -128,4 +136,17 @@ fn different_seeds_diverge() {
         trace_bits(&log_c),
         "different seeds produced identical training traces"
     );
+}
+
+#[test]
+fn training_in_whole_round_calls_equals_one_call() {
+    // `generalize` trains in calls of one round each; the log a run
+    // leaves must not depend on how its budget was split.
+    let (_, whole) = run(9, 100);
+    let (_, split) = run_in_calls(9, &[20, 40, 60, 80, 100]);
+    assert_eq!(trace_bits(&whole), trace_bits(&split));
+    assert_eq!(whole.total_samples, split.total_samples);
+    assert_eq!(whole.machine_s.to_bits(), split.machine_s.to_bits());
+    assert_eq!(whole.best_placement, split.best_placement);
+    assert_eq!(whole.best_reading_s.map(f64::to_bits), split.best_reading_s.map(f64::to_bits));
 }

@@ -123,3 +123,48 @@ fn same_seed_traces_agree_on_grad_norm_bits() {
     assert!(norms.len() >= 2, "expected several PPO updates, got {}", norms.len());
     assert_eq!(norms, grad_norm_bits(&second), "ppo.update grad_norm differs between reruns");
 }
+
+/// The fields of a `ppo.update` event: the PPO step's own, then the
+/// round summary `Rounds` keeps (counts, valid readings, eval time).
+const PPO_UPDATE_FIELDS: [&str; 17] = [
+    "samples_so_far",
+    "reward_mean",
+    "baseline",
+    "adv_mean",
+    "adv_std",
+    "clip_fraction",
+    "approx_kl",
+    "entropy",
+    "grad_norm",
+    "policy_entropy",
+    "oom_count",
+    "bad_count",
+    "fault_count",
+    "valid_fraction",
+    "mean_valid_reading_s",
+    "best_so_far_s",
+    "eval_wall_s",
+];
+
+#[test]
+fn every_ppo_update_carries_its_seventeen_fields_once_per_round() {
+    let _turn = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
+    let (_, log, text) = run_instrumented(5, 60);
+    let events: Vec<mars::json::Json> = text
+        .lines()
+        .map(|line| mars::json::Json::parse(line).expect("capture line parses"))
+        .filter(|rec| rec.get("name").and_then(|n| n.as_str()) == Some("ppo.update"))
+        .collect();
+    assert_eq!(events.len(), log.records.len(), "one ppo.update per round");
+    for (event, record) in events.iter().zip(&log.records) {
+        let mars::json::Json::Obj(pairs) = event else { panic!("event is an object") };
+        let fields: Vec<&str> = pairs
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .filter(|k| !matches!(*k, "seq" | "kind" | "name"))
+            .collect();
+        assert_eq!(fields, PPO_UPDATE_FIELDS);
+        let samples = event.get("samples_so_far").and_then(|v| v.as_f64());
+        assert_eq!(samples, Some(record.samples_so_far as f64));
+    }
+}
