@@ -8,6 +8,7 @@
 //! `cargo bench -p mars-bench --bench kernels`; pass `--smoke` for a
 //! single-iteration correctness pass (used by `scripts/verify.sh`).
 
+use mars_telemetry::summary::fmt_ns;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -49,19 +50,6 @@ pub(crate) fn workspace_path(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel)
 }
 
-fn fmt_duration(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns < 10_000 {
-        format!("{ns} ns")
-    } else if ns < 10_000_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else if ns < 10_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else {
-        format!("{:.2} s", ns as f64 / 1e9)
-    }
-}
-
 /// Time `f` and print a one-line summary (median and mean per
 /// iteration); in smoke mode run it once. Does nothing when filtered out.
 pub fn bench<F: FnMut()>(opts: &BenchOpts, name: &str, mut f: F) {
@@ -71,7 +59,7 @@ pub fn bench<F: FnMut()>(opts: &BenchOpts, name: &str, mut f: F) {
     if opts.smoke {
         let t0 = Instant::now();
         f();
-        println!("{name:<44} smoke ok ({})", fmt_duration(t0.elapsed()));
+        println!("{name:<44} smoke ok ({})", fmt_ns(t0.elapsed().as_nanos() as u64));
         return;
     }
 
@@ -99,8 +87,8 @@ pub fn bench<F: FnMut()>(opts: &BenchOpts, name: &str, mut f: F) {
     let mean = times.iter().sum::<Duration>() / iters;
     println!(
         "{name:<44} median {:>12}   mean {:>12}   ({iters} iters)",
-        fmt_duration(median),
-        fmt_duration(mean)
+        fmt_ns(median.as_nanos() as u64),
+        fmt_ns(mean.as_nanos() as u64)
     );
 }
 
@@ -133,13 +121,5 @@ mod tests {
         let mut count = 0u32;
         bench(&opts, "spin", || count += 1);
         assert!(count > 5, "warm-up plus at least five timed iterations: {count}");
-    }
-
-    #[test]
-    fn duration_formatting_scales() {
-        assert!(fmt_duration(Duration::from_nanos(50)).ends_with("ns"));
-        assert!(fmt_duration(Duration::from_micros(500)).ends_with("µs"));
-        assert!(fmt_duration(Duration::from_millis(50)).ends_with("ms"));
-        assert!(fmt_duration(Duration::from_secs(20)).ends_with(" s"));
     }
 }

@@ -20,7 +20,12 @@ impl fmt::Display for Cell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Cell::Text(s) => f.write_str(s),
-            Cell::Num(Some(v), digits) => write!(f, "{v:.digits$}"),
+            // A value that rounds to zero prints as `0.0`, never `-0.0`.
+            Cell::Num(Some(v), digits) => {
+                let s = format!("{v:.digits$}");
+                let zero = s.parse::<f64>() == Ok(0.0);
+                f.write_str(if zero { s.trim_start_matches('-') } else { &s })
+            }
             Cell::Num(None, _) => f.write_str("-"),
         }
     }
@@ -144,6 +149,15 @@ mod tests {
             t.to_json().to_string(),
             r#"{"title":"T","header":["A","B","src"],"rows":[["x",0.06749,4],["y",null,"vgg16"]]}"#
         );
+    }
+
+    #[test]
+    fn a_value_that_rounds_to_zero_prints_without_a_sign() {
+        assert_eq!(Cell::Num(Some(-0.01), 1).to_string(), "0.0");
+        assert_eq!(Cell::Num(Some(-0.0), 2).to_string(), "0.00");
+        assert_eq!(Cell::Num(Some(-0.4), 0).to_string(), "0");
+        assert_eq!(Cell::Num(Some(-0.05), 1).to_string(), "-0.1");
+        assert_eq!(Cell::Num(Some(-3.0), 1).to_string(), "-3.0");
     }
 
     #[test]

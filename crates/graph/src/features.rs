@@ -93,13 +93,6 @@ pub fn normalized_adjacency(graph: &CompGraph) -> Arc<CsrMatrix> {
     Arc::new(CsrMatrix::from_triplets(n, n, &triplets))
 }
 
-/// Row-shuffle corruption for DGI: returns a feature matrix whose rows
-/// are permuted by `perm` (the "negative sample" of §3.2, Fig. 5).
-pub fn permute_features(x: &Matrix, perm: &[usize]) -> Matrix {
-    assert_eq!(perm.len(), x.rows(), "permutation length mismatch");
-    x.gather_rows(perm)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,18 +189,5 @@ mod tests {
         for g in &graphs {
             assert_eq!(bits(&normalized_adjacency(g)), bits(&hashset_reference(g)), "{}", g.name);
         }
-    }
-
-    #[test]
-    fn permute_features_shuffles_rows() {
-        let g = small_graph();
-        let x = node_features(&g);
-        let perm = vec![4, 3, 2, 1, 0];
-        let xp = permute_features(&x, &perm);
-        assert_eq!(xp.row(0), x.row(4));
-        assert_eq!(xp.row(4), x.row(0));
-        // Double application of the reverse is identity.
-        let back = permute_features(&xp, &perm);
-        assert_eq!(back, x);
     }
 }

@@ -1,7 +1,6 @@
 //! The computational-graph DAG.
 
 use crate::op::OpKind;
-use mars_json::Json;
 
 /// Index of a node within a [`CompGraph`].
 pub type NodeId = usize;
@@ -244,121 +243,6 @@ impl CompGraph {
         }
         best
     }
-
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_string()
-    }
-
-    /// Serialize to a [`Json`] value tree.
-    pub fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("name", Json::from(&self.name)),
-            ("nodes", Json::arr(self.nodes.iter().map(OpNode::to_json_value))),
-            ("edges", Json::arr(self.edges.iter().map(Edge::to_json_value))),
-        ])
-    }
-
-    /// Deserialize from JSON.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let v = Json::parse(s).map_err(|e| e.to_string())?;
-        Self::from_json_value(&v)
-    }
-
-    /// Deserialize from a [`Json`] value tree.
-    pub fn from_json_value(v: &Json) -> Result<Self, String> {
-        let name = v["name"].as_str().ok_or("graph: missing 'name'")?.to_string();
-        let nodes = v["nodes"]
-            .as_array()
-            .ok_or("graph: missing 'nodes'")?
-            .iter()
-            .map(OpNode::from_json_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let edges = v["edges"]
-            .as_array()
-            .ok_or("graph: missing 'edges'")?
-            .iter()
-            .map(Edge::from_json_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        for e in &edges {
-            if e.src >= nodes.len() || e.dst >= nodes.len() {
-                return Err(format!("graph: edge ({}, {}) out of range", e.src, e.dst));
-            }
-        }
-        Ok(CompGraph { name, nodes, edges })
-    }
-}
-
-impl TensorShape {
-    /// JSON encoding: a bare array of dimensions.
-    pub fn to_json_value(&self) -> Json {
-        Json::arr(self.0.iter().map(|&d| Json::from(d)))
-    }
-
-    /// Decode from the bare-array encoding.
-    pub fn from_json_value(v: &Json) -> Result<Self, String> {
-        let dims = v
-            .as_array()
-            .ok_or("shape: expected array")?
-            .iter()
-            .map(|d| d.as_usize().ok_or_else(|| format!("shape: bad dim {d}")))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(TensorShape(dims))
-    }
-}
-
-impl OpNode {
-    /// JSON encoding as an object of the node's fields.
-    pub fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("name", Json::from(&self.name)),
-            ("kind", Json::from(self.kind.name())),
-            ("output_shape", self.output_shape.to_json_value()),
-            ("flops", Json::from(self.flops)),
-            ("param_bytes", Json::from(self.param_bytes)),
-            ("activation_bytes", Json::from(self.activation_bytes)),
-            ("gpu_compatible", Json::from(self.gpu_compatible)),
-        ])
-    }
-
-    /// Decode an [`OpNode`] object.
-    pub fn from_json_value(v: &Json) -> Result<Self, String> {
-        let kind_name = v["kind"].as_str().ok_or("node: missing 'kind'")?;
-        Ok(OpNode {
-            name: v["name"].as_str().ok_or("node: missing 'name'")?.to_string(),
-            kind: OpKind::from_name(kind_name)
-                .ok_or_else(|| format!("node: unknown kind '{kind_name}'"))?,
-            output_shape: TensorShape::from_json_value(&v["output_shape"])?,
-            flops: v["flops"].as_f64().ok_or("node: missing 'flops'")?,
-            param_bytes: v["param_bytes"].as_u64().ok_or("node: missing 'param_bytes'")?,
-            activation_bytes: v["activation_bytes"]
-                .as_u64()
-                .ok_or("node: missing 'activation_bytes'")?,
-            gpu_compatible: v["gpu_compatible"]
-                .as_bool()
-                .ok_or("node: missing 'gpu_compatible'")?,
-        })
-    }
-}
-
-impl Edge {
-    /// JSON encoding as a `{src, dst, bytes}` object.
-    pub fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("src", Json::from(self.src)),
-            ("dst", Json::from(self.dst)),
-            ("bytes", Json::from(self.bytes)),
-        ])
-    }
-
-    /// Decode an [`Edge`] object.
-    pub fn from_json_value(v: &Json) -> Result<Self, String> {
-        Ok(Edge {
-            src: v["src"].as_usize().ok_or("edge: missing 'src'")?,
-            dst: v["dst"].as_usize().ok_or("edge: missing 'dst'")?,
-            bytes: v["bytes"].as_u64().ok_or("edge: missing 'bytes'")?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -437,19 +321,6 @@ mod tests {
         g.add_edge(c, d, 4);
         // Path a→b→d dominates: 1 + 10 + 1.
         assert_eq!(g.critical_path_flops(), 12.0);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut g = CompGraph::new("j");
-        let a = g.add_node(mk_node("a"));
-        let b = g.add_node(mk_node("b"));
-        g.add_edge(a, b, 4);
-        let j = g.to_json();
-        let g2 = CompGraph::from_json(&j).expect("roundtrip");
-        assert_eq!(g2.num_nodes(), 2);
-        assert_eq!(g2.num_edges(), 1);
-        assert_eq!(g2.name, "j");
     }
 
     #[test]

@@ -130,17 +130,6 @@ impl OpKind {
         !matches!(self, OpKind::DataPipeline | OpKind::Preprocess)
     }
 
-    /// Stable string name used in the JSON serialization (the variant
-    /// identifier, e.g. `"Conv2d"`).
-    pub fn name(self) -> String {
-        format!("{self:?}")
-    }
-
-    /// Inverse of [`OpKind::name`].
-    pub fn from_name(name: &str) -> Option<OpKind> {
-        Self::ALL.iter().copied().find(|k| k.name() == name)
-    }
-
     /// Compute-heavy kinds (useful for analyses and tests).
     pub fn is_compute_heavy(self) -> bool {
         matches!(
@@ -174,14 +163,6 @@ mod tests {
         assert!(!OpKind::Preprocess.gpu_compatible());
         assert!(OpKind::Conv2d.gpu_compatible());
         assert!(OpKind::ApplyGradient.gpu_compatible());
-    }
-
-    #[test]
-    fn names_roundtrip_for_every_kind() {
-        for k in OpKind::ALL {
-            assert_eq!(OpKind::from_name(&k.name()), Some(k), "{k:?}");
-        }
-        assert_eq!(OpKind::from_name("NotAnOp"), None);
     }
 
     #[test]

@@ -226,11 +226,6 @@ impl Cluster {
         self.link
     }
 
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_string()
-    }
-
     /// Serialize to a [`Json`] value tree.
     pub fn to_json_value(&self) -> Json {
         Json::obj([
@@ -245,12 +240,6 @@ impl Cluster {
             ),
             ("failed", Json::arr(self.failed.iter().map(|&f| Json::from(f)))),
         ])
-    }
-
-    /// Deserialize from JSON.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let v = Json::parse(s).map_err(|e| e.to_string())?;
-        Self::from_json_value(&v)
     }
 
     /// Decode a [`Cluster`] object. A missing `link_overrides` field is
@@ -433,13 +422,14 @@ mod tests {
     fn failure_mask_roundtrips_through_json() {
         let mut c = Cluster::p100_quad();
         c.fail_device(3);
-        let back = Cluster::from_json(&c.to_json()).expect("roundtrip");
+        let text = c.to_json_value().to_string();
+        let back = Cluster::from_json_value(&Json::parse(&text).unwrap()).expect("roundtrip");
         assert_eq!(back.failed_ids(), vec![3]);
         // Snapshots without the mask decode as all-alive.
         let legacy = r#"{"devices":[{"name":"/cpu:0","kind":"Cpu","peak_gflops":50.0,
             "util_knee_flops":5e7,"op_overhead_s":6e-5,"memory_bytes":1000}],
             "link":{"bandwidth_bps":6e9,"latency_s":2e-5}}"#;
-        let old = Cluster::from_json(legacy).expect("legacy decode");
+        let old = Cluster::from_json_value(&Json::parse(legacy).unwrap()).expect("legacy decode");
         assert!(!old.has_failures());
     }
 

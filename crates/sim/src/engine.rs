@@ -21,16 +21,6 @@ pub struct StepReport {
     pub num_transfers: usize,
 }
 
-impl StepReport {
-    /// Fraction of the makespan the busiest device spent computing.
-    pub fn peak_device_utilization(&self) -> f64 {
-        if self.makespan_s <= 0.0 {
-            return 0.0;
-        }
-        self.device_busy_s.iter().copied().fold(0.0, f64::max) / self.makespan_s
-    }
-}
-
 /// Totally-ordered finite f64 for the event queue.
 #[derive(Clone, Copy, PartialEq)]
 struct Time(f64);
@@ -305,7 +295,7 @@ mod tests {
         let g = chain("u", 6, 1e9);
         let c = Cluster::p100_quad();
         let rep = simulate(&g, &Placement::all_on(&g, 1), &c);
-        let u = rep.peak_device_utilization();
+        let u = rep.device_busy_s[1] / rep.makespan_s;
         assert!(u > 0.9 && u <= 1.0 + 1e-9, "{u}");
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::device::{Cluster, DeviceId};
 use mars_graph::CompGraph;
-use mars_json::Json;
 use mars_rng::Rng;
 
 /// An assignment of every op to a device.
@@ -108,34 +107,6 @@ impl Placement {
             moved += 1;
         }
         moved
-    }
-
-    /// Serialize to JSON (a bare array of device ids, matching the old
-    /// newtype encoding).
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_string()
-    }
-
-    /// Serialize to a [`Json`] array.
-    pub fn to_json_value(&self) -> Json {
-        Json::arr(self.0.iter().map(|&d| Json::from(d)))
-    }
-
-    /// Deserialize from the bare-array JSON encoding.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let v = Json::parse(s).map_err(|e| e.to_string())?;
-        Self::from_json_value(&v)
-    }
-
-    /// Decode from a [`Json`] array.
-    pub fn from_json_value(v: &Json) -> Result<Self, String> {
-        let devices = v
-            .as_array()
-            .ok_or("placement: expected array")?
-            .iter()
-            .map(|d| d.as_usize().ok_or_else(|| format!("placement: bad device id {d}")))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Placement(devices))
     }
 }
 

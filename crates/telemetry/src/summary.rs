@@ -600,6 +600,14 @@ pub fn summarize(text: &str) -> Result<RunSummary, String> {
 mod tests {
     use super::*;
 
+    #[test]
+    fn fmt_ns_scales_its_unit() {
+        assert_eq!(fmt_ns(50), "50 ns");
+        assert_eq!(fmt_ns(500_000), "500.00 µs");
+        assert_eq!(fmt_ns(50_000_000), "50.00 ms");
+        assert_eq!(fmt_ns(20_000_000_000), "20.00 s");
+    }
+
     fn sample_run() -> String {
         [
             r#"{"seq":1,"kind":"event","name":"ppo.update","reward":-0.5,"entropy":1.2}"#,

@@ -147,13 +147,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Strided, non-allocating iterator over column `c`.
-    #[inline]
-    pub fn col_iter(&self, c: usize) -> impl Iterator<Item = f32> + '_ {
-        debug_assert!(c < self.cols);
-        self.data.iter().skip(c).step_by(self.cols.max(1)).copied()
-    }
-
     /// Iterator over row slices.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols.max(1))
@@ -368,7 +361,7 @@ mod tests {
         assert_eq!(m.get(0, 2), 3.0);
         assert_eq!(m.get(1, 0), 4.0);
         assert_eq!(m.row(1), &[4., 5., 6.]);
-        assert_eq!(m.col_iter(2).collect::<Vec<_>>(), vec![3., 6.]);
+        assert_eq!(m.get(1, 2), 6.0);
     }
 
     #[test]
@@ -414,7 +407,7 @@ mod tests {
     fn gather_rows_permutation() {
         let m = Matrix::from_fn(4, 2, |r, _| r as f32);
         let g = m.gather_rows(&[3, 1, 0, 2]);
-        assert_eq!(g.col_iter(0).collect::<Vec<_>>(), vec![3., 1., 0., 2.]);
+        assert_eq!(g.as_slice(), &[3., 3., 1., 1., 0., 0., 2., 2.]);
     }
 
     #[test]

@@ -10,8 +10,11 @@
 # pair i runs both binaries on seed0+i for the benchmark's `run_seconds`,
 # parent first on even i and change first on odd i. Prints every run,
 # then per end-to-end metric both medians, the parent's q1–q3, the pairs
-# the change won (ties count for neither) and whether the medians differ
-# by more than the parent's interquartile distance; then `correct` /
+# the change won (ties count for neither), whether the medians differ
+# by more than the parent's interquartile distance, and `past bound` when
+# the change's median is worse than the parent's by more than the
+# metric's `bound` in BENCHMARK.json (the move the benchmark refuses,
+# however wide the parent's quartiles); then `correct` /
 # `failed`, and whether `training_trace_fnv` / `dgi_loss_fnv` (the
 # same-arithmetic pins) were equal in every pair that printed them.
 set -euo pipefail
@@ -20,20 +23,24 @@ set -euo pipefail
 value() {
     tail -n 1 "$1" | grep -o "\"$2\":{\"value\":[^,]*" | sed 's/.*"value"://'
 }
-# better <metric>: "higher" or "lower", from the benchmark's declaration.
-better() {
-    grep -A 3 "\"name\": \"$1\"" "$CHANGE/BENCHMARK.json" | grep -o '"better": "[a-z]*"' \
-        | head -n 1 | sed 's/.*: "//; s/"//'
+# declared <metric> <field>: the metric's `better` ("higher" or "lower")
+# or `bound` (a fraction of the parent's median; empty if none), from
+# the benchmark's declaration.
+declared() {
+    grep -A 4 "\"name\": \"$1\"" "$CHANGE/BENCHMARK.json" | grep -o "\"$2\": \"*[a-z0-9.]*" \
+        | head -n 1 | sed 's/.*: "*//'
 }
 # summarise: one row per end-to-end metric of $OUT/{parent,change}.<i>, i < $PAIRS.
 summarise() {
     printf '%-12s %-6s %14s %29s %14s %9s  %s\n' \
-        metric better parent_median 'parent_q1..q3' change_median pairs_won 'medians apart by > parent IQR'
+        metric better parent_median 'parent_q1..q3' change_median pairs_won \
+        'medians apart by > parent IQR; past bound'
     for metric in $(tail -n 1 "$OUT/parent.0" | grep -o '"[a-z0-9_]*":{"value"' | sed 's/"//g; s/:{value//'); do
-        dir=$(better "$metric")
+        dir=$(declared "$metric" better)
+        bound=$(declared "$metric" bound)
         for i in $(seq 0 $((PAIRS - 1))); do
             echo "$(value "$OUT/parent.$i" "$metric") $(value "$OUT/change.$i" "$metric")"
-        done | awk -v metric="$metric" -v dir="$dir" '
+        done | awk -v metric="$metric" -v dir="$dir" -v bound="$bound" '
             function quantile(v, n, p,    pos, lo, frac) {
                 pos = p * (n - 1); lo = int(pos); frac = pos - lo
                 return lo + 1 < n ? v[lo] + frac * (v[lo + 1] - v[lo]) : v[lo]
@@ -54,6 +61,8 @@ summarise() {
                 q1 = quantile(sp, n, 0.25); q3 = quantile(sp, n, 0.75)
                 gap = dir == "higher" ? cm - pm : pm - cm
                 verdict = gap > q3 - q1 ? "change better" : (-gap > q3 - q1 ? "change WORSE" : "no")
+                if (bound != "" && pm != 0 && -gap / pm > bound)
+                    verdict = verdict == "no" ? "past bound" : verdict ", past bound"
                 printf "%-12s %-6s %14.6g %14.6g..%-13.6g %14.6g %6d/%-2d  %s (%+.1f%%)\n", \
                     metric, dir, pm, q1, q3, cm, won, n, verdict, pm != 0 ? 100 * (cm - pm) / pm : 0
             }'
@@ -65,16 +74,20 @@ trap 'rm -rf "$OUT"' EXIT
 
 if [ "${1:-}" = --self-test ]; then
     # Two pairs: each median is the mean of its two readings, each
-    # quartile a quarter of the way in, and the change wins both.
+    # quartile a quarter of the way in. The change wins both on
+    # ops_per_s. Its setup_s is 30% worse, inside the parent's wide
+    # quartiles but past the 25% bound.
     CHANGE=$(cd "$(dirname "$0")/.." && pwd)
     PAIRS=2
-    echo 'ledger: {"ops_per_s":{"value":100,"unit":"1/s"},"correct":true}' > "$OUT/parent.0"
-    echo 'ledger: {"ops_per_s":{"value":120,"unit":"1/s"},"correct":true}' > "$OUT/parent.1"
-    echo 'ledger: {"ops_per_s":{"value":200,"unit":"1/s"},"correct":true}' > "$OUT/change.0"
-    echo 'ledger: {"ops_per_s":{"value":220,"unit":"1/s"},"correct":true}' > "$OUT/change.1"
-    got=$(summarise | tail -n 1 | tr -s ' ')
-    want='ops_per_s higher 110 105..115 210 2/2 change better (+90.9%)'
-    [ "$got" = "$want" ] || { printf 'self-test: summary row is\n  %s\nnot\n  %s\n' "$got" "$want"; exit 1; }
+    row() { echo "ledger: {\"ops_per_s\":{\"value\":$1},\"setup_s\":{\"value\":$2},\"correct\":true}"; }
+    row 100 0.0004 > "$OUT/parent.0"
+    row 120 0.0008 > "$OUT/parent.1"
+    row 200 0.00078 > "$OUT/change.0"
+    row 220 0.00078 > "$OUT/change.1"
+    got=$(summarise | tail -n 2 | tr -s ' ')
+    want='ops_per_s higher 110 105..115 210 2/2 change better (+90.9%)
+setup_s lower 0.0006 0.0005..0.0007 0.00078 1/2 past bound (+30.0%)'
+    [ "$got" = "$want" ] || { printf 'self-test: summary rows are\n%s\nnot\n%s\n' "$got" "$want"; exit 1; }
     echo "self-test: ok"
     exit 0
 fi

@@ -118,7 +118,7 @@ grep -q "device failures: 1 (" <<< "$FAULT_SUMMARY" || {
 grep -Eq "device failures: 1 \([1-9][0-9]* remaps" <<< "$FAULT_SUMMARY" || {
     echo "$FAULT_SUMMARY"; echo "fault summary recorded no placement remaps"; exit 1; }
 # Same seed + same plan must reproduce the run bit for bit
-# (tests/fault_determinism.rs pins the same for the training trace).
+# (tests/determinism.rs pins the same for the training trace).
 FAULT_B=$(./target/release/mars-cli "${FAULT_ARGS[@]}")
 diff <(echo "$FAULT_A") <(echo "$FAULT_B") || {
     echo "faulty rerun was not bit-identical"; exit 1; }

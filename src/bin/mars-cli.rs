@@ -27,8 +27,9 @@
 //! metrics tail:  --lines N (default 20, 0 = all)   --follow
 //! serve options: --listen ADDR          bind (host:port or unix:<path>)
 //!                --seed N   --checkpoint <ckpt>   --store <placements.jsonl>
-//!                --cache-capacity N   --max-requests N   --devices N
 //!                --profile small|full   --telemetry <run.jsonl>
+//!                (a 5-device policy, the one `train` checkpoints and
+//!                 `place` queries use, behind a 256-entry hot cache)
 //! place options: --connect ADDR   --top-k K   --repeat N   --shutdown
 //!                --profile small|full   --fail-device N
 //! ```
@@ -399,22 +400,14 @@ fn print_tail_line(line: &str) -> bool {
 
 /// Run the placement-as-a-service daemon: build (or load) an agent,
 /// wrap it in the tiered engine, and serve `PlaceRequest`s until a
-/// client sends `Shutdown` (or `--max-requests` is reached).
+/// client sends `Shutdown`.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let usage = "usage: mars-cli serve --listen ADDR [--seed N] [--checkpoint <ckpt>] \
-                 [--store <placements.jsonl>] [--cache-capacity N] [--max-requests N] \
-                 [--devices N] [--profile small|full] [--telemetry <run.jsonl>]";
+                 [--store <placements.jsonl>] [--profile small|full] [--telemetry <run.jsonl>]";
     let Some(listen) = flags.string_opt("listen")? else { return Err(usage.into()) };
     let addr = Addr::parse(&listen)?;
     let seed: u64 = flags.parsed("seed", 42)?;
-    let devices: usize = flags.parsed("devices", Cluster::p100_quad().num_devices())?;
-    if devices == 0 {
-        return Err("invalid value '0' for --devices (need at least 1)".into());
-    }
-    let capacity: usize = flags.parsed("cache-capacity", 256)?;
-    if capacity == 0 {
-        return Err("invalid value '0' for --cache-capacity (need at least 1)".into());
-    }
+    let devices = Cluster::p100_quad().num_devices();
     let cfg = config_from_flags(flags)?;
     let telemetry = install_telemetry(flags)?;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -425,20 +418,16 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             .map_err(|e| format!("cannot load checkpoint '{ckpt}': {e}"))?;
         println!("loaded {n} parameters from {ckpt}");
     }
-    let mut engine = PlacementEngine::new(agent, devices, capacity);
+    let mut engine = PlacementEngine::new(agent, devices, 256);
     if let Some(store) = flags.string_opt("store")? {
         let (loaded, skipped) = engine
             .attach_store(&store)
             .map_err(|e| format!("cannot open placement store '{store}': {e}"))?;
         println!("placement store {store}: {loaded} entries loaded, {skipped} skipped");
     }
-    let max_requests = flags.parsed_opt("max-requests")?;
     let listener = Listener::bind(&addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-    println!(
-        "serving weights {:016x} on {addr} ({devices}-device policy, cache capacity {capacity})",
-        engine.weights_fp()
-    );
-    let stats = mars::serve::serve(&listener, engine, ServeOptions { max_requests });
+    println!("serving weights {:016x} on {addr}", engine.weights_fp());
+    let stats = mars::serve::serve(&listener, engine, ServeOptions { max_requests: None });
     // Joins of a forward in flight are part of `hot`; named only when
     // there were any, so a single-client run prints what it always has.
     let coalesced = match stats.engine.coalesced {

@@ -38,13 +38,7 @@ pub const COMMAND_FLAGS: &[(&str, &[&[&str]])] = &[
     ("dot", &[&["profile", "max-nodes"]]),
     ("evaluate", &[ENV_FLAGS, &["profile", "placement", "seed"]]),
     ("place", &[&["profile", "connect", "top-k", "repeat", "fail-device", "shutdown"]]),
-    (
-        "serve",
-        &[
-            &["profile", "listen", "seed", "devices", "cache-capacity", "max-requests"],
-            &["checkpoint", "store", "telemetry"],
-        ],
-    ),
+    ("serve", &[&["profile", "listen", "seed", "checkpoint", "store", "telemetry"]]),
     ("metrics summarize", &[]),
     ("metrics tail", &[&["lines", "follow"]]),
     ("metrics flame", &[]),

@@ -118,6 +118,9 @@ fn unknown_flags_are_refused_before_any_work() {
         (vec!["pretrain", "inception", "--encode-batch", "2"], "--encode-batch", "pretrain"),
         (vec!["train", "inception", "--bugdet", "40"], "--bugdet", "train"),
         (vec!["serve", "--listen", sock, "--cache-capcity", "8"], "--cache-capcity", "serve"),
+        (vec!["serve", "--listen", sock, "--devices", "5"], "--devices", "serve"),
+        (vec!["serve", "--listen", sock, "--cache-capacity", "8"], "--cache-capacity", "serve"),
+        (vec!["serve", "--listen", sock, "--max-requests", "1"], "--max-requests", "serve"),
         (vec!["place", "seq2seq", "--connect", sock, "--topk", "2"], "--topk", "place"),
         (vec!["metrics", "tail", "/nonexistent.jsonl", "--line", "5"], "--line", "metrics tail"),
     ]);

@@ -3,60 +3,11 @@
 //! with telemetry fully disabled. Telemetry only *observes* — it never
 //! touches an RNG stream or feeds back into numerics.
 
-use mars::core::agent::{Agent, AgentKind, TrainingLog};
-use mars::core::config::MarsConfig;
-use mars::core::workload_input::WorkloadInput;
-use mars::graph::features::FEATURE_DIM;
-use mars::graph::generators::{Profile, Workload};
-use mars::sim::{Cluster, SimEnv};
+mod common;
+
+use common::{run, trace_bits};
+use mars::core::agent::TrainingLog;
 use mars::telemetry;
-use mars_rng::rngs::StdRng;
-use mars_rng::SeedableRng;
-
-fn tiny_cfg() -> MarsConfig {
-    let mut c = MarsConfig::small();
-    c.encoder_hidden = 16;
-    c.placer_hidden = 16;
-    c.attn_dim = 8;
-    c.segment_size = 24;
-    c.dgi_iters = 20;
-    c
-}
-
-fn run(seed: u64, samples: usize) -> (Vec<f32>, TrainingLog) {
-    let graph = Workload::InceptionV3.build(Profile::Reduced);
-    let input = WorkloadInput::from_graph(&graph);
-    let cluster = Cluster::p100_quad();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut agent =
-        Agent::new(AgentKind::Mars, tiny_cfg(), FEATURE_DIM, cluster.num_devices(), &mut rng);
-    let report = agent.pretrain(&input, &mut rng).expect("Mars agent pre-trains");
-    let mut env = SimEnv::new(graph, cluster, seed);
-    let mut log = TrainingLog::default();
-    agent.train(&mut env, &input, samples, &mut rng, &mut log);
-    (report.losses, log)
-}
-
-/// The deterministic portion of a training trace, floats as bits
-/// (wall-clock fields excluded).
-/// One record's observable bits: (round, best, last, reward, entropy, loss).
-type TraceRow = (usize, Option<u64>, Option<u64>, u64, u64, u64);
-
-fn trace_bits(log: &TrainingLog) -> Vec<TraceRow> {
-    log.records
-        .iter()
-        .map(|r| {
-            (
-                r.samples_so_far,
-                r.mean_valid_reading_s.map(f64::to_bits),
-                r.best_so_far_s.map(f64::to_bits),
-                r.valid_fraction.to_bits(),
-                r.machine_s.to_bits(),
-                r.policy_entropy.to_bits(),
-            )
-        })
-        .collect()
-}
 
 /// The recorder is process-global: tests that install one take turns.
 static RECORDER: std::sync::Mutex<()> = std::sync::Mutex::new(());
