@@ -61,8 +61,8 @@ pub struct Tape {
     /// of each shape it has seen.
     stock: Bins,
     /// Largest total f32 capacity a [`Tape::reset_for_reuse`] has ever
-    /// kept as `stock` — exported as the `autograd.arena.high_water`
-    /// gauge on every reset.
+    /// kept as `stock`, read through [`Tape::arena_high_water`] (zero
+    /// until the tape's first reset).
     high_water: usize,
     /// Transposed weights `(w, wᵀ)` of the current backward pass, so
     /// every `dY·Wᵀ` after the first reads `Wᵀ` instead of transposing it
@@ -157,7 +157,6 @@ impl Tape {
         }
         if mars_telemetry::active() {
             mars_telemetry::counter("autograd.arena.reset").inc();
-            mars_telemetry::gauge("autograd.arena.high_water", self.high_water as f64);
         }
     }
 
@@ -1235,7 +1234,7 @@ mod tests {
             let again = run(&mut reused);
             assert_eq!(want, again, "arena reuse changed results in round {round}");
         }
-        assert!(reused.arena_high_water() > 0, "high-water gauge never recorded");
+        assert!(reused.arena_high_water() > 0, "arena high water never recorded");
     }
 
     /// A chain split over two tapes — its body, then a head that takes

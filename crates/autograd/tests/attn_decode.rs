@@ -194,7 +194,7 @@ fn reused_training_tape_is_bit_stable_across_graphs() {
             assert!(reused.is_empty());
         }
     }
-    assert!(reused.arena_high_water() > 0, "high-water gauge never recorded");
+    assert!(reused.arena_high_water() > 0, "arena high water never recorded");
 }
 
 #[test]

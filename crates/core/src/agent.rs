@@ -437,34 +437,21 @@ impl Agent {
     }
 
     /// Checkpoint-and-resume after an injected crash: serialize every
-    /// parameter, then reload it — to `cfg.auto_checkpoint` when set,
-    /// else through an in-memory buffer. The roundtrip is bit-exact
-    /// (f32 bits are stored losslessly), so a crashed-and-resumed run
-    /// produces the identical trace to an uninterrupted one. Optimizer
-    /// and baseline state stay in memory (see DESIGN.md §9).
+    /// parameter through an in-memory buffer, then reload it. The
+    /// roundtrip is bit-exact (f32 bits are stored losslessly), so a
+    /// crashed-and-resumed run produces the identical trace to an
+    /// uninterrupted one. Optimizer and baseline state stay in memory
+    /// (see DESIGN.md §9).
     fn resume_from_crash(&mut self, samples_so_far: usize) {
         let _span = mars_telemetry::span("core.agent.crash_resume");
-        match self.cfg.auto_checkpoint.clone() {
-            Some(path) => {
-                mars_nn::checkpoint::save_file(&self.store, &path).expect("auto-checkpoint save");
-                mars_nn::checkpoint::load_file(&mut self.store, &path)
-                    .expect("auto-checkpoint load");
-            }
-            None => {
-                let mut buf = Vec::new();
-                mars_nn::checkpoint::save(&self.store, &mut buf).expect("in-memory checkpoint");
-                mars_nn::checkpoint::load(&mut self.store, &mut buf.as_slice())
-                    .expect("in-memory resume");
-            }
-        }
+        let mut buf = Vec::new();
+        mars_nn::checkpoint::save(&self.store, &mut buf).expect("in-memory checkpoint");
+        mars_nn::checkpoint::load(&mut self.store, &mut buf.as_slice()).expect("in-memory resume");
         mars_telemetry::counter("train.crash_resume").inc();
         if mars_telemetry::active() {
             mars_telemetry::event(
                 "train.crash_resume",
-                &[
-                    ("samples_so_far", (samples_so_far as f64).into()),
-                    ("to_file", (self.cfg.auto_checkpoint.is_some() as u64 as f64).into()),
-                ],
+                &[("samples_so_far", (samples_so_far as f64).into())],
             );
         }
     }

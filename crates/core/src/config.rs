@@ -49,11 +49,6 @@ pub struct MarsConfig {
     pub dgi_iters: usize,
     /// DGI pre-training learning rate.
     pub dgi_lr: f32,
-
-    /// Checkpoint path used to resume through injected agent crashes.
-    /// `None` keeps the checkpoint in memory (still a full
-    /// save-and-reload roundtrip, so resume stays bit-exact).
-    pub auto_checkpoint: Option<String>,
 }
 
 impl MarsConfig {
@@ -74,7 +69,6 @@ impl MarsConfig {
             ppo_epochs: 3,
             dgi_iters: 1000,
             dgi_lr: 1e-3,
-            auto_checkpoint: None,
         }
     }
 
@@ -96,7 +90,6 @@ impl MarsConfig {
             ppo_epochs: 3,
             dgi_iters: 300,
             dgi_lr: 2e-3,
-            auto_checkpoint: None,
         }
     }
 }

@@ -122,8 +122,6 @@ impl Dgi {
         for grads in [pos_grads, neg_grads, head_grads] {
             apply_grads(store, grads);
         }
-        // The head first: the arena gauge keeps the last reset's figure,
-        // so it reports a view's tape.
         for (slot, mut tape) in
             [(&mut tapes.head, head_tape), (&mut tapes.neg, neg_tape), (&mut tapes.pos, pos_tape)]
         {

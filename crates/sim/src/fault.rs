@@ -28,32 +28,6 @@ use mars_rng::RngCore;
 /// Domain-separation salt for fault draws ("MARSFALT").
 const FAULT_SALT: u64 = 0x4d41_5253_4641_4c54;
 
-/// Bounded exponential backoff for transient evaluation errors.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Re-tries allowed after the first attempt.
-    pub max_retries: u32,
-    /// Backoff before the first retry (seconds of machine time).
-    pub base_backoff_s: f64,
-    /// Backoff ceiling (seconds).
-    pub max_backoff_s: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_retries: 3, base_backoff_s: 1.0, max_backoff_s: 30.0 }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry `attempt` (0-based): `base · 2^attempt`,
-    /// capped at [`RetryPolicy::max_backoff_s`].
-    pub fn backoff_s(&self, attempt: u32) -> f64 {
-        let factor = 2f64.powi(attempt.min(62) as i32);
-        (self.base_backoff_s * factor).min(self.max_backoff_s)
-    }
-}
-
 /// What kind of fault an event injects.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultKind {
@@ -353,15 +327,6 @@ mod tests {
         assert_eq!(p.transient_failures_at(0, 6), 0, "no background rate");
         assert_eq!(p.straggler_at(0, 9), Some(7.0));
         assert_eq!(p.straggler_at(0, 8), None);
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let r = RetryPolicy::default();
-        assert_eq!(r.backoff_s(0), 1.0);
-        assert_eq!(r.backoff_s(1), 2.0);
-        assert_eq!(r.backoff_s(2), 4.0);
-        assert_eq!(r.backoff_s(10), 30.0, "capped");
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! placement ... we discard the first 5 steps and average the per-step
 //! time of the last 10 steps." §3.4: invalid (OOM) placements receive
 //! an extremely long reading (100 s); evaluations beyond a per-workload
-//! cutoff are aborted and marked *bad*.
+//! cutoff are aborted and marked *bad*. An injected transient error
+//! is retried with bounded backoff under a per-evaluation timeout. The
+//! whole protocol is the constants below; nothing configures it.
 //!
 //! # Purity
 //!
@@ -20,7 +22,7 @@
 
 use crate::device::Cluster;
 use crate::engine::{simulate, StepReport};
-use crate::fault::{Fault, FaultKind, FaultPlan, RetryPolicy};
+use crate::fault::{Fault, FaultKind, FaultPlan};
 use crate::memory::{check_memory, OomError};
 use crate::placement::Placement;
 use mars_graph::CompGraph;
@@ -38,6 +40,19 @@ pub const NOISE_SIGMA: f64 = 0.03;
 pub const STEPS_PER_EVAL: usize = 15;
 /// Warm-up steps discarded (§4.2).
 pub const WARMUP_STEPS: usize = 5;
+/// Re-tries allowed after an evaluation's first attempt fails with an
+/// injected transient error.
+pub const MAX_EVAL_RETRIES: u32 = 3;
+/// Per-evaluation machine-time budget: retries that would push one
+/// evaluation past this are abandoned (the cutoff's philosophy: never
+/// let one measurement stall the search).
+pub const EVAL_TIMEOUT_S: f64 = 300.0;
+
+/// Backoff in machine-seconds before retry `attempt` (0-based): 1 s,
+/// doubling per retry, capped at 30 s.
+fn retry_backoff_s(attempt: u32) -> f64 {
+    2f64.powi(attempt.min(62) as i32).min(30.0)
+}
 
 /// Outcome of evaluating one placement.
 #[derive(Clone, Debug, PartialEq)]
@@ -57,8 +72,8 @@ pub enum EvalOutcome {
         /// Which device overflowed.
         oom: OomError,
     },
-    /// An injected transient error exhausted the retry/timeout budget
-    /// (see [`crate::fault::RetryPolicy`]).
+    /// An injected transient error exhausted [`MAX_EVAL_RETRIES`] or
+    /// [`EVAL_TIMEOUT_S`].
     TransientError {
         /// Attempts made before giving up.
         attempts: u32,
@@ -163,12 +178,6 @@ pub struct SimEnv {
     graph: CompGraph,
     cluster: Cluster,
     seed: u64,
-    /// Retry policy for injected transient errors.
-    pub retry: RetryPolicy,
-    /// Per-evaluation machine-time budget: retries that would push one
-    /// evaluation past this are abandoned (mirrors the paper's cutoff
-    /// philosophy — never let one measurement stall the search).
-    pub eval_timeout_s: f64,
     machine_seconds: f64,
     evaluations: usize,
     fault_plan: FaultPlan,
@@ -186,8 +195,6 @@ impl SimEnv {
             graph,
             cluster,
             seed,
-            retry: RetryPolicy::default(),
-            eval_timeout_s: 300.0,
             machine_seconds: 0.0,
             evaluations: 0,
             fault_plan: FaultPlan::none(),
@@ -206,11 +213,6 @@ impl SimEnv {
         self.boundary_cursor = 0;
         self.fault_plan = plan;
         Ok(())
-    }
-
-    /// The installed fault plan (the empty plan by default).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault_plan
     }
 
     /// Fire every boundary fault scheduled at or before the current
@@ -332,13 +334,13 @@ impl SimEnv {
             let mut spend = 0.0;
             let mut attempts = 0u32;
             let mut succeeded = false;
-            while attempts <= self.retry.max_retries {
+            while attempts <= MAX_EVAL_RETRIES {
                 if attempts > 0 {
-                    spend += self.retry.backoff_s(attempts - 1);
+                    spend += retry_backoff_s(attempts - 1);
                 }
                 spend += attempt_cost;
                 attempts += 1;
-                if spend > self.eval_timeout_s {
+                if spend > EVAL_TIMEOUT_S {
                     break; // the timeout kills the evaluation mid-attempt
                 }
                 if attempts > failures {
@@ -351,7 +353,7 @@ impl SimEnv {
                 comp.machine_s = spend;
             } else {
                 mars_telemetry::counter("sim.fault.retry_exhausted").inc();
-                comp.machine_s = spend.min(self.eval_timeout_s);
+                comp.machine_s = spend.min(EVAL_TIMEOUT_S);
                 comp.outcome = EvalOutcome::TransientError { attempts, cutoff_s: BAD_CUTOFF_S };
             }
         }
@@ -453,7 +455,6 @@ impl SimEnv {
                 }
             }
             EvalOutcome::Bad { .. } => {
-                self.eval_gauges(&comp);
                 mars_telemetry::counter("sim.eval.bad").inc();
                 if mars_telemetry::active() {
                     mars_telemetry::event(
@@ -494,7 +495,6 @@ impl SimEnv {
                 }
             }
             EvalOutcome::Valid { per_step_s } => {
-                self.eval_gauges(&comp);
                 mars_telemetry::counter("sim.eval.valid").inc();
                 if mars_telemetry::active() {
                     mars_telemetry::event(
@@ -512,15 +512,6 @@ impl SimEnv {
             }
         }
         comp.outcome
-    }
-
-    fn eval_gauges(&self, comp: &EvalComputation) {
-        if mars_telemetry::active() {
-            mars_telemetry::gauge("sim.eval.makespan_s", comp.makespan_s);
-            mars_telemetry::gauge("sim.eval.comm_s", comp.comm_s);
-            mars_telemetry::gauge("sim.eval.transfers", comp.num_transfers as f64);
-            mars_telemetry::gauge("sim.eval.peak_mem_utilization", comp.peak_mem_utilization);
-        }
     }
 }
 
@@ -595,6 +586,14 @@ mod tests {
         let p = Placement::all_on(e.graph(), cpu);
         let out = e.evaluate(&p);
         assert!(matches!(out, EvalOutcome::Bad { .. }), "{out:?}");
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        assert_eq!(retry_backoff_s(0), 1.0);
+        assert_eq!(retry_backoff_s(1), 2.0);
+        assert_eq!(retry_backoff_s(2), 4.0);
+        assert_eq!(retry_backoff_s(10), 30.0, "capped");
     }
 
     #[test]

@@ -5,7 +5,10 @@
 
 use mars_graph::generators::{Profile, Workload};
 use mars_rng::Rng;
-use mars_sim::{Cluster, Environment, EvalOutcome, FaultPlan, Placement, SimEnv, BAD_CUTOFF_S};
+use mars_sim::{
+    Cluster, Environment, EvalOutcome, FaultPlan, Placement, SimEnv, BAD_CUTOFF_S, EVAL_TIMEOUT_S,
+    MAX_EVAL_RETRIES,
+};
 
 fn env(w: Workload, seed: u64) -> SimEnv {
     SimEnv::new(w.build(Profile::Reduced), Cluster::p100_quad(), seed)
@@ -100,22 +103,38 @@ fn transient_fault_exhausts_retry_budget() {
     let p = Placement::all_on(e.graph(), 1);
     match e.evaluate(&p) {
         EvalOutcome::TransientError { attempts, cutoff_s } => {
-            assert_eq!(attempts, e.retry.max_retries + 1);
+            assert_eq!(attempts, MAX_EVAL_RETRIES + 1);
             assert_eq!(cutoff_s, BAD_CUTOFF_S);
         }
         other => panic!("expected retry exhaustion, got {other:?}"),
     }
 }
 
+/// One round-robin attempt of Reduced BERT costs ~209 machine-s, so
+/// the second attempt (plus its 1 s backoff) would pass the timeout:
+/// the evaluation gives up after two attempts, having spent exactly
+/// the budget, before the retry count runs out.
 #[test]
 fn timeout_budget_bounds_retry_spend() {
-    let mut e = env(Workload::InceptionV3, 7);
-    e.eval_timeout_s = 1.0; // tighter than even one backoff
-    e.set_fault_plan(FaultPlan::parse("transient@0").unwrap()).unwrap();
-    let p = Placement::all_on(e.graph(), 1);
-    let out = e.evaluate(&p);
-    assert!(matches!(out, EvalOutcome::TransientError { .. }), "{out:?}");
-    assert!(e.machine_seconds() <= 1.0 + 1e-9, "spend capped by the timeout budget");
+    let mut e = env(Workload::BertBase, 7);
+    let mut clean = env(Workload::BertBase, 7);
+    e.set_fault_plan(FaultPlan {
+        events: vec![mars_sim::Fault {
+            at_eval: 0,
+            kind: mars_sim::FaultKind::Transient { failures: 99 },
+        }],
+        ..FaultPlan::none()
+    })
+    .unwrap();
+    let p = Placement::round_robin(e.graph(), &[1, 2, 3, 4]);
+    assert!(clean.evaluate(&p).is_valid());
+    let attempt = clean.machine_seconds();
+    assert!(attempt < EVAL_TIMEOUT_S && 2.0 * attempt + 1.0 > EVAL_TIMEOUT_S, "{attempt}");
+    match e.evaluate(&p) {
+        EvalOutcome::TransientError { attempts, .. } => assert_eq!(attempts, 2),
+        other => panic!("expected the timeout to kill the retry, got {other:?}"),
+    }
+    assert_eq!(e.machine_seconds(), EVAL_TIMEOUT_S, "spend capped by the timeout budget");
 }
 
 #[test]

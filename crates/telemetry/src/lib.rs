@@ -14,7 +14,7 @@
 //! * [`spans`] — RAII wall-clock timers forming a per-thread call tree,
 //!   aggregated by span *path* (count / total / self time). Disabled by
 //!   default; when off, [`span`] costs one relaxed atomic load.
-//! * [`metrics`] — process-wide counters, gauges, and fixed-bucket
+//! * [`metrics`] — process-wide counters and fixed-bucket
 //!   histograms. Counters are atomic and safe to bump from the tensor
 //!   thread pool.
 //! * [`recorder`] — a JSONL sink (file or in-memory buffer) for
@@ -58,7 +58,7 @@ pub mod recorder;
 pub mod spans;
 pub mod summary;
 
-pub use metrics::{counter, gauge, gauge_value, histogram, Counter, Histogram};
+pub use metrics::{counter, histogram, Counter, Histogram};
 pub use recorder::{active, event, install_file, install_memory, uninstall, MemorySink};
 pub use spans::{enable_spans, span, spans_enabled, SpanGuard};
 pub use summary::{summarize, ArenaReport, RunSummary, ServeReport};

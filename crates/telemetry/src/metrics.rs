@@ -1,12 +1,9 @@
-//! Process-wide named metrics: counters, gauges, and fixed-bucket
-//! histograms.
+//! Process-wide named metrics: counters and fixed-bucket histograms.
 //!
 //! Handles are looked up (and lazily created) by name; [`Counter`] and
 //! [`Histogram`] are cheap `Arc` clones backed by atomics, so hot code
 //! can resolve a handle once and bump it from any thread — including
-//! the tensor crate's kernel thread pool. Gauges are last-value-wins
-//! `f64` cells for quantities that only make sense as "the most recent
-//! reading" (per-eval makespan, peak memory fraction).
+//! the tensor crate's kernel thread pool.
 //!
 //! Snapshots feed the recorder's end-of-run summary records; [`reset`]
 //! clears everything (done automatically when a recorder is installed
@@ -99,7 +96,6 @@ impl Histogram {
 
 struct Registries {
     counters: Mutex<HashMap<String, Counter>>,
-    gauges: Mutex<HashMap<String, f64>>,
     histograms: Mutex<HashMap<String, Histogram>>,
 }
 
@@ -107,7 +103,6 @@ fn registries() -> &'static Registries {
     static REG: OnceLock<Registries> = OnceLock::new();
     REG.get_or_init(|| Registries {
         counters: Mutex::new(HashMap::new()),
-        gauges: Mutex::new(HashMap::new()),
         histograms: Mutex::new(HashMap::new()),
     })
 }
@@ -116,18 +111,6 @@ fn registries() -> &'static Registries {
 pub fn counter(name: &str) -> Counter {
     let mut reg = registries().counters.lock().unwrap_or_else(|e| e.into_inner());
     reg.entry(name.to_string()).or_insert_with(|| Counter(Arc::new(AtomicU64::new(0)))).clone()
-}
-
-/// Set the gauge named `name` to `value` (last write wins).
-pub fn gauge(name: &str, value: f64) {
-    let mut reg = registries().gauges.lock().unwrap_or_else(|e| e.into_inner());
-    reg.insert(name.to_string(), value);
-}
-
-/// Most recent value of a gauge, if it was ever set.
-pub fn gauge_value(name: &str) -> Option<f64> {
-    let reg = registries().gauges.lock().unwrap_or_else(|e| e.into_inner());
-    reg.get(name).copied()
 }
 
 /// Look up (or create) the histogram named `name` with the given bucket
@@ -160,14 +143,6 @@ pub fn counter_snapshot() -> Vec<(String, u64)> {
     rows
 }
 
-/// Sorted snapshot of every gauge.
-pub fn gauge_snapshot() -> Vec<(String, f64)> {
-    let reg = registries().gauges.lock().unwrap_or_else(|e| e.into_inner());
-    let mut rows: Vec<(String, f64)> = reg.iter().map(|(k, &v)| (k.clone(), v)).collect();
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-    rows
-}
-
 /// One histogram snapshot row: `(name, edges, bucket counts, total
 /// count, sum)`.
 pub type HistogramRow = (String, Vec<f64>, Vec<u64>, u64, f64);
@@ -183,12 +158,11 @@ pub fn histogram_snapshot() -> Vec<HistogramRow> {
     rows
 }
 
-/// Drop every counter, gauge, and histogram. Handles obtained before
+/// Drop every counter and histogram. Handles obtained before
 /// the reset keep working but are no longer reachable by name.
 pub fn reset() {
     let reg = registries();
     reg.counters.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    reg.gauges.lock().unwrap_or_else(|e| e.into_inner()).clear();
     reg.histograms.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
@@ -222,14 +196,6 @@ mod tests {
             t.join().expect("incrementer thread");
         }
         assert_eq!(c.get(), 8000);
-    }
-
-    #[test]
-    fn gauges_are_last_value_wins() {
-        gauge("test.metrics.gauge", 1.5);
-        gauge("test.metrics.gauge", -2.25);
-        assert_eq!(gauge_value("test.metrics.gauge"), Some(-2.25));
-        assert_eq!(gauge_value("test.metrics.never-set"), None);
     }
 
     #[test]
@@ -313,10 +279,8 @@ mod tests {
     #[test]
     fn snapshots_contain_registered_names() {
         counter("test.metrics.snap").add(7);
-        gauge("test.metrics.snap-gauge", 3.0);
         let _ = histogram("test.metrics.snap-hist", &[1.0]);
         assert!(counter_snapshot().iter().any(|(n, v)| n == "test.metrics.snap" && *v >= 7));
-        assert!(gauge_snapshot().iter().any(|(n, _)| n == "test.metrics.snap-gauge"));
         assert!(histogram_snapshot().iter().any(|(n, ..)| n == "test.metrics.snap-hist"));
     }
 }

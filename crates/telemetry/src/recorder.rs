@@ -7,9 +7,8 @@
 //!   Field keys are flattened into the object; `seq`, `kind` and `name`
 //!   are reserved.
 //! * **summary records** — appended once by [`uninstall`]: the span
-//!   tree (`"kind": "spans"`), counter totals (`"kind": "counters"`),
-//!   last gauge readings (`"kind": "gauges"`), and histogram buckets
-//!   (`"kind": "histograms"`).
+//!   tree (`"kind": "spans"`), counter totals (`"kind": "counters"`)
+//!   and histogram buckets (`"kind": "histograms"`).
 //!
 //! Installing a recorder resets the span and metric registries and
 //! enables span collection, so every run's file is self-contained.
@@ -144,8 +143,6 @@ fn metric_summary_records() -> Vec<Json> {
     let counters = Json::Obj(
         metrics::counter_snapshot().into_iter().map(|(k, v)| (k, Json::from(v))).collect(),
     );
-    let gauges =
-        Json::Obj(metrics::gauge_snapshot().into_iter().map(|(k, v)| (k, Json::from(v))).collect());
     let histograms = Json::arr(metrics::histogram_snapshot().into_iter().map(
         |(name, edges, buckets, count, sum)| {
             Json::obj([
@@ -159,12 +156,11 @@ fn metric_summary_records() -> Vec<Json> {
     ));
     vec![
         Json::obj([("kind", Json::from("counters")), ("counters", counters)]),
-        Json::obj([("kind", Json::from("gauges")), ("gauges", gauges)]),
         Json::obj([("kind", Json::from("histograms")), ("histograms", histograms)]),
     ]
 }
 
-/// Append the span/counter/gauge/histogram summary records, flush, and
+/// Append the span/counter/histogram summary records, flush, and
 /// remove the recorder. Span collection is disabled again. Returns
 /// `false` if no recorder was installed.
 pub fn uninstall() -> bool {
@@ -207,8 +203,8 @@ mod tests {
         assert!(uninstall());
 
         let lines = sink.lock().expect("sink").clone();
-        // 2 events + spans + counters + gauges + histograms.
-        assert_eq!(lines.len(), 6);
+        // 2 events + spans + counters + histograms.
+        assert_eq!(lines.len(), 5);
         let first = Json::parse(&lines[0]).expect("valid JSON");
         assert_eq!(first["kind"].as_str(), Some("event"));
         assert_eq!(first["name"].as_str(), Some("test.recorder.step"));
@@ -230,7 +226,6 @@ mod tests {
             let _g = crate::span("test.recorder.span");
         }
         crate::counter("test.recorder.counter").add(2);
-        crate::gauge("test.recorder.gauge", 1.5);
         crate::histogram("test.recorder.hist", &[1.0]).observe(0.5);
         assert!(uninstall());
 
@@ -248,9 +243,8 @@ mod tests {
             .find(|j| j["kind"].as_str() == Some("counters"))
             .expect("counters record");
         assert_eq!(counters["counters"]["test.recorder.counter"].as_u64(), Some(2));
-        let gauges =
-            parsed.iter().find(|j| j["kind"].as_str() == Some("gauges")).expect("gauges record");
-        assert_eq!(gauges["gauges"]["test.recorder.gauge"].as_f64(), Some(1.5));
+        let kinds: Vec<&str> = parsed.iter().filter_map(|j| j["kind"].as_str()).collect();
+        assert_eq!(kinds, ["spans", "counters", "histograms"], "no gauges record");
         let hists = parsed
             .iter()
             .find(|j| j["kind"].as_str() == Some("histograms"))
@@ -330,7 +324,7 @@ mod tests {
         event("test.recorder.file", &[("v", Json::from(1u64))]);
         assert!(uninstall());
         let text = std::fs::read_to_string(&path).expect("read back");
-        assert!(text.lines().count() >= 5);
+        assert!(text.lines().count() >= 4, "one event + spans, counters, histograms");
         assert!(text.contains("test.recorder.file"));
         let _ = std::fs::remove_file(&path);
     }

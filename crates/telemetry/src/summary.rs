@@ -75,30 +75,22 @@ pub struct RunSummary {
     pub spans: Vec<SpanRow>,
     /// Counter totals, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Final gauge readings, sorted by name.
-    pub gauges: Vec<(String, f64)>,
     /// Histograms, sorted by name.
     pub histograms: Vec<HistogramRow>,
 }
 
 /// Training-arena digest: tape reuse recovered from the
-/// `autograd.arena.*` telemetry.
+/// `autograd.arena.reset` counter.
 #[derive(Clone, Debug)]
 pub struct ArenaReport {
-    /// Training-tape arena reuses (`autograd.arena.reset` counter).
+    /// Training-tape arena reuses.
     pub arena_resets: u64,
-    /// Peak pooled gradient/activation capacity in f32 elements
-    /// (`autograd.arena.high_water` gauge; 0 when never recorded).
-    pub arena_high_water: f64,
 }
 
 impl ArenaReport {
     /// Render as the summary line `metrics summarize` prints.
     pub fn render(&self) -> String {
-        format!(
-            "training arena: {} tape reuses (high water {:.0} pooled f32s)\n",
-            self.arena_resets, self.arena_high_water
-        )
+        format!("training arena: {} tape reuses\n", self.arena_resets)
     }
 }
 
@@ -257,12 +249,7 @@ impl RunSummary {
     /// (`autograd.arena.reset` counter).
     pub fn arena_report(&self) -> Option<ArenaReport> {
         let arena_resets = self.counter("autograd.arena.reset");
-        let arena_high_water = self
-            .gauges
-            .iter()
-            .find(|(n, _)| n == "autograd.arena.high_water")
-            .map_or(0.0, |(_, v)| *v);
-        (arena_resets > 0).then_some(ArenaReport { arena_resets, arena_high_water })
+        (arena_resets > 0).then_some(ArenaReport { arena_resets })
     }
 
     /// Fraction of total span *self* time spent in spans whose leaf name
@@ -355,12 +342,6 @@ impl RunSummary {
                 let _ = writeln!(out, "{name:<44} {v}");
             }
         }
-        if !self.gauges.is_empty() {
-            let _ = writeln!(out, "\n== gauges (final reading) ==");
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "{name:<44} {v:.6}");
-            }
-        }
         if !self.histograms.is_empty() {
             let _ = writeln!(out, "\n== histograms ==");
             for h in &self.histograms {
@@ -403,7 +384,6 @@ pub fn tail_line(j: &Json) -> String {
         }
         Some("spans") => format!("[spans] {} paths", count(&j["spans"])),
         Some("counters") => format!("[counters] {} totals", fields(&j["counters"])),
-        Some("gauges") => format!("[gauges] {} readings", fields(&j["gauges"])),
         Some("histograms") => {
             format!("[histograms] {} recorded — run complete", count(&j["histograms"]))
         }
@@ -488,8 +468,8 @@ fn render_span_tree(out: &mut String, spans: &[SpanRow], total_self: u64) {
 /// (a crash can tear the last write mid-line) are counted in
 /// [`RunSummary::skipped`] rather than poisoning the whole file.
 /// Records of a kind this parser does not know (the per-worker
-/// snapshots of captures from the retired rollout fleet) are counted
-/// as lines and otherwise ignored.
+/// snapshots of captures from the retired rollout fleet, the gauges
+/// record of older builds) are counted as lines and otherwise ignored.
 pub fn summarize(text: &str) -> Result<RunSummary, String> {
     let mut summary = RunSummary::default();
     // (event, field) -> (count, sum, min, max, last)
@@ -548,13 +528,6 @@ pub fn summarize(text: &str) -> Result<RunSummary, String> {
                     }
                 }
             }
-            Some("gauges") => {
-                if let Some(pairs) = value["gauges"].as_object() {
-                    for (k, v) in pairs {
-                        summary.gauges.push((k.clone(), v.as_f64().unwrap_or(0.0)));
-                    }
-                }
-            }
             Some("histograms") => {
                 for h in value["histograms"].as_array().map(Vec::as_slice).unwrap_or_default() {
                     summary.histograms.push(HistogramRow {
@@ -591,7 +564,6 @@ pub fn summarize(text: &str) -> Result<RunSummary, String> {
     summary.rollups.sort_by(|a, b| (&a.event, &a.field).cmp(&(&b.event, &b.field)));
     summary.spans.sort_by(|a, b| a.path.cmp(&b.path));
     summary.counters.sort_by(|a, b| a.0.cmp(&b.0));
-    summary.gauges.sort_by(|a, b| a.0.cmp(&b.0));
     summary.histograms.sort_by(|a, b| a.name.cmp(&b.name));
     Ok(summary)
 }
@@ -620,7 +592,6 @@ mod tests {
                 r#"]}"#
             ),
             r#"{"kind":"counters","counters":{"sim.eval.valid":3}}"#,
-            r#"{"kind":"gauges","gauges":{"sim.eval.makespan_s":0.07}}"#,
             r#"{"kind":"histograms","histograms":[{"name":"h","edges":[1],"buckets":[2,0],"count":2,"sum":0.5}]}"#,
         ]
         .join("\n")
@@ -643,12 +614,11 @@ mod tests {
     }
 
     #[test]
-    fn summarize_recovers_spans_counters_gauges_histograms() {
+    fn summarize_recovers_spans_counters_histograms() {
         let run = summarize(&sample_run()).expect("parse");
         assert_eq!(run.spans.len(), 2);
         assert_eq!(run.spans[1].leaf(), "tensor.ops.matmul");
         assert_eq!(run.counters, vec![("sim.eval.valid".to_string(), 3)]);
-        assert_eq!(run.gauges.len(), 1);
         assert_eq!(run.histograms[0].buckets, vec![2, 0]);
     }
 
@@ -687,17 +657,33 @@ mod tests {
         let run = [
             r#"{"seq":1,"kind":"event","name":"dgi.iter","loss":0.69}"#,
             r#"{"kind":"counters","counters":{"autograd.arena.reset":300}}"#,
-            r#"{"kind":"gauges","gauges":{"autograd.arena.high_water":8192}}"#,
             r#"{"kind":"histograms","histograms":[{"name":"encode.batch_size","edges":[1,2,4,8,16,32],"buckets":[0,300,0,0,0,0,0],"count":300,"sum":600}]}"#,
         ]
         .join("\n");
         let report = summarize(&run).expect("parse").arena_report().expect("arena report");
         assert_eq!(report.arena_resets, 300);
-        assert_eq!(report.arena_high_water, 8192.0);
-        assert_eq!(
-            report.render(),
-            "training arena: 300 tape reuses (high water 8192 pooled f32s)\n"
-        );
+        assert_eq!(report.render(), "training arena: 300 tape reuses\n");
+    }
+
+    /// A capture written by an older build ends with a `gauges` record
+    /// (last-write-wins readings, the arena's high water among them).
+    /// It still summarizes: the record counts as a line, and neither
+    /// the render nor the arena line shows a reading from it.
+    #[test]
+    fn legacy_gauges_record_summarizes_without_a_gauges_section() {
+        let legacy = [
+            r#"{"seq":1,"kind":"event","name":"sim.eval","outcome":"valid","makespan_s":0.07}"#,
+            r#"{"kind":"counters","counters":{"autograd.arena.reset":30,"sim.eval.valid":1}}"#,
+            r#"{"kind":"gauges","gauges":{"autograd.arena.high_water":8192,"sim.eval.makespan_s":0.07}}"#,
+            r#"{"kind":"histograms","histograms":[]}"#,
+        ];
+        let run = summarize(&legacy.join("\n")).expect("parse");
+        assert_eq!((run.lines, run.skipped, run.events), (4, 0, 1));
+        let text = run.render();
+        assert!(!text.contains("gauges") && !text.contains("8192"), "{text}");
+        assert_eq!(run.arena_report().expect("arena").render(), "training arena: 30 tape reuses\n");
+        let record = Json::parse(legacy[2]).expect("valid");
+        assert_eq!(tail_line(&record), "[gauges]");
     }
 
     #[test]
@@ -783,7 +769,7 @@ mod tests {
             r#"{"kind":"counters","counters":{"sim.cache.hit":12,"sim.cache.miss":8,"net.workers_connected":1}}"#,
         ];
         let run = summarize(&format!("{}\n{}", sample_run(), retired.join("\n"))).expect("parse");
-        assert_eq!((run.lines, run.skipped), (14, 0), "worker records are not malformed");
+        assert_eq!((run.lines, run.skipped), (13, 0), "worker records are not malformed");
         assert_eq!(run.events, 7, "retired events are events like any other");
         assert_eq!(run.spans.len(), 2, "worker spans are not the recording process's");
         let batch =
@@ -801,7 +787,6 @@ mod tests {
                 "== span self-time by name ==",
                 "== event field rollups ==",
                 "== counters ==",
-                "== gauges (final reading) ==",
                 "== histograms ==",
             ]
         );
@@ -830,8 +815,7 @@ mod tests {
         assert!(lines[0].starts_with("#1      ppo.update reward=-0.5"), "{}", lines[0]);
         assert_eq!(lines[3], "[spans] 2 paths");
         assert_eq!(lines[4], "[counters] 1 totals");
-        assert_eq!(lines[5], "[gauges] 1 readings");
-        assert!(lines[6].contains("run complete"), "{}", lines[6]);
+        assert!(lines[5].contains("run complete"), "{}", lines[5]);
     }
 
     #[test]

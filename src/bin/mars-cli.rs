@@ -18,12 +18,11 @@
 //! train options: --agent mars|mars-nopre|grouper|encoder   --budget N
 //!                --seed N   --profile small|full   --save <ckpt-path>
 //!                --telemetry <run.jsonl>   --dgi-iters N (≥ 1; mars only)
-//!                --fault-plan <spec>   --max-eval-retries N
-//!                --eval-timeout-s S    --auto-checkpoint <ckpt-path>
+//!                --fault-plan <spec>
 //!                (the kernel backend is picked by the MARS_KERNEL env
 //!                 var: scalar | simd | auto — see DESIGN.md)
 //! evaluate:      --placement <name>   --seed N   --profile small|full
-//!                --fault-plan <spec>   --max-eval-retries N   --eval-timeout-s S
+//!                --fault-plan <spec>
 //! metrics tail:  --lines N (default 20, 0 = all)   --follow
 //! serve options: --listen ADDR          bind (host:port or unix:<path>)
 //!                --seed N   --checkpoint <ckpt>   --store <placements.jsonl>
@@ -40,7 +39,7 @@
 //! `mars::cli::COMMAND_FLAGS`), so a typo cannot run as a no-op.
 //!
 //! `--telemetry <path>` records a JSONL event stream (per-iteration DGI
-//! loss, per-update PPO diagnostics, per-evaluation simulator gauges,
+//! loss, per-update PPO diagnostics, per-evaluation simulator readings,
 //! and a span-tree profile of the hot kernels); inspect it afterwards
 //! with `mars-cli metrics summarize <path>`. `metrics tail --follow`
 //! renders records live as the run writes them (it exits when the
@@ -166,18 +165,9 @@ fn config_from_flags(flags: &Flags) -> Result<MarsConfig, String> {
     Ok(cfg)
 }
 
-/// Install `--max-eval-retries` and `--eval-timeout-s` on the
-/// environment, then parse and validate `--fault-plan` against the
-/// cluster and install it too. Shared by `train` and `evaluate`.
+/// Parse and validate `--fault-plan` against the cluster and install
+/// it on the environment. Shared by `train` and `evaluate`.
 fn arm_environment(env: &mut SimEnv, flags: &Flags) -> Result<(), String> {
-    env.retry.max_retries = flags.parsed("max-eval-retries", env.retry.max_retries)?;
-    env.eval_timeout_s = flags.parsed("eval-timeout-s", env.eval_timeout_s)?;
-    if env.eval_timeout_s <= 0.0 {
-        return Err(format!(
-            "invalid value '{}' for --eval-timeout-s (must be positive)",
-            env.eval_timeout_s
-        ));
-    }
     if let Some(spec) = flags.string_opt("fault-plan")? {
         let plan =
             FaultPlan::parse(&spec).map_err(|e| format!("invalid value for --fault-plan: {e}"))?;
@@ -202,8 +192,7 @@ fn cmd_train(workload: Workload, profile: Profile, flags: &Flags) -> Result<(), 
     }
     let budget: usize = flags.parsed("budget", 400)?;
     let seed: u64 = flags.parsed("seed", 42)?;
-    let mut cfg = config_from_flags(flags)?;
-    cfg.auto_checkpoint = flags.string_opt("auto-checkpoint")?;
+    let cfg = config_from_flags(flags)?;
     let telemetry = install_telemetry(flags)?;
 
     let graph = workload.build(profile);

@@ -16,27 +16,16 @@ use std::str::FromStr;
 /// `MarsConfig`. `serve` never pre-trains, so it reads `--profile` only.
 const CONFIG_FLAGS: &[&str] = &["profile", "dgi-iters"];
 
-/// The flags `arm_environment` in the binary installs on the simulated
-/// cluster; every command that evaluates placements reads all of them.
-const ENV_FLAGS: &[&str] = &["fault-plan", "max-eval-retries", "eval-timeout-s"];
-
 /// Every `mars-cli` command and the flags it reads, as groups of names.
 /// A command missing here is refused as unknown; a flag a command
 /// starts reading is added here, or the command refuses it.
 pub const COMMAND_FLAGS: &[(&str, &[&[&str]])] = &[
     ("inspect", &[&["profile"]]),
-    (
-        "train",
-        &[
-            CONFIG_FLAGS,
-            ENV_FLAGS,
-            &["agent", "budget", "seed", "save", "telemetry", "auto-checkpoint"],
-        ],
-    ),
+    ("train", &[CONFIG_FLAGS, &["fault-plan", "agent", "budget", "seed", "save", "telemetry"]]),
     ("pretrain", &[CONFIG_FLAGS, &["seed", "save", "telemetry"]]),
     ("trace", &[&["profile", "placement"]]),
     ("dot", &[&["profile", "max-nodes"]]),
-    ("evaluate", &[ENV_FLAGS, &["profile", "placement", "seed"]]),
+    ("evaluate", &[&["fault-plan", "profile", "placement", "seed"]]),
     ("place", &[&["profile", "connect", "top-k", "repeat", "fail-device", "shutdown"]]),
     ("serve", &[&["profile", "listen", "seed", "checkpoint", "store", "telemetry"]]),
     ("metrics summarize", &[]),

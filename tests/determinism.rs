@@ -94,13 +94,10 @@ fn training_in_whole_round_calls_equals_one_call() {
     assert_eq!(whole.best_reading_s.map(f64::to_bits), split.best_reading_s.map(f64::to_bits));
 }
 
-/// A 48-sample training run under an optional fault plan, with an
-/// optional auto-checkpoint path; returns the log and the devices left
-/// dead.
-fn run_faulty(plan: Option<&str>, auto_checkpoint: Option<String>) -> (TrainingLog, Vec<usize>) {
-    let mut cfg = tiny_cfg();
-    cfg.auto_checkpoint = auto_checkpoint;
-    let (_, log, failed) = pretrain_and_train(cfg, 42, &[48], plan);
+/// A 48-sample training run under an optional fault plan; returns the
+/// log and the devices left dead.
+fn run_faulty(plan: Option<&str>) -> (TrainingLog, Vec<usize>) {
+    let (_, log, failed) = pretrain_and_train(tiny_cfg(), 42, &[48], plan);
     (log, failed)
 }
 
@@ -108,9 +105,9 @@ const PLAN: &str = "fail:2@10, transient:0.25, straggler:0.15x6";
 
 #[test]
 fn faulty_run_is_bit_identical_across_reruns() {
-    let (log_ref, failed_ref) = run_faulty(Some(PLAN), None);
+    let (log_ref, failed_ref) = run_faulty(Some(PLAN));
     assert_eq!(failed_ref, vec![2], "the planned device failure fired");
-    let (log, failed) = run_faulty(Some(PLAN), None);
+    let (log, failed) = run_faulty(Some(PLAN));
     assert_eq!(trace_bits(&log_ref), trace_bits(&log), "faulty trace diverged on a rerun");
     assert_eq!(log_ref.best_placement, log.best_placement);
     assert_eq!(log_ref.best_reading_s.map(f64::to_bits), log.best_reading_s.map(f64::to_bits));
@@ -121,8 +118,8 @@ fn faulty_run_is_bit_identical_across_reruns() {
 fn fault_plan_changes_the_trace() {
     // Sanity: the plan above is not a no-op — a healthy run reads
     // differently (and spends less machine time on retries).
-    let (faulty, _) = run_faulty(Some(PLAN), None);
-    let (clean, failed) = run_faulty(None, None);
+    let (faulty, _) = run_faulty(Some(PLAN));
+    let (clean, failed) = run_faulty(None);
     assert_eq!(failed, Vec::<usize>::new());
     assert_ne!(trace_bits(&faulty), trace_bits(&clean), "fault plan had no effect");
 }
@@ -131,16 +128,9 @@ fn fault_plan_changes_the_trace() {
 fn crash_resume_is_invisible_in_the_trace() {
     // A crash alone (no other faults) is absorbed by a bit-exact
     // checkpoint roundtrip: the resumed run must equal the
-    // uninterrupted one — through the in-memory path and through a
-    // real checkpoint file.
-    let (clean, _) = run_faulty(None, None);
-    let (crashed_mem, _) = run_faulty(Some("crash@24"), None);
-    assert_eq!(trace_bits(&clean), trace_bits(&crashed_mem), "in-memory resume left a trace");
-    assert_eq!(clean.best_placement, crashed_mem.best_placement);
-
-    let path = std::env::temp_dir().join("mars-fault-determinism.ckpt");
-    let (crashed_file, _) = run_faulty(Some("crash@24"), Some(path.to_str().expect("utf8").into()));
-    assert_eq!(trace_bits(&clean), trace_bits(&crashed_file), "file resume left a trace");
-    assert!(path.exists(), "auto-checkpoint written");
-    let _ = std::fs::remove_file(path);
+    // uninterrupted one.
+    let (clean, _) = run_faulty(None);
+    let (crashed, _) = run_faulty(Some("crash@24"));
+    assert_eq!(trace_bits(&clean), trace_bits(&crashed), "in-memory resume left a trace");
+    assert_eq!(clean.best_placement, crashed.best_placement);
 }
