@@ -489,8 +489,6 @@ pub(crate) fn cell(v: &EvalOutcome) -> String {
         EvalOutcome::Valid { per_step_s } => format!("{per_step_s:.3}"),
         EvalOutcome::Bad { .. } => "bad".into(),
         EvalOutcome::Invalid { .. } => "OOM".into(),
-        EvalOutcome::TransientError { .. } => "fault".into(),
-        EvalOutcome::Straggler { .. } => "straggler".into(),
     }
 }
 

@@ -396,8 +396,8 @@ impl Agent {
             }
             drop(update_span);
 
-            let summary = rounds.summary();
             if mars_telemetry::active() {
+                let summary = rounds.summary();
                 let inv = 1.0 / stats_n.max(1) as f32;
                 let advs: Vec<f32> = records.iter().map(|r| r.advantage).collect();
                 let adv_mean = advs.iter().sum::<f32>() / advs.len().max(1) as f32;
@@ -418,7 +418,6 @@ impl Agent {
                         ("policy_entropy", policy_entropy.into()),
                         ("oom_count", (summary.oom as f64).into()),
                         ("bad_count", (summary.bad as f64).into()),
-                        ("fault_count", (summary.fault as f64).into()),
                         ("valid_fraction", summary.valid_fraction().into()),
                         (
                             "mean_valid_reading_s",
@@ -429,31 +428,9 @@ impl Agent {
                     ],
                 );
             }
-            if rounds.close(policy_entropy) {
-                self.resume_from_crash(summary.samples_so_far);
-            }
+            rounds.close(policy_entropy);
         }
         rounds.finish();
-    }
-
-    /// Checkpoint-and-resume after an injected crash: serialize every
-    /// parameter through an in-memory buffer, then reload it. The
-    /// roundtrip is bit-exact (f32 bits are stored losslessly), so a
-    /// crashed-and-resumed run produces the identical trace to an
-    /// uninterrupted one. Optimizer and baseline state stay in memory
-    /// (see DESIGN.md §9).
-    fn resume_from_crash(&mut self, samples_so_far: usize) {
-        let _span = mars_telemetry::span("core.agent.crash_resume");
-        let mut buf = Vec::new();
-        mars_nn::checkpoint::save(&self.store, &mut buf).expect("in-memory checkpoint");
-        mars_nn::checkpoint::load(&mut self.store, &mut buf.as_slice()).expect("in-memory resume");
-        mars_telemetry::counter("train.crash_resume").inc();
-        if mars_telemetry::active() {
-            mars_telemetry::event(
-                "train.crash_resume",
-                &[("samples_so_far", (samples_so_far as f64).into())],
-            );
-        }
     }
 }
 

@@ -8,8 +8,7 @@ use mars_sim::{Environment, EvalOutcome, Placement};
 use std::time::Instant;
 
 /// The current round's outcome counts, with the run's totals after
-/// them: what `ppo.update` reads of a round. `fault` counts transient
-/// errors and stragglers.
+/// them: what `ppo.update` reads of a round.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct RoundSummary {
     pub samples_so_far: usize,
@@ -17,7 +16,6 @@ pub(crate) struct RoundSummary {
     pub valid: usize,
     pub oom: usize,
     pub bad: usize,
-    pub fault: usize,
     valid_sum_s: f64,
     pub eval_wall_s: f64,
 }
@@ -28,7 +26,7 @@ impl RoundSummary {
     }
 
     pub fn valid_fraction(&self) -> f64 {
-        self.valid as f64 / (self.valid + self.oom + self.bad + self.fault).max(1) as f64
+        self.valid as f64 / (self.valid + self.oom + self.bad).max(1) as f64
     }
 }
 
@@ -79,9 +77,6 @@ impl<'a> Rounds<'a> {
                 }
                 EvalOutcome::Invalid { .. } => (&mut self.round.oom, "train.oom_penalty"),
                 EvalOutcome::Bad { .. } => (&mut self.round.bad, "train.eval_cutoff"),
-                EvalOutcome::TransientError { .. } | EvalOutcome::Straggler { .. } => {
-                    (&mut self.round.fault, "train.eval_fault")
-                }
             };
             *count += 1;
             mars_telemetry::counter(counter).inc();
@@ -95,10 +90,8 @@ impl<'a> Rounds<'a> {
         RoundSummary { samples_so_far, best_so_far_s, ..self.round }
     }
 
-    /// End the round: push its record and return whether an injected
-    /// crash fired during it, which the caller answers by checkpointing
-    /// and resuming before the next round.
-    pub fn close(&mut self, policy_entropy: f64) -> bool {
+    /// End the round: push its record.
+    pub fn close(&mut self, policy_entropy: f64) {
         let s = self.summary();
         self.log.records.push(TrainingRecord {
             samples_so_far: s.samples_so_far,
@@ -110,7 +103,6 @@ impl<'a> Rounds<'a> {
             policy_entropy,
         });
         self.round = RoundSummary::default();
-        self.env.take_crash()
     }
 
     /// End the call: add its wall time and machine time to the log.
@@ -124,39 +116,36 @@ impl<'a> Rounds<'a> {
 mod tests {
     use super::*;
     use mars_graph::generators::{Profile, Workload};
-    use mars_sim::{Cluster, FaultPlan, SimEnv};
+    use mars_sim::{Cluster, SimEnv};
 
-    fn env(w: Workload, plan: &str) -> SimEnv {
-        let mut env = SimEnv::new(w.build(Profile::Reduced), Cluster::p100_quad(), 7);
-        env.set_fault_plan(FaultPlan::parse(plan).expect("plan parses")).expect("plan installs");
-        env
+    fn env(w: Workload) -> SimEnv {
+        SimEnv::new(w.build(Profile::Reduced), Cluster::p100_quad(), 7)
     }
 
     /// A searcher with no learner: rounds of 3 taken in turn from a
-    /// fixed list. Returns every outcome, each round's summary and each
-    /// close's crash flag.
+    /// fixed list. Returns every outcome and each round's summary.
     fn drive(
         env: &mut SimEnv,
         list: &[Placement],
         budget: usize,
         log: &mut TrainingLog,
-    ) -> (Vec<EvalOutcome>, Vec<RoundSummary>, Vec<bool>) {
+    ) -> (Vec<EvalOutcome>, Vec<RoundSummary>) {
         let mut rounds = Rounds::new(env, log, budget);
         let mut next = list.iter().cycle();
-        let (mut outcomes, mut summaries, mut crashes) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut outcomes, mut summaries) = (Vec::new(), Vec::new());
         while let Some(n) = rounds.next(3) {
             let placements: Vec<Placement> = next.by_ref().take(n).cloned().collect();
             outcomes.extend(rounds.evaluate(&placements));
             summaries.push(rounds.summary());
-            crashes.push(rounds.close(0.5));
+            rounds.close(0.5);
         }
         rounds.finish();
-        (outcomes, summaries, crashes)
+        (outcomes, summaries)
     }
 
     #[test]
-    fn rounds_keep_budget_best_records_and_crash_poll() {
-        let mut env = env(Workload::InceptionV3, "crash@4, straggler:1000@1");
+    fn rounds_keep_budget_best_and_records() {
+        let mut env = env(Workload::InceptionV3);
         let cpu = env.cluster().cpu_id();
         // The slow CPU placement opens every round, so the best is never
         // a round's first placement.
@@ -165,24 +154,24 @@ mod tests {
             .map(|&d| Placement::all_on(env.graph(), d))
             .collect();
         let mut log = TrainingLog::default();
-        let (outcomes, summaries, crashes) = drive(&mut env, &list, 7, &mut log);
+        let (outcomes, summaries) = drive(&mut env, &list, 7, &mut log);
 
         let samples: Vec<usize> = log.records.iter().map(|r| r.samples_so_far).collect();
         assert_eq!(samples, [3, 6, 7]);
         assert_eq!(log.total_samples, 7);
-        assert_eq!(crashes, [false, true, false], "crash@4 fires in the second round");
         assert_eq!(log.machine_s, env.machine_seconds());
         assert_eq!(log.records.last().map(|r| r.machine_s), Some(env.machine_seconds()));
         assert!(log.records.iter().all(|r| r.policy_entropy == 0.5));
 
-        // Evaluation 1 straggles past the cutoff; the rest are valid.
-        assert!(matches!(outcomes[1], EvalOutcome::Straggler { .. }), "{:?}", outcomes[1]);
+        // Inception fits every device, the CPU included.
+        assert!(outcomes.iter().all(EvalOutcome::is_valid), "{outcomes:?}");
         let first = summaries[0];
-        assert_eq!((first.valid, first.fault, first.oom, first.bad), (2, 1, 0, 0));
-        let (a, c) = (outcomes[0].reading_s(), outcomes[2].reading_s());
-        assert_eq!(first.mean_valid_reading_s(), Some((a + c) / 2.0));
-        let fractions: Vec<f64> = log.records.iter().map(|r| r.valid_fraction).collect();
-        assert_eq!(fractions, [2.0 / 3.0, 1.0, 1.0], "each record counts its own round");
+        assert_eq!((first.valid, first.oom, first.bad), (3, 0, 0));
+        let [a, b, c] = [0, 1, 2].map(|i| outcomes[i].reading_s());
+        assert_eq!(first.mean_valid_reading_s(), Some((a + b + c) / 3.0));
+        let last = log.records.last().and_then(|r| r.mean_valid_reading_s);
+        assert_eq!(last, Some(outcomes[6].reading_s()), "each record counts its own round");
+        assert!(log.records.iter().all(|r| r.valid_fraction == 1.0));
 
         let (best_i, best) = outcomes
             .iter()
@@ -201,7 +190,7 @@ mod tests {
         // was (the wall clock still counts the call).
         let evaluations = env.evaluations();
         let machine_s = log.machine_s;
-        let (outcomes, _, _) = drive(&mut env, &list, 5, &mut log);
+        let (outcomes, _) = drive(&mut env, &list, 5, &mut log);
         assert!(outcomes.is_empty());
         assert_eq!(env.evaluations(), evaluations);
         assert_eq!((log.total_samples, log.records.len()), (7, 3));
@@ -213,19 +202,19 @@ mod tests {
     fn rounds_count_oom_and_bad_outcomes() {
         // GNMT on one GPU runs out of memory; BERT on the CPU blows the
         // cutoff (both as in `mars_sim::measure`'s tests).
-        let mut gnmt = env(Workload::Gnmt4, "");
+        let mut gnmt = env(Workload::Gnmt4);
         let oom = Placement::all_on(gnmt.graph(), 1);
         let mut log = TrainingLog::default();
-        let (_, summaries, _) = drive(&mut gnmt, &[oom], 2, &mut log);
+        let (_, summaries) = drive(&mut gnmt, &[oom], 2, &mut log);
         assert_eq!((summaries[0].oom, summaries[0].valid), (2, 0));
         assert_eq!(summaries[0].mean_valid_reading_s(), None);
         assert_eq!(log.records[0].valid_fraction, 0.0);
         assert!(log.best_reading_s.is_none() && log.best_placement.is_none());
 
-        let mut bert = env(Workload::BertBase, "");
+        let mut bert = env(Workload::BertBase);
         let bad = Placement::all_on(bert.graph(), bert.cluster().cpu_id());
         let mut log = TrainingLog::default();
-        let (_, summaries, _) = drive(&mut bert, &[bad], 1, &mut log);
+        let (_, summaries) = drive(&mut bert, &[bad], 1, &mut log);
         assert_eq!((summaries[0].bad, summaries[0].valid), (1, 0));
         assert!(log.best_reading_s.is_none());
     }

@@ -33,10 +33,10 @@ pub mod trace;
 
 pub use device::{Cluster, DeviceId, DeviceKind, DeviceSpec, LinkSpec};
 pub use engine::{simulate, StepReport};
-pub use fault::{Fault, FaultKind, FaultPlan};
+pub use fault::{Fault, FaultPlan};
 pub use measure::{
-    Environment, EvalOutcome, SimEnv, BAD_CUTOFF_S, EVAL_TIMEOUT_S, INVALID_PENALTY_S,
-    MAX_EVAL_RETRIES, NOISE_SIGMA, STEPS_PER_EVAL, WARMUP_STEPS,
+    Environment, EvalOutcome, SimEnv, BAD_CUTOFF_S, INVALID_PENALTY_S, NOISE_SIGMA, STEPS_PER_EVAL,
+    WARMUP_STEPS,
 };
 pub use memory::{check_memory, MemoryReport, OomError};
 pub use placement::Placement;

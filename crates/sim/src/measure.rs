@@ -5,9 +5,8 @@
 //! placement ... we discard the first 5 steps and average the per-step
 //! time of the last 10 steps." §3.4: invalid (OOM) placements receive
 //! an extremely long reading (100 s); evaluations beyond a per-workload
-//! cutoff are aborted and marked *bad*. An injected transient error
-//! is retried with bounded backoff under a per-evaluation timeout. The
-//! whole protocol is the constants below; nothing configures it.
+//! cutoff are aborted and marked *bad*. The whole protocol is the
+//! constants below; nothing configures it.
 //!
 //! # Purity
 //!
@@ -17,12 +16,13 @@
 //! of the (compatibility-enforced) placement, not from a shared
 //! sequential stream. Re-evaluating the same placement therefore
 //! always yields the bit-identical outcome and machine-time cost, in
-//! this environment or in a fresh one of the same seed. Injected faults
-//! are keyed by the evaluation index, not by the placement.
+//! this environment or in a fresh one of the same seed. Injected
+//! device failures are keyed by the evaluation index, not by the
+//! placement.
 
 use crate::device::Cluster;
 use crate::engine::{simulate, StepReport};
-use crate::fault::{Fault, FaultKind, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::memory::{check_memory, OomError};
 use crate::placement::Placement;
 use mars_graph::CompGraph;
@@ -40,19 +40,6 @@ pub const NOISE_SIGMA: f64 = 0.03;
 pub const STEPS_PER_EVAL: usize = 15;
 /// Warm-up steps discarded (§4.2).
 pub const WARMUP_STEPS: usize = 5;
-/// Re-tries allowed after an evaluation's first attempt fails with an
-/// injected transient error.
-pub const MAX_EVAL_RETRIES: u32 = 3;
-/// Per-evaluation machine-time budget: retries that would push one
-/// evaluation past this are abandoned (the cutoff's philosophy: never
-/// let one measurement stall the search).
-pub const EVAL_TIMEOUT_S: f64 = 300.0;
-
-/// Backoff in machine-seconds before retry `attempt` (0-based): 1 s,
-/// doubling per retry, capped at 30 s.
-fn retry_backoff_s(attempt: u32) -> f64 {
-    2f64.powi(attempt.min(62) as i32).min(30.0)
-}
 
 /// Outcome of evaluating one placement.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,21 +59,6 @@ pub enum EvalOutcome {
         /// Which device overflowed.
         oom: OomError,
     },
-    /// An injected transient error exhausted [`MAX_EVAL_RETRIES`] or
-    /// [`EVAL_TIMEOUT_S`].
-    TransientError {
-        /// Attempts made before giving up.
-        attempts: u32,
-        /// The cutoff used as the reward reading.
-        cutoff_s: f64,
-    },
-    /// An injected straggler slowed the run past the cutoff; aborted.
-    Straggler {
-        /// The slowdown factor that was injected.
-        slowdown: f64,
-        /// The cutoff used as the reward reading.
-        cutoff_s: f64,
-    },
 }
 
 impl EvalOutcome {
@@ -98,8 +70,6 @@ impl EvalOutcome {
             EvalOutcome::Valid { per_step_s } => *per_step_s,
             EvalOutcome::Bad { cutoff_s } => *cutoff_s,
             EvalOutcome::Invalid { .. } => INVALID_PENALTY_S,
-            EvalOutcome::TransientError { cutoff_s, .. } => *cutoff_s,
-            EvalOutcome::Straggler { cutoff_s, .. } => *cutoff_s,
         }
     }
 
@@ -151,9 +121,9 @@ pub trait Environment {
     fn machine_seconds(&self) -> f64;
     /// Number of evaluations performed.
     fn evaluations(&self) -> usize;
-    /// Consume a pending injected agent crash: `true` exactly once per
-    /// crash fault that fired since the last call. The training loop
-    /// reacts by checkpointing and resuming (see `mars_core`).
+    /// Always `false`: nothing crashes. Kept only because the
+    /// benchmark's `TimedEnv` (`ledger/src/train.rs`) forwards it; it
+    /// goes when that forwarder does.
     fn take_crash(&mut self) -> bool {
         false
     }
@@ -181,10 +151,8 @@ pub struct SimEnv {
     machine_seconds: f64,
     evaluations: usize,
     fault_plan: FaultPlan,
-    /// Boundary faults (device failures, crashes) not yet fired.
-    boundaries: Vec<Fault>,
-    boundary_cursor: usize,
-    crash_pending: bool,
+    /// Index of the first fault in `fault_plan.events` not yet fired.
+    fault_cursor: usize,
 }
 
 impl SimEnv {
@@ -197,49 +165,32 @@ impl SimEnv {
             seed,
             machine_seconds: 0.0,
             evaluations: 0,
-            fault_plan: FaultPlan::none(),
-            boundaries: Vec::new(),
-            boundary_cursor: 0,
-            crash_pending: false,
+            fault_plan: FaultPlan::default(),
+            fault_cursor: 0,
         }
     }
 
     /// Install a fault plan (validated against the cluster). Replaces
-    /// any previous plan; boundary faults scheduled at or before the
-    /// current evaluation count fire before the next evaluation.
+    /// any previous plan; failures scheduled at or before the current
+    /// evaluation count fire before the next evaluation.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), String> {
         plan.validate(&self.cluster)?;
-        self.boundaries = plan.boundaries();
-        self.boundary_cursor = 0;
+        self.fault_cursor = 0;
         self.fault_plan = plan;
         Ok(())
     }
 
-    /// Fire every boundary fault scheduled at or before the current
+    /// Fire every device failure scheduled at or before the current
     /// evaluation count. Called before each evaluation, so the firing
     /// point is a pure function of the global evaluation index.
     fn fire_due_faults(&mut self) {
-        while let Some(f) = self.boundaries.get(self.boundary_cursor) {
+        while let Some(f) = self.fault_plan.events.get(self.fault_cursor) {
             if f.at_eval > self.evaluations as u64 {
                 break;
             }
-            let fault = f.clone();
-            self.boundary_cursor += 1;
-            match fault.kind {
-                FaultKind::DeviceFailure { device } => self.apply_device_failure(device),
-                FaultKind::AgentCrash => {
-                    self.crash_pending = true;
-                    mars_telemetry::counter("sim.fault.crash").inc();
-                    if mars_telemetry::active() {
-                        mars_telemetry::event(
-                            "sim.fault.crash",
-                            &[("at_eval", (self.evaluations as f64).into())],
-                        );
-                    }
-                }
-                // Commit faults never appear in `boundaries`.
-                FaultKind::Transient { .. } | FaultKind::Straggler { .. } => unreachable!(),
-            }
+            let device = f.device;
+            self.fault_cursor += 1;
+            self.apply_device_failure(device);
         }
     }
 
@@ -295,69 +246,6 @@ impl SimEnv {
             }
         }
         p
-    }
-
-    /// Apply this evaluation's commit faults (straggler, transient) to
-    /// a pure computation. Keyed by the global evaluation index (the
-    /// pre-commit evaluation count), not by the placement.
-    fn apply_commit_faults(&self, mut comp: EvalComputation) -> EvalComputation {
-        if self.fault_plan.is_empty() {
-            return comp;
-        }
-        let idx = self.evaluations as u64;
-
-        // Straggler: the whole evaluation runs `slow`× longer; if the
-        // slowed per-step time would blow the cutoff, the measurement
-        // protocol aborts it like any other over-cutoff run. OOM never
-        // started, so it cannot straggle.
-        if let Some(slow) = self.fault_plan.straggler_at(self.seed, idx) {
-            if !matches!(comp.outcome, EvalOutcome::Invalid { .. }) {
-                comp.machine_s *= slow;
-                mars_telemetry::counter("sim.fault.straggler").inc();
-                if let EvalOutcome::Valid { per_step_s } = comp.outcome {
-                    if per_step_s * slow > BAD_CUTOFF_S {
-                        comp.outcome =
-                            EvalOutcome::Straggler { slowdown: slow, cutoff_s: BAD_CUTOFF_S };
-                        mars_telemetry::counter("sim.fault.straggler_abort").inc();
-                    }
-                }
-            }
-        }
-
-        // Transient errors: each failed attempt burns a full attempt's
-        // machine time plus exponential backoff. The retry budget and
-        // the per-evaluation timeout both bound the total spend.
-        let failures = self.fault_plan.transient_failures_at(self.seed, idx);
-        if failures > 0 {
-            mars_telemetry::counter("sim.fault.transient").inc();
-            let attempt_cost = comp.machine_s;
-            let mut spend = 0.0;
-            let mut attempts = 0u32;
-            let mut succeeded = false;
-            while attempts <= MAX_EVAL_RETRIES {
-                if attempts > 0 {
-                    spend += retry_backoff_s(attempts - 1);
-                }
-                spend += attempt_cost;
-                attempts += 1;
-                if spend > EVAL_TIMEOUT_S {
-                    break; // the timeout kills the evaluation mid-attempt
-                }
-                if attempts > failures {
-                    succeeded = true;
-                    break;
-                }
-            }
-            mars_telemetry::counter("sim.fault.retry").add(attempts.saturating_sub(1) as u64);
-            if succeeded {
-                comp.machine_s = spend;
-            } else {
-                mars_telemetry::counter("sim.fault.retry_exhausted").inc();
-                comp.machine_s = spend.min(EVAL_TIMEOUT_S);
-                comp.outcome = EvalOutcome::TransientError { attempts, cutoff_s: BAD_CUTOFF_S };
-            }
-        }
-        comp
     }
 
     /// Stable seed for a placement's measurement noise: the env seed
@@ -469,31 +357,6 @@ impl SimEnv {
                     );
                 }
             }
-            EvalOutcome::TransientError { attempts, .. } => {
-                mars_telemetry::counter("sim.eval.transient_error").inc();
-                if mars_telemetry::active() {
-                    mars_telemetry::event(
-                        "sim.eval",
-                        &[
-                            ("outcome", "transient_error".into()),
-                            ("attempts", (*attempts as f64).into()),
-                        ],
-                    );
-                }
-            }
-            EvalOutcome::Straggler { slowdown, .. } => {
-                mars_telemetry::counter("sim.eval.straggler").inc();
-                if mars_telemetry::active() {
-                    mars_telemetry::event(
-                        "sim.eval",
-                        &[
-                            ("outcome", "straggler".into()),
-                            ("slowdown", (*slowdown).into()),
-                            ("makespan_s", comp.makespan_s.into()),
-                        ],
-                    );
-                }
-            }
             EvalOutcome::Valid { per_step_s } => {
                 mars_telemetry::counter("sim.eval.valid").inc();
                 if mars_telemetry::active() {
@@ -520,8 +383,7 @@ impl Environment for SimEnv {
         let _span = mars_telemetry::span("sim.measure.evaluate");
         self.fire_due_faults();
         let p = self.normalize(placement);
-        let comp = self.apply_commit_faults(self.compute(&p));
-        self.commit(comp)
+        self.commit(self.compute(&p))
     }
 
     fn graph(&self) -> &CompGraph {
@@ -538,10 +400,6 @@ impl Environment for SimEnv {
 
     fn evaluations(&self) -> usize {
         self.evaluations
-    }
-
-    fn take_crash(&mut self) -> bool {
-        std::mem::take(&mut self.crash_pending)
     }
 }
 
@@ -586,14 +444,6 @@ mod tests {
         let p = Placement::all_on(e.graph(), cpu);
         let out = e.evaluate(&p);
         assert!(matches!(out, EvalOutcome::Bad { .. }), "{out:?}");
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        assert_eq!(retry_backoff_s(0), 1.0);
-        assert_eq!(retry_backoff_s(1), 2.0);
-        assert_eq!(retry_backoff_s(2), 4.0);
-        assert_eq!(retry_backoff_s(10), 30.0, "capped");
     }
 
     #[test]

@@ -34,8 +34,6 @@ fn outcome_bits(o: &EvalOutcome) -> (u8, u64) {
         EvalOutcome::Valid { per_step_s } => (0, per_step_s.to_bits()),
         EvalOutcome::Bad { cutoff_s } => (1, cutoff_s.to_bits()),
         EvalOutcome::Invalid { oom } => (2, oom.required_bytes),
-        EvalOutcome::TransientError { attempts, .. } => (3, *attempts as u64),
-        EvalOutcome::Straggler { slowdown, .. } => (4, slowdown.to_bits()),
     }
 }
 

@@ -94,9 +94,8 @@ impl ArenaReport {
     }
 }
 
-/// Fault-injection digest: what the resilience layer absorbed during
-/// the run, recovered from `sim.fault.*` / `train.crash_resume`
-/// counters.
+/// Fault-injection digest: the device failures a run absorbed,
+/// recovered from the `sim.fault.*` counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultReport {
     /// Permanent device failures fired.
@@ -105,52 +104,15 @@ pub struct FaultReport {
     pub remaps: u64,
     /// Total ops moved off dead devices across all remaps.
     pub remapped_ops: u64,
-    /// Transient evaluation errors injected.
-    pub transients: u64,
-    /// Extra evaluation attempts spent on retries.
-    pub retries: u64,
-    /// Evaluations that exhausted the retry budget.
-    pub retry_exhausted: u64,
-    /// Straggler slowdowns injected.
-    pub stragglers: u64,
-    /// Stragglers slow enough to abort the evaluation.
-    pub straggler_aborts: u64,
-    /// Agent crashes injected.
-    pub crashes: u64,
-    /// Checkpoint resumes performed after a crash.
-    pub crash_resumes: u64,
 }
 
 impl FaultReport {
-    /// True when the run recorded no fault activity at all.
-    pub fn is_empty(&self) -> bool {
-        *self == FaultReport::default()
-    }
-
     /// Render as the fault-summary block `metrics summarize` prints.
     pub fn render(&self) -> String {
-        let mut out = String::from("== fault injection ==\n");
-        let _ = writeln!(
-            out,
-            "device failures: {} ({} remaps, {} ops moved to live devices)",
+        format!(
+            "== fault injection ==\ndevice failures: {} ({} remaps, {} ops moved to live devices)\n",
             self.device_failures, self.remaps, self.remapped_ops
-        );
-        let _ = writeln!(
-            out,
-            "transient errors: {} ({} retries spent, {} evaluations gave up)",
-            self.transients, self.retries, self.retry_exhausted
-        );
-        let _ = writeln!(
-            out,
-            "stragglers: {} ({} aborted past the cutoff)",
-            self.stragglers, self.straggler_aborts
-        );
-        let _ = writeln!(
-            out,
-            "agent crashes: {} ({} checkpoint resumes)",
-            self.crashes, self.crash_resumes
-        );
-        out
+        )
     }
 }
 
@@ -213,22 +175,15 @@ impl RunSummary {
         self.counter_opt(name).unwrap_or(0)
     }
 
-    /// Fault-injection digest, if the run recorded any fault activity
-    /// (`sim.fault.*` or `train.crash_resume` counters).
+    /// Fault-injection digest, if the run recorded any device failure
+    /// or remap (`sim.fault.*` counters).
     pub fn fault_report(&self) -> Option<FaultReport> {
         let report = FaultReport {
             device_failures: self.counter("sim.fault.device_failure"),
             remaps: self.counter("sim.fault.remap"),
             remapped_ops: self.counter("sim.fault.remap_ops"),
-            transients: self.counter("sim.fault.transient"),
-            retries: self.counter("sim.fault.retry"),
-            retry_exhausted: self.counter("sim.fault.retry_exhausted"),
-            stragglers: self.counter("sim.fault.straggler"),
-            straggler_aborts: self.counter("sim.fault.straggler_abort"),
-            crashes: self.counter("sim.fault.crash"),
-            crash_resumes: self.counter("train.crash_resume"),
         };
-        (!report.is_empty()).then_some(report)
+        (report != FaultReport::default()).then_some(report)
     }
 
     /// Serving digest, if the run answered any placement request
@@ -688,19 +643,14 @@ mod tests {
 
     #[test]
     fn fault_report_from_fault_counters() {
-        let run = [
-            r#"{"kind":"counters","counters":{"sim.fault.device_failure":1,"sim.fault.remap":3,"sim.fault.remap_ops":42,"sim.fault.transient":5,"sim.fault.retry":6,"sim.fault.retry_exhausted":1,"sim.fault.straggler":2,"sim.fault.straggler_abort":1,"sim.fault.crash":1,"train.crash_resume":1}}"#,
-        ]
-        .join("\n");
-        let report = summarize(&run).expect("parse").fault_report().expect("report");
-        assert_eq!(report.device_failures, 1);
-        assert_eq!(report.remapped_ops, 42);
-        assert_eq!(report.retries, 6);
-        assert_eq!(report.crash_resumes, 1);
-        let text = report.render();
-        assert!(text.contains("device failures: 1 (3 remaps, 42 ops moved"), "{text}");
-        assert!(text.contains("transient errors: 5 (6 retries spent, 1 evaluations gave up"));
-        assert!(text.contains("agent crashes: 1 (1 checkpoint resumes)"), "{text}");
+        // A `sim.fault.*` counter the digest does not name is left out.
+        let run = r#"{"kind":"counters","counters":{"sim.fault.device_failure":1,"sim.fault.remap":3,"sim.fault.remap_ops":42,"sim.fault.transient":5}}"#;
+        let report = summarize(run).expect("parse").fault_report().expect("report");
+        assert_eq!(report, FaultReport { device_failures: 1, remaps: 3, remapped_ops: 42 });
+        assert_eq!(
+            report.render(),
+            "== fault injection ==\ndevice failures: 1 (3 remaps, 42 ops moved to live devices)\n"
+        );
     }
 
     #[test]

@@ -77,7 +77,5 @@ fn describe(env: &mut SimEnv, p: &Placement) -> String {
         mars::sim::EvalOutcome::Valid { per_step_s } => format!("{per_step_s:.3} s/step"),
         mars::sim::EvalOutcome::Bad { cutoff_s } => format!("aborted (> {cutoff_s:.0} s)"),
         mars::sim::EvalOutcome::Invalid { oom } => format!("invalid: {oom}"),
-        // Only reachable when a fault plan is armed (see DESIGN.md §9).
-        other => format!("fault: {other:?}"),
     }
 }

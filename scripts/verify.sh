@@ -105,7 +105,7 @@ echo "==> arena smoke: DGI pretrain recycles its three tapes every iteration"
 
 echo "==> fault smoke: degraded train, remap telemetry, bit-identical reruns"
 FAULT_ARGS=(train inception --budget 40 --dgi-iters 10 --seed 1
-    --fault-plan "fail:2@10, transient:0.2, straggler:0.1x6")
+    --fault-plan "fail:2@10")
 FAULT_A=$(./target/release/mars-cli "${FAULT_ARGS[@]}" --telemetry "$FAULT_RUN" \
     | grep -v "^telemetry written")
 grep -q "cluster degraded: failed devices \[2\]" <<< "$FAULT_A" || {

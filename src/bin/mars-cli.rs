@@ -48,12 +48,11 @@
 //! frame) ready for `flamegraph.pl` or inferno, and prints the top
 //! self-time kernels on stderr so stdout stays pipeable.
 //!
-//! `--fault-plan` injects deterministic failures into the simulated
-//! cluster (see `mars_sim::FaultPlan::parse` for the grammar):
-//! `fail:2@50` kills device 2 before evaluation 50, `transient:0.1`
-//! draws background transient errors, `straggler:0.05x8` slows 5% of
-//! evaluations 8×, `crash@100` crashes (and resumes) the agent. Same
-//! seed + same plan reproduces the run bit for bit.
+//! `--fault-plan` fails devices of the simulated cluster at fixed
+//! evaluation indices (see `mars_sim::FaultPlan::parse`): `fail:2@50`
+//! kills device 2 before evaluation 50, and later placements are
+//! remapped off it. Clauses are comma-separated. Same seed + same plan
+//! reproduces the run bit for bit.
 
 use mars::cli::{fail, Flags, COMMAND_FLAGS};
 use mars::core::agent::{Agent, AgentKind, TrainingLog};
@@ -556,12 +555,6 @@ fn cmd_evaluate(workload: Workload, profile: Profile, flags: &Flags) -> Result<(
         }
         EvalOutcome::Bad { cutoff_s } => println!("aborted: exceeded {cutoff_s:.0} s cutoff"),
         EvalOutcome::Invalid { oom } => println!("invalid: {oom}"),
-        EvalOutcome::TransientError { attempts, cutoff_s } => {
-            println!("transient error: gave up after {attempts} attempts, read as {cutoff_s:.0} s")
-        }
-        EvalOutcome::Straggler { slowdown, cutoff_s } => {
-            println!("straggler (×{slowdown}): aborted, read as {cutoff_s:.0} s")
-        }
     }
     Ok(())
 }

@@ -232,8 +232,8 @@ fn verify_sh_passes_only_flags_its_commands_read() {
 fn environment_flags_are_read_only_where_placements_are_evaluated() {
     let sock = "unix:/nonexistent-dir/mars.sock";
     assert_refused_by_name(&[
-        (vec!["pretrain", "inception", "--fault-plan", "crash@1"], "--fault-plan", "pretrain"),
-        (vec!["serve", "--listen", sock, "--fault-plan", "crash@1"], "--fault-plan", "serve"),
+        (vec!["pretrain", "inception", "--fault-plan", "fail:2@1"], "--fault-plan", "pretrain"),
+        (vec!["serve", "--listen", sock, "--fault-plan", "fail:2@1"], "--fault-plan", "serve"),
         (vec!["serve", "--listen", sock, "--dgi-iters", "10"], "--dgi-iters", "serve"),
         (vec!["evaluate", "inception", "--dgi-iters", "10"], "--dgi-iters", "evaluate"),
     ]);
@@ -276,22 +276,21 @@ fn malformed_fault_plan_is_rejected() {
     assert!(err.contains("--fault-plan"), "{err}");
 }
 
+/// The fault grammar is `fail:<dev>@<eval>` alone: the agent-crash,
+/// transient-error and straggler clauses it once had are refused, by
+/// both commands that read `--fault-plan`, before any work starts.
 #[test]
-fn fault_plan_straggler_aborts_evaluation() {
-    let out = cli()
-        .args([
-            "evaluate",
-            "inception",
-            "--placement",
-            "gpu-only",
-            "--fault-plan",
-            "straggler:100000@0",
-        ])
-        .output()
-        .expect("run");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("straggler"), "{text}");
+fn removed_fault_kinds_are_refused_by_name() {
+    for clause in ["crash@5", "transient@3", "transient:0.1", "straggler:8@2"] {
+        for command in ["train", "evaluate"] {
+            let args = [command, "inception", "--fault-plan", clause];
+            let out = cli().args(args).output().expect("run");
+            assert_eq!(out.status.code(), Some(1), "{args:?} must be refused, not panic");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("--fault-plan") && err.contains(&format!("'{clause}'")), "{err}");
+            assert!(out.stdout.is_empty(), "{args:?} started work before refusing");
+        }
+    }
 }
 
 #[test]

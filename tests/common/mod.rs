@@ -57,7 +57,8 @@ pub fn pretrain_and_train(
 /// One record's observable bits: (samples so far, mean valid reading,
 /// best so far, valid fraction, simulated machine time, policy
 /// entropy). Wall-clock fields are left out; simulated machine time is
-/// kept, so retries and stragglers must cost the same on every rerun.
+/// kept, so a run degraded by a device failure must cost the same on
+/// every rerun.
 pub type TraceRow = (usize, Option<u64>, Option<u64>, u64, u64, u64);
 
 /// The deterministic portion of a training trace, floats as bits so

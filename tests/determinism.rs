@@ -2,9 +2,8 @@
 //! the entire run — DGI pre-training losses, PPO training trace, and
 //! the final placement — must be byte-identical across same-seed runs,
 //! and must diverge across seeds. An armed fault plan changes *what*
-//! happens (failures, retries, remaps) without breaking that, and an
-//! injected crash — absorbed by a checkpoint save/reload roundtrip —
-//! leaves no trace in the training record.
+//! happens (a device failure, then remaps off the dead device) without
+//! breaking that.
 
 mod common;
 
@@ -101,7 +100,7 @@ fn run_faulty(plan: Option<&str>) -> (TrainingLog, Vec<usize>) {
     (log, failed)
 }
 
-const PLAN: &str = "fail:2@10, transient:0.25, straggler:0.15x6";
+const PLAN: &str = "fail:2@10";
 
 #[test]
 fn faulty_run_is_bit_identical_across_reruns() {
@@ -117,20 +116,9 @@ fn faulty_run_is_bit_identical_across_reruns() {
 #[test]
 fn fault_plan_changes_the_trace() {
     // Sanity: the plan above is not a no-op — a healthy run reads
-    // differently (and spends less machine time on retries).
+    // differently.
     let (faulty, _) = run_faulty(Some(PLAN));
     let (clean, failed) = run_faulty(None);
     assert_eq!(failed, Vec::<usize>::new());
     assert_ne!(trace_bits(&faulty), trace_bits(&clean), "fault plan had no effect");
-}
-
-#[test]
-fn crash_resume_is_invisible_in_the_trace() {
-    // A crash alone (no other faults) is absorbed by a bit-exact
-    // checkpoint roundtrip: the resumed run must equal the
-    // uninterrupted one.
-    let (clean, _) = run_faulty(None);
-    let (crashed, _) = run_faulty(Some("crash@24"));
-    assert_eq!(trace_bits(&clean), trace_bits(&crashed), "in-memory resume left a trace");
-    assert_eq!(clean.best_placement, crashed.best_placement);
 }
