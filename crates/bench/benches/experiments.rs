@@ -26,6 +26,7 @@ fn run(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot open telemetry sink '{path}': {e}"))?;
     }
     let dir = report::experiments_dir();
+    let cells_file = "target/experiments/cells.jsonl";
     for exp in &inv.experiments {
         println!(
             "{} — profile {}, budget {}, seed {}, {} seeds",
@@ -35,11 +36,10 @@ fn run(args: &[String]) -> Result<(), String> {
             cfg.seed,
             cfg.seeds
         );
-        let mut cells = Cells::open(&dir, exp.name, cfg)
-            .map_err(|e| format!("cannot open target/experiments/{}.cells.jsonl: {e}", exp.name))?;
-        let tables = (exp.run)(cfg, &mut cells).map_err(|e| {
-            format!("cannot append to target/experiments/{}.cells.jsonl: {e}", exp.name)
-        })?;
+        let mut cells =
+            Cells::open(&dir, cfg).map_err(|e| format!("cannot open {cells_file}: {e}"))?;
+        let tables = (exp.run)(cfg, &mut cells)
+            .map_err(|e| format!("cannot append to {cells_file}: {e}"))?;
         report::write(exp.name, cfg, &tables)
             .map_err(|e| format!("cannot write target/experiments/{}.json: {e}", exp.name))?;
         let (ran, reused) = cells.counts();

@@ -1,14 +1,14 @@
 //! The paper's tables and figures and four ablations, one function
-//! each. Every table cell is a mean over `cfg.seeds` seed cells; a seed
-//! cell's offset depends only on its place in its table, so it is found
-//! again in the cells file by a later run.
+//! each. Every table cell is a mean over `cfg.seeds` seed cells, named
+//! by what they train ([`Cells`]): a configuration two tables show is
+//! one set of cells, trained by whichever table asks first.
 
 use crate::report::{Cell, Table};
 use crate::{
-    bench_label, cell, cell_opt, mean_best, mean_found, measure_placement, run_agent_multi, train,
-    Cells, ExpConfig, Experiment, BENCHMARKS,
+    bench_label, cell, cell_opt, mean_best, mean_found, measure_placement, run_agent_multi,
+    train_cell, Cells, ExpConfig, Experiment, BENCHMARKS,
 };
-use mars_core::agent::{AgentKind, TrainingLog, TrainingRecord};
+use mars_core::agent::{AgentKind, TrainingRecord};
 use mars_core::baselines::{gpu_only, human_expert};
 use mars_core::generalize::{different_source, generalize, similar_source, GeneralizeResult};
 use mars_core::partitioner::best_min_cut;
@@ -53,15 +53,12 @@ fn table1_placers(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> 
         "Table 1: per-step time (s) by placer (frozen trained encoder); MLP column is the §3.3 ablation",
         &["Models", "Seq2seq", "Trf-XL", "Seq2seq (segment)", "MLP (§3.3)"],
     );
-    for (wi, w) in BENCHMARKS.into_iter().enumerate() {
+    for w in BENCHMARKS {
         let mut row = vec![text(bench_label(w))];
-        for (pi, choice) in
+        for choice in
             [PlacerChoice::Seq2Seq, PlacerChoice::TrfXl, PlacerChoice::Segment, PlacerChoice::Mlp]
-                .into_iter()
-                .enumerate()
         {
-            let kind = AgentKind::FixedEncoder(choice);
-            let logs = run_agent_multi(cfg, cells, kind, w, (wi * 8 + pi) as u64 + 300)?;
+            let logs = run_agent_multi(cfg, cells, AgentKind::FixedEncoder(choice), w)?;
             row.push(text(cell_opt(mean_best(&logs))));
         }
         table.push(row);
@@ -92,21 +89,18 @@ fn table2_final(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
         ],
     );
     let cluster = Cluster::p100_quad();
-    for (wi, w) in BENCHMARKS.into_iter().enumerate() {
+    for w in BENCHMARKS {
         let graph = w.build(cfg.profile);
-        let human = measure_placement(cfg, w, &human_expert(w, &graph, &cluster), 1);
-        let gpu = measure_placement(cfg, w, &gpu_only(&graph, &cluster), 2);
+        let human = measure_placement(cfg, w, &human_expert(w, &graph, &cluster));
+        let gpu = measure_placement(cfg, w, &gpu_only(&graph, &cluster));
         let mut row = vec![text(bench_label(w)), text(cell(&human)), text(cell(&gpu))];
-        for (ai, kind) in [
+        for kind in [
             AgentKind::GrouperPlacer,
             AgentKind::EncoderPlacer,
             AgentKind::Mars,
             AgentKind::MarsNoPretrain,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let logs = run_agent_multi(cfg, cells, kind, w, (wi * 16 + ai) as u64 + 100)?;
+        ] {
+            let logs = run_agent_multi(cfg, cells, kind, w)?;
             row.push(text(cell_opt(mean_best(&logs))));
         }
         table.push(row);
@@ -140,36 +134,24 @@ fn table3_generalization(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<T
         ],
         &["Similar source", "Different source"],
     );
-    for (wi, w) in BENCHMARKS.into_iter().enumerate() {
+    for w in BENCHMARKS {
         let sim_src = similar_source(w);
         let dif_src = different_source(w);
-        // Arm 1 generalizes from the similar source, arm 2 from the
-        // different one; arm 3 trains directly for as many samples as
-        // arm 1 spent in all.
-        let offset = |arm: u64| wi as u64 * 31 + arm;
-        let seed = |arm: u64, s: u64| cfg.seed ^ (offset(arm) + s * 977);
+        // Two arms generalize, from the similar source and from the
+        // different one; the third trains directly for as many samples
+        // as the similar arm spent in all.
         let (mut sim_bests, mut dif_bests, mut dir_bests) = (Vec::new(), Vec::new(), Vec::new());
         for s in 0..cfg.seeds as u64 {
-            let mut from = |src, arm| -> io::Result<GeneralizeResult> {
-                cells.run(offset(arm), s, || {
-                    generalize(
-                        &cfg.mars,
-                        src,
-                        w,
-                        cfg.profile,
-                        cfg.budget,
-                        patience,
-                        finetune,
-                        seed(arm, s),
-                    )
+            let mut from = |src: Workload| -> io::Result<GeneralizeResult> {
+                let arm = format!("Mars-from-{}", src.name());
+                cells.run(&arm, w, cfg.budget, &cfg.mars, s, |seed| {
+                    generalize(&cfg.mars, src, w, cfg.profile, cfg.budget, patience, finetune, seed)
                 })
             };
-            let sim = from(sim_src, 1)?;
-            let dif = from(dif_src, 2)?;
+            let sim = from(sim_src)?;
+            let dif = from(dif_src)?;
             let total = sim.train_samples + finetune;
-            let dir: TrainingLog = cells.run(offset(3), s, || {
-                train(cfg, AgentKind::Mars, w, total, seed(3, s), seed(3, s) ^ 0x5151)
-            })?;
+            let dir = train_cell(cfg, cells, AgentKind::Mars, w, total, s)?;
             dir_bests.push(dir.best_reading_s);
             sim_bests.push(sim.best_s);
             dif_bests.push(dif.best_s);
@@ -205,12 +187,9 @@ fn fig7_curves(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
         "Fig. 7: final best and samples until within 10% of it",
         &["Workload", "Agent", "Final best (s)", "Samples to converge"],
     );
-    for (wi, w) in [Workload::InceptionV3, Workload::Gnmt4].into_iter().enumerate() {
-        for (ai, kind) in [AgentKind::Mars, AgentKind::GrouperPlacer, AgentKind::EncoderPlacer]
-            .into_iter()
-            .enumerate()
-        {
-            let logs = run_agent_multi(cfg, cells, kind, w, (wi * 32 + ai) as u64 + 700)?;
+    for w in [Workload::InceptionV3, Workload::Gnmt4] {
+        for kind in [AgentKind::Mars, AgentKind::GrouperPlacer, AgentKind::EncoderPlacer] {
+            let logs = run_agent_multi(cfg, cells, kind, w)?;
             let rounds = logs.iter().map(|l| l.records.len()).min().unwrap_or(0);
             for i in 0..rounds {
                 let mean = |f: fn(&TrainingRecord) -> Option<f64>| {
@@ -278,13 +257,10 @@ fn fig8_training_time(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Tabl
         &["Workload", "Global best (s)", "Saving (%)"],
     );
     let mut saved = Vec::new();
-    for (wi, w) in BENCHMARKS.into_iter().enumerate() {
+    for w in BENCHMARKS {
         let runs = AGENTS
             .iter()
-            .enumerate()
-            .map(|(ai, &kind)| {
-                Ok((kind, run_agent_multi(cfg, cells, kind, w, (wi * 64 + ai) as u64 + 800)?))
-            })
+            .map(|&kind| Ok((kind, run_agent_multi(cfg, cells, kind, w)?)))
             .collect::<io::Result<Vec<_>>>()?;
         let global_best = runs
             .iter()
@@ -354,10 +330,9 @@ fn ablation_rl(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
         "Ablation: PPO vs REINFORCE (Mars agent)",
         &["Workload", "Algorithm", "Mean best (s)", "Samples to converge"],
     );
-    for (wi, w) in [Workload::InceptionV3, Workload::Gnmt4].into_iter().enumerate() {
-        for (ci, (algo, exp)) in [("PPO", cfg), ("REINFORCE", &reinforce)].into_iter().enumerate() {
-            let logs =
-                run_agent_multi(exp, cells, AgentKind::Mars, w, (wi * 4 + ci) as u64 + 4000)?;
+    for w in [Workload::InceptionV3, Workload::Gnmt4] {
+        for (algo, exp) in [("PPO", cfg), ("REINFORCE", &reinforce)] {
+            let logs = run_agent_multi(exp, cells, AgentKind::Mars, w)?;
             let converge =
                 mean_found(logs.iter().map(|l| l.samples_to_converge(1.05).map(|s| s as f64)));
             table.push(vec![
@@ -386,12 +361,11 @@ fn ablation_segment(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>
         &["Workload", "Segment size", "Mean best (s)"],
         &["Segment size (ops)"],
     );
-    for (wi, w) in [Workload::Gnmt4, Workload::BertBase].into_iter().enumerate() {
-        for (si, &s) in sweep.iter().enumerate() {
+    for w in [Workload::Gnmt4, Workload::BertBase] {
+        for &s in sweep {
             let mut exp = cfg.clone();
             exp.mars.segment_size = s;
-            let logs =
-                run_agent_multi(&exp, cells, AgentKind::Mars, w, (wi * 16 + si) as u64 + 5000)?;
+            let logs = run_agent_multi(&exp, cells, AgentKind::Mars, w)?;
             table.push(vec![
                 text(bench_label(w)),
                 text(if s >= 4096 { "whole-seq".into() } else { s.to_string() }),
@@ -417,16 +391,16 @@ fn ablation_partitioner(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Ta
         &["Cut (MB)"],
     );
     let cluster = Cluster::p100_quad();
-    for (wi, w) in BENCHMARKS.into_iter().enumerate() {
+    for w in BENCHMARKS {
         let graph = w.build(cfg.profile);
         let (cut_cell, cut_mb) = match best_min_cut(&graph, &cluster) {
             Some(p) => {
-                let out = measure_placement(cfg, w, &p, 6000 + wi as u64);
+                let out = measure_placement(cfg, w, &p);
                 (cell(&out), p.cut_bytes(&graph) as f64 / (1 << 20) as f64)
             }
             None => ("infeasible".to_string(), 0.0),
         };
-        let mars = run_agent_multi(cfg, cells, AgentKind::Mars, w, 6100 + wi as u64)?;
+        let mars = run_agent_multi(cfg, cells, AgentKind::Mars, w)?;
         table.push(vec![
             text(bench_label(w)),
             text(cut_cell),
@@ -447,16 +421,11 @@ fn ablation_reward(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>>
         "Ablation: reward shaping (Mars agent)",
         &["Workload", "Shaping", "Mean best (s)"],
     );
-    for (wi, w) in [Workload::Gnmt4, Workload::BertBase].into_iter().enumerate() {
-        for (si, shaping) in
-            [RewardShaping::NegSqrt, RewardShaping::NegLinear, RewardShaping::NegLog]
-                .into_iter()
-                .enumerate()
-        {
+    for w in [Workload::Gnmt4, Workload::BertBase] {
+        for shaping in [RewardShaping::NegSqrt, RewardShaping::NegLinear, RewardShaping::NegLog] {
             let mut exp = cfg.clone();
             exp.mars.reward_shaping = shaping;
-            let logs =
-                run_agent_multi(&exp, cells, AgentKind::Mars, w, (wi * 8 + si) as u64 + 7000)?;
+            let logs = run_agent_multi(&exp, cells, AgentKind::Mars, w)?;
             table.push(vec![
                 text(bench_label(w)),
                 text(format!("{shaping:?}")),

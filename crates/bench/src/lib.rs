@@ -11,12 +11,15 @@
 //! ```
 //!
 //! A table function does not train: it asks [`Cells`] for its seed
-//! cells, one training or generalization run each. A cell missing from
-//! `target/experiments/<table>.cells.jsonl` runs and is appended there
-//! as it finishes; one already there is read back. Re-running the same
-//! command therefore resumes a killed run, and with every cell present
-//! a table function is a pure render. Deleting the cells file starts
-//! over.
+//! cells, one training or generalization run each. Every table shares
+//! one file, `target/experiments/cells.jsonl`: a cell missing from it
+//! runs and is appended as it finishes; one already there is read back,
+//! whichever table ran it. A cell is named by what it trains, so two
+//! tables that show one configuration show one run of it, and seeded by
+//! where it runs, so every arm of a workload trains on the same seeds.
+//! Re-running a command therefore resumes a killed run, and with every
+//! cell present a table function is a pure render. Deleting the cells
+//! file starts over.
 //!
 //! One writer ([`report::write`]) prints each table as markdown and
 //! writes `target/experiments/<table>.json`, a record naming the axes
@@ -298,6 +301,11 @@ impl CellValue for GeneralizeResult {
     }
 }
 
+/// FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+}
+
 /// FNV-1a of the running executable's bytes, read once per process.
 /// Any change to the code that trains a cell changes it, so no cell of
 /// another build is reused.
@@ -306,39 +314,51 @@ fn fingerprint() -> io::Result<&'static str> {
     if let Some(f) = FINGERPRINT.get() {
         return Ok(f);
     }
-    let bytes = std::fs::read(std::env::current_exe()?)?;
-    let hash = bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+    let hash = fnv1a(&std::fs::read(std::env::current_exe()?)?);
     Ok(FINGERPRINT.get_or_init(|| format!("{hash:016x}")))
 }
 
-/// The seed cells of one table at one set of axes, backed by
-/// `<dir>/<table>.cells.jsonl`.
+/// The seed of seed index `s` on `workload` at base seed `base`. It
+/// depends on nothing else, so on one workload every agent kind, every
+/// configuration and every table trains seed `s` from the same weights
+/// seed and measures it under the same noise.
+fn cell_seed(base: u64, workload: Workload, s: u64) -> u64 {
+    base ^ fnv1a(format!("{}/{s}", workload.name()).as_bytes())
+}
+
+/// The measurement noise of a cell seeded `seed` is drawn from
+/// `seed ^ ENV_SALT`, a stream apart from the agent's own draws.
+const ENV_SALT: u64 = 0xE11;
+
+/// The seed cells of every table at one set of axes, backed by
+/// `<dir>/cells.jsonl`.
 ///
 /// A seed cell is one training or generalization run, keyed
-/// `<table>/<seed offset>/<seed index>`. Each line of the file holds a
-/// key, the axes it ran at (profile, budget, base seed and the
-/// [`fingerprint`] of the executable), its wall seconds and its value.
-/// A line is reused only at equal axes, and of two lines for one key
-/// the later wins; the seed count is not an axis,
-/// so raising `--seeds` reuses the seeds already run.
+/// `<arm>/<workload>/<budget>/<config digest>/<seed index>`: what it
+/// trains, on which workload, for how many evaluations, with which
+/// [`MarsConfig`] (FNV-1a of its `Debug` rendering), and which seed.
+/// Its seed is [`cell_seed`] of the workload and the seed index alone.
+/// Each line of the file holds a key, the axes it ran at (profile, base
+/// seed and the [`fingerprint`] of the executable), its wall seconds
+/// and its value. A line is reused only at equal axes, and of two lines
+/// for one key the later wins; the seed count is not an axis, so raising
+/// `--seeds` reuses the seeds already run.
 pub struct Cells {
-    table: String,
     file: File,
     axes: Json,
+    seed: u64,
     done: HashMap<String, Json>,
     ran: usize,
     reused: usize,
 }
 
 impl Cells {
-    /// Open (or create) `<dir>/<table>.cells.jsonl` and read the cells
-    /// already run at `cfg`'s axes. A final line without its newline
-    /// was torn by a killed run: it is cut off, and its cell runs again.
-    pub fn open(dir: &Path, table: &str, cfg: &ExpConfig) -> io::Result<Cells> {
+    /// Open (or create) `<dir>/cells.jsonl` and read the cells already
+    /// run at `cfg`'s axes. A final line without its newline was torn
+    /// by a killed run: it is cut off, and its cell runs again.
+    pub fn open(dir: &Path, cfg: &ExpConfig) -> io::Result<Cells> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{table}.cells.jsonl"));
+        let path = dir.join("cells.jsonl");
         let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
@@ -346,7 +366,6 @@ impl Cells {
         file.set_len(whole as u64)?;
         let axes = Json::obj([
             ("profile", Json::from(cfg.profile.name())),
-            ("budget", cfg.budget.into()),
             ("seed", cfg.seed.into()),
             ("fingerprint", fingerprint()?.into()),
         ]);
@@ -360,28 +379,33 @@ impl Cells {
                 done.insert(key.to_string(), line["value"].clone());
             }
         }
-        Ok(Cells { table: table.to_string(), file, axes, done, ran: 0, reused: 0 })
+        Ok(Cells { file, axes, seed: cfg.seed, done, ran: 0, reused: 0 })
     }
 
-    /// Seed cell `(offset, seed_index)`: its value from the cells file
-    /// if it is there, else `train`'s, appended to the file as one
+    /// Seed cell `seed_index` of `arm` on `workload` at `budget` and
+    /// `mars`: its value from the cells file if it is there, else
+    /// `train`'s from the cell's seed, appended to the file as one
     /// synced line and announced by a progress line on stderr and a
     /// `bench.run` event. Either way the value is the one the line
     /// decodes to, so a table renders the same bytes from a fresh run
     /// and from a resumed one.
     pub(crate) fn run<T: CellValue>(
         &mut self,
-        offset: u64,
+        arm: &str,
+        workload: Workload,
+        budget: usize,
+        mars: &MarsConfig,
         seed_index: u64,
-        train: impl FnOnce() -> T,
+        train: impl FnOnce(u64) -> T,
     ) -> io::Result<T> {
-        let key = format!("{}/{offset}/{seed_index}", self.table);
+        let digest = fnv1a(format!("{mars:?}").as_bytes());
+        let key = format!("{arm}/{}/{budget}/{digest:016x}/{seed_index}", workload.name());
         if let Some(value) = self.done.get(&key).and_then(T::from_json) {
             self.reused += 1;
             return Ok(value);
         }
         let t0 = Instant::now();
-        let value = train();
+        let value = train(cell_seed(self.seed, workload, seed_index));
         let wall_s = t0.elapsed().as_secs_f64();
         let line = Json::obj([
             ("cell", Json::from(&key)),
@@ -417,40 +441,46 @@ impl Cells {
     }
 }
 
-/// Seeds `0..cfg.seeds` of one (agent, workload) cell of a table:
-/// seed `s` trains `kind` on `workload` for `cfg.budget` evaluations
-/// from seed `cfg.seed ^ (offset + s·7919)`.
+/// Seeds `0..cfg.seeds` of `kind` on `workload` at `cfg.budget`.
 pub(crate) fn run_agent_multi(
     cfg: &ExpConfig,
     cells: &mut Cells,
     kind: AgentKind,
     workload: Workload,
-    offset: u64,
 ) -> io::Result<Vec<TrainingLog>> {
-    (0..cfg.seeds as u64)
-        .map(|s| {
-            let seed = cfg.seed ^ (offset + s * 7919);
-            cells.run(offset, s, || train(cfg, kind, workload, cfg.budget, seed, seed ^ 0xE11))
-        })
-        .collect()
+    (0..cfg.seeds as u64).map(|s| train_cell(cfg, cells, kind, workload, cfg.budget, s)).collect()
+}
+
+/// Seed cell `s` of `kind` trained on `workload` for `budget`
+/// evaluations.
+pub(crate) fn train_cell(
+    cfg: &ExpConfig,
+    cells: &mut Cells,
+    kind: AgentKind,
+    workload: Workload,
+    budget: usize,
+    s: u64,
+) -> io::Result<TrainingLog> {
+    cells.run(&format!("{kind:?}"), workload, budget, &cfg.mars, s, |seed| {
+        train(cfg, kind, workload, budget, seed)
+    })
 }
 
 /// Train an agent of `kind` on `workload` for `budget` evaluations,
-/// its weights and samples drawn from `rng_seed` and its measurement
-/// noise from `env_seed`. Mars and Table 1's frozen encoders pre-train
+/// its weights and samples drawn from `seed` and its measurement noise
+/// from `seed ^ ENV_SALT`. Mars and Table 1's frozen encoders pre-train
 /// their GCN with DGI first; the frozen encoders then freeze it.
-pub(crate) fn train(
+fn train(
     cfg: &ExpConfig,
     kind: AgentKind,
     workload: Workload,
     budget: usize,
-    rng_seed: u64,
-    env_seed: u64,
+    seed: u64,
 ) -> TrainingLog {
     let graph = workload.build(cfg.profile);
     let input = WorkloadInput::from_graph(&graph);
     let cluster = Cluster::p100_quad();
-    let mut rng = StdRng::seed_from_u64(rng_seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut agent =
         Agent::new(kind, cfg.mars.clone(), FEATURE_DIM, cluster.num_devices(), &mut rng);
 
@@ -465,22 +495,21 @@ pub(crate) fn train(
         agent.freeze_encoder(&input);
     }
 
-    let mut env = SimEnv::new(graph, cluster, env_seed);
+    let mut env = SimEnv::new(graph, cluster, seed ^ ENV_SALT);
     agent.train(&mut env, &input, budget, &mut rng, &mut log);
     log
 }
 
-/// Evaluate a fixed placement under the measurement protocol.
+/// Evaluate a fixed placement under the measurement protocol, with the
+/// noise seed index 0 of `workload` trains under.
 pub(crate) fn measure_placement(
     cfg: &ExpConfig,
     workload: Workload,
     placement: &Placement,
-    seed_offset: u64,
 ) -> EvalOutcome {
     let graph = workload.build(cfg.profile);
-    let cluster = Cluster::p100_quad();
-    let mut env = SimEnv::new(graph, cluster, cfg.seed ^ seed_offset);
-    env.evaluate(placement)
+    let seed = cell_seed(cfg.seed, workload, 0) ^ ENV_SALT;
+    SimEnv::new(graph, Cluster::p100_quad(), seed).evaluate(placement)
 }
 
 /// Format a table cell: seconds or "OOM".
@@ -574,17 +603,19 @@ mod tests {
         }
     }
 
-    /// Asks for cells `(offset, 0)` of `offsets` and returns their best
-    /// times and how many of them trained.
-    fn ask(cells: &mut Cells, offsets: &[u64]) -> (Vec<Option<f64>>, usize) {
+    /// Asks for seed 0 of each of `arms` on Inception-V3 at `budget`
+    /// and returns their best times and how many of them trained.
+    fn ask(cells: &mut Cells, budget: usize, arms: &[&str]) -> (Vec<Option<f64>>, usize) {
         let mut trained = 0;
-        let bests = offsets
+        let bests = arms
             .iter()
-            .map(|&o| {
+            .enumerate()
+            .map(|(i, arm)| {
+                let mars = MarsConfig::small();
                 cells
-                    .run(o, 0, || {
+                    .run(arm, Workload::InceptionV3, budget, &mars, 0, |_| {
                         trained += 1;
-                        fake_log(o as f64 + 0.1)
+                        fake_log(i as f64 + 0.1)
                     })
                     .expect("cells file")
                     .best_reading_s
@@ -617,11 +648,11 @@ mod tests {
         cfg.mars.dgi_iters = 5;
         let dir = scratch_dir("multi");
         let run = |cells: &mut Cells| {
-            run_agent_multi(&cfg, cells, AgentKind::MarsNoPretrain, Workload::InceptionV3, 12345)
+            run_agent_multi(&cfg, cells, AgentKind::MarsNoPretrain, Workload::InceptionV3)
                 .expect("cells file")
         };
 
-        let mut cells = Cells::open(&dir, "t", &cfg).unwrap();
+        let mut cells = Cells::open(&dir, &cfg).unwrap();
         let logs = run(&mut cells);
         // Each seed is its own cell: none reuses another's line.
         assert_eq!(logs.len(), 2);
@@ -634,7 +665,7 @@ mod tests {
             None => assert!(found.is_empty()),
         }
 
-        let mut again = Cells::open(&dir, "t", &cfg).unwrap();
+        let mut again = Cells::open(&dir, &cfg).unwrap();
         let reused = run(&mut again);
         assert_eq!(again.counts(), (0, 2));
         let json = |logs: &[TrainingLog]| logs.iter().map(|l| l.to_json()).collect::<Vec<_>>();
@@ -645,13 +676,15 @@ mod tests {
     #[test]
     fn a_value_its_line_cannot_give_back_is_refused() {
         let dir = scratch_dir("nan");
-        let mut cells = Cells::open(&dir, "t", &smoke_cfg()).unwrap();
+        let mut cells = Cells::open(&dir, &smoke_cfg()).unwrap();
         let mut log = fake_log(0.5);
         log.records[0].policy_entropy = f64::NAN;
-        let err = cells.run(1, 0, || log).map(|_| ()).unwrap_err();
+        let mars = MarsConfig::small();
+        let err =
+            cells.run("a", Workload::InceptionV3, 8, &mars, 0, |_| log).map(|_| ()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("t/1/0"), "{err}");
-        assert_eq!(std::fs::read_to_string(dir.join("t.cells.jsonl")).unwrap(), "");
+        assert!(err.to_string().contains("cell a/inception_v3/8/"), "{err}");
+        assert_eq!(std::fs::read_to_string(dir.join("cells.jsonl")).unwrap(), "");
         assert_eq!(cells.counts(), (0, 0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -660,14 +693,14 @@ mod tests {
     fn a_complete_cells_file_trains_nothing() {
         let dir = scratch_dir("complete");
         let cfg = smoke_cfg();
-        let first = ask(&mut Cells::open(&dir, "t", &cfg).unwrap(), &[1, 2, 3]);
+        let first = ask(&mut Cells::open(&dir, &cfg).unwrap(), 8, &["a", "b", "c"]);
         assert_eq!(first.1, 3);
-        let mut cells = Cells::open(&dir, "t", &cfg).unwrap();
-        assert_eq!(ask(&mut cells, &[1, 2, 3]), (first.0, 0));
+        let mut cells = Cells::open(&dir, &cfg).unwrap();
+        assert_eq!(ask(&mut cells, 8, &["a", "b", "c"]), (first.0, 0));
         assert_eq!(cells.counts(), (0, 3));
         // The seed count is not an axis: more seeds reuse the ones run.
         let more = ExpConfig { seeds: 5, ..smoke_cfg() };
-        assert_eq!(ask(&mut Cells::open(&dir, "t", &more).unwrap(), &[1, 2, 3]).1, 0);
+        assert_eq!(ask(&mut Cells::open(&dir, &more).unwrap(), 8, &["a", "b", "c"]).1, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -675,21 +708,22 @@ mod tests {
     fn a_torn_final_line_is_skipped_and_its_cell_rerun() {
         let dir = scratch_dir("torn");
         let cfg = smoke_cfg();
-        let first = ask(&mut Cells::open(&dir, "t", &cfg).unwrap(), &[1, 2, 3]);
-        let path = dir.join("t.cells.jsonl");
+        let first = ask(&mut Cells::open(&dir, &cfg).unwrap(), 8, &["a", "b", "c"]);
+        let path = dir.join("cells.jsonl");
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         let torn = format!("{}\n{}\n{}", lines[0], lines[1], &lines[2][..lines[2].len() / 2]);
         std::fs::write(&path, torn).unwrap();
 
-        assert_eq!(ask(&mut Cells::open(&dir, "t", &cfg).unwrap(), &[1, 2, 3]), (first.0, 1));
+        let again = ask(&mut Cells::open(&dir, &cfg).unwrap(), 8, &["a", "b", "c"]);
+        assert_eq!(again, (first.0, 1));
         // The torn half is gone and the re-run cell's line is whole.
         let resumed = std::fs::read_to_string(&path).unwrap();
         assert!(resumed.starts_with(&format!("{}\n{}\n{{", lines[0], lines[1])), "{resumed}");
         assert!(resumed.lines().all(|l| Json::parse(l).is_ok()), "{resumed}");
         assert_eq!(resumed.lines().count(), 3);
-        assert_eq!(ask(&mut Cells::open(&dir, "t", &cfg).unwrap(), &[1, 2, 3]).1, 0);
+        assert_eq!(ask(&mut Cells::open(&dir, &cfg).unwrap(), 8, &["a", "b", "c"]).1, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -697,17 +731,75 @@ mod tests {
     fn a_line_of_another_build_or_budget_is_never_reused() {
         let dir = scratch_dir("stale");
         let cfg = smoke_cfg();
-        ask(&mut Cells::open(&dir, "t", &cfg).unwrap(), &[1, 2]);
+        ask(&mut Cells::open(&dir, &cfg).unwrap(), 8, &["a", "b"]);
 
-        let other_budget = ExpConfig { budget: 9, ..smoke_cfg() };
-        assert_eq!(ask(&mut Cells::open(&dir, "t", &other_budget).unwrap(), &[1, 2]).1, 2);
+        // The budget is part of the key: lines at two budgets coexist,
+        // and each is reused at its own.
+        assert_eq!(ask(&mut Cells::open(&dir, &cfg).unwrap(), 9, &["a", "b"]).1, 2);
+        assert_eq!(ask(&mut Cells::open(&dir, &cfg).unwrap(), 8, &["a", "b"]).1, 0);
+        assert_eq!(ask(&mut Cells::open(&dir, &cfg).unwrap(), 9, &["a", "b"]).1, 0);
 
-        let path = dir.join("t.cells.jsonl");
+        let path = dir.join("cells.jsonl");
         let text = std::fs::read_to_string(&path).unwrap();
         let fp = fingerprint().unwrap();
         assert!(text.contains(fp));
         std::fs::write(&path, text.replace(fp, "0000000000000000")).unwrap();
-        assert_eq!(ask(&mut Cells::open(&dir, "t", &cfg).unwrap(), &[1, 2]).1, 2);
+        assert_eq!(ask(&mut Cells::open(&dir, &cfg).unwrap(), 8, &["a", "b"]).1, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_cell_is_seeded_by_its_workload_and_seed_index_alone() {
+        let dir = scratch_dir("seeds");
+        let mut cells = Cells::open(&dir, &smoke_cfg()).unwrap();
+        let mut seed_of = |arm: &str, w: Workload, budget: usize, segment_size: usize, s: u64| {
+            let mars = MarsConfig { segment_size, ..MarsConfig::small() };
+            let mut seed = 0;
+            cells
+                .run(arm, w, budget, &mars, s, |cell_seed| {
+                    seed = cell_seed;
+                    fake_log(0.5)
+                })
+                .expect("cells file");
+            seed
+        };
+        let base = seed_of("a", Workload::Gnmt4, 8, 32, 0);
+        assert_eq!(seed_of("b", Workload::Gnmt4, 9, 16, 0), base, "another arm, budget, config");
+        assert_ne!(seed_of("a", Workload::Gnmt4, 8, 32, 1), base, "another seed index");
+        assert_ne!(seed_of("a", Workload::BertBase, 8, 32, 0), base, "another workload");
+        // Each of the four asks above was a distinct cell.
+        assert_eq!(cells.counts(), (4, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The rendered tables of `name` over the cells file in `dir`, and
+    /// how many cells the render trained and read back.
+    fn render(dir: &Path, cfg: &ExpConfig, name: &str) -> (Vec<Table>, (usize, usize)) {
+        let exp = EXPERIMENTS.iter().find(|e| e.name == name).expect("listed");
+        let mut cells = Cells::open(dir, cfg).expect("cells file");
+        let tables = (exp.run)(cfg, &mut cells).expect("cells file");
+        (tables, cells.counts())
+    }
+
+    #[test]
+    fn tables_share_the_cells_of_one_configuration() {
+        let cfg = smoke_cfg();
+        let dir = scratch_dir("shared");
+        let (table2, counts) = render(&dir, &cfg, "table2_final");
+        assert_eq!(counts, (12, 0), "four agents on three workloads");
+        for (name, reused) in
+            [("fig7_curves", 6), ("fig8_training_time", 12), ("ablation_partitioner", 3)]
+        {
+            assert_eq!(render(&dir, &cfg, name).1, (0, reused), "{name} renders Table 2's cells");
+        }
+        // GNMT-4 is row 1 of both; Mars is Table 2's column 5 and the
+        // partitioner ablation's column 2.
+        let (partitioner, _) = render(&dir, &cfg, "ablation_partitioner");
+        let mars = |tables: &[Table], col: usize| {
+            let record = report::record("t", &cfg, tables);
+            record["tables"][0]["rows"][1][col].as_str().expect("a time").parse::<f64>().unwrap()
+        };
+        assert_eq!(mars(&table2, 5).to_bits(), mars(&partitioner, 2).to_bits());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -783,7 +875,7 @@ mod tests {
         let cfg = smoke_cfg();
         let exp = EXPERIMENTS.iter().find(|e| e.name == name).expect("listed");
         let dir = scratch_dir(name);
-        let mut cells = Cells::open(&dir, name, &cfg).expect("cells file");
+        let mut cells = Cells::open(&dir, &cfg).expect("cells file");
         let tables = (exp.run)(&cfg, &mut cells).expect("cells file");
         let text = report::record(name, &cfg, &tables).pretty();
         std::fs::remove_dir_all(&dir).expect("remove the cells file");

@@ -204,6 +204,13 @@ pub fn pretrain(
     for it in 0..iters {
         perm.shuffle(rng);
         let (value, disc_acc) = dgi.step(&mut tapes, store, encoder, input, &perm);
+        // `value` is the loss of the parameters before this step: those
+        // are the ones to keep if it is the lowest.
+        if value < best_loss {
+            best_loss = value;
+            best_iter = it;
+            best_snapshot = store.snapshot();
+        }
         adam.step(store, GRAD_CLIP);
         losses.push(value);
         if mars_telemetry::active() {
@@ -215,11 +222,6 @@ pub fn pretrain(
                     ("disc_acc", disc_acc.into()),
                 ],
             );
-        }
-        if value < best_loss {
-            best_loss = value;
-            best_iter = it;
-            best_snapshot = store.snapshot();
         }
     }
     store.restore(&best_snapshot);
@@ -280,6 +282,28 @@ mod tests {
         let perm: Vec<usize> = (0..input.num_ops).rev().collect();
         let (v, _) = dgi.step(&mut DgiTapes::default(), &mut store, &enc, &input, &perm);
         assert!(v < report.losses[0] * 1.2, "restored loss {v} vs first {}", report.losses[0]);
+    }
+
+    #[test]
+    fn one_iteration_restores_the_initial_parameters() {
+        // The one loss measured is the initial parameters'; the step
+        // taken after it must not survive the restore.
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut store = ParamStore::new();
+        let enc = GcnEncoder::new(&mut store, FEATURE_DIM, 8, 2, &mut rng);
+        let dgi = Dgi::new(&mut store, 8, &mut rng);
+        let input = WorkloadInput::from_graph(&Workload::InceptionV3.build(Profile::Reduced));
+        let bits = |store: &ParamStore| -> Vec<Vec<u32>> {
+            store
+                .snapshot()
+                .iter()
+                .map(|m| m.as_slice().iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let initial = bits(&store);
+        let report = pretrain(&mut store, &enc, &dgi, &input, 1, 5e-3, &mut rng);
+        assert_eq!((report.losses.len(), report.best_iter), (1, 0));
+        assert!(bits(&store) == initial, "the restore kept a parameter of the step after the best");
     }
 
     /// The single-tape composition the lanes replace: both views, then

@@ -38,14 +38,11 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 /// ones.
 const LATENCY_EDGES: [f64; 11] = [1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1.0];
 
-/// Serve-loop tuning knobs.
+/// Serve-loop options: none. Kept only because the benchmark's serve
+/// workload (`ledger/src/serve.rs`) names it; it goes when that caller
+/// does.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ServeOptions {
-    /// Stop accepting new connections once this many requests have
-    /// been answered (existing connections drain). `None` serves until
-    /// a [`Msg::Shutdown`] arrives.
-    pub max_requests: Option<u64>,
-}
+pub struct ServeOptions;
 
 /// What the serve loop did, returned when it exits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -62,7 +59,6 @@ struct Shared {
     engine: PlacementEngine,
     stop: AtomicBool,
     served: AtomicU64,
-    max_requests: Option<u64>,
     /// Where the accept loop listens, for whoever stops it.
     listening_on: Option<Addr>,
 }
@@ -95,14 +91,13 @@ fn join_finished(handlers: &mut Vec<JoinHandle<()>>) {
 }
 
 /// Run the serve loop on `listener` until a client sends
-/// [`Msg::Shutdown`] (or `opts.max_requests` is reached), then join
-/// every handler thread and report what happened.
-pub fn serve(listener: &Listener, engine: PlacementEngine, opts: ServeOptions) -> ServeStats {
+/// [`Msg::Shutdown`], then join every handler thread and report what
+/// happened.
+pub fn serve(listener: &Listener, engine: PlacementEngine, _opts: ServeOptions) -> ServeStats {
     let shared = Arc::new(Shared {
         engine,
         stop: AtomicBool::new(false),
         served: AtomicU64::new(0),
-        max_requests: opts.max_requests,
         listening_on: listener.local_addr().ok(),
     });
     let mut handlers = Vec::new();
@@ -203,10 +198,7 @@ fn handle_conn(mut conn: Conn, shared: &Shared) {
                         mars_telemetry::counter("serve.requests").inc();
                         mars_telemetry::histogram("serve.latency_s", &LATENCY_EDGES)
                             .observe(start.elapsed().as_secs_f64());
-                        let served = shared.served.fetch_add(1, Ordering::SeqCst) + 1;
-                        if shared.max_requests.is_some_and(|max| served >= max) {
-                            shared.stop_accepting();
-                        }
+                        shared.served.fetch_add(1, Ordering::SeqCst);
                     }
                     Err(message) => {
                         mars_telemetry::counter("serve.request_errors").inc();
@@ -282,8 +274,7 @@ mod tests {
     #[test]
     fn concurrent_clients_get_byte_identical_responses() {
         let (listener, addr) = unix_listener("concurrent");
-        let server =
-            std::thread::spawn(move || serve(&listener, tiny_engine(21), ServeOptions::default()));
+        let server = std::thread::spawn(move || serve(&listener, tiny_engine(21), ServeOptions));
 
         let n = 4;
         let mut clients = Vec::new();
@@ -341,9 +332,7 @@ mod tests {
     #[test]
     fn top_k_truncates_and_version_mismatch_is_rejected() {
         let (listener, addr) = unix_listener("topk");
-        let server = std::thread::spawn(move || {
-            serve(&listener, tiny_engine(22), ServeOptions { max_requests: Some(5) })
-        });
+        let server = std::thread::spawn(move || serve(&listener, tiny_engine(22), ServeOptions));
 
         let mut conn = Conn::connect(&addr).expect("connect");
         handshake(&mut conn);
@@ -368,17 +357,16 @@ mod tests {
         // Beyond 2^53 the JSON number is no longer exact; it reads as
         // every device, not as an absent `top_k` (greedy only).
         assert_eq!(ask(usize::MAX), full);
+        send_msg(&mut conn, &Msg::Shutdown).expect("send shutdown");
+        assert_eq!(recv_msg(&mut conn).expect("ack"), Some(Msg::Shutdown));
         drop(conn);
-
-        // max_requests reached → accept loop stops; a stale-version
-        // client straggling in before the stop still gets a clean error.
         let stats = server.join().expect("server join");
         assert_eq!((stats.requests, stats.connections), (5, 1), "the wake-up is not a client");
 
+        // A stale-version client gets a clean error, and the daemon
+        // keeps serving the next one.
         let (listener, addr) = unix_listener("version");
-        let server = std::thread::spawn(move || {
-            serve(&listener, tiny_engine(22), ServeOptions { max_requests: Some(1) })
-        });
+        let server = std::thread::spawn(move || serve(&listener, tiny_engine(22), ServeOptions));
         let mut conn = Conn::connect(&addr).expect("connect");
         send_msg(&mut conn, &Msg::Hello { version: PROTOCOL_VERSION + 1 }).expect("send");
         let Some(Msg::Error { message }) = recv_msg(&mut conn).expect("recv") else {
@@ -390,7 +378,10 @@ mod tests {
         handshake(&mut conn);
         send_msg(&mut conn, &request(9, "vgg16", 1)).expect("send");
         let _ = recv_msg(&mut conn).expect("recv");
+        send_msg(&mut conn, &Msg::Shutdown).expect("send shutdown");
+        assert_eq!(recv_msg(&mut conn).expect("ack"), Some(Msg::Shutdown));
         drop(conn);
-        server.join().expect("server join");
+        let stats = server.join().expect("server join");
+        assert_eq!((stats.requests, stats.connections), (1, 2));
     }
 }

@@ -33,10 +33,11 @@ echo "==> experiments runner: one table through the binary twice, the second run
 # `cargo test` above already ran every table at 8 evaluations and 1 seed
 # (mars-bench's smoke::* tests). This checks what they do not reach:
 # the binary's argument parsing, the record the writer leaves behind,
-# and the cells file: the same command run again must train no cell
-# and write the same record.
+# and the shared cells file: the same command run again must train no
+# cell and write the same record, and Table 2 must read back the three
+# Mars cells the partitioner ablation trained.
 RECORD=target/experiments/ablation_partitioner.json
-CELLS=target/experiments/ablation_partitioner.cells.jsonl
+CELLS=target/experiments/cells.jsonl
 rm -f "$RECORD" "$CELLS"
 cargo bench -p mars-bench --bench experiments --offline -- ablation_partitioner --budget 8 --seeds 1
 cp "$RECORD" "$RECORD.first"
@@ -52,6 +53,11 @@ assert record["experiment"] == "ablation_partitioner", record["experiment"]
 assert (record["budget"], record["seeds"]) == (8, 1), (record["budget"], record["seeds"])
 assert len(record["tables"][0]["rows"]) == 3, record["tables"]
 PY
+TABLE2_ERR=$(cargo bench -p mars-bench --bench experiments --offline -- table2_final \
+    --budget 8 --seeds 1 2>&1 >/dev/null)
+grep -q "^table2_final: ran 9 cells, reused 3$" <<< "$TABLE2_ERR" || {
+    echo "table2_final did not share the partitioner ablation's Mars cells:"; echo "$TABLE2_ERR"
+    exit 1; }
 
 echo "==> kernel dispatch parity: MARS_KERNEL=scalar must print identically to auto"
 # Mars runs the seq2seq placer in segments, after ten DGI iterations;

@@ -415,7 +415,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     }
     let listener = Listener::bind(&addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     println!("serving weights {:016x} on {addr}", engine.weights_fp());
-    let stats = mars::serve::serve(&listener, engine, ServeOptions { max_requests: None });
+    let stats = mars::serve::serve(&listener, engine, ServeOptions);
     // Joins of a forward in flight are part of `hot`; named only when
     // there were any, so a single-client run prints what it always has.
     let coalesced = match stats.engine.coalesced {

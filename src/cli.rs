@@ -45,35 +45,30 @@ pub struct Flags {
 
 impl Flags {
     /// Parse raw arguments. A flag followed by another `--flag` (or by
-    /// nothing) is a boolean switch, e.g. `--shutdown`; bare
-    /// positional tokens are ignored (the caller consumes those first).
-    pub fn parse(args: &[String]) -> Flags {
+    /// nothing) is a boolean switch, e.g. `--shutdown`. A flag given
+    /// twice and a bare token (the caller consumes the positional ones
+    /// first) are errors naming them: neither may silently change what
+    /// runs.
+    pub fn parse(args: &[String]) -> Result<Flags, String> {
         let mut map = HashMap::new();
-        let mut i = 0;
-        while i < args.len() {
-            if let Some(key) = args[i].strip_prefix("--") {
-                match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-                    Some(value) => {
-                        map.insert(key.to_string(), value.clone());
-                        i += 2;
-                    }
-                    None => {
-                        map.insert(key.to_string(), String::new());
-                        i += 1;
-                    }
-                }
-            } else {
-                i += 1;
+        let mut args = args.iter().peekable();
+        while let Some(arg) = args.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument '{arg}'"));
+            };
+            let value = args.next_if(|v| !v.starts_with("--")).cloned().unwrap_or_default();
+            if map.insert(key.to_string(), value).is_some() {
+                return Err(format!("--{key} given twice"));
             }
         }
-        Flags { map }
+        Ok(Flags { map })
     }
 
     /// [`Flags::parse`] for `command`, refusing any flag it does not
     /// read ([`COMMAND_FLAGS`]) with an error naming both. A command
     /// missing from the table is the caller's error to report.
     pub fn parse_for(command: &str, args: &[String]) -> Result<Flags, String> {
-        let flags = Flags::parse(args);
+        let flags = Flags::parse(args)?;
         let Some((_, groups)) = COMMAND_FLAGS.iter().find(|(c, _)| *c == command) else {
             return Ok(flags);
         };
@@ -161,7 +156,7 @@ mod tests {
     use super::*;
 
     fn flags(args: &[&str]) -> Flags {
-        Flags::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        Flags::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
     }
 
     #[test]

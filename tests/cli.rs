@@ -135,6 +135,34 @@ fn unknown_flags_are_refused_before_any_work() {
     ]);
 }
 
+/// A repeated flag or a stray word is refused before the command does
+/// anything: neither may choose what runs, as when the last of two
+/// `--placement`s won, or a placement named without its flag left the
+/// default to be evaluated.
+#[test]
+fn repeated_flags_and_stray_words_are_refused_before_any_work() {
+    let sock = "unix:/nonexistent-dir/mars.sock";
+    for (args, needle) in [
+        (
+            vec!["evaluate", "inception", "--placement", "rr4", "--placement", "human"],
+            "--placement given twice",
+        ),
+        (vec!["evaluate", "inception", "rr4"], "unexpected argument 'rr4'"),
+        (vec!["train", "inception", "--budget", "8", "--budget", "9"], "--budget given twice"),
+        (vec!["serve", "--listen", sock, "now"], "unexpected argument 'now'"),
+        (
+            vec!["metrics", "tail", "/nonexistent.jsonl", "--lines", "1", "--lines", "2"],
+            "--lines given twice",
+        ),
+    ] {
+        let out = cli().args(&args).output().expect("run");
+        assert!(!out.status.success(), "{args:?} must be refused");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} started work before refusing");
+    }
+}
+
 /// A command `COMMAND_FLAGS` does not list — one a later version
 /// removed (the old kernel gate) or a typo — is refused as a command,
 /// not as a workload, before any work starts.
