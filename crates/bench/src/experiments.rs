@@ -5,8 +5,8 @@
 
 use crate::report::{Cell, Table};
 use crate::{
-    bench_label, cell, cell_opt, mean_best, mean_found, measure_placement, run_agent_multi,
-    train_cell, Cells, ExpConfig, Experiment, BENCHMARKS,
+    bench_label, cell, mean_best, mean_found, measure_placement, run_agent_multi, train_cell,
+    Cells, ExpConfig, Experiment, BENCHMARKS,
 };
 use mars_core::agent::{AgentKind, TrainingRecord};
 use mars_core::baselines::{gpu_only, human_expert};
@@ -59,7 +59,7 @@ fn table1_placers(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> 
             [PlacerChoice::Seq2Seq, PlacerChoice::TrfXl, PlacerChoice::Segment, PlacerChoice::Mlp]
         {
             let logs = run_agent_multi(cfg, cells, AgentKind::FixedEncoder(choice), w)?;
-            row.push(text(cell_opt(mean_best(&logs))));
+            row.push(Cell::Best(mean_best(&logs)));
         }
         table.push(row);
     }
@@ -101,7 +101,7 @@ fn table2_final(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
             AgentKind::MarsNoPretrain,
         ] {
             let logs = run_agent_multi(cfg, cells, kind, w)?;
-            row.push(text(cell_opt(mean_best(&logs))));
+            row.push(Cell::Best(mean_best(&logs)));
         }
         table.push(row);
     }
@@ -158,9 +158,9 @@ fn table3_generalization(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<T
         }
         table.push(vec![
             text(bench_label(w)),
-            text(cell_opt(mean_found(dir_bests))),
-            text(cell_opt(mean_found(sim_bests))),
-            text(cell_opt(mean_found(dif_bests))),
+            Cell::Best(mean_found(dir_bests)),
+            Cell::Best(mean_found(sim_bests)),
+            Cell::Best(mean_found(dif_bests)),
             text(sim_src.name()),
             text(dif_src.name()),
         ]);
@@ -209,7 +209,7 @@ fn fig7_curves(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
             summary.push(vec![
                 text(bench_label(w)),
                 text(kind.label()),
-                Cell::Num(mean_best(&logs), 3),
+                Cell::Best(mean_best(&logs)),
                 Cell::Num(converge, 0),
             ]);
         }
@@ -338,7 +338,7 @@ fn ablation_rl(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>> {
             table.push(vec![
                 text(bench_label(w)),
                 text(algo),
-                Cell::Num(mean_best(&logs), 3),
+                Cell::Best(mean_best(&logs)),
                 Cell::Num(converge, 0),
             ]);
         }
@@ -369,7 +369,7 @@ fn ablation_segment(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>
             table.push(vec![
                 text(bench_label(w)),
                 text(if s >= 4096 { "whole-seq".into() } else { s.to_string() }),
-                Cell::Num(mean_best(&logs), 3),
+                Cell::Best(mean_best(&logs)),
                 Cell::Num(Some(s as f64), 0),
             ]);
         }
@@ -404,7 +404,7 @@ fn ablation_partitioner(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Ta
         table.push(vec![
             text(bench_label(w)),
             text(cut_cell),
-            text(Cell::Num(mean_best(&mars), 3).to_string()),
+            Cell::Best(mean_best(&mars)),
             Cell::Num(Some(cut_mb), 1),
         ]);
     }
@@ -429,7 +429,7 @@ fn ablation_reward(cfg: &ExpConfig, cells: &mut Cells) -> io::Result<Vec<Table>>
             table.push(vec![
                 text(bench_label(w)),
                 text(format!("{shaping:?}")),
-                Cell::Num(mean_best(&logs), 3),
+                Cell::Best(mean_best(&logs)),
             ]);
         }
     }

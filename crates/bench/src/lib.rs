@@ -31,14 +31,14 @@
 
 use mars_core::agent::{Agent, AgentKind, TrainingLog, TrainingRecord};
 use mars_core::config::MarsConfig;
-use mars_core::generalize::GeneralizeResult;
+use mars_core::generalize::{measurement_env, GeneralizeResult};
 use mars_core::workload_input::WorkloadInput;
 use mars_graph::features::FEATURE_DIM;
 use mars_graph::generators::{Profile, Workload};
 use mars_json::Json;
 use mars_rng::rngs::StdRng;
 use mars_rng::SeedableRng;
-use mars_sim::{Cluster, Environment, EvalOutcome, Placement, SimEnv};
+use mars_sim::{Cluster, Environment, EvalOutcome, Placement};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -326,10 +326,6 @@ fn cell_seed(base: u64, workload: Workload, s: u64) -> u64 {
     base ^ fnv1a(format!("{}/{s}", workload.name()).as_bytes())
 }
 
-/// The measurement noise of a cell seeded `seed` is drawn from
-/// `seed ^ ENV_SALT`, a stream apart from the agent's own draws.
-const ENV_SALT: u64 = 0xE11;
-
 /// The seed cells of every table at one set of axes, backed by
 /// `<dir>/cells.jsonl`.
 ///
@@ -427,7 +423,7 @@ impl Cells {
         self.file.write_all(format!("{line}\n").as_bytes())?;
         self.file.sync_data()?;
         self.ran += 1;
-        eprintln!("{key}: best {}, {wall_s:.1} s", cell_opt(value.best_s()));
+        eprintln!("{key}: best {}, {wall_s:.1} s", report::Cell::Best(value.best_s()));
         mars_telemetry::event(
             "bench.run",
             &[("cell", key.into()), ("best_s", value.best_s().into()), ("wall_s", wall_s.into())],
@@ -467,8 +463,8 @@ pub(crate) fn train_cell(
 }
 
 /// Train an agent of `kind` on `workload` for `budget` evaluations,
-/// its weights and samples drawn from `seed` and its measurement noise
-/// from `seed ^ ENV_SALT`. Mars and Table 1's frozen encoders pre-train
+/// its weights and samples drawn from `seed`, measured in
+/// [`measurement_env`]. Mars and Table 1's frozen encoders pre-train
 /// their GCN with DGI first; the frozen encoders then freeze it.
 fn train(
     cfg: &ExpConfig,
@@ -495,7 +491,7 @@ fn train(
         agent.freeze_encoder(&input);
     }
 
-    let mut env = SimEnv::new(graph, cluster, seed ^ ENV_SALT);
+    let mut env = measurement_env(graph, seed);
     agent.train(&mut env, &input, budget, &mut rng, &mut log);
     log
 }
@@ -508,8 +504,7 @@ pub(crate) fn measure_placement(
     placement: &Placement,
 ) -> EvalOutcome {
     let graph = workload.build(cfg.profile);
-    let seed = cell_seed(cfg.seed, workload, 0) ^ ENV_SALT;
-    SimEnv::new(graph, Cluster::p100_quad(), seed).evaluate(placement)
+    measurement_env(graph, cell_seed(cfg.seed, workload, 0)).evaluate(placement)
 }
 
 /// Format a table cell: seconds or "OOM".
@@ -518,14 +513,6 @@ pub(crate) fn cell(v: &EvalOutcome) -> String {
         EvalOutcome::Valid { per_step_s } => format!("{per_step_s:.3}"),
         EvalOutcome::Bad { .. } => "bad".into(),
         EvalOutcome::Invalid { .. } => "OOM".into(),
-    }
-}
-
-/// Format an optional seconds value.
-pub(crate) fn cell_opt(v: Option<f64>) -> String {
-    match v {
-        Some(s) => format!("{s:.3}"),
-        None => "OOM".into(),
     }
 }
 
@@ -550,8 +537,9 @@ pub(crate) fn bench_label(w: Workload) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mars_core::baselines::human_expert;
     use mars_json::Json;
-    use mars_sim::OomError;
+    use mars_sim::{OomError, SimEnv};
     use std::path::PathBuf;
 
     fn parse(args: &[&str]) -> Result<Invocation, String> {
@@ -564,8 +552,6 @@ mod tests {
         assert_eq!(cell(&EvalOutcome::Bad { cutoff_s: 20.0 }), "bad");
         let oom = OomError { device: 1, required_bytes: 1, capacity_bytes: 0 };
         assert_eq!(cell(&EvalOutcome::Invalid { oom }), "OOM");
-        assert_eq!(cell_opt(Some(0.5)), "0.500");
-        assert_eq!(cell_opt(None), "OOM");
     }
 
     #[test]
@@ -772,6 +758,38 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Table 3's direct arm and the fine-tuning of its generalized arms
+    /// measure the unseen workload at equal seeds, in one environment,
+    /// so both read the same noise.
+    #[test]
+    fn table3_arms_measure_the_unseen_workload_under_one_noise() {
+        use mars_core::generalize::{different_source, similar_source};
+        let (cfg, w) = (smoke_cfg(), Workload::Gnmt4);
+        let dir = scratch_dir("table3-noise");
+        let mut cells = Cells::open(&dir, &cfg).unwrap();
+        let mut env_of = |arm: &str| {
+            let mut seed = 0;
+            cells
+                .run(arm, w, cfg.budget, &cfg.mars, 0, |cell_seed| {
+                    seed = cell_seed;
+                    fake_log(0.5)
+                })
+                .expect("cells file");
+            measurement_env(w.build(cfg.profile), seed)
+        };
+        let graph = w.build(cfg.profile);
+        let placement = human_expert(w, &graph, &Cluster::p100_quad());
+        let readings = |mut env: SimEnv| -> Vec<String> {
+            (0..3).map(|_| format!("{:?}", env.evaluate(&placement))).collect()
+        };
+        let direct = readings(env_of(&format!("{:?}", AgentKind::Mars)));
+        for src in [similar_source(w), different_source(w)] {
+            let generalized = readings(env_of(&format!("Mars-from-{}", src.name())));
+            assert_eq!(generalized, direct, "fine-tuning from {}", src.name());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// The rendered tables of `name` over the cells file in `dir`, and
     /// how many cells the render trained and read back.
     fn render(dir: &Path, cfg: &ExpConfig, name: &str) -> (Vec<Table>, (usize, usize)) {
@@ -793,13 +811,37 @@ mod tests {
             assert_eq!(render(&dir, &cfg, name).1, (0, reused), "{name} renders Table 2's cells");
         }
         // GNMT-4 is row 1 of both; Mars is Table 2's column 5 and the
-        // partitioner ablation's column 2.
+        // partitioner ablation's column 2, both recorded as numbers.
         let (partitioner, _) = render(&dir, &cfg, "ablation_partitioner");
         let mars = |tables: &[Table], col: usize| {
             let record = report::record("t", &cfg, tables);
-            record["tables"][0]["rows"][1][col].as_str().expect("a time").parse::<f64>().unwrap()
+            record["tables"][0]["rows"][1][col].as_f64().expect("a time")
         };
         assert_eq!(mars(&table2, 5).to_bits(), mars(&partitioner, 2).to_bits());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_partitioner_ablation_records_mars_as_a_number_or_null() {
+        let cfg = smoke_cfg();
+        let dir = scratch_dir("partitioner-mars");
+        {
+            // The Mars cells, already run; on GNMT-4 no seed found a
+            // placement.
+            let mut cells = Cells::open(&dir, &cfg).unwrap();
+            let arm = format!("{:?}", AgentKind::Mars);
+            for (w, best) in BENCHMARKS.into_iter().zip([Some(0.25), None, Some(2.5)]) {
+                let log = || TrainingLog { best_reading_s: best, ..fake_log(1.0) };
+                cells.run(&arm, w, cfg.budget, &cfg.mars, 0, |_| log()).unwrap();
+            }
+        }
+        let (tables, counts) = render(&dir, &cfg, "ablation_partitioner");
+        assert_eq!(counts, (0, 3), "the partitioner ablation reads the Mars cells back");
+        let record = Json::parse(&report::record("p", &cfg, &tables).to_string()).unwrap();
+        let mars: Vec<&Json> = (0..3).map(|r| &record["tables"][0]["rows"][r][2]).collect();
+        assert_eq!(mars[0].as_f64(), Some(0.25));
+        assert!(mars[1].is_null(), "no placement found: {}", mars[1]);
+        assert_eq!(mars[2].as_f64(), Some(2.5));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -14,6 +14,10 @@ pub(crate) enum Cell {
     /// A measured number: recorded at full precision (`null` when
     /// absent), printed with this many decimals (`-` when absent).
     Num(Option<f64>, usize),
+    /// A best per-step time in seconds: recorded as [`Cell::Num`],
+    /// printed with three decimals, or `OOM` when no seed found a
+    /// placement.
+    Best(Option<f64>),
 }
 
 impl fmt::Display for Cell {
@@ -27,6 +31,8 @@ impl fmt::Display for Cell {
                 f.write_str(if zero { s.trim_start_matches('-') } else { &s })
             }
             Cell::Num(None, _) => f.write_str("-"),
+            Cell::Best(Some(v)) => Cell::Num(Some(*v), 3).fmt(f),
+            Cell::Best(None) => f.write_str("OOM"),
         }
     }
 }
@@ -35,7 +41,7 @@ impl Cell {
     fn to_json(&self) -> Json {
         match self {
             Cell::Text(s) => Json::from(s),
-            Cell::Num(v, _) => Json::from(*v),
+            Cell::Num(v, _) | Cell::Best(v) => Json::from(*v),
         }
     }
 }
@@ -148,6 +154,18 @@ mod tests {
         assert_eq!(
             t.to_json().to_string(),
             r#"{"title":"T","header":["A","B","src"],"rows":[["x",0.06749,4],["y",null,"vgg16"]]}"#
+        );
+    }
+
+    #[test]
+    fn a_best_time_is_a_number_or_oom() {
+        let mut t = Table::new("T", &["A", "B"]);
+        t.push(vec![Cell::Text("x".into()), Cell::Best(Some(0.5))]);
+        t.push(vec![Cell::Text("y".into()), Cell::Best(None)]);
+        assert_eq!(t.markdown(), "\n### T\n\n| A | B |\n|---|---|\n| x | 0.500 |\n| y | OOM |\n\n");
+        assert_eq!(
+            t.to_json().to_string(),
+            r#"{"title":"T","header":["A","B"],"rows":[["x",0.5],["y",null]]}"#
         );
     }
 

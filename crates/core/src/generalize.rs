@@ -10,9 +10,23 @@ use crate::config::MarsConfig;
 use crate::workload_input::WorkloadInput;
 use mars_graph::features::FEATURE_DIM;
 use mars_graph::generators::{Profile, Workload};
+use mars_graph::CompGraph;
 use mars_rng::rngs::StdRng;
 use mars_rng::SeedableRng;
 use mars_sim::{Cluster, SimEnv};
+
+/// The measurement noise of a run seeded `seed` is drawn from
+/// `seed ^ ENV_SALT`, a stream apart from the agent's own draws.
+const ENV_SALT: u64 = 0xE11;
+
+/// The environment a run seeded `seed` measures `graph` in, on the
+/// paper's cluster, its noise drawn from `seed ^ ENV_SALT`. Table 3's
+/// fine-tuning below and its direct-training arm both measure the
+/// unseen workload here, so at one seed the two arms draw the same
+/// noise.
+pub fn measurement_env(graph: CompGraph, seed: u64) -> SimEnv {
+    SimEnv::new(graph, Cluster::p100_quad(), seed ^ ENV_SALT)
+}
 
 /// Result of one generalization run.
 pub struct GeneralizeResult {
@@ -67,7 +81,7 @@ pub fn generalize(
     // Phase 2: fine-tune on the unseen workload.
     let test_graph = test_w.build(profile);
     let test_input = WorkloadInput::from_graph(&test_graph);
-    let mut test_env = SimEnv::new(test_graph, cluster, seed ^ 0xFEFE);
+    let mut test_env = measurement_env(test_graph, seed);
     let mut ft_log = TrainingLog::default();
     agent.train(&mut test_env, &test_input, finetune_samples, &mut rng, &mut ft_log);
 

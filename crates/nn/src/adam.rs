@@ -37,19 +37,16 @@ impl Adam {
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for id in store.ids().collect::<Vec<_>>() {
-            let data = store.data_mut(id.0);
-            let n = data.value.len();
-            let g = data.grad.as_slice().to_vec();
-            let m = data.m.as_mut_slice();
-            let v = data.v.as_mut_slice();
-            let w = data.value.as_mut_slice();
-            for i in 0..n {
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g[i];
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g[i] * g[i];
-                let mhat = m[i] / b1t;
-                let vhat = v[i] / b2t;
-                w[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        for p in store.params_mut() {
+            let moments = p.m.as_mut_slice().iter_mut().zip(p.v.as_mut_slice());
+            let grads = p.grad.as_slice();
+            for ((w, (m, v)), &g) in p.value.as_mut_slice().iter_mut().zip(moments).zip(grads) {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let mhat = *m / b1t;
+                let vhat = *v / b2t;
+                *w -= lr * mhat / (vhat.sqrt() + eps);
             }
         }
         store.zero_grads();

@@ -151,8 +151,9 @@ impl ParamStore {
         }
     }
 
-    pub(crate) fn data_mut(&mut self, idx: usize) -> &mut ParamData {
-        &mut self.params[idx]
+    /// Every parameter, in registration order (the optimizer's sweep).
+    pub(crate) fn params_mut(&mut self) -> std::slice::IterMut<'_, ParamData> {
+        self.params.iter_mut()
     }
 }
 

@@ -5,9 +5,10 @@
 //! variable:
 //!
 //! * `MARS_KERNEL=scalar` — force the portable scalar loops.
-//! * `MARS_KERNEL=simd`   — require a SIMD backend; panic loudly if the
-//!   host has none (so CI jobs that *mean* to test SIMD can't silently
-//!   fall back).
+//! * `MARS_KERNEL=simd`   — require the best SIMD backend (AVX-512 where
+//!   the CPU has `avx512f`, else AVX2 or NEON); panic loudly if the host
+//!   has none (so CI jobs that *mean* to test SIMD can't silently fall
+//!   back).
 //! * `MARS_KERNEL=auto` (or unset) — pick the best available backend.
 //!
 //! The backend only changes *how many elements one instruction touches*,
@@ -27,6 +28,10 @@ pub enum Backend {
     Scalar,
     /// x86_64 AVX2 (256-bit, 8 × f32 lanes).
     Avx2,
+    /// x86_64 AVX-512F (512-bit, 16 × f32 lanes) for the product
+    /// kernel's 4-row tiles and `axpy`; every other kernel runs its
+    /// AVX2 path.
+    Avx512,
     /// aarch64 NEON (128-bit, 4 × f32 lanes).
     Neon,
 }
@@ -37,6 +42,7 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512",
             Backend::Neon => "neon",
         }
     }
@@ -46,11 +52,13 @@ const CODE_UNSET: u8 = 0;
 const CODE_SCALAR: u8 = 1;
 const CODE_AVX2: u8 = 2;
 const CODE_NEON: u8 = 3;
+const CODE_AVX512: u8 = 4;
 
 fn encode(b: Backend) -> u8 {
     match b {
         Backend::Scalar => CODE_SCALAR,
         Backend::Avx2 => CODE_AVX2,
+        Backend::Avx512 => CODE_AVX512,
         Backend::Neon => CODE_NEON,
     }
 }
@@ -59,6 +67,7 @@ fn decode(c: u8) -> Backend {
     match c {
         CODE_SCALAR => Backend::Scalar,
         CODE_AVX2 => Backend::Avx2,
+        CODE_AVX512 => Backend::Avx512,
         CODE_NEON => Backend::Neon,
         _ => unreachable!("invalid backend code {c}"),
     }
@@ -74,6 +83,9 @@ pub fn detected_simd() -> Option<Backend> {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Some(Backend::Avx512);
+            }
             return Some(Backend::Avx2);
         }
     }
@@ -122,16 +134,24 @@ pub fn backend() -> Backend {
     b
 }
 
+/// Whether the running host can run backend `b`: scalar anywhere, a
+/// SIMD backend where [`detected_simd`] finds it, and AVX2 on an
+/// AVX-512 host too.
+pub fn usable(b: Backend) -> bool {
+    match b {
+        Backend::Scalar => true,
+        Backend::Avx2 => matches!(detected_simd(), Some(Backend::Avx2 | Backend::Avx512)),
+        Backend::Avx512 | Backend::Neon => detected_simd() == Some(b),
+    }
+}
+
 /// Force a backend for this process (A/B tests; `None` restores the
-/// detected one). Panics if the requested backend is unusable on this
-/// host so a parity test can never silently compare scalar to scalar.
+/// detected one). Panics if the requested backend is not [`usable`] on
+/// this host so a parity test can never silently compare scalar to
+/// scalar.
 pub fn set_backend_override(b: Option<Backend>) {
     if let Some(b) = b {
-        let usable = match b {
-            Backend::Scalar => true,
-            Backend::Avx2 | Backend::Neon => detected_simd() == Some(b),
-        };
-        assert!(usable, "backend override {:?} is not usable on this host", b);
+        assert!(usable(b), "backend override {:?} is not usable on this host", b);
         OVERRIDE.store(encode(b), Ordering::Relaxed);
     } else {
         OVERRIDE.store(CODE_UNSET, Ordering::Relaxed);
@@ -156,6 +176,7 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(Backend::Scalar.name(), "scalar");
         assert_eq!(Backend::Avx2.name(), "avx2");
+        assert_eq!(Backend::Avx512.name(), "avx512");
         assert_eq!(Backend::Neon.name(), "neon");
     }
 }

@@ -286,9 +286,6 @@ where
         return;
     }
 
-    // Only the parallel dispatch is spanned; the sequential fallback
-    // above is attributed to the calling kernel's own span.
-    let _span = mars_telemetry::span("tensor.pool.par_chunks_mut");
     let shared = Shared {
         data: data.as_mut_ptr(),
         len: data.len(),
@@ -306,6 +303,11 @@ where
         }
         posted += usize::from(helper.post(&task));
     }
+    // Only a dispatch posted to a helper is spanned. When every helper
+    // is busy (this call runs inside a `join` lane, say) the caller runs
+    // all chunks, and that time stays in the calling kernel's own span,
+    // as the sequential fallback's does.
+    let _span = (posted > 0).then(|| mars_telemetry::span("tensor.pool.par_chunks_mut"));
     task.run();
     let taken_back = pool.iter().filter(|h| h.retract(&task)).count();
     if let Some(payload) = task.wait(posted - taken_back) {

@@ -9,18 +9,24 @@
 //! its adds one `t` at a time, in the same order, with the same
 //! two-rounding `mul` + `add` arithmetic as the scalar loop. FMA (one
 //! rounding) would change the bits, so the default tier never uses it —
-//! AVX2 issues `vmulps` + `vaddps`, NEON `fmul` + `fadd`. That makes
-//! SIMD results bit-identical to the scalar kernels by construction,
-//! pinned by `tests/simd_parity.rs` across ragged shapes, subnormals
-//! and NaN.
+//! AVX2 and AVX-512 issue `vmulps` + `vaddps`, NEON `fmul` + `fadd`.
+//! That makes SIMD results bit-identical to the scalar kernels by
+//! construction, pinned by `tests/simd_parity.rs` across ragged shapes,
+//! subnormals and NaN.
 //!
-//! The remainder tail (< one lane width) runs the scalar loop, which is
-//! the same arithmetic, so ragged widths stay exact too.
+//! The remainder tail (< one lane width) runs the next narrower path
+//! and finally the scalar loop, which is the same arithmetic, so ragged
+//! widths stay exact too.
 //!
 //! The decoder's score kernels follow the same rule: [`attn_scores`]
 //! lanes over output *rows* (an 8 × 8 register transpose feeds it),
-//! [`attn_score_grads`] over columns. Those two have an AVX2 path only;
-//! NEON runs their scalar loops.
+//! [`attn_score_grads`] over columns. Those two have an AVX2 path only,
+//! which the AVX-512 backend runs too; NEON runs their scalar loops.
+//!
+//! Every dispatch site names every [`Backend`] variant, so a new one
+//! cannot fall through to a scalar arm unnoticed; a variant of another
+//! architecture is `unreachable!`, since [`kernel::backend`] never
+//! returns one.
 
 use crate::kernel::{self, Backend};
 
@@ -33,11 +39,20 @@ use crate::kernel::{self, Backend};
 pub fn axpy(out: &mut [f32], a: f32, b: &[f32]) {
     assert_eq!(out.len(), b.len(), "axpy: length mismatch");
     match kernel::backend() {
+        Backend::Scalar => axpy_scalar(out, a, b),
+        // SAFETY (every SIMD arm of this file's dispatches): the
+        // dispatch returns a backend only on a host that runs it, and
+        // an AVX-512 host runs AVX2 too.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { axpy_avx2(out, a, b) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => unsafe { axpy_avx512(out, a, b) },
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => unsafe { axpy_neon(out, a, b) },
-        _ => axpy_scalar(out, a, b),
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 => unreachable!("an x86 backend on another target"),
+        #[cfg(not(target_arch = "aarch64"))]
+        Backend::Neon => unreachable!("NEON on another target"),
     }
 }
 
@@ -91,6 +106,45 @@ unsafe fn axpy_avx2(out: &mut [f32], a: f32, b: &[f32]) {
         i += 8;
     }
     axpy_scalar(&mut out[i..], a, &b[i..]);
+}
+
+/// AVX-512 axpy: 64- and 16-lane strides, then the AVX2 kernel for the
+/// rest. `mul` + `add`, never FMA, as in [`axpy_avx2`].
+///
+/// # Safety
+/// Caller must ensure the host supports AVX-512F (guaranteed by the
+/// [`kernel::backend`] dispatch).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn axpy_avx512(out: &mut [f32], a: f32, b: &[f32]) {
+    use std::arch::x86_64::*;
+    let n = out.len();
+    let po = out.as_mut_ptr();
+    let pb = b.as_ptr();
+    let va = _mm512_set1_ps(a);
+    let mut i = 0;
+    // SAFETY (both loops): `i + 64 <= n` or `i + 16 <= n`, and
+    // `b.len() == n`.
+    while i + 64 <= n {
+        unsafe {
+            for k in (0..64).step_by(16) {
+                let o = _mm512_loadu_ps(po.add(i + k));
+                let bv = _mm512_loadu_ps(pb.add(i + k));
+                _mm512_storeu_ps(po.add(i + k), _mm512_add_ps(o, _mm512_mul_ps(va, bv)));
+            }
+        }
+        i += 64;
+    }
+    while i + 16 <= n {
+        unsafe {
+            let o = _mm512_loadu_ps(po.add(i));
+            let bv = _mm512_loadu_ps(pb.add(i));
+            _mm512_storeu_ps(po.add(i), _mm512_add_ps(o, _mm512_mul_ps(va, bv)));
+        }
+        i += 16;
+    }
+    // SAFETY: AVX-512F hosts run AVX2 (`detected_simd` requires both).
+    unsafe { axpy_avx2(&mut out[i..], a, &b[i..]) };
 }
 
 /// NEON axpy. `fmul` + `fadd` (two roundings), **not** `vfmaq`: same
@@ -206,11 +260,12 @@ impl<'a> Coeffs<'a> {
 /// on every backend. The AVX2 path keeps a 4-row × 16-column tile of
 /// `out` in registers across all terms (each `b` load feeds four rows),
 /// single rows in 32- and 8-column strips, then a scalar tail; a tile
-/// whose coefficients hold no zero runs without the skip's branch. A
-/// single-column output runs eight rows in lanes instead, where a
-/// zero coefficient's lane keeps its old value through a blend — the
-/// skip, lane by lane, so a `-0.0` slot or a `0 · ∞` term comes out as
-/// the loop leaves it.
+/// whose coefficients hold no zero runs without the skip's branch. The
+/// AVX-512 path runs the 4-row tiles in 64- and 16-column zmm strips
+/// first, and everything else as AVX2 does. A single-column output runs
+/// eight rows in lanes instead, where a zero coefficient's lane keeps
+/// its old value through a blend — the skip, lane by lane, so a `-0.0`
+/// slot or a `0 · ∞` term comes out as the loop leaves it.
 ///
 /// # Panics
 /// If `out` is not whole rows of `cols`, or `a` or `b` is too short for
@@ -236,10 +291,14 @@ pub fn product(out: &mut [f32], cols: usize, a: Coeffs<'_>, b: &[f32], ldb: usiz
         b.len()
     );
     match kernel::backend() {
-        // SAFETY: the dispatch returns Avx2 only on an AVX2 host, and
-        // the two asserts above are the bounds `product_avx2` reads in.
+        Backend::Scalar => product_scalar(out, cols, a, b, ldb, 0..rows, 0),
+        // SAFETY: the dispatch returns Avx2 only on an AVX2 host and
+        // Avx512 only on an AVX-512F one, and the two asserts above are
+        // the bounds `product_avx2` reads in.
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { product_avx2(out, cols, a, b, ldb) },
+        Backend::Avx2 => unsafe { product_avx2(out, cols, a, b, ldb, false) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => unsafe { product_avx2(out, cols, a, b, ldb, true) },
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => {
             for r in 0..rows {
@@ -249,7 +308,10 @@ pub fn product(out: &mut [f32], cols: usize, a: Coeffs<'_>, b: &[f32], ldb: usiz
                 unsafe { product_row_neon(row, a.skip_rows(r), b, ldb) };
             }
         }
-        _ => product_scalar(out, cols, a, b, ldb, 0..rows, 0),
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 => unreachable!("an x86 backend on another target"),
+        #[cfg(not(target_arch = "aarch64"))]
+        Backend::Neon => unreachable!("NEON on another target"),
     }
 }
 
@@ -281,14 +343,25 @@ fn product_scalar(
 /// AVX2 [`product`]: 4-row tiles of two ymm accumulators per row
 /// (eight add chains), then single rows of four; 8-column strips and a
 /// scalar tail finish ragged widths. Single-column outputs go to
-/// [`column_avx2`]. Mul + add, never FMA.
+/// [`column_avx2`]. With `zmm` (the AVX-512 backend) the 4-row tiles
+/// run [`row_strips_avx512`] instead. Mul + add, never FMA.
+///
+/// Single rows stay on ymm even with `zmm`: the LSTM and decoder steps'
+/// 1-row products ran no faster end to end in zmm strips.
 ///
 /// # Safety
-/// Caller must ensure AVX2 support and the bounds checked by
-/// [`product`].
+/// Caller must ensure AVX2 support, AVX-512F support if `zmm`, and the
+/// bounds checked by [`product`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn product_avx2(out: &mut [f32], cols: usize, a: Coeffs<'_>, b: &[f32], ldb: usize) {
+unsafe fn product_avx2(
+    out: &mut [f32],
+    cols: usize,
+    a: Coeffs<'_>,
+    b: &[f32],
+    ldb: usize,
+    zmm: bool,
+) {
     let rows = out.len() / cols;
     // SAFETY (every call below): this function's own contract, with
     // `r + 4 <= rows` for the tiles and `r < rows` for the single rows.
@@ -299,7 +372,11 @@ unsafe fn product_avx2(out: &mut [f32], cols: usize, a: Coeffs<'_>, b: &[f32], l
     }
     let mut r = 0;
     while r + 4 <= rows {
-        let c = unsafe { row_strips_avx2::<4, 2>(out, cols, a, b, ldb, r) };
+        let c = if zmm {
+            unsafe { row_strips_avx512(out, cols, a, b, ldb, r) }
+        } else {
+            unsafe { row_strips_avx2::<4, 2>(out, cols, a, b, ldb, r) }
+        };
         product_scalar(out, cols, a, b, ldb, r..r + 4, c);
         r += 4;
     }
@@ -394,6 +471,97 @@ unsafe fn strips_avx2<const RT: usize, const G: usize, const SKIP: bool>(
             }
         }
         c += 8 * G;
+    }
+    c
+}
+
+/// Rows `r0 .. r0 + 4` of [`product_avx2`] on the AVX-512 backend: four
+/// zmm accumulators per row (64 columns, sixteen add chains), then
+/// 16-column zmm strips and one 8-column ymm strip; returns the first
+/// column left to the scalar tail. The skip's branch runs only if a
+/// coefficient of the four rows is `== 0.0`, as in [`row_strips_avx2`].
+///
+/// # Safety
+/// As [`product_avx2`] with `zmm`, and `r0 + 4 <= rows`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn row_strips_avx512(
+    out: &mut [f32],
+    cols: usize,
+    a: Coeffs<'_>,
+    b: &[f32],
+    ldb: usize,
+    r0: usize,
+) -> usize {
+    // SAFETY: this function's contract, passed on unchanged.
+    unsafe {
+        if a.has_zero(r0..r0 + 4) {
+            let c = strips_avx512::<4, true>(out, cols, a, b, ldb, r0, 0);
+            let c = strips_avx512::<1, true>(out, cols, a, b, ldb, r0, c);
+            strips_avx2::<4, 1, true>(out, cols, a, b, ldb, r0, c)
+        } else {
+            let c = strips_avx512::<4, false>(out, cols, a, b, ldb, r0, 0);
+            let c = strips_avx512::<1, false>(out, cols, a, b, ldb, r0, c);
+            strips_avx2::<4, 1, false>(out, cols, a, b, ldb, r0, c)
+        }
+    }
+}
+
+/// Rows `r0 .. r0 + 4` of [`product_avx2`] from column `c0`, in
+/// `16·G`-column zmm strips held in registers across every term; returns
+/// the first column no whole strip covered. The zmm twin of
+/// [`strips_avx2`]: per element the same ascending terms, skip and
+/// mul + add.
+///
+/// # Safety
+/// As [`row_strips_avx512`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn strips_avx512<const G: usize, const SKIP: bool>(
+    out: &mut [f32],
+    cols: usize,
+    a: Coeffs<'_>,
+    b: &[f32],
+    ldb: usize,
+    r0: usize,
+    c0: usize,
+) -> usize {
+    use std::arch::x86_64::*;
+    const RT: usize = 4;
+    let (po, pa, pb) = (out.as_mut_ptr(), a.a.as_ptr(), b.as_ptr());
+    let mut c = c0;
+    while c + 16 * G <= cols {
+        // SAFETY: as in `strips_avx2`, with columns `c..c + 16·G`.
+        unsafe {
+            let mut acc = [[_mm512_setzero_ps(); G]; RT];
+            for (rr, acc_r) in acc.iter_mut().enumerate() {
+                for (g, x) in acc_r.iter_mut().enumerate() {
+                    *x = _mm512_loadu_ps(po.add((r0 + rr) * cols + c + 16 * g));
+                }
+            }
+            for t in 0..a.terms {
+                let mut bv = [_mm512_setzero_ps(); G];
+                for (g, x) in bv.iter_mut().enumerate() {
+                    *x = _mm512_loadu_ps(pb.add(t * ldb + c + 16 * g));
+                }
+                for (rr, acc_r) in acc.iter_mut().enumerate() {
+                    let x = *pa.add((r0 + rr) * a.rs + t * a.ts);
+                    if SKIP && x == 0.0 {
+                        continue;
+                    }
+                    let vx = _mm512_set1_ps(x);
+                    for (acc_g, &b_g) in acc_r.iter_mut().zip(&bv) {
+                        *acc_g = _mm512_add_ps(*acc_g, _mm512_mul_ps(vx, b_g));
+                    }
+                }
+            }
+            for (rr, acc_r) in acc.iter().enumerate() {
+                for (g, &x) in acc_r.iter().enumerate() {
+                    _mm512_storeu_ps(po.add((r0 + rr) * cols + c + 16 * g), x);
+                }
+            }
+        }
+        c += 16 * G;
     }
     c
 }
@@ -570,9 +738,12 @@ unsafe fn product_row_neon(out: &mut [f32], a: Coeffs<'_>, b: &[f32], ldb: usize
 pub fn attn_scores(out: &mut [f32], act: &[f32], v: &[f32]) {
     assert_eq!(act.len(), out.len() * v.len(), "attn_scores: act is not rows × v.len()");
     match kernel::backend() {
+        // SAFETY: as in `axpy`.
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { attn_scores_avx2(out, act, v) },
-        _ => attn_scores_scalar(out, act, v),
+        Backend::Avx2 | Backend::Avx512 => unsafe { attn_scores_avx2(out, act, v) },
+        Backend::Scalar | Backend::Neon => attn_scores_scalar(out, act, v),
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 => unreachable!("an x86 backend on another target"),
     }
 }
 
@@ -732,9 +903,16 @@ fn score_grads<const MODE: u8>(
 ) {
     assert!(MODE == SKIP || gproj.len() == act.len(), "attn_score_grads: gproj shape mismatch");
     match kernel::backend() {
+        // SAFETY: as in `axpy`.
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { score_grads_avx2::<MODE>(act, gs, v, gdproj, gv, gproj) },
-        _ => score_grads_cols::<MODE>(act, gs, v, gdproj, gv, gproj, 0),
+        Backend::Avx2 | Backend::Avx512 => unsafe {
+            score_grads_avx2::<MODE>(act, gs, v, gdproj, gv, gproj)
+        },
+        Backend::Scalar | Backend::Neon => {
+            score_grads_cols::<MODE>(act, gs, v, gdproj, gv, gproj, 0)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 => unreachable!("an x86 backend on another target"),
     }
 }
 
@@ -908,15 +1086,20 @@ pub fn tanh(x: f32) -> f32 {
 /// Bit-identical to mapping [`tanh`] over the slice on every backend.
 pub fn tanh_inplace(xs: &mut [f32]) {
     match kernel::backend() {
-        #[cfg(target_arch = "x86_64")]
-        kernel::Backend::Avx2 => unsafe { tanh_avx2(xs) },
-        #[cfg(target_arch = "aarch64")]
-        kernel::Backend::Neon => unsafe { tanh_neon(xs) },
-        _ => {
+        Backend::Scalar => {
             for x in xs {
                 *x = tanh(*x);
             }
         }
+        // SAFETY: as in `axpy`.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 | Backend::Avx512 => unsafe { tanh_avx2(xs) },
+        #[cfg(target_arch = "aarch64")]
+        Backend::Neon => unsafe { tanh_neon(xs) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 => unreachable!("an x86 backend on another target"),
+        #[cfg(not(target_arch = "aarch64"))]
+        Backend::Neon => unreachable!("NEON on another target"),
     }
 }
 
@@ -1015,9 +1198,10 @@ mod tests {
 
     #[test]
     fn axpy_matches_scalar_bitwise_on_all_lengths() {
-        // Covers every remainder class around the 8-lane and 32-unroll
-        // boundaries, plus subnormals and negative zero.
-        for n in [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100] {
+        // Covers every remainder class around the 8- and 16-lane and
+        // 32- and 64-unroll boundaries, plus subnormals and negative zero.
+        for n in [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 80, 88, 89, 100, 127]
+        {
             let b: Vec<f32> = (0..n)
                 .map(|i| ((i as f32 * 0.37).sin() * 1e3) + if i % 7 == 0 { 1e-41 } else { 0.0 })
                 .collect();

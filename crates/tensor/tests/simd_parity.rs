@@ -7,7 +7,9 @@
 //! (including degenerate `1 × N` / `N × 1` and non-lane-multiple
 //! remainders), subnormal inputs, and NaN propagation, for the dense
 //! product kernel and its three transpose variants, both sparse
-//! products and the tanh batch.
+//! products and the tanh batch. Every backend the host can run takes
+//! part — scalar, AVX2 and AVX-512 on an AVX-512 host — and each must
+//! match the scalar one, so all match pairwise.
 //!
 //! The backend override is process-global, so everything runs inside a
 //! single `#[test]` to keep the comparison race-free.
@@ -57,19 +59,32 @@ fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
     }
 }
 
-/// Run `f` once under the forced scalar backend and once under the
-/// host's detected backend, returning both results.
-fn under_both<T>(f: impl Fn() -> T) -> (T, T) {
+/// Every backend the running host can run, scalar first.
+fn usable_backends() -> Vec<Backend> {
+    [Backend::Scalar, Backend::Avx2, Backend::Avx512, Backend::Neon]
+        .into_iter()
+        .filter(|&b| kernel::usable(b))
+        .collect()
+}
+
+/// Run `f` under each usable backend: every SIMD backend's result must
+/// equal the scalar one bit for bit. Returns the scalar result.
+fn all_equal(what: &str, f: impl Fn() -> Matrix) -> Matrix {
     kernel::set_backend_override(Some(Backend::Scalar));
     let scalar = f();
+    for b in usable_backends().into_iter().skip(1) {
+        kernel::set_backend_override(Some(b));
+        assert_bits_eq(&scalar, &f(), &format!("{what} (scalar vs {})", b.name()));
+    }
     kernel::set_backend_override(None);
-    let auto = f();
-    (scalar, auto)
+    scalar
 }
 
 #[test]
 fn simd_kernels_are_bit_identical_to_scalar() {
-    if kernel::detected_simd().is_none() {
+    let backends: Vec<&str> = usable_backends().iter().map(|b| b.name()).collect();
+    eprintln!("backends compared: {}", backends.join(", "));
+    if backends.len() == 1 {
         eprintln!("no SIMD backend on this host; parity battery is trivially scalar-vs-scalar");
     }
     let mut rng = StdRng::seed_from_u64(0xD15B_A77C);
@@ -99,16 +114,13 @@ fn simd_kernels_are_bit_identical_to_scalar() {
     for &(m, k, n) in &shapes {
         let a = spicy(m, k, &mut rng);
         let b = spicy(k, n, &mut rng);
-        let (s, v) = under_both(|| matmul(&a, &b));
-        assert_bits_eq(&s, &v, &format!("matmul {m}x{k}·{k}x{n}"));
+        all_equal(&format!("matmul {m}x{k}·{k}x{n}"), || matmul(&a, &b));
 
         let at = spicy(k, m, &mut rng);
-        let (s, v) = under_both(|| matmul_tn(&at, &b));
-        assert_bits_eq(&s, &v, &format!("matmul_tn {k}x{m}ᵀ·{k}x{n}"));
+        all_equal(&format!("matmul_tn {k}x{m}ᵀ·{k}x{n}"), || matmul_tn(&at, &b));
 
         let bn = spicy(n, k, &mut rng);
-        let (s, v) = under_both(|| matmul_nt(&a, &bn));
-        assert_bits_eq(&s, &v, &format!("matmul_nt {m}x{k}·{n}x{k}ᵀ"));
+        all_equal(&format!("matmul_nt {m}x{k}·{n}x{k}ᵀ"), || matmul_nt(&a, &bn));
     }
 
     // A·Bᵀ at every output width 0..=33 — each tail class of the
@@ -119,8 +131,7 @@ fn simd_kernels_are_bit_identical_to_scalar() {
         a.row_mut(1).fill(0.0);
         a.row_mut(2)[..9].fill(-0.0);
         let b = spicy(n, 19, &mut rng);
-        let (s, v) = under_both(|| matmul_nt(&a, &b));
-        assert_bits_eq(&s, &v, &format!("matmul_nt width {n}"));
+        let s = all_equal(&format!("matmul_nt width {n}"), || matmul_nt(&a, &b));
         assert!(s.row(1).iter().all(|x| x.to_bits() == 0), "zero row must stay +0.0");
     }
 
@@ -139,11 +150,9 @@ fn simd_kernels_are_bit_identical_to_scalar() {
         }
         let sp = CsrMatrix::from_triplets(rows, cols, &trips);
         let x = spicy(cols, feat, &mut rng);
-        let (s, v) = under_both(|| sp.spmm(&x));
-        assert_bits_eq(&s, &v, &format!("spmm {rows}x{cols} width {feat}"));
+        all_equal(&format!("spmm {rows}x{cols} width {feat}"), || sp.spmm(&x));
         let y = spicy(rows, feat, &mut rng);
-        let (s, v) = under_both(|| sp.spmm_t(&y));
-        assert_bits_eq(&s, &v, &format!("spmm_t {rows}x{cols} width {feat}"));
+        all_equal(&format!("spmm_t {rows}x{cols} width {feat}"), || sp.spmm_t(&y));
     }
 
     // tanh batch kernel, remainder lengths + special values.
@@ -154,21 +163,18 @@ fn simd_kernels_are_bit_identical_to_scalar() {
             base[1] = 1e-41;
             base[2] = -0.0;
         }
-        let (s, v) = under_both(|| {
-            let mut xs = base.clone();
-            simd::tanh_inplace(&mut xs);
+        all_equal(&format!("tanh n={n}"), || {
+            let mut xs = Matrix::from_vec(1, n, base.clone());
+            simd::tanh_inplace(xs.as_mut_slice());
             xs
         });
-        for (i, (x, y)) in s.iter().zip(&v).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "tanh n={n} i={i}");
-        }
     }
 
-    // The product kernel against the loop it stands for, on both
-    // backends: both coefficient layouts, rows 1–9 around the 4-row
-    // tile and the 8-row lanes, widths around the 8/16/32-column
-    // strips, a `b` stride wider than the slot, and term counts on
-    // either side of the 8 × 8 transpose. With zeros, row 0's
+    // The product kernel against the loop it stands for, on every
+    // backend: both coefficient layouts, rows 1–9 around the 4-row
+    // tile and the 8-row lanes, widths around the 8/16/32-column ymm
+    // and 16/64-column zmm strips, a `b` stride wider than the slot,
+    // and term counts on either side of the 8 × 8 transpose. With zeros, row 0's
     // coefficients are all zero and its slot `-0.0`, which only the
     // skip leaves as is, and even rows skip terms 0 and 1, where `b`
     // holds `+∞` and a NaN (one of each per element: with two NaNs
@@ -179,8 +185,8 @@ fn simd_kernels_are_bit_identical_to_scalar() {
     // as the loop's `!=` does. Without zeros, every tile runs the
     // kernel's no-skip loop. The other slots hold values.
     for rows in 1..=9usize {
-        for cols in [1usize, 7, 8, 15, 16, 17, 32, 33, 256] {
-            for terms in [1usize, 13] {
+        for cols in [1usize, 7, 8, 15, 16, 17, 24, 25, 32, 33, 63, 64, 65, 80, 88, 89, 129, 256] {
+            for terms in [1usize, 13, 40] {
                 for (term_major, zeros) in
                     [(false, true), (true, true), (false, false), (true, false)]
                 {
@@ -226,7 +232,10 @@ fn simd_kernels_are_bit_identical_to_scalar() {
                             want.set(r, c, e);
                         }
                     }
-                    let (s, v) = under_both(|| {
+                    let what = format!(
+                        "product {rows}x{cols}, {terms} terms, term-major {term_major}, zeros {zeros}"
+                    );
+                    let s = all_equal(&what, || {
                         let mut out = seed.clone();
                         let coeffs = if term_major {
                             simd::Coeffs::cols(&a, rows, terms)
@@ -236,11 +245,7 @@ fn simd_kernels_are_bit_identical_to_scalar() {
                         simd::product(out.as_mut_slice(), cols, coeffs, b.as_slice(), ldb);
                         out
                     });
-                    let what = format!(
-                        "product {rows}x{cols}, {terms} terms, term-major {term_major}, zeros {zeros}"
-                    );
                     assert_bits_eq(&s, &want, &format!("{what} (scalar vs loop)"));
-                    assert_bits_eq(&v, &want, &format!("{what} (dispatched vs loop)"));
                     if zeros {
                         let neg_zero = (-0.0f32).to_bits();
                         assert!(s.row(0).iter().all(|x| x.to_bits() == neg_zero), "{what}");
@@ -252,7 +257,7 @@ fn simd_kernels_are_bit_identical_to_scalar() {
 
     // The DGI head's two single-column products at the paper's width:
     // scores `H · w` (528×256·256×1) and their weight gradient `Hᵀ · g`
-    // (528×256ᵀ·528×1), against the loop on both backends.
+    // (528×256ᵀ·528×1), against the loop on every backend.
     let h = bounded(528, 256, &mut rng);
     let w = bounded(256, 1, &mut rng);
     let g = bounded(528, 1, &mut rng);
@@ -266,9 +271,7 @@ fn simd_kernels_are_bit_identical_to_scalar() {
         ("matmul 528x256·256x1", &loop_nn, &(|| matmul(&h, &w)) as &dyn Fn() -> Matrix),
         ("matmul_tn 528x256ᵀ·528x1", &loop_tn, &|| matmul_tn(&h, &g)),
     ] {
-        let (s, v) = under_both(f);
-        assert_bits_eq(&s, want, &format!("{what} (scalar vs loop)"));
-        assert_bits_eq(&v, want, &format!("{what} (dispatched vs loop)"));
+        assert_bits_eq(&all_equal(what, f), want, &format!("{what} (scalar vs loop)"));
     }
 
     // Attention scores and their reverse, rows and widths on either
@@ -284,7 +287,7 @@ fn simd_kernels_are_bit_identical_to_scalar() {
             act.set(rows - 1, ad - 1, f32::NAN);
         }
         gs.set(0, 0, 0.0);
-        let (s, w) = under_both(|| {
+        let s = all_equal(&format!("attn_scores {rows}x{ad}"), || {
             let mut out = Matrix::full(1, rows, 7.0);
             simd::attn_scores(out.as_mut_slice(), act.as_slice(), v.as_slice());
             out
@@ -300,7 +303,6 @@ fn simd_kernels_are_bit_identical_to_scalar() {
             s
         });
         assert_bits_eq(&s, &want, &format!("attn_scores {rows}x{ad} (scalar vs skip loop)"));
-        assert_bits_eq(&s, &w, &format!("attn_scores {rows}x{ad}"));
         let seed = spicy(rows, ad, &mut rng);
         for mode in 0..3 {
             let (mut gd, mut gv, mut gp) =
@@ -323,7 +325,8 @@ fn simd_kernels_are_bit_identical_to_scalar() {
             }
             let all = [gd.as_slice(), gv.as_slice(), gp.as_slice()].concat();
             let want = Matrix::from_vec(1, all.len(), all);
-            let (s, w) = under_both(|| {
+            let what = format!("attn_score_grads {rows}x{ad} mode {mode}");
+            let s = all_equal(&what, || {
                 let (mut gd, mut gv, mut gp) =
                     (Matrix::full(1, ad, 3.0), Matrix::zeros(1, ad), seed.clone());
                 let sink = match mode {
@@ -336,20 +339,17 @@ fn simd_kernels_are_bit_identical_to_scalar() {
                 let all = [gd.as_slice(), gv.as_slice(), gp.as_slice()].concat();
                 Matrix::from_vec(1, all.len(), all)
             });
-            let what = format!("attn_score_grads {rows}x{ad} mode {mode}");
             assert_bits_eq(&s, &want, &format!("{what} (scalar vs skip loop)"));
-            assert_bits_eq(&s, &w, &what);
         }
     }
 
     // NaN propagation: a NaN in the contraction poisons exactly the
-    // outputs it reaches, identically on both backends.
+    // outputs it reaches, identically on every backend.
     let mut a = Matrix::zeros(3, 5);
     a.set(1, 2, f32::NAN);
     a.set(1, 3, 1.0);
     let b = spicy(5, 11, &mut rng);
-    let (s, v) = under_both(|| matmul(&a, &b));
+    let s = all_equal("matmul NaN propagation", || matmul(&a, &b));
     assert!(s.row(1).iter().all(|x| x.is_nan()), "NaN row must be fully poisoned");
-    assert_bits_eq(&s, &v, "matmul NaN propagation");
     assert!(s.row(0).iter().all(|x| !x.is_nan()), "NaN must not leak across rows");
 }

@@ -199,11 +199,16 @@ echo "==> kernel dispatch parity at DGI width: MARS_KERNEL=scalar must pin the s
 # The parity diff above runs Reduced Inception at small widths, where the
 # product kernel's width-256 tiles and single-column lanes barely run;
 # pretrain_corpus --smoke runs DGI at width 256 over all eight graphs.
+# The detected backend is the one the run reports as
+# provenance.kernel_backend (avx512, avx2 or neon), so the log shows
+# which vector path the comparison covered.
 LEDGER=target/ledger/release/ledger
 SCALAR_FNV=$(MARS_KERNEL=scalar "$LEDGER" --workload pretrain_corpus --smoke | grep "dgi_loss_fnv")
-AUTO_FNV=$("$LEDGER" --workload pretrain_corpus --smoke | grep "dgi_loss_fnv")
+AUTO_OUT=$("$LEDGER" --workload pretrain_corpus --smoke)
+AUTO_FNV=$(grep "dgi_loss_fnv" <<< "$AUTO_OUT")
+AUTO_BACKEND=$(grep -o "provenance.kernel_backend: .*" <<< "$AUTO_OUT" | cut -d' ' -f2)
 echo "scalar:   $SCALAR_FNV"
-echo "detected: $AUTO_FNV"
+echo "detected ($AUTO_BACKEND): $AUTO_FNV"
 [ "$SCALAR_FNV" = "$AUTO_FNV" ] || {
     echo "forcing the scalar kernel backend changed the DGI losses at width 256"; exit 1; }
 
